@@ -95,9 +95,11 @@ macro-gate:
 	go run ./cmd/benchdiff -macro -baseline MACRO_baseline.json -latest MACRO_latest.json
 
 # fuzz runs a short smoke pass over every native fuzz target (decoder, WAL
-# replay, snapshot reader); CI runs it on each push.
+# replay, snapshot reader, planned-vs-reference SQL execution); CI runs it on
+# each push.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime 10s ./internal/record
 	go test -run '^$$' -fuzz '^FuzzSnapshotRead$$' -fuzztime 10s ./internal/record
 	go test -run '^$$' -fuzz '^FuzzColumnarPageRead$$' -fuzztime 10s ./internal/record
 	go test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/storage
+	go test -run '^$$' -fuzz '^FuzzPlannedVsScan$$' -fuzztime 10s ./internal/sqlparse

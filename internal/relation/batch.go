@@ -36,18 +36,6 @@ type Batch struct {
 	schema *Schema
 }
 
-// NewBatch allocates a batch with capacity for size rows of the schema, all
-// columns materialized, empty selection. Operators that build batches from
-// scratch (adapters, joins) use it and reuse the buffers across calls.
-func NewBatch(schema *Schema, size int) *Batch {
-	b := &Batch{schema: schema, Cols: make([][]Value, schema.Len())}
-	for i := range b.Cols {
-		b.Cols[i] = make([]Value, 0, size)
-	}
-	b.Sel = make([]int, 0, size)
-	return b
-}
-
 // Schema returns the schema the columns are laid out by.
 func (b *Batch) Schema() *Schema { return b.schema }
 
@@ -92,7 +80,7 @@ type BatchIterator interface {
 	NextBatch() (*Batch, bool)
 }
 
-// ---------- Row <-> batch adapters ----------
+// ---------- Batch -> row adapter ----------
 
 // RowsFromBatchesOp adapts a BatchIterator into a row Iterator at a
 // pipeline boundary (sort, distinct, limit, final materialization). Each
@@ -127,48 +115,6 @@ func (r *RowsFromBatchesOp) Next() (Row, bool) {
 	}
 }
 
-// BatchFromRowsOp adapts a row Iterator into a BatchIterator by packing up
-// to size rows per batch with an identity selection vector. It lets batch
-// operators run over row-producing sources (index paths, virtual tables)
-// and gives equivalence tests a way to feed identical inputs to both paths.
-type BatchFromRowsOp struct {
-	in    Iterator
-	batch *Batch
-	size  int
-}
-
-// NewBatchFromRows wraps a row stream as a batch stream.
-func NewBatchFromRows(in Iterator, size int) *BatchFromRowsOp {
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
-	return &BatchFromRowsOp{in: in, batch: NewBatch(in.Schema(), size), size: size}
-}
-
-// Schema implements BatchIterator.
-func (a *BatchFromRowsOp) Schema() *Schema { return a.in.Schema() }
-
-// NextBatch implements BatchIterator.
-func (a *BatchFromRowsOp) NextBatch() (*Batch, bool) {
-	b := a.batch
-	b.reset()
-	for b.n < a.size {
-		r, ok := a.in.Next()
-		if !ok {
-			break
-		}
-		for j := range b.Cols {
-			b.Cols[j] = append(b.Cols[j], r[j])
-		}
-		b.Sel = append(b.Sel, b.n)
-		b.n++
-	}
-	if b.n == 0 {
-		return nil, false
-	}
-	return b, true
-}
-
 // ---------- Batch scan ----------
 
 // batchStater is the internal surface batch scans pin table state through:
@@ -178,13 +124,16 @@ type batchStater interface {
 	batchState() (*tableState, int64)
 }
 
-// BatchScanOp scans a table's row store in contiguous chunks, transposing
-// each chunk into column slices and recording the epoch-visible rows in the
-// selection vector. Like ScanOp, state resolves lazily on the first
-// NextBatch, so building a plan (EXPLAIN) costs nothing. Column pruning:
-// when needed is non-nil, only those columns are materialized.
+// BatchScanOp scans a row store in contiguous chunks, transposing each chunk
+// into column slices and recording the epoch-visible rows in the selection
+// vector. Like ScanOp, state resolves lazily on the first NextBatch, so
+// building a plan (EXPLAIN) costs nothing. Column pruning: when needed is
+// non-nil, only those columns are materialized. The store is either a
+// table's (NewBatchScan) or a row set some other access path resolved —
+// index matches, a virtual table (NewBatchRows).
 type BatchScanOp struct {
-	src      TableReader
+	src      TableReader  // nil for NewBatchRows
+	rowsFn   func() []Row // NewBatchRows: resolves the already-visible rows
 	schema   *Schema
 	needed   []int // nil = all columns
 	size     int
@@ -204,7 +153,8 @@ type BatchScanOp struct {
 	zoneFilter ZoneFilter
 	zones      []PageZone
 
-	// Fallback for readers without a published state.
+	// Already visibility-filtered rows: NewBatchRows, and table readers
+	// without a published state.
 	rows []Row
 }
 
@@ -216,6 +166,19 @@ func NewBatchScan(t TableReader, needed []int, size int) *BatchScanOp {
 		size = DefaultBatchSize
 	}
 	return &BatchScanOp{src: t, schema: t.Schema(), needed: needed, size: size, hi: -1}
+}
+
+// NewBatchRows returns a batch scan over the rows src resolves on the first
+// NextBatch — rows that are already visibility-filtered and that the caller
+// will not mutate. It is how row-producing access paths (index lookups and
+// ranges, virtual tables) enter the batch pipeline; the batch buffers are
+// sized to the resolved row count, so a handful of matches costs a handful
+// of values per needed column, not a full batch.
+func NewBatchRows(schema *Schema, src func() []Row, needed []int, size int) *BatchScanOp {
+	if size <= 0 {
+		size = DefaultBatchSize
+	}
+	return &BatchScanOp{rowsFn: src, schema: schema, needed: needed, size: size, hi: -1}
 }
 
 // Schema implements BatchIterator.
@@ -250,6 +213,21 @@ func (s *BatchScanOp) StoreLen() int {
 
 func (s *BatchScanOp) resolve() {
 	s.resolved = true
+	if s.rowsFn != nil {
+		s.rows = s.rowsFn()
+		s.size = max(1, min(s.size, len(s.rows)))
+	} else if bp, ok := s.src.(batchStater); ok {
+		s.st, s.epoch = bp.batchState()
+		if s.zoneFilter != nil {
+			if zt, ok := s.src.(zoneTabler); ok {
+				if t := zt.zoneTable(); t != nil {
+					s.zones = t.zonePages(s.st)
+				}
+			}
+		}
+	} else {
+		s.rows = s.src.Rows() // already visibility-filtered
+	}
 	s.batch = &Batch{schema: s.schema, Cols: make([][]Value, s.schema.Len())}
 	s.cols = s.needed
 	if s.cols == nil {
@@ -266,18 +244,6 @@ func (s *BatchScanOp) resolve() {
 	for i := range s.identity {
 		s.identity[i] = i
 	}
-	if bp, ok := s.src.(batchStater); ok {
-		s.st, s.epoch = bp.batchState()
-		if s.zoneFilter != nil {
-			if zt, ok := s.src.(zoneTabler); ok {
-				if t := zt.zoneTable(); t != nil {
-					s.zones = t.zonePages(s.st)
-				}
-			}
-		}
-		return
-	}
-	s.rows = s.src.Rows() // already visibility-filtered
 }
 
 // NextBatch implements BatchIterator.
@@ -357,7 +323,9 @@ func (s *BatchScanOp) NextBatch() (*Batch, bool) {
 		}
 		b.n = n
 		s.base = end
-		zonePagesDecoded.Add(1)
+		if s.rowsFn == nil { // a resolved row set has no pages
+			zonePagesDecoded.Add(1)
+		}
 		return b, true
 	}
 }
@@ -399,11 +367,9 @@ func (f *BatchFilterOp) NextBatch() (*Batch, bool) {
 
 // ---------- Batch project ----------
 
-// BatchProjExpr computes one output column of a projection. It is the
-// shared compiled form for both execution modes: the row-at-a-time path
-// converts it with RowProjExprs, the batch path evaluates pass-through
-// columns by aliasing the input slice and computed columns row-by-row over
-// a scratch row populated with just the columns the expression reads.
+// BatchProjExpr computes one output column of a projection: pass-through
+// columns alias the input slice, computed columns are evaluated row-by-row
+// over a scratch row populated with just the columns the expression reads.
 type BatchProjExpr struct {
 	Name string
 	Type Type
@@ -423,23 +389,6 @@ type BatchProjExpr struct {
 // PassThrough builds a pass-through projection of input column pos.
 func PassThrough(name string, typ Type, pos int) BatchProjExpr {
 	return BatchProjExpr{Name: name, Type: typ, Input: pos}
-}
-
-// RowProjExprs converts compiled projection expressions to the row-at-a-time
-// form NewProject consumes.
-func RowProjExprs(exprs []BatchProjExpr) []ProjExpr {
-	out := make([]ProjExpr, len(exprs))
-	for i, e := range exprs {
-		pe := ProjExpr{Name: e.Name, Type: e.Type}
-		if e.Eval == nil {
-			pos := e.Input
-			pe.Eval = func(r Row) Value { return r[pos] }
-		} else {
-			pe.Eval = e.Eval
-		}
-		out[i] = pe
-	}
-	return out
 }
 
 // BatchProjectOp maps input batches through projection expressions.
@@ -508,16 +457,19 @@ func (p *BatchProjectOp) NextBatch() (*Batch, bool) {
 	return out, true
 }
 
-// ---------- Batch hash-join probe ----------
+// ---------- Batch hash join ----------
 
 // BatchHashJoinOp is the vectorized sibling of HashJoinOp: the build side
 // is drained into a hash table on first use (lazily, so EXPLAIN is free)
 // and the probe side streams batch-at-a-time, each selected probe row
-// emitting its matches into a column-oriented output batch. Output rows are
-// always left-columns-then-right regardless of which side builds.
+// emitting its matches into a column-oriented output batch of at most
+// DefaultBatchSize rows — a skewed key resumes mid-probe-batch on the next
+// call instead of growing the batch without bound. Output rows are always
+// left-columns-then-right regardless of which side builds. Both inputs must
+// materialize every column: the planner prunes single-table statements only.
 type BatchHashJoinOp struct {
 	probe     BatchIterator
-	buildSrc  Iterator
+	buildSrc  BatchIterator
 	buildRows map[string][]Row
 	probeCols []int
 	buildCols []int
@@ -528,13 +480,20 @@ type BatchHashJoinOp struct {
 	built       bool
 	out         Batch
 	keyBuf      []byte
+
+	// Probe cursor, kept across calls: the probe batch in flight, the next
+	// position in its selection vector, and the not-yet-emitted matches of
+	// the probe row before that position.
+	cur     *Batch
+	pi      int
+	matches []Row
 }
 
-// NewBatchHashJoin joins a batched probe stream against a materialized
-// build stream on probeCols[i] == buildCols[i] (schema positions). When
+// NewBatchHashJoin joins a probe stream against a build stream, which is
+// materialized, on probeCols[i] == buildCols[i] (schema positions). When
 // buildIsLeft, output rows are build-row ++ probe-row; otherwise
 // probe-row ++ build-row. schema must be the concatenated output schema.
-func NewBatchHashJoin(probe BatchIterator, build Iterator, probeCols, buildCols []int, schema *Schema, buildIsLeft bool) (*BatchHashJoinOp, error) {
+func NewBatchHashJoin(probe, build BatchIterator, probeCols, buildCols []int, schema *Schema, buildIsLeft bool) (*BatchHashJoinOp, error) {
 	if len(probeCols) != len(buildCols) || len(probeCols) == 0 {
 		return nil, fmt.Errorf("relation: batch join requires equal, non-empty key lists")
 	}
@@ -549,19 +508,24 @@ func NewBatchHashJoin(probe BatchIterator, build Iterator, probeCols, buildCols 
 // Schema implements BatchIterator.
 func (j *BatchHashJoinOp) Schema() *Schema { return j.schema }
 
+// build drains the build side into the hash table. Rows are copied out of
+// the batch buffers (which the producer reuses); NULL-keyed rows can never
+// match and are dropped before the copy.
 func (j *BatchHashJoinOp) build() {
 	j.buildRows = make(map[string][]Row)
 	for {
-		r, ok := j.buildSrc.Next()
+		b, ok := j.buildSrc.NextBatch()
 		if !ok {
 			break
 		}
-		key, ok := appendJoinKey(j.keyBuf[:0], r, j.buildCols)
-		j.keyBuf = key
-		if !ok {
-			continue
+		for _, i := range b.Sel {
+			key, ok := appendBatchJoinKey(j.keyBuf[:0], b, i, j.buildCols)
+			j.keyBuf = key
+			if !ok {
+				continue
+			}
+			j.buildRows[string(key)] = append(j.buildRows[string(key)], b.row(i, nil))
 		}
-		j.buildRows[string(key)] = append(j.buildRows[string(key)], r)
 	}
 	j.built = true
 }
@@ -592,94 +556,47 @@ func (j *BatchHashJoinOp) NextBatch() (*Batch, bool) {
 	if j.buildIsLeft {
 		probeBase, buildBase = buildWidth, 0
 	}
+	out := &j.out
+	out.reset()
 	for {
-		b, ok := j.probe.NextBatch()
-		if !ok {
-			return nil, false
-		}
-		out := &j.out
-		out.reset()
-		for c := range out.Cols {
-			if out.Cols[c] == nil {
-				out.Cols[c] = make([]Value, 0, DefaultBatchSize)
-			}
-		}
-		n := 0
-		for _, i := range b.Sel {
-			key, ok := appendBatchJoinKey(j.keyBuf[:0], b, i, j.probeCols)
-			j.keyBuf = key
+		if j.cur == nil {
+			b, ok := j.probe.NextBatch()
 			if !ok {
-				continue
+				return nil, false
 			}
-			for _, m := range j.buildRows[string(key)] {
+			j.cur, j.pi = b, 0
+		}
+		b := j.cur
+		for {
+			for len(j.matches) > 0 && out.n < DefaultBatchSize {
+				i, m := b.Sel[j.pi-1], j.matches[0]
+				j.matches = j.matches[1:]
 				for c := 0; c < probeWidth; c++ {
 					out.Cols[probeBase+c] = append(out.Cols[probeBase+c], b.Cols[c][i])
 				}
 				for c := 0; c < buildWidth; c++ {
 					out.Cols[buildBase+c] = append(out.Cols[buildBase+c], m[c])
 				}
-				out.Sel = append(out.Sel, n)
-				n++
+				out.Sel = append(out.Sel, out.n)
+				out.n++
+			}
+			if len(j.matches) > 0 {
+				return out, true // full; resume this probe row on the next call
+			}
+			if j.pi == len(b.Sel) {
+				break
+			}
+			key, ok := appendBatchJoinKey(j.keyBuf[:0], b, b.Sel[j.pi], j.probeCols)
+			j.keyBuf = key
+			j.pi++
+			if ok {
+				j.matches = j.buildRows[string(key)]
 			}
 		}
-		out.n = n
-		if n > 0 {
+		j.cur = nil
+		if out.n > 0 {
 			return out, true
 		}
 		// No probe row matched in this batch; pull the next one.
 	}
-}
-
-// ---------- Batch aggregation ----------
-
-// BatchGroupOp is the vectorized sibling of GroupOp: it consumes batches,
-// builds group keys and updates aggregate states directly from column
-// slices — no per-row projection allocation — and emits the (small) result
-// set as a row Iterator, which the post-aggregation pipeline stays on.
-type BatchGroupOp struct {
-	in       BatchIterator
-	groupBy  []string
-	aggs     []AggSpec
-	schema   *Schema
-	groupPos []int
-	aggPos   []int
-	results  []Row
-	done     bool
-	i        int
-}
-
-// NewBatchGroup builds a vectorized grouping/aggregation operator. With no
-// groupBy columns it produces exactly one row (global aggregates).
-func NewBatchGroup(in BatchIterator, groupBy []string, aggs []AggSpec) (*BatchGroupOp, error) {
-	schema, groupPos, aggPos, err := groupSchema(in.Schema(), groupBy, aggs)
-	if err != nil {
-		return nil, err
-	}
-	return &BatchGroupOp{
-		in: in, groupBy: groupBy, aggs: aggs,
-		schema: schema, groupPos: groupPos, aggPos: aggPos,
-	}, nil
-}
-
-// Schema implements Iterator.
-func (g *BatchGroupOp) Schema() *Schema { return g.schema }
-
-// Next implements Iterator.
-func (g *BatchGroupOp) Next() (Row, bool) {
-	if !g.done {
-		g.run()
-		g.done = true
-	}
-	if g.i >= len(g.results) {
-		return nil, false
-	}
-	r := g.results[g.i]
-	g.i++
-	return r, true
-}
-
-func (g *BatchGroupOp) run() {
-	h := newAggHash()
-	drainBatches(h, g.in, g.groupPos, g.aggPos, g.aggs)
-	g.results = h.finish(len(g.groupPos), g.aggs)
 }

@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -136,7 +137,7 @@ func TestBatchScanColumnPruning(t *testing.T) {
 func TestBatchAdaptersRoundtrip(t *testing.T) {
 	_, tbl := randomBatchTable(t, rand.New(rand.NewSource(7)), 500)
 	want := tbl.Rows()
-	got := Collect(NewRowsFromBatches(NewBatchFromRows(NewSliceScan(tbl.Schema(), want), 33)))
+	got := Collect(NewRowsFromBatches(NewBatchRows(tbl.Schema(), func() []Row { return want }, nil, 33)))
 	rowsEqual(t, got, want)
 }
 
@@ -179,7 +180,15 @@ func batchProjectExprs() []BatchProjExpr {
 func TestBatchProjectMatchesRowProject(t *testing.T) {
 	_, tbl := randomBatchTable(t, rand.New(rand.NewSource(9)), 1200)
 	exprs := batchProjectExprs()
-	rp, err := NewProject(NewScan(tbl), RowProjExprs(exprs))
+	rowExprs := make([]ProjExpr, len(exprs))
+	for i, e := range exprs {
+		rowExprs[i] = ProjExpr{Name: e.Name, Type: e.Type, Eval: e.Eval}
+		if e.Eval == nil {
+			pos := e.Input
+			rowExprs[i].Eval = func(r Row) Value { return r[pos] }
+		}
+	}
+	rp, err := NewProject(NewScan(tbl), rowExprs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,6 +197,18 @@ func TestBatchProjectMatchesRowProject(t *testing.T) {
 		t.Fatal(err)
 	}
 	rowsEqual(t, collectBatches(t, bp), Collect(rp))
+}
+
+// aggregateBatches drains in through one PartialAgg sink, the way a serial
+// statement does.
+func aggregateBatches(t *testing.T, in BatchIterator, groupBy []string, aggs []AggSpec) []Row {
+	t.Helper()
+	pa, err := NewPartialAgg(in.Schema(), groupBy, aggs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa.Consume(in)
+	return pa.Rows()
 }
 
 func TestBatchGroupMatchesRowGroup(t *testing.T) {
@@ -205,13 +226,9 @@ func TestBatchGroupMatchesRowGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bg, err := NewBatchGroup(NewBatchScan(tbl, nil, 128), groupBy, aggs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both paths emit groups in first-seen order over the same input order,
-	// so the comparison is exact, not just multiset.
-	rowsEqual(t, Collect(bg), Collect(rg))
+	// An unmerged sink emits groups in first-seen order, as GroupOp does over
+	// the same input order, so the comparison is exact, not just multiset.
+	rowsEqual(t, aggregateBatches(t, NewBatchScan(tbl, nil, 128), groupBy, aggs), Collect(rg))
 }
 
 func TestBatchGroupGlobalAggregateOverEmptyInput(t *testing.T) {
@@ -223,14 +240,9 @@ func TestBatchGroupGlobalAggregateOverEmptyInput(t *testing.T) {
 	aggs := []AggSpec{{Kind: AggCountStar, As: "n"}, {Kind: AggSum, Col: "x", As: "s"}}
 	rg, _ := NewGroup(NewScan(tbl), nil, aggs)
 	want := Collect(rg)
-	bg, _ := NewBatchGroup(NewBatchScan(tbl, nil, 0), nil, aggs)
-	rowsEqual(t, Collect(bg), want)
-	// Adapter-fed empty batch stream behaves the same.
-	bg2, err := NewBatchGroup(NewBatchFromRows(NewScan(tbl), 16), nil, aggs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowsEqual(t, Collect(bg2), want)
+	rowsEqual(t, aggregateBatches(t, NewBatchScan(tbl, nil, 0), nil, aggs), want)
+	// An empty resolved row set behaves the same.
+	rowsEqual(t, aggregateBatches(t, NewBatchRows(tbl.Schema(), tbl.Rows, nil, 16), nil, aggs), want)
 }
 
 func TestBatchHashJoinMatchesRowHashJoin(t *testing.T) {
@@ -256,27 +268,86 @@ func TestBatchHashJoinMatchesRowHashJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rj, err := NewHashJoin(NewScan(left), NewScan(right), []string{"n"}, []string{"n"}, "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Collect(rj)
+	if len(want) == 0 {
+		t.Fatal("join produced no rows; weak test data")
+	}
 	for _, buildLeft := range []bool{false, true} {
-		rj, err := NewHashJoinBuildSide(NewScan(left), NewScan(right), []string{"n"}, []string{"n"}, "r", buildLeft)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := Collect(rj)
 		var bj *BatchHashJoinOp
 		if buildLeft {
 			// Probe side is the right table.
-			bj, err = NewBatchHashJoin(NewBatchScan(right, nil, 97), NewScan(left), []int{0}, []int{1}, schema, true)
+			bj, err = NewBatchHashJoin(NewBatchScan(right, nil, 97), NewBatchScan(left, nil, 97), []int{0}, []int{1}, schema, true)
 		} else {
-			bj, err = NewBatchHashJoin(NewBatchScan(left, nil, 97), NewScan(right), []int{1}, []int{0}, schema, false)
+			bj, err = NewBatchHashJoin(NewBatchScan(left, nil, 97), NewBatchScan(right, nil, 97), []int{1}, []int{0}, schema, false)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := collectBatches(t, bj)
-		// The row join streams probe-side order; the batch join does too.
-		rowsEqual(t, got, want)
-		if len(want) == 0 {
-			t.Fatal("join produced no rows; weak test data")
+		if buildLeft {
+			// Output streams in probe-side order; the row join always probes
+			// with the left input, so building left permutes the rows.
+			key := func(r Row) string { return fmt.Sprint(r) }
+			sort.Slice(got, func(a, b int) bool { return key(got[a]) < key(got[b]) })
+			want = append([]Row(nil), want...)
+			sort.Slice(want, func(a, b int) bool { return key(want[a]) < key(want[b]) })
 		}
+		rowsEqual(t, got, want)
+	}
+}
+
+// TestBatchHashJoinBoundsOutputBatches joins 2,000 × 2,000 rows on a single
+// key: every probe row matches every build row, so an unbounded probe would
+// emit a probe batch's worth of matches (1,024 × 2,000 rows) at once.
+func TestBatchHashJoinBoundsOutputBatches(t *testing.T) {
+	const n = 2000
+	db := NewDatabase()
+	mk := func(name string) *Table {
+		tbl, err := db.CreateTable(name, MustSchema(Column{Name: "k", Type: TInt}, Column{Name: "i", Type: TInt}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if _, err := tbl.Insert(Row{Int(7), Int(int64(i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tbl
+	}
+	left, right := mk("l"), mk("r")
+	schema, err := Concat(left.Schema(), right.Schema(), "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bj, err := NewBatchHashJoin(NewBatchScan(left, nil, 0), NewBatchScan(right, nil, 0), []int{0}, []int{0}, schema, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, lastL, lastR := 0, int64(0), int64(-1)
+	for {
+		b, ok := bj.NextBatch()
+		if !ok {
+			break
+		}
+		if b.Size() > DefaultBatchSize || b.Len() != b.Size() {
+			t.Fatalf("batch of %d rows (%d selected), want at most %d, all selected", b.Size(), b.Len(), DefaultBatchSize)
+		}
+		for _, i := range b.Sel {
+			// Resuming mid-probe-row must neither skip nor repeat a match:
+			// (l.i, r.i) advances in lexicographic order, one step at a time.
+			l, r := b.Cols[1][i].AsInt(), b.Cols[3][i].AsInt()
+			if r != (lastR+1)%n || l != lastL+(lastR+1)/n {
+				t.Fatalf("row %d is (%d, %d) after (%d, %d)", total, l, r, lastL, lastR)
+			}
+			lastL, lastR = l, r
+			total++
+		}
+	}
+	if total != n*n {
+		t.Fatalf("joined %d rows, want %d", total, n*n)
 	}
 }

@@ -219,33 +219,33 @@ func TestIndexLookupOp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	op, err := NewIndexLookup(tab, []string{"name"}, [][]Value{{Text("a")}})
+	op, err := NewIndexLookup(tab, []string{"name"}, [][]Value{{Text("a")}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(Collect(op)); got != 3 {
+	if got := len(Collect(NewRowsFromBatches(op))); got != 3 {
 		t.Fatalf("lookup a: %d rows, want 3", got)
 	}
 	// Multi-tuple (IN) lookup.
-	op, err = NewIndexLookup(tab, []string{"name"}, [][]Value{{Text("a")}, {Text("b")}})
+	op, err = NewIndexLookup(tab, []string{"name"}, [][]Value{{Text("a")}, {Text("b")}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(Collect(op)); got != 6 {
+	if got := len(Collect(NewRowsFromBatches(op))); got != 6 {
 		t.Fatalf("lookup a,b: %d rows, want 6", got)
 	}
-	if _, err := NewIndexLookup(tab, []string{"score"}, [][]Value{{Float(1)}}); err == nil {
+	if _, err := NewIndexLookup(tab, []string{"score"}, [][]Value{{Float(1)}}, nil); err == nil {
 		t.Fatal("lookup without index must fail")
 	}
 }
 
 func TestIndexRangeOp(t *testing.T) {
 	tab, _ := scoreTable(t, []Value{Float(0.1), Float(0.4), Float(0.6), Float(0.9)})
-	op, err := NewIndexRange(tab, "score", Float(0.2), Float(0.7), true, true)
+	op, err := NewIndexRange(tab, "score", Float(0.2), Float(0.7), true, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := Collect(op)
+	rows := Collect(NewRowsFromBatches(op))
 	if len(rows) != 2 {
 		t.Fatalf("range rows = %d, want 2", len(rows))
 	}
@@ -253,7 +253,7 @@ func TestIndexRangeOp(t *testing.T) {
 	if rows[0][2].AsFloat() != 0.4 || rows[1][2].AsFloat() != 0.6 {
 		t.Fatalf("range order wrong: %v", rows)
 	}
-	if _, err := NewIndexRange(tab, "name", Null(), Null(), true, true); err == nil {
+	if _, err := NewIndexRange(tab, "name", Null(), Null(), true, true, nil); err == nil {
 		t.Fatal("range without index must fail")
 	}
 }
@@ -290,52 +290,6 @@ func TestHashJoinLazyBuild(t *testing.T) {
 	}
 	if right.n == 0 {
 		t.Fatal("build side never drained")
-	}
-}
-
-func TestHashJoinBuildSideEquivalence(t *testing.T) {
-	left := NewTable("l", testSchema(t))
-	rightT := NewTable("r", testSchema(t))
-	for i := 0; i < 5; i++ {
-		if _, err := left.Insert(Row{Int(int64(i % 3)), Text("l"), Float(float64(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := rightT.Insert(Row{Int(int64(i)), Text("r"), Float(float64(i) * 10)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	collect := func(buildLeft bool) []Row {
-		j, err := NewHashJoinBuildSide(NewScan(left), NewScan(rightT), []string{"id"}, []string{"id"}, "r", buildLeft)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Collect(j)
-	}
-	a, b := collect(false), collect(true)
-	if len(a) != 5 || len(b) != 5 {
-		t.Fatalf("join sizes: buildRight=%d buildLeft=%d, want 5", len(a), len(b))
-	}
-	// Same output schema and same multiset of rows regardless of build side.
-	key := func(r Row) string {
-		k := ""
-		for _, v := range r {
-			k += v.Key() + "|"
-		}
-		return k
-	}
-	seen := map[string]int{}
-	for _, r := range a {
-		seen[key(r)]++
-	}
-	for _, r := range b {
-		seen[key(r)]--
-	}
-	for k, n := range seen {
-		if n != 0 {
-			t.Fatalf("row multiset differs between build sides at %q", k)
-		}
 	}
 }
 

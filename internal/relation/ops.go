@@ -75,10 +75,11 @@ func (s *ScanOp) Next() (Row, bool) {
 
 // NewIndexLookup builds the equality-index access path over the hash index
 // covering cols: each entry of keys is one full key tuple (multiple tuples
-// serve IN-list plans). The lookup resolves lazily on first Next, filtering
-// candidate ids through the reader's row visibility. It fails if no such
-// index exists.
-func NewIndexLookup(t TableReader, cols []string, keys [][]Value) (*ScanOp, error) {
+// serve IN-list plans). The lookup resolves lazily on the first NextBatch,
+// filtering candidate ids through the reader's row visibility, and gathers
+// the needed columns (nil = all) of the matching rows into batches. It fails
+// if no such index exists.
+func NewIndexLookup(t TableReader, cols []string, keys [][]Value, needed []int) (*BatchScanOp, error) {
 	ix, ok := t.HashIndexOn(cols...)
 	if !ok {
 		return nil, fmt.Errorf("relation: table %s has no hash index on %v", t.Name(), cols)
@@ -88,27 +89,28 @@ func NewIndexLookup(t TableReader, cols []string, keys [][]Value) (*ScanOp, erro
 			return nil, fmt.Errorf("relation: index lookup key arity %d != %d", len(k), len(cols))
 		}
 	}
-	return NewLazyScan(t.Schema(), func() []Row {
+	return NewBatchRows(t.Schema(), func() []Row {
 		var ids []RowID
 		for _, k := range keys {
 			ids = append(ids, ix.Lookup(k...)...)
 		}
 		return t.RowsByIDs(ids)
-	}), nil
+	}, needed, 0), nil
 }
 
 // NewIndexRange builds the range-index access path over the ordered index on
 // col, producing matching rows in ascending value order. NULL bounds mean
 // unbounded; NULL-valued rows are never produced. The range resolves lazily
-// on first Next, filtering candidate ids through the reader's visibility.
-func NewIndexRange(t TableReader, col string, lo, hi Value, loIncl, hiIncl bool) (*ScanOp, error) {
+// on the first NextBatch, filtering candidate ids through the reader's
+// visibility, and gathers the needed columns (nil = all) into batches.
+func NewIndexRange(t TableReader, col string, lo, hi Value, loIncl, hiIncl bool, needed []int) (*BatchScanOp, error) {
 	ix, ok := t.OrderedIndexOn(col)
 	if !ok {
 		return nil, fmt.Errorf("relation: table %s has no ordered index on %s", t.Name(), col)
 	}
-	return NewLazyScan(t.Schema(), func() []Row {
+	return NewBatchRows(t.Schema(), func() []Row {
 		return t.RowsByIDs(ix.RangeBounds(lo, hi, loIncl, hiIncl))
-	}), nil
+	}, needed, 0), nil
 }
 
 // ---------- Filter ----------
@@ -204,33 +206,26 @@ func (p *ProjectOp) Next() (Row, bool) {
 
 // ---------- Hash Join ----------
 
-// HashJoinOp implements an equi-join: the build side is materialized into a
-// hash table keyed on the build columns; the probe side streams. The build
-// happens lazily on the first Next, so constructing the operator (e.g. for
-// EXPLAIN, or under a LIMIT that is never reached) costs nothing. Either side
-// can be the build side; output rows are always left-columns-then-right.
+// HashJoinOp implements an equi-join: the right (build) side is materialized
+// into a hash table keyed on the build columns; the left (probe) side
+// streams. The build happens lazily on the first Next, so constructing the
+// operator under a LIMIT that is never reached costs nothing. It is the
+// reference the batch join (which can build on either side) is tested
+// against.
 type HashJoinOp struct {
-	probe       Iterator
-	buildSrc    Iterator // drained into buildRows on first Next
-	buildRows   map[string][]Row
-	probeCols   []int
-	buildCols   []int
-	schema      *Schema
-	buildIsLeft bool
-	built       bool
-	pending     []Row
-	keyBuf      []byte
+	probe     Iterator
+	buildSrc  Iterator // drained into buildRows on first Next
+	buildRows map[string][]Row
+	probeCols []int
+	buildCols []int
+	schema    *Schema
+	built     bool
+	pending   []Row
+	keyBuf    []byte
 }
 
 // NewHashJoin joins left (probe) to right (build) on leftCols[i] == rightCols[i].
 func NewHashJoin(left, right Iterator, leftCols, rightCols []string, rightQualifier string) (*HashJoinOp, error) {
-	return NewHashJoinBuildSide(left, right, leftCols, rightCols, rightQualifier, false)
-}
-
-// NewHashJoinBuildSide is NewHashJoin with an explicit build side: buildLeft
-// selects the left input as the materialized side (planners pick the smaller
-// estimated input). The output schema and column order are unaffected.
-func NewHashJoinBuildSide(left, right Iterator, leftCols, rightCols []string, rightQualifier string, buildLeft bool) (*HashJoinOp, error) {
 	if len(leftCols) != len(rightCols) || len(leftCols) == 0 {
 		return nil, fmt.Errorf("relation: join requires equal, non-empty key lists")
 	}
@@ -254,15 +249,7 @@ func NewHashJoinBuildSide(left, right Iterator, leftCols, rightCols []string, ri
 	if err != nil {
 		return nil, err
 	}
-	j := &HashJoinOp{schema: schema, buildIsLeft: buildLeft}
-	if buildLeft {
-		j.probe, j.probeCols = right, rpos
-		j.buildSrc, j.buildCols = left, lpos
-	} else {
-		j.probe, j.probeCols = left, lpos
-		j.buildSrc, j.buildCols = right, rpos
-	}
-	return j, nil
+	return &HashJoinOp{schema: schema, probe: left, probeCols: lpos, buildSrc: right, buildCols: rpos}, nil
 }
 
 // appendJoinKey builds the join key for a row into dst; ok is false when any
@@ -315,13 +302,9 @@ func (j *HashJoinOp) Next() (Row, bool) {
 			continue
 		}
 		for _, b := range j.buildRows[string(key)] {
-			l, r := p, b
-			if j.buildIsLeft {
-				l, r = b, p
-			}
-			out := make(Row, 0, len(l)+len(r))
-			out = append(out, l...)
-			out = append(out, r...)
+			out := make(Row, 0, len(p)+len(b))
+			out = append(out, p...)
+			out = append(out, b...)
 			j.pending = append(j.pending, out)
 		}
 	}
@@ -492,8 +475,8 @@ type aggGroup struct {
 	states []aggState
 }
 
-// aggHash accumulates groups in first-seen order; GroupOp and BatchGroupOp
-// share it so the two execution modes cannot diverge. It is a small
+// aggHash accumulates groups in first-seen order; GroupOp and PartialAgg
+// share it so the reference and the batch pipeline cannot diverge. It is a small
 // open-addressing table keyed by the encoded group-key bytes: group-by keys
 // are short (a tag byte plus payload per column) and looked up once per
 // input row, so an inlined FNV-1a hash plus linear probing beats the
@@ -634,7 +617,7 @@ func NewGroup(in Iterator, groupBy []string, aggs []AggSpec) (*GroupOp, error) {
 
 // groupSchema resolves the grouping columns and aggregate arguments against
 // the input schema and builds the output schema (group keys first, then one
-// column per aggregate). GroupOp and BatchGroupOp share it.
+// column per aggregate). GroupOp and PartialAgg share it.
 func groupSchema(in *Schema, groupBy []string, aggs []AggSpec) (*Schema, []int, []int, error) {
 	var cols []Column
 	var groupPos, aggPos []int

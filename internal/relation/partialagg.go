@@ -2,12 +2,13 @@ package relation
 
 import "sort"
 
-// PartialAgg is the per-worker half of parallel hash aggregation: each scan
-// worker drains its morsels into a private PartialAgg (no locks, no sharing),
-// then the coordinator merges the partials pairwise and renders the merged
-// groups. Consume reuses the exact drain loop of BatchGroupOp, so serial and
-// parallel aggregation cannot diverge on per-row semantics; the merge
-// contract below is what makes the split algebraically sound (DESIGN §13):
+// PartialAgg is the batch pipeline's one aggregation sink. A serial
+// statement drains its whole stream into a single PartialAgg and renders it;
+// under a gather each scan worker drains its morsels into a private one (no
+// locks, no sharing) and the coordinator merges the partials pairwise before
+// rendering. One Consume loop serves both, so serial and parallel
+// aggregation cannot diverge on per-row semantics; the merge contract below
+// is what makes the split algebraically sound (DESIGN §9):
 //
 //   - count/sum partials add; avg merges as (sum, count) and divides once at
 //     render time — never an average of averages;
@@ -21,29 +22,72 @@ type PartialAgg struct {
 	aggPos   []int
 	aggs     []AggSpec
 	schema   *Schema
-	nGroup   int
+	merged   bool // another partial was folded in: first-seen order is gone
 }
 
-// NewPartialAgg builds a partial aggregator over the projected input schema
-// (group keys and aggregate arguments), mirroring NewBatchGroup.
+// NewPartialAgg builds an aggregation sink over the projected input schema
+// (group keys and aggregate arguments). With no groupBy columns it renders
+// exactly one row (global aggregates).
 func NewPartialAgg(in *Schema, groupBy []string, aggs []AggSpec) (*PartialAgg, error) {
 	schema, groupPos, aggPos, err := groupSchema(in, groupBy, aggs)
 	if err != nil {
 		return nil, err
 	}
-	return &PartialAgg{
-		h: newAggHash(), groupPos: groupPos, aggPos: aggPos,
-		aggs: aggs, schema: schema, nGroup: len(groupBy),
-	}, nil
+	return &PartialAgg{h: newAggHash(), groupPos: groupPos, aggPos: aggPos, aggs: aggs, schema: schema}, nil
 }
 
 // Schema returns the aggregated output schema (group keys, then aggregates).
 func (p *PartialAgg) Schema() *Schema { return p.schema }
 
-// Consume drains a batch stream into the partial state. It may be called
-// repeatedly (once per morsel); states accumulate.
+// Consume drains a batch stream into the aggregate state, building group
+// keys and updating aggregate states directly from column slices — no
+// per-row allocation. It may be called repeatedly (once per morsel); states
+// accumulate.
 func (p *PartialAgg) Consume(in BatchIterator) {
-	drainBatches(p.h, in, p.groupPos, p.aggPos, p.aggs)
+	h, aggs := p.h, p.aggs
+	var keyBuf []byte
+	// Per-batch column slices, hoisted so the per-row loop does no
+	// double-indexed Cols lookups.
+	gcols := make([][]Value, len(p.groupPos))
+	acols := make([][]Value, len(aggs))
+	for {
+		b, ok := in.NextBatch()
+		if !ok {
+			return
+		}
+		h.sawAny = h.sawAny || len(b.Sel) > 0
+		for k, pos := range p.groupPos {
+			gcols[k] = b.Cols[pos]
+		}
+		for k, pos := range p.aggPos {
+			if pos >= 0 {
+				acols[k] = b.Cols[pos]
+			}
+		}
+		for _, i := range b.Sel {
+			keyBuf = keyBuf[:0]
+			for _, col := range gcols {
+				keyBuf = col[i].appendKey(keyBuf)
+				keyBuf = append(keyBuf, '\x1f')
+			}
+			grp := h.find(keyBuf)
+			if grp == nil {
+				keyRow := make(Row, len(gcols))
+				for k, col := range gcols {
+					keyRow[k] = col[i]
+				}
+				grp = &aggGroup{key: keyRow, states: make([]aggState, len(aggs))}
+				h.insert(keyBuf, grp)
+			}
+			for k := range aggs {
+				if aggs[k].Kind == AggCountStar {
+					grp.states[k].count++
+					continue
+				}
+				grp.states[k].observe(aggs[k].Kind, &acols[k][i])
+			}
+		}
+	}
 }
 
 // Merge folds o's groups into p. o must aggregate the same spec over the
@@ -51,6 +95,7 @@ func (p *PartialAgg) Consume(in BatchIterator) {
 // not copied). Groups are visited in o's first-seen slice order, never by
 // map iteration, so repeated merges of the same partials are deterministic.
 func (p *PartialAgg) Merge(o *PartialAgg) {
+	p.merged = true
 	p.h.sawAny = p.h.sawAny || o.h.sawAny
 	for idx, grp := range o.h.groups {
 		key := []byte(o.h.keys[idx])
@@ -86,73 +131,27 @@ func mergeAggState(dst, o *aggState, kind AggKind) {
 	}
 }
 
-// Rows renders the merged groups, ordered by encoded group key. Worker
-// scheduling makes first-seen order nondeterministic across runs, so the
-// parallel path canonicalizes on key order instead — a deterministic
-// permutation of the serial path's output (row-multiset-equal; queries that
-// need a specific order say ORDER BY, which sorts downstream either way).
+// Rows renders the groups. A sink nothing was merged into emits them in
+// first-seen order, exactly as the row GroupOp does. After a merge, worker
+// scheduling has made first-seen order nondeterministic across runs, so the
+// groups are ordered by encoded key instead — a deterministic permutation of
+// the serial output (row-multiset-equal; queries that need a specific order
+// say ORDER BY, which sorts downstream either way).
 func (p *PartialAgg) Rows() []Row {
 	h := p.h
-	idx := make([]int, len(h.groups))
-	for i := range idx {
-		idx[i] = i
+	if p.merged {
+		idx := make([]int, len(h.groups))
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.Slice(idx, func(a, b int) bool { return h.keys[idx[a]] < h.keys[idx[b]] })
+		keys := make([]string, len(h.groups))
+		groups := make([]*aggGroup, len(h.groups))
+		for i, j := range idx {
+			keys[i], groups[i] = h.keys[j], h.groups[j]
+		}
+		h.keys, h.groups = keys, groups
 	}
-	sort.Slice(idx, func(a, b int) bool { return h.keys[idx[a]] < h.keys[idx[b]] })
-	keys := make([]string, len(h.groups))
-	groups := make([]*aggGroup, len(h.groups))
-	for i, j := range idx {
-		keys[i], groups[i] = h.keys[j], h.groups[j]
-	}
-	h.keys, h.groups = keys, groups
-	// finish appends the empty-input global-aggregate row (if needed) and
-	// renders in the (now sorted) group order.
-	return h.finish(p.nGroup, p.aggs)
-}
-
-// drainBatches is the shared batch-aggregation inner loop of BatchGroupOp
-// and PartialAgg.Consume.
-func drainBatches(h *aggHash, in BatchIterator, groupPos, aggPos []int, aggs []AggSpec) {
-	var keyBuf []byte
-	// Per-batch column slices, hoisted so the per-row loop does no
-	// double-indexed Cols lookups.
-	gcols := make([][]Value, len(groupPos))
-	acols := make([][]Value, len(aggs))
-	for {
-		b, ok := in.NextBatch()
-		if !ok {
-			return
-		}
-		h.sawAny = h.sawAny || len(b.Sel) > 0
-		for k, p := range groupPos {
-			gcols[k] = b.Cols[p]
-		}
-		for k, p := range aggPos {
-			if p >= 0 {
-				acols[k] = b.Cols[p]
-			}
-		}
-		for _, i := range b.Sel {
-			keyBuf = keyBuf[:0]
-			for _, col := range gcols {
-				keyBuf = col[i].appendKey(keyBuf)
-				keyBuf = append(keyBuf, '\x1f')
-			}
-			grp := h.find(keyBuf)
-			if grp == nil {
-				keyRow := make(Row, len(gcols))
-				for k, col := range gcols {
-					keyRow[k] = col[i]
-				}
-				grp = &aggGroup{key: keyRow, states: make([]aggState, len(aggs))}
-				h.insert(keyBuf, grp)
-			}
-			for k := range aggs {
-				if aggs[k].Kind == AggCountStar {
-					grp.states[k].count++
-					continue
-				}
-				grp.states[k].observe(aggs[k].Kind, &acols[k][i])
-			}
-		}
-	}
+	// finish appends the empty-input global-aggregate row (if needed).
+	return h.finish(len(p.groupPos), p.aggs)
 }

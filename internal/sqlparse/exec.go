@@ -28,7 +28,7 @@ type ExecOptions struct {
 	// ScanWorkers caps the morsel-driven parallel scan worker pool. 0 means
 	// GOMAXPROCS; 1 forces serial execution. The effective pool is
 	// min(GOMAXPROCS, ScanWorkers), and never more than one worker per
-	// morsel (see tryParallel).
+	// morsel (see gatherWidth).
 	ScanWorkers int
 }
 
@@ -43,64 +43,16 @@ func Execute(cat relation.Catalog, stmt *SelectStmt) (*Result, error) {
 
 // ExecuteOptions is Execute with execution tuning.
 func ExecuteOptions(cat relation.Catalog, stmt *SelectStmt, opts ExecOptions) (*Result, error) {
-	return execute(cat, stmt, false, opts)
-}
-
-// ExecuteScan runs a parsed statement with the planner disabled: every table
-// is fully scanned serially and the WHERE clause filters the joined stream
-// post hoc. It is the reference implementation the planner is
-// property-tested against and the baseline the C8–C10 benchmarks measure.
-func ExecuteScan(cat relation.Catalog, stmt *SelectStmt) (*Result, error) {
-	return execute(cat, stmt, true, ExecOptions{ScanWorkers: 1})
-}
-
-func execute(cat relation.Catalog, stmt *SelectStmt, naive bool, opts ExecOptions) (*Result, error) {
-	if stmt.AsOf != nil {
-		if stmt.AsOf.ByTime {
-			// Timestamp resolution needs the session's epoch↔timestamp map;
-			// flor.Session rewrites ByTime clauses into epoch form before
-			// executing. Reaching here means the statement bypassed it.
-			return nil, fmt.Errorf("sql: AS OF TIMESTAMP requires a session to resolve the timestamp to an epoch")
-		}
-		tt, ok := cat.(relation.TimeTraveler)
-		if !ok {
-			return nil, fmt.Errorf("sql: this catalog does not support AS OF")
-		}
-		pinned, release, err := tt.AsOf(stmt.AsOf.Epoch)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		cat = pinned
+	cat, release, err := pinAsOf(cat, stmt)
+	if err != nil {
+		return nil, err
 	}
+	defer release()
 	ctx := &execCtx{}
-	var c *compiled
-	if !naive {
-		// Morsel-driven parallel full scan, when the statement qualifies; on
-		// any disqualification or compile error the serial path below runs
-		// and surfaces the identical error.
-		if pc, pctx := tryParallel(cat, stmt, opts); pc != nil {
-			c, ctx = pc, pctx
-		}
+	c, err := compile(cat, stmt, ctx, opts)
+	if err != nil {
+		return nil, err
 	}
-	if c == nil {
-		in, inNode, err := planInput(cat, stmt, ctx, naive)
-		if err != nil {
-			return nil, err
-		}
-		if stmt.HasAggregates() || len(stmt.GroupBy) > 0 {
-			c, err = compileAggregate(in, inNode, stmt, ctx)
-		} else {
-			if stmt.Having != nil {
-				return nil, fmt.Errorf("sql: HAVING requires GROUP BY or aggregates")
-			}
-			c, err = compileSimple(in, inNode, stmt, ctx)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	if stmt.Explain {
 		lines := c.plan.Lines()
 		rows := make([]relation.Row, len(lines))
@@ -109,7 +61,39 @@ func execute(cat relation.Catalog, stmt *SelectStmt, naive bool, opts ExecOption
 		}
 		return &Result{Columns: []string{"plan"}, Rows: rows}, nil
 	}
+	return c.run(ctx)
+}
 
+// pinAsOf rebases the catalog to the statement's AS OF epoch, if it has one.
+// The returned release must be called once the statement has run.
+func pinAsOf(cat relation.Catalog, stmt *SelectStmt) (relation.Catalog, func(), error) {
+	if stmt.AsOf == nil {
+		return cat, func() {}, nil
+	}
+	if stmt.AsOf.ByTime {
+		// Timestamp resolution needs the session's epoch↔timestamp map;
+		// flor.Session rewrites ByTime clauses into epoch form before
+		// executing. Reaching here means the statement bypassed it.
+		return nil, nil, fmt.Errorf("sql: AS OF TIMESTAMP requires a session to resolve the timestamp to an epoch")
+	}
+	tt, ok := cat.(relation.TimeTraveler)
+	if !ok {
+		return nil, nil, fmt.Errorf("sql: this catalog does not support AS OF")
+	}
+	return tt.AsOf(stmt.AsOf.Epoch)
+}
+
+// compiled is a fully planned statement: the operator pipeline, the plan tree
+// describing it, and the output shape.
+type compiled struct {
+	it      relation.Iterator
+	plan    *PlanNode
+	columns []string // visible output columns
+	hidden  int      // trailing hidden sort columns to strip
+}
+
+// run drains the pipeline and surfaces the first deferred evaluation error.
+func (c *compiled) run(ctx *execCtx) (*Result, error) {
 	rows := relation.Collect(c.it)
 	if err := ctx.firstErr(); err != nil {
 		return nil, err
@@ -122,13 +106,46 @@ func execute(cat relation.Catalog, stmt *SelectStmt, naive bool, opts ExecOption
 	return &Result{Columns: c.columns, Rows: rows}, nil
 }
 
-// compiled is a fully planned statement: the operator pipeline, the plan tree
-// describing it, and the output shape.
-type compiled struct {
-	it      relation.Iterator
-	plan    *PlanNode
-	columns []string // visible output columns
-	hidden  int      // trailing hidden sort columns to strip
+// compile plans a statement. Everything from FROM to the projection (or, for
+// aggregates, the pre-projection feeding the aggregation sink) is one batch
+// pipeline, built by a factory the gather rule may call once per worker;
+// DISTINCT, ORDER BY, LIMIT, HAVING and the post-aggregate projection are
+// row operators over its (small, or inherently row-ordered) output.
+func compile(cat relation.Catalog, stmt *SelectStmt, ctx *execCtx, opts ExecOptions) (*compiled, error) {
+	fc, err := resolveFrom(cat, stmt)
+	if err != nil {
+		return nil, err
+	}
+	agg := stmt.HasAggregates() || len(stmt.GroupBy) > 0
+	if !agg && stmt.Having != nil {
+		return nil, fmt.Errorf("sql: HAVING requires GROUP BY or aggregates")
+	}
+	// pipelines builds the batch half once per worker: FROM/JOIN/WHERE, then
+	// the projection of items. Compiled closures hold per-pipeline scratch
+	// state and cannot be shared across goroutines, so nothing is.
+	pipelines := func(items []projItem) (*gather, error) {
+		return newGather(stmt, agg, opts, func() (stream, error) {
+			in, err := planInput(cat, stmt, fc, ctx)
+			if err != nil {
+				return stream{}, err
+			}
+			b := binder{schema: in.it.Schema()}
+			exprs := make([]relation.BatchProjExpr, len(items))
+			for i, it := range items {
+				if exprs[i], err = compileProjExpr(b, ctx, it); err != nil {
+					return stream{}, err
+				}
+			}
+			if in.it, err = relation.NewBatchProject(in.it, exprs); err != nil {
+				return stream{}, err
+			}
+			return in, nil
+		})
+	}
+	if agg {
+		return compileAggregate(stmt, ctx, pipelines)
+	}
+	return compileSimple(stmt, fc.combined, pipelines)
 }
 
 // splitJoinOn decomposes an ON clause that is a conjunction of equality
@@ -194,24 +211,24 @@ func flattenAnd(e Expr) []Expr {
 	return []Expr{e}
 }
 
-// compileProjExpr compiles one output expression into the shared projection
-// form both execution modes consume: a plain column reference becomes a
-// pass-through (the batch path aliases the column, zero work per row);
-// anything else compiles to a row closure plus the set of input columns it
-// reads. captureErr=false mirrors the hidden-sort-column behavior, where
-// evaluation errors are dropped rather than surfaced.
-func compileProjExpr(b binder, ctx *execCtx, e Expr, name string, captureErr bool) (relation.BatchProjExpr, error) {
-	if cr, ok := e.(*ColumnRef); ok {
-		if i, err := b.resolve(cr); err == nil {
-			return relation.PassThrough(name, b.schema.Col(i).Type, i), nil
-		}
-	}
-	f, err := b.compile(e)
+// projItem is one projection output awaiting compilation: the expression,
+// its output name, and whether evaluation errors surface (hidden sort
+// columns drop them).
+type projItem struct {
+	expr       Expr
+	name       string
+	captureErr bool
+}
+
+// compileRowProjExpr compiles one output expression into a row closure,
+// registering an error slot on ctx when the item captures errors.
+func compileRowProjExpr(b binder, ctx *execCtx, it projItem) (relation.ProjExpr, error) {
+	f, err := b.compile(it.expr)
 	if err != nil {
-		return relation.BatchProjExpr{}, err
+		return relation.ProjExpr{}, err
 	}
-	out := relation.BatchProjExpr{Name: name, Type: inferType(e, b.schema), NeedCols: b.referencedCols(e)}
-	if captureErr {
+	out := relation.ProjExpr{Name: it.name, Type: inferType(it.expr, b.schema)}
+	if it.captureErr {
 		capturedErr := new(error)
 		ctx.register(capturedErr)
 		out.Eval = func(r relation.Row) relation.Value {
@@ -230,140 +247,127 @@ func compileProjExpr(b binder, ctx *execCtx, e Expr, name string, captureErr boo
 	return out, nil
 }
 
-// project applies the compiled projection to the stream in its native mode
-// and returns the (row-at-a-time) downstream iterator: projection is the
-// last vectorized operator of a simple pipeline, so its output converts to
-// rows for sort/distinct/limit/materialization.
-func project(in pipe, exprs []relation.BatchProjExpr) (relation.Iterator, error) {
-	if in.batched() {
-		bp, err := relation.NewBatchProject(in.batch, exprs)
-		if err != nil {
-			return nil, err
+// compileProjExpr compiles one output expression for the batch projection: a
+// plain column reference becomes a pass-through (the column slice is
+// aliased, zero work per row); anything else is the row closure plus the set
+// of input columns it reads.
+func compileProjExpr(b binder, ctx *execCtx, it projItem) (relation.BatchProjExpr, error) {
+	if cr, ok := it.expr.(*ColumnRef); ok {
+		if i, err := b.resolve(cr); err == nil {
+			return relation.PassThrough(it.name, b.schema.Col(i).Type, i), nil
 		}
-		return relation.NewRowsFromBatches(bp), nil
 	}
-	return relation.NewProject(in.rows, relation.RowProjExprs(exprs))
+	pe, err := compileRowProjExpr(b, ctx, it)
+	if err != nil {
+		return relation.BatchProjExpr{}, err
+	}
+	return relation.BatchProjExpr{Name: pe.Name, Type: pe.Type, NeedCols: b.referencedCols(it.expr), Eval: pe.Eval}, nil
 }
 
-// projItem is one projection output awaiting compilation: the expression,
-// its output name, and whether evaluation errors surface (hidden sort
-// columns drop them).
-type projItem struct {
-	expr       Expr
-	name       string
-	captureErr bool
-}
-
-// simplePlan is the AST-level shape of a non-aggregate statement — output
-// items, hidden sort columns, sort keys — computed once per statement. The
-// serial path compiles it into one pipeline; the parallel path compiles it
-// once per worker (compiled closures hold per-pipeline scratch state, so
-// they cannot be shared across goroutines).
-type simplePlan struct {
-	items       []projItem
-	visible     []string
-	sortKeys    []relation.SortKey
-	sortDisplay []string
-	nHidden     int
-}
-
-// buildSimplePlan computes the projection/sort shape of a non-aggregate
-// statement against the input schema.
-func buildSimplePlan(stmt *SelectStmt, schema *relation.Schema) (*simplePlan, error) {
-	sp := &simplePlan{}
+// selectItems lists a statement's visible output items; SELECT * expands
+// against schema.
+func selectItems(stmt *SelectStmt, schema *relation.Schema) []projItem {
+	var items []projItem
 	if len(stmt.Items) == 0 { // SELECT *
 		for i := 0; i < schema.Len(); i++ {
 			name := schema.Col(i).Name
 			// A bare ColumnRef compiles to a pass-through of the resolved
 			// position; schema column names are unique, so this is the column
 			// itself.
-			sp.items = append(sp.items, projItem{expr: &ColumnRef{Name: name}, name: name, captureErr: true})
-			sp.visible = append(sp.visible, name)
-		}
-	} else {
-		for _, item := range stmt.Items {
-			sp.items = append(sp.items, projItem{expr: item.Expr, name: item.OutputName(), captureErr: true})
-			sp.visible = append(sp.visible, item.OutputName())
+			items = append(items, projItem{expr: &ColumnRef{Name: name}, name: name, captureErr: true})
 		}
 	}
+	for _, item := range stmt.Items {
+		items = append(items, projItem{expr: item.Expr, name: item.OutputName(), captureErr: true})
+	}
+	return items
+}
 
-	// Hidden sort columns: ORDER BY expressions not present among visible names.
+// finishRows is the row half every statement ends in. It resolves ORDER BY
+// against the visible output names; expressions that are not output columns
+// are handed to project as hidden items, to be appended to the projection as
+// trailing columns (stripped again after the sort). On the projected row
+// stream and plan subtree project returns, it stacks DISTINCT, ORDER BY and
+// LIMIT/OFFSET.
+// relation.NewSort is stable, so sorting a gathered result reassembled in
+// row-store order yields exactly the serial output.
+func finishRows(stmt *SelectStmt, columns []string, project func(hidden []projItem) (relation.Iterator, *PlanNode, error)) (*compiled, error) {
 	outNames := map[string]bool{}
-	for _, v := range sp.visible {
-		outNames[strings.ToLower(v)] = true
+	for _, c := range columns {
+		outNames[strings.ToLower(c)] = true
 	}
+	var hidden []projItem
+	var sortKeys []relation.SortKey
+	var sortDisplay []string
 	for i, oi := range stmt.OrderBy {
-		if cr, ok := oi.Expr.(*ColumnRef); ok && cr.Table == "" && outNames[strings.ToLower(cr.Name)] {
-			sp.sortKeys = append(sp.sortKeys, relation.SortKey{Col: cr.Name, Desc: oi.Desc})
-			sp.sortDisplay = append(sp.sortDisplay, orderItemSQL(oi))
-			continue
-		}
 		name := fmt.Sprintf("__sort%d", i)
-		sp.items = append(sp.items, projItem{expr: oi.Expr, name: name})
-		sp.nHidden++
-		sp.sortKeys = append(sp.sortKeys, relation.SortKey{Col: name, Desc: oi.Desc})
-		sp.sortDisplay = append(sp.sortDisplay, orderItemSQL(oi))
+		if cr, ok := oi.Expr.(*ColumnRef); ok && cr.Table == "" && outNames[strings.ToLower(cr.Name)] {
+			name = cr.Name
+		} else {
+			hidden = append(hidden, projItem{expr: oi.Expr, name: name})
+		}
+		sortKeys = append(sortKeys, relation.SortKey{Col: name, Desc: oi.Desc})
+		sortDisplay = append(sortDisplay, orderItemSQL(oi))
 	}
-	if stmt.Distinct && sp.nHidden > 0 {
+	if stmt.Distinct && len(hidden) > 0 {
 		return nil, fmt.Errorf("sql: ORDER BY with DISTINCT must reference selected columns")
 	}
-	return sp, nil
-}
-
-// compileSimpleExprs compiles the plan's projection items against one
-// pipeline's binder, registering error slots on ctx.
-func compileSimpleExprs(b binder, ctx *execCtx, sp *simplePlan) ([]relation.BatchProjExpr, error) {
-	exprs := make([]relation.BatchProjExpr, 0, len(sp.items))
-	for _, it := range sp.items {
-		e, err := compileProjExpr(b, ctx, it.expr, it.name, it.captureErr)
-		if err != nil {
-			return nil, err
-		}
-		exprs = append(exprs, e)
+	it, node, err := project(hidden)
+	if err != nil {
+		return nil, err
 	}
-	return exprs, nil
-}
-
-// finishSimple stacks the post-projection operators (DISTINCT, ORDER BY,
-// LIMIT) on an already-projected row stream. Shared by the serial and
-// parallel paths: relation.NewSort is stable, so sorting a parallel result
-// reassembled in morsel (= row store) order yields exactly the serial output.
-func finishSimple(it relation.Iterator, node *PlanNode, stmt *SelectStmt, sp *simplePlan) (*compiled, error) {
 	if stmt.Distinct {
 		it = relation.NewDistinct(it)
-		node = &PlanNode{Op: "Distinct", Children: []*PlanNode{node}}
+		node = planAbove("Distinct", "", node)
 	}
-	if len(sp.sortKeys) > 0 {
-		var err error
-		it, err = relation.NewSort(it, sp.sortKeys)
-		if err != nil {
+	if len(sortKeys) > 0 {
+		if it, err = relation.NewSort(it, sortKeys); err != nil {
 			return nil, err
 		}
-		node = &PlanNode{Op: "Sort", Detail: "[" + strings.Join(sp.sortDisplay, ", ") + "]", Children: []*PlanNode{node}}
+		node = planAbove("Sort", "["+strings.Join(sortDisplay, ", ")+"]", node)
 	}
 	if stmt.Limit >= 0 || stmt.Offset > 0 {
 		it = relation.NewLimit(it, stmt.Limit, stmt.Offset)
-		node = &PlanNode{Op: "Limit", Detail: limitDetail(stmt), Children: []*PlanNode{node}}
+		node = planAbove("Limit", limitDetail(stmt), node)
 	}
-	return &compiled{it: it, plan: node, columns: sp.visible, hidden: sp.nHidden}, nil
+	return &compiled{it: it, plan: node, columns: columns, hidden: len(hidden)}, nil
 }
 
-// compileSimple handles the non-aggregate path.
-func compileSimple(in pipe, inNode *PlanNode, stmt *SelectStmt, ctx *execCtx) (*compiled, error) {
-	sp, err := buildSimplePlan(stmt, in.schema())
-	if err != nil {
-		return nil, err
+// itemNames lists the output names of projection items.
+func itemNames(items []projItem) []string {
+	names := make([]string, len(items))
+	for i, it := range items {
+		names[i] = it.name
 	}
-	exprs, err := compileSimpleExprs(binder{schema: in.schema()}, ctx, sp)
-	if err != nil {
-		return nil, err
+	return names
+}
+
+// planAbove places a single-input operator over child in the plan tree. The
+// reference executor has no plan: a nil child stays nil.
+func planAbove(op, detail string, child *PlanNode) *PlanNode {
+	if child == nil {
+		return nil
 	}
-	it, err := project(in, exprs)
-	if err != nil {
-		return nil, err
-	}
-	node := &PlanNode{Op: "Project", Detail: "[" + strings.Join(sp.visible, ", ") + "]", Batched: in.batched(), Children: []*PlanNode{inNode}}
-	return finishSimple(it, node, stmt, sp)
+	return &PlanNode{Op: op, Detail: detail, Children: []*PlanNode{child}}
+}
+
+func projectNode(columns []string, child *PlanNode) *PlanNode {
+	return planAbove("Project", "["+strings.Join(columns, ", ")+"]", child)
+}
+
+// compileSimple handles the non-aggregate path: the batch pipeline projects
+// the output items (plus hidden sort columns) and the rows adapter at its
+// root feeds the row half.
+func compileSimple(stmt *SelectStmt, schema *relation.Schema, pipelines func([]projItem) (*gather, error)) (*compiled, error) {
+	visible := selectItems(stmt, schema)
+	columns := itemNames(visible)
+	return finishRows(stmt, columns, func(hidden []projItem) (relation.Iterator, *PlanNode, error) {
+		g, err := pipelines(append(visible, hidden...))
+		if err != nil {
+			return nil, nil, err
+		}
+		return g.rows(), g.node(projectNode(columns, g.input()), " order=store"), nil
+	})
 }
 
 func orderItemSQL(oi OrderItem) string {
@@ -390,8 +394,8 @@ func limitDetail(stmt *SelectStmt) string {
 
 // aggPlan is the AST-level shape of an aggregate statement: the collected
 // aggregate calls, the pre-projection items (group keys then aggregate
-// arguments), and the aggregation specs. Like simplePlan, it is computed
-// once and compiled per pipeline.
+// arguments), and the aggregation specs. It is computed once per statement
+// and compiled per pipeline.
 type aggPlan struct {
 	rw        *aggRewriter
 	pre       []projItem
@@ -462,157 +466,105 @@ func buildAggPlan(stmt *SelectStmt) (*aggPlan, error) {
 	return ap, nil
 }
 
-// compileAggPre compiles the pre-projection (group keys and aggregate
-// arguments) against one pipeline's binder.
-func compileAggPre(b binder, ctx *execCtx, ap *aggPlan) ([]relation.BatchProjExpr, error) {
-	pre := make([]relation.BatchProjExpr, 0, len(ap.pre))
-	for _, it := range ap.pre {
-		e, err := compileProjExpr(b, ctx, it.expr, it.name, it.captureErr)
-		if err != nil {
-			return nil, err
-		}
-		pre = append(pre, e)
-	}
-	return pre, nil
-}
-
 // compileAggregate handles GROUP BY / aggregate queries by (1) pre-projecting
 // group keys and aggregate arguments, (2) hash aggregation, (3) rewriting the
-// select list, HAVING and ORDER BY to reference the aggregated schema. On a
-// batched input, (1) and (2) run vectorized: pre-projection aliases plain
-// column references and hash aggregation reads column slices directly, so a
-// full-scan GROUP BY allocates nothing per input row.
-func compileAggregate(in pipe, inNode *PlanNode, stmt *SelectStmt, ctx *execCtx) (*compiled, error) {
+// select list, HAVING and ORDER BY to reference the aggregated schema. (1)
+// and (2) are the batch pipeline and its sink: pre-projection aliases plain
+// column references and the sink reads column slices directly, so a GROUP BY
+// allocates nothing per input row.
+func compileAggregate(stmt *SelectStmt, ctx *execCtx, pipelines func([]projItem) (*gather, error)) (*compiled, error) {
 	ap, err := buildAggPlan(stmt)
 	if err != nil {
 		return nil, err
 	}
-	pre, err := compileAggPre(binder{schema: in.schema()}, ctx, ap)
+	g, err := pipelines(ap.pre)
 	if err != nil {
 		return nil, err
 	}
-
-	var grouped relation.Iterator
-	if in.batched() {
-		proj, err := relation.NewBatchProject(in.batch, pre)
-		if err != nil {
-			return nil, err
-		}
-		grouped, err = relation.NewBatchGroup(proj, ap.groupCols, ap.specs)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		proj, err := relation.NewProject(in.rows, relation.RowProjExprs(pre))
-		if err != nil {
-			return nil, err
-		}
-		grouped, err = relation.NewGroup(proj, ap.groupCols, ap.specs)
-		if err != nil {
-			return nil, err
-		}
+	grouped, err := g.aggregate(ap.groupCols, ap.specs)
+	if err != nil {
+		return nil, err
 	}
-	node := &PlanNode{Op: "Aggregate", Detail: aggDetail(ap.groupCols, ap.rw.calls), Batched: in.batched(), Children: []*PlanNode{inNode}}
-	return compileAggPost(grouped, node, stmt, ctx, ap)
+	op := "Aggregate"
+	if g.morsels > 0 {
+		op = "PartialAggregate"
+	}
+	node := &PlanNode{Op: op, Detail: aggDetail(ap.groupCols, ap.rw.calls), Children: []*PlanNode{g.input()}}
+	return compileAggPost(grouped, g.node(node, ""), stmt, ctx, ap)
+}
+
+// applyFilter wraps a row stream with a predicate compiled from pred;
+// evaluation errors are registered on ctx and surfaced after execution. The
+// planned path uses it for HAVING only — every other filter is a vectorized
+// predicate over batches (stream.filter).
+func applyFilter(ctx *execCtx, in relation.Iterator, pred Expr) (relation.Iterator, error) {
+	b := binder{schema: in.Schema()}
+	f, err := b.compile(pred)
+	if err != nil {
+		return nil, err
+	}
+	evalErr := new(error)
+	ctx.register(evalErr)
+	return relation.NewFilter(in, func(r relation.Row) bool {
+		if *evalErr != nil {
+			return false
+		}
+		v, err := f(r)
+		if err != nil {
+			*evalErr = err
+			return false
+		}
+		if v.IsNull() {
+			return false
+		}
+		tb, err := truthy(v)
+		if err != nil {
+			*evalErr = err
+			return false
+		}
+		return tb
+	}), nil
 }
 
 // compileAggPost stacks the post-aggregation half of the pipeline — HAVING,
-// select-list rewrite, DISTINCT, ORDER BY, LIMIT — on an aggregated row
-// stream. Shared by the serial path and the parallel path (where the input
-// is the merged partial aggregate).
+// select-list rewrite, then finishRows — on an aggregated row stream whose
+// plan subtree is node (nil for the reference executor).
 func compileAggPost(grouped relation.Iterator, node *PlanNode, stmt *SelectStmt, ctx *execCtx, ap *aggPlan) (*compiled, error) {
-	rw, groupSQL := ap.rw, ap.groupSQL
-	// Post-aggregation binder over the grouped schema.
-	gb := binder{schema: grouped.Schema()}
-	out := grouped
-	if stmt.Having != nil {
-		hexpr := rw.rewrite(stmt.Having, groupSQL)
-		var err error
-		out, err = applyFilter(ctx, out, hexpr)
-		if err != nil {
-			return nil, err
-		}
-		node = &PlanNode{Op: "Filter", Detail: "HAVING " + stmt.Having.SQL(), Children: []*PlanNode{node}}
-	}
-
 	if len(stmt.Items) == 0 {
 		return nil, fmt.Errorf("sql: SELECT * is not valid with GROUP BY")
 	}
-	var exprs []relation.ProjExpr
-	var visible []string
-	for _, item := range stmt.Items {
-		re := rw.rewrite(item.Expr, groupSQL)
-		f, err := gb.compile(re)
-		if err != nil {
-			return nil, fmt.Errorf("%w (non-aggregated column in aggregate query?)", err)
-		}
-		ff := f
-		capturedErr := new(error)
-		ctx.register(capturedErr)
-		name := item.OutputName()
-		exprs = append(exprs, relation.ProjExpr{Name: name, Type: inferType(re, grouped.Schema()), Eval: func(r relation.Row) relation.Value {
-			v, err := ff(r)
-			if err != nil && *capturedErr == nil {
-				*capturedErr = err
+	items := selectItems(stmt, grouped.Schema())
+	columns := itemNames(items)
+	return finishRows(stmt, columns, func(hidden []projItem) (relation.Iterator, *PlanNode, error) {
+		out := grouped
+		if stmt.Having != nil {
+			var err error
+			out, err = applyFilter(ctx, out, ap.rw.rewrite(stmt.Having, ap.groupSQL))
+			if err != nil {
+				return nil, nil, err
 			}
-			return v
-		}})
-		visible = append(visible, name)
-	}
-	sortKeys := make([]relation.SortKey, 0, len(stmt.OrderBy))
-	sortDisplay := make([]string, 0, len(stmt.OrderBy))
-	var nHidden int
-	outNames := map[string]bool{}
-	for _, v := range visible {
-		outNames[strings.ToLower(v)] = true
-	}
-	for i, oi := range stmt.OrderBy {
-		if cr, ok := oi.Expr.(*ColumnRef); ok && cr.Table == "" && outNames[strings.ToLower(cr.Name)] {
-			sortKeys = append(sortKeys, relation.SortKey{Col: cr.Name, Desc: oi.Desc})
-			sortDisplay = append(sortDisplay, orderItemSQL(oi))
-			continue
+			node = planAbove("Filter", "HAVING "+stmt.Having.SQL(), node)
 		}
-		re := rw.rewrite(oi.Expr, groupSQL)
-		f, err := gb.compile(re)
+		// Post-aggregation binder over the grouped schema.
+		gb := binder{schema: grouped.Schema()}
+		var exprs []relation.ProjExpr
+		for _, it := range append(items, hidden...) {
+			it.expr = ap.rw.rewrite(it.expr, ap.groupSQL)
+			e, err := compileRowProjExpr(gb, ctx, it)
+			if err != nil {
+				if it.captureErr { // a visible item, not a hidden sort column
+					err = fmt.Errorf("%w (non-aggregated column in aggregate query?)", err)
+				}
+				return nil, nil, err
+			}
+			exprs = append(exprs, e)
+		}
+		post, err := relation.NewProject(out, exprs)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		ff := f
-		name := fmt.Sprintf("__sort%d", i)
-		exprs = append(exprs, relation.ProjExpr{Name: name, Type: inferType(re, grouped.Schema()), Eval: func(r relation.Row) relation.Value {
-			v, _ := ff(r)
-			return v
-		}})
-		nHidden++
-		sortKeys = append(sortKeys, relation.SortKey{Col: name, Desc: oi.Desc})
-		sortDisplay = append(sortDisplay, orderItemSQL(oi))
-	}
-
-	post, err := relation.NewProject(out, exprs)
-	if err != nil {
-		return nil, err
-	}
-	var final relation.Iterator = post
-	node = &PlanNode{Op: "Project", Detail: "[" + strings.Join(visible, ", ") + "]", Children: []*PlanNode{node}}
-	if stmt.Distinct {
-		if nHidden > 0 {
-			return nil, fmt.Errorf("sql: ORDER BY with DISTINCT must reference selected columns")
-		}
-		final = relation.NewDistinct(final)
-		node = &PlanNode{Op: "Distinct", Children: []*PlanNode{node}}
-	}
-	if len(sortKeys) > 0 {
-		final, err = relation.NewSort(final, sortKeys)
-		if err != nil {
-			return nil, err
-		}
-		node = &PlanNode{Op: "Sort", Detail: "[" + strings.Join(sortDisplay, ", ") + "]", Children: []*PlanNode{node}}
-	}
-	if stmt.Limit >= 0 || stmt.Offset > 0 {
-		final = relation.NewLimit(final, stmt.Limit, stmt.Offset)
-		node = &PlanNode{Op: "Limit", Detail: limitDetail(stmt), Children: []*PlanNode{node}}
-	}
-	return &compiled{it: final, plan: node, columns: visible, hidden: nHidden}, nil
+		return post, projectNode(columns, node), nil
+	})
 }
 
 func aggDetail(groupCols []string, calls []*FuncCall) string {

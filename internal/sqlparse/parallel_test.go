@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 
@@ -69,7 +68,7 @@ func parallelWorkloadDB(t *testing.T) (*relation.Database, int64) {
 }
 
 // randomParallelQuery emits single-table statements from the shapes the
-// parallel executor handles (and a few it must bail out of), optionally
+// planner gathers (and a few it must leave serial), optionally
 // pinned AS OF a random mid-history epoch.
 func randomParallelQuery(rng *rand.Rand, maxEpoch int64) string {
 	conjPool := []func() string{
@@ -130,7 +129,7 @@ func randomParallelQuery(rng *rand.Rand, maxEpoch int64) string {
 			sb.WriteString(fmt.Sprintf(" LIMIT %d", rng.Intn(40)))
 		}
 	} else if rng.Intn(4) == 0 {
-		sb.WriteString(fmt.Sprintf(" LIMIT %d", rng.Intn(40))) // no ORDER BY: must bail to serial
+		sb.WriteString(fmt.Sprintf(" LIMIT %d", rng.Intn(40))) // no ORDER BY: must stay serial
 	}
 	if rng.Intn(3) == 0 {
 		sb.WriteString(fmt.Sprintf(" AS OF %d", rng.Int63n(maxEpoch+1)))
@@ -138,8 +137,8 @@ func randomParallelQuery(rng *rand.Rand, maxEpoch int64) string {
 	return sb.String()
 }
 
-// TestConcurrentParallelScanEquivalence is the acceptance property for the
-// morsel-driven parallel executor: across randomized predicates,
+// TestConcurrentParallelScanEquivalence is the acceptance property for
+// morsel-driven parallel execution: across randomized predicates,
 // projections, aggregates, tombstones, mid-epoch AS OF pins and deferred
 // evaluation errors, parallel execution returns the same row multiset as the
 // serial reference executor — and the byte-identical ordered result whenever
@@ -216,28 +215,7 @@ func approxKey(r relation.Row) string {
 }
 
 // diffResultsApprox is diffResults with float tolerance (see approxKey).
-func diffResultsApprox(a, b *Result) string {
-	if len(a.Rows) != len(b.Rows) {
-		return fmt.Sprintf("row counts differ: %d vs %d", len(a.Rows), len(b.Rows))
-	}
-	ka := make([]string, len(a.Rows))
-	kb := make([]string, len(b.Rows))
-	for i := range a.Rows {
-		ka[i], kb[i] = approxKey(a.Rows[i]), approxKey(b.Rows[i])
-	}
-	sortStrings(ka)
-	sortStrings(kb)
-	for i := range ka {
-		if ka[i] != kb[i] {
-			return fmt.Sprintf("multiset element %d differs: %s vs %s", i, ka[i], kb[i])
-		}
-	}
-	return ""
-}
-
-func sortStrings(s []string) {
-	sort.Strings(s)
-}
+func diffResultsApprox(a, b *Result) string { return diffResultsBy(a, b, approxKey) }
 
 // orderedEqual compares two results row by row in order, with the same float
 // tolerance as diffResultsApprox.
@@ -253,10 +231,10 @@ func orderedEqual(a, b *Result) bool {
 	return true
 }
 
-// TestParallelScanSerialFallbacks pins the bail-out matrix: statements the
-// parallel executor must decline (joins, index-served predicates, small
-// tables, LIMIT without ORDER BY, single-worker configs) still execute
-// correctly — and tryParallel really did decline, per the plan.
+// TestParallelScanSerialFallbacks pins the planner's gather rule from the
+// other side: statements it must leave serial (index-served predicates,
+// joins, LIMIT without ORDER BY, single-worker configs, aggregate + LIMIT)
+// have no Gather line in their plan — and still execute correctly.
 func TestParallelScanSerialFallbacks(t *testing.T) {
 	old := runtime.GOMAXPROCS(0)
 	if old < 4 {
@@ -273,9 +251,10 @@ func TestParallelScanSerialFallbacks(t *testing.T) {
 		q    string
 		opts ExecOptions
 	}{
-		// Index path wins: the parallel executor must mirror the planner's
-		// access-path choice and stand down.
+		// Index path wins: the stream carries no scan to carve into morsels.
 		{"SELECT value FROM logs WHERE projid = 'p1' AND value_name = 'acc'", ExecOptions{}},
+		// So does a join, even one of two full scans.
+		{"SELECT a.value FROM logs a JOIN logs b ON a.tstamp = b.tstamp AND a.projid = b.value_name", ExecOptions{}},
 		// LIMIT without ORDER BY: serial stops early.
 		{"SELECT projid FROM logs LIMIT 3", ExecOptions{}},
 		// Single worker forced.

@@ -20,7 +20,6 @@ import (
 type PlanNode struct {
 	Op       string // Scan, IndexLookup, IndexRange, Filter, HashJoin, ...
 	Detail   string
-	Batched  bool // operator executes batch-at-a-time (vectorized)
 	Children []*PlanNode
 }
 
@@ -36,9 +35,6 @@ func (n *PlanNode) render(out *[]string, depth int) {
 	if n.Detail != "" {
 		line += " " + n.Detail
 	}
-	if n.Batched {
-		line += " batched=true"
-	}
 	*out = append(*out, line)
 	for _, c := range n.Children {
 		c.render(out, depth+1)
@@ -49,8 +45,8 @@ func (n *PlanNode) render(out *[]string, depth int) {
 func (n *PlanNode) String() string { return strings.Join(n.Lines(), "\n") }
 
 // execCtx threads deferred evaluation errors through a query pipeline. Filter
-// and projection closures cannot return errors through the Iterator
-// interface, so each registers an error slot here and the executor checks
+// and projection closures cannot return errors through the iterator
+// interfaces, so each registers an error slot here and the executor checks
 // every slot after the stream is drained — including slots buried under
 // joins, which the previous executor silently dropped.
 type execCtx struct {
@@ -68,237 +64,159 @@ func (c *execCtx) firstErr() error {
 	return nil
 }
 
-// pipe is one planned stream flowing between operators, in one of the two
-// execution modes: vectorized (batch set) or row-at-a-time (rows set).
-// Exactly one field is non-nil. The executor keeps a stream batched as long
-// as every operator on it has a vectorized form and converts to rows at the
-// first operator that doesn't (sort, distinct, limit, post-aggregation).
-type pipe struct {
-	batch relation.BatchIterator
-	rows  relation.Iterator
+// stream is one planned batch stream: every operator the planner places,
+// from the access path to the projection, consumes and produces one.
+type stream struct {
+	it   relation.BatchIterator
+	node *PlanNode
+	est  int64 // estimated rows, -1 = unknown; picks hash-join build sides
+	// scan is the table scan at the bottom of the stream when the access
+	// path is a full scan with nothing but filters and projections above it
+	// — the one shape a gather can carve into morsels. nil otherwise.
+	scan *relation.BatchScanOp
 }
 
-func (p pipe) batched() bool { return p.batch != nil }
-
-func (p pipe) schema() *relation.Schema {
-	if p.batch != nil {
-		return p.batch.Schema()
-	}
-	return p.rows.Schema()
-}
-
-// iterator converts the stream to row-at-a-time form (a no-op when it
-// already is).
-func (p pipe) iterator() relation.Iterator {
-	if p.batch != nil {
-		return relation.NewRowsFromBatches(p.batch)
-	}
-	return p.rows
-}
-
-// applyFilterPipe filters the stream in its native mode: a vectorized
-// predicate over batches, or the row predicate otherwise.
-func applyFilterPipe(ctx *execCtx, in pipe, pred Expr) (pipe, error) {
-	if in.batched() {
-		b := binder{schema: in.schema()}
-		evalErr := new(error)
-		ctx.register(evalErr)
-		f, err := b.compileBatchPredicate(pred, evalErr)
-		if err != nil {
-			return pipe{}, err
-		}
-		return pipe{batch: relation.NewBatchFilter(in.batch, f)}, nil
-	}
-	it, err := applyFilter(ctx, in.rows, pred)
-	if err != nil {
-		return pipe{}, err
-	}
-	return pipe{rows: it}, nil
-}
-
-// applyFilter wraps in with a predicate compiled from pred; evaluation errors
-// are registered on ctx and surfaced after execution.
-func applyFilter(ctx *execCtx, in relation.Iterator, pred Expr) (relation.Iterator, error) {
-	b := binder{schema: in.Schema()}
-	f, err := b.compile(pred)
-	if err != nil {
-		return nil, err
-	}
+// filter applies pred to the stream as a vectorized predicate; evaluation
+// errors are registered on ctx and surfaced after execution.
+func (s stream) filter(ctx *execCtx, pred Expr) (stream, error) {
 	evalErr := new(error)
 	ctx.register(evalErr)
-	return relation.NewFilter(in, func(r relation.Row) bool {
-		if *evalErr != nil {
-			return false
-		}
-		v, err := f(r)
-		if err != nil {
-			*evalErr = err
-			return false
-		}
-		if v.IsNull() {
-			return false
-		}
-		tb, err := truthy(v)
-		if err != nil {
-			*evalErr = err
-			return false
-		}
-		return tb
-	}), nil
+	f, err := binder{schema: s.it.Schema()}.compileBatchPredicate(pred, evalErr)
+	if err != nil {
+		return stream{}, err
+	}
+	s.it = relation.NewBatchFilter(s.it, f)
+	s.node = &PlanNode{Op: "Filter", Detail: pred.SQL(), Children: []*PlanNode{s.node}}
+	return s, nil
 }
 
-// planInput builds the FROM/JOIN/WHERE pipeline. With naive=true it performs
-// no pushdown and no index access-path selection (the pre-planner behavior:
-// full scans joined, WHERE filtered on top) — the reference implementation
-// the planner is property-tested against and benchmarked as the baseline.
-func planInput(cat relation.Catalog, stmt *SelectStmt, ctx *execCtx, naive bool) (pipe, *PlanNode, error) {
-	sources := make([]TableRef, 0, 1+len(stmt.Joins))
-	sources = append(sources, stmt.From)
-	for _, j := range stmt.Joins {
-		sources = append(sources, j.Table)
-	}
+// fromClause is a statement's resolved FROM/JOIN list: the joined schema and
+// which source each of its columns comes from. It is resolved once per
+// statement; planInput runs over it once per pipeline.
+type fromClause struct {
+	sources  []TableRef
+	schemas  []*relation.Schema
+	combined *relation.Schema
+	owner    []int // source index per column of combined
+}
 
-	// Simulate the joined schema to attribute each output column to the
-	// source it comes from; this mirrors relation.Concat's collision
-	// renaming exactly, so pushdown resolution matches the runtime binder.
-	schemas := make([]*relation.Schema, len(sources))
-	for i, ref := range sources {
+// resolveFrom simulates the joined schema to attribute each output column to
+// the source it comes from; this mirrors relation.Concat's collision renaming
+// exactly, so pushdown resolution matches the runtime binder.
+func resolveFrom(cat relation.Catalog, stmt *SelectStmt) (*fromClause, error) {
+	fc := &fromClause{sources: make([]TableRef, 0, 1+len(stmt.Joins))}
+	fc.sources = append(fc.sources, stmt.From)
+	for _, j := range stmt.Joins {
+		fc.sources = append(fc.sources, j.Table)
+	}
+	for k, ref := range fc.sources {
 		s, err := cat.SchemaOf(ref.Name)
 		if err != nil {
-			return pipe{}, nil, err
+			return nil, err
 		}
-		schemas[i] = s
-	}
-	combined := schemas[0]
-	owner := make([]int, 0, combined.Len())
-	for i := 0; i < combined.Len(); i++ {
-		owner = append(owner, 0)
-	}
-	for k := 1; k < len(sources); k++ {
-		var err error
-		combined, err = relation.Concat(combined, schemas[k], sources[k].Binding())
-		if err != nil {
-			return pipe{}, nil, err
+		fc.schemas = append(fc.schemas, s)
+		if k == 0 {
+			fc.combined = s
+		} else if fc.combined, err = relation.Concat(fc.combined, s, ref.Binding()); err != nil {
+			return nil, err
 		}
-		for i := 0; i < schemas[k].Len(); i++ {
-			owner = append(owner, k)
+		for i := 0; i < s.Len(); i++ {
+			fc.owner = append(fc.owner, k)
 		}
 	}
-
-	// Split WHERE into conjuncts and push each single-source conjunct down
-	// to its source; the rest stay above the joins.
-	var conjuncts []Expr
-	if stmt.Where != nil {
-		conjuncts = flattenAnd(stmt.Where)
-	}
-	pushed := make([][]Expr, len(sources))
-	var retained []Expr
-	for _, c := range conjuncts {
-		src := -1
-		if !naive {
-			src = conjunctOwner(c, combined, owner)
-		}
-		if src >= 0 {
-			pushed[src] = append(pushed[src], c)
-		} else {
-			retained = append(retained, c)
-		}
-	}
-
-	// Column pruning for the single-table case: a batch scan materializes
-	// only the columns the statement touches.
-	var needed []int
-	if !naive && len(stmt.Joins) == 0 {
-		needed = scanColumns(stmt, schemas[0])
-	}
-
-	it, node, est, err := planSource(cat, sources[0], pushed[0], ctx, naive, needed)
-	if err != nil {
-		return pipe{}, nil, err
-	}
-
-	for k, j := range stmt.Joins {
-		right, rightNode, rightEst, err := planSource(cat, sources[k+1], pushed[k+1], ctx, naive, nil)
-		if err != nil {
-			return pipe{}, nil, err
-		}
-		leftCols, rightCols, residual, err := splitJoinOn(j.On, it.schema(), right.schema(), j.Table.Binding())
-		if err != nil {
-			return pipe{}, nil, err
-		}
-		// Build on the smaller estimated input; unknown (-1) loses to known.
-		buildLeft := !naive && est >= 0 && (rightEst < 0 || est < rightEst)
-		it, err = planJoin(it, right, leftCols, rightCols, j.Table.Binding(), buildLeft)
-		if err != nil {
-			return pipe{}, nil, err
-		}
-		node = &PlanNode{
-			Op:       "HashJoin",
-			Detail:   joinDetail(leftCols, rightCols, buildLeft),
-			Batched:  it.batched(),
-			Children: []*PlanNode{node, rightNode},
-		}
-		if est < 0 || rightEst < 0 {
-			est = -1
-		} else if rightEst > est {
-			est = rightEst
-		}
-		if residual != nil {
-			it, err = applyFilterPipe(ctx, it, residual)
-			if err != nil {
-				return pipe{}, nil, err
-			}
-			node = &PlanNode{Op: "Filter", Detail: residual.SQL(), Batched: it.batched(), Children: []*PlanNode{node}}
-		}
-	}
-
-	if len(retained) > 0 {
-		pred := combineAnd(retained)
-		var err error
-		it, err = applyFilterPipe(ctx, it, pred)
-		if err != nil {
-			return pipe{}, nil, err
-		}
-		node = &PlanNode{Op: "Filter", Detail: pred.SQL(), Batched: it.batched(), Children: []*PlanNode{node}}
-	}
-	return it, node, nil
+	return fc, nil
 }
 
-// planJoin wires one hash join. When the probe side (the non-build side) is
-// a batched stream, probing stays vectorized: the build side is drained
-// into the hash table either way, so only the probe side's mode matters.
-// Output columns are left-then-right in both modes.
-func planJoin(left, right pipe, leftCols, rightCols []string, rightBinding string, buildLeft bool) (pipe, error) {
+// planInput builds the FROM/JOIN/WHERE pipeline: WHERE splits into conjuncts,
+// every single-source conjunct is pushed down to its source's access path,
+// and the rest filter above the joins.
+func planInput(cat relation.Catalog, stmt *SelectStmt, fc *fromClause, ctx *execCtx) (stream, error) {
+	pushed := make([][]Expr, len(fc.sources))
+	var retained []Expr
+	if stmt.Where != nil {
+		for _, c := range flattenAnd(stmt.Where) {
+			if src := conjunctOwner(c, fc.combined, fc.owner); src >= 0 {
+				pushed[src] = append(pushed[src], c)
+			} else {
+				retained = append(retained, c)
+			}
+		}
+	}
+
+	// Column pruning for the single-table case: the access path materializes
+	// only the columns the statement touches.
+	var needed []int
+	if len(stmt.Joins) == 0 {
+		needed = scanColumns(stmt, fc.schemas[0])
+	}
+
+	in, err := planSource(cat, fc.sources[0], pushed[0], ctx, needed)
+	if err != nil {
+		return stream{}, err
+	}
+	for k, j := range stmt.Joins {
+		right, err := planSource(cat, fc.sources[k+1], pushed[k+1], ctx, nil)
+		if err != nil {
+			return stream{}, err
+		}
+		var residual Expr
+		if in, residual, err = planJoin(in, right, j); err != nil {
+			return stream{}, err
+		}
+		if residual != nil {
+			if in, err = in.filter(ctx, residual); err != nil {
+				return stream{}, err
+			}
+		}
+	}
+	if len(retained) > 0 {
+		return in.filter(ctx, combineAnd(retained))
+	}
+	return in, nil
+}
+
+// planJoin wires one hash join, materializing the smaller estimated input as
+// the build side (unknown, -1, loses to known) and streaming the other
+// through the probe. Output columns are left-then-right either way. ON
+// conjuncts that are not cross-side equalities come back as the residual.
+func planJoin(left, right stream, j JoinClause) (stream, Expr, error) {
+	binding := j.Table.Binding()
+	leftCols, rightCols, residual, err := splitJoinOn(j.On, left.it.Schema(), right.it.Schema(), binding)
+	if err != nil {
+		return stream{}, nil, err
+	}
+	buildLeft := left.est >= 0 && (right.est < 0 || left.est < right.est)
 	probe, build := left, right
 	probeCols, buildCols := leftCols, rightCols
 	if buildLeft {
 		probe, build = right, left
 		probeCols, buildCols = rightCols, leftCols
 	}
-	if probe.batched() {
-		probePos, err := resolveAll(probe.schema(), probeCols)
-		if err != nil {
-			return pipe{}, err
-		}
-		buildPos, err := resolveAll(build.schema(), buildCols)
-		if err != nil {
-			return pipe{}, err
-		}
-		schema, err := relation.Concat(left.schema(), right.schema(), rightBinding)
-		if err != nil {
-			return pipe{}, err
-		}
-		j, err := relation.NewBatchHashJoin(probe.batch, build.iterator(), probePos, buildPos, schema, buildLeft)
-		if err != nil {
-			return pipe{}, err
-		}
-		return pipe{batch: j}, nil
-	}
-	j, err := relation.NewHashJoinBuildSide(left.iterator(), right.iterator(), leftCols, rightCols, rightBinding, buildLeft)
+	probePos, err := resolveAll(probe.it.Schema(), probeCols)
 	if err != nil {
-		return pipe{}, err
+		return stream{}, nil, err
 	}
-	return pipe{rows: j}, nil
+	buildPos, err := resolveAll(build.it.Schema(), buildCols)
+	if err != nil {
+		return stream{}, nil, err
+	}
+	schema, err := relation.Concat(left.it.Schema(), right.it.Schema(), binding)
+	if err != nil {
+		return stream{}, nil, err
+	}
+	it, err := relation.NewBatchHashJoin(probe.it, build.it, probePos, buildPos, schema, buildLeft)
+	if err != nil {
+		return stream{}, nil, err
+	}
+	out := stream{
+		it:   it,
+		node: &PlanNode{Op: "HashJoin", Detail: joinDetail(leftCols, rightCols, buildLeft), Children: []*PlanNode{left.node, right.node}},
+		est:  max(left.est, right.est),
+	}
+	if left.est < 0 || right.est < 0 {
+		out.est = -1
+	}
+	return out, residual, nil
 }
 
 func resolveAll(s *relation.Schema, cols []string) ([]int, error) {
@@ -314,12 +232,12 @@ func resolveAll(s *relation.Schema, cols []string) ([]int, error) {
 }
 
 // scanColumns lists the schema positions a single-table statement touches,
-// for batch-scan column pruning. nil means materialize everything: SELECT *
+// for access-path column pruning. nil means materialize everything: SELECT *
 // (empty item list) or a reference that doesn't resolve against the table
 // (ORDER BY on an output alias, or a genuinely unknown column the later
 // compile will report). A statement that touches no columns at all — e.g.
-// SELECT count(*) with no WHERE — returns an empty non-nil slice: the scan
-// materializes nothing and only computes the visibility selection.
+// SELECT count(*) with no WHERE — returns an empty non-nil slice: the source
+// materializes nothing and only computes the selection.
 func scanColumns(stmt *SelectStmt, schema *relation.Schema) []int {
 	if len(stmt.Items) == 0 {
 		return nil
@@ -445,35 +363,26 @@ func combineAnd(exprs []Expr) Expr {
 }
 
 // planSource plans one FROM/JOIN source given the conjuncts pushed to it.
-// It returns the stream, its plan subtree, and an estimated row count
-// (-1 = unknown) used to pick hash-join build sides. needed restricts which
-// columns a batch scan materializes (nil = all).
-func planSource(cat relation.Catalog, ref TableRef, conjs []Expr, ctx *execCtx, naive bool, needed []int) (pipe, *PlanNode, int64, error) {
-	if t, ok := cat.Reader(ref.Name); ok && !naive {
+// needed restricts which columns the source materializes (nil = all). A base
+// table gets an access path; a virtual table is materialized lazily and
+// gathered into batches.
+func planSource(cat relation.Catalog, ref TableRef, conjs []Expr, ctx *execCtx, needed []int) (stream, error) {
+	if t, ok := cat.Reader(ref.Name); ok {
 		return planTableAccess(t, ref, conjs, ctx, needed)
 	}
 	it, err := cat.Source(ref.Name)
 	if err != nil {
-		return pipe{}, nil, 0, err
+		return stream{}, err
 	}
-	est := int64(-1)
-	op := "Scan"
-	if t, ok := cat.Reader(ref.Name); ok {
-		est = int64(t.Len())
-	} else {
-		op = "VirtualScan"
+	s := stream{
+		it:   relation.NewBatchRows(it.Schema(), func() []relation.Row { return relation.Collect(it) }, needed, 0),
+		node: &PlanNode{Op: "VirtualScan", Detail: sourceDetail(ref, -1)},
+		est:  -1,
 	}
-	node := &PlanNode{Op: op, Detail: sourceDetail(ref, est)}
-	p := pipe{rows: it}
 	if len(conjs) > 0 {
-		pred := combineAnd(conjs)
-		p, err = applyFilterPipe(ctx, p, pred)
-		if err != nil {
-			return pipe{}, nil, 0, err
-		}
-		node = &PlanNode{Op: "Filter", Detail: pred.SQL(), Children: []*PlanNode{node}}
+		return s.filter(ctx, combineAnd(conjs))
 	}
-	return p, node, est, nil
+	return s, nil
 }
 
 func sourceDetail(ref TableRef, est int64) string {
@@ -501,10 +410,10 @@ type sargable struct {
 // hash-index lookup > ordered-index range > full scan. Unconsumed conjuncts
 // become a residual filter over the narrowed stream. The reader may be a
 // live table or a pinned snapshot; access paths resolve rows through its
-// visibility filter either way. Index paths produce (small) row streams;
-// the full-scan fallback produces a batched stream — scanning the whole
-// table is exactly when vectorization pays.
-func planTableAccess(t relation.TableReader, ref TableRef, conjs []Expr, ctx *execCtx, needed []int) (pipe, *PlanNode, int64, error) {
+// visibility filter either way. Every path emits batches of the needed
+// columns: index paths gather them from the rows their row IDs resolve to,
+// the full scan transposes the row store directly.
+func planTableAccess(t relation.TableReader, ref TableRef, conjs []Expr, ctx *execCtx, needed []int) (stream, error) {
 	binding := ref.Binding()
 	schema := t.Schema()
 
@@ -531,33 +440,35 @@ func planTableAccess(t relation.TableReader, ref TableRef, conjs []Expr, ctx *ex
 		}
 	}
 
+	hashCols, keys, consumed := chooseHashIndex(t, eqs)
 	var (
-		p        pipe
-		node     *PlanNode
-		est      int64
-		consumed map[int]bool
+		rangeCol       string
+		lo, hi         relation.Value
+		loIncl, hiIncl bool
 	)
-
-	if cols, keys, used := chooseHashIndex(t, eqs); cols != nil {
-		it, err := relation.NewIndexLookup(t, cols, keys)
-		if err != nil {
-			return pipe{}, nil, 0, err
+	if hashCols == nil {
+		rangeCol, lo, hi, loIncl, hiIncl, consumed = chooseOrderedIndex(t, ranges)
+	}
+	var residual []Expr
+	for i, c := range conjs {
+		if !consumed[i] {
+			residual = append(residual, c)
 		}
-		p = pipe{rows: it}
-		node = &PlanNode{Op: "IndexLookup", Detail: lookupDetail(ref, cols, keys)}
-		est = int64(len(keys))
-		consumed = used
-	} else if col, lo, hi, loIncl, hiIncl, used := chooseOrderedIndex(t, ranges); col != "" {
-		it, err := relation.NewIndexRange(t, col, lo, hi, loIncl, hiIncl)
-		if err != nil {
-			return pipe{}, nil, 0, err
-		}
-		p = pipe{rows: it}
-		node = &PlanNode{Op: "IndexRange", Detail: rangeDetail(ref, col, lo, hi, loIncl, hiIncl)}
-		est = int64(t.Len())/4 + 1
-		consumed = used
-	} else {
-		scan := relation.NewBatchScan(t, needed, relation.DefaultBatchSize)
+	}
+	var out stream
+	var err error
+	zonemap := false // the scan skips pages by zone; shown on its Filter line
+	switch {
+	case hashCols != nil:
+		out.it, err = relation.NewIndexLookup(t, hashCols, keys, needed)
+		out.node = &PlanNode{Op: "IndexLookup", Detail: lookupDetail(ref, hashCols, keys)}
+		out.est = int64(len(keys))
+	case rangeCol != "":
+		out.it, err = relation.NewIndexRange(t, rangeCol, lo, hi, loIncl, hiIncl, needed)
+		out.node = &PlanNode{Op: "IndexRange", Detail: rangeDetail(ref, rangeCol, lo, hi, loIncl, hiIncl)}
+		out.est = int64(t.Len())/4 + 1
+	default:
+		out.scan = relation.NewBatchScan(t, needed, relation.DefaultBatchSize)
 		if len(conjs) > 0 {
 			// Zone-map pruning for the full scan, gated on the whole pushed
 			// predicate kernelizing: kernels never produce evaluation errors,
@@ -567,31 +478,24 @@ func planTableAccess(t relation.TableReader, ref TableRef, conjs []Expr, ctx *ex
 			zb := binder{schema: schema}
 			if zb.kernelize(pred) != nil {
 				if zf := zb.zoneFilter(pred); zf != nil {
-					scan.SetZoneFilter(zf)
+					out.scan.SetZoneFilter(zf)
+					zonemap = true
 				}
 			}
 		}
-		p = pipe{batch: scan}
-		est = int64(t.Len())
-		node = &PlanNode{Op: "Scan", Detail: sourceDetail(ref, est), Batched: true}
+		out.it = out.scan
+		out.est = int64(t.Len())
+		out.node = &PlanNode{Op: "Scan", Detail: sourceDetail(ref, out.est)}
 	}
-
-	var residual []Expr
-	for i, c := range conjs {
-		if !consumed[i] {
-			residual = append(residual, c)
-		}
+	if err != nil {
+		return stream{}, err
 	}
 	if len(residual) > 0 {
-		pred := combineAnd(residual)
-		var err error
-		p, err = applyFilterPipe(ctx, p, pred)
-		if err != nil {
-			return pipe{}, nil, 0, err
+		if out, err = out.filter(ctx, combineAnd(residual)); err == nil && zonemap {
+			out.node.Detail += " [zonemap]"
 		}
-		node = &PlanNode{Op: "Filter", Detail: pred.SQL(), Batched: p.batched(), Children: []*PlanNode{node}}
 	}
-	return p, node, est, nil
+	return out, err
 }
 
 // chooseHashIndex returns the widest hash index whose every column is bound

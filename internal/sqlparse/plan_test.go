@@ -198,46 +198,65 @@ func TestAggregatePathEvalErrorsPropagate(t *testing.T) {
 	}
 }
 
-// TestPlannerEquivalenceRandomized is the property test from the acceptance
-// criteria: every planned query returns the same multiset of rows as the
-// naive full-scan executor, across randomized predicates, joins, projections
-// and aggregates.
-func TestPlannerEquivalenceRandomized(t *testing.T) {
-	db := randomWorkloadDB(t)
-	rng := rand.New(rand.NewSource(20260728))
-	for i := 0; i < 400; i++ {
-		q := randomQuery(rng)
-		stmt, err := Parse(q)
+// TestDeferredErrorContract pins the deferred-error rule of DESIGN §4: an
+// evaluation error surfaces iff a row that reaches the expression raises it,
+// and access paths and pushdown decide which rows reach it — so planned and
+// reference execution disagree on error presence in both directions. A
+// change to either column is a change of contract, not of plumbing.
+func TestDeferredErrorContract(t *testing.T) {
+	db := randomWorkloadDBRows(t, true, 500)
+	for _, tc := range []struct {
+		name, q                  string
+		plannedErr, referenceErr bool
+	}{
+		// The ordered index on tstamp returns no row, so the residual never
+		// runs; the reference evaluates the whole WHERE on every row.
+		{"index path starves the residual",
+			"SELECT projid FROM logs WHERE tstamp > 1000 AND value / 0 > 1", false, true},
+		// Pushed below the join, the division sees every logs row; above the
+		// join no row survives r.vid = 'zzz' to reach it.
+		{"pushdown feeds the conjunct",
+			"SELECT l.projid FROM logs l JOIN runs r ON l.tstamp = r.tstamp WHERE r.vid = 'zzz' AND l.value / 0 > 1", true, false},
+	} {
+		stmt, err := Parse(tc.q)
 		if err != nil {
-			t.Fatalf("generated unparsable query %q: %v", q, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		planned, perr := Execute(db, stmt)
-		stmt2, _ := Parse(q) // fresh AST in case execution mutates state
-		naive, nerr := ExecuteScan(db, stmt2)
-		if (perr == nil) != (nerr == nil) {
-			t.Fatalf("query %q: planned err=%v naive err=%v", q, perr, nerr)
-		}
-		if perr != nil {
-			continue
-		}
-		if d := diffResults(planned, naive); d != "" {
-			plan := explain(t, db, q)
-			t.Fatalf("query %q: planned and naive results differ: %s\nplan:\n%s", q, d, plan)
+		_, perr := Execute(db, stmt)
+		_, rerr := ExecuteScan(db, stmt)
+		for _, got := range []struct {
+			who  string
+			err  error
+			want bool
+		}{{"planned", perr, tc.plannedErr}, {"reference", rerr, tc.referenceErr}} {
+			if (got.err != nil) != got.want {
+				t.Errorf("%s: %s error = %v, want error: %v", tc.name, got.who, got.err, got.want)
+			}
+			if got.err != nil && !strings.Contains(got.err.Error(), "division by zero") {
+				t.Errorf("%s: %s failed with %v, want division by zero", tc.name, got.who, got.err)
+			}
 		}
 	}
 }
 
-// randomWorkloadDB builds an indexed logs/runs pair with NULLs, duplicate
-// keys and tombstoned rows — the shapes the access paths must agree on.
-func randomWorkloadDB(t *testing.T) *relation.Database {
-	t.Helper()
-	return randomWorkloadDBOpts(t, true)
+// TestPlannerEquivalenceRandomized is the property test from the acceptance
+// criteria: every planned query returns the same multiset of rows as the
+// reference full-scan executor, across randomized predicates, joins,
+// projections and aggregates — with and without indexes, serial and gathered.
+func TestPlannerEquivalenceRandomized(t *testing.T) {
+	forEachEquivCell(t, func(t *testing.T, cell *planEquivDB) {
+		rng := rand.New(rand.NewSource(20260728))
+		for i := 0; i < cell.iters(400); i++ {
+			runEquivalence(t, cell, randomQuery(rng))
+		}
+	})
 }
 
-// randomWorkloadDBOpts is randomWorkloadDB with index creation optional:
-// without indexes every planned query takes the vectorized batch-scan path,
-// which is what the per-operator batch-vs-row equivalence tests exercise.
-func randomWorkloadDBOpts(t *testing.T, indexed bool) *relation.Database {
+// randomWorkloadDBRows builds a logs/runs pair with NULLs, duplicate keys and
+// tombstoned rows — the shapes the access paths must agree on — with rows
+// versions in logs. With indexed=false no secondary index exists and every
+// base-table access path is the full scan.
+func randomWorkloadDBRows(t *testing.T, indexed bool, rows int) *relation.Database {
 	t.Helper()
 	db := relation.NewDatabase()
 	logs, err := db.CreateTable("logs", relation.MustSchema(
@@ -261,7 +280,7 @@ func randomWorkloadDBOpts(t *testing.T, indexed bool) *relation.Database {
 	projids := []string{"p1", "p2", "p3"}
 	names := []string{"acc", "recall", "loss", "f1"}
 	var ids []relation.RowID
-	for i := 0; i < 500; i++ {
+	for i := 0; i < rows; i++ {
 		val := relation.Null()
 		if rng.Intn(10) > 0 {
 			val = relation.Float(float64(rng.Intn(100)) / 100)
@@ -378,27 +397,35 @@ func randomQuery(rng *rand.Rand) string {
 	return sb.String()
 }
 
+// rowKey renders a row for comparison: every value with its type.
+func rowKey(r relation.Row) string {
+	parts := make([]string, len(r))
+	for j, v := range r {
+		parts[j] = fmt.Sprintf("%d:%s", v.Type(), v.String())
+	}
+	return strings.Join(parts, "|")
+}
+
 // diffResults compares two results as multisets of rendered rows.
-func diffResults(a, b *Result) string {
+func diffResults(a, b *Result) string { return diffResultsBy(a, b, rowKey) }
+
+// diffResultsBy compares two results as multisets of rows rendered by key.
+func diffResultsBy(a, b *Result, key func(relation.Row) string) string {
 	if len(a.Columns) != len(b.Columns) {
 		return fmt.Sprintf("column counts differ: %v vs %v", a.Columns, b.Columns)
+	}
+	if len(a.Rows) != len(b.Rows) {
+		return fmt.Sprintf("row counts differ: %d vs %d", len(a.Rows), len(b.Rows))
 	}
 	canon := func(res *Result) []string {
 		out := make([]string, len(res.Rows))
 		for i, r := range res.Rows {
-			parts := make([]string, len(r))
-			for j, v := range r {
-				parts[j] = fmt.Sprintf("%d:%s", v.Type(), v.String())
-			}
-			out[i] = strings.Join(parts, "|")
+			out[i] = key(r)
 		}
 		sort.Strings(out)
 		return out
 	}
 	ca, cb := canon(a), canon(b)
-	if len(ca) != len(cb) {
-		return fmt.Sprintf("row counts differ: %d vs %d", len(ca), len(cb))
-	}
 	for i := range ca {
 		if ca[i] != cb[i] {
 			return fmt.Sprintf("row %d differs: %s vs %s", i, ca[i], cb[i])
