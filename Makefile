@@ -14,7 +14,7 @@
 # figures only compare within one hardware class, so local machines run the
 # snapshots (bench, macro) but not the diffs (bench-gate, macro-gate).
 
-.PHONY: check fmt vet vet-custom build test race-stress repl-matrix bench bench-full bench-gate macro macro-gate fuzz
+.PHONY: check fmt vet vet-custom build test race-stress repl-matrix bench bench-full bench-gate macro macro-gate macro-baseline fuzz
 
 check: fmt vet vet-custom build test bench
 
@@ -93,6 +93,12 @@ macro:
 # and DefaultMacroOptions for the single-core-container rationale).
 macro-gate:
 	go run ./cmd/benchdiff -macro -baseline MACRO_baseline.json -latest MACRO_latest.json
+
+# macro-baseline refreshes the committed baseline from a fresh run, as the
+# per-class summary benchdiff -macro reads (count, sum, max, p50/p95/p99): the
+# raw histogram buckets stay in MACRO_latest.json, which CI uploads.
+macro-baseline: macro
+	jq 'del(..|.buckets?)' MACRO_latest.json > MACRO_baseline.json
 
 # fuzz runs a short smoke pass over every native fuzz target (decoder, WAL
 # replay, snapshot reader, planned-vs-reference SQL execution); CI runs it on

@@ -323,7 +323,6 @@ func run(args []string) error {
 				NumDocs: *docs, MinPages: 3, MaxPages: 8, OCRFraction: 0.4, Seed: uint64(*seed),
 			}, 16)
 			cfg.Gate = f.Gate
-			cfg.Health = f.Health
 			go func() {
 				if err := f.Run(ctx); err != nil {
 					fmt.Fprintln(os.Stderr, "flordb: replication stopped:", err)
@@ -341,7 +340,6 @@ func run(args []string) error {
 				return err
 			}
 			primary = repl.NewPrimary(sess, blobs)
-			cfg.Health = primary.Health
 		}
 		defer sess.Close()
 
@@ -376,14 +374,12 @@ func run(args []string) error {
 				case <-ctx.Done():
 					return
 				case <-t.C:
-					g := make(map[string]any)
+					g := sess.Metrics().Snapshot().Gauges
 					if follower != nil {
-						follower.Health(g)
-						fmt.Printf("repl: replica_lag_epochs=%v replica_last_fetch_unix=%v repl_segments_shipped=%v\n",
+						fmt.Printf("repl: replica_lag_epochs=%.0f replica_last_fetch_unix=%.0f repl_segments_shipped=%.0f\n",
 							g["replica_lag_epochs"], g["replica_last_fetch_unix"], g["repl_segments_shipped"])
 					} else {
-						primary.Health(g)
-						fmt.Printf("repl: repl_segments_shipped=%v repl_followers=%v\n",
+						fmt.Printf("repl: repl_segments_shipped=%.0f repl_followers=%.0f\n",
 							g["repl_segments_shipped"], g["repl_followers"])
 					}
 				}

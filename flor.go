@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"flordb/internal/build"
+	"flordb/internal/metrics"
 	"flordb/internal/pivot"
 	"flordb/internal/record"
 	"flordb/internal/relation"
@@ -109,6 +110,7 @@ type Session struct {
 	epochs    *storage.EpochIndex // epoch↔commit-timestamp map for AS OF TIMESTAMP
 	gcRows    atomic.Int64        // row versions reclaimed by GCEpochs since open
 	scanWkrs  int                 // Options.ScanWorkers (0 = GOMAXPROCS)
+	reg       *metrics.Registry   // the one telemetry registry; every layer registers into it
 
 	// Lifecycle: begin/end bracket every public operation so Close can
 	// refuse new work (ErrClosed) and drain what is in flight before
@@ -290,7 +292,13 @@ func newSession(projid, dir string, wal *storage.WAL, walPath string, readOnly b
 		plans:     sqlparse.NewPlanCache(0),
 		epochs:    storage.NewEpochIndex(),
 		scanWkrs:  opts.ScanWorkers,
+		reg:       metrics.NewRegistry(),
 	}
+	db.RegisterMetrics(s.reg)
+	wal.RegisterMetrics(s.reg)
+	s.plans.RegisterMetrics(s.reg)
+	s.reg.IntGauge("gc_rows_reclaimed", s.gcRows.Load)
+	s.reg.IntGauge("scan_workers", func() int64 { return int64(sqlparse.EffectiveScanWorkers(s.scanWkrs)) })
 	if s.stdout == nil {
 		s.stdout = io.Discard
 	}
@@ -623,18 +631,20 @@ func (s *Session) Commit(message string) error {
 			s.mu.Unlock()
 			return err
 		}
+		// Only a commit that staged files changed the version store; a pure
+		// log+commit leaves repo.json as it is.
+		if s.dir != "" {
+			if err := s.repo.Save(filepath.Join(s.dir, ".flor", "repo.json")); err != nil {
+				s.mu.Unlock()
+				return err
+			}
+		}
 	}
 	var rec *record.CommitRecord
 	if s.wal != nil {
 		rec = &record.CommitRecord{
 			Kind: record.KindCommit, ProjID: s.ProjID, Tstamp: s.tstamp,
 			VID: vid, Wall: time.Now().UTC(),
-		}
-	}
-	if s.dir != "" {
-		if err := s.repo.Save(filepath.Join(s.dir, ".flor", "repo.json")); err != nil {
-			s.mu.Unlock()
-			return err
 		}
 	}
 	s.tstamp++
@@ -785,12 +795,11 @@ func (s *Session) GCEpochs() (GCStats, error) {
 }
 
 // RetentionFloor returns the current epoch retention floor: the lowest epoch
-// ReaderAt and AS OF may target. It feeds the /healthz retention_floor_epoch
-// gauge and the floor echoed by HTTP 400 responses to retired as_of requests.
+// ReaderAt and AS OF may target.
 func (s *Session) RetentionFloor() int64 { return s.db.MinEpoch() }
 
 // GCRowsReclaimed returns the total row versions reclaimed by GCEpochs since
-// the session opened (the /healthz gc_rows_reclaimed gauge).
+// the session opened.
 func (s *Session) GCRowsReclaimed() int64 { return s.gcRows.Load() }
 
 // ---------- Replication ----------
@@ -897,6 +906,7 @@ func (s *Session) Promote() error {
 	s.wal = wal
 	s.recorder.Ctx.WAL = wal
 	s.mu.Unlock()
+	wal.RegisterMetrics(s.reg)
 	s.readOnly.Store(false)
 	return nil
 }
@@ -1011,12 +1021,6 @@ func (v *SnapshotView) SQL(query string) (*sqlparse.Result, error) {
 // execOptions resolves the session's execution tuning.
 func (s *Session) execOptions() sqlparse.ExecOptions {
 	return sqlparse.ExecOptions{ScanWorkers: s.scanWkrs}
-}
-
-// ScanWorkers reports the effective parallel-scan worker pool size SQL
-// execution may fan out to (the /healthz scan_workers gauge).
-func (s *Session) ScanWorkers() int {
-	return sqlparse.EffectiveScanWorkers(s.scanWkrs)
 }
 
 // resolveAsOf rewrites an AS OF TIMESTAMP statement into epoch form using the
@@ -1137,29 +1141,31 @@ func (s *Session) Database() *relation.Database { return s.db }
 // Tables exposes the base tables (read-mostly; used by the web UI).
 func (s *Session) Tables() *record.Tables { return s.tables }
 
+// Metrics returns the session's telemetry registry: the one place every
+// layer (relation, storage, sqlparse, the session itself, and the repl and
+// server tiers built over it) registers its instruments, and the one
+// snapshot /metrics and /healthz serve.
+func (s *Session) Metrics() *metrics.Registry { return s.reg }
+
+// currentWAL reads the WAL pointer under s.mu: Promote installs one on a
+// live session, so unsynchronized readers would race it.
+func (s *Session) currentWAL() *storage.WAL {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.wal
+}
+
 // WALSyncCount reports how many fsyncs the session's WAL has performed
 // (0 for in-memory sessions) — group-commit observability: under N
 // concurrent committers it should grow by ~1 per coalesced batch.
-func (s *Session) WALSyncCount() int64 {
-	if s.wal == nil {
-		return 0
-	}
-	return s.wal.SyncCount()
-}
+func (s *Session) WALSyncCount() int64 { return s.currentWAL().SyncCount() }
 
 // WALCommitCount reports how many commit records the session's WAL has
-// appended since open (0 for in-memory sessions). SyncCount over
-// CommitCount is the fsyncs/commit figure surfaced by /metrics and the
-// macro-benchmark resource report.
-func (s *Session) WALCommitCount() int64 {
-	if s.wal == nil {
-		return 0
-	}
-	return s.wal.CommitCount()
-}
+// appended since open (0 for in-memory sessions).
+func (s *Session) WALCommitCount() int64 { return s.currentWAL().CommitCount() }
 
 // PlanCacheStats reports the session plan cache's hits and misses since
-// open — the /healthz and /metrics plan_cache_hit_rate gauges divide them.
+// open.
 func (s *Session) PlanCacheStats() (hits, misses uint64) {
 	return s.plans.Stats()
 }

@@ -1,7 +1,10 @@
 package flor
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -411,6 +414,76 @@ func TestDurableSessionRecovery(t *testing.T) {
 	}
 	if reports[0].Err != nil || reports[0].Stats.LogsEmitted != 3 {
 		t.Fatalf("post-recovery hindsight: %+v", reports[0])
+	}
+}
+
+// TestCommitSavesRepoOnlyWhenFilesWereStaged: a pure log+commit session never
+// writes repo.json (the version store did not change), a staging commit does,
+// and reopening still finds every staged commit's ts2vid row and version.
+func TestCommitSavesRepoOnlyWhenFilesWereStaged(t *testing.T) {
+	dir := t.TempDir()
+	repoPath := filepath.Join(dir, ".flor", "repo.json")
+	logAndCommit := func(s *Session, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			s.Log("loss", float64(i))
+			if err := s.Commit("unstaged"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	s, err := Open(dir, "proj", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logAndCommit(s, 4)
+	if _, err := os.Stat(repoPath); !os.IsNotExist(err) {
+		t.Fatalf("repo.json after unstaged commits: stat err = %v, want not-exist", err)
+	}
+	s.SetFilename("train.go")
+	for _, src := range []string{"v1", "v2"} {
+		s.Log("loss", 0.5)
+		s.StageFile("train.go", src)
+		if err := s.Commit("staged " + src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(repoPath)
+	if err != nil {
+		t.Fatalf("repo.json after staged commits: %v", err)
+	}
+
+	// A fresh session has nothing staged: its commits leave the file alone.
+	s, err = Open(dir, "proj", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logAndCommit(s, 3)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if now, err := os.ReadFile(repoPath); err != nil || !bytes.Equal(now, saved) {
+		t.Fatalf("repo.json rewritten by unstaged commits (err %v)", err)
+	}
+
+	s, err = Open(dir, "proj", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	res, err := s.SQL("SELECT count(*) AS n FROM ts2vid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Rows[0][0].AsInt(); n != 2 {
+		t.Fatalf("ts2vid rows after reopen = %d, want 2", n)
+	}
+	if versions, err := s.Versions("train.go"); err != nil || len(versions) != 2 {
+		t.Fatalf("recovered versions: %v %v", versions, err)
 	}
 }
 

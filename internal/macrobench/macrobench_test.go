@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"flordb/internal/metrics"
 )
 
 // runShort runs a scenario with a tiny measured window — enough for every
@@ -76,23 +74,21 @@ func TestHindsightDashboardScenarioLiveRegistry(t *testing.T) {
 	if !ok {
 		t.Fatal("scenario missing")
 	}
-	reg := metrics.NewRegistry()
-	res, err := sc.Run(Config{Duration: 300 * time.Millisecond, Seed: 7, Dir: t.TempDir(), Registry: reg})
+	res, snap, err := sc.run(Config{Duration: 300 * time.Millisecond, Seed: 7, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, class := range []string{ClassLogCommit, ClassPointRead, ClassScanAgg, ClassHTTPRead} {
 		checkClass(t, res, class)
 	}
-	// The shared registry mirrors the class histograms live (what /metrics
-	// serves mid-run) and carries the API server's own route histogram.
-	snap := reg.Snapshot()
+	// The session's registry mirrors the class histograms live (what /metrics
+	// serves mid-run) next to the API server's own route histogram.
 	h := snap.Histograms["macro:"+ClassHTTPRead]
 	if h == nil || h.Count != res.Classes[ClassHTTPRead].Ops {
 		t.Fatalf("registry mirror = %+v, want count %d", h, res.Classes[ClassHTTPRead].Ops)
 	}
 	if sql := snap.Histograms["sql"]; sql == nil || sql.Count == 0 {
-		t.Fatalf("server route histogram missing from shared registry: %v", snap.Histograms["sql"])
+		t.Fatalf("server route histogram missing from the session registry: %v", snap.Histograms["sql"])
 	}
 }
 

@@ -34,11 +34,6 @@ type Config struct {
 	// Dir hosts the scenario's scratch project directory; "" uses the OS
 	// temp dir. The directory created inside is removed when Run returns.
 	Dir string
-	// Registry, when set, receives live mirrors of the per-class latency
-	// histograms and shed/error counters, and is handed to the API server
-	// HTTP readers drive — so GET /metrics during a run serves the same
-	// instruments the final report is built from. Nil uses a private one.
-	Registry *metrics.Registry
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -49,9 +44,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Registry == nil {
-		c.Registry = metrics.NewRegistry()
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -85,7 +77,7 @@ var errShed = errors.New("macrobench: shed")
 // worker is one load-generating goroutine: an op class, a private seeded
 // RNG, a private latency histogram (merged per class after the run — the
 // measured loop shares no histogram atomics with other workers), and a live
-// mirror histogram in the run's registry for /metrics observers.
+// mirror histogram in the session's registry for /metrics observers.
 type worker struct {
 	class string
 	rng   *rand.Rand
@@ -130,10 +122,17 @@ func (w *worker) run(deadline time.Time) {
 // Run executes the scenario for cfg.Duration and reports per-class latency,
 // throughput, shed/error counts, and engine resource deltas.
 func (sc Scenario) Run(cfg Config) (*Result, error) {
+	res, _, err := sc.run(cfg)
+	return res, err
+}
+
+// run is Run plus the session registry's snapshot at the end of the measured
+// window — the document /metrics would have served at that moment.
+func (sc Scenario) run(cfg Config) (*Result, *metrics.RegistrySnapshot, error) {
 	cfg = cfg.withDefaults()
 	dir, err := os.MkdirTemp(cfg.Dir, "macro-"+sc.Name+"-*")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer os.RemoveAll(dir)
 
@@ -144,7 +143,7 @@ func (sc Scenario) Run(cfg Config) (*Result, error) {
 		RetainEpochs:  sc.RetainEpochs,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer sess.Close()
 	sess.SetFilename("macro.go")
@@ -154,7 +153,7 @@ func (sc Scenario) Run(cfg Config) (*Result, error) {
 	for c := 0; c < sc.SeedCommits; c++ {
 		logBatch(sess, seedRng, sc.SeedLogsPerCommit)
 		if err := sess.Commit(""); err != nil {
-			return nil, fmt.Errorf("macrobench: seed commit: %w", err)
+			return nil, nil, fmt.Errorf("macrobench: seed commit: %w", err)
 		}
 	}
 
@@ -162,13 +161,12 @@ func (sc Scenario) Run(cfg Config) (*Result, error) {
 	defer cancel()
 
 	// HTTP readers drive the real API server in-process (no sockets: the
-	// measured latency is the server's, not the loopback's), recording into
-	// the run registry so /metrics route histograms and macro class
-	// histograms live side by side.
+	// measured latency is the server's, not the loopback's); its route
+	// histograms and the macro class mirrors live side by side in the
+	// session's registry.
 	var api *server.Server
 	if sc.HTTPReaders > 0 {
 		api = server.New(sess, server.Config{
-			Registry:    cfg.Registry,
 			MaxInFlight: sc.MaxInFlight,
 			MaxQueue:    sc.MaxQueue,
 		})
@@ -179,14 +177,14 @@ func (sc Scenario) Run(cfg Config) (*Result, error) {
 	if sc.ReplicaReaders > 0 {
 		blobs, err := storage.NewBlobStore(dir + "/.flor/objects")
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		prim := repl.NewPrimary(sess, blobs)
 		primSrv := httptest.NewServer(prim.Routes())
 		defer primSrv.Close()
 		folDir, err := os.MkdirTemp(cfg.Dir, "macro-follower-*")
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		defer os.RemoveAll(folDir)
 		follower, err = repl.StartFollower(ctx, repl.FollowerConfig{
@@ -198,7 +196,7 @@ func (sc Scenario) Run(cfg Config) (*Result, error) {
 			Open:         flor.Options{NoSync: true},
 		})
 		if err != nil {
-			return nil, fmt.Errorf("macrobench: start follower: %w", err)
+			return nil, nil, fmt.Errorf("macrobench: start follower: %w", err)
 		}
 		defer follower.Close()
 		followerDone := make(chan struct{})
@@ -209,10 +207,10 @@ func (sc Scenario) Run(cfg Config) (*Result, error) {
 		catchup := time.Now().Add(30 * time.Second)
 		for follower.Applied() < int64(sc.SeedCommits) {
 			if err := follower.Fault(); err != nil {
-				return nil, fmt.Errorf("macrobench: follower fault during catch-up: %w", err)
+				return nil, nil, fmt.Errorf("macrobench: follower fault during catch-up: %w", err)
 			}
 			if time.Now().After(catchup) {
-				return nil, fmt.Errorf("macrobench: follower stuck at segment %d during catch-up", follower.Applied())
+				return nil, nil, fmt.Errorf("macrobench: follower stuck at segment %d during catch-up", follower.Applied())
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -257,9 +255,7 @@ func (sc Scenario) Run(cfg Config) (*Result, error) {
 	// Resource baseline, then the measured window.
 	var m0 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	syncs0, commits0 := sess.WALSyncCount(), sess.WALCommitCount()
-	pruned0, decoded0 := relation.ScanStats()
-	gcRows0 := sess.GCRowsReclaimed()
+	before := sess.Metrics().Snapshot().Gauges
 
 	cfg.Logf("macrobench %s: running %d workers for %s", sc.Name, len(workers), cfg.Duration)
 	started := time.Now()
@@ -279,8 +275,9 @@ func (sc Scenario) Run(cfg Config) (*Result, error) {
 
 	var m1 runtime.MemStats
 	runtime.ReadMemStats(&m1)
-	pruned1, decoded1 := relation.ScanStats()
-	totalRows, liveRows := sess.Database().RowVersions()
+	snap := sess.Metrics().Snapshot()
+	after := snap.Gauges
+	delta := func(name string) int64 { return int64(after[name] - before[name]) }
 
 	res := &Result{
 		Scenario:   sc.Name,
@@ -312,24 +309,24 @@ func (sc Scenario) Run(cfg Config) (*Result, error) {
 	if res.TotalOps > 0 {
 		r.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(res.TotalOps)
 	}
-	r.WALSyncs = sess.WALSyncCount() - syncs0
-	r.WALCommits = sess.WALCommitCount() - commits0
+	r.WALSyncs = delta("wal_syncs")
+	r.WALCommits = delta("wal_commits")
 	if r.WALCommits > 0 {
 		r.FsyncsPerCommit = float64(r.WALSyncs) / float64(r.WALCommits)
 	}
-	r.PagesPruned = pruned1 - pruned0
-	r.PagesDecoded = decoded1 - decoded0
-	r.SnapshotPins = sess.Database().Pins()
-	r.RowVersions = totalRows
-	r.LiveRows = liveRows
-	r.GCRowsReclaimed = sess.GCRowsReclaimed() - gcRows0
+	r.PagesPruned = delta("pages_pruned")
+	r.PagesDecoded = delta("pages_decoded")
+	r.SnapshotPins = int64(after["snapshot_pins"])
+	r.RowVersions = int64(after["row_versions"])
+	r.LiveRows = int64(after["live_rows"])
+	r.GCRowsReclaimed = delta("gc_rows_reclaimed")
 	r.CompactRuns = compactRuns.Load()
 	r.GCRuns = gcRuns.Load()
 	if follower != nil {
 		r.ReplicaApplied = follower.Applied()
 		r.ReplicaLag = follower.Lag()
 	}
-	return res, nil
+	return res, snap, nil
 }
 
 // buildWorkers assembles the scenario's worker mix. Worker i (across all
@@ -337,6 +334,7 @@ func (sc Scenario) Run(cfg Config) (*Result, error) {
 // (scenario, seed) pair replays the same op sequences.
 func (sc Scenario) buildWorkers(cfg Config, sess *flor.Session, api *server.Server, follower *repl.Follower) []*worker {
 	var workers []*worker
+	reg := sess.Metrics()
 	idx := int64(0)
 	add := func(class string, n int, op func(w *worker) error) {
 		for i := 0; i < n; i++ {
@@ -344,9 +342,9 @@ func (sc Scenario) buildWorkers(cfg Config, sess *flor.Session, api *server.Serv
 				class: class,
 				rng:   rand.New(rand.NewSource(cfg.Seed + idx)),
 				hist:  metrics.NewHistogram(),
-				live:  cfg.Registry.Histogram("macro:" + class),
-				sheds: cfg.Registry.Counter("macro:" + class + ":sheds"),
-				fails: cfg.Registry.Counter("macro:" + class + ":errors"),
+				live:  reg.Histogram("macro:" + class),
+				sheds: reg.Counter("macro:" + class + ":sheds"),
+				fails: reg.Counter("macro:" + class + ":errors"),
 				op:    op,
 			})
 			idx++

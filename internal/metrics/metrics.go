@@ -289,6 +289,12 @@ func (r *Registry) Gauge(name string, fn func() float64) {
 	r.gauges[name] = fn
 }
 
+// IntGauge registers a polled gauge over an integer source — most engine
+// state (epochs, pins, counts) is an int64 behind an atomic or a short lock.
+func (r *Registry) IntGauge(name string, fn func() int64) {
+	r.Gauge(name, func() float64 { return float64(fn()) })
+}
+
 // RegistrySnapshot is the JSON shape of a registry: the /metrics payload
 // body and the per-scenario instrument dump in MACRO snapshots.
 type RegistrySnapshot struct {

@@ -4,63 +4,39 @@
 // O(live data) instead of O(total history) — the metadata-side analog of the
 // paper's checkpoint/replay design for training state (§2).
 //
-// Two formats share the FLORSNAP container (magic, JSON meta, CRC-32C
-// trailer) and are dispatched on the meta version field:
+// The FLORSNAP container is a magic, a JSON meta block {"version","seq",
+// "max_tstamp","epoch","min_epoch","epochs"} and a CRC-32C (Castagnoli,
+// hardware-accelerated) trailer around the table sections; the sections are
+// columnar pages with zone maps in a page directory (snapshot_columnar.go).
+// A file stamped with any other version — the row-oriented v2 of older
+// releases included — is refused as unsupported, and recovery falls back to
+// an older snapshot or refuses a partial database.
 //
-//   - v3 (current, columnar): per-column pages with zone maps in a page
-//     directory; see snapshot_columnar.go for the layout.
-//   - v2 (legacy, row-oriented): still read for compatibility with
-//     pre-columnar snapshots, and writable via WriteSnapshotV2 for tests.
-//
-// v2 layout (all integers varint-encoded unless noted):
-//
-//	magic "FLORSNAP"
-//	uvarint meta length, meta JSON {"version","seq","max_tstamp",
-//	    "epoch","min_epoch","epochs"}
-//	string dictionary: uvarint count, then per entry uvarint len + bytes
-//	per base table, in Tables order (logs, loops, ts2vid, obj_store, args):
-//	    uvarint name length, name
-//	    uvarint version count
-//	    versions: zigzag varint born epoch, zigzag varint dead epoch
-//	        (0 = live), then per column one tag byte + payload
-//	        'N' NULL    'i' zigzag varint    'f' 8-byte LE float bits
-//	        's' uvarint dictionary index     'b'/'B' bool false/true
-//	        't' varint UnixNano              'x' uvarint len + blob bytes
-//	4-byte LE CRC-32C (Castagnoli, hardware-accelerated) of everything above
-//
-// Format v2 persists full MVCC history: every row version carries its
+// A snapshot persists full MVCC history: every row version carries its
 // born/dead epochs, so a recovered database answers `AS OF <epoch>` queries
 // exactly as the one that wrote the snapshot did. Versions tombstoned at or
 // below the retention floor (meta min_epoch) are folded out at write time —
 // this is how the epoch-retention GC's reclamation becomes durable.
 //
-// The codec is deliberately not JSONL: decoding a snapshot row costs a type
-// switch and a varint, not two reflective json.Unmarshal calls. Text cells
-// are dictionary-encoded — metadata columns (projid, filename, value names,
-// stringified values) repeat heavily, so each distinct string is stored,
-// allocated, and hashed exactly once; a cell decode is a slice index. This
-// is where the ≥10× recovery speedup over full WAL replay comes from (C11).
+// The codec is deliberately not JSONL: decoding a snapshot cell costs a type
+// switch and a varint, not two reflective json.Unmarshal calls. This is
+// where the ≥10× recovery speedup over full WAL replay comes from (C11).
 package record
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
-	"time"
 
 	"flordb/internal/relation"
 )
 
-// SnapshotVersion is the current snapshot format version. Readers accept the
-// current version and v2 (recovery falls back to an older snapshot or a full
-// replay on anything else). Version 2 added per-version born/dead epochs and
-// the epoch/min_epoch/epochs meta fields for time travel; version 3 moved the
-// table sections to columnar pages with zone maps (snapshot_columnar.go).
+// SnapshotVersion is the snapshot format version: the only one written and
+// the only one read (recovery falls back to an older snapshot or a full
+// replay on anything else).
 const SnapshotVersion = 3
 
 const snapshotMagic = "FLORSNAP"
@@ -111,99 +87,11 @@ func (d *snapDict) id(s string) uint64 {
 	return id
 }
 
-// WriteSnapshot serializes the tables to w in the format named by
-// meta.Version (2 writes the legacy row-oriented layout; anything else writes
-// the current columnar layout). The caller owns durability (buffering, fsync,
-// atomic rename).
+// WriteSnapshot serializes the tables to w under the given meta, whose
+// Version must be SnapshotVersion for the file to be readable. The caller
+// owns durability (buffering, fsync, atomic rename).
 func WriteSnapshot(w io.Writer, meta SnapshotMeta, t *Tables) error {
 	return WriteSnapshotHook(w, meta, t, nil)
-}
-
-// WriteSnapshotHook is WriteSnapshot with a test hook fired after each table
-// section reaches w — the crash-injection matrix uses it to kill the process
-// mid-file and prove recovery falls back cleanly. The hook is only fired on
-// the v3 path (v2 buffers all sections and writes them in one burst).
-func WriteSnapshotHook(w io.Writer, meta SnapshotMeta, t *Tables, hook func(table string) error) error {
-	if meta.Version == 2 {
-		return writeSnapshotV2(w, meta, t)
-	}
-	return writeSnapshotV3(w, meta, t, hook)
-}
-
-// WriteSnapshotV2 writes the legacy row-oriented format regardless of
-// meta.Version, for read-compatibility tests against the v3 reader.
-func WriteSnapshotV2(w io.Writer, meta SnapshotMeta, t *Tables) error {
-	meta.Version = 2
-	return writeSnapshotV2(w, meta, t)
-}
-
-func writeSnapshotV2(w io.Writer, meta SnapshotMeta, t *Tables) error {
-	// Encode the row sections into a buffer first, building the string
-	// dictionary as cells are visited; the file stores the dictionary ahead
-	// of the rows so the reader can resolve indexes in one pass.
-	dict := &snapDict{ids: make(map[string]uint64, 1024)}
-	var rowsBuf bytes.Buffer
-	buf := make([]byte, 0, 1<<10)
-	for _, tbl := range t.snapshotTables() {
-		name := tbl.Name()
-		rows, born, dead := tbl.Versions()
-		// Fold out versions the retention GC already reclaimed in memory
-		// (nil payload) or that fall at or below the persisted floor: both
-		// are invisible at every epoch a reader of this snapshot may target.
-		persist := 0
-		for id := range rows {
-			if snapPersists(rows[id], dead[id], meta.MinEpoch) {
-				persist++
-			}
-		}
-		buf = binary.AppendUvarint(buf[:0], uint64(len(name)))
-		buf = append(buf, name...)
-		buf = binary.AppendUvarint(buf, uint64(persist))
-		rowsBuf.Write(buf)
-		for id, r := range rows {
-			if !snapPersists(r, dead[id], meta.MinEpoch) {
-				continue
-			}
-			buf = binary.AppendVarint(buf[:0], born[id])
-			buf = binary.AppendVarint(buf, dead[id])
-			for i := range r {
-				buf = appendSnapValue(buf, &r[i], dict)
-			}
-			rowsBuf.Write(buf)
-		}
-	}
-
-	h := crc32.New(castagnoli)
-	mw := io.MultiWriter(w, h)
-	if _, err := mw.Write([]byte(snapshotMagic)); err != nil {
-		return fmt.Errorf("record: write snapshot: %w", err)
-	}
-	metaJSON, err := json.Marshal(meta)
-	if err != nil {
-		return fmt.Errorf("record: snapshot meta: %w", err)
-	}
-	buf = binary.AppendUvarint(buf[:0], uint64(len(metaJSON)))
-	buf = append(buf, metaJSON...)
-	buf = binary.AppendUvarint(buf, uint64(len(dict.entries)))
-	if _, err := mw.Write(buf); err != nil {
-		return fmt.Errorf("record: write snapshot: %w", err)
-	}
-	for _, e := range dict.entries {
-		buf = binary.AppendUvarint(buf[:0], uint64(len(e)))
-		buf = append(buf, e...)
-		if _, err := mw.Write(buf); err != nil {
-			return fmt.Errorf("record: write snapshot: %w", err)
-		}
-	}
-	if _, err := mw.Write(rowsBuf.Bytes()); err != nil {
-		return fmt.Errorf("record: write snapshot: %w", err)
-	}
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], h.Sum32())
-	if _, err := w.Write(trailer[:]); err != nil {
-		return fmt.Errorf("record: write snapshot: %w", err)
-	}
-	return nil
 }
 
 // snapPersists reports whether a row version belongs in a snapshot with the
@@ -211,37 +99,6 @@ func writeSnapshotV2(w io.Writer, meta SnapshotMeta, t *Tables) error {
 // must still be visible at some epoch >= floor.
 func snapPersists(r relation.Row, dead, minEpoch int64) bool {
 	return r != nil && (dead == 0 || dead > minEpoch)
-}
-
-func appendSnapValue(dst []byte, v *relation.Value, dict *snapDict) []byte {
-	switch v.Type() {
-	case relation.TInt:
-		dst = append(dst, 'i')
-		return binary.AppendVarint(dst, v.AsInt())
-	case relation.TText:
-		dst = append(dst, 's')
-		return binary.AppendUvarint(dst, dict.id(v.AsText()))
-	case relation.TFloat:
-		dst = append(dst, 'f')
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.AsFloat()))
-		return append(dst, b[:]...)
-	case relation.TBool:
-		if v.AsBool() {
-			return append(dst, 'B')
-		}
-		return append(dst, 'b')
-	case relation.TTime:
-		dst = append(dst, 't')
-		return binary.AppendVarint(dst, v.AsTime().UnixNano())
-	case relation.TBlob:
-		b := v.AsBlob()
-		dst = append(dst, 'x')
-		dst = binary.AppendUvarint(dst, uint64(len(b)))
-		return append(dst, b...)
-	default: // TNull
-		return append(dst, 'N')
-	}
 }
 
 // ReadSnapshot verifies and decodes a snapshot, then bulk-loads the rows
@@ -269,91 +126,10 @@ func ReadSnapshot(data []byte, t *Tables) (SnapshotMeta, error) {
 	if err := json.Unmarshal(metaJSON, &meta); err != nil {
 		return meta, fmt.Errorf("record: snapshot meta: %w", err)
 	}
-	switch meta.Version {
-	case 2:
-		return meta, readSnapshotV2(rd, t)
-	case SnapshotVersion:
-		return meta, readSnapshotV3(rd, t)
-	default:
+	if meta.Version != SnapshotVersion {
 		return meta, fmt.Errorf("record: unsupported snapshot version %d", meta.Version)
 	}
-}
-
-// readSnapshotV2 decodes the legacy row-oriented table sections.
-func readSnapshotV2(rd *snapReader, t *Tables) error {
-	// Resolve the string dictionary: each distinct string is allocated once
-	// here; a text cell decode below is a bounds-checked slice index.
-	nDict := int(rd.uvarint())
-	if rd.err != nil || nDict < 0 || nDict > len(rd.buf) {
-		return errors.New("record: snapshot dictionary out of range")
-	}
-	dict := make([]string, nDict)
-	for i := range dict {
-		dict[i] = string(rd.bytes(int(rd.uvarint())))
-	}
-	if rd.err != nil {
-		return rd.err
-	}
-
-	tbls := t.snapshotTables()
-	batches := make([][]relation.Row, len(tbls))
-	borns := make([][]int64, len(tbls))
-	deads := make([][]int64, len(tbls))
-	for i, tbl := range tbls {
-		name := string(rd.bytes(int(rd.uvarint())))
-		if rd.err != nil {
-			return rd.err
-		}
-		if name != tbl.Name() {
-			return fmt.Errorf("record: snapshot table %q, want %q", name, tbl.Name())
-		}
-		n := int(rd.uvarint())
-		width := tbl.Schema().Len()
-		// Every cell costs at least one byte, so n cannot exceed
-		// len(buf)/width in a valid snapshot (divide — the product n*width
-		// could overflow int on a crafted count and panic make below; the
-		// born/dead prefixes only make each version cost more).
-		if rd.err != nil || n < 0 || width <= 0 || n > len(rd.buf)/width {
-			return errors.New("record: snapshot row count out of range")
-		}
-		rows := make([]relation.Row, n)
-		born := make([]int64, n)
-		dead := make([]int64, n)
-		cells := make([]relation.Value, n*width)
-		schema := tbl.Schema()
-		for j := range rows {
-			born[j] = rd.varint()
-			dead[j] = rd.varint()
-			if rd.err == nil && (born[j] < 0 || dead[j] < 0 || (dead[j] != 0 && dead[j] < born[j])) {
-				return fmt.Errorf("record: snapshot %s row %d: bad epochs born=%d dead=%d", name, j, born[j], dead[j])
-			}
-			row := cells[j*width : (j+1)*width : (j+1)*width]
-			for k := range row {
-				rd.valueInto(&row[k], dict)
-				// The CRC protects against corruption, not against a
-				// mis-typed writer: reject wrong-typed cells here so a bad
-				// snapshot fails recovery cleanly (and falls back) instead
-				// of panicking later at query time.
-				if err := checkSnapCell(schema, k, &row[k], rd, name, j); err != nil {
-					return err
-				}
-			}
-			rows[j] = relation.Row(row)
-		}
-		if rd.err != nil {
-			return rd.err
-		}
-		batches[i], borns[i], deads[i] = rows, born, dead
-	}
-	if len(rd.buf) != 0 {
-		return errors.New("record: trailing bytes after snapshot tables")
-	}
-	for i, tbl := range tbls {
-		if err := tbl.LoadVersions(batches[i], borns[i], deads[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return meta, readSnapshotV3(rd, t)
 }
 
 // checkSnapCell validates a decoded cell against the schema column: type must
@@ -424,53 +200,4 @@ func (rd *snapReader) bytes(n int) []byte {
 	b := rd.buf[:n]
 	rd.buf = rd.buf[n:]
 	return b
-}
-
-// valueInto decodes one cell directly into dst (which is zero, i.e. NULL),
-// avoiding a 56-byte Value copy per cell on the recovery hot path.
-func (rd *snapReader) valueInto(dst *relation.Value, dict []string) {
-	if rd.err != nil {
-		return
-	}
-	if len(rd.buf) == 0 {
-		rd.fail("snapshot: truncated value")
-		return
-	}
-	tag := rd.buf[0]
-	rd.buf = rd.buf[1:]
-	switch tag {
-	case 'N':
-	case 'i':
-		*dst = relation.Int(rd.varint())
-	case 's':
-		idx := rd.uvarint()
-		if rd.err != nil {
-			return
-		}
-		if idx >= uint64(len(dict)) {
-			rd.fail("snapshot: string index out of range")
-			return
-		}
-		*dst = relation.Text(dict[idx])
-	case 'f':
-		b := rd.bytes(8)
-		if rd.err != nil {
-			return
-		}
-		*dst = relation.Float(math.Float64frombits(binary.LittleEndian.Uint64(b)))
-	case 'b':
-		*dst = relation.Bool(false)
-	case 'B':
-		*dst = relation.Bool(true)
-	case 't':
-		*dst = relation.Time(time.Unix(0, rd.varint()).UTC())
-	case 'x':
-		b := rd.bytes(int(rd.uvarint()))
-		if rd.err != nil {
-			return
-		}
-		*dst = relation.Blob(append([]byte(nil), b...))
-	default:
-		rd.fail(fmt.Sprintf("snapshot: unknown value tag %q", tag))
-	}
 }

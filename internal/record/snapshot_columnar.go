@@ -1,12 +1,12 @@
-// Columnar (v3) snapshot codec. The FLORSNAP container — magic, JSON meta,
-// CRC-32C trailer — is shared with v2 (snapshot.go); only the table sections
-// differ. Each table is split into pages of relation.ZonePageRows versions,
-// and a page directory ahead of the page blobs carries per-page zone maps
+// Columnar (v3) snapshot codec: the table sections inside the FLORSNAP
+// container (magic, JSON meta, CRC-32C trailer — snapshot.go). Each table is
+// split into pages of relation.ZonePageRows versions, and a page directory
+// ahead of the page blobs carries per-page zone maps
 // (born-epoch bounds, per-column min/max and NULL counts) so the reader can
 // seed the in-memory zone cache without a rebuild pass, and so future partial
 // readers can seek to individual pages.
 //
-// v3 layout after the shared magic + meta prefix:
+// Layout after the magic + meta prefix:
 //
 //	per base table, in Tables order (logs, loops, ts2vid, obj_store, args):
 //	    uvarint name length, name
@@ -20,7 +20,7 @@
 //	        per schema column: uvarint NULL count, plain-coded min,
 //	            plain-coded max (both NULL if the page has no non-NULL cell)
 //	    page blobs, concatenated in page order
-//	4-byte LE CRC-32C trailer (shared with v2)
+//	4-byte LE CRC-32C trailer
 //
 // Page blob framing: one compression tag (0 = raw, 1 = DEFLATE), uvarint
 // decoded payload length, payload bytes. DEFLATE is used only when it
@@ -41,7 +41,7 @@
 // Plain value coding (directory min/max and 'v' cells): one tag byte —
 // 'N' NULL, 'i' zigzag varint, 'S' uvarint len + text bytes, 'f' 8-byte LE
 // float bits, 'b'/'B' bool, 't' zigzag varint UnixNano, 'x' uvarint len +
-// blob bytes. Unlike v2 there is no global string dictionary: strings repeat
+// blob bytes. There is no global string dictionary: strings repeat
 // page-locally, and page-local dictionaries keep pages independently
 // decodable.
 //
@@ -67,7 +67,10 @@ import (
 	"flordb/internal/relation"
 )
 
-func writeSnapshotV3(w io.Writer, meta SnapshotMeta, t *Tables, hook func(table string) error) error {
+// WriteSnapshotHook is WriteSnapshot with a test hook fired after each table
+// section reaches w — the crash-injection matrix uses it to kill the process
+// mid-file and prove recovery falls back cleanly.
+func WriteSnapshotHook(w io.Writer, meta SnapshotMeta, t *Tables, hook func(table string) error) error {
 	h := crc32.New(castagnoli)
 	mw := io.MultiWriter(w, h)
 	if _, err := mw.Write([]byte(snapshotMagic)); err != nil {
@@ -106,8 +109,8 @@ func writeSnapshotV3(w io.Writer, meta SnapshotMeta, t *Tables, hook func(table 
 }
 
 // appendColumnarTable appends one table section (header, page directory,
-// page blobs) to dst, persisting the same version set v2 would
-// (snapPersists: payload present and visible above the retention floor).
+// page blobs) to dst, persisting the versions snapPersists keeps: payload
+// present and visible above the retention floor.
 func appendColumnarTable(dst []byte, tbl *relation.Table, minEpoch int64) ([]byte, error) {
 	rows, born, dead := tbl.Versions()
 	sel := make([]int, 0, len(rows))
@@ -454,9 +457,9 @@ type pageDirEntry struct {
 }
 
 // readSnapshotV3 decodes the columnar table sections, bulk-loads the rows,
-// and installs the verified zone maps of all complete pages. Like the v2
-// reader it is all-or-nothing: every byte is validated before the first
-// LoadVersions, so a corrupt snapshot is safe to fall back from.
+// and installs the verified zone maps of all complete pages. It is
+// all-or-nothing: every byte is validated before the first LoadVersions, so
+// a corrupt snapshot is safe to fall back from.
 func readSnapshotV3(rd *snapReader, t *Tables) error {
 	tbls := t.snapshotTables()
 	batches := make([][]relation.Row, len(tbls))

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"strings"
 	"testing"
 
 	"flordb/internal/relation"
@@ -55,35 +56,27 @@ func columnarTables(t *testing.T) (*relation.Database, *Tables) {
 	return db, tables
 }
 
-// TestSnapshotV2ReadCompatibility pins the upgrade path: snapshots written in
-// the legacy row-oriented v2 layout must keep loading under the v3 reader.
+// TestSnapshotV2ReadCompatibility pins what is left of v2 compatibility: a
+// CRC-valid file stamped with the row-oriented v2 header of older releases is
+// refused as an unsupported version and leaves the tables untouched, so
+// recovery falls back to an older snapshot or refuses a partial database.
 func TestSnapshotV2ReadCompatibility(t *testing.T) {
-	src := snapTables(t)
-	fillSnapTables(t, src)
-	var buf bytes.Buffer
-	if err := WriteSnapshotV2(&buf, SnapshotMeta{Seq: 9, MaxTstamp: 9}, src); err != nil {
-		t.Fatal(err)
-	}
+	metaJSON := []byte(`{"version":2,"seq":9,"max_tstamp":9}`)
+	data := append([]byte(snapshotMagic), binary.AppendUvarint(nil, uint64(len(metaJSON)))...)
+	data = append(data, metaJSON...)
+	data = append(data, 0)                            // v2 string dictionary: no entries
+	data = refixSnapshotCRC(append(data, 0, 0, 0, 0)) // trailer
 	dst := snapTables(t)
-	meta, err := ReadSnapshot(buf.Bytes(), dst)
-	if err != nil {
-		t.Fatalf("v2 snapshot no longer readable: %v", err)
+	meta, err := ReadSnapshot(data, dst)
+	if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 2") {
+		t.Fatalf("v2 snapshot: err = %v, want unsupported snapshot version 2", err)
 	}
-	if meta.Version != 2 {
-		t.Fatalf("meta.Version = %d, want 2", meta.Version)
+	if meta.Version != 2 || meta.Seq != 9 {
+		t.Fatalf("meta = %+v, want the refused file's version and seq", meta)
 	}
-	srcTbls, dstTbls := src.snapshotTables(), dst.snapshotTables()
-	for i := range srcTbls {
-		a, b := srcTbls[i].Rows(), dstTbls[i].Rows()
-		if len(a) != len(b) {
-			t.Fatalf("%s: %d rows != %d", srcTbls[i].Name(), len(b), len(a))
-		}
-		for j := range a {
-			for k := range a[j] {
-				if relation.Compare(a[j][k], b[j][k]) != 0 {
-					t.Fatalf("%s row %d col %d: %v != %v", srcTbls[i].Name(), j, k, b[j][k], a[j][k])
-				}
-			}
+	for _, tbl := range dst.snapshotTables() {
+		if tbl.Len() != 0 {
+			t.Fatalf("table %s dirtied by the refused load", tbl.Name())
 		}
 	}
 }
@@ -182,8 +175,7 @@ func TestSnapshotV3ZoneDirectoryDisagreeRejected(t *testing.T) {
 	}
 }
 
-// TestSnapshotV3RejectsHugeRowCount mirrors the v2 guard: a CRC-valid v3
-// snapshot claiming 2^61 versions must fail with an error, not overflow an
+// TestSnapshotV3RejectsHugeRowCount: a CRC-valid snapshot claiming 2^61 versions must fail with an error, not overflow an
 // allocation.
 func TestSnapshotV3RejectsHugeRowCount(t *testing.T) {
 	src := snapTables(t)

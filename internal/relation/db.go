@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"flordb/internal/metrics"
 )
 
 // VirtualTable produces rows on demand; FlorDB uses virtual tables for the
@@ -222,6 +224,19 @@ func (db *Database) RowVersions() (total, live int64) {
 		live += int64(st.live)
 	}
 	return total, live
+}
+
+// RegisterMetrics publishes the database's state as polled gauges: the MVCC
+// clock and its retention bounds, version-store size, and the process-wide
+// zone-map scan counters.
+func (db *Database) RegisterMetrics(reg *metrics.Registry) {
+	reg.IntGauge("epoch", db.Epoch)
+	reg.IntGauge("snapshot_pins", db.Pins)
+	reg.IntGauge("retention_floor_epoch", db.MinEpoch)
+	reg.IntGauge("row_versions", func() int64 { total, _ := db.RowVersions(); return total })
+	reg.IntGauge("live_rows", func() int64 { _, live := db.RowVersions(); return live })
+	reg.IntGauge("pages_pruned", zonePagesPruned.Load)
+	reg.IntGauge("pages_decoded", zonePagesDecoded.Load)
 }
 
 // Names lists all table names (base then virtual), sorted.

@@ -126,6 +126,12 @@ func StartFollower(ctx context.Context, cfg FollowerConfig) (*Follower, error) {
 	}
 	f.sess = sess
 	f.applied.Store(f.localHighWater())
+	reg := sess.Metrics()
+	reg.IntGauge("replica", func() int64 { return 1 })
+	reg.IntGauge("replica_lag_epochs", f.Lag)
+	reg.IntGauge("replica_last_fetch_unix", f.lastFetch.Load)
+	reg.IntGauge("repl_segments_shipped", f.fetched.Load)
+	reg.IntGauge("repl_applied_seq", f.applied.Load)
 	return f, nil
 }
 
@@ -134,9 +140,6 @@ func (f *Follower) Session() *flor.Session { return f.sess }
 
 // Applied returns the highest segment sequence replayed into the replica.
 func (f *Follower) Applied() int64 { return f.applied.Load() }
-
-// SegmentsFetched returns how many segments this process fetched and applied.
-func (f *Follower) SegmentsFetched() int64 { return f.fetched.Load() }
 
 // Close closes the replica session.
 func (f *Follower) Close() error { return f.sess.Close() }
@@ -195,15 +198,6 @@ func (f *Follower) Gate() error {
 		}
 	}
 	return nil
-}
-
-// Health merges the replica gauges into a /healthz payload.
-func (f *Follower) Health(h map[string]any) {
-	h["replica"] = true
-	h["replica_lag_epochs"] = f.Lag()
-	h["replica_last_fetch_unix"] = f.lastFetch.Load()
-	h["repl_segments_shipped"] = f.fetched.Load()
-	h["repl_applied_seq"] = f.applied.Load()
 }
 
 // localHighWater returns the highest history sequence already installed

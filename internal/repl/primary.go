@@ -65,25 +65,25 @@ func NewPrimary(sess *flor.Session, blobs *storage.BlobStore) *Primary {
 	}
 	sess.SetRetainFloor(p.RetainFloor)
 	sess.SetEpochAckFloor(p.EpochFloor)
+	reg := sess.Metrics()
+	reg.IntGauge("repl_segments_shipped", p.shipped.Load)
+	reg.IntGauge("repl_followers", p.liveFollowers)
 	return p
 }
 
-// SegmentsShipped reports how many segment downloads completed.
-func (p *Primary) SegmentsShipped() int64 { return p.shipped.Load() }
-
-// Health merges the primary's replication gauges into a /healthz payload.
-func (p *Primary) Health(h map[string]any) {
+// liveFollowers counts followers that polled within the TTL (the
+// repl_followers gauge).
+func (p *Primary) liveFollowers() int64 {
 	p.mu.Lock()
-	live := 0
+	defer p.mu.Unlock()
+	var live int64
 	ttl := p.followerTTL()
 	for _, f := range p.followers {
 		if time.Since(f.seen) <= ttl {
 			live++
 		}
 	}
-	p.mu.Unlock()
-	h["repl_segments_shipped"] = p.shipped.Load()
-	h["repl_followers"] = live
+	return live
 }
 
 func (p *Primary) followerTTL() time.Duration {

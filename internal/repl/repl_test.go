@@ -190,11 +190,12 @@ func TestFollowerTailsPrimary(t *testing.T) {
 	stepUntil(t, f, 8)
 	assertSame(t, "incremental", dump(f.Session()), dump(e.sess))
 
-	if f.SegmentsFetched() != 8 {
-		t.Fatalf("fetched %d segments, want 8", f.SegmentsFetched())
+	fg := f.Session().Metrics().Snapshot().Gauges
+	if fg["repl_segments_shipped"] != 8 {
+		t.Fatalf("fetched %v segments, want 8", fg["repl_segments_shipped"])
 	}
-	if e.prim.SegmentsShipped() < 8 {
-		t.Fatalf("primary shipped %d segments, want >= 8", e.prim.SegmentsShipped())
+	if pg := e.sess.Metrics().Snapshot().Gauges; pg["repl_segments_shipped"] < 8 {
+		t.Fatalf("primary shipped %v segments, want >= 8", pg["repl_segments_shipped"])
 	}
 	// Acks ride on manifest polls; one more poll reports applied=8 and
 	// moves the retention floor.
@@ -205,15 +206,13 @@ func TestFollowerTailsPrimary(t *testing.T) {
 		t.Fatalf("retention floor = %d, want 9 (acked 8)", floor)
 	}
 
-	g := make(map[string]any)
-	f.Health(g)
 	for _, k := range []string{"replica_lag_epochs", "replica_last_fetch_unix", "repl_segments_shipped"} {
-		if _, ok := g[k]; !ok {
-			t.Fatalf("follower health missing %q", k)
+		if _, ok := fg[k]; !ok {
+			t.Fatalf("follower gauges missing %q", k)
 		}
 	}
-	if g["replica_lag_epochs"].(int64) != 0 {
-		t.Fatalf("caught-up replica reports lag %v", g["replica_lag_epochs"])
+	if fg["replica_lag_epochs"] != 0 {
+		t.Fatalf("caught-up replica reports lag %v", fg["replica_lag_epochs"])
 	}
 }
 
@@ -887,13 +886,10 @@ func TestReplicaEqualsPrimaryProperty(t *testing.T) {
 }
 
 // apiServer mounts the replica session behind the HTTP API with the
-// follower's gate and health hooks, as `flordb serve --replicate-from` does.
+// follower's gate, as `flordb serve --replicate-from` does.
 func apiServer(t *testing.T, f *Follower) *httptest.Server {
 	t.Helper()
-	api := server.New(f.Session(), server.Config{
-		Gate:   f.Gate,
-		Health: f.Health,
-	})
+	api := server.New(f.Session(), server.Config{Gate: f.Gate})
 	srv := httptest.NewServer(api)
 	t.Cleanup(srv.Close)
 	return srv

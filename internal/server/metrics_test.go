@@ -31,6 +31,51 @@ func getMetrics(t *testing.T, srv http.Handler) metricsPayload {
 	return p
 }
 
+func getHealthz(t *testing.T, srv http.Handler) map[string]any {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	var payload map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
+		t.Errorf("/healthz (status %d) bad JSON: %v: %s", rec.Code, err, rec.Body.String())
+	}
+	return payload
+}
+
+// TestHealthzIsMetricsWithoutHistograms: /healthz serves ok, project, and
+// exactly the counters and gauges of /metrics — same names, and on a
+// quiescent server the same values.
+func TestHealthzIsMetricsWithoutHistograms(t *testing.T) {
+	srv := New(testSession(t), Config{})
+	for i := 0; i < 3; i++ {
+		if code, _ := getJSON(t, srv, "/sql?q=SELECT+count(*)+AS+n+FROM+logs"); code != http.StatusOK {
+			t.Fatalf("sql status = %d", code)
+		}
+	}
+	m, hz := getMetrics(t, srv), getHealthz(t, srv)
+	if hz["ok"] != true || hz["project"] != "api" {
+		t.Fatalf("healthz: %v", hz)
+	}
+	want := make(map[string]float64, len(m.Counters)+len(m.Gauges))
+	for name, v := range m.Counters {
+		want[name] = float64(v)
+	}
+	for name, v := range m.Gauges {
+		want[name] = v.(float64)
+	}
+	if want["queries_served"] != 3 {
+		t.Fatalf("queries_served = %v, want 3", want["queries_served"])
+	}
+	if len(hz) != len(want)+2 {
+		t.Errorf("/healthz has %d keys, /metrics has %d counters+gauges", len(hz), len(want))
+	}
+	for name, v := range want {
+		if got, ok := hz[name].(float64); !ok || got != v {
+			t.Errorf("/healthz %s = %v, /metrics says %v", name, hz[name], v)
+		}
+	}
+}
+
 func TestMetricsEndpointServesRouteHistograms(t *testing.T) {
 	srv := New(testSession(t), Config{})
 	for i := 0; i < 5; i++ {
@@ -71,12 +116,7 @@ func TestHealthzReportsPlanCacheHitRate(t *testing.T) {
 			t.Fatalf("sql status = %d", code)
 		}
 	}
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	var payload map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
-		t.Fatal(err)
-	}
+	payload := getHealthz(t, srv)
 	rate, ok := payload["plan_cache_hit_rate"].(float64)
 	if !ok {
 		t.Fatalf("plan_cache_hit_rate missing from /healthz: %v", payload)
@@ -133,6 +173,10 @@ func TestConcurrentMetricsScrapeUnderSQLTraffic(t *testing.T) {
 				p := getMetrics(t, srv)
 				if h := p.Histograms["sql"]; h != nil {
 					scraped[idx] = append(scraped[idx], h)
+				}
+				if hz := getHealthz(t, srv); hz["ok"] != true {
+					t.Errorf("/healthz under traffic: %v", hz)
+					return
 				}
 			}
 		}(w)

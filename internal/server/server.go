@@ -8,16 +8,14 @@
 //	GET/POST /sql        — run a SQL query; results stream as JSON
 //	GET/POST /explain    — show the plan the planner chooses
 //	GET      /dataframe  — the pivoted flor.dataframe view
-//	GET      /healthz    — liveness, epoch, and admission stats
+//	GET      /healthz    — liveness plus every counter and gauge of /metrics
 //	GET      /metrics    — latency histograms + engine counters/gauges
 //
-// /metrics serves the server's metrics.Registry: per-route query latency
-// histograms (p50/p95/p99 with full bucket dumps), admission counters, and
-// engine gauges (fsyncs/commit, plan-cache hit rate, snapshot pins, zone-map
-// page counters, replica lag via the Health hook). The macro-benchmark
-// suite (internal/macrobench) records into the same registry type — and,
-// when it drives this server, into the same registry instance — so load
-// tests and production serving report through one instrumentation layer.
+// Both are one snapshot of the session's metrics.Registry (Session.Metrics),
+// into which every layer registers its own instruments where the state
+// lives: relation, storage, sqlparse, the session, internal/repl, and this
+// package (route latency histograms, admission counters and gauges).
+// /healthz is that snapshot without the histograms.
 //
 // Every query handler pins a committed-epoch snapshot for the request, so
 // responses are internally consistent and never block the writer. Admission
@@ -35,7 +33,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	flor "flordb"
@@ -66,18 +63,10 @@ type Config struct {
 	// GateRetryAfter is the Retry-After duration advertised with Gate
 	// rejections (default 1s); round up to whole seconds.
 	GateRetryAfter time.Duration
-	// Health, when set, merges extra gauges into the /healthz payload
-	// (replication lag, shipping counters).
-	Health func(map[string]any)
 	// Logf receives server-side diagnostics that cannot reach the client —
 	// notably mid-stream encode failures after the 200 header is out.
 	// Defaults to log.Printf.
 	Logf func(format string, args ...any)
-	// Registry, when set, is the metrics registry the server records route
-	// latencies into and serves at /metrics. macrobench passes its own so a
-	// scenario's op-class histograms and the server's route histograms land
-	// in one live registry. Nil creates a private one.
-	Registry *metrics.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -114,30 +103,29 @@ type Server struct {
 	sess *flor.Session
 	cfg  Config
 	mux  *http.ServeMux
-	reg  *metrics.Registry
 
 	slots chan struct{} // execution slots (MaxInFlight)
 	queue chan struct{} // waiting slots (MaxQueue)
 
-	served   atomic.Int64 // queries executed
-	rejected atomic.Int64 // 429s + queue timeouts
+	served   *metrics.Counter // queries executed
+	rejected *metrics.Counter // 429s + queue timeouts + gate refusals
 }
 
 // New builds the API server over a session.
 func New(sess *flor.Session, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	reg := cfg.Registry
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+	reg := sess.Metrics()
 	s := &Server{
-		sess:  sess,
-		cfg:   cfg,
-		mux:   http.NewServeMux(),
-		reg:   reg,
-		slots: make(chan struct{}, cfg.MaxInFlight),
-		queue: make(chan struct{}, cfg.MaxQueue),
+		sess:     sess,
+		cfg:      cfg,
+		mux:      http.NewServeMux(),
+		slots:    make(chan struct{}, cfg.MaxInFlight),
+		queue:    make(chan struct{}, cfg.MaxQueue),
+		served:   reg.Counter("queries_served"),
+		rejected: reg.Counter("admission_rejections"),
 	}
+	reg.IntGauge("in_flight", func() int64 { return int64(len(s.slots)) })
+	reg.IntGauge("queued", func() int64 { return int64(len(s.queue)) })
 	s.mux.HandleFunc("/sql", s.admitted("sql", s.handleSQL))
 	s.mux.HandleFunc("/explain", s.admitted("explain", s.handleExplain))
 	s.mux.HandleFunc("/dataframe", s.admitted("dataframe", s.handleDataframe))
@@ -145,10 +133,6 @@ func New(sess *flor.Session, cfg Config) *Server {
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	return s
 }
-
-// Registry exposes the server's metrics registry (the /metrics source), so
-// callers embedding the server can record alongside it.
-func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 // Handle mounts an extra handler on the server's mux — replication mounts
 // its /repl/ shipping endpoints here so followers and dashboards share one
@@ -218,11 +202,11 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 // the admission story, execution time is the query's) lands in the route's
 // registry histogram, which /metrics serves live.
 func (s *Server) admitted(route string, h http.HandlerFunc) http.HandlerFunc {
-	hist := s.reg.Histogram(route)
+	hist := s.sess.Metrics().Histogram(route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		release, err := s.admit(r.Context())
 		if err != nil {
-			s.rejected.Add(1)
+			s.rejected.Inc()
 			if errors.Is(err, errBusy) {
 				w.Header().Set("Retry-After", s.cfg.retryAfterSecs())
 				writeError(w, http.StatusTooManyRequests, "server at capacity, retry later")
@@ -234,13 +218,13 @@ func (s *Server) admitted(route string, h http.HandlerFunc) http.HandlerFunc {
 		defer release()
 		if s.cfg.Gate != nil {
 			if gerr := s.cfg.Gate(); gerr != nil {
-				s.rejected.Add(1)
+				s.rejected.Inc()
 				w.Header().Set("Retry-After", s.cfg.retryAfterSecs())
 				writeError(w, http.StatusServiceUnavailable, gerr.Error())
 				return
 			}
 		}
-		s.served.Add(1)
+		s.served.Inc()
 		start := time.Now()
 		h(w, r)
 		hist.Observe(time.Since(start).Nanoseconds())
@@ -379,100 +363,29 @@ func (s *Server) handleDataframe(w http.ResponseWriter, r *http.Request) {
 	s.streamResult(w, view.Epoch(), &sqlparse.Result{Columns: df.Columns, Rows: df.Rows})
 }
 
+// handleHealthz serves liveness plus every counter and gauge of the registry
+// snapshot /metrics serves — the same names and, within one scrape, the
+// same values, without the histograms.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	snap := s.sess.Metrics().Snapshot()
+	payload := map[string]any{"ok": true, "project": s.sess.ProjID}
+	for name, v := range snap.Counters {
+		payload[name] = v
+	}
+	for name, v := range snap.Gauges {
+		payload[name] = v
+	}
 	w.Header().Set("Content-Type", "application/json")
-	payload := map[string]any{
-		"ok":            true,
-		"project":       s.sess.ProjID,
-		"epoch":         s.sess.Database().Epoch(),
-		"snapshot_pins": s.sess.Database().Pins(),
-		"in_flight":     len(s.slots),
-		"queued":        len(s.queue),
-		"served":        s.served.Load(),
-		"rejected":      s.rejected.Load(),
-
-		"retention_floor_epoch": s.sess.RetentionFloor(),
-		"gc_rows_reclaimed":     s.sess.GCRowsReclaimed(),
-	}
-	// Parallel-scan gauges: pool size, plus process-wide zone-map counters
-	// (pages skipped without decoding vs. pages materialized).
-	pruned, decoded := relation.ScanStats()
-	payload["scan_workers"] = s.sess.ScanWorkers()
-	payload["pages_pruned"] = pruned
-	payload["pages_decoded"] = decoded
-	hits, misses := s.sess.PlanCacheStats()
-	payload["plan_cache_hits"] = hits
-	payload["plan_cache_misses"] = misses
-	payload["plan_cache_hit_rate"] = hitRate(hits, misses)
-	if s.cfg.Health != nil {
-		s.cfg.Health(payload)
-	}
 	json.NewEncoder(w).Encode(payload)
 }
 
-// hitRate divides hits by total lookups; an untouched cache reports 0.
-func hitRate(hits, misses uint64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
-}
-
-// handleMetrics serves the full observability payload: the registry's
-// latency histograms (complete bucket dumps, so offline tools can merge and
-// re-derive quantiles), admission counters, and engine gauges. Like
-// /healthz it bypasses admission — observability must stay readable
-// exactly when the server is shedding.
+// handleMetrics serves the registry snapshot: latency histograms (complete
+// bucket dumps, so offline tools can merge and re-derive quantiles),
+// counters, and gauges. Like /healthz it bypasses admission — observability
+// must stay readable exactly when the server is shedding.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.reg.Snapshot()
-	counters := make(map[string]int64, len(snap.Counters)+2)
-	for k, v := range snap.Counters {
-		counters[k] = v
-	}
-	counters["queries_served"] = s.served.Load()
-	counters["admission_rejections"] = s.rejected.Load()
-
-	gauges := make(map[string]any, len(snap.Gauges)+16)
-	for k, v := range snap.Gauges {
-		gauges[k] = v
-	}
-	gauges["epoch"] = s.sess.Database().Epoch()
-	gauges["snapshot_pins"] = s.sess.Database().Pins()
-	gauges["retention_floor_epoch"] = s.sess.RetentionFloor()
-	gauges["gc_rows_reclaimed"] = s.sess.GCRowsReclaimed()
-	gauges["in_flight"] = len(s.slots)
-	gauges["queued"] = len(s.queue)
-	hits, misses := s.sess.PlanCacheStats()
-	gauges["plan_cache_hits"] = hits
-	gauges["plan_cache_misses"] = misses
-	gauges["plan_cache_hit_rate"] = hitRate(hits, misses)
-	syncs, commits := s.sess.WALSyncCount(), s.sess.WALCommitCount()
-	gauges["wal_syncs"] = syncs
-	gauges["wal_commits"] = commits
-	if commits > 0 {
-		gauges["fsyncs_per_commit"] = float64(syncs) / float64(commits)
-	} else {
-		gauges["fsyncs_per_commit"] = 0.0
-	}
-	pruned, decoded := relation.ScanStats()
-	gauges["pages_pruned"] = pruned
-	gauges["pages_decoded"] = decoded
-	gauges["scan_workers"] = s.sess.ScanWorkers()
-	total, live := s.sess.Database().RowVersions()
-	gauges["row_versions"] = total
-	gauges["live_rows"] = live
-	// Health merges replication gauges (replica lag, shipping counters) —
-	// the same hook /healthz uses, so both endpoints agree.
-	if s.cfg.Health != nil {
-		s.cfg.Health(gauges)
-	}
-
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"histograms": snap.Histograms,
-		"counters":   counters,
-		"gauges":     gauges,
-	})
+	json.NewEncoder(w).Encode(s.sess.Metrics().Snapshot())
 }
 
 // streamResult writes {"epoch":E,"columns":[...],"rows":[[...],...],"row_count":N}

@@ -192,8 +192,8 @@ func TestAdmissionShedsLoadWith429(t *testing.T) {
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	var resp map[string]any
 	json.Unmarshal(rec.Body.Bytes(), &resp)
-	if resp["rejected"].(float64) < 2 {
-		t.Fatalf("rejected stat: %v", resp)
+	if resp["admission_rejections"].(float64) < 2 {
+		t.Fatalf("admission_rejections stat: %v", resp)
 	}
 }
 

@@ -1,6 +1,10 @@
 package sqlparse
 
-import "sync"
+import (
+	"sync"
+
+	"flordb/internal/metrics"
+)
 
 // PlanCache is a bounded LRU cache of parsed statements keyed by query text.
 // Serving workloads issue the same dashboard and feedback-UI queries over and
@@ -93,6 +97,20 @@ func (c *PlanCache) Stats() (hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
+}
+
+// RegisterMetrics publishes the cache's effectiveness as polled gauges; an
+// untouched cache reports a hit rate of 0.
+func (c *PlanCache) RegisterMetrics(reg *metrics.Registry) {
+	reg.IntGauge("plan_cache_hits", func() int64 { hits, _ := c.Stats(); return int64(hits) })
+	reg.IntGauge("plan_cache_misses", func() int64 { _, misses := c.Stats(); return int64(misses) })
+	reg.Gauge("plan_cache_hit_rate", func() float64 {
+		hits, misses := c.Stats()
+		if hits+misses == 0 {
+			return 0
+		}
+		return float64(hits) / float64(hits+misses)
+	})
 }
 
 // Len returns the number of cached statements.

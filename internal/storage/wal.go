@@ -39,6 +39,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"flordb/internal/metrics"
 	"flordb/internal/record"
 )
 
@@ -205,14 +206,40 @@ func (w *WAL) flushLocked() error {
 
 // SyncCount reports how many fsyncs the WAL has performed. With group
 // commit, N concurrent committers should advance it by ~1 per batch, not N;
-// C13 reports the ratio.
-func (w *WAL) SyncCount() int64 { return w.syncs.Load() }
+// C13 reports the ratio. A nil WAL (in-memory session, unpromoted replica)
+// reports 0.
+func (w *WAL) SyncCount() int64 {
+	if w == nil {
+		return 0
+	}
+	return w.syncs.Load()
+}
 
 // CommitCount reports how many commit records this WAL has appended since
 // open. fsyncs/commit — SyncCount over CommitCount — is the group-commit
 // efficiency figure /metrics and macrobench report: 1.0 means every commit
 // paid its own fsync, lower means committers coalesced.
-func (w *WAL) CommitCount() int64 { return w.commits.Load() }
+func (w *WAL) CommitCount() int64 {
+	if w == nil {
+		return 0
+	}
+	return w.commits.Load()
+}
+
+// RegisterMetrics publishes the WAL's counters as polled gauges. A session
+// without a WAL registers the nil WAL, so the names are served (as zeros)
+// everywhere; the WAL a promotion opens registers over them.
+func (w *WAL) RegisterMetrics(reg *metrics.Registry) {
+	reg.IntGauge("wal_syncs", w.SyncCount)
+	reg.IntGauge("wal_commits", w.CommitCount)
+	reg.Gauge("fsyncs_per_commit", func() float64 {
+		commits := w.CommitCount()
+		if commits == 0 {
+			return 0
+		}
+		return float64(w.SyncCount()) / float64(commits)
+	})
+}
 
 // AppendCommit appends a commit record and waits until it is durable — the
 // commit point. Concurrent callers coalesce: the record is appended under
