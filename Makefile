@@ -14,7 +14,7 @@
 # figures only compare within one hardware class, so local machines run the
 # snapshots (bench, macro) but not the diffs (bench-gate, macro-gate).
 
-.PHONY: check fmt vet vet-custom build test race-stress repl-matrix bench bench-full bench-gate macro macro-gate macro-baseline fuzz
+.PHONY: check fmt vet vet-custom build test race-stress repl-matrix bench bench-full bench-gate bench-pair macro macro-gate macro-baseline fuzz
 
 check: fmt vet vet-custom build test bench
 
@@ -39,8 +39,11 @@ vet-custom:
 build:
 	go build ./...
 
+# -count=1: bench/'s TestExactCountsRepeat measures the process's own write
+# syscalls, and a cacheable run adds go test's test-log flushes to them
+# (ROADMAP, first open item).
 test:
-	go test -race ./...
+	go test -race -count=1 ./...
 
 # race-stress hammers the concurrent serving core (snapshot equivalence,
 # SQL+RunScript+Compact stress, close draining, group commit) repeatedly
@@ -77,6 +80,19 @@ bench-full:
 bench-gate:
 	go run ./cmd/benchdiff -baseline BENCH_baseline.json -latest BENCH_latest.json
 
+# bench-pair is how a performance claim against the repository benchmark
+# (bench/, BENCHMARK.json) is measured: cmd/benchpair builds ./bench from the
+# committed files of BASE and from the work tree, alternates the two binaries
+# (order flipped every pair, one seed per pair) and prints per workload/metric
+# both medians, both IQRs, wins/pairs and the declared bound, stamped with
+# nproc, GOMAXPROCS, Go version and kernel. About 70 s per pair and workload;
+# not part of `make check` or CI. See CONTRIBUTING.md.
+#   make bench-pair BASE=HEAD~1 WORKLOAD=train-ingest PAIRS=10
+PAIRS ?= 10
+bench-pair:
+	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<rev> [WORKLOAD=a,b] [PAIRS=10]"; exit 2; }
+	go run ./cmd/benchpair -base $(BASE) -pairs $(PAIRS) $(if $(WORKLOAD),-workload $(WORKLOAD))
+
 # macro runs every macro-benchmark scenario (mixed logging/query/replication
 # workloads, internal/macrobench) for MACRO_SECS seconds each and snapshots
 # per-op-class latency histograms, throughput, shed counts, and resource
@@ -101,11 +117,12 @@ macro-baseline: macro
 	jq 'del(..|.buckets?)' MACRO_latest.json > MACRO_baseline.json
 
 # fuzz runs a short smoke pass over every native fuzz target (decoder, WAL
-# replay, snapshot reader, planned-vs-reference SQL execution); CI runs it on
-# each push.
+# replay, snapshot reader, planned-vs-reference SQL execution, version-store
+# journal load); CI runs it on each push.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime 10s ./internal/record
 	go test -run '^$$' -fuzz '^FuzzSnapshotRead$$' -fuzztime 10s ./internal/record
 	go test -run '^$$' -fuzz '^FuzzColumnarPageRead$$' -fuzztime 10s ./internal/record
 	go test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/storage
 	go test -run '^$$' -fuzz '^FuzzPlannedVsScan$$' -fuzztime 10s ./internal/sqlparse
+	go test -run '^$$' -fuzz '^FuzzRepoLoad$$' -fuzztime 10s ./internal/vcs

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -385,4 +386,62 @@ func TestConcurrentReadersNeverSeeWriterNoise(t *testing.T) {
 	}
 	readers.Wait()
 	writer.Wait()
+}
+
+// TestConcurrentStagedCommitsEachKeepAVersion: eight goroutines stage and
+// commit at once. Commit journals versions outside s.mu and one caller's Save
+// persists every pending version, so whichever goroutine does the append a
+// reopened project must still hold exactly one ts2vid row per acknowledged
+// commit, and every row's version must resolve.
+func TestConcurrentStagedCommitsEachKeepAVersion(t *testing.T) {
+	const workers, each = 8, 25
+	dir := t.TempDir()
+	s, err := Open(dir, "proj", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var acked atomic.Int64
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				s.StageFile(fmt.Sprintf("w%d.flow", g), fmt.Sprintf("rev = %d\n", i))
+				s.Log("step", i)
+				if err := s.Commit(""); err != nil {
+					t.Errorf("worker %d commit %d: %v", g, i, err)
+					return
+				}
+				acked.Add(1)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = Open(dir, "proj", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if n := s.Repo().NumCommits(); int64(n) != acked.Load() {
+		t.Fatalf("reopened version store has %d commits, %d were acknowledged", n, acked.Load())
+	}
+	seen := map[string]bool{}
+	for _, row := range s.Tables().Ts2vid.Rows() {
+		vid := row[3].AsText()
+		if seen[vid] {
+			t.Fatalf("version %s has two ts2vid rows", vid)
+		}
+		seen[vid] = true
+		if _, err := s.Repo().FilesAt(vid); err != nil {
+			t.Fatalf("ts2vid names a version the reopened store cannot produce: %v", err)
+		}
+	}
+	if int64(len(seen)) != acked.Load() {
+		t.Fatalf("%d ts2vid rows after reopen, %d commits were acknowledged", len(seen), acked.Load())
+	}
 }

@@ -5,6 +5,8 @@
 package flor_test
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -17,6 +19,7 @@ import (
 	flor "flordb"
 	"flordb/internal/relation"
 	"flordb/internal/storage"
+	"flordb/internal/vcs"
 )
 
 // dumpSession renders every base-table row of a session as strings, for
@@ -506,4 +509,244 @@ func TestConcurrentCommitsAndCompaction(t *testing.T) {
 			t.Fatalf("writer %s: recovered %d of %d committed records", name, counts[name], perWriter)
 		}
 	}
+}
+
+// versionPoint is one acknowledged commit of the journal-ordering property.
+type versionPoint struct {
+	walSize int64             // active WAL size once the commit returned
+	vid     string            // "" for a commit that staged nothing
+	files   map[string]string // the workspace the version must check out to
+}
+
+// TestCrashJournalBeforeWALProperty holds crash-ordering invariant 5 (DESIGN
+// §7): a version is fsynced into repo.json before the WAL commit record that
+// names it. Over a seeded mix of staged and unstaged commits it simulates
+// every crash that ordering allows — each cut of repo.json inside its last
+// three records, paired with WAL cuts (strided like the truncation matrix)
+// short of the commit record of the first version the journal cut lost — and
+// after Open demands: every ts2vid row is an acknowledged commit whose
+// version checks out to the bytes staged, no commit the WAL kept is missing,
+// a staged commit on top succeeds, and a reopen after that holds all of it.
+// A damaged middle record, which no crash produces, must fail Open with
+// vcs.ErrCorrupt rather than load a shorter history.
+func TestCrashJournalBeforeWALProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	base := t.TempDir()
+	walFile := filepath.Join(base, ".flor", "flor.wal")
+	repoFile := filepath.Join(base, ".flor", "repo.json")
+	var points []versionPoint
+	// A session starts with nothing staged, so unstaged commits need their
+	// own sessions: each does a few, then stages and commits a few more.
+	for sess := 0; sess < 3; sess++ {
+		s, err := flor.Open(base, "proj", flor.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetFilename("w.flow")
+		unstaged := rng.Intn(3)
+		for c, n := 0, unstaged+1+rng.Intn(2); c < n; c++ {
+			p := versionPoint{}
+			if c >= unstaged {
+				src := fmt.Sprintf("rev = %d\n", rng.Intn(3)) // sometimes a blob the store already has
+				s.StageFile("w.flow", src)
+				p.files = map[string]string{"w.flow": src}
+			}
+			s.Log("acc", rng.Float64())
+			if err := s.Commit(""); err != nil {
+				t.Fatal(err)
+			}
+			if p.files != nil {
+				p.vid = s.Repo().Head()
+			}
+			st, err := os.Stat(walFile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.walSize = st.Size()
+			points = append(points, p)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wal, err := os.ReadFile(walFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal, err := os.ReadFile(repoFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var staged []versionPoint // in journal record order
+	for _, p := range points {
+		if p.vid != "" {
+			staged = append(staged, p)
+		}
+	}
+	recordEnds := []int{0} // recordEnds[k] is the journal size holding k records
+	for i, b := range journal {
+		if b == '\n' {
+			recordEnds = append(recordEnds, i+1)
+		}
+	}
+	if len(recordEnds)-1 != len(staged) || len(staged) < 3 {
+		t.Fatalf("journal has %d records for %d staged commits", len(recordEnds)-1, len(staged))
+	}
+
+	// check opens dir and compares ts2vid and the version store with the
+	// commits whose WAL commit record survived walCut.
+	check := func(label, dir string, walCut int, extra ...versionPoint) *flor.Session {
+		t.Helper()
+		// NoSync: the cut files are the crash; nothing here observes an fsync.
+		s, err := flor.Open(dir, "proj", flor.Options{NoSync: true})
+		if err != nil {
+			t.Fatalf("%s: open: %v", label, err)
+		}
+		want := map[string]map[string]string{}
+		for _, p := range append(append([]versionPoint{}, points...), extra...) {
+			if p.vid != "" && p.walSize <= int64(walCut) {
+				want[p.vid] = p.files
+			}
+		}
+		rows := s.Tables().Ts2vid.Rows()
+		if len(rows) != len(want) {
+			t.Fatalf("%s: %d ts2vid rows, want %d", label, len(rows), len(want))
+		}
+		for _, row := range rows {
+			vid := row[3].AsText()
+			files, err := s.Repo().FilesAt(vid)
+			if err != nil {
+				t.Fatalf("%s: ts2vid names a version that does not resolve: %v", label, err)
+			}
+			if fmt.Sprint(files) != fmt.Sprint(want[vid]) {
+				t.Fatalf("%s: version %s checks out %v, want %v", label, vid, files, want[vid])
+			}
+		}
+		return s
+	}
+
+	// Journal cuts: per record, none of it, one byte, half, and all but the
+	// newline that would have committed it; then the whole file.
+	var jcuts []int
+	for k := len(staged) - 3; k < len(staged); k++ {
+		lo, hi := recordEnds[k], recordEnds[k+1]
+		jcuts = append(jcuts, lo, lo+1, (lo+hi)/2, hi-1)
+	}
+	jcuts = append(jcuts, len(journal))
+
+	cases := 0
+	for _, jcut := range jcuts {
+		kept := sort.SearchInts(recordEnds, jcut+1) - 1 // whole records below the cut
+		walLimit := len(wal)
+		if kept < len(staged) {
+			walLimit = int(staged[kept].walSize) - 1 // that version's commit record never completed
+		}
+		for wcut := walLimit; wcut >= 0; wcut -= 13 {
+			cases++
+			label := fmt.Sprintf("journal cut %d (%d records), wal cut %d", jcut, kept, wcut)
+			cdir := t.TempDir()
+			copyTree(t, base, cdir)
+			if err := os.WriteFile(filepath.Join(cdir, ".flor", "repo.json"), journal[:jcut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(cdir, ".flor", "flor.wal"), wal[:wcut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s := check(label, cdir, wcut)
+			if cases%5 != 0 && wcut != walLimit {
+				s.Close()
+				continue
+			}
+			// Life goes on: the torn journal tail is truncated by this
+			// commit's append, and nothing before it moves.
+			top := versionPoint{files: map[string]string{"w.flow": "rev = after the crash\n"}}
+			s.StageFile("w.flow", top.files["w.flow"])
+			s.Log("acc", 1.0)
+			if err := s.Commit("post-crash"); err != nil {
+				t.Fatalf("%s: commit on top: %v", label, err)
+			}
+			top.vid = s.Repo().Head()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			check(label+", reopened after a commit on top", cdir, wcut, top).Close()
+		}
+	}
+	t.Logf("%d crash cases", cases)
+
+	// Damage no crash produces: a flipped byte in a middle record.
+	cdir := t.TempDir()
+	copyTree(t, base, cdir)
+	bad := append([]byte(nil), journal...)
+	bad[(recordEnds[1]+recordEnds[2])/2] ^= 0x01
+	if err := os.WriteFile(filepath.Join(cdir, ".flor", "repo.json"), bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := flor.Open(cdir, "proj", flor.Options{}); !errors.Is(err, vcs.ErrCorrupt) {
+		if s != nil {
+			s.Close()
+		}
+		t.Fatalf("open over a damaged middle record: err %v, want vcs.ErrCorrupt", err)
+	}
+}
+
+// TestProjectWrittenBeforeTheJournalOpens: testdata/parent_project is a
+// project directory written by the commit before repo.json became a journal
+// (three staged commits, whole-state repo.json). It must open, resolve every
+// version, take a commit as one appended record after the untouched legacy
+// bytes, and reopen with all four.
+func TestProjectWrittenBeforeTheJournalOpens(t *testing.T) {
+	dir := t.TempDir()
+	copyTree(t, filepath.Join("testdata", "parent_project"), dir)
+	repoFile := filepath.Join(dir, ".flor", "repo.json")
+	legacy, err := os.ReadFile(repoFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"lr = 0.1\n", "lr = 0.1\n", "lr = 0.01\n"}
+	check := func(s *flor.Session) {
+		t.Helper()
+		rows := s.Tables().Ts2vid.Rows()
+		if len(rows) != len(want) {
+			t.Fatalf("%d ts2vid rows, want %d", len(rows), len(want))
+		}
+		for _, row := range rows {
+			files, err := s.Repo().FilesAt(row[3].AsText())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := files["train.flow"]; got != want[row[1].AsInt()-1] {
+				t.Fatalf("tstamp %d checks out %q, want %q", row[1].AsInt(), got, want[row[1].AsInt()-1])
+			}
+		}
+	}
+
+	s, err := flor.Open(dir, "proj", flor.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(s)
+	want = append(want, "lr = 0.001\n")
+	s.SetFilename("train.flow")
+	s.StageFile("train.flow", want[3])
+	s.Log("loss", 0.2)
+	if err := s.Commit("run 3"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	now, err := os.ReadFile(repoFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tail, ok := bytes.CutPrefix(now, legacy); !ok || bytes.Count(tail, []byte{'\n'}) != 2 {
+		t.Fatalf("after one commit repo.json is not the legacy bytes, a newline and one record: %d -> %d bytes", len(legacy), len(now))
+	}
+	s, err = flor.Open(dir, "proj", flor.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	check(s)
 }

@@ -294,6 +294,10 @@ func newSession(projid, dir string, wal *storage.WAL, walPath string, readOnly b
 		scanWkrs:  opts.ScanWorkers,
 		reg:       metrics.NewRegistry(),
 	}
+	repo.SetNoSync(opts.NoSync)
+	if blobs != nil {
+		blobs.SetNoSync(opts.NoSync)
+	}
 	db.RegisterMetrics(s.reg)
 	wal.RegisterMetrics(s.reg)
 	s.plans.RegisterMetrics(s.reg)
@@ -598,10 +602,12 @@ func (s *Session) StageFile(name, contents string) {
 // increments the logical timestamp, and publishes the epoch so committed
 // snapshots see the transaction (§2.1).
 //
-// The WAL fsync happens outside the session mutex: concurrent committers
-// coalesce into one group-commit fsync instead of queueing a disk flush
-// each, and loggers on other goroutines are never stalled behind a commit's
-// disk wait.
+// All disk work happens outside the session mutex, journal first: the
+// version is fsynced into repo.json strictly before the WAL commit record
+// that names it, so a durable ts2vid row always resolves (DESIGN §7,
+// invariant 5). Concurrent committers coalesce into one journal append and
+// one group-commit WAL fsync instead of queueing a disk flush each, and
+// loggers on other goroutines are never stalled behind a commit's disk wait.
 func (s *Session) Commit(message string) error {
 	if err := s.begin(); err != nil {
 		return err
@@ -631,14 +637,6 @@ func (s *Session) Commit(message string) error {
 			s.mu.Unlock()
 			return err
 		}
-		// Only a commit that staged files changed the version store; a pure
-		// log+commit leaves repo.json as it is.
-		if s.dir != "" {
-			if err := s.repo.Save(filepath.Join(s.dir, ".flor", "repo.json")); err != nil {
-				s.mu.Unlock()
-				return err
-			}
-		}
 	}
 	var rec *record.CommitRecord
 	if s.wal != nil {
@@ -651,6 +649,14 @@ func (s *Session) Commit(message string) error {
 	s.recorder.Ctx.SetTstamp(s.tstamp)
 	s.mu.Unlock()
 
+	// Only a commit that staged files changed the version store; a pure
+	// log+commit leaves repo.json as it is. Save persists every version not
+	// yet journalled, this one included, whoever made it.
+	if vid != "" && s.dir != "" {
+		if err := s.repo.Save(filepath.Join(s.dir, ".flor", "repo.json")); err != nil {
+			return err
+		}
+	}
 	if rec != nil {
 		// Group commit: append under the WAL's short lock, then ride a
 		// shared fsync with any other committers in flight.

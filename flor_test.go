@@ -418,8 +418,9 @@ func TestDurableSessionRecovery(t *testing.T) {
 }
 
 // TestCommitSavesRepoOnlyWhenFilesWereStaged: a pure log+commit session never
-// writes repo.json (the version store did not change), a staging commit does,
-// and reopening still finds every staged commit's ts2vid row and version.
+// touches repo.json (the version store did not change), a staging commit
+// appends to it without moving a byte already there, and reopening still finds
+// every staged commit's ts2vid row and version.
 func TestCommitSavesRepoOnlyWhenFilesWereStaged(t *testing.T) {
 	dir := t.TempDir()
 	repoPath := filepath.Join(dir, ".flor", "repo.json")
@@ -442,19 +443,24 @@ func TestCommitSavesRepoOnlyWhenFilesWereStaged(t *testing.T) {
 		t.Fatalf("repo.json after unstaged commits: stat err = %v, want not-exist", err)
 	}
 	s.SetFilename("train.go")
-	for _, src := range []string{"v1", "v2"} {
+	var saved []byte
+	for _, src := range []string{"v1", "v2", "v2"} {
 		s.Log("loss", 0.5)
 		s.StageFile("train.go", src)
 		if err := s.Commit("staged " + src); err != nil {
 			t.Fatal(err)
 		}
+		now, err := os.ReadFile(repoPath)
+		if err != nil {
+			t.Fatalf("repo.json after a staged commit: %v", err)
+		}
+		if len(now) <= len(saved) || !bytes.HasPrefix(now, saved) {
+			t.Fatalf("staged commit %q took repo.json from %d to %d bytes; want the old bytes plus one record", src, len(saved), len(now))
+		}
+		saved = now
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
-	}
-	saved, err := os.ReadFile(repoPath)
-	if err != nil {
-		t.Fatalf("repo.json after staged commits: %v", err)
 	}
 
 	// A fresh session has nothing staged: its commits leave the file alone.
@@ -467,7 +473,7 @@ func TestCommitSavesRepoOnlyWhenFilesWereStaged(t *testing.T) {
 		t.Fatal(err)
 	}
 	if now, err := os.ReadFile(repoPath); err != nil || !bytes.Equal(now, saved) {
-		t.Fatalf("repo.json rewritten by unstaged commits (err %v)", err)
+		t.Fatalf("repo.json touched by unstaged commits (err %v)", err)
 	}
 
 	s, err = Open(dir, "proj", Options{})
@@ -479,10 +485,10 @@ func TestCommitSavesRepoOnlyWhenFilesWereStaged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := res.Rows[0][0].AsInt(); n != 2 {
-		t.Fatalf("ts2vid rows after reopen = %d, want 2", n)
+	if n := res.Rows[0][0].AsInt(); n != 3 {
+		t.Fatalf("ts2vid rows after reopen = %d, want 3", n)
 	}
-	if versions, err := s.Versions("train.go"); err != nil || len(versions) != 2 {
+	if versions, err := s.Versions("train.go"); err != nil || len(versions) != 3 {
 		t.Fatalf("recovered versions: %v %v", versions, err)
 	}
 }

@@ -3,7 +3,9 @@ package storage
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 )
@@ -14,7 +16,8 @@ import (
 // writes land in a unique temp file and are published by atomic rename,
 // so concurrent Puts of the same key just install identical bytes.
 type BlobStore struct {
-	root string
+	root   string
+	noSync bool
 }
 
 // NewBlobStore creates the store rooted at dir.
@@ -34,39 +37,66 @@ func HashKey(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Put writes the payload and returns its content address. Writing is
-// idempotent: existing blobs are left untouched.
+// SetNoSync makes Put skip its fsyncs — the session's Options.NoSync policy,
+// under which no write of the project survives a crash by contract. Call it
+// before the store is shared.
+func (b *BlobStore) SetNoSync(noSync bool) { b.noSync = noSync }
+
+// Put writes the payload and returns its content address. Unless the store
+// is NoSync, the temp file is fsynced before the rename that publishes it
+// and the fan-out directory after — and the root first, by the Put that made
+// the fan-out directory — so a WAL record may name the key once Put returns.
+// An existing blob is left untouched and is not synced again: it is durable
+// unless a concurrent Put of the same bytes is still between its rename and
+// its directory fsync.
 func (b *BlobStore) Put(data []byte) (string, error) {
 	key := HashKey(data)
 	path := b.pathFor(key)
 	if _, err := os.Stat(path); err == nil {
 		return key, nil
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	dir := filepath.Dir(path)
+	if err := os.Mkdir(dir, 0o755); err == nil {
+		if err := b.syncDir(b.root); err != nil {
+			return "", err
+		}
+	} else if !errors.Is(err, fs.ErrExist) {
 		return "", fmt.Errorf("storage: blob mkdir: %w", err)
 	}
 	// A unique temp name per writer keeps concurrent Puts of the same key
 	// from clobbering each other's staging file; the rename is atomic and
 	// both sides carry identical bytes, so whichever lands last wins
 	// harmlessly. This also keeps blob IO outside any lock (lockfsync).
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".blob-*.tmp")
+	tmp, err := os.CreateTemp(dir, ".blob-*.tmp")
 	if err != nil {
 		return "", fmt.Errorf("storage: blob tmp: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(data)
+	if err == nil && !b.noSync {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return "", fmt.Errorf("storage: blob write: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("storage: blob close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("storage: blob rename: %w", err)
+	if err := b.syncDir(dir); err != nil {
+		return "", err
 	}
 	return key, nil
+}
+
+// syncDir is the package's syncDir under the store's NoSync policy.
+func (b *BlobStore) syncDir(dir string) error {
+	if b.noSync {
+		return nil
+	}
+	return syncDir(dir)
 }
 
 // Get reads the payload at the given content address.

@@ -204,6 +204,42 @@ func TestBlobStorePutGet(t *testing.T) {
 	if _, err := bs.Get("deadbeef"); err == nil {
 		t.Fatal("missing blob must error")
 	}
+	bs.SetNoSync(true) // the same steps without the fsyncs
+	key, err = bs.Put([]byte("unsynced"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err := bs.Get(key); err != nil || string(data) != "unsynced" {
+		t.Fatalf("get after NoSync put: %q %v", data, err)
+	}
+}
+
+// TestBlobStorePutLeavesOnlyTheBlob: a Put publishes by rename — no staging
+// file survives it — and a Put that cannot reach the disk says so instead of
+// returning a key nothing backs.
+func TestBlobStorePutLeavesOnlyTheBlob(t *testing.T) {
+	dir := t.TempDir()
+	bs, err := NewBlobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := bs.Put([]byte("checkpoint"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, key[:2]))
+	if err != nil || len(entries) != 1 || entries[0].Name() != key[2:] {
+		t.Fatalf("fan-out directory after Put: %v %v", entries, err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil { // a file where the store was
+		t.Fatal(err)
+	}
+	if key, err := bs.Put([]byte("no store left")); err == nil {
+		t.Fatalf("Put with no store directory returned key %s and no error", key)
+	}
 }
 
 func TestBlobStoreIntegrityCheck(t *testing.T) {

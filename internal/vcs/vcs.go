@@ -27,6 +27,11 @@ type Repo struct {
 	objects map[string][]byte // hash -> payload (blobs and encoded commits)
 	head    string            // commit id of HEAD, "" when empty
 	commits []string          // commit ids in commit order (oldest first)
+	intro   [][]string        // per commit: hashes of the blobs it introduced
+
+	saveMu  sync.Mutex // serializes Save; guards journal
+	journal journal    // what Save last left on disk, and where (persist.go)
+	noSync  bool       // Save skips fsync (SetNoSync)
 }
 
 // Commit is the decoded commit object.
@@ -49,13 +54,24 @@ func hashOf(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// putObject stores a payload, returning its content address.
-func (r *Repo) putObject(data []byte) string {
-	h := hashOf(data)
-	if _, ok := r.objects[h]; !ok {
-		r.objects[h] = append([]byte(nil), data...)
-	}
-	return h
+// commitID salts the commit hash with its sequence number so identical
+// trees committed twice get distinct ids.
+func commitID(payload []byte, seq int) string {
+	h := sha256.New()
+	h.Write(payload)
+	fmt.Fprintf(h, "#%d", seq)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// push makes payload, already verified or just built against HEAD, the new
+// HEAD; introduced names the blobs no earlier commit had stored.
+func (r *Repo) push(payload []byte, introduced []string) string {
+	id := commitID(payload, len(r.commits))
+	r.objects[id] = payload
+	r.head = id
+	r.commits = append(r.commits, id)
+	r.intro = append(r.intro, introduced)
+	return id
 }
 
 // CommitFiles snapshots the given workspace (filename -> contents) as a new
@@ -63,27 +79,33 @@ func (r *Repo) putObject(data []byte) string {
 // Committing an identical tree to HEAD still creates a commit (each
 // flor.commit produces a distinct version), but blob storage is shared.
 func (r *Repo) CommitFiles(files map[string]string, message string, wall time.Time) (string, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	tree := make(map[string]string, len(files))
-	for name, contents := range files {
+	names := make([]string, 0, len(files))
+	for name := range files {
 		if name == "" {
 			return "", fmt.Errorf("vcs: empty filename")
 		}
-		tree[name] = r.putObject([]byte(contents))
+		names = append(names, name)
+	}
+	sort.Strings(names) // the journal record lists introduced blobs in this order
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	tree := make(map[string]string, len(files))
+	var introduced []string
+	for _, name := range names {
+		blob := []byte(files[name])
+		h := hashOf(blob)
+		if _, ok := r.objects[h]; !ok {
+			r.objects[h] = blob
+			introduced = append(introduced, h)
+		}
+		tree[name] = h
 	}
 	c := Commit{Parent: r.head, Tree: tree, Message: message, Wall: wall.UTC(), Seq: len(r.commits)}
 	payload, err := json.Marshal(c)
 	if err != nil {
 		return "", fmt.Errorf("vcs: encode commit: %w", err)
 	}
-	// Salt the commit hash with its sequence number so identical trees
-	// committed twice get distinct ids.
-	id := hashOf(append(payload, []byte(fmt.Sprintf("#%d", c.Seq))...))
-	r.objects[id] = payload
-	r.head = id
-	r.commits = append(r.commits, id)
-	return id, nil
+	return r.push(payload, introduced), nil
 }
 
 // Head returns the current HEAD commit id, or "" when the repo is empty.
