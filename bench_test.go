@@ -586,8 +586,7 @@ func BenchmarkC10JoinPushdownScanBaseline(b *testing.B) {
 // takes the batched scan path). The *RowBaseline variants run the identical
 // statement through sqlparse.ExecuteScan — the volcano-style row executor —
 // so the speedup is measured in-tree. The acceptance bar for the batch
-// engine is >=3x on the scan-aggregate shape; cmd/benchdiff gates CI
-// against regressing these (and every other) numbers by >25%.
+// engine is >=3x on the scan-aggregate shape.
 // ---------------------------------------------------------------------------
 
 const (
@@ -670,11 +669,9 @@ func BenchmarkC14FilterProjectRowBaseline(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// C17 — morsel-driven parallel scan + zone-map pruning. BenchmarkC17* run
-// under `-cpu=1,2,4,8` in `make bench`: sqlparse.Execute sizes its worker
-// pool from GOMAXPROCS, so the suffixed entries in the snapshot measure
-// parallel scaling like-for-like (cmd/benchdiff keeps the -N suffix when a
-// benchmark appears under several). The selective-scan variant reports how
+// C17 — morsel-driven parallel scan + zone-map pruning. sqlparse.Execute
+// sizes its worker pool from GOMAXPROCS, so running BenchmarkC17* under
+// `-cpu=1,2,4,8` measures parallel scaling. The selective-scan variant reports how
 // many zone pages the scan pruned vs decoded; the acceptance bar is
 // decoding <20% of pages on the clustered-predicate shape.
 // ---------------------------------------------------------------------------

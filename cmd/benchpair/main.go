@@ -1,16 +1,24 @@
-// Command benchpair is the one blessed way to make a performance claim
-// against the repository benchmark (bench/, BENCHMARK.json): it builds
-// ./bench from the committed files of a base revision and from the work
-// tree, runs the two binaries in alternating pairs — the order flipped every
-// pair, the same seed on both sides of a pair — and prints, per
-// workload/metric, both medians, both interquartile ranges, how many pairs
-// the work tree won, and the bound BENCHMARK.json puts on the metric.
+// Command benchpair is the repository's one measuring instrument: it
+// builds ./bench (bench/, BENCHMARK.json) from the committed files of a
+// base revision and from the work tree, runs the two binaries in
+// alternating pairs — the order flipped every pair, the same seed on both
+// sides of a pair — and prints, per workload/metric, both medians, both
+// interquartile ranges, how many pairs the work tree won, the bound
+// BENCHMARK.json puts on the metric, and the verdict:
+//
+//	gain        at least ten pairs ran, the tree won at least nine in ten,
+//	            its median is better than the base's by more than the
+//	            base's own interquartile range, and its failed/attempted
+//	            share of ops is no higher
+//	regression  the tree's median is worse than the base's by more than
+//	            the bound
+//	unresolved  the base's IQR is wider than the bound (relative to its
+//	            median) and not every tree run beats every base run, so
+//	            "no change" cannot be told from noise
+//	same        anything else
+//	missing     the metric is absent from some run on either side
 //
 //	make bench-pair BASE=HEAD~1 WORKLOAD=train-ingest PAIRS=10
-//
-// It measures and reports; the reader applies the rule (choosing-metrics §8:
-// a gain needs nine wins in ten and medians further apart than the base's own
-// interquartile range; a regression is a median worse by more than the bound).
 package main
 
 import (
@@ -18,6 +26,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -114,7 +123,8 @@ func run(base, workloadList string, pairs int) error {
 	fmt.Printf("env: nproc=%d GOMAXPROCS=%d %s kernel=%s\n", runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), kernel())
 
 	for _, w := range workloads {
-		values := map[string]*[2][]float64{} // metric -> per side, one value per pair
+		// metric -> per side, one value per pair; NaN where a run lacked it
+		values := map[string]*[2][]float64{}
 		var failed, attempted [2]int
 		for p := 0; p < pairs; p++ {
 			for k := 0; k < 2; k++ {
@@ -126,26 +136,41 @@ func run(base, workloadList string, pairs int) error {
 				failed[side], attempted[side] = failed[side]+line.Failed, attempted[side]+line.Attempted
 				for name, m := range line.Metrics {
 					if values[name] == nil {
-						values[name] = new([2][]float64)
+						values[name] = &[2][]float64{nanSlice(pairs), nanSlice(pairs)}
 					}
-					values[name][side] = append(values[name][side], m.Value)
+					values[name][side][p] = m.Value
 				}
 			}
 			fmt.Fprintf(os.Stderr, "%s: pair %d/%d done\n", w, p+1, pairs)
 		}
+		// The tree fails a larger share of its ops than the base:
+		// failed[1]/attempted[1] > failed[0]/attempted[0], cross-multiplied.
+		moreFailed := failed[1]*attempted[0] > failed[0]*attempted[1]
 		fmt.Printf("\n%s — failed/attempted ops: base %d/%d, tree %d/%d\n", w, failed[0], attempted[0], failed[1], attempted[1])
-		fmt.Printf("%-20s %-6s %12s %11s %12s %11s %8s %6s %6s\n", "metric", "unit", "base median", "base IQR", "tree median", "tree IQR", "change", "wins", "bound")
+		fmt.Printf("%-20s %-6s %12s %11s %12s %11s %8s %6s %6s  %s\n", "metric", "unit", "base median", "base IQR", "tree median", "tree IQR", "change", "wins", "bound", "verdict")
 		for _, m := range decl.EndToEnd {
-			v := values[m.Name]
-			if v == nil {
+			var v [2][]float64
+			if p := values[m.Name]; p != nil {
+				v = *p
+			}
+			s := summarize(v[0], v[1], m, moreFailed)
+			if s.verdict == verdictMissing {
+				fmt.Printf("%-20s %-6s %12s %11s %12s %11s %8s %6s %6g  %s\n", m.Name, m.Unit, "-", "-", "-", "-", "-", "-", m.Bound, s.verdict)
 				continue
 			}
-			s := summarize(v[0], v[1], m.Better == "higher")
-			fmt.Printf("%-20s %-6s %12.6g %11.4g %12.6g %11.4g %+7.1f%% %3d/%-2d %6g\n",
-				m.Name, m.Unit, s.baseMedian, s.baseIQR, s.treeMedian, s.treeIQR, s.changePct, s.wins, len(v[0]), m.Bound)
+			fmt.Printf("%-20s %-6s %12.6g %11.4g %12.6g %11.4g %+7.1f%% %3d/%-2d %6g  %s\n",
+				m.Name, m.Unit, s.baseMedian, s.baseIQR, s.treeMedian, s.treeIQR, s.changePct, s.wins, len(v[0]), m.Bound, s.verdict)
 		}
 	}
 	return nil
+}
+
+func nanSlice(n int) []float64 {
+	s := make([]float64, n)
+	for i := range s {
+		s[i] = math.NaN()
+	}
+	return s
 }
 
 // benchRun runs one workload once and returns the result line; a run that
@@ -167,14 +192,36 @@ func benchRun(bin, tmp, workload string, seed int, seconds float64) (resultLine,
 	return line, nil
 }
 
+const (
+	verdictGain       = "gain"
+	verdictRegression = "regression"
+	verdictUnresolved = "unresolved"
+	verdictSame       = "same"
+	verdictMissing    = "missing"
+)
+
 type summary struct {
 	baseMedian, baseIQR, treeMedian, treeIQR float64
 	changePct                                float64 // tree median against base median
 	wins                                     int     // pairs in which the tree was strictly better
+	verdict                                  string
 }
 
-// summarize compares the paired values of one metric.
-func summarize(base, tree []float64, higherIsBetter bool) summary {
+// summarize compares the paired values of one metric, base[i] and tree[i]
+// coming from pair i, and gives the verdict the package comment defines.
+// moreFailed says the tree failed a larger share of its ops than the base,
+// which rules out a gain. A metric with no values, a different number of
+// values on the two sides, or a NaN (a run that did not report it) is
+// missing.
+func summarize(base, tree []float64, m metricDecl, moreFailed bool) summary {
+	if len(base) == 0 || len(base) != len(tree) {
+		return summary{verdict: verdictMissing}
+	}
+	for i := range base {
+		if math.IsNaN(base[i]) || math.IsNaN(tree[i]) {
+			return summary{verdict: verdictMissing}
+		}
+	}
 	q := func(v []float64, p float64) float64 {
 		s := append([]float64(nil), v...)
 		sort.Float64s(s)
@@ -192,10 +239,35 @@ func summarize(base, tree []float64, higherIsBetter bool) summary {
 	if s.baseMedian != 0 {
 		s.changePct = 100 * (s.treeMedian - s.baseMedian) / s.baseMedian
 	}
+	// sign orients every comparison below: with it, lower is better.
+	sign := 1.0
+	if m.Better == "higher" {
+		sign = -1
+	}
+	better := func(a, b float64) bool { return sign*a < sign*b }
 	for i := range base {
-		if (higherIsBetter && tree[i] > base[i]) || (!higherIsBetter && tree[i] < base[i]) {
+		if better(tree[i], base[i]) {
 			s.wins++
 		}
+	}
+	// improvement is how far the tree's median is better than the base's
+	// (negative when worse), in the metric's unit.
+	improvement := sign * (s.baseMedian - s.treeMedian)
+	everyRunBetter := true
+	for _, t := range tree {
+		for _, b := range base {
+			everyRunBetter = everyRunBetter && better(t, b)
+		}
+	}
+	switch {
+	case len(base) >= 10 && 10*s.wins >= 9*len(base) && improvement > s.baseIQR && !moreFailed:
+		s.verdict = verdictGain
+	case -improvement > m.Bound*math.Abs(s.baseMedian):
+		s.verdict = verdictRegression
+	case s.baseIQR > m.Bound*math.Abs(s.baseMedian) && !everyRunBetter:
+		s.verdict = verdictUnresolved
+	default:
+		s.verdict = verdictSame
 	}
 	return s
 }

@@ -13,7 +13,6 @@
 //	flordb serve [--addr :8080]                       feedback web UI + SQL-over-HTTP API
 //	flordb serve --replicate-from=URL                 serve as a read-only replica
 //	flordb promote [--replicate-from=URL]             flip a replica directory writable
-//	flordb macrobench <scenario|all>                  mixed-workload macro-benchmark
 //	flordb demo                                       end-to-end PDF-parser demo
 //
 // serve mounts the Figure-6 feedback UI at / and the JSON query API at
@@ -46,7 +45,6 @@ import (
 	"flordb/internal/build"
 	"flordb/internal/docsim"
 	"flordb/internal/hostlib"
-	"flordb/internal/macrobench"
 	"flordb/internal/mlsim"
 	"flordb/internal/repl"
 	"flordb/internal/server"
@@ -64,7 +62,7 @@ func main() {
 }
 
 func usage() error {
-	return fmt.Errorf("usage: flordb {run|hindsight|dataframe|sql|versions|compact|build|serve|promote|macrobench|demo} ...")
+	return fmt.Errorf("usage: flordb {run|hindsight|dataframe|sql|versions|compact|build|serve|promote|demo} ...")
 }
 
 func run(args []string) error {
@@ -87,8 +85,6 @@ func run(args []string) error {
 	maxLagEpochs := fs.Int64("max-lag-epochs", 64, "replica: refuse reads when lagging more epochs than this (0 = no bound)")
 	maxStale := fs.Duration("max-stale", 30*time.Second, "replica: refuse reads after this long without primary contact (0 = no bound)")
 	retainSegments := fs.Int("retain-segments", 0, "primary: sealed WAL segments compaction keeps for late-joining replicas")
-	duration := fs.Duration("duration", 10*time.Second, "macrobench: measured duration per scenario")
-	outPath := fs.String("out", "", "macrobench: write a MACRO snapshot (benchdiff -macro input) to this path")
 	var scriptArgs argList
 	fs.Var(&scriptArgs, "arg", "script argument name=value (repeatable)")
 	if err := fs.Parse(rest); err != nil {
@@ -448,44 +444,6 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Printf("promoted %s: writable at tstamp %d\n", *dir, sess.Tstamp())
-		return nil
-
-	case "macrobench":
-		// Scenarios run in their own scratch directories — the project under
-		// --dir is never touched.
-		if len(pos) != 1 {
-			return fmt.Errorf("usage: flordb macrobench [--duration 10s] [--seed N] [--out MACRO_latest.json] {%s|all}",
-				strings.Join(macrobench.Names(), "|"))
-		}
-		var scens []macrobench.Scenario
-		if pos[0] == "all" {
-			scens = macrobench.Scenarios()
-		} else {
-			sc, ok := macrobench.Lookup(pos[0])
-			if !ok {
-				return fmt.Errorf("unknown scenario %q (have: %s, all)", pos[0], strings.Join(macrobench.Names(), ", "))
-			}
-			scens = []macrobench.Scenario{sc}
-		}
-		snap := macrobench.NewSnapshotFile()
-		for _, sc := range scens {
-			res, err := sc.Run(macrobench.Config{
-				Duration: *duration,
-				Seed:     int64(*seed),
-				Logf:     func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
-			})
-			if err != nil {
-				return fmt.Errorf("macrobench %s: %w", sc.Name, err)
-			}
-			res.Render(os.Stdout)
-			snap.Add(res)
-		}
-		if *outPath != "" {
-			if err := snap.WriteFile(*outPath); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *outPath)
-		}
 		return nil
 
 	case "demo":

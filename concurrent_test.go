@@ -132,15 +132,18 @@ func TestConcurrentSnapshotEquivalenceRandomized(t *testing.T) {
 
 // TestConcurrentSQLRunScriptCompactStress drives the whole stack at once on
 // a durable session: Flow scripts recording and committing, SQL and
-// dataframe readers pinning snapshots, and the compactor folding WAL history
-// — all concurrently, under -race, with segment rotation forced small so
-// compaction actually has sealed segments to fold.
+// dataframe readers pinning snapshots, time-travel readers pinning random
+// retained epochs, the epoch-retention GC retiring history under them, and
+// the compactor folding WAL history — all concurrently, under -race, with
+// segment rotation forced small so compaction actually has sealed segments
+// to fold.
 func TestConcurrentSQLRunScriptCompactStress(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, "stress", Options{SegmentBytes: 2 << 10})
+	s, err := Open(dir, "stress", Options{SegmentBytes: 2 << 10, RetainEpochs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := s.Database().Epoch()
 
 	const scripts = 12
 	src := `
@@ -183,11 +186,12 @@ for i in flor.loop("iter", range(4)) {
 					t.Error(err)
 					return
 				}
-				if _, err := v.SQL("SELECT count(*) AS n FROM logs WHERE value_name = 'stress_val'"); err != nil {
-					t.Error(err)
-					return
+				_, err = v.SQL("SELECT count(*) AS n FROM logs WHERE value_name = 'stress_val'")
+				if err == nil {
+					_, err = v.Dataframe("stress_val")
 				}
-				if _, err := v.Dataframe("stress_val"); err != nil {
+				v.Close() // a leaked pin would hold the retention floor down
+				if err != nil {
 					t.Error(err)
 					return
 				}
@@ -198,54 +202,133 @@ for i in flor.loop("iter", range(4)) {
 			}
 		}()
 	}
-	// Compactor: folds sealed segments while everything else runs.
+	// Time-travel reader: pins a random epoch of the whole history. One the
+	// GC has retired must be refused with ErrEpochRetired, the one refusal
+	// allowed; a pinned epoch e sees exactly the rows of the scripts
+	// committed by then.
+	var asOfReads atomic.Int64
 	aux.Add(1)
 	go func() {
 		defer aux.Done()
+		rng := rand.New(rand.NewSource(1))
 		for {
 			select {
 			case <-done:
 				return
 			default:
 			}
-			if _, err := s.Compact(); err != nil {
+			e := base + rng.Int63n(s.Database().Epoch()-base+1)
+			v, err := s.ReaderAt(e)
+			if errors.Is(err, ErrEpochRetired) {
+				if floor := s.RetentionFloor(); e >= floor {
+					t.Errorf("ReaderAt(%d) refused as retired, floor %d", e, floor)
+					return
+				}
+				continue
+			}
+			if err != nil {
 				t.Error(err)
 				return
 			}
+			res, err := v.SQL("SELECT count(*) AS n FROM logs WHERE value_name = 'stress_val'")
+			v.Close()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got, want := res.Rows[0][0].AsInt(), 4*(e-base); got != want {
+				t.Errorf("AS OF epoch %d: %d rows, want %d", e, got, want)
+				return
+			}
+			asOfReads.Add(1)
 		}
 	}()
+	// Epoch-retention GC and compactor: retire history and fold sealed
+	// segments while everything else runs.
+	for _, maintain := range []func() error{
+		func() error { _, err := s.GCEpochs(); return err },
+		func() error { _, err := s.Compact(); return err },
+	} {
+		aux.Add(1)
+		go func(maintain func() error) {
+			defer aux.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := maintain(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(maintain)
+	}
 
 	writer.Wait()
 	aux.Wait()
 
-	// The session's data survived the stress; a final compact + reopen
-	// proves durability was not disturbed.
-	if _, err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.SQL("SELECT count(*) AS n FROM logs WHERE value_name = 'stress_val'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := int64(scripts * 4)
-	if got := res.Rows[0][0].AsInt(); got != want {
-		t.Fatalf("stress rows = %d, want %d", got, want)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir, "stress", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	res, err = s2.SQL("SELECT count(*) AS n FROM logs WHERE value_name = 'stress_val'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Rows[0][0].AsInt(); got != want {
-		t.Fatalf("recovered stress rows = %d, want %d", got, want)
-	}
+	// The history the GC kept: it retired some, the time-travel reader ran,
+	// and at rest every epoch below the floor is refused while every epoch
+	// from the floor up reads exactly the rows committed by then.
+	t.Run("asof-timetravel", func(t *testing.T) {
+		floor := s.RetentionFloor()
+		if floor == 0 || asOfReads.Load() == 0 {
+			t.Fatalf("retention floor %d after %d time-travel reads: the GC or the reader never ran",
+				floor, asOfReads.Load())
+		}
+		v, err := s.ReaderAt(floor - 1)
+		v.Close()
+		if !errors.Is(err, ErrEpochRetired) {
+			t.Fatalf("ReaderAt(%d) below floor %d: err %v, want ErrEpochRetired", floor-1, floor, err)
+		}
+		for e := floor; e <= s.Database().Epoch(); e++ {
+			v, err := s.ReaderAt(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := v.SQL("SELECT count(*) AS n FROM logs WHERE value_name = 'stress_val'")
+			v.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := res.Rows[0][0].AsInt(), 4*(e-base); got != want {
+				t.Fatalf("AS OF epoch %d at rest: %d rows, want %d", e, got, want)
+			}
+		}
+	})
+
+	// The rows compaction kept: the session's data survived the churn, and
+	// a final compact + reopen proves durability was not disturbed.
+	t.Run("compaction-churn", func(t *testing.T) {
+		if _, err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.SQL("SELECT count(*) AS n FROM logs WHERE value_name = 'stress_val'")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int64(scripts * 4)
+		if got := res.Rows[0][0].AsInt(); got != want {
+			t.Fatalf("stress rows = %d, want %d", got, want)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := Open(dir, "stress", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Close()
+		res, err = s2.SQL("SELECT count(*) AS n FROM logs WHERE value_name = 'stress_val'")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0][0].AsInt(); got != want {
+			t.Fatalf("recovered stress rows = %d, want %d", got, want)
+		}
+	})
 }
 
 // TestConcurrentCloseDrainsReaders locks in the use-after-Close fix: Close

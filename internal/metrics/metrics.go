@@ -1,10 +1,7 @@
-// Package metrics is the shared instrumentation layer behind the server's
-// GET /metrics endpoint and the macro-benchmark suite (internal/macrobench):
-// log-bucketed latency histograms, counters, and polled gauges collected in
-// a named Registry. Production serving and load generation record through
-// the same types, so a scenario's per-op-class report and the live /metrics
-// payload are snapshots of the same structure — before/after comparisons
-// (cmd/benchdiff -macro) and live dashboards read one format.
+// Package metrics is the instrumentation layer behind the server's GET
+// /metrics endpoint: log-bucketed latency histograms, counters, and polled
+// gauges collected in a named Registry that the session owns and every
+// layer registers into.
 //
 // Histograms are HDR-style: values land in logarithmic octaves split into
 // 16 linear sub-buckets, bounding the relative quantile error at ~6% while
@@ -13,14 +10,11 @@
 // query paths can observe latencies without contending; snapshots copy the
 // buckets and derive every exported figure (count, quantiles) from the
 // copy, so a snapshot is always internally consistent — its count equals
-// the sum of its bucket counts even while writers race the copy — which is
-// what lets histograms from many workers merge without coordination.
+// the sum of its bucket counts even while writers race the copy.
 package metrics
 
 import (
-	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -71,7 +65,7 @@ func bucketUpper(i int) int64 {
 	return (subBuckets+sub)*width + width - 1
 }
 
-// Histogram is a concurrent, mergeable latency histogram. The zero value is
+// Histogram is a concurrent latency histogram. The zero value is
 // NOT ready: use NewHistogram (the bucket array is heap-allocated so unused
 // registry slots stay cheap).
 type Histogram struct {
@@ -125,8 +119,7 @@ type Bucket struct {
 }
 
 // HistSnapshot is a point-in-time copy of a Histogram. It serializes with
-// its buckets, so dumps are mergeable and re-loadable (benchdiff reads the
-// same JSON the /metrics endpoint and macrobench snapshots emit).
+// its buckets, so a scraped dump can re-derive any quantile.
 type HistSnapshot struct {
 	Count   int64    `json:"count"`
 	Sum     int64    `json:"sum_ns"`
@@ -182,49 +175,6 @@ func (s *HistSnapshot) Quantile(p float64) int64 {
 	return v
 }
 
-// Mean returns the arithmetic mean of observations (exact: Sum is tracked
-// alongside the buckets).
-func (s *HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
-// Merge folds other into s: bucket counts add, Sum adds, Max takes the
-// larger side, and quantiles are recomputed. Merging is how per-worker
-// histograms combine into one per-op-class distribution without sharing
-// atomics during the measured run.
-func (s *HistSnapshot) Merge(other *HistSnapshot) {
-	if other == nil || other.Count == 0 {
-		s.fillQuantiles()
-		return
-	}
-	byUpper := make(map[int64]int64, len(s.Buckets)+len(other.Buckets))
-	for _, b := range s.Buckets {
-		byUpper[b.Upper] += b.Count
-	}
-	for _, b := range other.Buckets {
-		byUpper[b.Upper] += b.Count
-	}
-	uppers := make([]int64, 0, len(byUpper))
-	for u := range byUpper {
-		uppers = append(uppers, u)
-	}
-	sort.Slice(uppers, func(i, j int) bool { return uppers[i] < uppers[j] })
-	s.Buckets = s.Buckets[:0]
-	s.Count = 0
-	for _, u := range uppers {
-		s.Buckets = append(s.Buckets, Bucket{Upper: u, Count: byUpper[u]})
-		s.Count += byUpper[u]
-	}
-	s.Sum += other.Sum
-	if other.Max > s.Max {
-		s.Max = other.Max
-	}
-	s.fillQuantiles()
-}
-
 // Counter is a monotonically increasing atomic counter.
 type Counter struct{ v atomic.Int64 }
 
@@ -239,8 +189,8 @@ func (c *Counter) Load() int64 { return c.v.Load() }
 
 // Registry is a named collection of histograms, counters, and polled
 // gauges. Registration is idempotent and mutex-guarded; recording into a
-// registered instrument is lock-free. One registry backs both the live
-// /metrics endpoint and a macrobench run's report.
+// registered instrument is lock-free. A session's one registry is what the
+// live /metrics endpoint serves.
 type Registry struct {
 	mu       sync.Mutex
 	hists    map[string]*Histogram
@@ -296,7 +246,7 @@ func (r *Registry) IntGauge(name string, fn func() int64) {
 }
 
 // RegistrySnapshot is the JSON shape of a registry: the /metrics payload
-// body and the per-scenario instrument dump in MACRO snapshots.
+// body.
 type RegistrySnapshot struct {
 	Histograms map[string]*HistSnapshot `json:"histograms,omitempty"`
 	Counters   map[string]int64         `json:"counters,omitempty"`
@@ -336,19 +286,4 @@ func (r *Registry) Snapshot() *RegistrySnapshot {
 		s.Gauges[name] = fn()
 	}
 	return s
-}
-
-// FormatNs renders a nanosecond figure human-readably (µs/ms/s), for the
-// CLI scenario report.
-func FormatNs(ns int64) string {
-	switch {
-	case ns >= 1_000_000_000:
-		return fmt.Sprintf("%.2fs", float64(ns)/1e9)
-	case ns >= 1_000_000:
-		return fmt.Sprintf("%.2fms", float64(ns)/1e6)
-	case ns >= 1_000:
-		return fmt.Sprintf("%.1fµs", float64(ns)/1e3)
-	default:
-		return fmt.Sprintf("%dns", ns)
-	}
 }

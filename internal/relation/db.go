@@ -214,7 +214,7 @@ func (db *Database) SchemaOf(name string) (*Schema, error) {
 // (tombstoned versions included) and how many are live in the latest view.
 // The gap between the two is MVCC history: what the epoch-retention GC and
 // compaction exist to bound. It feeds the /metrics row_versions and
-// live_rows gauges and macrobench's resource-delta accounting.
+// live_rows gauges.
 func (db *Database) RowVersions() (total, live int64) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -610,6 +611,111 @@ func TestStalenessGateAndHealthz(t *testing.T) {
 	if err := f.Gate(); err != nil {
 		t.Fatalf("caught-up replica still gated: %v", err)
 	}
+}
+
+// TestConcurrentReplicaReadsWhileFollowerApplies: a follower tails a primary
+// over HTTP, applying one segment per commit while the primary keeps
+// committing, and two readers query the replica through its staleness gate
+// the whole time. A gate refusal is the only failure a reader may see; every
+// read it is let through sees a consistent cut — at epoch E exactly the E
+// rows the first E commits logged — and once the writer stops the replica
+// catches up to a row-for-row copy of the primary.
+func TestConcurrentReplicaReadsWhileFollowerApplies(t *testing.T) {
+	e := newPrimaryEnv(t, flor.Options{SegmentBytes: 1})
+	e.commitN(4) // one "metric" row per commit, so epoch E holds E of them
+	cfg := e.cfg(t.TempDir())
+	cfg.PollWait = 5 * time.Millisecond
+	cfg.MaxLagEpochs = 2
+	f, err := StartFollower(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runDone := make(chan error, 1)
+	go func() { runDone <- f.Run(ctx) }()
+
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		for i := 0; i < 40; i++ {
+			e.sess.Log("metric", fmt.Sprintf("w%d", i))
+			if err := e.sess.Commit("c"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+
+	var reads, refusals atomic.Int64
+	var readers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-writerDone:
+					if reads.Load() > 0 { // else read on while the follower catches up
+						return
+					}
+				default:
+				}
+				if err := f.Gate(); err != nil {
+					if fault := f.Fault(); fault != nil {
+						t.Errorf("follower faulted: %v", fault)
+						return
+					}
+					refusals.Add(1) // lagging past MaxLagEpochs: a staleness refusal
+					time.Sleep(100 * time.Microsecond)
+					continue
+				}
+				v, err := f.Session().Reader()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res, err := v.SQL("SELECT count(*) AS n FROM logs WHERE value_name = 'metric'")
+				epoch := v.Epoch()
+				v.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := res.Rows[0][0].AsInt(); got != epoch {
+					t.Errorf("replica read at epoch %d saw %d rows", epoch, got)
+					return
+				}
+				reads.Add(1)
+			}
+		}()
+	}
+	<-writerDone
+	readers.Wait()
+
+	// Catch up to the primary's last sealed segment, then stop tailing.
+	segs := primarySegments(t, e)
+	last := segs[len(segs)-1].Seq
+	deadline := time.Now().Add(20 * time.Second)
+	for f.Applied() < last {
+		if err := f.Fault(); err != nil {
+			t.Fatalf("follower faulted during catch-up: %v", err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower stuck at segment %d of %d", f.Applied(), last)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-runDone; err != nil {
+		t.Fatalf("follower Run: %v", err)
+	}
+	t.Logf("%d replica reads, %d staleness refusals, %d segments applied", reads.Load(), refusals.Load(), f.Applied())
+	if reads.Load() == 0 || f.Applied() == 0 {
+		t.Fatalf("%d replica reads, %d segments applied: the readers or the follower never ran", reads.Load(), f.Applied())
+	}
+	assertSame(t, "replica after concurrent reads", dump(f.Session()), dump(e.sess))
 }
 
 func TestPromoteFlipsReplicaWritable(t *testing.T) {

@@ -43,24 +43,24 @@ func HashKey(data []byte) string {
 func (b *BlobStore) SetNoSync(noSync bool) { b.noSync = noSync }
 
 // Put writes the payload and returns its content address. Unless the store
-// is NoSync, the temp file is fsynced before the rename that publishes it
-// and the fan-out directory after — and the root first, by the Put that made
-// the fan-out directory — so a WAL record may name the key once Put returns.
-// An existing blob is left untouched and is not synced again: it is durable
-// unless a concurrent Put of the same bytes is still between its rename and
-// its directory fsync.
+// is NoSync, every key Put returns is durable, so a WAL record may name it:
+// the temp file is fsynced before the rename that publishes it, and the
+// fan-out directory and then the root are fsynced before Put returns.
+// An existing blob is left untouched, but its directories are still synced:
+// the file may be a concurrent Put's, renamed into place and not yet named
+// durably, and the fan-out directory may be one a concurrent Put made and has
+// not yet synced into the root.
 func (b *BlobStore) Put(data []byte) (string, error) {
 	key := HashKey(data)
 	path := b.pathFor(key)
-	if _, err := os.Stat(path); err == nil {
-		return key, nil
-	}
 	dir := filepath.Dir(path)
-	if err := os.Mkdir(dir, 0o755); err == nil {
-		if err := b.syncDir(b.root); err != nil {
+	if _, err := os.Stat(path); err == nil {
+		if err := b.syncDirs(dir); err != nil {
 			return "", err
 		}
-	} else if !errors.Is(err, fs.ErrExist) {
+		return key, nil
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil && !errors.Is(err, fs.ErrExist) {
 		return "", fmt.Errorf("storage: blob mkdir: %w", err)
 	}
 	// A unique temp name per writer keeps concurrent Puts of the same key
@@ -85,18 +85,22 @@ func (b *BlobStore) Put(data []byte) (string, error) {
 		os.Remove(tmp.Name())
 		return "", fmt.Errorf("storage: blob write: %w", err)
 	}
-	if err := b.syncDir(dir); err != nil {
+	if err := b.syncDirs(dir); err != nil {
 		return "", err
 	}
 	return key, nil
 }
 
-// syncDir is the package's syncDir under the store's NoSync policy.
-func (b *BlobStore) syncDir(dir string) error {
+// syncDirs fsyncs a fan-out directory and then the store root, under the
+// store's NoSync policy.
+func (b *BlobStore) syncDirs(dir string) error {
 	if b.noSync {
 		return nil
 	}
-	return syncDir(dir)
+	if err := syncDir(dir); err != nil {
+		return err
+	}
+	return syncDir(b.root)
 }
 
 // Get reads the payload at the given content address.

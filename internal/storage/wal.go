@@ -217,7 +217,7 @@ func (w *WAL) SyncCount() int64 {
 
 // CommitCount reports how many commit records this WAL has appended since
 // open. fsyncs/commit — SyncCount over CommitCount — is the group-commit
-// efficiency figure /metrics and macrobench report: 1.0 means every commit
+// efficiency figure /metrics reports: 1.0 means every commit
 // paid its own fsync, lower means committers coalesced.
 func (w *WAL) CommitCount() int64 {
 	if w == nil {

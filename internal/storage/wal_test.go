@@ -215,17 +215,35 @@ func TestBlobStorePutGet(t *testing.T) {
 }
 
 // TestBlobStorePutLeavesOnlyTheBlob: a Put publishes by rename — no staging
-// file survives it — and a Put that cannot reach the disk says so instead of
-// returning a key nothing backs.
+// file survives it, however many Puts of the same bytes race, and every one
+// of them returns the key — and a Put that cannot reach the disk says so
+// instead of returning a key nothing backs.
 func TestBlobStorePutLeavesOnlyTheBlob(t *testing.T) {
 	dir := t.TempDir()
 	bs, err := NewBlobStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := bs.Put([]byte("checkpoint"))
-	if err != nil {
-		t.Fatal(err)
+	const putters = 16
+	keys := make([]string, putters)
+	errs := make([]error, putters)
+	var wg sync.WaitGroup
+	for g := 0; g < putters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			keys[g], errs[g] = bs.Put([]byte("checkpoint"))
+		}(g)
+	}
+	wg.Wait()
+	key := HashKey([]byte("checkpoint"))
+	for g := range keys {
+		if errs[g] != nil || keys[g] != key {
+			t.Fatalf("Put %d of identical bytes: key %q, err %v; want %q", g, keys[g], errs[g], key)
+		}
+	}
+	if data, err := bs.Get(key); err != nil || string(data) != "checkpoint" {
+		t.Fatalf("Get after concurrent Puts: %q %v", data, err)
 	}
 	entries, err := os.ReadDir(filepath.Join(dir, key[:2]))
 	if err != nil || len(entries) != 1 || entries[0].Name() != key[2:] {
