@@ -9,7 +9,7 @@
 # figures only compare within one machine, and only paired runs separate a
 # change from noise.
 
-.PHONY: check fmt vet vet-custom build test race-stress repl-matrix bench bench-full bench-pair fuzz
+.PHONY: check fmt vet vet-custom build test crash-matrix race-stress repl-matrix bench bench-full bench-pair fuzz
 
 check: fmt vet vet-custom build test bench
 
@@ -40,6 +40,18 @@ build:
 test:
 	go test -race -count=1 ./...
 
+# crash-matrix runs the crash-injection suite: every root TestCrash* test
+# (WAL byte truncation, a compaction killed at every step it performs, the
+# version-journal x WAL crash cut), the snapshot-plus-tail property, commits
+# racing compaction, and the storage layer's fault-FS matrices (snapshot
+# fallback, retention manifest, blob Put) with the storagetest package's own
+# tests. Kill points are enumerated from a clean run's trace of FS steps
+# (internal/storage/storagetest); CI runs it as a parallel job.
+crash-matrix:
+	go test -run 'TestCrash|TestSnapshotPlusTail|TestConcurrentCommits' -count=1 -v .
+	go test -run 'TestRecoverFallsBackFromCorruptSnapshot|KillAtEveryStep|PutCrash' -count=1 -v ./internal/storage
+	go test -count=1 -v ./internal/storage/storagetest
+
 # race-stress hammers the concurrent serving core (snapshot equivalence,
 # SQL+RunScript+Compact+epoch-GC+AS OF stress, replica reads while the
 # follower applies, close draining, group commit) repeatedly
@@ -48,8 +60,9 @@ race-stress:
 	GOMAXPROCS=8 go test -race -run Concurrent -count=3 -timeout 15m ./...
 
 # repl-matrix runs the replication crash-equivalence suite under -race:
-# the follower kill matrix (every byte of every segment fetch + each
-# install/replay boundary), the primary compaction kill matrix, the
+# the follower kill matrix (every FS step of a clean catch-up: every byte of
+# every segment fetch, each temp fsync, rename and directory fsync), the
+# primary compaction kill matrix (every step of a clean compaction), the
 # gap/CRC refusal tests, and the randomized primary/replica equivalence
 # property. See CONTRIBUTING.md; CI runs it as a parallel job.
 repl-matrix:

@@ -1,6 +1,6 @@
 // Crash-injection and durability tests for the snapshot-accelerated
-// recovery path: every byte-truncation point of the WAL, every
-// mid-compaction kill point, a randomized snapshot-plus-tail vs full-replay
+// recovery path: every byte-truncation point of the WAL, a compaction
+// killed at every step it performs, a randomized snapshot-plus-tail vs full-replay
 // equivalence property, and concurrent commits racing a compaction.
 package flor_test
 
@@ -19,6 +19,7 @@ import (
 	flor "flordb"
 	"flordb/internal/relation"
 	"flordb/internal/storage"
+	"flordb/internal/storage/storagetest"
 	"flordb/internal/vcs"
 )
 
@@ -242,14 +243,16 @@ func without(rows []string, field string) []string {
 	return out
 }
 
-// TestCrashInjectionCompactionKillPoints kills a compaction at each step —
-// after the snapshot temp write, before the atomic rename, after the rename,
-// and before the covered segments are deleted — then reopens and asserts the
-// recovered state is byte-identical to the pre-compaction committed state,
-// and that a subsequent compaction completes the interrupted cycle.
+// TestCrashInjectionCompactionKillPoints kills a compaction at every step a
+// clean one performs — the seal, the snapshot temp file's open and every
+// write (whole and torn), its fsync, rename and directory fsync, every
+// segment delete — then reopens and asserts the recovered state is exactly
+// the pre-compaction committed state, and that a subsequent compaction
+// completes the interrupted cycle. The kill points are grouped by the phase
+// of DESIGN §7 invariant 4 they fall in, and every phase must have one.
 func TestCrashInjectionCompactionKillPoints(t *testing.T) {
 	base := t.TempDir()
-	s, err := flor.Open(base, "proj", flor.Options{SegmentBytes: 200})
+	s, err := flor.Open(base, "proj", flor.Options{SegmentBytes: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,6 +264,11 @@ func TestCrashInjectionCompactionKillPoints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A commit that does not fill a segment leaves the seal a rotation.
+	s.Log("tail", int64(1))
+	if err := s.Commit("tail"); err != nil {
+		t.Fatal(err)
+	}
 	want := dumpSession(s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -269,82 +277,80 @@ func TestCrashInjectionCompactionKillPoints(t *testing.T) {
 		t.Fatalf("workload sealed only %d segments; matrix needs several", len(segs))
 	}
 
-	boom := fmt.Errorf("injected crash")
-	kills := []struct {
-		name string
-		arm  func(c *storage.Compactor)
-	}{
-		{"none", func(c *storage.Compactor) {}},
-		// The v3 columnar writer streams one table section at a time, so a
-		// crash can leave a syntactically plausible prefix (magic + meta +
-		// some complete sections) with no CRC trailer. Kill after the first
-		// section and after the last to cover both truncation shapes.
-		{"mid snapshot write first table", func(c *storage.Compactor) {
-			c.MidSnapshotWrite = func(table string) error { return boom }
-		}},
-		{"mid snapshot write last table", func(c *storage.Compactor) {
-			c.MidSnapshotWrite = func(table string) error {
-				if table == "args" {
-					return boom
-				}
-				return nil
-			}
-		}},
-		{"after snapshot write", func(c *storage.Compactor) { c.AfterSnapshotWrite = func() error { return boom } }},
-		{"before rename", func(c *storage.Compactor) { c.BeforeRename = func() error { return boom } }},
-		{"after rename", func(c *storage.Compactor) { c.AfterRename = func() error { return boom } }},
-		{"before segment delete", func(c *storage.Compactor) { c.BeforeSegmentDelete = func() error { return boom } }},
+	// compact copies the project and runs one compaction on the copy, every
+	// write going through fsys.
+	compact := func(t *testing.T, fsys storage.FS) (string, error) {
+		dir := t.TempDir()
+		copyTree(t, base, dir)
+		w, err := storage.OpenWAL(filepath.Join(dir, ".flor", "flor.wal"), storage.Options{FS: fsys})
+		if err != nil {
+			return dir, err
+		}
+		blobs, err := storage.NewBlobStore(filepath.Join(dir, ".flor", "objects"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = (&storage.Compactor{WAL: w, Blobs: blobs}).Compact()
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
+		return dir, err
 	}
-	for _, kill := range kills {
-		t.Run(kill.name, func(t *testing.T) {
-			cdir := t.TempDir()
-			copyTree(t, base, cdir)
-			walFile := filepath.Join(cdir, ".flor", "flor.wal")
-			w, err := storage.OpenWAL(walFile, storage.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			blobs, err := storage.NewBlobStore(filepath.Join(cdir, ".flor", "objects"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := &storage.Compactor{WAL: w, Blobs: blobs}
-			kill.arm(c)
-			_, err = c.Compact()
-			if kill.name == "none" && err != nil {
-				t.Fatal(err)
-			}
-			if kill.name != "none" && err != boom {
-				t.Fatalf("kill point did not fire: %v", err)
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
+	rec := storagetest.Recorder()
+	dir, err := compact(t, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := rec.Trace()
+	snaps, _ := storage.ListSnapshots(filepath.Join(dir, ".flor", "flor.wal"))
+	if len(snaps) == 0 || !storagetest.Installed(trace, snaps[len(snaps)-1].Path) {
+		t.Fatalf("the snapshot is not installed by temp fsync, rename, dir-fsync: %v", trace)
+	}
+	phases := storagetest.CompactionPhases(trace)
+	t.Logf("compaction kill matrix: %d kill points", len(storagetest.Points(trace)))
 
-			// The "crashed" project must recover to exactly the committed state.
-			s2, err := flor.Open(cdir, "proj", flor.Options{})
-			if err != nil {
-				t.Fatalf("open after crash %q: %v", kill.name, err)
-			}
-			assertSameRows(t, "after crash "+kill.name, dumpSession(s2), want)
+	run := func(t *testing.T, p storagetest.Point) {
+		dir, err := compact(t, storagetest.Crash(p))
+		if p.Step > 0 && !errors.Is(err, storagetest.ErrKilled) {
+			t.Fatalf("kill did not surface: %v", err)
+		}
+		if p.Step == 0 && err != nil {
+			t.Fatal(err)
+		}
+		// The "crashed" project must recover to exactly the committed state.
+		s2, err := flor.Open(dir, "proj", flor.Options{})
+		if err != nil {
+			t.Fatalf("open after crash: %v", err)
+		}
+		assertSameRows(t, "after crash", dumpSession(s2), want)
 
-			// And the interrupted compaction completes on retry.
-			if _, err := s2.Compact(); err != nil {
-				t.Fatalf("compaction retry after %q: %v", kill.name, err)
+		// And the interrupted compaction completes on retry.
+		if _, err := s2.Compact(); err != nil {
+			t.Fatalf("compaction retry: %v", err)
+		}
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s3, err := flor.Open(dir, "proj", flor.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameRows(t, "after retried compaction", dumpSession(s3), want)
+		snaps, _ := storage.ListSnapshots(filepath.Join(dir, ".flor", "flor.wal"))
+		if len(snaps) == 0 {
+			t.Fatal("no snapshot installed after retry")
+		}
+		s3.Close()
+	}
+	t.Run("none", func(t *testing.T) { run(t, storagetest.Point{}) })
+	for _, ph := range phases {
+		if len(ph.Points) == 0 {
+			t.Fatalf("no kill point %s: the compaction skipped that step", ph.Name)
+		}
+		t.Run(ph.Name, func(t *testing.T) {
+			for _, p := range ph.Points {
+				t.Run(p.String(), func(t *testing.T) { run(t, p) })
 			}
-			if err := s2.Close(); err != nil {
-				t.Fatal(err)
-			}
-			s3, err := flor.Open(cdir, "proj", flor.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameRows(t, "after retried compaction "+kill.name, dumpSession(s3), want)
-			snaps, _ := storage.ListSnapshots(filepath.Join(cdir, ".flor", "flor.wal"))
-			if len(snaps) == 0 {
-				t.Fatal("no snapshot installed after retry")
-			}
-			s3.Close()
 		})
 	}
 }

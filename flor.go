@@ -133,6 +133,20 @@ func (s *Session) begin() error {
 
 func (s *Session) end() { s.inflight.Done() }
 
+// beginRecording admits one recording call — Log, ArgInt, ArgFloat,
+// ArgString, StageFile — which on a closed or read-only session does nothing
+// and returns its default. When it reports true the caller must call end.
+func (s *Session) beginRecording() bool {
+	if s.begin() != nil {
+		return false
+	}
+	if s.readOnly.Load() {
+		s.end()
+		return false
+	}
+	return true
+}
+
 // Options configures session opening.
 type Options struct {
 	// Args carries command-line overrides consumed by flor.arg.
@@ -421,13 +435,10 @@ func (s *Session) SetFilename(name string) {
 // Log records a named value and returns it (flor.log). On a closed or
 // read-only session the value passes through unrecorded.
 func (s *Session) Log(name string, v any) any {
-	if s.begin() != nil {
+	if !s.beginRecording() {
 		return v
 	}
 	defer s.end()
-	if s.readOnly.Load() {
-		return v
-	}
 	out, err := s.recorder.Log(name, toScriptValue(v))
 	if err != nil {
 		return v
@@ -435,12 +446,13 @@ func (s *Session) Log(name string, v any) any {
 	return out
 }
 
-// ArgInt resolves an integer hyperparameter (flor.arg). Read-only sessions
-// resolve to the default without recording.
+// ArgInt resolves an integer hyperparameter (flor.arg). Closed and
+// read-only sessions resolve to the default without recording.
 func (s *Session) ArgInt(name string, def int64) int64 {
-	if s.readOnly.Load() {
+	if !s.beginRecording() {
 		return def
 	}
+	defer s.end()
 	v, err := s.recorder.Arg(name, def)
 	if err != nil {
 		return def
@@ -450,9 +462,10 @@ func (s *Session) ArgInt(name string, def int64) int64 {
 
 // ArgFloat resolves a float hyperparameter (flor.arg).
 func (s *Session) ArgFloat(name string, def float64) float64 {
-	if s.readOnly.Load() {
+	if !s.beginRecording() {
 		return def
 	}
+	defer s.end()
 	v, err := s.recorder.Arg(name, def)
 	if err != nil {
 		return def
@@ -462,9 +475,10 @@ func (s *Session) ArgFloat(name string, def float64) float64 {
 
 // ArgString resolves a string hyperparameter (flor.arg).
 func (s *Session) ArgString(name, def string) string {
-	if s.readOnly.Load() {
+	if !s.beginRecording() {
 		return def
 	}
+	defer s.end()
 	v, err := s.recorder.Arg(name, def)
 	if err != nil {
 		return def
@@ -587,11 +601,13 @@ func (s *Session) Checkpointing(objs map[string]Snapshotter) (*CheckpointScope, 
 func (c *CheckpointScope) Close() error { return c.rec.CheckpointingEnd() }
 
 // StageFile registers file contents to be captured by the next Commit —
-// FlorDB's automatic version control of executed code.
+// FlorDB's automatic version control of executed code. Closed and read-only
+// sessions ignore it.
 func (s *Session) StageFile(name, contents string) {
-	if s.readOnly.Load() {
+	if !s.beginRecording() {
 		return
 	}
+	defer s.end()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.workspace[name] = contents
@@ -792,8 +808,8 @@ func (s *Session) GCEpochs() (GCStats, error) {
 	reclaimed, applied := s.db.GCBelow(floor)
 	s.gcRows.Add(int64(reclaimed))
 	s.epochs.TrimBelow(applied)
-	if s.walPath != "" {
-		if err := storage.WriteRetention(s.walPath, storage.RetentionManifest{MinEpoch: applied}); err != nil {
+	if w := s.currentWAL(); w != nil {
+		if err := w.WriteRetention(storage.RetentionManifest{MinEpoch: applied}); err != nil {
 			return GCStats{Floor: applied, RowsReclaimed: reclaimed}, err
 		}
 	}

@@ -72,6 +72,34 @@ func TestNativeArgs(t *testing.T) {
 	}
 }
 
+// TestArgAfterCloseRecordsNothing: the Arg calls and StageFile share Log's
+// lifecycle bracket, so after Close they return the default — overrides
+// included — and record nothing.
+func TestArgAfterCloseRecordsNothing(t *testing.T) {
+	s := memSession(t, Options{Args: map[string]string{"lr": "0.5"}})
+	s.ArgInt("epochs", 3)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	args := s.Tables().Args.Len()
+	if got := s.ArgInt("lr2", 7); got != 7 {
+		t.Fatalf("ArgInt after close = %v, want 7", got)
+	}
+	if got := s.ArgFloat("lr", 0.1); got != 0.1 {
+		t.Fatalf("ArgFloat after close = %v, want the default 0.1", got)
+	}
+	if got := s.ArgString("name", "d"); got != "d" {
+		t.Fatalf("ArgString after close = %v, want d", got)
+	}
+	s.StageFile("w.flow", "x = 1\n")
+	if n := s.Tables().Args.Len(); n != args {
+		t.Fatalf("args rows %d -> %d after close", args, n)
+	}
+	if len(s.workspace) != 0 {
+		t.Fatalf("StageFile after close staged %v", s.workspace)
+	}
+}
+
 func TestLoopValsRecordsIterationValues(t *testing.T) {
 	s := memSession(t, Options{})
 	docs := []string{"a.pdf", "b.pdf"}

@@ -152,6 +152,41 @@ func ReceiverTypeName(info *types.Info, call *ast.CallExpr) string {
 	return named.Obj().Name()
 }
 
+// SeamCall names a durability call on the storage write seam
+// (internal/storage/fs.go): Rename or SyncDir on a type whose name ends in
+// FS — storage.FS and its implementations — or a package-level function
+// named Install or WriteFileAtomic, which publish a file by fsync, rename
+// and directory fsync. It returns "" for any other call. The seam's file
+// fsync is a method named Sync, which the analyzers match on any type.
+func SeamCall(info *types.Info, call *ast.CallExpr) string {
+	var id *ast.Ident
+	switch f := call.Fun.(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	default:
+		return ""
+	}
+	fn, ok := info.Uses[id].(*types.Func)
+	if !ok {
+		return ""
+	}
+	if fn.Type().(*types.Signature).Recv() == nil {
+		if fn.Name() == "Install" || fn.Name() == "WriteFileAtomic" {
+			return fn.Name()
+		}
+		return ""
+	}
+	if fn.Name() != "Rename" && fn.Name() != "SyncDir" {
+		return ""
+	}
+	if recv := ReceiverTypeName(info, call); strings.HasSuffix(recv, "FS") {
+		return recv + "." + fn.Name()
+	}
+	return ""
+}
+
 // HasMethod reports whether type t (or *t) has a method with one of the
 // given names; it returns the first matching name, or "".
 func HasMethod(t types.Type, names ...string) string {

@@ -1,5 +1,6 @@
 // Package lockfsync defines an Analyzer that forbids durability calls —
-// fsync, commit append, seal, directory sync, file rename — while a
+// fsync, commit append, seal, file rename, and the storage write seam's
+// rename, directory sync and install (lintutil.SeamCall) — while a
 // mutex locked in the same function may still be held. This is the
 // group-commit ordering rule of DESIGN §8: Session.Commit deliberately
 // releases s.mu before WAL.AppendCommit so that loggers on other
@@ -216,10 +217,7 @@ func durabilityName(info *types.Info, call *ast.CallExpr) string {
 	case "AppendCommit", "Seal":
 		return name
 	}
-	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "syncDir" {
-		return "syncDir"
-	}
-	return ""
+	return lintutil.SeamCall(info, call)
 }
 
 func callName(call *ast.CallExpr) string {

@@ -1,6 +1,6 @@
 // Fixture for the lockfsync analyzer: no durability call (fsync,
-// AppendCommit, Seal, os.Rename, syncDir) while a mutex locked in the
-// same function may still be held. The clean cases are the
+// AppendCommit, Seal, os.Rename, the write seam's Rename / SyncDir /
+// Install) while a mutex locked in the same function may still be held. The clean cases are the
 // unlock-before-fsync discipline of Session.Commit (DESIGN §8).
 package a
 
@@ -17,11 +17,20 @@ type file struct{}
 
 func (f *file) Sync() error { return nil }
 
+// FS mirrors the shape of internal/storage.FS, the write seam.
+type FS interface {
+	Rename(oldpath, newpath string) error
+	SyncDir(dir string) error
+}
+
+func Install(fsys FS, f *file, path string, sync bool) error { return nil }
+
 type sess struct {
 	mu  sync.Mutex
 	rw  sync.RWMutex
 	wal *WAL
 	f   *file
+	fs  FS
 }
 
 func badInline(s *sess) error {
@@ -52,6 +61,33 @@ func badMayHold(s *sess, c bool) error {
 		s.mu.Unlock()
 	}
 	return err
+}
+
+func badSeamRename(s *sess) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.fs.Rename("a.tmp", "a") // want `durability call s.fs.Rename while s.mu may still be held`
+}
+
+func badSeamSyncDir(s *sess) error {
+	s.rw.Lock()
+	err := s.fs.SyncDir(".") // want `durability call s.fs.SyncDir while s.rw may still be held`
+	s.rw.Unlock()
+	return err
+}
+
+func badSeamInstall(s *sess) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return Install(s.fs, s.f, "a", true) // want `durability call Install while s.mu may still be held`
+}
+
+// goodInstall publishes outside the critical section.
+func goodInstall(s *sess) error {
+	s.mu.Lock()
+	path := "a"
+	s.mu.Unlock()
+	return Install(s.fs, s.f, path, true)
 }
 
 // goodCommit is the Session.Commit shape: mutate state under the lock,

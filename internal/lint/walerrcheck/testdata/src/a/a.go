@@ -20,24 +20,42 @@ type file struct{}
 
 func (f *file) Sync() error { return nil }
 
-func syncDir(dir string) error { _ = dir; return nil }
-
-func discarded(w *WAL, f *file) {
-	w.AppendCommit(nil) // want `error of durability call WAL.AppendCommit is discarded`
-	f.Sync()            // want `error of durability call Sync is discarded`
-	os.Rename("a", "b") // want `error of durability call os.Rename is discarded`
-	syncDir(".")        // want `error of durability call syncDir is discarded`
-	_ = w.Flush()       // want `error of durability call WAL.Flush is discarded`
-	_, _ = w.Seal()     // want `error of durability call WAL.Seal is discarded`
-	defer f.Sync()      // want `error of durability call Sync is discarded`
-	go w.Truncate()     // want `error of durability call WAL.Truncate is discarded`
+// FS mirrors the shape of internal/storage.FS, the write seam: Rename and
+// SyncDir on a type named *FS, and the package-level Install that publishes
+// a temp file, are durability calls.
+type FS interface {
+	Rename(oldpath, newpath string) error
+	Remove(name string) error
+	SyncDir(dir string) error
 }
 
-func handled(w *WAL, f *file) error {
+func Install(fsys FS, f *file, path string, sync bool) error { return nil }
+
+func discarded(w *WAL, f *file, fsys FS) {
+	w.AppendCommit(nil)         // want `error of durability call WAL.AppendCommit is discarded`
+	f.Sync()                    // want `error of durability call Sync is discarded`
+	os.Rename("a", "b")         // want `error of durability call os.Rename is discarded`
+	fsys.Rename("a", "b")       // want `error of durability call FS.Rename is discarded`
+	_ = fsys.SyncDir(".")       // want `error of durability call FS.SyncDir is discarded`
+	Install(fsys, f, "p", true) // want `error of durability call Install is discarded`
+	_ = w.Flush()               // want `error of durability call WAL.Flush is discarded`
+	_, _ = w.Seal()             // want `error of durability call WAL.Seal is discarded`
+	defer f.Sync()              // want `error of durability call Sync is discarded`
+	go w.Truncate()             // want `error of durability call WAL.Truncate is discarded`
+	fsys.Remove("a.tmp")        // best-effort cleanup: not a durability boundary
+}
+
+func handled(w *WAL, f *file, fsys FS) error {
 	if err := w.AppendCommit(nil); err != nil {
 		return err
 	}
 	if err := os.Rename("a", "b"); err != nil {
+		return err
+	}
+	if err := fsys.Rename("a", "b"); err != nil {
+		return err
+	}
+	if err := Install(fsys, f, "p", true); err != nil {
 		return err
 	}
 	seq, err := w.Seal() // error captured alongside the value

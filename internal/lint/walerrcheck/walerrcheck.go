@@ -8,11 +8,12 @@
 // Durability calls are identified by shape, not by import path, so the
 // analyzer works on any package (and on its own fixtures):
 //
-//   - os.Rename — the atomic-install step of snapshot tmp+rename and
-//     WAL segment sealing;
-//   - any method named Sync — (*os.File).Sync and friends;
-//   - package-level functions named syncDir — the directory-fsync
-//     helper idiom;
+//   - os.Rename;
+//   - any method named Sync — (*os.File).Sync, storage.File.Sync and
+//     friends;
+//   - the storage write seam (lintutil.SeamCall): Rename and SyncDir on a
+//     type named *FS, and the Install / WriteFileAtomic functions that
+//     publish a file by fsync, rename and directory fsync;
 //   - methods named Append, AppendCommit, Flush, Seal, or Truncate on a
 //     type named WAL.
 //
@@ -93,10 +94,7 @@ func durabilityCall(info *types.Info, call *ast.CallExpr) string {
 	case walMethods[name] && lintutil.ReceiverTypeName(info, call) == "WAL":
 		return "WAL." + name
 	}
-	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "syncDir" {
-		return "syncDir"
-	}
-	return ""
+	return lintutil.SeamCall(info, call)
 }
 
 // errResult returns the index of the last result of type error in the

@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 
 	"flordb/internal/relation"
 )
@@ -85,13 +84,6 @@ func (d *snapDict) id(s string) uint64 {
 	d.ids[s] = id
 	d.entries = append(d.entries, s)
 	return id
-}
-
-// WriteSnapshot serializes the tables to w under the given meta, whose
-// Version must be SnapshotVersion for the file to be readable. The caller
-// owns durability (buffering, fsync, atomic rename).
-func WriteSnapshot(w io.Writer, meta SnapshotMeta, t *Tables) error {
-	return WriteSnapshotHook(w, meta, t, nil)
 }
 
 // snapPersists reports whether a row version belongs in a snapshot with the

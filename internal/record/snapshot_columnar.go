@@ -67,10 +67,12 @@ import (
 	"flordb/internal/relation"
 )
 
-// WriteSnapshotHook is WriteSnapshot with a test hook fired after each table
-// section reaches w — the crash-injection matrix uses it to kill the process
-// mid-file and prove recovery falls back cleanly.
-func WriteSnapshotHook(w io.Writer, meta SnapshotMeta, t *Tables, hook func(table string) error) error {
+// WriteSnapshot serializes the tables to w under the given meta, whose
+// Version must be SnapshotVersion for the file to be readable: one Write for
+// the magic, one for the meta, one per table section and one for the CRC
+// trailer, so a crash mid-file leaves a prefix of whole sections or a torn
+// one. The caller owns durability (buffering, fsync, atomic rename).
+func WriteSnapshot(w io.Writer, meta SnapshotMeta, t *Tables) error {
 	h := crc32.New(castagnoli)
 	mw := io.MultiWriter(w, h)
 	if _, err := mw.Write([]byte(snapshotMagic)); err != nil {
@@ -94,11 +96,6 @@ func WriteSnapshotHook(w io.Writer, meta SnapshotMeta, t *Tables, hook func(tabl
 			return fmt.Errorf("record: write snapshot: %w", err)
 		}
 		buf = sec // recycle the section buffer across tables
-		if hook != nil {
-			if err := hook(tbl.Name()); err != nil {
-				return err
-			}
-		}
 	}
 	var trailer [4]byte
 	binary.LittleEndian.PutUint32(trailer[:], h.Sum32())

@@ -20,24 +20,6 @@ import (
 	"flordb/internal/storage"
 )
 
-// Hooks are crash-injection points for the replica kill matrix: each hook
-// may return an error to abort at exactly that step, simulating a follower
-// killed mid-fetch, mid-install, or mid-apply. All nil in production.
-type Hooks struct {
-	// FetchChunk fires after each chunk of a fetched file hits the temp
-	// file; bytesSoFar counts from the start of the file, including any
-	// resumed prefix.
-	FetchChunk func(kind string, seq int64, bytesSoFar int64) error
-	// BeforeInstall fires once the temp file is complete and fsynced, before
-	// the rename into place.
-	BeforeInstall func(kind string, seq int64) error
-	// AfterInstall fires after the rename + directory sync, before the
-	// segment is replayed into the replica's tables.
-	AfterInstall func(kind string, seq int64) error
-	// AfterApply fires after a segment's epochs are published.
-	AfterApply func(seq int64) error
-}
-
 // FollowerConfig configures a tailing replica.
 type FollowerConfig struct {
 	PrimaryURL string // base URL of the primary's API server
@@ -54,14 +36,17 @@ type FollowerConfig struct {
 	MaxFetchAge time.Duration
 	// PollWait is the long-poll budget per manifest request (default 10s).
 	PollWait time.Duration
-	// ChunkBytes sizes fetch copy chunks (default 256KiB; tests use 1 to
-	// exercise per-byte kill points).
+	// ChunkBytes sizes fetch copy chunks (default 256KiB; tests use 1 so
+	// every fetched byte is its own write, and so its own kill point).
 	ChunkBytes int
 	Backoff    Backoff
 	Client     *http.Client
 	Logf       func(format string, args ...any) // replication progress log (nil = silent)
 	Open       flor.Options                     // options for the replica session
-	Hooks      Hooks
+	// FS carries every write that fetches and installs segments and
+	// snapshots (nil = the operating system's); the kill matrix substitutes
+	// one that fails at step N.
+	FS storage.FS
 }
 
 // Follower tails a primary: it bootstraps from the primary's newest snapshot
@@ -105,8 +90,11 @@ func StartFollower(ctx context.Context, cfg FollowerConfig) (*Follower, error) {
 		host, _ := os.Hostname()
 		cfg.FollowerID = host + ":" + cfg.Dir
 	}
+	if cfg.FS == nil {
+		cfg.FS = storage.OSFS{}
+	}
 	florDir := filepath.Join(cfg.Dir, ".flor")
-	if err := os.MkdirAll(florDir, 0o755); err != nil {
+	if err := cfg.FS.MkdirAll(florDir, 0o755); err != nil {
 		return nil, fmt.Errorf("repl: %w", err)
 	}
 	f := &Follower{cfg: cfg, walPath: filepath.Join(florDir, "flor.wal")}
@@ -373,18 +361,14 @@ func (f *Follower) replicateSegment(ctx context.Context, e FileEntry) error {
 		// or tampered content that happens to checksum): never serveable.
 		return faultf("segment %d installed but failed to apply: %v", e.Seq, err)
 	}
-	if f.cfg.Hooks.AfterApply != nil {
-		if err := f.cfg.Hooks.AfterApply(e.Seq); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
 // fetchAndInstall downloads one immutable file into place with the same
-// durability discipline the primary's own writers use: temp file, fsync,
-// rename, directory fsync. Partial temp files resume with a Range request;
-// the assembled file must match the manifest's size and CRC-32C. A mismatch
+// durability discipline the primary's own writers use: a temp file published
+// by storage.Install (fsync, rename, directory fsync). Partial temp files
+// resume with a Range request; the assembled file must match the manifest's
+// size and CRC-32C, and is verified before it is installed. A mismatch
 // after a resumed fetch gets one clean full refetch (the local partial may
 // have been torn by a crash); a mismatch on a clean fetch — or twice — is a
 // permanent fault.
@@ -398,6 +382,7 @@ func (f *Follower) fetchAndInstall(ctx context.Context, kind string, seq int64, 
 		}
 		return faultf("%s %d already exists locally but does not match the primary (size %d vs %d): immutable history diverged", kind, seq, st.Size(), want.Size)
 	}
+	fsys := f.cfg.FS
 	tmp := dst + ".repltmp"
 	resumed, err := f.fetchToTemp(ctx, kind, seq, tmp, want, wirePath, true)
 	if err != nil {
@@ -409,7 +394,7 @@ func (f *Follower) fetchAndInstall(ctx context.Context, kind string, seq int64, 
 	}
 	if !ok && resumed {
 		// The resumed-over partial may be torn; one full refetch heals it.
-		if err := os.Remove(tmp); err != nil {
+		if err := fsys.Remove(tmp); err != nil {
 			return fmt.Errorf("repl: drop torn temp: %w", err)
 		}
 		if _, err := f.fetchToTemp(ctx, kind, seq, tmp, want, wirePath, false); err != nil {
@@ -420,27 +405,15 @@ func (f *Follower) fetchAndInstall(ctx context.Context, kind string, seq int64, 
 		}
 	}
 	if !ok {
-		os.Remove(tmp)
+		fsys.Remove(tmp)
 		return faultf("%s %d: CRC mismatch against the primary's manifest after a clean fetch — corrupt transfer or tampered history", kind, seq)
 	}
-	if err := fsyncFile(tmp); err != nil {
-		return err
+	out, err := fsys.OpenFile(tmp, os.O_WRONLY, 0)
+	if err == nil {
+		err = storage.Install(fsys, out, dst, true)
 	}
-	if f.cfg.Hooks.BeforeInstall != nil {
-		if err := f.cfg.Hooks.BeforeInstall(kind, seq); err != nil {
-			return err
-		}
-	}
-	if err := os.Rename(tmp, dst); err != nil {
+	if err != nil {
 		return fmt.Errorf("repl: install %s %d: %w", kind, seq, err)
-	}
-	if err := storage.SyncDir(filepath.Dir(dst)); err != nil {
-		return err
-	}
-	if f.cfg.Hooks.AfterInstall != nil {
-		if err := f.cfg.Hooks.AfterInstall(kind, seq); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -459,7 +432,7 @@ func (f *Follower) fetchToTemp(ctx context.Context, kind string, seq int64, tmp 
 			}
 			if st.Size() > 0 && st.Size() < want.Size {
 				start = st.Size()
-			} else if rerr := os.Remove(tmp); rerr != nil {
+			} else if rerr := f.cfg.FS.Remove(tmp); rerr != nil {
 				return false, fmt.Errorf("repl: drop oversized temp: %w", rerr)
 			}
 		}
@@ -492,11 +465,10 @@ func (f *Follower) fetchToTemp(ctx context.Context, kind string, seq int64, tmp 
 	} else {
 		flags |= os.O_TRUNC
 	}
-	out, err := os.OpenFile(tmp, flags, 0o644)
+	out, err := f.cfg.FS.OpenFile(tmp, flags, 0o644)
 	if err != nil {
 		return false, err
 	}
-	written := start
 	buf := make([]byte, f.cfg.ChunkBytes)
 	for {
 		n, rerr := resp.Body.Read(buf)
@@ -504,13 +476,6 @@ func (f *Follower) fetchToTemp(ctx context.Context, kind string, seq int64, tmp 
 			if _, werr := out.Write(buf[:n]); werr != nil {
 				out.Close()
 				return start > 0, werr
-			}
-			written += int64(n)
-			if f.cfg.Hooks.FetchChunk != nil {
-				if herr := f.cfg.Hooks.FetchChunk(kind, seq, written); herr != nil {
-					out.Close()
-					return start > 0, herr
-				}
 			}
 		}
 		if rerr == io.EOF {
@@ -533,18 +498,6 @@ func verifyFile(path string, want FileEntry) (bool, error) {
 		return false, err
 	}
 	return size == want.Size && crc == want.CRC32C, nil
-}
-
-func fsyncFile(path string) error {
-	fd, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return err
-	}
-	if err := fd.Sync(); err != nil {
-		fd.Close()
-		return fmt.Errorf("repl: fsync %s: %w", path, err)
-	}
-	return fd.Close()
 }
 
 // prefetchBlobs scans an installed (not yet applied) segment for checkpoint

@@ -8,6 +8,7 @@ package repl
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -25,6 +26,7 @@ import (
 	"flordb/internal/replay"
 	"flordb/internal/server"
 	"flordb/internal/storage"
+	"flordb/internal/storage/storagetest"
 )
 
 // dump renders every base-table row of a session as strings for multiset
@@ -276,175 +278,152 @@ func TestFollowerShipsCheckpointBlobs(t *testing.T) {
 	assertSame(t, "checkpoint blobs", dump(f.Session()), want)
 }
 
-// TestFollowerKillMatrix kills the follower at every byte of every segment
-// fetch and at each install/apply boundary, then restarts it and asserts
-// the recovered replica equals the primary — the replica half of the PR 3
-// crash matrix.
+// TestFollowerKillMatrix kills the follower at every step a clean catch-up
+// performs — with ChunkBytes 1, every byte of every segment fetch, then each
+// temp reopen, fsync, rename and directory fsync — then restarts it and
+// asserts the recovered replica equals the primary: the replica half of the
+// crash matrix. A kill after segment N is applied is the kill at the first
+// step of segment N+1; after the top segment it is the clean run.
 func TestFollowerKillMatrix(t *testing.T) {
 	e := newPrimaryEnv(t, flor.Options{})
 	e.commitN(3)
 	want := dump(e.sess)
 	segs := primarySegments(t, e)
 	top := segs[len(segs)-1].Seq
-
-	type killPoint struct {
-		name string
-		arm  func(h *Hooks, boom error)
-	}
-	var points []killPoint
-	for _, sg := range segs {
-		st, err := os.Stat(sg.Path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq := sg.Seq
-		for b := int64(1); b <= st.Size(); b++ {
-			b := b
-			points = append(points, killPoint{
-				name: fmt.Sprintf("fetch seg%d byte%d", seq, b),
-				arm: func(h *Hooks, boom error) {
-					h.FetchChunk = func(kind string, s, n int64) error {
-						if kind == "segment" && s == seq && n >= b {
-							return boom
-						}
-						return nil
-					}
-				},
-			})
-		}
-		points = append(points,
-			killPoint{fmt.Sprintf("before install seg%d", seq), func(h *Hooks, boom error) {
-				h.BeforeInstall = func(kind string, s int64) error {
-					if kind == "segment" && s == seq {
-						return boom
-					}
-					return nil
-				}
-			}},
-			killPoint{fmt.Sprintf("after install seg%d", seq), func(h *Hooks, boom error) {
-				h.AfterInstall = func(kind string, s int64) error {
-					if kind == "segment" && s == seq {
-						return boom
-					}
-					return nil
-				}
-			}},
-			killPoint{fmt.Sprintf("after apply seg%d", seq), func(h *Hooks, boom error) {
-				h.AfterApply = func(s int64) error {
-					if s == seq {
-						return boom
-					}
-					return nil
-				}
-			}},
-		)
-	}
-	t.Logf("replica kill matrix: %d kill points", len(points))
-
 	ctx := context.Background()
-	boom := fmt.Errorf("injected follower kill")
-	for _, kp := range points {
-		fdir := t.TempDir()
-		cfg := e.cfg(fdir)
+
+	// catchUp starts a follower in dir writing through fsys and steps it
+	// until it has applied the top segment or fails.
+	catchUp := func(dir string, fsys storage.FS) error {
+		cfg := e.cfg(dir)
 		cfg.ChunkBytes = 1
-		kp.arm(&cfg.Hooks, boom)
+		cfg.FS = fsys
 		f, err := StartFollower(ctx, cfg)
 		if err != nil {
-			t.Fatalf("%s: start: %v", kp.name, err)
+			return err
 		}
-		killed := false
+		defer f.Close()
 		for f.Applied() < top {
 			if err := f.step(ctx); err != nil {
-				killed = true
-				break
+				return err
 			}
 		}
-		if !killed {
-			t.Fatalf("%s: kill point never fired", kp.name)
+		return nil
+	}
+	clean := t.TempDir()
+	rec := storagetest.Recorder()
+	if err := catchUp(clean, rec); err != nil {
+		t.Fatal(err)
+	}
+	trace := rec.Trace()
+	for _, sg := range segs {
+		if dst := filepath.Join(clean, ".flor", filepath.Base(sg.Path)); !storagetest.Installed(trace, dst) {
+			t.Fatalf("segment %d is not installed by temp fsync, rename, dir-fsync: %v", sg.Seq, trace)
 		}
-		if err := f.Close(); err != nil {
-			t.Fatalf("%s: close: %v", kp.name, err)
-		}
+	}
+	points := storagetest.Points(trace)
+	t.Logf("replica kill matrix: %d kill points", len(points))
 
+	for _, p := range points {
+		fdir := t.TempDir()
+		if err := catchUp(fdir, storagetest.Crash(p)); !errors.Is(err, storagetest.ErrKilled) {
+			t.Fatalf("%v: kill did not surface: %v", p, err)
+		}
 		// "Restart" the follower process: recovery + resumed catch-up.
 		f2, err := StartFollower(ctx, e.cfg(fdir))
 		if err != nil {
-			t.Fatalf("%s: restart: %v", kp.name, err)
+			t.Fatalf("%v: restart: %v", p, err)
 		}
 		stepUntil(t, f2, top)
-		assertSame(t, kp.name, dump(f2.Session()), want)
+		assertSame(t, p.String(), dump(f2.Session()), want)
 		f2.Close()
 	}
 }
 
-// TestPrimaryKillMatrixAtSealBoundaries aborts primary-side compaction at
-// each durable step (the seal/snapshot/delete boundaries), restarts the
-// primary through recovery, and asserts a tailing follower stays equivalent
+// TestPrimaryKillMatrixAtSealBoundaries kills primary-side compaction at
+// every step a clean one performs, grouped by the phase of the seal →
+// snapshot → rename → delete sequence it falls in, restarts the primary
+// through recovery, and asserts a tailing follower stays equivalent
 // throughout — including across the segment deletions a completed
 // compaction performs.
 func TestPrimaryKillMatrixAtSealBoundaries(t *testing.T) {
-	boom := fmt.Errorf("injected primary kill")
-	kills := []struct {
-		name string
-		arm  func(c *storage.Compactor)
-	}{
-		{"after snapshot write", func(c *storage.Compactor) { c.AfterSnapshotWrite = func() error { return boom } }},
-		{"before rename", func(c *storage.Compactor) { c.BeforeRename = func() error { return boom } }},
-		{"after rename", func(c *storage.Compactor) { c.AfterRename = func() error { return boom } }},
-		{"before segment delete", func(c *storage.Compactor) { c.BeforeSegmentDelete = func() error { return boom } }},
+	// start builds a primary with three commits and a follower caught up.
+	start := func(t *testing.T) (*primaryEnv, *Follower) {
+		e := newPrimaryEnv(t, flor.Options{})
+		e.commitN(3)
+		f, err := StartFollower(context.Background(), e.cfg(t.TempDir()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		stepUntil(t, f, 3)
+		return e, f
 	}
-	for _, kill := range kills {
-		t.Run(kill.name, func(t *testing.T) {
-			e := newPrimaryEnv(t, flor.Options{})
-			e.commitN(3)
-			f, err := StartFollower(context.Background(), e.cfg(t.TempDir()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			stepUntil(t, f, 3)
+	// compact closes the primary and runs one compaction on its directory
+	// with every write going through fsys, so a kill leaves the directory
+	// exactly as a primary killed mid-compaction would.
+	compact := func(t *testing.T, e *primaryEnv, fsys storage.FS) error {
+		if err := e.sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+		w, err := storage.OpenWAL(e.walPath(), storage.Options{FS: fsys})
+		if err != nil {
+			return err
+		}
+		blobs, err := storage.NewBlobStore(filepath.Join(e.dir, ".flor", "objects"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = (&storage.Compactor{WAL: w, Blobs: blobs}).Compact()
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}
+	rec := storagetest.Recorder()
+	e, _ := start(t)
+	if err := compact(t, e, rec); err != nil {
+		t.Fatal(err)
+	}
+	snaps, _ := storage.ListSnapshots(e.walPath())
+	if len(snaps) == 0 || !storagetest.Installed(rec.Trace(), snaps[len(snaps)-1].Path) {
+		t.Fatalf("the snapshot is not installed by temp fsync, rename, dir-fsync: %v", rec.Trace())
+	}
+	phases := storagetest.CompactionPhases(rec.Trace())
+	t.Logf("primary kill matrix: %d kill points", len(storagetest.Points(rec.Trace())))
 
-			// Crash the primary mid-compaction at this boundary. The aborted
-			// Compactor ran against the primary's real directory, so the
-			// on-disk state is exactly what a kill there leaves behind.
-			if err := e.sess.Close(); err != nil {
-				t.Fatal(err)
+	for _, ph := range phases {
+		if len(ph.Points) == 0 {
+			t.Fatalf("no kill point %s: the compaction skipped that step", ph.Name)
+		}
+		t.Run(ph.Name, func(t *testing.T) {
+			for _, p := range ph.Points {
+				t.Run(p.String(), func(t *testing.T) {
+					e, f := start(t)
+					if err := compact(t, e, storagetest.Crash(p)); !errors.Is(err, storagetest.ErrKilled) {
+						t.Fatalf("kill did not surface: %v", err)
+					}
+					// Primary recovers and keeps committing; the follower
+					// must stay equivalent across the crash and the retried
+					// compaction. A restarted primary has lost its in-memory
+					// acks, so the follower re-acks on its next poll before
+					// compaction reclaims segments (RetainSegments covers
+					// followers that poll less often).
+					e.open()
+					e.commitN(2)
+					stepUntil(t, f, 5)
+					if _, err := f.fetchManifest(context.Background(), 0, 0); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := e.sess.Compact(); err != nil {
+						t.Fatal(err)
+					}
+					e.commitN(1)
+					top := primarySegments(t, e)[len(primarySegments(t, e))-1].Seq
+					stepUntil(t, f, top)
+					assertSame(t, p.String(), dump(f.Session()), dump(e.sess))
+				})
 			}
-			w, err := storage.OpenWAL(e.walPath(), storage.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			blobs, err := storage.NewBlobStore(filepath.Join(e.dir, ".flor", "objects"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := &storage.Compactor{WAL: w, Blobs: blobs}
-			kill.arm(c)
-			if _, err := c.Compact(); err != boom {
-				t.Fatalf("kill point did not fire: %v", err)
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			// Primary recovers and keeps committing; the follower must stay
-			// equivalent across the crash and the retried compaction. A
-			// restarted primary has lost its in-memory acks, so the follower
-			// re-acks on its next poll before compaction reclaims segments
-			// (RetainSegments covers followers that poll less often).
-			e.open()
-			e.commitN(2)
-			stepUntil(t, f, 5)
-			if _, err := f.fetchManifest(context.Background(), 0, 0); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.sess.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			e.commitN(1)
-			top := primarySegments(t, e)[len(primarySegments(t, e))-1].Seq
-			stepUntil(t, f, top)
-			assertSame(t, kill.name, dump(f.Session()), dump(e.sess))
 		})
 	}
 }

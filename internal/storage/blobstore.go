@@ -3,9 +3,7 @@ package storage
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 )
@@ -18,14 +16,16 @@ import (
 type BlobStore struct {
 	root   string
 	noSync bool
+	fs     FS
 }
 
 // NewBlobStore creates the store rooted at dir.
 func NewBlobStore(dir string) (*BlobStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	b := &BlobStore{root: dir, fs: OSFS{}}
+	if err := b.fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: blobstore mkdir: %w", err)
 	}
-	return &BlobStore{root: dir}, nil
+	return b, nil
 }
 
 // Root returns the store's directory.
@@ -44,8 +44,8 @@ func (b *BlobStore) SetNoSync(noSync bool) { b.noSync = noSync }
 
 // Put writes the payload and returns its content address. Unless the store
 // is NoSync, every key Put returns is durable, so a WAL record may name it:
-// the temp file is fsynced before the rename that publishes it, and the
-// fan-out directory and then the root are fsynced before Put returns.
+// the temp file is Installed (fsync, rename, fan-out directory fsync) and
+// the root is fsynced before Put returns.
 // An existing blob is left untouched, but its directories are still synced:
 // the file may be a concurrent Put's, renamed into place and not yet named
 // durably, and the fan-out directory may be one a concurrent Put made and has
@@ -60,33 +60,30 @@ func (b *BlobStore) Put(data []byte) (string, error) {
 		}
 		return key, nil
 	}
-	if err := os.Mkdir(dir, 0o755); err != nil && !errors.Is(err, fs.ErrExist) {
+	if err := b.fs.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("storage: blob mkdir: %w", err)
 	}
 	// A unique temp name per writer keeps concurrent Puts of the same key
 	// from clobbering each other's staging file; the rename is atomic and
 	// both sides carry identical bytes, so whichever lands last wins
 	// harmlessly. This also keeps blob IO outside any lock (lockfsync).
-	tmp, err := os.CreateTemp(dir, ".blob-*.tmp")
+	tmp, err := b.fs.CreateTemp(dir, ".blob-*.tmp")
 	if err != nil {
 		return "", fmt.Errorf("storage: blob tmp: %w", err)
 	}
-	_, err = tmp.Write(data)
-	if err == nil && !b.noSync {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
+	if _, err = tmp.Write(data); err != nil {
+		tmp.Close()
+	} else {
+		err = Install(b.fs, tmp, path, !b.noSync)
 	}
 	if err != nil {
-		os.Remove(tmp.Name())
+		b.fs.Remove(tmp.Name())
 		return "", fmt.Errorf("storage: blob write: %w", err)
 	}
-	if err := b.syncDirs(dir); err != nil {
-		return "", err
+	if !b.noSync {
+		if err := b.fs.SyncDir(b.root); err != nil {
+			return "", err
+		}
 	}
 	return key, nil
 }
@@ -97,10 +94,10 @@ func (b *BlobStore) syncDirs(dir string) error {
 	if b.noSync {
 		return nil
 	}
-	if err := syncDir(dir); err != nil {
+	if err := b.fs.SyncDir(dir); err != nil {
 		return err
 	}
-	return syncDir(b.root)
+	return b.fs.SyncDir(b.root)
 }
 
 // Get reads the payload at the given content address.

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bufio"
 	"fmt"
 	"math"
 	"os"
@@ -22,13 +21,12 @@ import (
 // segments), so it is safe to run while other goroutines append to the
 // active file — they only contend on the brief Seal step. Crash-safety
 // follows the ordering invariants documented in the package comment: the
-// snapshot is written to a temp file, fsynced, renamed into place, and the
-// directory fsynced before anything is deleted.
+// snapshot is written to a temp file and Installed (fsync, rename, directory
+// fsync) before anything is deleted. Every write goes through the WAL's FS.
 type Compactor struct {
 	WAL        *WAL
 	Blobs      *BlobStore // optional; rehydrates obj_store rows for the snapshot
 	RootTarget string     // ts2vid root_target for replayed commit records
-	Keep       int        // snapshots to retain, including the new one (default 2)
 
 	// RetainSegments keeps the newest N sealed segments on disk even once a
 	// snapshot covers them, so a replica that has not connected yet can still
@@ -43,16 +41,12 @@ type Compactor struct {
 	// Retained covered segments are redundant for recovery (invariant 3 in
 	// the package comment), so keeping them is pure space, never correctness.
 	RetainFloor func() int64
-
-	// Kill points for crash-injection tests: a hook returning an error
-	// aborts compaction at exactly that step, simulating a crash. All nil in
-	// production use.
-	MidSnapshotWrite    func(table string) error // one table section written, file incomplete
-	AfterSnapshotWrite  func() error             // temp snapshot written + fsynced, not installed
-	BeforeRename        func() error             // about to rename temp snapshot into place
-	AfterRename         func() error             // snapshot installed, covered segments still present
-	BeforeSegmentDelete func() error             // about to delete covered segments
 }
+
+// keepSnapshots is how many snapshots compaction retains, the new one
+// included: the previous snapshot stays the fallback if the new one is ever
+// unreadable.
+const keepSnapshots = 2
 
 // CompactStats reports what one compaction did.
 type CompactStats struct {
@@ -67,6 +61,7 @@ type CompactStats struct {
 func (c *Compactor) Compact() (CompactStats, error) {
 	var stats CompactStats
 	walPath := c.WAL.Path()
+	fsys := c.WAL.fs
 
 	// Clear temp files a crashed compaction left behind. Plain directory
 	// listing, not filepath.Glob: the WAL path may legally contain glob
@@ -79,7 +74,7 @@ func (c *Compactor) Compact() (CompactStats, error) {
 		for _, e := range entries {
 			name := e.Name()
 			if strings.HasPrefix(name, walBase+".snap.") && strings.HasSuffix(name, ".tmp") {
-				os.Remove(filepath.Join(walDir, name))
+				fsys.Remove(filepath.Join(walDir, name))
 			}
 		}
 	}
@@ -169,29 +164,18 @@ func (c *Compactor) Compact() (CompactStats, error) {
 	stats.Rows = tables.Logs.Len() + tables.Loops.Len() + tables.Ts2vid.Len() +
 		tables.ObjStore.Len() + tables.Args.Len()
 
-	// Prune superseded snapshots, keeping the newest Keep (default 2: the
-	// previous snapshot remains the fallback if the new one is ever
-	// unreadable).
-	keep := c.Keep
-	if keep <= 0 {
-		keep = 2
-	}
+	// Prune superseded snapshots.
 	snaps, err := ListSnapshots(walPath)
 	if err != nil {
 		return stats, err
 	}
-	for i := 0; i < len(snaps)-keep; i++ {
-		if err := os.Remove(snaps[i].Path); err != nil {
+	for i := 0; i < len(snaps)-keepSnapshots; i++ {
+		if err := fsys.Remove(snaps[i].Path); err != nil {
 			return stats, fmt.Errorf("storage: prune snapshot: %w", err)
 		}
 		stats.SnapshotsRemoved++
 	}
 
-	if c.BeforeSegmentDelete != nil {
-		if err := c.BeforeSegmentDelete(); err != nil {
-			return stats, err
-		}
-	}
 	keepFrom := int64(math.MaxInt64)
 	if c.RetainFloor != nil {
 		if f := c.RetainFloor(); f < keepFrom {
@@ -207,73 +191,31 @@ func (c *Compactor) Compact() (CompactStats, error) {
 		if sg.Seq > stats.SnapshotSeq || sg.Seq >= keepFrom {
 			continue
 		}
-		if err := os.Remove(sg.Path); err != nil {
+		if err := fsys.Remove(sg.Path); err != nil {
 			return stats, fmt.Errorf("storage: drop segment: %w", err)
 		}
 		stats.SegmentsRemoved++
 	}
-	if err := syncDir(filepath.Dir(walPath)); err != nil {
+	if err := fsys.SyncDir(filepath.Dir(walPath)); err != nil {
 		return stats, err
 	}
 	return stats, nil
 }
 
-// writeSnapshot durably installs a snapshot: temp write, fsync, atomic
-// rename, directory fsync. The kill-point hooks fire between the steps.
+// writeSnapshot writes the snapshot to a temp file, one Write per section,
+// and Installs it.
 func (c *Compactor) writeSnapshot(walPath string, meta record.SnapshotMeta, tables *record.Tables) error {
 	final := SnapshotPath(walPath, meta.Seq)
-	tmp := final + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := c.WAL.fs.OpenFile(final+".tmp", os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("storage: snapshot temp: %w", err)
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	var mid func(string) error
-	if c.MidSnapshotWrite != nil {
-		mid = func(table string) error {
-			// Push the buffered section to the OS first so a kill at this
-			// point leaves a genuinely partial temp file on disk.
-			if err := bw.Flush(); err != nil {
-				return fmt.Errorf("storage: snapshot flush: %w", err)
-			}
-			return c.MidSnapshotWrite(table)
-		}
-	}
-	if err := record.WriteSnapshotHook(bw, meta, tables, mid); err != nil {
+	if err := record.WriteSnapshot(f, meta, tables); err != nil {
 		f.Close()
 		return err
 	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("storage: snapshot flush: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("storage: snapshot sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("storage: snapshot close: %w", err)
-	}
-	if c.AfterSnapshotWrite != nil {
-		if err := c.AfterSnapshotWrite(); err != nil {
-			return err
-		}
-	}
-	if c.BeforeRename != nil {
-		if err := c.BeforeRename(); err != nil {
-			return err
-		}
-	}
-	if err := os.Rename(tmp, final); err != nil {
+	if err := Install(c.WAL.fs, f, final, true); err != nil {
 		return fmt.Errorf("storage: snapshot install: %w", err)
-	}
-	if err := syncDir(filepath.Dir(walPath)); err != nil {
-		return err
-	}
-	if c.AfterRename != nil {
-		if err := c.AfterRename(); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -1,0 +1,186 @@
+// Crash matrices for the storage layer's own writes: each runs an operation
+// once on a recording FS, then once per kill point of that clean run
+// (storagetest.Points), and checks what the killed run left on disk.
+package storage_test
+
+import (
+	"os"
+	"path/filepath"
+	"testing"
+
+	"flordb/internal/record"
+	"flordb/internal/relation"
+	"flordb/internal/storage"
+	"flordb/internal/storage/storagetest"
+)
+
+// fill appends n committed transactions of per log records each.
+func fill(t *testing.T, w *storage.WAL, n, per int) {
+	t.Helper()
+	for ts := int64(1); ts <= int64(n); ts++ {
+		for j := 0; j < per; j++ {
+			rec := &record.LogRecord{Kind: record.KindLog, ProjID: "p", Tstamp: ts, Filename: "f", ValueName: "x", Value: "v", ValueType: record.VTText}
+			if err := w.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.AppendCommit(&record.CommitRecord{Kind: record.KindCommit, ProjID: "p", Tstamp: ts, VID: "v"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRecoverFallsBackFromCorruptSnapshot kills a compaction of three sealed
+// segments at every step it performs, then corrupts the snapshot it left, if
+// any. While every segment survives, recovery must fall back to a full
+// replay of all six rows; once compaction has deleted one, it must refuse —
+// never answer with fewer rows.
+func TestRecoverFallsBackFromCorruptSnapshot(t *testing.T) {
+	compact := func(fsys storage.FS) string {
+		path := filepath.Join(t.TempDir(), "flor.wal")
+		w, err := storage.OpenWAL(path, storage.Options{SegmentBytes: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill(t, w, 3, 2)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		w, err = storage.OpenWAL(path, storage.Options{SegmentBytes: 1, FS: fsys})
+		if err == nil {
+			_, _ = (&storage.Compactor{WAL: w}).Compact()
+			w.Close()
+		}
+		return path
+	}
+	rec := storagetest.Recorder()
+	compact(rec)
+	points := storagetest.Points(rec.Trace())
+	t.Logf("%d kill points", len(points))
+
+	fellBack := 0
+	for _, p := range points {
+		path := compact(storagetest.Crash(p))
+		snaps, err := storage.ListSnapshots(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snaps) > 0 {
+			snap := snaps[len(snaps)-1].Path
+			data, err := os.ReadFile(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/2] ^= 0xFF
+			if err := os.WriteFile(snap, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		segs, err := storage.ListSegments(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables, err := record.CreateTables(relation.NewDatabase())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := storage.RecoverTables(path, tables, nil, "", true, storage.RecoverHooks{})
+		logs := tables.Logs.Len()
+		if len(segs) < 3 {
+			if err == nil {
+				t.Fatalf("%v: recovered %d rows over a corrupt snapshot and %d of 3 segments; want a refusal", p, logs, len(segs))
+			}
+			continue
+		}
+		if err != nil || res.SnapshotSeq != 0 || logs != 6 {
+			t.Fatalf("%v: recovery = %d rows from snapshot %d, err %v; want all 6 by full replay", p, logs, res.SnapshotSeq, err)
+		}
+		if len(snaps) > 0 {
+			fellBack++
+		}
+	}
+	if fellBack == 0 {
+		t.Fatal("no kill point left an installed snapshot beside intact segments")
+	}
+}
+
+// TestWriteRetentionKillAtEveryStep: a retention manifest write killed at any
+// step leaves the old floor or the new one, never an unreadable manifest.
+func TestWriteRetentionKillAtEveryStep(t *testing.T) {
+	write := func(fsys storage.FS) string {
+		path := filepath.Join(t.TempDir(), "flor.wal")
+		w, err := storage.OpenWAL(path, storage.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteRetention(storage.RetentionManifest{MinEpoch: 3}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		w, err = storage.OpenWAL(path, storage.Options{FS: fsys})
+		if err == nil {
+			_ = w.WriteRetention(storage.RetentionManifest{MinEpoch: 7})
+			w.Close()
+		}
+		return path
+	}
+	rec := storagetest.Recorder()
+	path := write(rec)
+	trace := rec.Trace()
+	if !storagetest.Installed(trace, storage.RetentionPath(path)) {
+		t.Fatalf("the manifest is not installed by fsync, rename, dir-fsync: %v", trace)
+	}
+	points := storagetest.Points(trace)
+	t.Logf("%d kill points", len(points))
+	floors := map[int64]int{}
+	for _, p := range append(points, storagetest.Point{}) {
+		m, err := storage.ReadRetention(write(storagetest.Crash(p)))
+		if err != nil || (m.MinEpoch != 3 && m.MinEpoch != 7) {
+			t.Fatalf("%v: ReadRetention = %+v, %v; want floor 3 or 7", p, m, err)
+		}
+		floors[m.MinEpoch]++
+	}
+	if floors[3] == 0 || floors[7] == 0 {
+		t.Fatalf("floors seen %v: the matrix never crossed the rename", floors)
+	}
+}
+
+// TestBlobStorePutCrashLeavesKeyAbsentOrWhole is the crash half of
+// TestBlobStorePutLeavesOnlyTheBlob: a Put killed at any step leaves its key
+// absent or naming a blob that Get verifies — never a torn one.
+func TestBlobStorePutCrashLeavesKeyAbsentOrWhole(t *testing.T) {
+	data := []byte("checkpoint weights")
+	key := storage.HashKey(data)
+	put := func(fsys storage.FS) *storage.BlobStore {
+		bs, err := storage.NewBlobStoreFS(t.TempDir(), fsys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = bs.Put(data)
+		return bs
+	}
+	rec := storagetest.Recorder()
+	bs := put(rec)
+	trace := rec.Trace()
+	if !storagetest.Installed(trace, filepath.Join(bs.Root(), key[:2], key[2:])) {
+		t.Fatalf("the blob is not installed by fsync, rename, dir-fsync: %v", trace)
+	}
+	points := storagetest.Points(trace)
+	t.Logf("%d kill points", len(points))
+	present := 0
+	for _, p := range points {
+		bs := put(storagetest.Crash(p))
+		if !bs.Has(key) {
+			continue
+		}
+		present++
+		if got, err := bs.Get(key); err != nil || string(got) != string(data) {
+			t.Fatalf("%v: key present but Get = %q, %v", p, got, err)
+		}
+	}
+	if present == 0 || present == len(points) {
+		t.Fatalf("blob present after %d of %d kills: the matrix never crossed the rename", present, len(points))
+	}
+}

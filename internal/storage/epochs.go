@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -98,38 +97,18 @@ type RetentionManifest struct {
 // keeps it invisible to the segment/snapshot listings.
 func RetentionPath(walPath string) string { return walPath + ".retention" }
 
-// WriteRetention durably replaces the retention manifest: tmp file, fsync,
-// rename, directory fsync — the same ordering discipline as snapshots.
-func WriteRetention(walPath string, m RetentionManifest) error {
+// WriteRetention durably replaces the WAL's retention manifest through its
+// FS: WriteFileAtomic, the same temp, fsync, rename, directory-fsync install
+// as snapshots.
+func (w *WAL) WriteRetention(m RetentionManifest) error {
 	data, err := json.Marshal(m)
+	if err == nil {
+		err = WriteFileAtomic(w.fs, RetentionPath(w.path), data, true)
+	}
 	if err != nil {
 		return fmt.Errorf("storage: retention manifest: %w", err)
 	}
-	path := RetentionPath(walPath)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: retention manifest: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("storage: retention manifest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("storage: retention manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("storage: retention manifest: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("storage: retention manifest: %w", err)
-	}
-	return syncDir(filepath.Dir(path))
+	return nil
 }
 
 // ReadRetention loads the retention manifest; a missing file is a zero floor.

@@ -39,13 +39,6 @@ func CRC32C(data []byte) uint32 {
 	return crc32.Checksum(data, castagnoli)
 }
 
-// SyncDir fsyncs a directory, making a just-renamed file's directory entry
-// durable — the same ordering step the WAL and compactor use. Replication
-// calls it after installing a fetched segment or snapshot.
-func SyncDir(dir string) error {
-	return syncDir(dir)
-}
-
 // LockProject takes the exclusive per-project advisory lock that OpenWAL
 // would take, without opening the WAL for appending. Read-only replicas hold
 // it so that two processes cannot concurrently install segments into — or

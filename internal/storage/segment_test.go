@@ -260,40 +260,6 @@ func TestCompactorIsIncrementalAndPrunes(t *testing.T) {
 	w.Close()
 }
 
-func TestRecoverFallsBackFromCorruptSnapshot(t *testing.T) {
-	path := walPath(t)
-	w, _ := OpenWAL(path, Options{SegmentBytes: 1})
-	fillCommits(t, w, 3, 2)
-	c := &Compactor{WAL: w, BeforeSegmentDelete: func() error {
-		// Keep the segments so full replay stays possible.
-		return os.ErrInvalid
-	}}
-	if _, err := c.Compact(); err == nil {
-		t.Fatal("kill hook should abort compaction")
-	}
-	snaps, _ := ListSnapshots(path)
-	if len(snaps) != 1 {
-		t.Fatalf("snapshots = %d", len(snaps))
-	}
-	// Corrupt the snapshot; recovery must fall back to full segment replay.
-	data, _ := os.ReadFile(snaps[0].Path)
-	data[len(data)/2] ^= 0xFF
-	os.WriteFile(snaps[0].Path, data, 0o644)
-
-	got := newTables(t)
-	res, err := RecoverTables(path, got, nil, "", true, RecoverHooks{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SnapshotSeq != 0 {
-		t.Fatalf("used corrupt snapshot (seq %d)", res.SnapshotSeq)
-	}
-	if got.Logs.Len() != 6 {
-		t.Fatalf("recovered %d log rows, want 6", got.Logs.Len())
-	}
-	w.Close()
-}
-
 func TestSegmentSequencesNeverRestart(t *testing.T) {
 	path := walPath(t)
 	w, _ := OpenWAL(path, Options{SegmentBytes: 1})

@@ -19,10 +19,11 @@
 //  1. Rotation happens only at a commit boundary, so every sealed segment
 //     ends with a commit record. The uncommitted tail of the log therefore
 //     lives entirely in the active file, where recovery can truncate it.
-//  2. Snapshots are written to a temp file, fsynced, and renamed into place
-//     before any covered segment is deleted; a crash at any point leaves
-//     either the old state (snapshot absent, segments intact) or the new
-//     state (snapshot present, segments redundant but harmless).
+//  2. Snapshots are written to a temp file and published by Install (fsync,
+//     rename, directory fsync) before any covered segment is deleted; a
+//     crash at any point leaves either the old state (snapshot absent,
+//     segments intact) or the new state (snapshot present, segments
+//     redundant but harmless).
 //  3. Recovery skips segments a loaded snapshot covers; replaying a covered
 //     segment never happens, so the delete in compaction is pure space
 //     reclamation, not a correctness step.
@@ -59,7 +60,8 @@ const DefaultSegmentBytes = 64 << 20
 // committers cost ~1 fsync per batch instead of N.
 type WAL struct {
 	mu        sync.Mutex
-	f         *os.File
+	fs        FS
+	f         File
 	w         *bufio.Writer
 	lock      *os.File // held flock; single-writer exclusion across processes
 	path      string
@@ -98,6 +100,9 @@ type Options struct {
 	// reaches this size at a commit boundary. 0 disables rotation (the WAL
 	// stays a single file, as before segmentation existed).
 	SegmentBytes int64
+	// FS carries every write the WAL and its Compactor make (nil = the
+	// operating system's); crash tests substitute one that fails at step N.
+	FS FS
 }
 
 // OpenWAL opens (creating if needed) the WAL at path for appending. An
@@ -107,19 +112,23 @@ type Options struct {
 // silently destroy the first one's in-flight records. A held lock makes
 // OpenWAL fail fast instead.
 func OpenWAL(path string, opts Options) (*WAL, error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	fsys := opts.FS
+	if fsys == nil {
+		fsys = OSFS{}
+	}
+	if err := fsys.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("storage: mkdir: %w", err)
 	}
 	lock, err := lockFile(path + ".lock")
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		lock.Close()
 		return nil, fmt.Errorf("storage: open wal: %w", err)
 	}
-	st, err := f.Stat()
+	st, err := os.Stat(path)
 	if err != nil {
 		f.Close()
 		lock.Close()
@@ -148,7 +157,7 @@ func OpenWAL(path string, opts Options) (*WAL, error) {
 		nextSeq = snaps[len(snaps)-1].Seq + 1
 	}
 	w := &WAL{
-		f: f, w: bufio.NewWriterSize(f, 1<<16), lock: lock, path: path,
+		fs: fsys, f: f, w: bufio.NewWriterSize(f, 1<<16), lock: lock, path: path,
 		sync: !opts.NoSync, segBytes: opts.SegmentBytes,
 		size: st.Size(), committed: st.Size(), nextSeq: nextSeq,
 	}
@@ -297,7 +306,7 @@ func (w *WAL) syncCommitted(gen, target int64) error {
 		if err == nil {
 			if w.dirUnsynced && w.sync {
 				//florvet:ignore lockfsync w.mu IS the flush-serialization point of group commit; the leader holds it for the whole IO round by design
-				if derr := syncDir(filepath.Dir(w.path)); derr != nil {
+				if derr := w.fs.SyncDir(filepath.Dir(w.path)); derr != nil {
 					err = derr
 				} else {
 					w.dirUnsynced = false
@@ -359,15 +368,15 @@ func (w *WAL) rotateLocked() (int64, error) {
 	}
 	seq := w.nextSeq
 	segPath := SegmentPath(w.path, seq)
-	if err := os.Rename(w.path, segPath); err != nil {
+	if err := w.fs.Rename(w.path, segPath); err != nil {
 		return 0, fmt.Errorf("storage: rotate: %w", err)
 	}
-	f, err := os.OpenFile(w.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := w.fs.OpenFile(w.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		// Undo so the sealed name only ever holds segments the writer has
 		// abandoned; the still-open handle keeps appending to the original
 		// file either way.
-		if rerr := os.Rename(segPath, w.path); rerr != nil {
+		if rerr := w.fs.Rename(segPath, w.path); rerr != nil {
 			return 0, fmt.Errorf("storage: rotate reopen failed (%v) and undo rename failed: %w", err, rerr)
 		}
 		return 0, fmt.Errorf("storage: rotate: reopen: %w", err)
@@ -387,7 +396,7 @@ func (w *WAL) rotateLocked() (int64, error) {
 		// states are still individually consistent (recovery handles both
 		// the pre- and post-rename layouts), so report without undoing and
 		// let the next commit retry the directory sync.
-		if err := syncDir(filepath.Dir(w.path)); err != nil {
+		if err := w.fs.SyncDir(filepath.Dir(w.path)); err != nil {
 			w.dirUnsynced = true
 			return seq, err
 		}
@@ -539,17 +548,4 @@ func listNumbered[T any](walPath, kind string, mk func(int64, string) T) ([]T, e
 		vals[i] = n.val
 	}
 	return vals, nil
-}
-
-// syncDir fsyncs a directory so renames and deletes within it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("storage: open dir for sync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("storage: sync dir: %w", err)
-	}
-	return nil
 }

@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"flordb/internal/storage"
 )
 
 // repo.json is an append-only journal: one newline-terminated JSON record per
@@ -76,23 +78,25 @@ func (r *Repo) saveLocked(path string) error {
 		return nil
 	}
 
-	// A path this repository has not written may hold another history:
-	// replace it atomically rather than append to it.
-	target, flags := path, os.O_WRONLY|os.O_CREATE
+	fsys := storage.OSFS{}
 	if whole {
-		target, flags = path+".tmp", flags|os.O_TRUNC
+		// A path this repository has not written may hold another history:
+		// replace it atomically rather than append to it.
+		if err := storage.WriteFileAtomic(fsys, path, buf, !r.noSync); err != nil {
+			return err
+		}
+		r.journal = journal{path: path, commits: upto, size: int64(len(buf))}
+		return nil
 	}
-	f, err := os.OpenFile(target, flags, 0o644)
+	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
 		return err
 	}
-	if !whole {
-		var st fs.FileInfo
-		if st, err = f.Stat(); err == nil && st.Size() < j.size {
-			err = fmt.Errorf("%s shrank to %d bytes below the %d already saved", path, st.Size(), j.size)
-		} else if err == nil && st.Size() > j.size {
-			err = f.Truncate(j.size) // a torn append, ours or a crashed session's
-		}
+	var st fs.FileInfo
+	if st, err = os.Stat(path); err == nil && st.Size() < j.size {
+		err = fmt.Errorf("%s shrank to %d bytes below the %d already saved", path, st.Size(), j.size)
+	} else if err == nil && st.Size() > j.size {
+		err = f.Truncate(j.size) // a torn append, ours or a crashed session's
 	}
 	if err == nil {
 		_, err = f.WriteAt(buf, j.size)
@@ -103,11 +107,8 @@ func (r *Repo) saveLocked(path string) error {
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err == nil && whole {
-		err = os.Rename(target, path)
-	}
-	if newEntry := whole || j.size == 0; err == nil && newEntry && !r.noSync {
-		err = syncDir(filepath.Dir(path))
+	if err == nil && j.size == 0 && !r.noSync {
+		err = fsys.SyncDir(filepath.Dir(path)) // the append created the file
 	}
 	if err != nil {
 		return err
@@ -249,16 +250,4 @@ func (r *Repo) admitLegacy(line []byte) error {
 		return fmt.Errorf("head %s is not the last commit %s", short(state.Head), short(r.head))
 	}
 	return nil
-}
-
-// syncDir fsyncs a directory so a file created or renamed in it is durable.
-// It repeats storage's eight lines rather than import them: vcs depends on no
-// other package of the module.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
