@@ -43,13 +43,16 @@ test:
 # crash-matrix runs the crash-injection suite: every root TestCrash* test
 # (WAL byte truncation, a compaction killed at every step it performs, the
 # version-journal x WAL crash cut), the snapshot-plus-tail property, commits
-# racing compaction, and the storage layer's fault-FS matrices (snapshot
-# fallback, retention manifest, blob Put) with the storagetest package's own
-# tests. Kill points are enumerated from a clean run's trace of FS steps
-# (internal/storage/storagetest); CI runs it as a parallel job.
+# racing compaction, the storage layer's fault-FS matrices (snapshot
+# fallback with its recovery and compaction arms, retention manifest, blob
+# Put), its refusals to rebuild state around lost history (a segment gap, a
+# corrupt snapshot whose segments are gone — recovery and compaction alike),
+# and the storagetest package's own tests. Kill points are enumerated from a
+# clean run's trace of FS steps (internal/storage/storagetest); CI runs it as
+# a parallel job.
 crash-matrix:
 	go test -run 'TestCrash|TestSnapshotPlusTail|TestConcurrentCommits' -count=1 -v .
-	go test -run 'TestRecoverFallsBackFromCorruptSnapshot|KillAtEveryStep|PutCrash' -count=1 -v ./internal/storage
+	go test -run 'TestRecoverFallsBackFromCorruptSnapshot|TestSegmentGapRefused|TestRecoveryRefusesFallback|KillAtEveryStep|PutCrash' -count=1 -v ./internal/storage
 	go test -count=1 -v ./internal/storage/storagetest
 
 # race-stress hammers the concurrent serving core (snapshot equivalence,

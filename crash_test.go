@@ -15,6 +15,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	flor "flordb"
 	"flordb/internal/relation"
@@ -52,6 +53,29 @@ func assertSameRows(t *testing.T, label string, got, want []string) {
 			t.Fatalf("%s: row %d = %q, want %q", label, i, got[i], want[i])
 		}
 	}
+}
+
+// asOfTimestamp dumps the logs, loops, args and ts2vid rows a session
+// answers AS OF TIMESTAMP wall (Unix nanoseconds), sorted.
+func asOfTimestamp(t *testing.T, s *flor.Session, wall int64) []string {
+	t.Helper()
+	ts := time.Unix(0, wall).UTC().Format(time.RFC3339Nano)
+	var out []string
+	for _, tbl := range []string{"logs", "loops", "args", "ts2vid"} {
+		res, err := s.SQL("SELECT * FROM " + tbl + " AS OF TIMESTAMP '" + ts + "'")
+		if err != nil {
+			t.Fatalf("%s AS OF TIMESTAMP %s: %v", tbl, ts, err)
+		}
+		for _, r := range res.Rows {
+			line := tbl
+			for _, v := range r {
+				line += "|" + v.String()
+			}
+			out = append(out, line)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // copyTree clones a project directory so each crash point starts from the
@@ -359,7 +383,9 @@ func TestCrashInjectionCompactionKillPoints(t *testing.T) {
 // directories through an identical randomized workload — one compacting
 // aggressively with tiny segments, one never compacting — and asserts their
 // recovered states are row-multiset equal across all tables, for several
-// seeds. This is the property that makes compaction a pure optimization.
+// seeds, and agree on the epoch, the retention floor and the AS OF
+// TIMESTAMP answer at each commit's wall stamp. This is the property that
+// makes compaction a pure optimization.
 func TestSnapshotPlusTailEqualsFullReplayProperty(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -433,6 +459,7 @@ func TestSnapshotPlusTailEqualsFullReplayProperty(t *testing.T) {
 			if _, err := a.Compact(); err != nil {
 				t.Fatal(err)
 			}
+			stampsA, stampsB := a.EpochStamps(), b.EpochStamps()
 			a.Close()
 			b.Close()
 
@@ -447,6 +474,21 @@ func TestSnapshotPlusTailEqualsFullReplayProperty(t *testing.T) {
 			assertSameRows(t, "snapshot+tail vs full replay", dumpSession(ra), dumpSession(rb))
 			if ra.Tstamp() != rb.Tstamp() {
 				t.Fatalf("tstamp diverged: %d vs %d", ra.Tstamp(), rb.Tstamp())
+			}
+			if ea, eb := ra.Database().Epoch(), rb.Database().Epoch(); ea != eb || ea != int64(len(stampsA)) {
+				t.Fatalf("epoch diverged: %d vs %d, want %d commits", ea, eb, len(stampsA))
+			}
+			if fa, fb := ra.RetentionFloor(), rb.RetentionFloor(); fa != fb {
+				t.Fatalf("retention floor diverged: %d vs %d", fa, fb)
+			}
+			// Each session committed at its own wall clock: the i-th commit's
+			// stamp must resolve to the same state on both sides.
+			if len(stampsA) != len(stampsB) {
+				t.Fatalf("stamps diverged: %d vs %d", len(stampsA), len(stampsB))
+			}
+			for i := range stampsA {
+				assertSameRows(t, fmt.Sprintf("AS OF TIMESTAMP of commit %d", stampsA[i].Epoch),
+					asOfTimestamp(t, ra, stampsA[i].Wall), asOfTimestamp(t, rb, stampsB[i].Wall))
 			}
 			if segs, _ := storage.ListSegments(filepath.Join(dirB, ".flor", "flor.wal")); len(segs) != 0 {
 				t.Fatalf("control session rotated segments: %v", segs)

@@ -153,7 +153,9 @@ type Options struct {
 	Args map[string]string
 	// Policy selects the checkpointing policy (nil = adaptive 5%).
 	Policy replay.CheckpointPolicy
-	// NoSync disables WAL fsync (benchmarks).
+	// NoSync disables every fsync the session makes — the WAL's, the
+	// repo.json journal's and the checkpoint blob store's — so nothing is
+	// durable across a machine crash (benchmarks).
 	NoSync bool
 	// SegmentBytes rotates flor.wal into sealed, numbered segments once the
 	// active file reaches this size at a commit boundary. 0 applies the
@@ -374,36 +376,23 @@ func newSession(projid, dir string, wal *storage.WAL, walPath string, readOnly b
 	return s, nil
 }
 
-// recover rebuilds the tables from the newest valid snapshot plus the WAL
-// tail (storage.RecoverTables): ts2vid rows come from commit records,
-// obj_store blobs from checkpoint records + blob store. Recovery is strict —
-// only records covered by a commit are visible (§2.1) — and the uncommitted
-// or torn tail of the active WAL file is truncated so a later commit cannot
-// resurrect records that were never durable.
+// state is the session's in-memory state as the storage log consumer
+// rebuilds it: tables, database epoch and retention floor, the AS OF
+// TIMESTAMP index.
+func (s *Session) state() storage.State {
+	return storage.State{DB: s.db, Tables: s.tables, Epochs: s.epochs, Blobs: s.blobs, RootTarget: s.rootTgt}
+}
+
+// recover rebuilds the session's state from the newest valid snapshot plus
+// the WAL tail (storage.State.Recover). Recovery is strict — only records
+// covered by a commit are visible (§2.1) — and the uncommitted or torn tail
+// of the active WAL file is truncated so a later commit cannot resurrect
+// records that were never durable.
 func (s *Session) recover() (int64, error) {
-	hooks := storage.RecoverHooks{
-		AfterSnapshot: func(meta record.SnapshotMeta) {
-			s.db.SetEpoch(meta.Epoch)
-			s.db.SetMinEpoch(meta.MinEpoch)
-			s.epochs.Load(meta.Epochs)
-		},
-		OnCommit: func(rec *record.CommitRecord) {
-			s.epochs.Note(s.db.AdvanceEpoch(), rec.Wall)
-		},
-	}
-	res, err := storage.RecoverTables(s.walPath, s.tables, s.blobs, s.rootTgt, true, hooks)
+	res, err := s.state().Recover(s.walPath, true)
 	if err != nil {
 		return 0, err
 	}
-	// A GC run may have raised the retention floor after the newest snapshot
-	// was written; the manifest is the durable record of that decision, so
-	// the recovered session keeps refusing AS OF below it even though the
-	// replayed row versions are back in memory until the next compaction.
-	retention, err := storage.ReadRetention(s.walPath)
-	if err != nil {
-		return 0, err
-	}
-	s.db.SetMinEpoch(retention.MinEpoch)
 	// A replica has no active WAL file to truncate: only sealed segments and
 	// snapshots ever reach its directory, and both are commit-aligned.
 	if s.wal != nil {
@@ -809,7 +798,7 @@ func (s *Session) GCEpochs() (GCStats, error) {
 	s.gcRows.Add(int64(reclaimed))
 	s.epochs.TrimBelow(applied)
 	if w := s.currentWAL(); w != nil {
-		if err := w.WriteRetention(storage.RetentionManifest{MinEpoch: applied}); err != nil {
+		if err := w.WriteRetention(applied); err != nil {
 			return GCStats{Floor: applied, RowsReclaimed: reclaimed}, err
 		}
 	}
@@ -855,21 +844,7 @@ func (s *Session) ApplyReplicatedSegment(seq int64) error {
 	if !s.readOnly.Load() {
 		return fmt.Errorf("flor: ApplyReplicatedSegment on a writable session (segment %d): replication must stop at promotion", seq)
 	}
-	var maxTs int64
-	path := storage.SegmentPath(s.walPath, seq)
-	err := storage.ReplaySealedSegment(path, func(rec any) error {
-		ts, err := storage.ApplyRecovered(rec, s.tables, s.blobs, s.rootTgt)
-		if err != nil {
-			return err
-		}
-		if ts > maxTs {
-			maxTs = ts
-		}
-		if cr, isCommit := rec.(*record.CommitRecord); isCommit {
-			s.epochs.Note(s.db.AdvanceEpoch(), cr.Wall)
-		}
-		return nil
-	})
+	maxTs, err := s.state().ApplySegment(s.walPath, seq)
 	if err != nil {
 		return err
 	}

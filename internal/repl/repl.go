@@ -11,8 +11,9 @@
 //     be applied atomically — one published epoch per commit record.
 //   - The follower's directory mirrors the primary's byte-for-byte (same
 //     file names), so bootstrap and crash recovery are the ordinary
-//     storage.RecoverTables path: a follower killed at any point between
-//     fetch and apply restarts into a consistent state for free.
+//     storage.State.Recover path, and apply is the same walk over one
+//     segment: a follower killed at any point between fetch and apply
+//     restarts into a consistent state for free.
 //   - Segment numbering is dense. A follower that needs segment N and is
 //     offered N+1 has hit compacted-away history; it faults loudly and
 //     refuses to serve rather than replaying around the gap.

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	flor "flordb"
+	"flordb/internal/record"
 	"flordb/internal/relation"
 	"flordb/internal/replay"
 	"flordb/internal/server"
@@ -46,6 +47,45 @@ func dump(s *flor.Session) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// asOfTimestamp dumps the logs, loops, args and ts2vid rows a session
+// answers AS OF TIMESTAMP wall (Unix nanoseconds), sorted.
+func asOfTimestamp(t *testing.T, s *flor.Session, wall int64) []string {
+	t.Helper()
+	ts := time.Unix(0, wall).UTC().Format(time.RFC3339Nano)
+	var out []string
+	for _, tbl := range []string{"logs", "loops", "args", "ts2vid"} {
+		res, err := s.SQL("SELECT * FROM " + tbl + " AS OF TIMESTAMP '" + ts + "'")
+		if err != nil {
+			t.Fatalf("%s AS OF TIMESTAMP %s: %v", tbl, ts, err)
+		}
+		for _, r := range res.Rows {
+			line := tbl
+			for _, v := range r {
+				line += "|" + v.String()
+			}
+			out = append(out, line)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// loggedStamps rebuilds the log at walPath into a fresh state and returns
+// the epoch↔commit-wall stamps it holds.
+func loggedStamps(t *testing.T, walPath string) []record.EpochStamp {
+	t.Helper()
+	db := relation.NewDatabase()
+	tables, err := record.CreateTables(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := storage.State{DB: db, Tables: tables, Epochs: storage.NewEpochIndex()}
+	if _, err := st.Recover(walPath, true); err != nil {
+		t.Fatal(err)
+	}
+	return st.Epochs.Stamps()
 }
 
 func assertSame(t *testing.T, label string, got, want []string) {
@@ -884,7 +924,8 @@ func TestBackoff(t *testing.T) {
 // TestReplicaEqualsPrimaryProperty is the randomized equivalence property:
 // random commit/compact/kill interleavings on the primary while a follower
 // tails throughout (dying and restarting at random), ending in full-table
-// multiset equality. Run under -race.
+// multiset equality and agreement on the epoch, the retention floor and the
+// AS OF TIMESTAMP answer at every commit's wall stamp. Run under -race.
 func TestReplicaEqualsPrimaryProperty(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		seed := seed
@@ -963,6 +1004,21 @@ func TestReplicaEqualsPrimaryProperty(t *testing.T) {
 			<-fdone
 			got := dump(f.Session())
 			assertSame(t, fmt.Sprintf("seed %d", seed), got, want)
+			prim, rep := e.sess, f.Session()
+			if pe, re := prim.Database().Epoch(), rep.Database().Epoch(); pe != re {
+				t.Fatalf("seed %d: replica epoch %d, primary %d", seed, re, pe)
+			}
+			if pf, rf := prim.RetentionFloor(), rep.RetentionFloor(); pf != rf {
+				t.Fatalf("seed %d: replica retention floor %d, primary %d", seed, rf, pf)
+			}
+			stamps := loggedStamps(t, e.walPath())
+			if int64(len(stamps)) != prim.Database().Epoch() {
+				t.Fatalf("seed %d: the primary's log holds %d commit stamps, its epoch is %d", seed, len(stamps), prim.Database().Epoch())
+			}
+			for _, st := range stamps {
+				assertSame(t, fmt.Sprintf("seed %d AS OF TIMESTAMP of commit %d", seed, st.Epoch),
+					asOfTimestamp(t, rep, st.Wall), asOfTimestamp(t, prim, st.Wall))
+			}
 			if err := f.Close(); err != nil {
 				t.Fatal(err)
 			}

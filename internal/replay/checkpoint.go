@@ -217,3 +217,37 @@ func (c *Context) TstampNow() int64 { return atomic.LoadInt64(&c.Tstamp) }
 
 // SetTstamp atomically advances the logical timestamp.
 func (c *Context) SetTstamp(ts int64) { atomic.StoreInt64(&c.Tstamp, ts) }
+
+// write applies rec to the tables and appends it to the WAL when there is
+// one. Every record recording or replay makes takes this path, so every row
+// the tables gain is a row recovery rebuilds.
+func (c *Context) write(rec any) error {
+	if err := c.Tables.Apply(rec); err != nil {
+		return err
+	}
+	if c.WAL != nil {
+		return c.WAL.Append(rec)
+	}
+	return nil
+}
+
+// writeLog writes the logs row of one flor.log value in loop context ctxID.
+func (c *Context) writeLog(ctxID int64, name string, v script.Value) error {
+	text, vt := formatScriptValue(v)
+	return c.write(&record.LogRecord{
+		Kind: record.KindLog, ProjID: c.ProjID, Tstamp: c.TstampNow(),
+		Filename: c.Filename, CtxID: ctxID, ValueName: name,
+		Value: text, ValueType: vt, Wall: time.Now().UTC(),
+	})
+}
+
+// writeLoop writes the loops row allocating context ctxID under parent: one
+// iteration of a flor.loop, or a flor.iteration context when iter is -1.
+func (c *Context) writeLoop(ctxID, parent int64, name string, iter int64, val script.Value) error {
+	text, _ := formatScriptValue(val)
+	return c.write(&record.LoopRecord{
+		Kind: record.KindLoop, ProjID: c.ProjID, Tstamp: c.TstampNow(),
+		Filename: c.Filename, CtxID: ctxID, ParentCtxID: parent,
+		LoopName: name, LoopIter: iter, IterValue: text, Wall: time.Now().UTC(),
+	})
+}

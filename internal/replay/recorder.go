@@ -52,19 +52,8 @@ func (r *Recorder) SetCtxCounter(n int64) { atomic.StoreInt64(&r.ctxCounter, n) 
 
 // Log implements script.FlorHooks.
 func (r *Recorder) Log(name string, v script.Value) (script.Value, error) {
-	text, vt := formatScriptValue(v)
-	rec := &record.LogRecord{
-		Kind: record.KindLog, ProjID: r.Ctx.ProjID, Tstamp: r.Ctx.TstampNow(),
-		Filename: r.Ctx.Filename, CtxID: r.curCtx(), ValueName: name,
-		Value: text, ValueType: vt, Wall: time.Now().UTC(),
-	}
-	if err := r.Ctx.Tables.Apply(rec); err != nil {
+	if err := r.Ctx.writeLog(r.curCtx(), name, v); err != nil {
 		return nil, err
-	}
-	if r.Ctx.WAL != nil {
-		if err := r.Ctx.WAL.Append(rec); err != nil {
-			return nil, err
-		}
 	}
 	return v, nil
 }
@@ -81,17 +70,11 @@ func (r *Recorder) Arg(name string, def script.Value) (script.Value, error) {
 		resolved = v
 	}
 	text, _ := formatScriptValue(resolved)
-	rec := &record.ArgRecord{
+	if err := r.Ctx.write(&record.ArgRecord{
 		Kind: record.KindArg, ProjID: r.Ctx.ProjID, Tstamp: r.Ctx.TstampNow(),
 		Filename: r.Ctx.Filename, Name: name, Value: text,
-	}
-	if err := r.Ctx.Tables.Apply(rec); err != nil {
+	}); err != nil {
 		return nil, err
-	}
-	if r.Ctx.WAL != nil {
-		if err := r.Ctx.WAL.Append(rec); err != nil {
-			return nil, err
-		}
 	}
 	return resolved, nil
 }
@@ -106,19 +89,8 @@ func (r *Recorder) LoopBegin(name string, vals []script.Value) (script.LoopSessi
 // IterationBegin implements script.FlorHooks (flor.iteration context).
 func (r *Recorder) IterationBegin(name string, val script.Value) error {
 	ctx := r.nextCtx()
-	text, _ := formatScriptValue(val)
-	rec := &record.LoopRecord{
-		Kind: record.KindLoop, ProjID: r.Ctx.ProjID, Tstamp: r.Ctx.TstampNow(),
-		Filename: r.Ctx.Filename, CtxID: ctx, ParentCtxID: r.curCtx(),
-		LoopName: name, LoopIter: -1, IterValue: text, Wall: time.Now().UTC(),
-	}
-	if err := r.Ctx.Tables.Apply(rec); err != nil {
+	if err := r.Ctx.writeLoop(ctx, r.curCtx(), name, -1, val); err != nil {
 		return err
-	}
-	if r.Ctx.WAL != nil {
-		if err := r.Ctx.WAL.Append(rec); err != nil {
-			return err
-		}
 	}
 	r.ctxStack = append(r.ctxStack, ctx)
 	return nil
@@ -143,16 +115,14 @@ func (r *Recorder) CheckpointingEnd() error {
 	return nil
 }
 
-// Commit implements script.FlorHooks.
+// Commit implements script.FlorHooks. Without OnCommit it does nothing: a
+// commit is the owning session's — version store, ts2vid row, WAL commit
+// record and epoch — never the recorder's.
 func (r *Recorder) Commit() error {
-	if r.OnCommit != nil {
-		return r.OnCommit()
+	if r.OnCommit == nil {
+		return nil
 	}
-	if r.Ctx.WAL != nil {
-		rec := &record.CommitRecord{Kind: record.KindCommit, ProjID: r.Ctx.ProjID, Tstamp: r.Ctx.TstampNow(), Wall: time.Now().UTC()}
-		return r.Ctx.WAL.AppendCommit(rec)
-	}
-	return nil
+	return r.OnCommit()
 }
 
 // recordSession is the per-loop recording session.
@@ -168,19 +138,8 @@ type recordSession struct {
 // ctx_id and write the loops row.
 func (s *recordSession) Decide(i int, v script.Value) (bool, error) {
 	ctx := s.r.nextCtx()
-	text, _ := formatScriptValue(v)
-	rec := &record.LoopRecord{
-		Kind: record.KindLoop, ProjID: s.r.Ctx.ProjID, Tstamp: s.r.Ctx.TstampNow(),
-		Filename: s.r.Ctx.Filename, CtxID: ctx, ParentCtxID: s.r.curCtx(),
-		LoopName: s.name, LoopIter: int64(i), IterValue: text, Wall: time.Now().UTC(),
-	}
-	if err := s.r.Ctx.Tables.Apply(rec); err != nil {
+	if err := s.r.Ctx.writeLoop(ctx, s.r.curCtx(), s.name, int64(i), v); err != nil {
 		return false, err
-	}
-	if s.r.Ctx.WAL != nil {
-		if err := s.r.Ctx.WAL.Append(rec); err != nil {
-			return false, err
-		}
 	}
 	s.r.ctxStack = append(s.r.ctxStack, ctx)
 	s.curIterCtx = ctx

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"encoding/json"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"flordb/internal/record"
 	"flordb/internal/relation"
 	"flordb/internal/script"
+	"flordb/internal/storage"
 	"flordb/internal/vcs"
 )
 
@@ -534,6 +536,50 @@ func TestReplayArgUsesHistoricalValue(t *testing.T) {
 	if r.Stats.LogsEmitted != 2 {
 		t.Fatalf("replay honored wrong epoch count: %d logs", r.Stats.LogsEmitted)
 	}
+}
+
+// TestReplayerIterationContextReachesWAL: a flor.iteration context the
+// replayer allocates for an unrecorded (name, value) reaches the WAL beside
+// the rows logged under it, so recovery rebuilds the loops row they point at.
+func TestReplayerIterationContextReachesWAL(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "flor.wal")
+	wal, err := storage.OpenWAL(walPath, storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counter int64
+	r := NewReplayer(&Context{ProjID: "p", Filename: "f", Tstamp: 1, Tables: newTestTables(t), WAL: wal}, &counter)
+	if err := r.IterationBegin("doc", "a.txt"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Log("pages", int64(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.IterationEnd(); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.AppendCommit(&record.CommitRecord{Kind: record.KindCommit, ProjID: "p", Tstamp: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	got := newTestTables(t)
+	if _, err := storage.RecoverTables(walPath, got, nil, "", true, storage.RecoverHooks{}); err != nil {
+		t.Fatal(err)
+	}
+	logs := got.Logs.Rows()
+	if len(logs) != 1 {
+		t.Fatalf("recovered %d logs rows, want 1", len(logs))
+	}
+	ctxID := logs[0][3].AsInt()
+	for _, row := range got.Loops.Rows() {
+		if row[3].AsInt() == ctxID && row[5].AsText() == "doc" && row[6].AsInt() == -1 && row[7].AsText() == "a.txt" {
+			return
+		}
+	}
+	t.Fatalf("the logs row points at ctx %d, but recovery rebuilt no loops row for it: %v", ctxID, got.Loops.Rows())
 }
 
 func TestRecorderArgCoercion(t *testing.T) {

@@ -3,7 +3,6 @@ package replay
 import (
 	"strconv"
 	"sync/atomic"
-	"time"
 
 	"flordb/internal/record"
 	"flordb/internal/relation"
@@ -119,19 +118,8 @@ func (r *Replayer) resolveCtx(loopName string, iter int64, val script.Value) (in
 		return id, nil
 	}
 	id := r.allocCtx()
-	text, _ := formatScriptValue(val)
-	rec := &record.LoopRecord{
-		Kind: record.KindLoop, ProjID: r.Ctx.ProjID, Tstamp: r.Ctx.TstampNow(),
-		Filename: r.Ctx.Filename, CtxID: id, ParentCtxID: r.curCtx(),
-		LoopName: loopName, LoopIter: iter, IterValue: text, Wall: time.Now().UTC(),
-	}
-	if err := r.Ctx.Tables.Apply(rec); err != nil {
+	if err := r.Ctx.writeLoop(id, r.curCtx(), loopName, iter, val); err != nil {
 		return 0, err
-	}
-	if r.Ctx.WAL != nil {
-		if err := r.Ctx.WAL.Append(rec); err != nil {
-			return 0, err
-		}
 	}
 	r.ctxLookup[loopKey(r.curCtx(), loopName, iter)] = id
 	return id, nil
@@ -144,19 +132,8 @@ func (r *Replayer) Log(name string, v script.Value) (script.Value, error) {
 		r.Stats.LogsSuppressed++
 		return v, nil
 	}
-	text, vt := formatScriptValue(v)
-	rec := &record.LogRecord{
-		Kind: record.KindLog, ProjID: r.Ctx.ProjID, Tstamp: r.Ctx.TstampNow(),
-		Filename: r.Ctx.Filename, CtxID: r.curCtx(), ValueName: name,
-		Value: text, ValueType: vt, Wall: time.Now().UTC(),
-	}
-	if err := r.Ctx.Tables.Apply(rec); err != nil {
+	if err := r.Ctx.writeLog(r.curCtx(), name, v); err != nil {
 		return nil, err
-	}
-	if r.Ctx.WAL != nil {
-		if err := r.Ctx.WAL.Append(rec); err != nil {
-			return nil, err
-		}
 	}
 	r.Stats.LogsEmitted++
 	return v, nil
@@ -252,12 +229,7 @@ func (r *Replayer) IterationBegin(name string, val script.Value) error {
 	id, ok := r.ctxLookup[iterKey(r.curCtx(), name, text)]
 	if !ok {
 		id = r.allocCtx()
-		rec := &record.LoopRecord{
-			Kind: record.KindLoop, ProjID: r.Ctx.ProjID, Tstamp: r.Ctx.TstampNow(),
-			Filename: r.Ctx.Filename, CtxID: id, ParentCtxID: r.curCtx(),
-			LoopName: name, LoopIter: -1, IterValue: text, Wall: time.Now().UTC(),
-		}
-		if err := r.Ctx.Tables.Apply(rec); err != nil {
+		if err := r.Ctx.writeLoop(id, r.curCtx(), name, -1, val); err != nil {
 			return err
 		}
 		r.ctxLookup[iterKey(r.curCtx(), name, text)] = id

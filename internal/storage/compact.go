@@ -20,9 +20,9 @@ import (
 // built purely from immutable inputs (the previous snapshot and sealed
 // segments), so it is safe to run while other goroutines append to the
 // active file — they only contend on the brief Seal step. Crash-safety
-// follows the ordering invariants documented in the package comment: the
-// snapshot is written to a temp file and Installed (fsync, rename, directory
-// fsync) before anything is deleted. Every write goes through the WAL's FS.
+// follows the ordering invariants of DESIGN.md §7: the snapshot is written
+// to a temp file and Installed (fsync, rename, directory fsync) before
+// anything is deleted. Every write goes through the WAL's FS.
 type Compactor struct {
 	WAL        *WAL
 	Blobs      *BlobStore // optional; rehydrates obj_store rows for the snapshot
@@ -38,8 +38,8 @@ type Compactor struct {
 	// yet fetched and acked by a live follower, so compaction on the primary
 	// cannot race a slow follower out of its catch-up window. Segments with
 	// Seq >= RetainFloor() are kept; return MaxInt64 for "no constraint".
-	// Retained covered segments are redundant for recovery (invariant 3 in
-	// the package comment), so keeping them is pure space, never correctness.
+	// Retained covered segments are redundant for recovery (DESIGN.md §7,
+	// invariant 3), so keeping them is pure space, never correctness.
 	RetainFloor func() int64
 }
 
@@ -89,78 +89,45 @@ func (c *Compactor) Compact() (CompactStats, error) {
 	if len(segs) == 0 {
 		return stats, nil
 	}
-	upto := segs[len(segs)-1].Seq
 
 	// Base: the newest readable snapshot, so compaction replays only the
 	// delta since the last cycle. The cycle itself still costs O(live data)
 	// — the base snapshot is decoded and the merged state re-serialized —
-	// but never O(total history): deleted segments are gone for good.
+	// but never O(total history): deleted segments are gone for good. The
+	// fold is the log consumer recovery uses (recover.go): the same snapshot
+	// fallback and gap refusal, the same retention floor, one epoch per
+	// commit record, so AS OF answers survive compaction.
 	db := relation.NewDatabase()
 	tables, err := record.CreateTables(db)
 	if err != nil {
 		return stats, err
 	}
-	baseMeta, newestSeq, err := loadNewestSnapshot(walPath, tables)
+	st := State{DB: db, Tables: tables, Epochs: NewEpochIndex(), Blobs: c.Blobs, RootTarget: c.RootTarget}
+	base, upto, err := st.open(walPath)
 	if err != nil {
 		return stats, err
 	}
-	base, maxTs := baseMeta.Seq, baseMeta.MaxTstamp
-	if base < newestSeq {
-		// A newer snapshot exists but is unreadable. If its covered segments
-		// are gone, compacting from this base would bake the loss into a new
-		// snapshot; replaySealed's contiguity check below catches the gap,
-		// but fail early with the clearer diagnosis when nothing remains.
-		if len(segs) == 0 || segs[len(segs)-1].Seq < newestSeq {
-			return stats, fmt.Errorf("storage: snapshot covering segments 1..%d is unreadable and its segments were already compacted away; refusing to compact a partial database", newestSeq)
-		}
+	res, err := st.walk(walPath, base.Seq, upto, false, true)
+	if err != nil {
+		return stats, err
 	}
-
-	if base < upto {
-		// Epoch continuity: the fresh database starts at the base snapshot's
-		// committed epoch and advances once per replayed commit record —
-		// exactly the accounting the live session, recovery, and replica
-		// apply all use — so every delta row is stamped with the epoch it was
-		// originally committed under and AS OF answers survive compaction.
-		db.SetEpoch(baseMeta.Epoch)
-		epochs := NewEpochIndex()
-		epochs.Load(baseMeta.Epochs)
-		// The retention floor is the larger of what the base snapshot already
-		// folded and what the last GC run persisted: versions tombstoned at
-		// or below it are dropped from the new snapshot for good.
-		retention, err := ReadRetention(walPath)
-		if err != nil {
-			return stats, err
-		}
-		minEpoch := max(baseMeta.MinEpoch, retention.MinEpoch)
-		err = replaySealed(walPath, base, upto, func(rec any) error {
-			ts, err := ApplyRecovered(rec, tables, c.Blobs, c.RootTarget)
-			if err != nil {
-				return err
-			}
-			if ts > maxTs {
-				maxTs = ts
-			}
-			if cr, ok := rec.(*record.CommitRecord); ok {
-				epochs.Note(db.AdvanceEpoch(), cr.Wall)
-			}
-			return nil
-		})
-		if err != nil {
-			return stats, err
-		}
-		epochs.TrimBelow(minEpoch)
+	if base.Seq < upto {
+		// Versions tombstoned at or below the retention floor are dropped
+		// from the new snapshot for good.
+		floor := db.MinEpoch()
+		st.Epochs.TrimBelow(floor)
 		meta := record.SnapshotMeta{
-			Version: record.SnapshotVersion, Seq: upto, MaxTstamp: maxTs,
-			Epoch: db.Epoch(), MinEpoch: minEpoch, Epochs: epochs.Stamps(),
+			Version: record.SnapshotVersion, Seq: upto, MaxTstamp: max(base.MaxTstamp, res.MaxTstamp),
+			Epoch: db.Epoch(), MinEpoch: floor, Epochs: st.Epochs.Stamps(),
 		}
 		if err := c.writeSnapshot(walPath, meta, tables); err != nil {
 			return stats, err
 		}
 	}
-	// base >= upto happens only after a crash between snapshot install and
-	// segment delete: the snapshot already covers everything sealed, so all
-	// that is left is reclaiming space.
-	stats.SnapshotSeq = max(base, upto)
+	// A base covering upto happens only after a crash between snapshot
+	// install and segment delete: the snapshot already covers everything
+	// sealed, so all that is left is reclaiming space.
+	stats.SnapshotSeq = upto
 	stats.Rows = tables.Logs.Len() + tables.Loops.Len() + tables.Ts2vid.Len() +
 		tables.ObjStore.Len() + tables.Args.Len()
 

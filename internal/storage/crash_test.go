@@ -30,11 +30,24 @@ func fill(t *testing.T, w *storage.WAL, n, per int) {
 	}
 }
 
+// newState returns an empty storage.State over a fresh database.
+func newState(t *testing.T) storage.State {
+	t.Helper()
+	db := relation.NewDatabase()
+	tables, err := record.CreateTables(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return storage.State{DB: db, Tables: tables, Epochs: storage.NewEpochIndex()}
+}
+
 // TestRecoverFallsBackFromCorruptSnapshot kills a compaction of three sealed
 // segments at every step it performs, then corrupts the snapshot it left, if
 // any. While every segment survives, recovery must fall back to a full
 // replay of all six rows; once compaction has deleted one, it must refuse —
-// never answer with fewer rows.
+// never answer with fewer rows. A compaction over the same wreckage follows
+// the same rule: it folds all six rows into a loadable snapshot or refuses,
+// and no snapshot it leaves loads with fewer.
 func TestRecoverFallsBackFromCorruptSnapshot(t *testing.T) {
 	compact := func(fsys storage.FS) string {
 		path := filepath.Join(t.TempDir(), "flor.wal")
@@ -58,7 +71,7 @@ func TestRecoverFallsBackFromCorruptSnapshot(t *testing.T) {
 	points := storagetest.Points(rec.Trace())
 	t.Logf("%d kill points", len(points))
 
-	fellBack := 0
+	fellBack, folded, refused := 0, 0, 0
 	for _, p := range points {
 		path := compact(storagetest.Crash(p))
 		snaps, err := storage.ListSnapshots(path)
@@ -86,21 +99,63 @@ func TestRecoverFallsBackFromCorruptSnapshot(t *testing.T) {
 		}
 		res, err := storage.RecoverTables(path, tables, nil, "", true, storage.RecoverHooks{})
 		logs := tables.Logs.Len()
-		if len(segs) < 3 {
-			if err == nil {
-				t.Fatalf("%v: recovered %d rows over a corrupt snapshot and %d of 3 segments; want a refusal", p, logs, len(segs))
-			}
-			continue
-		}
-		if err != nil || res.SnapshotSeq != 0 || logs != 6 {
+		switch {
+		case len(segs) < 3 && err == nil:
+			t.Fatalf("%v: recovered %d rows over a corrupt snapshot and %d of 3 segments; want a refusal", p, logs, len(segs))
+		case len(segs) == 3 && (err != nil || res.SnapshotSeq != 0 || logs != 6):
 			t.Fatalf("%v: recovery = %d rows from snapshot %d, err %v; want all 6 by full replay", p, logs, res.SnapshotSeq, err)
-		}
-		if len(snaps) > 0 {
+		case len(segs) == 3 && len(snaps) > 0:
 			fellBack++
+		}
+
+		// Compaction arm, over the same wreckage.
+		w, err := storage.OpenWAL(path, storage.Options{SegmentBytes: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, cerr := (&storage.Compactor{WAL: w}).Compact()
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case len(segs) == 3 && cerr != nil:
+			t.Fatalf("%v: compaction over intact segments: %v", p, cerr)
+		case len(segs) > 0 && len(segs) < 3 && cerr == nil:
+			t.Fatalf("%v: compaction folded %d of 3 segments under a corrupt snapshot; want a refusal", p, len(segs))
+		case cerr != nil:
+			refused++
+		}
+		after, err := storage.ListSnapshots(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sf := range after {
+			data, err := os.ReadFile(sf.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables, err := record.CreateTables(relation.NewDatabase())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := record.ReadSnapshot(data, tables); err == nil && tables.Logs.Len() != 6 {
+				t.Fatalf("%v: compaction left snapshot %d holding %d rows; want 6", p, sf.Seq, tables.Logs.Len())
+			}
+		}
+		if len(segs) == 3 {
+			st := newState(t)
+			res, err := st.Recover(path, true)
+			if err != nil || res.SnapshotSeq != 3 || st.Tables.Logs.Len() != 6 {
+				t.Fatalf("%v: after compaction, recovery = %d rows from snapshot %d, err %v; want 6 from snapshot 3", p, st.Tables.Logs.Len(), res.SnapshotSeq, err)
+			}
+			folded++
 		}
 	}
 	if fellBack == 0 {
 		t.Fatal("no kill point left an installed snapshot beside intact segments")
+	}
+	if folded == 0 || refused == 0 {
+		t.Fatalf("compaction folded after %d kills and refused after %d: the matrix missed a case", folded, refused)
 	}
 }
 
@@ -113,7 +168,7 @@ func TestWriteRetentionKillAtEveryStep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.WriteRetention(storage.RetentionManifest{MinEpoch: 3}); err != nil {
+		if err := w.WriteRetention(3); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
@@ -121,7 +176,7 @@ func TestWriteRetentionKillAtEveryStep(t *testing.T) {
 		}
 		w, err = storage.OpenWAL(path, storage.Options{FS: fsys})
 		if err == nil {
-			_ = w.WriteRetention(storage.RetentionManifest{MinEpoch: 7})
+			_ = w.WriteRetention(7)
 			w.Close()
 		}
 		return path
@@ -129,18 +184,20 @@ func TestWriteRetentionKillAtEveryStep(t *testing.T) {
 	rec := storagetest.Recorder()
 	path := write(rec)
 	trace := rec.Trace()
-	if !storagetest.Installed(trace, storage.RetentionPath(path)) {
+	if !storagetest.Installed(trace, path+".retention") {
 		t.Fatalf("the manifest is not installed by fsync, rename, dir-fsync: %v", trace)
 	}
 	points := storagetest.Points(trace)
 	t.Logf("%d kill points", len(points))
 	floors := map[int64]int{}
 	for _, p := range append(points, storagetest.Point{}) {
-		m, err := storage.ReadRetention(write(storagetest.Crash(p)))
-		if err != nil || (m.MinEpoch != 3 && m.MinEpoch != 7) {
-			t.Fatalf("%v: ReadRetention = %+v, %v; want floor 3 or 7", p, m, err)
+		st := newState(t)
+		_, err := st.Recover(write(storagetest.Crash(p)), true)
+		floor := st.DB.MinEpoch()
+		if err != nil || (floor != 3 && floor != 7) {
+			t.Fatalf("%v: recovered floor %d, %v; want floor 3 or 7", p, floor, err)
 		}
-		floors[m.MinEpoch]++
+		floors[floor]++
 	}
 	if floors[3] == 0 || floors[7] == 0 {
 		t.Fatalf("floors seen %v: the matrix never crossed the rename", floors)

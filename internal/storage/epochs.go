@@ -25,8 +25,8 @@ type EpochIndex struct {
 // NewEpochIndex returns an empty index.
 func NewEpochIndex() *EpochIndex { return &EpochIndex{} }
 
-// Load replaces the index contents with stamps recovered from snapshot meta.
-func (x *EpochIndex) Load(stamps []record.EpochStamp) {
+// load replaces the index contents with stamps recovered from snapshot meta.
+func (x *EpochIndex) load(stamps []record.EpochStamp) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.stamps = append(x.stamps[:0], stamps...)
@@ -84,26 +84,26 @@ func (x *EpochIndex) Stamps() []record.EpochStamp {
 	return append([]record.EpochStamp(nil), x.stamps...)
 }
 
-// RetentionManifest is the small durable sidecar recording the epoch
-// retention floor chosen by the last GC run. Compaction reads it to fold
-// retired versions out of the next snapshot, and recovery reads it so a
-// restarted session refuses AS OF below the floor even before any
-// post-GC snapshot exists.
-type RetentionManifest struct {
+// retentionManifest is the small durable sidecar recording the epoch
+// retention floor chosen by the last GC run. The log consumer reads it into
+// every State it opens: compaction then folds retired versions out of the
+// next snapshot, and a restarted session refuses AS OF below the floor even
+// before any post-GC snapshot exists.
+type retentionManifest struct {
 	MinEpoch int64 `json:"min_epoch"`
 }
 
-// RetentionPath returns the manifest path for a WAL. The non-numeric suffix
+// retentionPath returns the manifest path for a WAL. The non-numeric suffix
 // keeps it invisible to the segment/snapshot listings.
-func RetentionPath(walPath string) string { return walPath + ".retention" }
+func retentionPath(walPath string) string { return walPath + ".retention" }
 
-// WriteRetention durably replaces the WAL's retention manifest through its
-// FS: WriteFileAtomic, the same temp, fsync, rename, directory-fsync install
-// as snapshots.
-func (w *WAL) WriteRetention(m RetentionManifest) error {
-	data, err := json.Marshal(m)
+// WriteRetention durably replaces the WAL's retention floor through its FS:
+// WriteFileAtomic, the same temp, fsync, rename, directory-fsync install as
+// snapshots.
+func (w *WAL) WriteRetention(floor int64) error {
+	data, err := json.Marshal(retentionManifest{MinEpoch: floor})
 	if err == nil {
-		err = WriteFileAtomic(w.fs, RetentionPath(w.path), data, true)
+		err = WriteFileAtomic(w.fs, retentionPath(w.path), data, true)
 	}
 	if err != nil {
 		return fmt.Errorf("storage: retention manifest: %w", err)
@@ -111,18 +111,19 @@ func (w *WAL) WriteRetention(m RetentionManifest) error {
 	return nil
 }
 
-// ReadRetention loads the retention manifest; a missing file is a zero floor.
-func ReadRetention(walPath string) (RetentionManifest, error) {
-	var m RetentionManifest
-	data, err := os.ReadFile(RetentionPath(walPath))
+// readRetention loads the persisted retention floor; a missing manifest is
+// floor 0.
+func readRetention(walPath string) (int64, error) {
+	var m retentionManifest
+	data, err := os.ReadFile(retentionPath(walPath))
 	if os.IsNotExist(err) {
-		return m, nil
+		return 0, nil
 	}
 	if err != nil {
-		return m, fmt.Errorf("storage: retention manifest: %w", err)
+		return 0, fmt.Errorf("storage: retention manifest: %w", err)
 	}
 	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("storage: retention manifest: %w", err)
+		return 0, fmt.Errorf("storage: retention manifest: %w", err)
 	}
-	return m, nil
+	return m.MinEpoch, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"flordb/internal/record"
-	"flordb/internal/relation"
 )
 
 // FuzzWALReplay writes arbitrary bytes as a WAL file and replays it in both
@@ -50,21 +49,15 @@ func FuzzWALReplay(f *testing.F) {
 		if errAll == nil && committed > all {
 			t.Fatalf("strict replay delivered more records (%d) than non-strict (%d)", committed, all)
 		}
-		// The segmented entry point must agree with single-file replay on a
-		// single-file log.
-		var segAll int
-		_, errSeg := ReplaySegments(path, 0, false, func(rec any) error { segAll++; return nil })
-		if (errSeg == nil) != (errAll == nil) || (errSeg == nil && segAll != all) {
-			t.Fatalf("ReplaySegments diverged: n=%d err=%v vs n=%d err=%v", segAll, errSeg, all, errAll)
+		// The one log consumer must agree with single-file replay on a
+		// single-file log: whatever replays also applies.
+		res, errRec := newState(t).Recover(path, false)
+		if (errRec == nil) != (errAll == nil) || (errRec == nil && res.Applied != all) {
+			t.Fatalf("Recover diverged: n=%d err=%v vs n=%d err=%v", res.Applied, errRec, all, errAll)
 		}
-		// Whatever replays must also apply: recovery into tables must not
-		// panic either.
+		// Strict recovery into tables must not panic either.
 		if errAll == nil {
-			tables, err := record.CreateTables(relation.NewDatabase())
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, _ = RecoverTables(path, tables, nil, "", true, RecoverHooks{})
+			_, _ = RecoverTables(path, newTables(t), nil, "", true, RecoverHooks{})
 		}
 	})
 }

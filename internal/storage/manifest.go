@@ -33,12 +33,6 @@ func FileCRC32C(path string) (crc uint32, size int64, err error) {
 	return h.Sum32(), n, nil
 }
 
-// CRC32C returns the CRC-32C (Castagnoli) checksum of a byte slice, for
-// verifying fetched payloads against a manifest entry.
-func CRC32C(data []byte) uint32 {
-	return crc32.Checksum(data, castagnoli)
-}
-
 // LockProject takes the exclusive per-project advisory lock that OpenWAL
 // would take, without opening the WAL for appending. Read-only replicas hold
 // it so that two processes cannot concurrently install segments into — or

@@ -8,43 +8,24 @@ import (
 	"flordb/internal/relation"
 )
 
-// ApplyRecovered applies one replayed WAL record to the tables with full
-// session semantics: commit records that carry a version id materialize
-// their ts2vid row, checkpoint records rehydrate obj_store from the blob
-// store, and everything else is shredded by Tables.Apply. It returns the
-// record's logical timestamp so callers can restore the version counter.
-func ApplyRecovered(rec any, tables *record.Tables, blobs *BlobStore, rootTarget string) (int64, error) {
-	switch r := rec.(type) {
-	case *record.CommitRecord:
-		if r.VID == "" {
-			return r.Tstamp, nil
-		}
-		_, err := tables.Ts2vid.Insert(relation.Row{
-			relation.Text(r.ProjID), relation.Int(r.Tstamp), relation.Int(r.Tstamp),
-			relation.Text(r.VID), relation.Text(rootTarget),
-		})
-		return r.Tstamp, err
-	case *record.CkptRecord:
-		if blobs != nil && blobs.Has(r.BlobKey) {
-			blob, err := blobs.Get(r.BlobKey)
-			if err != nil {
-				return r.Tstamp, err
-			}
-			return r.Tstamp, tables.PutBlob(r.ProjID, r.Tstamp, r.Filename, r.CtxID, r.Name, blob)
-		}
-		return r.Tstamp, nil
-	case *record.LogRecord:
-		return r.Tstamp, tables.Apply(rec)
-	case *record.LoopRecord:
-		return r.Tstamp, tables.Apply(rec)
-	case *record.ArgRecord:
-		return r.Tstamp, tables.Apply(rec)
-	default:
-		return 0, tables.Apply(rec)
-	}
+// State is what the log is rebuilt into: the tables, the database whose
+// epoch counter they share, and the epoch↔wall index behind AS OF
+// TIMESTAMP. Recovery, compaction and replica apply all rebuild a State
+// through the one consumer in this file, so the rules of reading the log
+// back — which snapshot, which segments, which records are visible, one
+// epoch per commit record — are written down once.
+type State struct {
+	DB     *relation.Database
+	Tables *record.Tables
+	Epochs *EpochIndex
+	// Blobs, when set, rehydrates obj_store rows from checkpoint records.
+	Blobs *BlobStore
+	// RootTarget is the ts2vid root_target of rows rebuilt from commit
+	// records that carry a version id.
+	RootTarget string
 }
 
-// RecoverResult reports what a snapshot-accelerated recovery did.
+// RecoverResult reports what a recovery did.
 type RecoverResult struct {
 	MaxTstamp   int64 // highest logical timestamp observed (snapshot + tail)
 	Applied     int   // WAL records replayed after the snapshot
@@ -53,109 +34,161 @@ type RecoverResult struct {
 	// file; the session truncates the file to it so the uncommitted tail
 	// cannot be resurrected by a later commit.
 	ActiveCommittedLen int64
-	// Meta is the meta block of the snapshot that was loaded (zero when
-	// recovery fell back to a full replay): the epoch state a session must
-	// restore before tail replay advances it further.
-	Meta record.SnapshotMeta
 }
 
-// RecoverHooks lets the session observe epoch-relevant recovery events.
-// Either hook may be nil.
-type RecoverHooks struct {
-	// AfterSnapshot fires once, after a base snapshot loads and before tail
-	// replay begins. The session positions the MVCC epoch counter, the
-	// retention floor, and the epoch↔timestamp map from the meta here, so
-	// rows replayed from the tail are stamped with the epochs they were
-	// originally committed under.
-	AfterSnapshot func(meta record.SnapshotMeta)
-	// OnCommit fires for each commit record replayed from the tail, after
-	// the commit's records (the commit record included) were applied. The
-	// session advances the MVCC epoch here — one epoch per commit record,
-	// the same accounting the live commit path and replica apply use — so a
-	// recovered database reaches exactly the epoch of the one that crashed.
-	OnCommit func(rec *record.CommitRecord)
+// RecoverHooks is the trailing parameter of RecoverTables. It carries
+// nothing: the epoch state recovery rebuilds is a State's, not a callback's.
+type RecoverHooks struct{}
+
+// Recover rebuilds st from the newest readable snapshot plus the WAL tail:
+// the sealed segments the snapshot does not cover, then the active file. A
+// corrupt or unreadable snapshot falls back to the previous one, and finally
+// to a full replay — but only while the segments covering the difference
+// still exist; a fallback across compacted history is an error rather than a
+// silently shrunken database. When strict is true, records after the last
+// commit in the stream are not applied.
+func (st State) Recover(walPath string, strict bool) (RecoverResult, error) {
+	meta, upto, err := st.open(walPath)
+	if err != nil {
+		return RecoverResult{}, err
+	}
+	res, err := st.walk(walPath, meta.Seq, upto, true, strict)
+	res.SnapshotSeq = meta.Seq
+	res.MaxTstamp = max(res.MaxTstamp, meta.MaxTstamp)
+	return res, err
 }
 
-// loadNewestSnapshot loads the newest readable snapshot into tables,
-// returning its coverage sequence and max tstamp (0, 0 when none loads).
-// Unreadable or corrupt snapshots are skipped; ReadSnapshot validates the
-// checksum and decodes fully before touching the tables, so a rejected
-// snapshot leaves them empty and the fallback starts clean. newestSeq
-// reports the coverage claimed by the newest snapshot *file*, loaded or not
-// — callers must verify the segments filling the gap up to it still exist
-// before trusting a fallback.
-func loadNewestSnapshot(walPath string, tables *record.Tables) (meta record.SnapshotMeta, newestSeq int64, err error) {
+// ApplySegment replays the sealed segment seq — installed under the WAL
+// directory by replication — into st and returns the highest logical
+// timestamp it carried. A sealed segment ends with a commit record, so a
+// torn final line or an uncommitted suffix means the file is truncated or
+// tampered with, and is an error.
+func (st State) ApplySegment(walPath string, seq int64) (int64, error) {
+	res, err := st.walk(walPath, seq-1, seq, false, true)
+	return res.MaxTstamp, err
+}
+
+// RecoverTables is Recover into tables alone, for callers that hold no
+// session (probes, tests): the epoch state is counted against a scratch
+// database and index, and dropped.
+func RecoverTables(walPath string, tables *record.Tables, blobs *BlobStore, rootTarget string, strict bool, _ RecoverHooks) (RecoverResult, error) {
+	st := State{DB: relation.NewDatabase(), Tables: tables, Epochs: NewEpochIndex(), Blobs: blobs, RootTarget: rootTarget}
+	return st.Recover(walPath, strict)
+}
+
+// open loads the newest readable snapshot into st.Tables and positions the
+// epoch state from it: the database epoch, the retention floor — the larger
+// of the snapshot's and the retention manifest's — and the epoch index. An
+// unreadable snapshot is skipped; ReadSnapshot decodes fully before touching
+// the tables, so a rejected one leaves them empty.
+//
+// It returns the loaded meta (zero when none loads) and upto, the last
+// sealed segment a walk from it must reach: the newest segment on disk, and
+// at least the coverage of the newest snapshot file, loaded or not. A
+// fallback past an unreadable snapshot whose segments were compacted away
+// thus meets a missing segment in walk and is refused.
+func (st State) open(walPath string) (meta record.SnapshotMeta, upto int64, err error) {
+	segs, err := ListSegments(walPath)
+	if err != nil {
+		return meta, 0, err
+	}
 	snaps, err := ListSnapshots(walPath)
 	if err != nil {
 		return meta, 0, err
 	}
+	if len(segs) > 0 {
+		upto = segs[len(segs)-1].Seq
+	}
 	if len(snaps) > 0 {
-		newestSeq = snaps[len(snaps)-1].Seq
+		upto = max(upto, snaps[len(snaps)-1].Seq)
 	}
 	for i := len(snaps) - 1; i >= 0; i-- {
 		data, rerr := os.ReadFile(snaps[i].Path)
 		if rerr != nil {
 			continue
 		}
-		m, rerr := record.ReadSnapshot(data, tables)
-		if rerr != nil {
-			continue
+		if m, rerr := record.ReadSnapshot(data, st.Tables); rerr == nil {
+			meta = m
+			break
 		}
-		return m, newestSeq, nil
 	}
-	return record.SnapshotMeta{}, newestSeq, nil
+	floor, err := readRetention(walPath)
+	if err != nil {
+		return meta, 0, err
+	}
+	st.DB.SetEpoch(meta.Epoch)
+	st.DB.SetMinEpoch(max(meta.MinEpoch, floor))
+	st.Epochs.load(meta.Epochs)
+	return meta, upto, nil
 }
 
-// RecoverTables rebuilds the tables from the newest valid snapshot plus the
-// WAL tail (segments the snapshot does not cover, then the active file). A
-// corrupt or unreadable snapshot falls back to the previous one, and finally
-// to a full replay of every segment — but only when the segments covering
-// the difference still exist; compaction deletes covered segments, so a
-// fallback across deleted history is reported as an error rather than a
-// silently shrunken database. When strict is true, records after the last
-// commit in the stream are not applied.
-func RecoverTables(walPath string, tables *record.Tables, blobs *BlobStore, rootTarget string, strict bool, hooks RecoverHooks) (RecoverResult, error) {
+// walk replays the sealed segments after+1..upto in order — each must
+// exist, so a gap in history is an error, never skipped — and then, when
+// active is set, the active file, whose torn final line is tolerated. With
+// strict set, records are held back until the commit that makes them
+// visible; a walk of sealed segments alone must end on a commit.
+func (st State) walk(walPath string, after, upto int64, active, strict bool) (RecoverResult, error) {
 	var res RecoverResult
-	meta, newestSeq, err := loadNewestSnapshot(walPath, tables)
-	if err != nil {
-		return res, err
-	}
-	seq := meta.Seq
-	res.SnapshotSeq = seq
-	res.MaxTstamp = meta.MaxTstamp
-	res.Meta = meta
-	if hooks.AfterSnapshot != nil {
-		hooks.AfterSnapshot(meta)
-	}
-	if seq < newestSeq {
-		// Fell back past the newest snapshot file: the records it covers are
-		// only recoverable if the sealed segments through newestSeq survive
-		// (ReplaySegments then checks they are gap-free from seq+1 onward).
-		segs, err := ListSegments(walPath)
-		if err != nil {
-			return res, err
-		}
-		if len(segs) == 0 || segs[len(segs)-1].Seq < newestSeq {
-			return res, fmt.Errorf("storage: snapshot covering segments 1..%d is unreadable and its segments were already compacted away; refusing to recover a partial database", newestSeq)
-		}
-	}
-	tail, err := ReplaySegments(walPath, res.SnapshotSeq, strict, func(rec any) error {
-		ts, err := ApplyRecovered(rec, tables, blobs, rootTarget)
+	rs := &replayState{strict: strict, fn: func(rec any) error {
+		ts, err := st.apply(rec)
 		if err != nil {
 			return err
 		}
 		res.Applied++
-		if ts > res.MaxTstamp {
-			res.MaxTstamp = ts
-		}
-		if cr, ok := rec.(*record.CommitRecord); ok && hooks.OnCommit != nil {
-			hooks.OnCommit(cr)
-		}
+		res.MaxTstamp = max(res.MaxTstamp, ts)
 		return nil
-	})
-	if err != nil {
+	}}
+	for seq := after + 1; seq <= upto; seq++ {
+		if _, err := replayFile(SegmentPath(walPath, seq), false, rs); err != nil {
+			return res, err
+		}
+	}
+	if active {
+		n, err := replayFile(walPath, true, rs)
+		res.ActiveCommittedLen = n
 		return res, err
 	}
-	res.ActiveCommittedLen = tail.ActiveCommittedLen
+	if len(rs.buf) > 0 {
+		return res, fmt.Errorf("storage: sealed segments %d..%d end with %d uncommitted record(s); refusing to apply them", after+1, upto, len(rs.buf))
+	}
 	return res, nil
+}
+
+// apply applies one replayed record to st and returns its logical
+// timestamp. A commit record materializes its ts2vid row when it carries a
+// version id and publishes one epoch, stamped with its wall clock — the same
+// accounting the live commit path uses, so a rebuilt database counts exactly
+// the commit records of its history. A checkpoint record rehydrates obj_store
+// from the blob store; everything else is shredded by Tables.Apply.
+func (st State) apply(rec any) (int64, error) {
+	switch r := rec.(type) {
+	case *record.CommitRecord:
+		if r.VID != "" {
+			if _, err := st.Tables.Ts2vid.Insert(relation.Row{
+				relation.Text(r.ProjID), relation.Int(r.Tstamp), relation.Int(r.Tstamp),
+				relation.Text(r.VID), relation.Text(st.RootTarget),
+			}); err != nil {
+				return r.Tstamp, err
+			}
+		}
+		st.Epochs.Note(st.DB.AdvanceEpoch(), r.Wall)
+		return r.Tstamp, nil
+	case *record.CkptRecord:
+		if st.Blobs != nil && st.Blobs.Has(r.BlobKey) {
+			blob, err := st.Blobs.Get(r.BlobKey)
+			if err != nil {
+				return r.Tstamp, err
+			}
+			return r.Tstamp, st.Tables.PutBlob(r.ProjID, r.Tstamp, r.Filename, r.CtxID, r.Name, blob)
+		}
+		return r.Tstamp, nil
+	case *record.LogRecord:
+		return r.Tstamp, st.Tables.Apply(rec)
+	case *record.LoopRecord:
+		return r.Tstamp, st.Tables.Apply(rec)
+	case *record.ArgRecord:
+		return r.Tstamp, st.Tables.Apply(rec)
+	default:
+		return 0, st.Tables.Apply(rec)
+	}
 }

@@ -46,13 +46,18 @@ func (st *replayState) emit(rec any) error {
 // It returns the byte offset just past the last commit record in the file
 // (0 if the file holds none), which recovery uses to truncate the
 // uncommitted tail of the active file.
+//
+// A missing sealed segment is the one segment-contiguity check: walks name
+// every sequence of their range, so a hole in history — a segment deleted by
+// a compaction under a snapshot that no longer loads, or never installed —
+// surfaces here instead of being replayed around.
 func replayFile(path string, tornOK bool, st *replayState) (committedLen int64, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		if tornOK {
 			return 0, nil
 		}
-		return 0, fmt.Errorf("storage: missing wal segment %s", path)
+		return 0, fmt.Errorf("storage: wal segment gap: %s is missing; refusing to rebuild state around lost history", path)
 	}
 	if err != nil {
 		return 0, fmt.Errorf("storage: open for replay: %w", err)
@@ -129,95 +134,4 @@ func Replay(path string, strictCommits bool, fn func(rec any) error) error {
 	st := &replayState{strict: strictCommits, fn: fn}
 	_, err := replayFile(path, true, st)
 	return err
-}
-
-// TailStats describes the active file's commit boundary after a replay.
-type TailStats struct {
-	// ActiveCommittedLen is the length of the committed prefix of the active
-	// file: the byte offset just past its last commit record, or 0 when the
-	// active file holds no commit. Everything after it is the uncommitted
-	// (possibly torn) tail.
-	ActiveCommittedLen int64
-}
-
-// ReplaySegments replays the segmented WAL rooted at walPath as one logical
-// stream: sealed segments with sequence > afterSeq in ascending order, then
-// the active file. strictCommits applies across the whole stream — a record
-// near the end of one segment is made visible by a commit early in the next.
-//
-// Segments above afterSeq must be contiguous starting at afterSeq+1: a gap
-// means history the caller's snapshot does not cover was deleted (normally
-// by a compaction under a newer snapshot that failed to load), and replaying
-// around it would silently drop committed data, so it is an error instead.
-func ReplaySegments(walPath string, afterSeq int64, strictCommits bool, fn func(rec any) error) (TailStats, error) {
-	segs, err := ListSegments(walPath)
-	if err != nil {
-		return TailStats{}, err
-	}
-	st := &replayState{strict: strictCommits, fn: fn}
-	expect := afterSeq + 1
-	for _, sg := range segs {
-		if sg.Seq <= afterSeq {
-			continue
-		}
-		if sg.Seq != expect {
-			return TailStats{}, fmt.Errorf("storage: wal segment gap: next sealed segment is %d, want %d — history after snapshot %d is incomplete", sg.Seq, expect, afterSeq)
-		}
-		expect++
-		if _, err := replayFile(sg.Path, false, st); err != nil {
-			return TailStats{}, err
-		}
-	}
-	committedLen, err := replayFile(walPath, true, st)
-	if err != nil {
-		return TailStats{}, err
-	}
-	return TailStats{ActiveCommittedLen: committedLen}, nil
-}
-
-// ReplaySealedSegment replays one sealed segment file in strict commit mode.
-// Rotation only happens at commit boundaries, so a sealed segment always ends
-// with a commit record; a torn final line or a leftover uncommitted suffix
-// means the file is truncated or tampered with and is an error, never
-// silently skipped. Replication uses this to apply a shipped segment into a
-// replica's tables.
-func ReplaySealedSegment(path string, fn func(rec any) error) error {
-	st := &replayState{strict: true, fn: fn}
-	if _, err := replayFile(path, false, st); err != nil {
-		return err
-	}
-	if len(st.buf) > 0 {
-		return fmt.Errorf("storage: sealed segment %s ends with %d uncommitted record(s); refusing to apply", path, len(st.buf))
-	}
-	return nil
-}
-
-// replaySealed replays only the sealed segments in (afterSeq, uptoSeq] —
-// what compaction folds into a snapshot. Every sealed segment ends with a
-// commit record (rotation happens only at commit boundaries), so a leftover
-// uncommitted suffix means the segment files were tampered with; compaction
-// must not build a snapshot that silently drops it.
-func replaySealed(walPath string, afterSeq, uptoSeq int64, fn func(rec any) error) error {
-	segs, err := ListSegments(walPath)
-	if err != nil {
-		return err
-	}
-	st := &replayState{strict: true, fn: fn}
-	expect := afterSeq + 1
-	for _, sg := range segs {
-		if sg.Seq <= afterSeq || sg.Seq > uptoSeq {
-			continue
-		}
-		if sg.Seq != expect {
-			return fmt.Errorf("storage: wal segment gap: next sealed segment is %d, want %d — refusing to compact over missing history", sg.Seq, expect)
-		}
-		expect++
-		if _, err := replayFile(sg.Path, false, st); err != nil {
-			return err
-		}
-	}
-	if len(st.buf) > 0 {
-		return fmt.Errorf("storage: sealed segments end with %d uncommitted record(s); refusing to compact", len(st.buf))
-	}
-	return nil
 }

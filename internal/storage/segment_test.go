@@ -11,11 +11,18 @@ import (
 
 func newTables(t *testing.T) *record.Tables {
 	t.Helper()
-	tables, err := record.CreateTables(relation.NewDatabase())
+	return newState(t).Tables
+}
+
+// newState returns an empty State over a fresh database.
+func newState(t *testing.T) State {
+	t.Helper()
+	db := relation.NewDatabase()
+	tables, err := record.CreateTables(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tables
+	return State{DB: db, Tables: tables, Epochs: NewEpochIndex()}
 }
 
 // fillCommits appends n transactions of `per` log records each, committing
@@ -65,17 +72,17 @@ func TestWALRotatesAtCommitBoundary(t *testing.T) {
 		}
 	}
 	// The full stream is intact across segments.
-	var n int
-	if _, err := ReplaySegments(path, 0, false, func(rec any) error { n++; return nil }); err != nil {
+	res, err := RecoverTables(path, newTables(t), nil, "", false, RecoverHooks{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 5*3+5 {
-		t.Fatalf("replayed %d records, want %d", n, 5*3+5)
+	if res.Applied != 5*3+5 {
+		t.Fatalf("replayed %d records, want %d", res.Applied, 5*3+5)
 	}
 	w.Close()
 }
 
-func TestReplaySegmentsStrictAcrossFiles(t *testing.T) {
+func TestRecoverStrictAcrossSegments(t *testing.T) {
 	path := walPath(t)
 	w, _ := OpenWAL(path, Options{SegmentBytes: 1}) // rotate after every commit
 	fillCommits(t, w, 2, 2)
@@ -83,20 +90,20 @@ func TestReplaySegmentsStrictAcrossFiles(t *testing.T) {
 	w.Append(logRec(9, "tail", "t"))
 	w.Close()
 
-	var all, committed int
-	stats, err := ReplaySegments(path, 0, false, func(rec any) error { all++; return nil })
+	all, err := RecoverTables(path, newTables(t), nil, "", false, RecoverHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReplaySegments(path, 0, true, func(rec any) error { committed++; return nil }); err != nil {
+	committed, err := RecoverTables(path, newTables(t), nil, "", true, RecoverHooks{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if all != 7 || committed != 6 {
-		t.Fatalf("all=%d committed=%d", all, committed)
+	if all.Applied != 7 || committed.Applied != 6 {
+		t.Fatalf("all=%d committed=%d", all.Applied, committed.Applied)
 	}
 	// The active file holds only the uncommitted record: no commit, len 0.
-	if stats.ActiveCommittedLen != 0 {
-		t.Fatalf("ActiveCommittedLen = %d, want 0", stats.ActiveCommittedLen)
+	if all.ActiveCommittedLen != 0 {
+		t.Fatalf("ActiveCommittedLen = %d, want 0", all.ActiveCommittedLen)
 	}
 }
 
@@ -130,7 +137,7 @@ func TestTruncateDropsTail(t *testing.T) {
 	path := walPath(t)
 	w, _ := OpenWAL(path, Options{})
 	fillCommits(t, w, 1, 1)
-	stats, err := ReplaySegments(path, 0, true, func(any) error { return nil })
+	stats, err := RecoverTables(path, newTables(t), nil, "", true, RecoverHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +318,10 @@ func TestListNumberedIgnoresForeignFiles(t *testing.T) {
 	}
 }
 
-func TestReplaySegmentsDetectsGap(t *testing.T) {
+// TestSegmentGapRefused: a hole in the middle of the sealed segments fails
+// the walk, recovery and compaction alike — none of them replays around it,
+// and compaction installs no snapshot that would bake the loss in.
+func TestSegmentGapRefused(t *testing.T) {
 	path := walPath(t)
 	w, _ := OpenWAL(path, Options{SegmentBytes: 1})
 	fillCommits(t, w, 3, 1)
@@ -321,12 +331,26 @@ func TestReplaySegmentsDetectsGap(t *testing.T) {
 		t.Fatalf("segments = %d", len(segs))
 	}
 	os.Remove(segs[1].Path) // hole in the middle of history
-	if _, err := ReplaySegments(path, 0, true, func(any) error { return nil }); err == nil {
+	if _, err := newState(t).walk(path, 0, 3, false, true); err == nil {
 		t.Fatal("segment gap must fail replay, not silently drop history")
 	}
 	got := newTables(t)
 	if _, err := RecoverTables(path, got, nil, "", true, RecoverHooks{}); err == nil {
 		t.Fatal("recovery across a segment gap must error")
+	}
+	w2, err := OpenWAL(path, Options{SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if _, err := (&Compactor{WAL: w2}).Compact(); err == nil {
+		t.Fatal("compaction across a segment gap must error")
+	}
+	if snaps, _ := ListSnapshots(path); len(snaps) != 0 {
+		t.Fatalf("compaction installed %v over a segment gap", snaps)
+	}
+	if segs, _ := ListSegments(path); len(segs) != 2 {
+		t.Fatalf("compaction deleted segments around a gap: %v", segs)
 	}
 }
 

@@ -1,32 +1,16 @@
 // Package storage provides durability for FlorDB's metadata: an append-only
 // write-ahead log of JSONL records with group commit and size-based
-// segmentation, table snapshots that cover a WAL prefix, and recovery that
-// rebuilds the relational tables from the newest snapshot plus the WAL tail.
+// segmentation, table snapshots that cover a WAL prefix, and the one log
+// consumer (recover.go) through which recovery, compaction and replica apply
+// rebuild state from the newest snapshot plus the WAL tail.
 //
 // The paper's flor.commit() is realized here as a WAL flush boundary: a
 // commit record is appended and the file is synced, making everything up to
 // the commit visible to future sessions (§2.1 "application-level transaction
 // commit marker supporting visibility control").
 //
-// File layout (all next to the active WAL file, typically <dir>/.flor):
-//
-//	flor.wal                  active segment, the only file ever appended to
-//	flor.wal.000000001        sealed segments, immutable, ascending sequence
-//	flor.wal.snap.000000004   table snapshot covering segments 1..4
-//
-// Crash-ordering invariants:
-//
-//  1. Rotation happens only at a commit boundary, so every sealed segment
-//     ends with a commit record. The uncommitted tail of the log therefore
-//     lives entirely in the active file, where recovery can truncate it.
-//  2. Snapshots are written to a temp file and published by Install (fsync,
-//     rename, directory fsync) before any covered segment is deleted; a
-//     crash at any point leaves either the old state (snapshot absent,
-//     segments intact) or the new state (snapshot present, segments
-//     redundant but harmless).
-//  3. Recovery skips segments a loaded snapshot covers; replaying a covered
-//     segment never happens, so the delete in compaction is pure space
-//     reclamation, not a correctness step.
+// The file layout next to the active WAL file and the crash-ordering
+// invariants every write here keeps are in DESIGN.md §7.
 package storage
 
 import (
