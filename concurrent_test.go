@@ -471,6 +471,56 @@ func TestConcurrentReadersNeverSeeWriterNoise(t *testing.T) {
 	writer.Wait()
 }
 
+// TestConcurrentCommitsStampEveryEpoch: eight goroutines log and commit at
+// once without fsyncs, so commits publish in whatever order they finish.
+// The live session must end with exactly one stamp per epoch and one epoch
+// per acknowledged commit — the map AS OF TIMESTAMP resolves against, and
+// what a reopened project rebuilds from the log. Stamping apart from the
+// advance loses a stamp whenever two commits publish out of order.
+func TestConcurrentCommitsStampEveryEpoch(t *testing.T) {
+	const workers, each, rounds = 8, 50, 20
+	for round := 0; round < rounds && !t.Failed(); round++ {
+		s, err := Open(t.TempDir(), "proj", Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		var acked atomic.Int64
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					s.Log("step", g*each+i)
+					if err := s.Commit(""); err != nil {
+						t.Errorf("worker %d commit %d: %v", g, i, err)
+						return
+					}
+					acked.Add(1)
+				}
+			}(g)
+		}
+		wg.Wait()
+		epoch := s.Database().Epoch()
+		stamps := s.Database().EpochStamps()
+		if epoch != acked.Load() {
+			t.Errorf("round %d: epoch %d, %d commits were acknowledged", round, epoch, acked.Load())
+		}
+		if int64(len(stamps)) != epoch {
+			t.Errorf("round %d: %d stamps for %d epochs", round, len(stamps), epoch)
+		}
+		for i, st := range stamps {
+			if st.Epoch != int64(i+1) || (i > 0 && st.Wall < stamps[i-1].Wall) {
+				t.Errorf("round %d: stamp %d is %+v after %+v", round, i, st, stamps[max(i-1, 0)])
+				break
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestConcurrentStagedCommitsEachKeepAVersion: eight goroutines stage and
 // commit at once. Commit journals versions outside s.mu and one caller's Save
 // persists every pending version, so whichever goroutine does the append a

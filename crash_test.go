@@ -459,7 +459,7 @@ func TestSnapshotPlusTailEqualsFullReplayProperty(t *testing.T) {
 			if _, err := a.Compact(); err != nil {
 				t.Fatal(err)
 			}
-			stampsA, stampsB := a.EpochStamps(), b.EpochStamps()
+			stampsA, stampsB := a.Database().EpochStamps(), b.Database().EpochStamps()
 			a.Close()
 			b.Close()
 
@@ -485,6 +485,14 @@ func TestSnapshotPlusTailEqualsFullReplayProperty(t *testing.T) {
 			// stamp must resolve to the same state on both sides.
 			if len(stampsA) != len(stampsB) {
 				t.Fatalf("stamps diverged: %d vs %d", len(stampsA), len(stampsB))
+			}
+			// Each recovered session holds exactly the stamps its live one
+			// published, whether from a snapshot or the log.
+			if got := fmt.Sprint(ra.Database().EpochStamps()); got != fmt.Sprint(stampsA) {
+				t.Fatalf("snapshot+tail recovered stamps %s, live %v", got, stampsA)
+			}
+			if got := fmt.Sprint(rb.Database().EpochStamps()); got != fmt.Sprint(stampsB) {
+				t.Fatalf("full replay recovered stamps %s, live %v", got, stampsB)
 			}
 			for i := range stampsA {
 				assertSameRows(t, fmt.Sprintf("AS OF TIMESTAMP of commit %d", stampsA[i].Epoch),
@@ -774,6 +782,21 @@ func TestProjectWrittenBeforeTheJournalOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(s)
+	// The MVCC clock rebuilt from the log: one epoch per commit record,
+	// stamped with that record's own wall time.
+	stamps := s.Database().EpochStamps()
+	if got := s.Database().Epoch(); got != 3 || len(stamps) != 3 {
+		t.Fatalf("epoch %d with stamps %v, want 3 of each", got, stamps)
+	}
+	for i, wall := range []string{"2026-09-27T06:29:07.207913481Z", "2026-09-27T06:29:07.209255597Z", "2026-09-27T06:29:07.210345855Z"} {
+		ts, err := time.Parse(time.RFC3339Nano, wall)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (relation.EpochStamp{Epoch: int64(i + 1), Wall: ts.UnixNano()}); stamps[i] != want {
+			t.Fatalf("stamp %d = %+v, want %+v", i, stamps[i], want)
+		}
+	}
 	want = append(want, "lr = 0.001\n")
 	s.SetFilename("train.flow")
 	s.StageFile("train.flow", want[3])

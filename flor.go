@@ -104,13 +104,11 @@ type Session struct {
 	workspace map[string]string // filename -> contents staged for commit
 	hosts     map[string]script.HostFunc
 	cliArgs   map[string]string
-	rootTgt   string
 	stdout    io.Writer
 	plans     *sqlparse.PlanCache
-	epochs    *storage.EpochIndex // epoch↔commit-timestamp map for AS OF TIMESTAMP
-	gcRows    atomic.Int64        // row versions reclaimed by GCEpochs since open
-	scanWkrs  int                 // Options.ScanWorkers (0 = GOMAXPROCS)
-	reg       *metrics.Registry   // the one telemetry registry; every layer registers into it
+	gcRows    atomic.Int64      // row versions reclaimed by GCEpochs since open
+	scanWkrs  int               // Options.ScanWorkers (0 = GOMAXPROCS)
+	reg       *metrics.Registry // the one telemetry registry; every layer registers into it
 
 	// Lifecycle: begin/end bracket every public operation so Close can
 	// refuse new work (ErrClosed) and drain what is in flight before
@@ -306,7 +304,6 @@ func newSession(projid, dir string, wal *storage.WAL, walPath string, readOnly b
 		cliArgs:   opts.Args,
 		stdout:    opts.Stdout,
 		plans:     sqlparse.NewPlanCache(0),
-		epochs:    storage.NewEpochIndex(),
 		scanWkrs:  opts.ScanWorkers,
 		reg:       metrics.NewRegistry(),
 	}
@@ -377,10 +374,10 @@ func newSession(projid, dir string, wal *storage.WAL, walPath string, readOnly b
 }
 
 // state is the session's in-memory state as the storage log consumer
-// rebuilds it: tables, database epoch and retention floor, the AS OF
-// TIMESTAMP index.
+// rebuilds it and the commit arm publishes into: the tables and the database
+// whose MVCC clock they share.
 func (s *Session) state() storage.State {
-	return storage.State{DB: s.db, Tables: s.tables, Epochs: s.epochs, Blobs: s.blobs, RootTarget: s.rootTgt}
+	return storage.State{DB: s.db, Tables: s.tables, Blobs: s.blobs}
 }
 
 // recover rebuilds the session's state from the newest valid snapshot plus
@@ -603,9 +600,9 @@ func (s *Session) StageFile(name, contents string) {
 }
 
 // Commit is flor.commit(): it snapshots the staged workspace into the
-// version store, writes the ts2vid row, appends a durable commit record,
-// increments the logical timestamp, and publishes the epoch so committed
-// snapshots see the transaction (§2.1).
+// version store, appends a durable commit record, increments the logical
+// timestamp, and publishes the record — its ts2vid row and a stamped epoch —
+// so committed snapshots see the transaction (§2.1).
 //
 // All disk work happens outside the session mutex, journal first: the
 // version is fsynced into repo.json strictly before the WAL commit record
@@ -635,21 +632,12 @@ func (s *Session) Commit(message string) error {
 			return err
 		}
 		vid = v
-		if _, err := s.tables.Ts2vid.Insert(relation.Row{
-			relation.Text(s.ProjID), relation.Int(s.tstamp), relation.Int(s.tstamp),
-			relation.Text(vid), relation.Text(s.rootTgt),
-		}); err != nil {
-			s.mu.Unlock()
-			return err
-		}
 	}
-	var rec *record.CommitRecord
-	if s.wal != nil {
-		rec = &record.CommitRecord{
-			Kind: record.KindCommit, ProjID: s.ProjID, Tstamp: s.tstamp,
-			VID: vid, Wall: time.Now().UTC(),
-		}
+	rec := &record.CommitRecord{
+		Kind: record.KindCommit, ProjID: s.ProjID, Tstamp: s.tstamp,
+		VID: vid, Wall: time.Now().UTC(),
 	}
+	wal := s.wal
 	s.tstamp++
 	s.recorder.Ctx.SetTstamp(s.tstamp)
 	s.mu.Unlock()
@@ -662,24 +650,22 @@ func (s *Session) Commit(message string) error {
 			return err
 		}
 	}
-	if rec != nil {
+	if wal != nil {
 		// Group commit: append under the WAL's short lock, then ride a
 		// shared fsync with any other committers in flight.
-		if err := s.wal.AppendCommit(rec); err != nil {
+		if err := wal.AppendCommit(rec); err != nil {
 			return err
 		}
 	}
-	// Publish the commit boundary: rows logged before this point become
-	// visible to committed-epoch snapshots taken from now on. The epoch's
-	// commit wall clock feeds AS OF TIMESTAMP resolution; it uses the WAL
-	// record's stamp so replay reconstructs the same map.
-	wall := time.Now().UTC()
-	if rec != nil {
-		wall = rec.Wall
+	// Publish the commit boundary through the log consumer's commit arm,
+	// which replay reaches for the same record: the ts2vid row, then an
+	// epoch stamped with the record's wall clock. Rows logged before this
+	// point become visible to committed-epoch snapshots taken from now on.
+	if err := s.state().Publish(rec); err != nil {
+		return err
 	}
-	s.epochs.Note(s.db.AdvanceEpoch(), wall)
 
-	if s.wal != nil && s.snapEvery > 0 {
+	if wal != nil && s.snapEvery > 0 {
 		s.mu.Lock()
 		s.sinceSnap++
 		if s.sinceSnap >= s.snapEvery {
@@ -722,7 +708,7 @@ func (s *Session) compactLocked() (storage.CompactStats, error) {
 		return storage.CompactStats{}, fmt.Errorf("flor: in-memory session has no WAL to compact")
 	}
 	c := &storage.Compactor{
-		WAL: s.wal, Blobs: s.blobs, RootTarget: s.rootTgt,
+		WAL: s.wal, Blobs: s.blobs,
 		RetainSegments: s.retainSeg, RetainFloor: s.ackFloor,
 	}
 	return c.Compact()
@@ -796,7 +782,6 @@ func (s *Session) GCEpochs() (GCStats, error) {
 	}
 	reclaimed, applied := s.db.GCBelow(floor)
 	s.gcRows.Add(int64(reclaimed))
-	s.epochs.TrimBelow(applied)
 	if w := s.currentWAL(); w != nil {
 		if err := w.WriteRetention(applied); err != nil {
 			return GCStats{Floor: applied, RowsReclaimed: reclaimed}, err
@@ -1005,44 +990,19 @@ func (v *SnapshotView) Close() error {
 // the session's LRU plan cache. An `AS OF <epoch>` clause rebases the query
 // at the historical epoch (failing with ErrEpochRetired below the retention
 // floor); `AS OF TIMESTAMP '<ts>'` first resolves the timestamp to the
-// greatest epoch committed at or before it via the session's persisted
-// epoch↔timestamp map.
+// greatest epoch committed at or before it, no later than the view's pin,
+// through the database's MVCC clock.
 func (v *SnapshotView) SQL(query string) (*sqlparse.Result, error) {
 	stmt, err := v.sess.plans.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	return sqlparse.ExecuteOptions(v.snap, v.resolveAsOf(stmt), v.sess.execOptions())
+	return sqlparse.ExecuteOptions(v.snap, stmt, v.sess.execOptions())
 }
 
 // execOptions resolves the session's execution tuning.
 func (s *Session) execOptions() sqlparse.ExecOptions {
 	return sqlparse.ExecOptions{ScanWorkers: s.scanWkrs}
-}
-
-// resolveAsOf rewrites an AS OF TIMESTAMP statement into epoch form using the
-// session's epoch↔timestamp map. Cached statements are immutable, so the
-// rewrite is a shallow copy. Timestamps before every retained commit resolve
-// to epoch 0 (the empty database) when nothing was retired, and to a retired
-// epoch — which the executor then refuses with ErrEpochRetired — when the GC
-// has trimmed history from under the timestamp.
-func (v *SnapshotView) resolveAsOf(stmt *sqlparse.SelectStmt) *sqlparse.SelectStmt {
-	if stmt.AsOf == nil || !stmt.AsOf.ByTime {
-		return stmt
-	}
-	epoch, ok := v.sess.epochs.Resolve(stmt.AsOf.Time)
-	if !ok {
-		if floor := v.sess.db.MinEpoch(); floor > 0 {
-			epoch = floor - 1
-		}
-	}
-	if pinned := v.snap.Epoch(); epoch > pinned {
-		// Commits after this view was pinned cannot be visible through it.
-		epoch = pinned
-	}
-	clone := *stmt
-	clone.AsOf = &sqlparse.AsOfClause{Epoch: epoch}
-	return &clone
 }
 
 // Explain returns the plan the planner chooses for the query against the
@@ -1052,7 +1012,6 @@ func (v *SnapshotView) Explain(query string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	stmt = v.resolveAsOf(stmt)
 	if !stmt.Explain {
 		// The cached statement is never mutated: a shallow copy carries the
 		// flag.
@@ -1285,12 +1244,13 @@ func (s *Session) Hindsight(filename, newSrc string, targets []int) ([]Hindsight
 	// caller's next Commit instead.
 	tailWasCommitted := s.wal != nil && s.wal.TailCommitted()
 	reports, err := d.Hindsight(filename, newSrc, versions, targets)
-	if err == nil && s.wal != nil && tailWasCommitted {
+	if err == nil && tailWasCommitted {
 		// Tstamp s.tstamp-1 keeps the recovered version counter equal to the
 		// live one (commit markers do not open a new version). s.mu only
 		// guards the tstamp read: the fsync inside AppendCommit happens
 		// after the unlock, per the group-commit ordering rule (DESIGN §8)
-		// that lockfsync enforces.
+		// that lockfsync enforces. The marker is a commit boundary: it
+		// publishes the backfilled rows to committed-epoch readers too.
 		s.mu.Lock()
 		mark := &record.CommitRecord{
 			Kind: record.KindCommit, ProjID: s.ProjID,
@@ -1300,9 +1260,9 @@ func (s *Session) Hindsight(filename, newSrc string, targets []int) ([]Hindsight
 		if werr := s.wal.AppendCommit(mark); werr != nil {
 			return reports, werr
 		}
-		// The marker is a commit boundary: publish the backfilled rows to
-		// committed-epoch snapshot readers as well.
-		s.epochs.Note(s.db.AdvanceEpoch(), mark.Wall)
+		if perr := s.state().Publish(mark); perr != nil {
+			return reports, perr
+		}
 	}
 	return reports, err
 }

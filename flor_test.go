@@ -3,6 +3,7 @@ package flor
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -434,14 +435,43 @@ func TestDurableSessionRecovery(t *testing.T) {
 	if res.Rows[0][0].AsInt() != 3 {
 		t.Fatalf("recovered checkpoints: %v", res.Rows)
 	}
-	// Hindsight works across the restart.
+	// Hindsight works across the restart, and its commit marker publishes
+	// exactly one epoch.
 	registerCounterHosts(s2)
+	epochBefore := s2.Database().Epoch()
 	reports, err := s2.Hindsight("train.flow", sessTrainSrcWithNorm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reports[0].Err != nil || reports[0].Stats.LogsEmitted != 3 {
 		t.Fatalf("post-recovery hindsight: %+v", reports[0])
+	}
+	epoch, stamps := s2.Database().Epoch(), fmt.Sprint(s2.Database().EpochStamps())
+	if epoch != epochBefore+1 {
+		t.Fatalf("hindsight marker moved the epoch %d -> %d, want +1", epochBefore, epoch)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A third open rebuilds the same clock and the backfilled rows.
+	s3, err := Open(dir, "proj", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if got := s3.Database().Epoch(); got != epoch {
+		t.Fatalf("reopened epoch %d, live was %d", got, epoch)
+	}
+	if got := fmt.Sprint(s3.Database().EpochStamps()); got != stamps {
+		t.Fatalf("reopened stamps %s, live were %s", got, stamps)
+	}
+	res, err = s3.SQL("SELECT count(*) AS n FROM logs WHERE value_name = 'norm'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0][0].AsInt(); got != 3 {
+		t.Fatalf("reopened project holds %d backfilled norm rows, want 3", got)
 	}
 }
 

@@ -1,17 +1,19 @@
 // Package epochorder defines an Analyzer that enforces the MVCC
-// publication order of DESIGN §8: within one function, the epoch
-// advance that publishes a commit (AdvanceEpoch) must come strictly
-// after the commit's durability point (WAL.AppendCommit). Advancing
-// first would let committed-epoch snapshot readers observe rows whose
-// commit record is not yet on disk — a crash in the window makes a
-// state that was served to clients disappear on recovery.
+// publication order of DESIGN §8: within one function, the call that
+// publishes a commit must come strictly after the commit's durability
+// point (WAL.AppendCommit). A publish is the epoch advance itself
+// (AdvanceEpoch) or the storage commit arm that performs it
+// (State.Publish) — lintutil.PublishCall. Publishing first would let
+// committed-epoch snapshot readers observe rows whose commit record is not
+// yet on disk — a crash in the window makes a state that was served to
+// clients disappear on recovery.
 //
 // The rule is intraprocedural and fires only on functions that contain
-// BOTH calls: from any AdvanceEpoch call site, no AppendCommit call may
-// be reachable in the control-flow graph (same block later, or any
-// reachable successor). Functions with only an AdvanceEpoch — recovery
-// publishing recovered rows, tests advancing epochs directly — have no
-// commit to order against and are not constrained.
+// BOTH calls: from any publish call site, no AppendCommit call may be
+// reachable in the control-flow graph (same block later, or any reachable
+// successor). Functions with only a publish — recovery replaying commit
+// records, tests advancing epochs directly — have no commit to order
+// against and are not constrained.
 package epochorder
 
 import (
@@ -25,7 +27,7 @@ import (
 	"golang.org/x/tools/go/cfg"
 )
 
-const doc = "report epoch advances that can precede the commit's WAL fsync in the same function"
+const doc = "report commit publications that can precede the commit's WAL fsync in the same function"
 
 // Analyzer is the epochorder analyzer.
 var Analyzer = &analysis.Analyzer{
@@ -51,20 +53,21 @@ func run(pass *analysis.Pass) (any, error) {
 			return
 		}
 		if g := cfgs.FuncDecl(fn); g != nil {
-			checkCFG(rep, g)
+			checkCFG(rep, pass, g)
 		}
 	})
 	return nil, nil
 }
 
-func checkCFG(rep *lintutil.Reporter, g *cfg.CFG) {
+func checkCFG(rep *lintutil.Reporter, pass *analysis.Pass, g *cfg.CFG) {
 	// Collect, per block, the ordered positions of the two call kinds.
 	type site struct {
 		call     *ast.CallExpr
-		isCommit bool // AppendCommit vs AdvanceEpoch
+		isCommit bool   // AppendCommit vs a publish
+		publish  string // the publish call's name
 	}
 	sites := make([][]site, len(g.Blocks))
-	var haveAdvance, haveCommit bool
+	var havePublish, haveCommit bool
 	for i, b := range g.Blocks {
 		for _, n := range b.Nodes {
 			ast.Inspect(n, func(n ast.Node) bool {
@@ -75,11 +78,10 @@ func checkCFG(rep *lintutil.Reporter, g *cfg.CFG) {
 				if !ok {
 					return true
 				}
-				switch lintutil.MethodName(call) {
-				case "AdvanceEpoch":
-					sites[i] = append(sites[i], site{call: call})
-					haveAdvance = true
-				case "AppendCommit":
+				if name := lintutil.PublishCall(pass.TypesInfo, call); name != "" {
+					sites[i] = append(sites[i], site{call: call, publish: name})
+					havePublish = true
+				} else if lintutil.MethodName(call) == "AppendCommit" {
 					sites[i] = append(sites[i], site{call: call, isCommit: true})
 					haveCommit = true
 				}
@@ -87,7 +89,7 @@ func checkCFG(rep *lintutil.Reporter, g *cfg.CFG) {
 			})
 		}
 	}
-	if !haveAdvance || !haveCommit {
+	if !havePublish || !haveCommit {
 		return
 	}
 
@@ -95,10 +97,10 @@ func checkCFG(rep *lintutil.Reporter, g *cfg.CFG) {
 	// commitAhead[i]: an AppendCommit is reachable from the start of
 	// block i along FORWARD edges only (succ.Index > block.Index). Loop
 	// back edges are deliberately excluded: in `for { AppendCommit;
-	// AdvanceEpoch }` the commit reached through the back edge belongs
-	// to the NEXT transaction, and ordering across transactions is not
-	// constrained — only the advance that publishes THIS commit must
-	// follow its fsync.
+	// Publish }` the commit reached through the back edge belongs to the
+	// NEXT transaction, and ordering across transactions is not
+	// constrained — only the publish of THIS commit must follow its
+	// fsync.
 	hasCommit := make([]bool, len(g.Blocks))
 	for i := range g.Blocks {
 		for _, s := range sites[i] {
@@ -141,7 +143,7 @@ func checkCFG(rep *lintutil.Reporter, g *cfg.CFG) {
 			}
 			if bad {
 				rep.Reportf(s.call.Pos(),
-					"AdvanceEpoch may run before this function's WAL.AppendCommit; readers could observe a commit the disk does not have (DESIGN §8: fsync, then publish)")
+					"%s may run before this function's WAL.AppendCommit; readers could observe a commit the disk does not have (DESIGN §8: fsync, then publish)", s.publish)
 			}
 		}
 	}

@@ -187,6 +187,22 @@ func SeamCall(info *types.Info, call *ast.CallExpr) string {
 	return ""
 }
 
+// PublishCall names a call that publishes a commit to MVCC readers: the
+// epoch advance itself (a method named AdvanceEpoch, on any type) or the log
+// consumer's commit arm that performs it (a method named Publish on a type
+// named State — storage.State). It returns "" for any other call.
+func PublishCall(info *types.Info, call *ast.CallExpr) string {
+	switch MethodName(call) {
+	case "AdvanceEpoch":
+		return "AdvanceEpoch"
+	case "Publish":
+		if ReceiverTypeName(info, call) == "State" {
+			return "State.Publish"
+		}
+	}
+	return ""
+}
+
 // HasMethod reports whether type t (or *t) has a method with one of the
 // given names; it returns the first matching name, or "".
 func HasMethod(t types.Type, names ...string) string {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"flordb/internal/relation"
 )
@@ -27,12 +28,12 @@ func TestSnapshotPreservesVersionEpochs(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
-		db.AdvanceEpoch()
+		db.AdvanceEpoch(time.Now())
 	}
 	// Epoch 7 deletes the first two rows.
 	src.Logs.Delete(ids[0])
 	src.Logs.Delete(ids[1])
-	db.AdvanceEpoch()
+	db.AdvanceEpoch(time.Now())
 
 	meta := SnapshotMeta{Version: SnapshotVersion, Seq: 1, Epoch: db.Epoch()}
 	var buf bytes.Buffer
@@ -49,7 +50,7 @@ func TestSnapshotPreservesVersionEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db2.SetEpoch(got.Epoch)
+	db2.Restore(got.Epoch, got.MinEpoch, got.Epochs)
 
 	counts := func(db *relation.Database, epoch int64) int {
 		snap, err := db.SnapshotAt(epoch)
@@ -98,12 +99,12 @@ func TestSnapshotMinEpochFoldsRetiredVersions(t *testing.T) {
 				doomed = append(doomed, id)
 			}
 		}
-		db.AdvanceEpoch()
+		db.AdvanceEpoch(time.Now())
 		for _, id := range doomed {
 			tables.Logs.Delete(id)
 		}
-		db.AdvanceEpoch()
-		db.AdvanceEpoch()
+		db.AdvanceEpoch(time.Now())
+		db.AdvanceEpoch(time.Now())
 
 		var buf bytes.Buffer
 		meta := SnapshotMeta{Version: SnapshotVersion, Seq: 1, Epoch: db.Epoch(), MinEpoch: minEpoch}
@@ -118,10 +119,11 @@ func TestSnapshotMinEpochFoldsRetiredVersions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadSnapshot(buf.Bytes(), dst); err != nil {
+		got, err := ReadSnapshot(buf.Bytes(), dst)
+		if err != nil {
 			t.Fatal(err)
 		}
-		db2.SetEpoch(db.Epoch())
+		db2.Restore(got.Epoch, got.MinEpoch, got.Epochs)
 		snap, err := db2.SnapshotAt(3)
 		if err != nil {
 			t.Fatal(err)

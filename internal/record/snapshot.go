@@ -40,14 +40,6 @@ const SnapshotVersion = 3
 
 const snapshotMagic = "FLORSNAP"
 
-// EpochStamp maps one committed epoch to the wall-clock time of the commit
-// that published it. The ordered list of stamps is the persisted
-// epoch↔timestamp map that `AS OF TIMESTAMP` resolution binary-searches.
-type EpochStamp struct {
-	Epoch int64 `json:"e"`
-	Wall  int64 `json:"w"` // commit wall clock, Unix nanoseconds UTC
-}
-
 // SnapshotMeta stamps a snapshot with what it covers.
 type SnapshotMeta struct {
 	Version   int   `json:"version"`
@@ -57,7 +49,7 @@ type SnapshotMeta struct {
 	MinEpoch  int64 `json:"min_epoch,omitempty"`
 	// Epochs is the epoch↔commit-wall-clock map for epochs in
 	// [MinEpoch, Epoch], ascending. Tail replay extends it.
-	Epochs []EpochStamp `json:"epochs,omitempty"`
+	Epochs []relation.EpochStamp `json:"epochs,omitempty"`
 }
 
 // snapshotTables returns the base tables in their fixed serialization order.

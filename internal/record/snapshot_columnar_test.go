@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"strings"
 	"testing"
+	"time"
 
 	"flordb/internal/relation"
 )
@@ -46,13 +47,13 @@ func columnarTables(t *testing.T) (*relation.Database, *Tables) {
 		}
 		ids = append(ids, id)
 		if i%512 == 0 {
-			db.AdvanceEpoch()
+			db.AdvanceEpoch(time.Now())
 		}
 	}
 	for i := 0; i < len(ids); i += 37 {
 		tables.Logs.Delete(ids[i])
 	}
-	db.AdvanceEpoch()
+	db.AdvanceEpoch(time.Now())
 	return db, tables
 }
 
@@ -287,7 +288,7 @@ func FuzzColumnarPageRead(f *testing.F) {
 		}
 		ids = append(ids, id)
 		if i%100 == 0 {
-			db.AdvanceEpoch()
+			db.AdvanceEpoch(time.Now())
 		}
 	}
 	tables.Logs.Delete(ids[5])

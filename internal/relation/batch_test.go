@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // rowsEqual compares two row slices in order (values rendered with type).
@@ -63,7 +64,7 @@ func randomBatchTable(t *testing.T, rng *rand.Rand, rows int) (*Database, *Table
 		}
 		ids = append(ids, id)
 		if rng.Intn(20) == 0 {
-			db.AdvanceEpoch()
+			db.AdvanceEpoch(time.Now())
 		}
 	}
 	for _, id := range ids {
@@ -71,7 +72,7 @@ func randomBatchTable(t *testing.T, rng *rand.Rand, rows int) (*Database, *Table
 			tbl.Delete(id)
 		}
 	}
-	db.AdvanceEpoch()
+	db.AdvanceEpoch(time.Now())
 	return db, tbl
 }
 

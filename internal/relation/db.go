@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"flordb/internal/metrics"
 )
@@ -34,7 +35,9 @@ type Catalog interface {
 // Database is a named collection of base and virtual tables and the epoch
 // authority for MVCC visibility: all of its tables share one epoch counter,
 // which advances at commit boundaries, so Snapshot can pin a consistent view
-// of every table at once.
+// of every table at once. It is also the one MVCC clock: each epoch is
+// recorded with its commit's wall time, which AS OF TIMESTAMP resolves
+// against (timetravel.go).
 type Database struct {
 	mu       sync.RWMutex
 	tables   map[string]*Table
@@ -45,6 +48,9 @@ type Database struct {
 
 	pinMu  sync.Mutex    // guards pinned; acquired after mu when both are held
 	pinned map[int64]int // live pin count per epoch, for the GC retention floor
+
+	clockMu sync.Mutex   // serializes epoch advances; guards stamps; acquired after mu
+	stamps  []EpochStamp // ascending Epoch, nondecreasing Wall
 }
 
 // NewDatabase creates an empty database at epoch 0.
@@ -68,9 +74,23 @@ func (db *Database) Pins() int64 { return db.pins.Load() }
 
 // AdvanceEpoch publishes the in-flight write epoch: rows written since the
 // previous advance become visible to committed-epoch snapshots taken from
-// now on. It returns the new committed epoch. Callers invoke it at commit
+// now on. The new epoch is stamped with wall, the commit's wall time, in the
+// same critical section that advances the counter, so every epoch has
+// exactly one stamp however commits interleave. Stamps are clamped to be
+// nondecreasing so resolution can binary-search them across a clock step.
+// It returns the new committed epoch. Callers invoke it at commit
 // boundaries, after the corresponding WAL commit record is durable.
-func (db *Database) AdvanceEpoch() int64 { return db.epoch.Add(1) }
+func (db *Database) AdvanceEpoch(wall time.Time) int64 {
+	w := wall.UnixNano()
+	db.clockMu.Lock()
+	defer db.clockMu.Unlock()
+	if n := len(db.stamps); n > 0 && w < db.stamps[n-1].Wall {
+		w = db.stamps[n-1].Wall
+	}
+	e := db.epoch.Add(1)
+	db.stamps = append(db.stamps, EpochStamp{Epoch: e, Wall: w})
+	return e
+}
 
 // Snapshot pins an immutable, consistent view of all tables at the current
 // committed epoch, without copying any data. Readers holding the snapshot

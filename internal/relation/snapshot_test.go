@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func snapDB(t *testing.T) (*Database, *Table) {
@@ -22,7 +23,7 @@ func snapDB(t *testing.T) (*Database, *Table) {
 func TestSnapshotSeesOnlyCommittedRows(t *testing.T) {
 	db, tbl := snapDB(t)
 	tbl.Insert(Row{Int(1), Text("a")})
-	db.AdvanceEpoch()
+	db.AdvanceEpoch(time.Now())
 	tbl.Insert(Row{Int(2), Text("b")}) // in flight, uncommitted
 
 	snap := db.Snapshot()
@@ -36,7 +37,7 @@ func TestSnapshotSeesOnlyCommittedRows(t *testing.T) {
 		t.Fatalf("latest snapshot rows = %d, want 2", got)
 	}
 	// Committing makes the row visible to NEW snapshots only.
-	db.AdvanceEpoch()
+	db.AdvanceEpoch(time.Now())
 	if got := len(r.Rows()); got != 1 {
 		t.Fatalf("pinned snapshot moved: rows = %d", got)
 	}
@@ -49,11 +50,11 @@ func TestSnapshotSeesOnlyCommittedRows(t *testing.T) {
 func TestSnapshotIgnoresLaterDeletes(t *testing.T) {
 	db, tbl := snapDB(t)
 	id, _ := tbl.Insert(Row{Int(1), Text("a")})
-	db.AdvanceEpoch()
+	db.AdvanceEpoch(time.Now())
 
 	snap := db.Snapshot()
 	tbl.Delete(id)
-	db.AdvanceEpoch()
+	db.AdvanceEpoch(time.Now())
 
 	r, _ := snap.Reader("t")
 	if _, ok := r.Get(id); !ok {
@@ -119,12 +120,12 @@ func TestSnapshotIndexLookupFiltersVisibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	id0, _ := tbl.Insert(Row{Int(1), Text("x")})
-	db.AdvanceEpoch()
+	db.AdvanceEpoch(time.Now())
 	snap := db.Snapshot()
 
 	tbl.Delete(id0)
 	tbl.Insert(Row{Int(2), Text("x")})
-	db.AdvanceEpoch()
+	db.AdvanceEpoch(time.Now())
 
 	r, _ := snap.Reader("t")
 	ix, ok := r.HashIndexOn("name")
@@ -156,7 +157,7 @@ func TestSnapshotMultiTableConsistentCut(t *testing.T) {
 		for i := int64(0); i < 20000 && !stop.Load(); i++ {
 			a.Insert(Row{Int(i)})
 			bt.Insert(Row{Int(i)})
-			db.AdvanceEpoch()
+			db.AdvanceEpoch(time.Now())
 		}
 	}()
 	for i := 0; i < 500; i++ {
@@ -181,7 +182,7 @@ func TestSnapshotScanDoesNotBlockWriter(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tbl.Insert(Row{Int(int64(i)), Text("seed")})
 	}
-	db.AdvanceEpoch()
+	db.AdvanceEpoch(time.Now())
 
 	var writer, readers sync.WaitGroup
 	var stop atomic.Bool
@@ -192,7 +193,7 @@ func TestSnapshotScanDoesNotBlockWriter(t *testing.T) {
 		for i := 100; i < 50000 && !stop.Load(); i++ {
 			tbl.Insert(Row{Int(int64(i)), Text("w")})
 			if i%10 == 0 {
-				db.AdvanceEpoch()
+				db.AdvanceEpoch(time.Now())
 			}
 		}
 	}()
@@ -224,7 +225,7 @@ func TestSnapshotScanDoesNotBlockWriter(t *testing.T) {
 func TestSnapshotPinAccounting(t *testing.T) {
 	db, tbl := snapDB(t)
 	tbl.Insert(Row{Int(1), Text("a")})
-	db.AdvanceEpoch()
+	db.AdvanceEpoch(time.Now())
 
 	if got := db.Pins(); got != 0 {
 		t.Fatalf("fresh database pins = %d, want 0", got)
@@ -260,7 +261,7 @@ func TestSnapshotPinAccounting(t *testing.T) {
 func TestSnapshotPinAccountingConcurrent(t *testing.T) {
 	db, tbl := snapDB(t)
 	tbl.Insert(Row{Int(1), Text("a")})
-	db.AdvanceEpoch()
+	db.AdvanceEpoch(time.Now())
 
 	const G = 16
 	var wg sync.WaitGroup

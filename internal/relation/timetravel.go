@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
+	"time"
 )
 
 // ErrEpochRetired is the sentinel for time-travel reads below the retention
@@ -28,34 +30,74 @@ func (e *EpochRetiredError) Unwrap() error { return ErrEpochRetired }
 
 // TimeTraveler is a catalog that can rebase itself at a historical epoch. Both
 // Database and Snapshot implement it, so the SQL executor can honor an
-// `AS OF <epoch>` clause against either without knowing which it was given.
+// `AS OF <epoch>` or `AS OF TIMESTAMP '<t>'` clause against either without
+// knowing which it was given.
 type TimeTraveler interface {
 	Catalog
 	// AsOf returns a catalog view pinned at the given epoch and a release
 	// function the caller must invoke when done with it (it may be a no-op).
 	AsOf(epoch int64) (Catalog, func(), error)
+	// EpochAt resolves a wall-clock time to the epoch AS OF TIMESTAMP reads.
+	EpochAt(t time.Time) int64
+}
+
+// EpochStamp maps one committed epoch to the wall-clock time of the commit
+// that published it. The ordered list of stamps is the epoch↔timestamp map
+// AS OF TIMESTAMP binary-searches; snapshot meta persists it under these
+// JSON tags.
+type EpochStamp struct {
+	Epoch int64 `json:"e"`
+	Wall  int64 `json:"w"` // commit wall clock, Unix nanoseconds UTC
 }
 
 // MinEpoch returns the retention floor: the lowest epoch time-travel reads may
 // still target. Epochs below it are retired.
 func (db *Database) MinEpoch() int64 { return db.minEpoch.Load() }
 
-// SetEpoch positions the committed-epoch counter during recovery, before the
-// database is shared with readers: snapshot-loaded rows carry their historical
-// born/dead epochs, and tail replay advances from the snapshot's epoch so the
-// recovered database counts exactly the commit records of its whole history.
-func (db *Database) SetEpoch(epoch int64) { db.epoch.Store(epoch) }
+// Restore positions the MVCC clock during recovery, before the database is
+// shared with readers: the committed epoch, the retention floor and the
+// epochs' commit stamps, together. Snapshot-loaded rows carry their
+// historical born/dead epochs, and tail replay advances from here, so the
+// recovered database counts and stamps exactly the commit records of its
+// whole history.
+func (db *Database) Restore(epoch, floor int64, stamps []EpochStamp) {
+	db.clockMu.Lock()
+	defer db.clockMu.Unlock()
+	db.epoch.Store(epoch)
+	db.minEpoch.Store(floor)
+	db.stamps = append([]EpochStamp(nil), stamps...)
+}
 
-// SetMinEpoch raises the retention floor without pruning anything — recovery
-// uses it to restore a floor persisted by an earlier GC run. It never lowers
-// the floor.
-func (db *Database) SetMinEpoch(floor int64) {
-	for {
-		cur := db.minEpoch.Load()
-		if floor <= cur || db.minEpoch.CompareAndSwap(cur, floor) {
-			return
-		}
+// retainedLocked returns the stamps of epochs at or above the retention
+// floor. A recovered or compacting database may hold stamps of epochs the
+// floor has since retired; they are never resolved to or persisted.
+func (db *Database) retainedLocked() []EpochStamp {
+	floor := db.minEpoch.Load()
+	i := sort.Search(len(db.stamps), func(i int) bool { return db.stamps[i].Epoch >= floor })
+	return db.stamps[i:]
+}
+
+// EpochStamps returns a copy of the retained epochs' stamps, ascending — the
+// map snapshot meta persists.
+func (db *Database) EpochStamps() []EpochStamp {
+	db.clockMu.Lock()
+	defer db.clockMu.Unlock()
+	return append([]EpochStamp(nil), db.retainedLocked()...)
+}
+
+// EpochAt returns the greatest retained epoch whose commit was stamped at or
+// before t. A time before every retained stamp resolves to epoch 0, the
+// empty database, or — once the GC has retired history — to floor−1, which
+// SnapshotAt then refuses as retired.
+func (db *Database) EpochAt(t time.Time) int64 {
+	w := t.UnixNano()
+	db.clockMu.Lock()
+	defer db.clockMu.Unlock()
+	kept := db.retainedLocked()
+	if i := sort.Search(len(kept), func(i int) bool { return kept[i].Wall > w }); i > 0 {
+		return kept[i-1].Epoch
 	}
+	return max(db.minEpoch.Load()-1, 0)
 }
 
 // SnapshotAt pins an immutable, consistent view of all tables at the given
@@ -94,9 +136,10 @@ func (db *Database) OldestPin() int64 {
 
 // GCBelow retires epochs below the requested floor: it clamps the floor to the
 // committed epoch, the oldest live pin, and the current floor (the floor never
-// moves backwards), publishes the clamped floor, and rewrites every table's
-// row store dropping versions both born and tombstoned below it. It returns
-// the number of row versions reclaimed and the floor actually applied.
+// moves backwards), publishes the clamped floor, drops the stamps of retired
+// epochs, and rewrites every table's row store dropping versions both born
+// and tombstoned below it. It returns the number of row versions reclaimed
+// and the floor actually applied.
 //
 // Holding db.mu for writing excludes concurrent snapshotLocked calls, so no
 // reader can pin an epoch below the new floor while the floor is moving.
@@ -116,7 +159,10 @@ func (db *Database) GCBelow(floor int64) (reclaimed int, applied int64) {
 	if m := db.minEpoch.Load(); floor < m {
 		floor = m
 	}
+	db.clockMu.Lock()
 	db.minEpoch.Store(floor)
+	db.stamps = append(db.stamps[:0], db.retainedLocked()...)
+	db.clockMu.Unlock()
 	for _, t := range db.tables {
 		reclaimed += t.pruneBelow(floor)
 	}
@@ -155,6 +201,17 @@ func (s *Snapshot) AsOf(epoch int64) (Catalog, func(), error) {
 		return nil, nil, err
 	}
 	return snap, snap.Release, nil
+}
+
+// EpochAt implements TimeTraveler for a pinned snapshot: the owning
+// database's resolution, clamped to the pinned epoch — commits after the pin
+// cannot be visible through it. A detached snapshot has no clock and
+// resolves to 0, which AsOf refuses unless that is its own epoch.
+func (s *Snapshot) EpochAt(t time.Time) int64 {
+	if s.db == nil {
+		return 0
+	}
+	return min(s.db.EpochAt(t), s.epoch)
 }
 
 var (

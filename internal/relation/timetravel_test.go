@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 )
 
 // travelDB builds k=1..n committed one row per epoch: after this, epoch e
@@ -15,7 +16,7 @@ func travelDB(t *testing.T, n int) (*Database, *Table) {
 		if _, err := tbl.Insert(Row{Int(int64(i)), Text("r")}); err != nil {
 			t.Fatal(err)
 		}
-		db.AdvanceEpoch()
+		db.AdvanceEpoch(time.Now())
 	}
 	return db, tbl
 }
@@ -51,11 +52,11 @@ func TestSnapshotAtRejectsFutureAndNegative(t *testing.T) {
 func TestGCBelowRetiresEpochsAndReclaimsTombstones(t *testing.T) {
 	db, tbl := snapDB(t)
 	id, _ := tbl.Insert(Row{Int(1), Text("doomed")})
-	db.AdvanceEpoch() // epoch 1
+	db.AdvanceEpoch(time.Now()) // epoch 1
 	tbl.Delete(id)
-	db.AdvanceEpoch() // epoch 2
+	db.AdvanceEpoch(time.Now()) // epoch 2
 	tbl.Insert(Row{Int(2), Text("alive")})
-	db.AdvanceEpoch() // epoch 3
+	db.AdvanceEpoch(time.Now()) // epoch 3
 
 	reclaimed, applied := db.GCBelow(3)
 	if applied != 3 {
@@ -184,12 +185,70 @@ func TestDatabaseAsOfPinsAndReleases(t *testing.T) {
 	}
 }
 
-func TestSetMinEpochNeverLowers(t *testing.T) {
-	db, _ := travelDB(t, 3)
-	db.SetMinEpoch(2)
-	db.SetMinEpoch(1)
-	if got := db.MinEpoch(); got != 2 {
-		t.Fatalf("MinEpoch = %d, want 2", got)
+// TestEpochClock: every advance is stamped in order, stamps never go
+// backwards across a clock step, AS OF TIMESTAMP resolves to the greatest
+// epoch stamped at or before t (0 before every stamp, floor−1 once the GC
+// retired history, clamped to a snapshot's pin), GCBelow drops retired
+// stamps, and Restore sets the epoch, floor and stamps together.
+func TestEpochClock(t *testing.T) {
+	db := NewDatabase()
+	base := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
+	at := func(sec int) time.Time { return base.Add(time.Duration(sec) * time.Second) }
+	for _, sec := range []int{10, 20, 15, 30} { // the third commit's clock stepped back
+		db.AdvanceEpoch(at(sec))
+	}
+	want := []EpochStamp{{1, at(10).UnixNano()}, {2, at(20).UnixNano()}, {3, at(20).UnixNano()}, {4, at(30).UnixNano()}}
+	if got := db.EpochStamps(); len(got) != len(want) {
+		t.Fatalf("stamps = %v, want %v", got, want)
+	} else {
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("stamp %d = %v, want %v", i, got[i], want[i])
+			}
+		}
+	}
+	for _, c := range []struct{ sec, epoch int }{{5, 0}, {10, 1}, {19, 1}, {20, 3}, {29, 3}, {99, 4}} {
+		if got := db.EpochAt(at(c.sec)); got != int64(c.epoch) {
+			t.Fatalf("EpochAt(+%ds) = %d, want %d", c.sec, got, c.epoch)
+		}
+	}
+	snap, err := db.SnapshotAt(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.EpochAt(at(99)); got != 2 {
+		t.Fatalf("pinned EpochAt = %d, want the pin 2", got)
+	}
+	snap.Release()
+
+	if _, applied := db.GCBelow(3); applied != 3 {
+		t.Fatalf("applied floor = %d, want 3", applied)
+	}
+	if got := db.EpochStamps(); len(got) != 2 || got[0].Epoch != 3 {
+		t.Fatalf("stamps after GC = %v, want epochs 3 and 4", got)
+	}
+	if got := db.EpochAt(at(12)); got != 2 {
+		t.Fatalf("EpochAt before the retained stamps = %d, want floor-1 = 2", got)
+	}
+
+	re := NewDatabase()
+	re.Restore(db.Epoch(), db.MinEpoch(), append([]EpochStamp{{2, at(20).UnixNano()}}, db.EpochStamps()...))
+	if re.Epoch() != 4 || re.MinEpoch() != 3 {
+		t.Fatalf("restored epoch %d floor %d, want 4 and 3", re.Epoch(), re.MinEpoch())
+	}
+	if got := re.EpochStamps(); len(got) != 2 || got[0].Epoch != 3 {
+		t.Fatalf("restored stamps = %v: a stamp below the floor must not be retained", got)
+	}
+	for _, sec := range []int{12, 20, 99} {
+		if a, b := re.EpochAt(at(sec)), db.EpochAt(at(sec)); a != b {
+			t.Fatalf("EpochAt(+%ds): restored %d, live %d", sec, a, b)
+		}
+	}
+	if e := re.AdvanceEpoch(at(25)); e != 5 {
+		t.Fatalf("advance after restore = %d, want 5", e)
+	}
+	if got := re.EpochStamps(); got[len(got)-1].Wall != at(30).UnixNano() {
+		t.Fatalf("advance after restore stamped %v, want clamped to the restored last stamp", got[len(got)-1])
 	}
 }
 
@@ -202,9 +261,9 @@ func TestGCKeepsLiveRowsAndIndexes(t *testing.T) {
 	}
 	keep, _ := tbl.Insert(Row{Int(1), Text("keep")})
 	gone, _ := tbl.Insert(Row{Int(2), Text("gone")})
-	db.AdvanceEpoch()
+	db.AdvanceEpoch(time.Now())
 	tbl.Delete(gone)
-	db.AdvanceEpoch()
+	db.AdvanceEpoch(time.Now())
 
 	if reclaimed, _ := db.GCBelow(2); reclaimed != 1 {
 		t.Fatalf("reclaimed = %d, want 1", reclaimed)

@@ -25,7 +25,6 @@ type FollowerConfig struct {
 	PrimaryURL string // base URL of the primary's API server
 	Dir        string // local project directory (mirrors the primary's layout)
 	ProjID     string
-	FollowerID string // identity reported for ack tracking (default: host:dir derived)
 
 	// MaxLagEpochs bounds staleness by logical distance: when the primary's
 	// tstamp leads the replica's by more than this, Gate refuses reads with
@@ -40,7 +39,6 @@ type FollowerConfig struct {
 	// every fetched byte is its own write, and so its own kill point).
 	ChunkBytes int
 	Backoff    Backoff
-	Client     *http.Client
 	Logf       func(format string, args ...any) // replication progress log (nil = silent)
 	Open       flor.Options                     // options for the replica session
 	// FS carries every write that fetches and installs segments and
@@ -56,6 +54,7 @@ type FollowerConfig struct {
 // recovery is the ordinary session-open path.
 type Follower struct {
 	cfg     FollowerConfig
+	id      string // identity reported for ack tracking: host:dir
 	sess    *flor.Session
 	blobs   *storage.BlobStore
 	walPath string
@@ -77,18 +76,11 @@ func StartFollower(ctx context.Context, cfg FollowerConfig) (*Follower, error) {
 	if cfg.PrimaryURL == "" {
 		return nil, errors.New("repl: follower needs a primary URL")
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
-	}
 	if cfg.PollWait <= 0 {
 		cfg.PollWait = 10 * time.Second
 	}
 	if cfg.ChunkBytes <= 0 {
 		cfg.ChunkBytes = 256 << 10
-	}
-	if cfg.FollowerID == "" {
-		host, _ := os.Hostname()
-		cfg.FollowerID = host + ":" + cfg.Dir
 	}
 	if cfg.FS == nil {
 		cfg.FS = storage.OSFS{}
@@ -97,7 +89,8 @@ func StartFollower(ctx context.Context, cfg FollowerConfig) (*Follower, error) {
 	if err := cfg.FS.MkdirAll(florDir, 0o755); err != nil {
 		return nil, fmt.Errorf("repl: %w", err)
 	}
-	f := &Follower{cfg: cfg, walPath: filepath.Join(florDir, "flor.wal")}
+	host, _ := os.Hostname()
+	f := &Follower{cfg: cfg, id: host + ":" + cfg.Dir, walPath: filepath.Join(florDir, "flor.wal")}
 
 	blobs, err := storage.NewBlobStore(filepath.Join(florDir, "objects"))
 	if err != nil {
@@ -445,7 +438,7 @@ func (f *Follower) fetchToTemp(ctx context.Context, kind string, seq int64, tmp 
 	if start > 0 {
 		req.Header.Set("Range", "bytes="+strconv.FormatInt(start, 10)+"-")
 	}
-	resp, err := f.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return false, err
 	}
@@ -541,7 +534,7 @@ func (f *Follower) fetchBlob(ctx context.Context, key string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := f.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -556,7 +549,7 @@ func (f *Follower) fetchBlob(ctx context.Context, key string) ([]byte, error) {
 // high-water mark. have > 0 with a wait long-polls for a newer seal.
 func (f *Follower) fetchManifest(ctx context.Context, have int64, wait time.Duration) (*Manifest, error) {
 	q := url.Values{}
-	q.Set("follower", f.cfg.FollowerID)
+	q.Set("follower", f.id)
 	q.Set("acked", strconv.FormatInt(f.applied.Load(), 10))
 	if f.sess != nil { // nil while bootstrapping, before the replica session opens
 		q.Set("epoch", strconv.FormatInt(f.sess.Database().Epoch(), 10))
@@ -572,7 +565,7 @@ func (f *Follower) fetchManifest(ctx context.Context, have int64, wait time.Dura
 	if err != nil {
 		return nil, err
 	}
-	resp, err := f.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

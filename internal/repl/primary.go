@@ -22,11 +22,6 @@ import (
 // directory listing. CRCs are computed once per (seq, size) and cached.
 type Primary struct {
 	sess *flor.Session
-	// FollowerTTL bounds how long a silent follower pins segments via the
-	// retention floor (default 30s). A follower that has not polled within
-	// the TTL is presumed dead; RetainSegments still gives late joiners a
-	// catch-up window.
-	FollowerTTL time.Duration
 	// LongPollInterval is how often a long-polling manifest request rechecks
 	// the directory for new seals (default 200ms).
 	LongPollInterval time.Duration
@@ -40,6 +35,11 @@ type Primary struct {
 
 	shipped atomic.Int64 // segments fully streamed to a follower
 }
+
+// followerTTL bounds how long a silent follower pins segments and epochs via
+// the retention floors. A follower that has not polled within it is presumed
+// dead; RetainSegments still gives late joiners a catch-up window.
+const followerTTL = 30 * time.Second
 
 type followerAck struct {
 	acked int64 // highest segment seq the follower has applied
@@ -77,20 +77,12 @@ func (p *Primary) liveFollowers() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var live int64
-	ttl := p.followerTTL()
 	for _, f := range p.followers {
-		if time.Since(f.seen) <= ttl {
+		if time.Since(f.seen) <= followerTTL {
 			live++
 		}
 	}
 	return live
-}
-
-func (p *Primary) followerTTL() time.Duration {
-	if p.FollowerTTL > 0 {
-		return p.FollowerTTL
-	}
-	return 30 * time.Second
 }
 
 func (p *Primary) pollInterval() time.Duration {
@@ -107,9 +99,8 @@ func (p *Primary) RetainFloor() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	floor := int64(math.MaxInt64)
-	ttl := p.followerTTL()
 	for id, f := range p.followers {
-		if time.Since(f.seen) > ttl {
+		if time.Since(f.seen) > followerTTL {
 			delete(p.followers, id)
 			continue
 		}
@@ -129,9 +120,8 @@ func (p *Primary) EpochFloor() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	floor := int64(math.MaxInt64)
-	ttl := p.followerTTL()
 	for id, f := range p.followers {
-		if time.Since(f.seen) > ttl {
+		if time.Since(f.seen) > followerTTL {
 			delete(p.followers, id)
 			continue
 		}

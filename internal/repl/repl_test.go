@@ -74,18 +74,18 @@ func asOfTimestamp(t *testing.T, s *flor.Session, wall int64) []string {
 
 // loggedStamps rebuilds the log at walPath into a fresh state and returns
 // the epoch↔commit-wall stamps it holds.
-func loggedStamps(t *testing.T, walPath string) []record.EpochStamp {
+func loggedStamps(t *testing.T, walPath string) []relation.EpochStamp {
 	t.Helper()
 	db := relation.NewDatabase()
 	tables, err := record.CreateTables(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := storage.State{DB: db, Tables: tables, Epochs: storage.NewEpochIndex()}
+	st := storage.State{DB: db, Tables: tables}
 	if _, err := st.Recover(walPath, true); err != nil {
 		t.Fatal(err)
 	}
-	return st.Epochs.Stamps()
+	return db.EpochStamps()
 }
 
 func assertSame(t *testing.T, label string, got, want []string) {
@@ -1011,9 +1011,17 @@ func TestReplicaEqualsPrimaryProperty(t *testing.T) {
 			if pf, rf := prim.RetentionFloor(), rep.RetentionFloor(); pf != rf {
 				t.Fatalf("seed %d: replica retention floor %d, primary %d", seed, rf, pf)
 			}
-			stamps := loggedStamps(t, e.walPath())
+			stamps := prim.Database().EpochStamps()
 			if int64(len(stamps)) != prim.Database().Epoch() {
-				t.Fatalf("seed %d: the primary's log holds %d commit stamps, its epoch is %d", seed, len(stamps), prim.Database().Epoch())
+				t.Fatalf("seed %d: the primary holds %d commit stamps, its epoch is %d", seed, len(stamps), prim.Database().Epoch())
+			}
+			// One clock: the replica and the primary's own log hold exactly
+			// the stamps the live primary published.
+			if got := fmt.Sprint(rep.Database().EpochStamps()); got != fmt.Sprint(stamps) {
+				t.Fatalf("seed %d: replica stamps %s, primary %v", seed, got, stamps)
+			}
+			if got := fmt.Sprint(loggedStamps(t, e.walPath())); got != fmt.Sprint(stamps) {
+				t.Fatalf("seed %d: the primary's log rebuilds stamps %s, live %v", seed, got, stamps)
 			}
 			for _, st := range stamps {
 				assertSame(t, fmt.Sprintf("seed %d AS OF TIMESTAMP of commit %d", seed, st.Epoch),

@@ -31,9 +31,6 @@ type Driver struct {
 	Setup func(in *script.Interp)
 	// Workers bounds replay parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Stdout receives script print output during replay (defaults to
-	// io.Discard).
-	Stdout io.Writer
 }
 
 // VersionJob names one historical version to backfill.
@@ -172,11 +169,9 @@ func (d *Driver) runReplay(filename string, merged *script.File, job VersionJob,
 			r.Targets[t] = true
 		}
 	}
-	stdout := d.Stdout
-	if stdout == nil {
-		stdout = io.Discard
-	}
-	in := script.NewInterp(r, stdout)
+	// A replay re-executes history to backfill logs; what it prints was
+	// already printed when the version first ran.
+	in := script.NewInterp(r, io.Discard)
 	if d.Setup != nil {
 		d.Setup(in)
 	}

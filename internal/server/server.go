@@ -51,8 +51,6 @@ type Config struct {
 	// QueueWait caps how long a queued request waits for a slot before
 	// giving up with 503 (default 5s).
 	QueueWait time.Duration
-	// FlushEvery is the row interval between streaming flushes (default 256).
-	FlushEvery int
 	// Gate, when set, is consulted after a query request wins admission and
 	// before it executes. A non-nil error rejects the request with 503 and a
 	// Retry-After header of GateRetryAfter — replication uses it to refuse
@@ -78,9 +76,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueWait <= 0 {
 		c.QueueWait = 5 * time.Second
-	}
-	if c.FlushEvery <= 0 {
-		c.FlushEvery = 256
 	}
 	if c.GateRetryAfter <= 0 {
 		c.GateRetryAfter = time.Second
@@ -388,9 +383,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(s.sess.Metrics().Snapshot())
 }
 
+// flushEvery is the row interval between streaming flushes.
+const flushEvery = 256
+
 // streamResult writes {"epoch":E,"columns":[...],"rows":[[...],...],"row_count":N}
 // incrementally: rows are encoded one at a time and the connection is flushed
-// every FlushEvery rows, so large results reach slow clients without
+// every flushEvery rows, so large results reach slow clients without
 // buffering the whole payload server-side.
 func (s *Server) streamResult(w http.ResponseWriter, epoch int64, res *sqlparse.Result) {
 	w.Header().Set("Content-Type", "application/json")
@@ -428,7 +426,7 @@ func (s *Server) streamResult(w http.ResponseWriter, epoch int64, res *sqlparse.
 			}
 			return
 		}
-		if flusher != nil && (i+1)%s.cfg.FlushEvery == 0 {
+		if flusher != nil && (i+1)%flushEvery == 0 {
 			flusher.Flush()
 		}
 	}

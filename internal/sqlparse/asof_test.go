@@ -3,7 +3,6 @@ package sqlparse
 import (
 	"errors"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -74,6 +73,10 @@ func TestParseAsOfErrors(t *testing.T) {
 	}
 }
 
+// asofBase is the wall clock asofDB stamps its first commit with; commit e
+// is stamped e-1 hours later.
+var asofBase = time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
+
 // asofDB commits one logs row per epoch so epoch e sees rows 1..e.
 func asofDB(t *testing.T) *relation.Database {
 	t.Helper()
@@ -89,7 +92,7 @@ func asofDB(t *testing.T) *relation.Database {
 		if _, err := logs.Insert(relation.Row{relation.Int(int64(i)), relation.Text("v")}); err != nil {
 			t.Fatal(err)
 		}
-		db.AdvanceEpoch()
+		db.AdvanceEpoch(asofBase.Add(time.Duration(i-1) * time.Hour))
 	}
 	return db
 }
@@ -143,11 +146,48 @@ func TestExecuteAsOfRetiredEpoch(t *testing.T) {
 	}
 }
 
-func TestExecuteAsOfByTimeNeedsSession(t *testing.T) {
+// TestExecuteAsOfByTimeResolvesAgainstDatabase: a bare database resolves
+// AS OF TIMESTAMP through its own clock — the greatest epoch stamped at or
+// before the time, 0 before every stamp, clamped to a snapshot's pin, and a
+// retired epoch once the GC has trimmed history from under the time.
+func TestExecuteAsOfByTimeResolvesAgainstDatabase(t *testing.T) {
 	db := asofDB(t)
-	_, err := Run(db, "SELECT * FROM logs AS OF TIMESTAMP '2026-08-01'")
-	if err == nil || !strings.Contains(err.Error(), "session") {
-		t.Fatalf("err = %v, want session-required error", err)
+	count := func(cat relation.Catalog, ts string) int64 {
+		t.Helper()
+		res, err := Run(cat, "SELECT count(*) c FROM logs AS OF TIMESTAMP '"+ts+"'")
+		if err != nil {
+			t.Fatalf("AS OF TIMESTAMP %s: %v", ts, err)
+		}
+		return res.Rows[0][0].AsInt()
+	}
+	for _, c := range []struct {
+		ts   string
+		want int64
+	}{
+		{"2026-08-01", 0},             // before the first commit
+		{"2026-08-01T12:00:00Z", 1},   // the first commit's own stamp
+		{"2026-08-01T13:30:00Z", 2},   // between the second and third
+		{"2026-08-01 15:00:00", 4},    // the last commit's stamp
+		{"2027-01-01T00:00:00.5Z", 4}, // after every commit
+	} {
+		if got := count(db, c.ts); got != c.want {
+			t.Fatalf("AS OF TIMESTAMP %s counts %d rows, want %d", c.ts, got, c.want)
+		}
+	}
+	snap, err := db.SnapshotAt(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := count(snap, "2027-01-01"); got != 2 {
+		t.Fatalf("snapshot pinned at 2 counts %d rows, want 2", got)
+	}
+	snap.Release()
+	db.GCBelow(3)
+	if _, err := Run(db, "SELECT * FROM logs AS OF TIMESTAMP '2026-08-01T13:30:00Z'"); !errors.Is(err, relation.ErrEpochRetired) {
+		t.Fatalf("err = %v, want ErrEpochRetired", err)
+	}
+	if got := count(db, "2026-08-01T14:00:00Z"); got != 3 {
+		t.Fatalf("AS OF the floor's own stamp counts %d rows, want 3", got)
 	}
 }
 

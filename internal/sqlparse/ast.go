@@ -207,9 +207,9 @@ type SelectStmt struct {
 
 // AsOfClause is the time-travel clause at the end of a SELECT:
 // `AS OF <epoch>` names an MVCC commit epoch directly; `AS OF TIMESTAMP
-// '<ts>'` names a commit wall-clock time, which the session resolves to the
-// greatest epoch committed at or before it (via the persisted
-// epoch↔timestamp map) before execution.
+// '<ts>'` names a commit wall-clock time, which the executor resolves to the
+// greatest epoch committed at or before it through the catalog's MVCC clock
+// (relation.TimeTraveler.EpochAt).
 type AsOfClause struct {
 	Epoch  int64
 	Time   time.Time

@@ -64,23 +64,22 @@ func ExecuteOptions(cat relation.Catalog, stmt *SelectStmt, opts ExecOptions) (*
 	return c.run(ctx)
 }
 
-// pinAsOf rebases the catalog to the statement's AS OF epoch, if it has one.
-// The returned release must be called once the statement has run.
+// pinAsOf rebases the catalog to the statement's AS OF epoch, if it has one;
+// an AS OF TIMESTAMP clause is first resolved to an epoch by the catalog's
+// own clock. The returned release must be called once the statement has run.
 func pinAsOf(cat relation.Catalog, stmt *SelectStmt) (relation.Catalog, func(), error) {
 	if stmt.AsOf == nil {
 		return cat, func() {}, nil
-	}
-	if stmt.AsOf.ByTime {
-		// Timestamp resolution needs the session's epoch↔timestamp map;
-		// flor.Session rewrites ByTime clauses into epoch form before
-		// executing. Reaching here means the statement bypassed it.
-		return nil, nil, fmt.Errorf("sql: AS OF TIMESTAMP requires a session to resolve the timestamp to an epoch")
 	}
 	tt, ok := cat.(relation.TimeTraveler)
 	if !ok {
 		return nil, nil, fmt.Errorf("sql: this catalog does not support AS OF")
 	}
-	return tt.AsOf(stmt.AsOf.Epoch)
+	epoch := stmt.AsOf.Epoch
+	if stmt.AsOf.ByTime {
+		epoch = tt.EpochAt(stmt.AsOf.Time)
+	}
+	return tt.AsOf(epoch)
 }
 
 // compiled is a fully planned statement: the operator pipeline, the plan tree

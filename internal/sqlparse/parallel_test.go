@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"flordb/internal/relation"
 )
@@ -54,7 +55,7 @@ func parallelWorkloadDB(t *testing.T) (*relation.Database, int64) {
 		// sprinkle of tombstones per epoch so AS OF pins land mid-history
 		// with some versions already dead and others not yet born.
 		if i%997 == 0 {
-			db.AdvanceEpoch()
+			db.AdvanceEpoch(time.Now())
 			for k := 0; k < 40 && len(ids) > 0; k++ {
 				j := rng.Intn(len(ids))
 				logs.Delete(ids[j])
@@ -63,7 +64,7 @@ func parallelWorkloadDB(t *testing.T) (*relation.Database, int64) {
 			}
 		}
 	}
-	db.AdvanceEpoch()
+	db.AdvanceEpoch(time.Now())
 	return db, db.Epoch()
 }
 
@@ -316,7 +317,7 @@ func TestZoneMapPruningSelectiveScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db.AdvanceEpoch()
+	db.AdvanceEpoch(time.Now())
 
 	q := fmt.Sprintf("SELECT tstamp, value FROM logs WHERE tstamp BETWEEN %d AND %d",
 		5*relation.ZonePageRows, 6*relation.ZonePageRows-1)

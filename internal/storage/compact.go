@@ -24,9 +24,8 @@ import (
 // to a temp file and Installed (fsync, rename, directory fsync) before
 // anything is deleted. Every write goes through the WAL's FS.
 type Compactor struct {
-	WAL        *WAL
-	Blobs      *BlobStore // optional; rehydrates obj_store rows for the snapshot
-	RootTarget string     // ts2vid root_target for replayed commit records
+	WAL   *WAL
+	Blobs *BlobStore // optional; rehydrates obj_store rows for the snapshot
 
 	// RetainSegments keeps the newest N sealed segments on disk even once a
 	// snapshot covers them, so a replica that has not connected yet can still
@@ -102,7 +101,7 @@ func (c *Compactor) Compact() (CompactStats, error) {
 	if err != nil {
 		return stats, err
 	}
-	st := State{DB: db, Tables: tables, Epochs: NewEpochIndex(), Blobs: c.Blobs, RootTarget: c.RootTarget}
+	st := State{DB: db, Tables: tables, Blobs: c.Blobs}
 	base, upto, err := st.open(walPath)
 	if err != nil {
 		return stats, err
@@ -112,13 +111,12 @@ func (c *Compactor) Compact() (CompactStats, error) {
 		return stats, err
 	}
 	if base.Seq < upto {
-		// Versions tombstoned at or below the retention floor are dropped
-		// from the new snapshot for good.
-		floor := db.MinEpoch()
-		st.Epochs.TrimBelow(floor)
+		// Versions tombstoned at or below the retention floor, and the
+		// stamps of retired epochs, are dropped from the new snapshot for
+		// good.
 		meta := record.SnapshotMeta{
 			Version: record.SnapshotVersion, Seq: upto, MaxTstamp: max(base.MaxTstamp, res.MaxTstamp),
-			Epoch: db.Epoch(), MinEpoch: floor, Epochs: st.Epochs.Stamps(),
+			Epoch: db.Epoch(), MinEpoch: db.MinEpoch(), Epochs: db.EpochStamps(),
 		}
 		if err := c.writeSnapshot(walPath, meta, tables); err != nil {
 			return stats, err

@@ -38,7 +38,7 @@ func newState(t *testing.T) storage.State {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return storage.State{DB: db, Tables: tables, Epochs: storage.NewEpochIndex()}
+	return storage.State{DB: db, Tables: tables}
 }
 
 // TestRecoverFallsBackFromCorruptSnapshot kills a compaction of three sealed

@@ -8,21 +8,17 @@ import (
 	"flordb/internal/relation"
 )
 
-// State is what the log is rebuilt into: the tables, the database whose
-// epoch counter they share, and the epoch↔wall index behind AS OF
-// TIMESTAMP. Recovery, compaction and replica apply all rebuild a State
-// through the one consumer in this file, so the rules of reading the log
-// back — which snapshot, which segments, which records are visible, one
-// epoch per commit record — are written down once.
+// State is what the log is rebuilt into: the tables and the database whose
+// MVCC clock they share. Recovery, compaction and replica apply all rebuild a
+// State through the one consumer in this file, so the rules of reading the
+// log back — which snapshot, which segments, which records are visible, one
+// stamped epoch per commit record — are written down once; a live commit
+// publishes through the same commit arm (Publish).
 type State struct {
 	DB     *relation.Database
 	Tables *record.Tables
-	Epochs *EpochIndex
 	// Blobs, when set, rehydrates obj_store rows from checkpoint records.
 	Blobs *BlobStore
-	// RootTarget is the ts2vid root_target of rows rebuilt from commit
-	// records that carry a version id.
-	RootTarget string
 }
 
 // RecoverResult reports what a recovery did.
@@ -70,15 +66,16 @@ func (st State) ApplySegment(walPath string, seq int64) (int64, error) {
 
 // RecoverTables is Recover into tables alone, for callers that hold no
 // session (probes, tests): the epoch state is counted against a scratch
-// database and index, and dropped.
-func RecoverTables(walPath string, tables *record.Tables, blobs *BlobStore, rootTarget string, strict bool, _ RecoverHooks) (RecoverResult, error) {
-	st := State{DB: relation.NewDatabase(), Tables: tables, Epochs: NewEpochIndex(), Blobs: blobs, RootTarget: rootTarget}
+// database and dropped. Like the hooks, the root target is ignored: every
+// ts2vid row is rebuilt with an empty root_target, as it was written.
+func RecoverTables(walPath string, tables *record.Tables, blobs *BlobStore, _ string, strict bool, _ RecoverHooks) (RecoverResult, error) {
+	st := State{DB: relation.NewDatabase(), Tables: tables, Blobs: blobs}
 	return st.Recover(walPath, strict)
 }
 
-// open loads the newest readable snapshot into st.Tables and positions the
-// epoch state from it: the database epoch, the retention floor — the larger
-// of the snapshot's and the retention manifest's — and the epoch index. An
+// open loads the newest readable snapshot into st.Tables and restores the
+// MVCC clock from it: the database epoch, the retention floor — the larger
+// of the snapshot's and the retention manifest's — and the epoch stamps. An
 // unreadable snapshot is skipped; ReadSnapshot decodes fully before touching
 // the tables, so a rejected one leaves them empty.
 //
@@ -116,9 +113,7 @@ func (st State) open(walPath string) (meta record.SnapshotMeta, upto int64, err 
 	if err != nil {
 		return meta, 0, err
 	}
-	st.DB.SetEpoch(meta.Epoch)
-	st.DB.SetMinEpoch(max(meta.MinEpoch, floor))
-	st.Epochs.load(meta.Epochs)
+	st.DB.Restore(meta.Epoch, max(meta.MinEpoch, floor), meta.Epochs)
 	return meta, upto, nil
 }
 
@@ -154,25 +149,34 @@ func (st State) walk(walPath string, after, upto int64, active, strict bool) (Re
 	return res, nil
 }
 
+// Publish is the commit arm: the one place an epoch is published. It
+// materializes the commit record's ts2vid row when the record carries a
+// version id, then advances the database epoch stamped with the record's
+// wall clock. Replay reaches it once per commit record, and a live commit
+// calls it once its record is durable, so a live database and one rebuilt
+// from its log count and stamp the same epochs. No commit names a build
+// target, so root_target is always empty.
+func (st State) Publish(rec *record.CommitRecord) error {
+	if rec.VID != "" {
+		if _, err := st.Tables.Ts2vid.Insert(relation.Row{
+			relation.Text(rec.ProjID), relation.Int(rec.Tstamp), relation.Int(rec.Tstamp),
+			relation.Text(rec.VID), relation.Text(""),
+		}); err != nil {
+			return err
+		}
+	}
+	st.DB.AdvanceEpoch(rec.Wall)
+	return nil
+}
+
 // apply applies one replayed record to st and returns its logical
-// timestamp. A commit record materializes its ts2vid row when it carries a
-// version id and publishes one epoch, stamped with its wall clock — the same
-// accounting the live commit path uses, so a rebuilt database counts exactly
-// the commit records of its history. A checkpoint record rehydrates obj_store
-// from the blob store; everything else is shredded by Tables.Apply.
+// timestamp. A commit record goes through Publish. A checkpoint record
+// rehydrates obj_store from the blob store; everything else is shredded by
+// Tables.Apply.
 func (st State) apply(rec any) (int64, error) {
 	switch r := rec.(type) {
 	case *record.CommitRecord:
-		if r.VID != "" {
-			if _, err := st.Tables.Ts2vid.Insert(relation.Row{
-				relation.Text(r.ProjID), relation.Int(r.Tstamp), relation.Int(r.Tstamp),
-				relation.Text(r.VID), relation.Text(st.RootTarget),
-			}); err != nil {
-				return r.Tstamp, err
-			}
-		}
-		st.Epochs.Note(st.DB.AdvanceEpoch(), r.Wall)
-		return r.Tstamp, nil
+		return r.Tstamp, st.Publish(r)
 	case *record.CkptRecord:
 		if st.Blobs != nil && st.Blobs.Has(r.BlobKey) {
 			blob, err := st.Blobs.Get(r.BlobKey)

@@ -22,7 +22,7 @@ func newState(t *testing.T) State {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return State{DB: db, Tables: tables, Epochs: NewEpochIndex()}
+	return State{DB: db, Tables: tables}
 }
 
 // fillCommits appends n transactions of `per` log records each, committing

@@ -243,16 +243,45 @@ func TestGCEpochsRetiresHistory(t *testing.T) {
 	assertEpochsVisible(t, s, 5, 2)
 }
 
+// stepsAsOfTime is stepsAsOf for AS OF TIMESTAMP at wall (Unix nanoseconds).
+func stepsAsOfTime(t *testing.T, s *flor.Session, wall int64) []string {
+	t.Helper()
+	ts := time.Unix(0, wall).UTC().Format(time.RFC3339Nano)
+	res, err := s.SQL("SELECT value FROM logs WHERE value_name = 'step' AS OF TIMESTAMP '" + ts + "'")
+	if err != nil {
+		t.Fatalf("AS OF TIMESTAMP %s: %v", ts, err)
+	}
+	out := make([]string, len(res.Rows))
+	for i, r := range res.Rows {
+		out[i] = r[0].AsText()
+	}
+	sort.Strings(out)
+	return out
+}
+
+// ts2vidAsOf counts the ts2vid rows visible at the given epoch.
+func ts2vidAsOf(t *testing.T, s *flor.Session, epoch int64) int64 {
+	t.Helper()
+	res, err := s.SQL("SELECT count(*) c FROM ts2vid AS OF " + strconv.FormatInt(epoch, 10))
+	if err != nil {
+		t.Fatalf("ts2vid AS OF %d: %v", epoch, err)
+	}
+	return res.Rows[0][0].AsInt()
+}
+
 // TestAsOfPrefixEquivalenceRandomized is the randomized property: under a
-// random interleaving of commits, compactions, GC cycles, and restarts,
-// AS OF e must equal the fully-replayed prefix at e for every retained
-// epoch, and every retired epoch must fail with ErrEpochRetired.
+// random interleaving of commits (some staging a version), compactions, GC
+// cycles, and restarts, AS OF e must equal the fully-replayed prefix at e for
+// every retained epoch — its logged rows and one ts2vid row per staged commit
+// — AS OF TIMESTAMP at commit e's own live stamp must equal AS OF e, and
+// every retired epoch must fail with ErrEpochRetired.
 func TestAsOfPrefixEquivalenceRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(seed))
+			stageRng := rand.New(rand.NewSource(-seed))
 			dir := t.TempDir()
 			s, err := flor.Open(dir, "tt-prop", flor.Options{RetainEpochs: 4})
 			if err != nil {
@@ -260,12 +289,28 @@ func TestAsOfPrefixEquivalenceRandomized(t *testing.T) {
 			}
 			s.SetFilename("train.go")
 			var perC []int // perC[c-1] = rows logged by commit c
+			var stagedYet bool
+			var staged []bool // staged[c-1] = commit c versioned the workspace
+			var walls []int64 // walls[c-1] = the stamp the live session gave commit c
 			for step := 0; step < 30; step++ {
 				switch r := rng.Intn(10); {
 				case r < 6: // commit
 					n := 1 + rng.Intn(3)
 					perC = append(perC, n)
+					// A staged file stays in the workspace, so every commit
+					// from the first staging on versions it.
+					if stageRng.Intn(4) == 0 {
+						s.StageFile("train.go", fmt.Sprintf("step = %d\n", len(perC)))
+						stagedYet = true
+					}
+					staged = append(staged, stagedYet)
 					commitStep(t, s, len(perC), n)
+					stamps := s.Database().EpochStamps()
+					last := stamps[len(stamps)-1]
+					if last.Epoch != int64(len(perC)) {
+						t.Fatalf("step %d: newest stamp is for epoch %d, want %d", step, last.Epoch, len(perC))
+					}
+					walls = append(walls, last.Wall)
 				case r < 8: // compact
 					if _, err := s.Compact(); err != nil {
 						t.Fatal(err)
@@ -283,6 +328,7 @@ func TestAsOfPrefixEquivalenceRandomized(t *testing.T) {
 						t.Fatal(err)
 					}
 					s.SetFilename("train.go")
+					stagedYet = false // the workspace is not durable
 				}
 
 				commits := int64(len(perC))
@@ -313,6 +359,28 @@ func TestAsOfPrefixEquivalenceRandomized(t *testing.T) {
 						if got[i] != want[i] {
 							t.Fatalf("step %d epoch %d row %d: %q != %q", step, e, i, got[i], want[i])
 						}
+					}
+					var versions int64
+					for c := 1; c <= int(e); c++ {
+						if staged[c-1] {
+							versions++
+						}
+					}
+					if got := ts2vidAsOf(t, s, e); got != versions {
+						t.Fatalf("step %d epoch %d: %d ts2vid rows, want %d staged commits", step, e, got, versions)
+					}
+					if e == 0 {
+						continue
+					}
+					// Commit e's stamp resolves to the greatest epoch stamped
+					// at or before it: e itself unless a later commit shares
+					// the stamp.
+					at := e
+					for at < commits && walls[at] <= walls[e-1] {
+						at++
+					}
+					if got, want := fmt.Sprint(stepsAsOfTime(t, s, walls[e-1])), fmt.Sprint(stepsAsOf(t, s, at)); got != want {
+						t.Fatalf("step %d: AS OF TIMESTAMP of commit %d = %s, AS OF %d = %s", step, e, got, at, want)
 					}
 				}
 			}
