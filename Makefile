@@ -47,12 +47,14 @@ test:
 # fallback with its recovery and compaction arms, retention manifest, blob
 # Put), its refusals to rebuild state around lost history (a segment gap, a
 # corrupt snapshot whose segments are gone — recovery and compaction alike),
-# and the storagetest package's own tests. Kill points are enumerated from a
+# recovery's fallback past a CRC-valid snapshot the reader refuses, and the
+# storagetest package's own tests. Kill points are enumerated from a
 # clean run's trace of FS steps (internal/storage/storagetest); CI runs it as
 # a parallel job.
 crash-matrix:
 	go test -run 'TestCrash|TestSnapshotPlusTail|TestConcurrentCommits' -count=1 -v .
 	go test -run 'TestRecoverFallsBackFromCorruptSnapshot|TestSegmentGapRefused|TestRecoveryRefusesFallback|KillAtEveryStep|PutCrash' -count=1 -v ./internal/storage
+	go test -run 'TestRecoveryFallsBackFromRefusedSnapshot' -count=1 -v ./internal/record
 	go test -count=1 -v ./internal/storage/storagetest
 
 # race-stress hammers the concurrent serving core (snapshot equivalence,

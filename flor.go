@@ -106,7 +106,6 @@ type Session struct {
 	cliArgs   map[string]string
 	stdout    io.Writer
 	plans     *sqlparse.PlanCache
-	gcRows    atomic.Int64      // row versions reclaimed by GCEpochs since open
 	scanWkrs  int               // Options.ScanWorkers (0 = GOMAXPROCS)
 	reg       *metrics.Registry // the one telemetry registry; every layer registers into it
 
@@ -175,9 +174,9 @@ type Options struct {
 	RetainSegments int
 	// RetainEpochs bounds time-travel history: Session.GCEpochs retires
 	// epochs more than RetainEpochs commits behind the committed epoch
-	// (clamped to live snapshot pins and follower acks), reclaiming row
-	// versions no retained epoch can see. 0 retains every epoch forever —
-	// GCEpochs is then a no-op.
+	// (clamped to live snapshot pins and follower acks), after which AS OF
+	// refuses them. 0 retains every epoch forever — GCEpochs is then a
+	// no-op.
 	RetainEpochs int
 	// ScanWorkers caps the worker pool SQL execution fans morsel-driven
 	// parallel scans out over. 0 uses GOMAXPROCS; 1 forces serial scans.
@@ -314,7 +313,6 @@ func newSession(projid, dir string, wal *storage.WAL, walPath string, readOnly b
 	db.RegisterMetrics(s.reg)
 	wal.RegisterMetrics(s.reg)
 	s.plans.RegisterMetrics(s.reg)
-	s.reg.IntGauge("gc_rows_reclaimed", s.gcRows.Load)
 	s.reg.IntGauge("scan_workers", func() int64 { return int64(sqlparse.EffectiveScanWorkers(s.scanWkrs)) })
 	if s.stdout == nil {
 		s.stdout = io.Discard
@@ -742,20 +740,19 @@ type GCStats struct {
 	// Floor is the retention floor after the cycle: the lowest epoch
 	// time-travel reads may still target.
 	Floor int64
-	// RowsReclaimed counts row versions whose payload was dropped — versions
-	// both born and tombstoned below the floor, invisible at every retained
-	// epoch.
+	// RowsReclaimed is always 0: tables are insert-only, so every row
+	// version stays visible at every retained epoch and none is reclaimed.
 	RowsReclaimed int
 }
 
 // GCEpochs runs one epoch-retention GC cycle. The retention floor is
 // committed epoch − Options.RetainEpochs, clamped down to the oldest live
 // snapshot pin and the oldest follower-applied epoch (SetEpochAckFloor), and
-// never below the previous floor. Row versions tombstoned at or below the
-// floor are reclaimed in memory immediately; the floor is persisted in the
-// storage retention manifest so the next compaction folds them out of the
-// durable snapshot and a restarted session keeps refusing AS OF below it.
-// With Options.RetainEpochs zero the call is a no-op.
+// never below the previous floor. Raising the floor retires the epochs below
+// it — AS OF refuses them and their commit stamps are dropped — but no row:
+// tables are insert-only. The floor is persisted in the storage retention
+// manifest so a restarted session keeps refusing AS OF below it. With
+// Options.RetainEpochs zero the call is a no-op.
 func (s *Session) GCEpochs() (GCStats, error) {
 	if err := s.begin(); err != nil {
 		return GCStats{}, err
@@ -780,23 +777,22 @@ func (s *Session) GCEpochs() (GCStats, error) {
 	if floor <= 0 {
 		return GCStats{Floor: s.db.MinEpoch()}, nil
 	}
-	reclaimed, applied := s.db.GCBelow(floor)
-	s.gcRows.Add(int64(reclaimed))
+	applied := s.db.GCBelow(floor)
 	if w := s.currentWAL(); w != nil {
 		if err := w.WriteRetention(applied); err != nil {
-			return GCStats{Floor: applied, RowsReclaimed: reclaimed}, err
+			return GCStats{Floor: applied}, err
 		}
 	}
-	return GCStats{Floor: applied, RowsReclaimed: reclaimed}, nil
+	return GCStats{Floor: applied}, nil
 }
 
 // RetentionFloor returns the current epoch retention floor: the lowest epoch
 // ReaderAt and AS OF may target.
 func (s *Session) RetentionFloor() int64 { return s.db.MinEpoch() }
 
-// GCRowsReclaimed returns the total row versions reclaimed by GCEpochs since
-// the session opened.
-func (s *Session) GCRowsReclaimed() int64 { return s.gcRows.Load() }
+// GCRowsReclaimed returns the row versions GCEpochs has reclaimed since the
+// session opened: always 0, because tables are insert-only.
+func (s *Session) GCRowsReclaimed() int64 { return 0 }
 
 // ---------- Replication ----------
 

@@ -4,7 +4,7 @@
 // Session.Reader(), Session.LatestReader(), Session.ReaderAt() — must be
 // released (Release/Close) on every control-flow path, lostcancel-style.
 // Pins are cheap but counted: the pin count feeds the /healthz
-// snapshot_pins gauge, and epoch-retention GC refuses to reclaim epochs
+// snapshot_pins gauge, and epoch-retention GC refuses to retire epochs
 // that a leaked pin still covers, so a request handler that forgets Close
 // turns into an unbounded retention leak under load.
 //

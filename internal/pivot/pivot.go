@@ -263,24 +263,6 @@ func (df *Dataframe) Filter(pred func(relation.Row) bool) *Dataframe {
 	return out
 }
 
-// SortBy orders rows by a column (ascending or descending). Unknown columns
-// are an error.
-func (df *Dataframe) SortBy(col string, desc bool) (*Dataframe, error) {
-	i := df.Index(col)
-	if i < 0 {
-		return nil, fmt.Errorf("pivot: no column %q", col)
-	}
-	out := &Dataframe{Columns: df.Columns, Rows: append([]relation.Row(nil), df.Rows...)}
-	sort.SliceStable(out.Rows, func(a, b int) bool {
-		c := relation.Compare(out.Rows[a][i], out.Rows[b][i])
-		if desc {
-			return c > 0
-		}
-		return c < 0
-	})
-	return out, nil
-}
-
 // ArgMax returns the row with the maximum value in the given column —
 // the paper's "select the best-performing model checkpoint" query (§4.2).
 func (df *Dataframe) ArgMax(col string) (relation.Row, error) {
@@ -314,43 +296,4 @@ func (df *Dataframe) Column(col string) ([]relation.Value, error) {
 		out[j] = r[i]
 	}
 	return out, nil
-}
-
-// ToTable materializes the dataframe as a relation table (so SQL can query
-// it). Column types are inferred from the first non-NULL value per column.
-func (df *Dataframe) ToTable(name string) (*relation.Table, error) {
-	cols := make([]relation.Column, len(df.Columns))
-	for i, c := range df.Columns {
-		typ := relation.TText
-		for _, r := range df.Rows {
-			if !r[i].IsNull() {
-				typ = r[i].Type()
-				break
-			}
-		}
-		cols[i] = relation.Column{Name: c, Type: typ}
-	}
-	schema, err := relation.NewSchema(cols...)
-	if err != nil {
-		return nil, err
-	}
-	t := relation.NewTable(name, schema)
-	for _, r := range df.Rows {
-		coerced := make(relation.Row, len(r))
-		for i, v := range r {
-			if v.IsNull() {
-				coerced[i] = v
-				continue
-			}
-			cv, err := relation.Coerce(v, cols[i].Type)
-			if err != nil {
-				cv = relation.Text(v.String())
-			}
-			coerced[i] = cv
-		}
-		if _, err := t.Insert(coerced); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
 }

@@ -215,24 +215,20 @@ func TestArgMaxSelectsBestCheckpoint(t *testing.T) {
 	}
 }
 
-func TestSortByAndColumn(t *testing.T) {
+func TestColumn(t *testing.T) {
 	tables := fixture(t)
 	df, _ := Build(tables.View(), "pdf", []string{"acc"}, Options{})
-	sorted, err := df.SortBy("acc", true)
+	accs, err := df.Column("acc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	accs, err := sorted.Column("acc")
-	if err != nil {
-		t.Fatal(err)
+	if len(accs) != df.Len() {
+		t.Fatalf("column has %d values for %d rows", len(accs), df.Len())
 	}
-	for i := 1; i < len(accs); i++ {
-		if accs[i].AsFloat() > accs[i-1].AsFloat() {
-			t.Fatal("descending sort violated")
+	for j, r := range df.Rows {
+		if relation.Compare(accs[j], r[df.Index("acc")]) != 0 {
+			t.Fatalf("value %d: %v, row holds %v", j, accs[j], r[df.Index("acc")])
 		}
-	}
-	if _, err := df.SortBy("nope", false); err == nil {
-		t.Fatal("unknown sort column must error")
 	}
 	if _, err := df.Column("nope"); err == nil {
 		t.Fatal("unknown column must error")
@@ -246,22 +242,6 @@ func TestFilter(t *testing.T) {
 	ocr := df.Filter(func(r relation.Row) bool { return r[i].AsText() == "OCR" })
 	if ocr.Len() != 2 {
 		t.Fatalf("OCR rows = %d", ocr.Len())
-	}
-}
-
-func TestToTableAndSQLBridge(t *testing.T) {
-	tables := fixture(t)
-	df, _ := Build(tables.View(), "pdf", []string{"acc", "recall"}, Options{})
-	tbl, err := df.ToTable("metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Len() != df.Len() {
-		t.Fatalf("table rows = %d", tbl.Len())
-	}
-	s := tbl.Schema()
-	if s.Col(s.Index("acc")).Type != relation.TFloat {
-		t.Fatalf("acc type: %v", s.Col(s.Index("acc")).Type)
 	}
 }
 

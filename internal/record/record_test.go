@@ -188,7 +188,7 @@ func TestCreateTablesAndApply(t *testing.T) {
 	}
 }
 
-func TestBlobStoreLatestWins(t *testing.T) {
+func TestGetBlobExact(t *testing.T) {
 	db := relation.NewDatabase()
 	tables, err := CreateTables(db)
 	if err != nil {
@@ -200,19 +200,16 @@ func TestBlobStoreLatestWins(t *testing.T) {
 	if err := tables.PutBlob("p", 3, "f", 0, "model", []byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	b, ok := tables.GetBlob("p", "model", -1)
-	if !ok || string(b) != "new" {
-		t.Fatalf("latest blob: %q %v", b, ok)
+	for ts, want := range map[int64]string{1: "old", 3: "new"} {
+		if b, ok := tables.GetBlobExact("p", "model", ts); !ok || string(b) != want {
+			t.Fatalf("blob at %d: %q %v, want %q", ts, b, ok, want)
+		}
 	}
-	b, ok = tables.GetBlob("p", "model", 2)
-	if !ok || string(b) != "old" {
-		t.Fatalf("as-of blob: %q %v", b, ok)
+	if _, ok := tables.GetBlobExact("p", "model", 2); ok {
+		t.Fatal("blob between tstamps must not be found")
 	}
-	if _, ok := tables.GetBlob("p", "missing", -1); ok {
+	if _, ok := tables.GetBlobExact("p", "missing", 1); ok {
 		t.Fatal("missing blob must not be found")
-	}
-	if _, ok := tables.GetBlob("p", "model", 0); ok {
-		t.Fatal("blob before first tstamp must not be found")
 	}
 }
 

@@ -253,12 +253,6 @@ func (t *Tables) GetBlobExact(projid, name string, tstamp int64) ([]byte, bool) 
 	return t.View().GetBlobExact(projid, name, tstamp)
 }
 
-// GetBlob retrieves the most recent obj_store blob for (projid, name) with
-// tstamp <= atOrBefore (or any tstamp when atOrBefore < 0).
-func (t *Tables) GetBlob(projid, name string, atOrBefore int64) ([]byte, bool) {
-	return t.View().GetBlob(projid, name, atOrBefore)
-}
-
 // GetBlobExact retrieves the obj_store blob for (projid, name) written at
 // exactly the given tstamp, honoring the view's visibility.
 func (v *TablesView) GetBlobExact(projid, name string, tstamp int64) ([]byte, bool) {
@@ -273,31 +267,12 @@ func (v *TablesView) GetBlobExact(projid, name string, tstamp int64) ([]byte, bo
 	return out, found
 }
 
-// GetBlob retrieves the most recent obj_store blob for (projid, name) with
-// tstamp <= atOrBefore (or any tstamp when atOrBefore < 0), honoring the
-// view's visibility.
-func (v *TablesView) GetBlob(projid, name string, atOrBefore int64) ([]byte, bool) {
-	var best []byte
-	var bestTs int64 = -1
-	v.eachBlobRow(projid, name, func(r relation.Row) {
-		ts := r[1].AsInt()
-		if atOrBefore >= 0 && ts > atOrBefore {
-			return
-		}
-		if ts > bestTs {
-			bestTs = ts
-			best = r[5].AsBlob()
-		}
-	})
-	return best, bestTs >= 0
-}
-
 // eachBlobRow visits the visible obj_store rows for (projid, name), through
 // the hash index when present.
 func (v *TablesView) eachBlobRow(projid, name string, fn func(relation.Row)) {
 	if ix, ok := v.ObjStore.HashIndexOn("projid", "value_name"); ok {
 		for _, id := range ix.Lookup(relation.Text(projid), relation.Text(name)) {
-			if r, live := v.ObjStore.Get(id); live {
+			if r, ok := v.ObjStore.Get(id); ok {
 				fn(r)
 			}
 		}

@@ -12,11 +12,10 @@
 // releases included — is refused as unsupported, and recovery falls back to
 // an older snapshot or refuses a partial database.
 //
-// A snapshot persists full MVCC history: every row version carries its
-// born/dead epochs, so a recovered database answers `AS OF <epoch>` queries
-// exactly as the one that wrote the snapshot did. Versions tombstoned at or
-// below the retention floor (meta min_epoch) are folded out at write time —
-// this is how the epoch-retention GC's reclamation becomes durable.
+// A snapshot persists full MVCC history: tables are insert-only, so every
+// row version is written with its born epoch, and a recovered database
+// answers `AS OF <epoch>` queries exactly as the one that wrote the snapshot
+// did.
 //
 // The codec is deliberately not JSONL: decoding a snapshot cell costs a type
 // switch and a varint, not two reflective json.Unmarshal calls. This is
@@ -76,13 +75,6 @@ func (d *snapDict) id(s string) uint64 {
 	d.ids[s] = id
 	d.entries = append(d.entries, s)
 	return id
-}
-
-// snapPersists reports whether a row version belongs in a snapshot with the
-// given retention floor: it must have a payload (not reclaimed in memory) and
-// must still be visible at some epoch >= floor.
-func snapPersists(r relation.Row, dead, minEpoch int64) bool {
-	return r != nil && (dead == 0 || dead > minEpoch)
 }
 
 // ReadSnapshot verifies and decodes a snapshot, then bulk-loads the rows

@@ -15,8 +15,8 @@
 //	    page directory, per page:
 //	        uvarint rows in page (ZonePageRows for all but the last)
 //	        uvarint page blob length in bytes
-//	        zigzag varint min born, max born, max dead (max dead is 0
-//	            unless every version in the page is tombstoned)
+//	        zigzag varint min born, max born, max dead (always 0: tables
+//	            are insert-only, and the reader refuses anything else)
 //	        per schema column: uvarint NULL count, plain-coded min,
 //	            plain-coded max (both NULL if the page has no non-NULL cell)
 //	    page blobs, concatenated in page order
@@ -26,8 +26,8 @@
 // decoded payload length, payload bytes. DEFLATE is used only when it
 // actually shrinks the page. The decoded payload is:
 //
-//	born epochs: zigzag varint × rows
-//	dead epochs: zigzag varint × rows (0 = live)
+//	born epochs: zigzag varint × rows, nondecreasing across the table
+//	dead epochs: zigzag varint × rows (always 0, as above)
 //	per schema column:
 //	    NULL bitmap, ceil(rows/8) bytes, bit set = NULL
 //	    one encoding tag, then the non-NULL cells in row order:
@@ -47,9 +47,12 @@
 //
 // The reader recomputes every page's zone from the decoded cells and rejects
 // the snapshot if the directory disagrees — the zone cache feeds query-time
-// page pruning, so a zone that lies must never be installed. Corruption is
-// already caught by the CRC; this guards against writer bugs and keeps the
-// prune-is-conservative proof obligation (DESIGN §13) local to one codec.
+// page pruning, so a zone that lies must never be installed. It also refuses
+// what the product cannot write: a nonzero dead epoch or max dead, and a born
+// below its predecessor's, which would break the prefix invariant every
+// reader relies on (DESIGN §8). Corruption is already caught by the CRC;
+// this guards against writer bugs and keeps the prune-is-conservative proof
+// obligation (DESIGN §13) local to one codec.
 package record
 
 import (
@@ -88,7 +91,7 @@ func WriteSnapshot(w io.Writer, meta SnapshotMeta, t *Tables) error {
 		return fmt.Errorf("record: write snapshot: %w", err)
 	}
 	for _, tbl := range t.snapshotTables() {
-		sec, err := appendColumnarTable(buf[:0], tbl, meta.MinEpoch)
+		sec, err := appendColumnarTable(buf[:0], tbl)
 		if err != nil {
 			return err
 		}
@@ -106,19 +109,12 @@ func WriteSnapshot(w io.Writer, meta SnapshotMeta, t *Tables) error {
 }
 
 // appendColumnarTable appends one table section (header, page directory,
-// page blobs) to dst, persisting the versions snapPersists keeps: payload
-// present and visible above the retention floor.
-func appendColumnarTable(dst []byte, tbl *relation.Table, minEpoch int64) ([]byte, error) {
-	rows, born, dead := tbl.Versions()
-	sel := make([]int, 0, len(rows))
-	for i := range rows {
-		if snapPersists(rows[i], dead[i], minEpoch) {
-			sel = append(sel, i)
-		}
-	}
+// page blobs) to dst, persisting every version.
+func appendColumnarTable(dst []byte, tbl *relation.Table) ([]byte, error) {
+	rows, born := tbl.Versions()
 	name := tbl.Name()
 	schema := tbl.Schema()
-	nPages := (len(sel) + relation.ZonePageRows - 1) / relation.ZonePageRows
+	nPages := (len(rows) + relation.ZonePageRows - 1) / relation.ZonePageRows
 	blobs := make([][]byte, nPages)
 	zones := make([]relation.PageZone, nPages)
 	var cb bytes.Buffer
@@ -128,8 +124,8 @@ func appendColumnarTable(dst []byte, tbl *relation.Table, minEpoch int64) ([]byt
 	}
 	for p := range blobs {
 		lo := p * relation.ZonePageRows
-		hi := min(lo+relation.ZonePageRows, len(sel))
-		raw, zone, err := encodeColumnarPage(schema, rows, born, dead, sel[lo:hi])
+		hi := min(lo+relation.ZonePageRows, len(rows))
+		raw, zone, err := encodeColumnarPage(schema, rows[lo:hi], born[lo:hi])
 		if err != nil {
 			return nil, fmt.Errorf("record: snapshot %s page %d: %w", name, p, err)
 		}
@@ -137,7 +133,7 @@ func appendColumnarTable(dst []byte, tbl *relation.Table, minEpoch int64) ([]byt
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(name)))
 	dst = append(dst, name...)
-	dst = binary.AppendUvarint(dst, uint64(len(sel)))
+	dst = binary.AppendUvarint(dst, uint64(len(rows)))
 	dst = binary.AppendUvarint(dst, uint64(nPages))
 	for p := range blobs {
 		dst = appendPageDir(dst, &zones[p], len(blobs[p]))
@@ -148,22 +144,22 @@ func appendColumnarTable(dst []byte, tbl *relation.Table, minEpoch int64) ([]byt
 	return dst, nil
 }
 
-// encodeColumnarPage encodes the selected versions as one raw (uncompressed)
+// encodeColumnarPage encodes one page of versions as a raw (uncompressed)
 // page payload and computes its zone map from the same cells in the same
 // order the reader will revisit them.
-func encodeColumnarPage(schema *relation.Schema, rows []relation.Row, born, dead []int64, sel []int) ([]byte, relation.PageZone, error) {
+func encodeColumnarPage(schema *relation.Schema, rows []relation.Row, born []int64) ([]byte, relation.PageZone, error) {
 	width := schema.Len()
-	n := len(sel)
+	n := len(rows)
 	acc := newPageZoneAcc(width)
 	raw := make([]byte, 0, n*width*4)
-	for _, i := range sel {
-		acc.addVersion(born[i], dead[i])
+	for _, b := range born {
+		acc.addVersion(b)
 	}
-	for _, i := range sel {
-		raw = binary.AppendVarint(raw, born[i])
+	for _, b := range born {
+		raw = binary.AppendVarint(raw, b)
 	}
-	for _, i := range sel {
-		raw = binary.AppendVarint(raw, dead[i])
+	for range born {
+		raw = binary.AppendVarint(raw, 0) // dead epoch
 	}
 	bitmap := make([]byte, (n+7)/8)
 	vals := make([]*relation.Value, 0, n)
@@ -174,8 +170,8 @@ func encodeColumnarPage(schema *relation.Schema, rows []relation.Row, born, dead
 		vals = vals[:0]
 		colType := schema.Col(c).Type
 		uniform := true
-		for j, ri := range sel {
-			v := &rows[ri][c]
+		for j, r := range rows {
+			v := &r[c]
 			acc.addCell(c, v)
 			if v.IsNull() {
 				bitmap[j>>3] |= 1 << (j & 7)
@@ -257,7 +253,7 @@ func encodeColumnarPage(schema *relation.Schema, rows []relation.Row, born, dead
 			}
 		}
 	}
-	return raw, acc.zone(), nil
+	return raw, acc.z, nil
 }
 
 // framePage wraps a raw page payload in the compression frame, keeping the
@@ -284,7 +280,7 @@ func appendPageDir(dst []byte, z *relation.PageZone, blobLen int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(blobLen))
 	dst = binary.AppendVarint(dst, z.MinBorn)
 	dst = binary.AppendVarint(dst, z.MaxBorn)
-	dst = binary.AppendVarint(dst, z.MaxDead)
+	dst = binary.AppendVarint(dst, 0) // max dead
 	for c := range z.Cols {
 		cz := &z.Cols[c]
 		dst = binary.AppendUvarint(dst, uint64(cz.NullCount))
@@ -298,30 +294,20 @@ func appendPageDir(dst []byte, z *relation.PageZone, blobLen int) []byte {
 // over the page's cells in row order, so the persisted and recomputed zones
 // can be compared field-for-field.
 type pageZoneAcc struct {
-	z       relation.PageZone
-	allDead bool
-	maxDead int64
+	z relation.PageZone
 }
 
 func newPageZoneAcc(width int) *pageZoneAcc {
-	return &pageZoneAcc{
-		z:       relation.PageZone{Cols: make([]relation.ColZone, width)},
-		allDead: true,
-	}
+	return &pageZoneAcc{z: relation.PageZone{Cols: make([]relation.ColZone, width)}}
 }
 
-func (a *pageZoneAcc) addVersion(born, dead int64) {
+func (a *pageZoneAcc) addVersion(born int64) {
 	if a.z.Rows == 0 {
 		a.z.MinBorn, a.z.MaxBorn = born, born
 	} else if born < a.z.MinBorn {
 		a.z.MinBorn = born
 	} else if born > a.z.MaxBorn {
 		a.z.MaxBorn = born
-	}
-	if dead == 0 {
-		a.allDead = false
-	} else if dead > a.maxDead {
-		a.maxDead = dead
 	}
 	a.z.Rows++
 }
@@ -343,19 +329,11 @@ func (a *pageZoneAcc) addCell(c int, v *relation.Value) {
 	}
 }
 
-func (a *pageZoneAcc) zone() relation.PageZone {
-	z := a.z
-	if a.allDead && z.Rows > 0 {
-		z.MaxDead = a.maxDead
-	}
-	return z
-}
-
 // zoneEqual compares a directory zone against a recomputed one. Min/max
 // equality under ComparePtr is enough: pruning only ever uses the total
 // order, so two Compare-equal bounds prune identically.
 func zoneEqual(a, b *relation.PageZone) bool {
-	if a.MinBorn != b.MinBorn || a.MaxBorn != b.MaxBorn || a.MaxDead != b.MaxDead ||
+	if a.MinBorn != b.MinBorn || a.MaxBorn != b.MaxBorn ||
 		a.Rows != b.Rows || len(a.Cols) != len(b.Cols) {
 		return false
 	}
@@ -461,7 +439,6 @@ func readSnapshotV3(rd *snapReader, t *Tables) error {
 	tbls := t.snapshotTables()
 	batches := make([][]relation.Row, len(tbls))
 	borns := make([][]int64, len(tbls))
-	deads := make([][]int64, len(tbls))
 	zoneSets := make([][]relation.PageZone, len(tbls))
 	for ti, tbl := range tbls {
 		name := string(rd.bytes(int(rd.uvarint())))
@@ -503,7 +480,9 @@ func readSnapshotV3(rd *snapReader, t *Tables) error {
 			z := relation.PageZone{Rows: pr, Cols: make([]relation.ColZone, width)}
 			z.MinBorn = rd.varint()
 			z.MaxBorn = rd.varint()
-			z.MaxDead = rd.varint()
+			if maxDead := rd.varint(); maxDead != 0 {
+				return fmt.Errorf("record: snapshot %s page %d: max dead epoch %d, want 0", name, p, maxDead)
+			}
 			for c := 0; c < width; c++ {
 				cz := &z.Cols[c]
 				nc := int(rd.uvarint())
@@ -521,19 +500,18 @@ func readSnapshotV3(rd *snapReader, t *Tables) error {
 		}
 		rows := make([]relation.Row, 0, min(total, 1<<16))
 		born := make([]int64, 0, min(total, 1<<16))
-		dead := make([]int64, 0, min(total, 1<<16))
 		for p := range dir {
 			blob := rd.bytes(dir[p].blobLen)
 			if rd.err != nil {
 				return rd.err
 			}
 			var err error
-			rows, born, dead, err = decodeColumnarPage(blob, schema, &dir[p], name, p, rows, born, dead)
+			rows, born, err = decodeColumnarPage(blob, schema, &dir[p], name, p, rows, born)
 			if err != nil {
 				return err
 			}
 		}
-		batches[ti], borns[ti], deads[ti] = rows, born, dead
+		batches[ti], borns[ti] = rows, born
 		// Only complete pages seed the zone cache: the in-memory cache is
 		// defined over exact ZonePageRows-aligned pages, and a trailing
 		// partial page would misalign everything appended after recovery.
@@ -548,7 +526,7 @@ func readSnapshotV3(rd *snapReader, t *Tables) error {
 		return errors.New("record: trailing bytes after snapshot tables")
 	}
 	for i, tbl := range tbls {
-		if err := tbl.LoadVersions(batches[i], borns[i], deads[i]); err != nil {
+		if err := tbl.LoadVersions(batches[i], borns[i]); err != nil {
 			return err
 		}
 		if err := tbl.InstallZones(zoneSets[i]); err != nil {
@@ -560,10 +538,11 @@ func readSnapshotV3(rd *snapReader, t *Tables) error {
 
 // decodeColumnarPage decodes one page blob, validates every cell against the
 // schema, verifies the directory zone against a recomputed one, and appends
-// the page's versions to the accumulator slices.
-func decodeColumnarPage(stored []byte, schema *relation.Schema, de *pageDirEntry, table string, page int, rows []relation.Row, born, dead []int64) ([]relation.Row, []int64, []int64, error) {
-	fail := func(err error) ([]relation.Row, []int64, []int64, error) {
-		return rows, born, dead, fmt.Errorf("record: snapshot %s page %d: %w", table, page, err)
+// the page's versions to the accumulator slices, which hold the table's
+// earlier pages: a page's first born must not fall below their last.
+func decodeColumnarPage(stored []byte, schema *relation.Schema, de *pageDirEntry, table string, page int, rows []relation.Row, born []int64) ([]relation.Row, []int64, error) {
+	fail := func(err error) ([]relation.Row, []int64, error) {
+		return rows, born, fmt.Errorf("record: snapshot %s page %d: %w", table, page, err)
 	}
 	payload, err := unframePage(stored)
 	if err != nil {
@@ -573,22 +552,28 @@ func decodeColumnarPage(stored []byte, schema *relation.Schema, de *pageDirEntry
 	width := schema.Len()
 	rd := &snapReader{buf: payload}
 	pb := make([]int64, n)
-	pd := make([]int64, n)
 	for j := range pb {
 		pb[j] = rd.varint()
 	}
-	for j := range pd {
-		pd[j] = rd.varint()
+	for j := range n {
+		if dead := rd.varint(); dead != 0 {
+			return fail(fmt.Errorf("row %d: dead epoch %d, want 0", j, dead))
+		}
 	}
 	if rd.err != nil {
 		return fail(rd.err)
 	}
 	acc := newPageZoneAcc(width)
-	for j := range pb {
-		if pb[j] < 0 || pd[j] < 0 || (pd[j] != 0 && pd[j] < pb[j]) {
-			return fail(fmt.Errorf("row %d: bad epochs born=%d dead=%d", j, pb[j], pd[j]))
+	prev := int64(0)
+	if len(born) > 0 {
+		prev = born[len(born)-1]
+	}
+	for j, b := range pb {
+		if b < prev {
+			return fail(fmt.Errorf("row %d: born epoch %d below its predecessor's %d", j, b, prev))
 		}
-		acc.addVersion(pb[j], pd[j])
+		prev = b
+		acc.addVersion(b)
 	}
 	cells := make([]relation.Value, n*width)
 	bitmapLen := (n + 7) / 8
@@ -700,16 +685,14 @@ func decodeColumnarPage(stored []byte, schema *relation.Schema, de *pageDirEntry
 	if len(rd.buf) != 0 {
 		return fail(errors.New("trailing bytes in page"))
 	}
-	recomputed := acc.zone()
-	if !zoneEqual(&de.zone, &recomputed) {
+	if !zoneEqual(&de.zone, &acc.z) {
 		return fail(errors.New("zone map disagrees with page contents"))
 	}
 	for j := 0; j < n; j++ {
 		rows = append(rows, relation.Row(cells[j*width:(j+1)*width:(j+1)*width]))
 		born = append(born, pb[j])
-		dead = append(dead, pd[j])
 	}
-	return rows, born, dead, nil
+	return rows, born, nil
 }
 
 // unframePage strips the compression frame off a stored page blob.

@@ -3,6 +3,7 @@ package record
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"strings"
@@ -25,7 +26,7 @@ func refixSnapshotCRC(data []byte) []byte {
 }
 
 // columnarTables builds a Tables set whose logs table spans several zone
-// pages (two complete plus a partial), with epoch structure and tombstones.
+// pages (two complete plus a partial), with epoch boundaries mid-page.
 func columnarTables(t *testing.T) (*relation.Database, *Tables) {
 	t.Helper()
 	db := relation.NewDatabase()
@@ -33,10 +34,9 @@ func columnarTables(t *testing.T) (*relation.Database, *Tables) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ids []relation.RowID
 	total := 2*relation.ZonePageRows + relation.ZonePageRows/2
 	for i := 0; i < total; i++ {
-		id, err := tables.Logs.Insert(relation.Row{
+		_, err := tables.Logs.Insert(relation.Row{
 			relation.Text(fmt.Sprintf("p%d", i%3)), relation.Int(int64(i)),
 			relation.Text("train.flow"), relation.Int(int64(i % 7)),
 			relation.Text([]string{"acc", "loss"}[i%2]), relation.Text("0.5"),
@@ -45,16 +45,125 @@ func columnarTables(t *testing.T) (*relation.Database, *Tables) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
 		if i%512 == 0 {
 			db.AdvanceEpoch(time.Now())
 		}
 	}
-	for i := 0; i < len(ids); i += 37 {
-		tables.Logs.Delete(ids[i])
-	}
 	db.AdvanceEpoch(time.Now())
 	return db, tables
+}
+
+// snapshotDefects lists what tamperedSnapshot can put on disk: each is
+// something only a writer with tombstones — or a buggy one — could produce.
+var snapshotDefects = []string{"dead epoch", "max dead", "born decreases in a page", "born decreases across pages"}
+
+// tamperedSnapshot writes a CRC-valid snapshot under meta whose logs table
+// is sound and whose args table — two pages, the last table the reader
+// decodes — carries defect. Its pages are framed uncompressed so the defect
+// can be patched into the raw payload: born varints, then dead varints, one
+// byte each for epochs below 64.
+func tamperedSnapshot(tb testing.TB, meta SnapshotMeta, defect string) []byte {
+	tb.Helper()
+	tables, err := CreateTables(relation.NewDatabase())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := tables.Apply(&LogRecord{Kind: KindLog, ProjID: "p", Tstamp: int64(i), Filename: "f",
+			ValueName: "acc", Value: "0.5", ValueType: VTFloat}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	n := relation.ZonePageRows + 2
+	rows := make([]relation.Row, n)
+	born := make([]int64, n)
+	for i := range rows {
+		rows[i] = relation.Row{relation.Text("p"), relation.Int(int64(i)), relation.Text("f"), relation.Text("lr"), relation.Text("0.1")}
+		born[i] = int64(1 + i/512)
+	}
+	var maxDead int64
+	switch defect {
+	case "dead epoch", "":
+	case "max dead":
+		maxDead = 2
+	case "born decreases in a page":
+		born[700] = 1
+	case "born decreases across pages":
+		born[relation.ZonePageRows] = 1
+	default:
+		tb.Fatalf("unknown defect %q", defect)
+	}
+	metaJSON, err := json.Marshal(meta)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data := append([]byte(snapshotMagic), binary.AppendUvarint(nil, uint64(len(metaJSON)))...)
+	data = append(data, metaJSON...)
+	for _, tbl := range tables.snapshotTables() {
+		if tbl != tables.Args {
+			if data, err = appendColumnarTable(data, tbl); err != nil {
+				tb.Fatal(err)
+			}
+			continue
+		}
+		data = binary.AppendUvarint(data, uint64(len(tbl.Name())))
+		data = append(data, tbl.Name()...)
+		data = binary.AppendUvarint(data, uint64(n))
+		data = binary.AppendUvarint(data, 2)
+		var blobs []byte
+		for lo := 0; lo < n; lo += relation.ZonePageRows {
+			hi := min(lo+relation.ZonePageRows, n)
+			raw, zone, err := encodeColumnarPage(tbl.Schema(), rows[lo:hi], born[lo:hi])
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if defect == "dead epoch" && lo == 0 {
+				raw[hi-lo+3] = 4 // zigzag varint 2: row 3 dead at epoch 2
+			}
+			blob := append([]byte{0}, binary.AppendUvarint(nil, uint64(len(raw)))...)
+			blob = append(blob, raw...)
+			blobs = append(blobs, blob...)
+			// The directory entry with its max dead varint — the header's
+			// last byte — replaced.
+			hdr := appendPageDir(nil, &relation.PageZone{Rows: zone.Rows, MinBorn: zone.MinBorn, MaxBorn: zone.MaxBorn}, len(blob))
+			full := appendPageDir(nil, &zone, len(blob))
+			data = binary.AppendVarint(append(data, hdr[:len(hdr)-1]...), maxDead)
+			data = append(data, full[len(hdr):]...)
+		}
+		data = append(data, blobs...)
+	}
+	return refixSnapshotCRC(append(data, 0, 0, 0, 0))
+}
+
+// TestSnapshotRefusesWhatTheProductCannotWrite: a nonzero dead epoch, a
+// nonzero max dead, and a born below its predecessor's — within a page or
+// across pages — are each refused with the tables untouched, while the
+// same file without the defect loads.
+func TestSnapshotRefusesWhatTheProductCannotWrite(t *testing.T) {
+	meta := SnapshotMeta{Version: SnapshotVersion, Seq: 4, Epoch: 3}
+	dst := snapTables(t)
+	if _, err := ReadSnapshot(tamperedSnapshot(t, meta, ""), dst); err != nil {
+		t.Fatalf("untampered control: %v", err)
+	}
+	if dst.Args.Len() != relation.ZonePageRows+2 || dst.Logs.Len() != 3 {
+		t.Fatalf("untampered control loaded %d args, %d logs", dst.Args.Len(), dst.Logs.Len())
+	}
+	for _, defect := range snapshotDefects {
+		dst := snapTables(t)
+		_, err := ReadSnapshot(tamperedSnapshot(t, meta, defect), dst)
+		if err == nil {
+			t.Fatalf("%s: accepted", defect)
+		}
+		if strings.Contains(err.Error(), "zone map") {
+			t.Fatalf("%s: refused for the wrong reason: %v", defect, err)
+		}
+		t.Logf("%s: %v", defect, err)
+		for _, tbl := range dst.snapshotTables() {
+			if tbl.Len() != 0 {
+				t.Fatalf("%s: table %s dirtied by the refused load", defect, tbl.Name())
+			}
+		}
+	}
 }
 
 // TestSnapshotV2ReadCompatibility pins what is left of v2 compatibility: a
@@ -83,7 +192,7 @@ func TestSnapshotV2ReadCompatibility(t *testing.T) {
 }
 
 // TestSnapshotV3MultiPageRoundTrip round-trips a multi-page table — complete
-// pages, a trailing partial page, tombstones, epoch spread — and proves the
+// pages, a trailing partial page, epoch spread — and proves the
 // page directory's zone maps were installed into the reader's zone cache.
 func TestSnapshotV3MultiPageRoundTrip(t *testing.T) {
 	_, src := columnarTables(t)
@@ -95,14 +204,14 @@ func TestSnapshotV3MultiPageRoundTrip(t *testing.T) {
 	if _, err := ReadSnapshot(buf.Bytes(), dst); err != nil {
 		t.Fatal(err)
 	}
-	srcRows, srcBorn, srcDead := src.Logs.Versions()
-	dstRows, dstBorn, dstDead := dst.Logs.Versions()
+	srcRows, srcBorn := src.Logs.Versions()
+	dstRows, dstBorn := dst.Logs.Versions()
 	if len(srcRows) != len(dstRows) {
 		t.Fatalf("version count %d != %d", len(dstRows), len(srcRows))
 	}
 	for i := range srcRows {
-		if srcBorn[i] != dstBorn[i] || srcDead[i] != dstDead[i] {
-			t.Fatalf("version %d epochs (%d,%d) != (%d,%d)", i, dstBorn[i], dstDead[i], srcBorn[i], srcDead[i])
+		if srcBorn[i] != dstBorn[i] {
+			t.Fatalf("version %d born %d != %d", i, dstBorn[i], srcBorn[i])
 		}
 		for c := range srcRows[i] {
 			if relation.Compare(srcRows[i][c], dstRows[i][c]) != 0 {
@@ -235,7 +344,7 @@ func TestColumnarPageDictionaryIndexOutOfRange(t *testing.T) {
 	frame := append([]byte{0}, binary.AppendUvarint(nil, uint64(len(raw)))...)
 	frame = append(frame, raw...)
 	de := &pageDirEntry{rows: 1, blobLen: len(frame)}
-	_, _, _, err := decodeColumnarPage(frame, schema, de, "logs", 0, nil, nil, nil)
+	_, _, err := decodeColumnarPage(frame, schema, de, "logs", 0, nil, nil)
 	if err == nil {
 		t.Fatal("out-of-range dictionary index accepted")
 	}
@@ -268,17 +377,19 @@ func TestUnframePageGuards(t *testing.T) {
 // FuzzColumnarPageRead drives arbitrary mutations of a valid v3 snapshot
 // through the columnar reader with the CRC trailer re-fixed, so the fuzzer
 // reaches the page directory, frame, and cell decoders instead of stopping at
-// the checksum. The reader must never panic and must leave the destination
-// tables untouched whenever it reports an error.
+// the checksum. The reader must never panic, must leave the destination
+// tables untouched whenever it reports an error, and must never load a
+// store whose born epochs decrease. Seeds include every tamperedSnapshot
+// defect, each of which TestSnapshotRefusesWhatTheProductCannotWrite
+// requires the reader to refuse.
 func FuzzColumnarPageRead(f *testing.F) {
 	db := relation.NewDatabase()
 	tables, err := CreateTables(db)
 	if err != nil {
 		f.Fatal(err)
 	}
-	var ids []relation.RowID
 	for i := 0; i < relation.ZonePageRows+3; i++ {
-		id, err := tables.Logs.Insert(relation.Row{
+		_, err := tables.Logs.Insert(relation.Row{
 			relation.Text("p"), relation.Int(int64(i)), relation.Text("f"),
 			relation.Int(int64(i)), relation.Text([]string{"acc", "loss"}[i%2]),
 			relation.Text("0.5"), relation.Int(int64(VTFloat)),
@@ -286,12 +397,10 @@ func FuzzColumnarPageRead(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		ids = append(ids, id)
 		if i%100 == 0 {
 			db.AdvanceEpoch(time.Now())
 		}
 	}
-	tables.Logs.Delete(ids[5])
 	var buf bytes.Buffer
 	if err := WriteSnapshot(&buf, SnapshotMeta{Version: SnapshotVersion, Seq: 1, MaxTstamp: 1}, tables); err != nil {
 		f.Fatal(err)
@@ -304,6 +413,9 @@ func FuzzColumnarPageRead(f *testing.F) {
 	f.Add(dirCorrupt)
 	f.Add([]byte(snapshotMagic))
 	f.Add([]byte{})
+	for _, d := range snapshotDefects {
+		f.Add(tamperedSnapshot(f, SnapshotMeta{Version: SnapshotVersion, Seq: 1}, d))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = refixSnapshotCRC(append([]byte(nil), data...))
@@ -315,6 +427,15 @@ func FuzzColumnarPageRead(f *testing.F) {
 			for _, tbl := range dst.snapshotTables() {
 				if tbl.Len() != 0 {
 					t.Fatalf("failed load dirtied table %s", tbl.Name())
+				}
+			}
+			return
+		}
+		for _, tbl := range dst.snapshotTables() {
+			_, born := tbl.Versions()
+			for i := 1; i < len(born); i++ {
+				if born[i] < born[i-1] {
+					t.Fatalf("table %s loaded with born %d after %d", tbl.Name(), born[i], born[i-1])
 				}
 			}
 		}

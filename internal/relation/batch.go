@@ -6,10 +6,9 @@ import "fmt"
 // with a selection vector: operators process whole batches instead of one
 // row at a time, which amortizes interface dispatch, eliminates per-row
 // output allocation, and lets predicates run as tight loops over column
-// slices. MVCC visibility composes for free: a batch scan materializes a
-// contiguous chunk of the append-only row store and records only the rows
-// visible at the pinned epoch in the selection vector, so every downstream
-// operator inherits snapshot semantics by honoring Sel.
+// slices. MVCC visibility composes for free: the rows visible at a pinned
+// epoch are a prefix of the append-only row store, so a batch scan walks
+// only that prefix and every chunk it emits is wholly visible.
 //
 // Ownership contract: a Batch returned by NextBatch — its column slices and
 // its selection vector — is valid only until the next NextBatch call on the
@@ -119,18 +118,18 @@ func (r *RowsFromBatchesOp) Next() (Row, bool) {
 
 // batchStater is the internal surface batch scans pin table state through:
 // both Table (latest visibility) and TableSnapshot (epoch visibility)
-// expose their published state and the epoch to filter it at.
+// expose their published state and the length of its visible prefix.
 type batchStater interface {
-	batchState() (*tableState, int64)
+	batchState() (*tableState, int)
 }
 
-// BatchScanOp scans a row store in contiguous chunks, transposing each chunk
-// into column slices and recording the epoch-visible rows in the selection
-// vector. Like ScanOp, state resolves lazily on the first NextBatch, so
-// building a plan (EXPLAIN) costs nothing. Column pruning: when needed is
-// non-nil, only those columns are materialized. The store is either a
-// table's (NewBatchScan) or a row set some other access path resolved —
-// index matches, a virtual table (NewBatchRows).
+// BatchScanOp scans the visible prefix of a row store in contiguous chunks,
+// transposing each chunk into column slices; every selection vector it emits
+// is the identity. Like ScanOp, state resolves lazily on the first
+// NextBatch, so building a plan (EXPLAIN) costs nothing. Column pruning:
+// when needed is non-nil, only those columns are materialized. The store is
+// either a table's (NewBatchScan) or a row set some other access path
+// resolved — index matches, a virtual table (NewBatchRows).
 type BatchScanOp struct {
 	src      TableReader  // nil for NewBatchRows
 	rowsFn   func() []Row // NewBatchRows: resolves the already-visible rows
@@ -142,20 +141,17 @@ type BatchScanOp struct {
 	identity []int // pristine 0..size-1, copied into Sel (filters compact Sel in place)
 	resolved bool
 
-	// Direct row-store walk (Table / TableSnapshot).
-	st    *tableState
-	epoch int64
-	base  int
-	hi    int // exclusive scan bound; -1 = whole store (see SetRange)
+	// The rows walked: a table's visible prefix (Table / TableSnapshot), or
+	// rows already visibility-filtered (NewBatchRows, and table readers
+	// without a published state).
+	rows []Row
+	base int
+	hi   int // exclusive scan bound; -1 = all rows (see SetRange)
 
 	// Zone-map pruning (nil = none): zoneFilter decides page skips, zones
 	// holds the table's cached page zones, resolved lazily with the state.
 	zoneFilter ZoneFilter
 	zones      []PageZone
-
-	// Already visibility-filtered rows: NewBatchRows, and table readers
-	// without a published state.
-	rows []Row
 }
 
 // NewBatchScan returns a batch scan over a table read surface. needed lists
@@ -196,17 +192,14 @@ func (s *BatchScanOp) SetRange(lo, hi int) {
 	s.base, s.hi = lo, hi
 }
 
-// StoreLen resolves the scan's backing state and returns the physical
-// row-store length the scan walks — including versions invisible at the
-// pinned epoch, unlike TableReader.Len. Parallel executors use it to carve
-// the store into page-aligned morsels: the store is append-only, so any
-// range valid against one worker's resolved state is valid against all.
+// StoreLen resolves the scan's backing state and returns the length of the
+// row-store prefix the scan walks: the rows visible at the pinned epoch.
+// Parallel executors use it to carve the prefix into page-aligned morsels:
+// the store is append-only, so any range valid against one worker's
+// resolved state is valid against all.
 func (s *BatchScanOp) StoreLen() int {
 	if !s.resolved {
 		s.resolve()
-	}
-	if s.st != nil {
-		return len(s.st.rows)
 	}
 	return len(s.rows)
 }
@@ -217,11 +210,12 @@ func (s *BatchScanOp) resolve() {
 		s.rows = s.rowsFn()
 		s.size = max(1, min(s.size, len(s.rows)))
 	} else if bp, ok := s.src.(batchStater); ok {
-		s.st, s.epoch = bp.batchState()
+		st, n := bp.batchState()
+		s.rows = st.rows[:n]
 		if s.zoneFilter != nil {
 			if zt, ok := s.src.(zoneTabler); ok {
 				if t := zt.zoneTable(); t != nil {
-					s.zones = t.zonePages(s.st)
+					s.zones = t.zonePages(st)
 				}
 			}
 		}
@@ -251,13 +245,7 @@ func (s *BatchScanOp) NextBatch() (*Batch, bool) {
 	if !s.resolved {
 		s.resolve()
 	}
-	var store []Row
-	if s.st != nil {
-		store = s.st.rows
-	} else {
-		store = s.rows
-	}
-	limit := len(store)
+	limit := len(s.rows)
 	if s.hi >= 0 && s.hi < limit {
 		limit = s.hi
 	}
@@ -270,54 +258,26 @@ func (s *BatchScanOp) NextBatch() (*Batch, bool) {
 			end = limit
 		}
 		n := end - s.base
-		// Zone pruning: when the chunk is exactly one complete page, its
-		// cached zone can rule the whole page out — born after the pinned
-		// epoch, or outside the predicate's value bounds — before a single
-		// value is read. Conservative by construction (zonemap.go).
-		if s.zones != nil && s.base%ZonePageRows == 0 && n == ZonePageRows {
-			if p := s.base / ZonePageRows; p < len(s.zones) {
-				z := &s.zones[p]
-				if z.MinBorn > s.epoch || (s.zoneFilter != nil && s.zoneFilter(z)) {
-					zonePagesPruned.Add(1)
-					s.base = end
-					continue
-				}
+		// Zone pruning: when the chunk is the visible part of one complete
+		// page, the page's cached zone can rule it out — no row in the page
+		// satisfies the predicate — before a single value is read. A page
+		// the visible prefix cuts short is still covered by its zone's
+		// bounds, which describe a superset of its visible rows (zonemap.go).
+		if s.zoneFilter != nil && s.base%ZonePageRows == 0 && end == min(s.base+ZonePageRows, limit) {
+			if p := s.base / ZonePageRows; p < len(s.zones) && s.zoneFilter(&s.zones[p]) {
+				zonePagesPruned.Add(1)
+				s.base = end
+				continue
 			}
 		}
 		b := s.batch
-		// Selection first: row i is selected iff row store entry base+i is
-		// visible at the pinned epoch. Computing it before the transpose
-		// means a chunk of pure tombstones (or rows born after an AS OF
-		// epoch) skips materialization entirely — the dead-epoch analog of
-		// zone pruning, sound against concurrent deletes because it reads
-		// this scan's own pinned state.
-		sel := b.Sel[:s.size][:n]
-		if s.st != nil {
-			born, dead := s.st.born[s.base:end], s.st.dead[s.base:end]
-			k := 0
-			for i := 0; i < n; i++ {
-				if born[i] <= s.epoch && (dead[i] == 0 || dead[i] > s.epoch) {
-					sel[k] = i
-					k++
-				}
-			}
-			b.Sel = sel[:k]
-		} else {
-			copy(sel, s.identity[:n])
-			b.Sel = sel
-		}
-		if len(b.Sel) == 0 {
-			s.base = end
-			continue
-		}
-		// Transpose only the selected positions: visible rows are never
-		// GC-reclaimed (nil), and downstream operators read selected
-		// positions only (the batch ownership contract).
-		chunk := store[s.base:end]
+		b.Sel = b.Sel[:s.size][:n]
+		copy(b.Sel, s.identity[:n])
+		chunk := s.rows[s.base:end]
 		for _, j := range s.cols {
 			col := b.Cols[j][:s.size][:n]
-			for _, i := range b.Sel {
-				col[i] = chunk[i][j]
+			for i, r := range chunk {
+				col[i] = r[j]
 			}
 			b.Cols[j] = col
 		}

@@ -34,9 +34,9 @@ func rowsEqual(t *testing.T, got, want []Row) {
 	}
 }
 
-// randomBatchTable builds a table with NULLs, duplicates, and tombstones
-// spread across several epochs — the shapes batch scans must agree with the
-// row scan on.
+// randomBatchTable builds a table with NULLs and duplicates spread across
+// several epochs, whose boundaries fall mid-batch — the shapes batch scans
+// must agree with the row scan on.
 func randomBatchTable(t *testing.T, rng *rand.Rand, rows int) (*Database, *Table) {
 	t.Helper()
 	db := NewDatabase()
@@ -48,7 +48,6 @@ func randomBatchTable(t *testing.T, rng *rand.Rand, rows int) (*Database, *Table
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ids []RowID
 	for i := 0; i < rows; i++ {
 		k := Null()
 		if rng.Intn(8) > 0 {
@@ -58,18 +57,11 @@ func randomBatchTable(t *testing.T, rng *rand.Rand, rows int) (*Database, *Table
 		if rng.Intn(8) > 0 {
 			v = Float(float64(rng.Intn(100)) / 10)
 		}
-		id, err := tbl.Insert(Row{k, Int(int64(rng.Intn(50))), v})
-		if err != nil {
+		if _, err := tbl.Insert(Row{k, Int(int64(rng.Intn(50))), v}); err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
 		if rng.Intn(20) == 0 {
 			db.AdvanceEpoch(time.Now())
-		}
-	}
-	for _, id := range ids {
-		if rng.Intn(8) == 0 {
-			tbl.Delete(id)
 		}
 	}
 	db.AdvanceEpoch(time.Now())
@@ -88,11 +80,26 @@ func TestBatchScanMatchesRowScan(t *testing.T) {
 		// Latest visibility, with a batch size that forces partial chunks.
 		got := collectBatches(t, NewBatchScan(tbl, nil, 64))
 		rowsEqual(t, got, tbl.Rows())
-		// Snapshot visibility: pinned views must agree with snapshot Rows.
-		snap := db.Snapshot()
-		sv, _ := snap.Table("m")
-		got = collectBatches(t, NewBatchScan(sv, nil, 64))
-		rowsEqual(t, got, sv.Rows())
+		// Snapshot visibility at the committed epoch and at a random
+		// mid-history one: pinned batch scans and Rows must both agree with
+		// the rows whose born epoch is at or below the pin.
+		for _, e := range []int64{db.Epoch(), rng.Int63n(db.Epoch() + 1)} {
+			snap, err := db.SnapshotAt(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sv, _ := snap.Table("m")
+			var want []Row
+			rows, born := tbl.Versions()
+			for i, r := range rows {
+				if born[i] <= e {
+					want = append(want, r)
+				}
+			}
+			rowsEqual(t, collectBatches(t, NewBatchScan(sv, nil, 64)), want)
+			rowsEqual(t, sv.Rows(), want)
+			snap.Release()
+		}
 	}
 }
 
@@ -131,7 +138,7 @@ func TestBatchScanColumnPruning(t *testing.T) {
 		total += b.Len()
 	}
 	if total != tbl.Len() {
-		t.Fatalf("selected %d rows, table has %d live", total, tbl.Len())
+		t.Fatalf("selected %d rows, table has %d", total, tbl.Len())
 	}
 }
 

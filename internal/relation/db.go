@@ -67,7 +67,7 @@ func (db *Database) Epoch() int64 { return db.epoch.Load() }
 
 // Pins returns the number of live (unreleased) snapshot pins. It feeds the
 // /healthz snapshot_pins gauge, and the epoch-retention GC will refuse to
-// reclaim epochs a live pin still covers — so a leaked pin is an unbounded
+// retire epochs a live pin still covers — so a leaked pin is an unbounded
 // retention leak, which is why the snapshotrelease analyzer enforces the
 // release discipline statically.
 func (db *Database) Pins() int64 { return db.pins.Load() }
@@ -107,7 +107,7 @@ func (db *Database) SnapshotLatest() *Snapshot { return db.snapshotAt(db.epoch.L
 // snapshotAt reads the epoch before pinning table states: state publication
 // happens before the epoch advance in every writer, so any table state read
 // afterwards includes every row committed at or before the pinned epoch
-// (later rows are filtered by their born epoch).
+// (later rows lie past the pin's visible prefix).
 func (db *Database) snapshotAt(epoch int64) *Snapshot {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -116,7 +116,7 @@ func (db *Database) snapshotAt(epoch int64) *Snapshot {
 
 // snapshotLocked pins under db.mu (read or write side), which excludes GCBelow:
 // the pin is registered before GCBelow can recompute the floor, so a snapshot
-// returned from here is never pruned underneath its reader.
+// returned from here is never retired underneath its reader.
 func (db *Database) snapshotLocked(epoch int64) *Snapshot {
 	db.pins.Add(1)
 	db.pinMu.Lock()
@@ -230,20 +230,16 @@ func (db *Database) SchemaOf(name string) (*Schema, error) {
 	return nil, fmt.Errorf("relation: no table %q", name)
 }
 
-// RowVersions reports the total row versions held across base tables
-// (tombstoned versions included) and how many are live in the latest view.
-// The gap between the two is MVCC history: what the epoch-retention GC and
-// compaction exist to bound. It feeds the /metrics row_versions and
-// live_rows gauges.
+// RowVersions reports the row versions held across base tables and how
+// many are live in the latest view. Tables are insert-only, so the two are
+// always equal. It feeds the /metrics row_versions gauge.
 func (db *Database) RowVersions() (total, live int64) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	for _, t := range db.tables {
-		st := t.state.Load()
-		total += int64(len(st.rows))
-		live += int64(st.live)
+		total += int64(t.Len())
 	}
-	return total, live
+	return total, total
 }
 
 // RegisterMetrics publishes the database's state as polled gauges: the MVCC
@@ -254,7 +250,6 @@ func (db *Database) RegisterMetrics(reg *metrics.Registry) {
 	reg.IntGauge("snapshot_pins", db.Pins)
 	reg.IntGauge("retention_floor_epoch", db.MinEpoch)
 	reg.IntGauge("row_versions", func() int64 { total, _ := db.RowVersions(); return total })
-	reg.IntGauge("live_rows", func() int64 { _, live := db.RowVersions(); return live })
 	reg.IntGauge("pages_pruned", zonePagesPruned.Load)
 	reg.IntGauge("pages_decoded", zonePagesDecoded.Load)
 }

@@ -3,6 +3,7 @@ package relation
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 // scoreTable builds a table over testSchema with an ordered index on score.
@@ -22,8 +23,8 @@ func scoreTable(t *testing.T, scores []Value) (*Table, *OrderedIndex) {
 }
 
 func TestScanConcurrentWithInserts(t *testing.T) {
-	// Scan walks a lock-free published state; concurrent inserts and deletes
-	// must neither race (run with -race) nor disturb an in-flight scan. The
+	// Scan walks a lock-free published state; concurrent inserts must
+	// neither race (run with -race) nor disturb an in-flight scan. The
 	// writer is bounded: readers no longer throttle it, so an unbounded
 	// writer would grow the table quadratically under the race detector.
 	tab := NewTable("t", testSchema(t))
@@ -46,13 +47,9 @@ func TestScanConcurrentWithInserts(t *testing.T) {
 				return
 			default:
 			}
-			id, err := tab.Insert(Row{Int(int64(i)), Text("w"), Float(2)})
-			if err != nil {
+			if _, err := tab.Insert(Row{Int(int64(i)), Text("w"), Float(2)}); err != nil {
 				t.Error(err)
 				return
-			}
-			if i%3 == 0 {
-				tab.Delete(id)
 			}
 		}
 	}()
@@ -71,8 +68,12 @@ func TestScanConcurrentWithInserts(t *testing.T) {
 	wg.Wait()
 }
 
-func TestRowsByIDsSkipsDeleted(t *testing.T) {
-	tab := NewTable("t", testSchema(t))
+func TestRowsByIDsSkipsInvisibleRows(t *testing.T) {
+	db := NewDatabase()
+	tab, err := db.CreateTable("t", testSchema(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var ids []RowID
 	for i := 0; i < 4; i++ {
 		id, err := tab.Insert(Row{Int(int64(i)), Text("x"), Float(0)})
@@ -80,14 +81,20 @@ func TestRowsByIDsSkipsDeleted(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
+		if i == 1 {
+			db.AdvanceEpoch(time.Now()) // rows 0 and 1 commit; 2 and 3 stay in flight
+		}
 	}
-	tab.Delete(ids[1])
-	rows := tab.RowsByIDs(ids)
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(rows))
+	snap := db.Snapshot()
+	defer snap.Release()
+	sv, _ := snap.Table("t")
+	// Ids arrive in index order, not store order; visible ones keep it.
+	rows := sv.RowsByIDs([]RowID{ids[3], ids[1], ids[2], ids[0], 99, -1})
+	if len(rows) != 2 || rows[0][0].AsInt() != 1 || rows[1][0].AsInt() != 0 {
+		t.Fatalf("snapshot resolved %v, want rows 1 then 0", rows)
 	}
-	if rows[1][0].AsInt() != 2 {
-		t.Fatalf("deleted row not skipped in order: %v", rows[1][0])
+	if got := len(tab.RowsByIDs(append(ids, 99, -1))); got != 4 {
+		t.Fatalf("latest view resolved %d rows, want 4", got)
 	}
 }
 
@@ -152,30 +159,6 @@ func TestRangeBoundsEmptyAndInverted(t *testing.T) {
 	}
 	if got := len(eix.RangeBounds(Null(), Null(), true, true)); got != 0 {
 		t.Fatalf("empty index returned %d ids", got)
-	}
-}
-
-func TestRangeBoundsTombstonedRows(t *testing.T) {
-	tab, ix := scoreTable(t, []Value{Float(0.1), Float(0.5), Float(0.9)})
-	var victim RowID = -1
-	tab.Scan(func(id RowID, r Row) bool {
-		if r[2].AsFloat() == 0.5 {
-			victim = id
-			return false
-		}
-		return true
-	})
-	if !tab.Delete(victim) {
-		t.Fatal("delete failed")
-	}
-	// The tombstoned row stays indexed (older snapshots may still see it);
-	// visibility filtering happens when ids resolve to rows.
-	ids := ix.RangeBounds(Float(0.0), Float(1.0), true, true)
-	if len(ids) != 3 {
-		t.Fatalf("range over tombstoned table returned %d ids, want 3 candidates", len(ids))
-	}
-	if rows := tab.RowsByIDs(ids); len(rows) != 2 {
-		t.Fatalf("RowsByIDs resolved %d rows, want 2", len(rows))
 	}
 }
 

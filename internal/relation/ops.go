@@ -43,11 +43,6 @@ func NewScan(t TableReader) *ScanOp {
 	return &ScanOp{schema: t.Schema(), src: t.Rows}
 }
 
-// NewSliceScan wraps pre-materialized rows in an iterator.
-func NewSliceScan(schema *Schema, rows []Row) *ScanOp {
-	return &ScanOp{schema: schema, rows: rows}
-}
-
 // NewLazyScan wraps a row producer that is invoked on first Next; virtual
 // tables use it so EXPLAIN does not materialize them.
 func NewLazyScan(schema *Schema, src func() []Row) *ScanOp {
@@ -172,20 +167,6 @@ func NewProject(in Iterator, exprs []ProjExpr) (*ProjectOp, error) {
 		return nil, err
 	}
 	return &ProjectOp{in: in, exprs: exprs, schema: s}, nil
-}
-
-// NewProjectColumns projects the named columns of the input.
-func NewProjectColumns(in Iterator, names ...string) (*ProjectOp, error) {
-	exprs := make([]ProjExpr, len(names))
-	for i, n := range names {
-		pos := in.Schema().Index(n)
-		if pos < 0 {
-			return nil, fmt.Errorf("relation: project: no column %q", n)
-		}
-		p := pos
-		exprs[i] = ProjExpr{Name: n, Type: in.Schema().Col(pos).Type, Eval: func(r Row) Value { return r[p] }}
-	}
-	return NewProject(in, exprs)
 }
 
 // Schema implements Iterator.

@@ -44,28 +44,6 @@ func TestFilter(t *testing.T) {
 	}
 }
 
-func TestProjectColumns(t *testing.T) {
-	tbl := opsTable(t)
-	it, err := NewProjectColumns(NewScan(tbl), "value", "run")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if it.Schema().Len() != 2 || it.Schema().Col(0).Name != "value" {
-		t.Fatalf("schema: %v", it.Schema().Names())
-	}
-	rows := Collect(it)
-	if len(rows) != 6 || rows[0][0].AsFloat() != 0.80 || rows[0][1].AsInt() != 1 {
-		t.Fatalf("project rows: %v", rows[0])
-	}
-}
-
-func TestProjectMissingColumn(t *testing.T) {
-	tbl := opsTable(t)
-	if _, err := NewProjectColumns(NewScan(tbl), "nope"); err == nil {
-		t.Fatal("missing column must error")
-	}
-}
-
 func TestProjectExpression(t *testing.T) {
 	tbl := opsTable(t)
 	vpos := tbl.Schema().Index("value")

@@ -47,35 +47,41 @@ func TestSnapshotSeesOnlyCommittedRows(t *testing.T) {
 	}
 }
 
-func TestSnapshotIgnoresLaterDeletes(t *testing.T) {
+func TestSnapshotLenIsVisibleRows(t *testing.T) {
+	// Len is what the planner sizes joins and prints [~N rows] from: it must
+	// count the rows the pin can see, not the rows its state holds.
 	db, tbl := snapDB(t)
-	id, _ := tbl.Insert(Row{Int(1), Text("a")})
+	for i := 0; i < 3; i++ {
+		tbl.Insert(Row{Int(int64(i)), Text("committed")})
+	}
 	db.AdvanceEpoch(time.Now())
-
-	snap := db.Snapshot()
-	tbl.Delete(id)
-	db.AdvanceEpoch(time.Now())
-
-	r, _ := snap.Reader("t")
-	if _, ok := r.Get(id); !ok {
-		t.Fatal("row deleted after the pin must stay visible in the snapshot")
+	for i := 0; i < 5; i++ {
+		tbl.Insert(Row{Int(int64(10 + i)), Text("in flight")})
 	}
-	if got := len(r.Rows()); got != 1 {
-		t.Fatalf("snapshot rows = %d, want 1", got)
+	check := func(what string, snap *Snapshot, want int) {
+		t.Helper()
+		defer snap.Release()
+		r, _ := snap.Reader("t")
+		if got, rows := r.Len(), len(r.Rows()); got != want || rows != want {
+			t.Fatalf("%s: Len() = %d over %d visible rows, want %d", what, got, rows, want)
+		}
 	}
-	r2, _ := db.Snapshot().Reader("t")
-	if _, ok := r2.Get(id); ok {
-		t.Fatal("deleted row visible in a post-delete snapshot")
+	check("committed pin over in-flight rows", db.Snapshot(), 3)
+	check("latest pin", db.SnapshotLatest(), 8)
+	asOf, err := db.SnapshotAt(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := tbl.Get(id); ok {
-		t.Fatal("deleted row visible in the latest view")
+	check("AS OF 0", asOf, 0)
+	if tbl.Len() != 8 {
+		t.Fatalf("table Len() = %d, want 8", tbl.Len())
 	}
 }
 
-func TestPinnedLatestViewImmuneToLaterDeletes(t *testing.T) {
-	// Tombstones are copy-on-write: even a latest-epoch view (which sees
-	// in-flight rows) must keep seeing a row deleted after the pin — the
-	// pinned state is immutable, not merely epoch-filtered.
+func TestPinnedLatestViewImmuneToLaterInserts(t *testing.T) {
+	// A latest-epoch view sees in-flight rows, yet rows inserted after the
+	// pin in the very same write epoch must stay invisible to it: the pinned
+	// prefix is fixed by the state it pinned, not merely by its epoch.
 	db, tbl := snapDB(t)
 	id, _ := tbl.Insert(Row{Int(1), Text("a")}) // in flight, uncommitted
 	latest := db.SnapshotLatest()
@@ -83,34 +89,20 @@ func TestPinnedLatestViewImmuneToLaterDeletes(t *testing.T) {
 	if _, ok := r.Get(id); !ok {
 		t.Fatal("latest view must see the in-flight row")
 	}
-	tbl.Delete(id) // same write epoch as the insert
-	if _, ok := r.Get(id); !ok {
-		t.Fatal("pinned latest view mutated by a later delete")
+	nid, _ := tbl.Insert(Row{Int(2), Text("b")}) // same write epoch
+	if _, ok := r.Get(nid); ok {
+		t.Fatal("pinned latest view sees a row inserted after the pin")
 	}
-	if got := len(r.Rows()); got != 1 {
-		t.Fatalf("pinned latest view rows = %d, want 1", got)
+	if got := len(r.Rows()); got != 1 || r.Len() != 1 {
+		t.Fatalf("pinned latest view rows = %d (Len %d), want 1", got, r.Len())
 	}
-	// A fresh latest view reflects the delete.
+	if got := len(r.RowsByIDs([]RowID{id, nid})); got != 1 {
+		t.Fatalf("pinned latest view resolves %d of two ids, want 1", got)
+	}
+	// A fresh latest view reflects the insert.
 	r2, _ := db.SnapshotLatest().Reader("t")
-	if _, ok := r2.Get(id); ok {
-		t.Fatal("fresh latest view still sees the deleted row")
-	}
-	// An Update after pinning is equally invisible to the pinned view and
-	// atomic (old id or new id, never neither) in fresh views.
-	nid, err := tbl.Insert(Row{Int(2), Text("b")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned, _ := db.SnapshotLatest().Reader("t")
-	nid2, err := tbl.Update(nid, Row{Int(3), Text("c")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row, ok := pinned.Get(nid); !ok || row[0].AsInt() != 2 {
-		t.Fatalf("pinned view lost the pre-update version: %v %v", row, ok)
-	}
-	if _, ok := pinned.Get(nid2); ok {
-		t.Fatal("pinned view sees the post-update version")
+	if _, ok := r2.Get(nid); !ok {
+		t.Fatal("fresh latest view misses the new row")
 	}
 }
 
@@ -119,11 +111,10 @@ func TestSnapshotIndexLookupFiltersVisibility(t *testing.T) {
 	if _, err := tbl.CreateHashIndex("name"); err != nil {
 		t.Fatal(err)
 	}
-	id0, _ := tbl.Insert(Row{Int(1), Text("x")})
+	tbl.Insert(Row{Int(1), Text("x")})
 	db.AdvanceEpoch(time.Now())
 	snap := db.Snapshot()
 
-	tbl.Delete(id0)
 	tbl.Insert(Row{Int(2), Text("x")})
 	db.AdvanceEpoch(time.Now())
 
@@ -136,9 +127,8 @@ func TestSnapshotIndexLookupFiltersVisibility(t *testing.T) {
 	if len(rows) != 1 || rows[0][0].AsInt() != 1 {
 		t.Fatalf("snapshot lookup = %v, want only the old row", rows)
 	}
-	lrows := tbl.RowsByIDs(ix.Lookup(Text("x")))
-	if len(lrows) != 1 || lrows[0][0].AsInt() != 2 {
-		t.Fatalf("latest lookup = %v, want only the new row", lrows)
+	if lrows := tbl.RowsByIDs(ix.Lookup(Text("x"))); len(lrows) != 2 {
+		t.Fatalf("latest lookup = %v, want both rows", lrows)
 	}
 }
 

@@ -8,21 +8,23 @@ import (
 	"sync/atomic"
 )
 
-// RowID identifies a row within a table for the table's lifetime. IDs are
-// never reused; deleted rows leave tombstones.
+// RowID identifies a row within a table for the table's lifetime: its
+// position in the append-only row store.
 type RowID int64
 
-// Table is a heap-resident relation with optional secondary indexes, stored
-// as an epoch-based multiversion (MVCC) row store:
+// Table is a heap-resident, insert-only relation with optional secondary
+// indexes, stored as an epoch-based multiversion (MVCC) row store:
 //
-//   - The row slice is append-only. Every row carries the epoch it was born
-//     in; a delete does not remove the row but stamps a tombstone epoch.
+//   - The row slice is append-only and rows are never deleted or rewritten.
+//     Every row carries the epoch it was born in, and born is nondecreasing
+//     in store order (see tableState), so the rows visible at epoch E are
+//     exactly a prefix of the store.
 //   - Writers serialize on an internal mutex and publish each change as a new
 //     immutable tableState via an atomic pointer.
 //   - Readers load the published state without taking any lock: "latest"
-//     reads (the Table methods below) see every published row whose tombstone
-//     is unset, while snapshot reads (Database.Snapshot / Table.At) see
-//     exactly the rows visible at one pinned epoch — with zero copying.
+//     reads (the Table methods below) see every published row, while
+//     snapshot reads (Database.Snapshot / Table.At) see the prefix visible at
+//     one pinned epoch — with zero copying.
 //
 // Epochs advance at commit boundaries (Database.AdvanceEpoch). Rows written
 // between commits are stamped with the next epoch, so a committed-epoch
@@ -45,23 +47,21 @@ type Table struct {
 // tableState is one published version of a table. All slices are append-only
 // between states: a newer state may share backing arrays with an older one,
 // but entries below a state's length are never mutated after that state is
-// published — Delete and Update copy the tombstone array before stamping
-// (copy-on-write), so a pinned state is immutable in the strongest sense
-// and readers need no atomics.
+// published, so a pinned state is immutable and readers need no atomics.
 type tableState struct {
-	// rows is RowID-indexed. Deletes set a tombstone epoch rather than
-	// removing the row; the epoch-retention GC (pruneBelow) may nil out the
-	// payload of versions tombstoned at or below the retention floor, which
-	// are invisible at every queryable epoch, so no reader dereferences them.
+	// rows is RowID-indexed; born[id] is the epoch at which row id became
+	// visible. born is nondecreasing in store order — the invariant every
+	// reader's prefix bound (visibleLen) rests on. Insert and LoadRows stamp
+	// the write epoch, which only advances — recovery restores it to the
+	// loaded snapshot's epoch (Database.Restore) before any insert;
+	// LoadVersions, the one path that appends explicit epochs, refuses a
+	// born below the store's last.
 	rows []Row
-	born []int64 // epoch at which the row became visible
-	dead []int64 // 0 = live; otherwise the epoch at which the row was deleted
-	live int     // live rows in the latest view (tombstones excluded)
+	born []int64
 
-	// Secondary indexes. Index entries are added on insert and retained on
-	// delete (older snapshots still need them); readers filter candidate
-	// RowIDs through row visibility. The maps are copy-on-write: creating an
-	// index publishes a new state with a new map.
+	// Secondary indexes. Index entries are added on insert; readers bound
+	// candidate RowIDs by their visible prefix. The maps are copy-on-write:
+	// creating an index publishes a new state with a new map.
 	indexes map[string]*HashIndex
 	ordered map[string]*OrderedIndex
 }
@@ -84,12 +84,12 @@ func (t *Table) Name() string { return t.name }
 // Schema returns the table schema.
 func (t *Table) Schema() *Schema { return t.schema }
 
-// writeEpoch is the epoch stamped on rows born or killed now: the epoch the
-// in-flight transaction will publish at its commit boundary.
+// writeEpoch is the epoch stamped on rows born now: the epoch the in-flight
+// transaction will publish at its commit boundary.
 func (t *Table) writeEpoch() int64 { return t.epoch.Load() + 1 }
 
-// Len returns the number of live rows in the latest view.
-func (t *Table) Len() int { return t.state.Load().live }
+// Len returns the number of rows in the latest view.
+func (t *Table) Len() int { return len(t.state.Load().rows) }
 
 // Insert validates and appends a row, maintaining all indexes. It returns
 // the new row's RowID. The row becomes visible to committed-epoch snapshots
@@ -106,8 +106,6 @@ func (t *Table) Insert(r Row) (RowID, error) {
 	ns := &tableState{
 		rows:    append(st.rows, valid),
 		born:    append(st.born, t.writeEpoch()),
-		dead:    append(st.dead, 0),
-		live:    st.live + 1,
 		indexes: st.indexes,
 		ordered: st.ordered,
 	}
@@ -136,19 +134,22 @@ func (t *Table) LoadRows(rows []Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	st := t.state.Load()
-	start := RowID(len(st.rows))
 	e := t.writeEpoch()
 	born := slices.Grow(st.born, len(rows))
-	dead := slices.Grow(st.dead, len(rows))
 	for range rows {
 		born = append(born, e)
-		dead = append(dead, 0)
 	}
+	t.publishLoaded(st, rows, born)
+	return nil
+}
+
+// publishLoaded publishes st extended by a bulk-loaded run of rows and their
+// (already appended) born epochs, indexing the run. Callers hold t.mu.
+func (t *Table) publishLoaded(st *tableState, rows []Row, born []int64) {
+	start := RowID(len(st.rows))
 	ns := &tableState{
 		rows:    append(st.rows, rows...),
 		born:    born,
-		dead:    dead,
-		live:    st.live + len(rows),
 		indexes: st.indexes,
 		ordered: st.ordered,
 	}
@@ -159,98 +160,49 @@ func (t *Table) LoadRows(rows []Row) error {
 		ix.bulkAdd(start, rows)
 	}
 	t.state.Store(ns)
-	return nil
 }
 
 // Versions exposes the published row store verbatim: every version with its
-// born/dead epochs, including tombstoned versions older snapshots may still
-// need. Versions reclaimed by the retention GC have a nil row. The returned
-// slices are the live backing arrays — callers must not mutate them. The
-// snapshot writer uses this to persist full MVCC history, not just the
-// latest-visible rows.
-func (t *Table) Versions() (rows []Row, born, dead []int64) {
+// born epoch, including versions born after the committed epoch. The
+// returned slices are the live backing arrays — callers must not mutate
+// them. The snapshot writer uses this to persist full MVCC history.
+func (t *Table) Versions() (rows []Row, born []int64) {
 	st := t.state.Load()
-	return st.rows, st.born, st.dead
+	return st.rows, st.born
 }
 
-// LoadVersions bulk-appends rows carrying explicit born/dead epochs — the
+// LoadVersions bulk-appends rows carrying explicit born epochs — the
 // recovery path for version-preserving snapshots. Unlike LoadRows it does not
-// stamp the current write epoch: each version keeps the epochs it had when the
+// stamp the current write epoch: each version keeps the epoch it had when the
 // snapshot was written, so time-travel reads after recovery see exactly the
-// history that was persisted. Rows must be non-nil (the snapshot writer folds
-// reclaimed versions out instead of persisting nils).
-func (t *Table) LoadVersions(rows []Row, born, dead []int64) error {
-	if len(born) != len(rows) || len(dead) != len(rows) {
-		return fmt.Errorf("table %s: version arity mismatch: %d rows, %d born, %d dead",
-			t.name, len(rows), len(born), len(dead))
+// history that was persisted. It refuses a born below its predecessor's —
+// the store's last, for the first version — which would break the prefix
+// invariant every reader relies on.
+func (t *Table) LoadVersions(rows []Row, born []int64) error {
+	if len(born) != len(rows) {
+		return fmt.Errorf("table %s: version arity mismatch: %d rows, %d born", t.name, len(rows), len(born))
 	}
 	width := t.schema.Len()
-	live := 0
 	for i, r := range rows {
-		if r == nil {
-			return fmt.Errorf("table %s: version %d has nil row", t.name, i)
-		}
 		if len(r) != width {
 			return fmt.Errorf("table %s: row %d arity %d != schema arity %d", t.name, i, len(r), width)
 		}
-		if dead[i] == 0 {
-			live++
-		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	st := t.state.Load()
-	start := RowID(len(st.rows))
-	ns := &tableState{
-		rows:    append(st.rows, rows...),
-		born:    append(st.born, born...),
-		dead:    append(st.dead, dead...),
-		live:    st.live + live,
-		indexes: st.indexes,
-		ordered: st.ordered,
+	prev := int64(0)
+	if n := len(st.born); n > 0 {
+		prev = st.born[n-1]
 	}
-	for _, ix := range ns.indexes {
-		ix.bulkAdd(start, rows)
+	for i, b := range born {
+		if b < prev {
+			return fmt.Errorf("table %s: version %d born at epoch %d, below its predecessor's %d", t.name, i, b, prev)
+		}
+		prev = b
 	}
-	for _, ix := range ns.ordered {
-		ix.bulkAdd(start, rows)
-	}
-	t.state.Store(ns)
+	t.publishLoaded(st, rows, append(st.born, born...))
 	return nil
-}
-
-// pruneBelow publishes a state whose row payloads are nil'd for versions
-// tombstoned at or below the retention floor. Such versions are invisible at
-// every epoch >= floor — and the owning database refuses snapshots below the
-// floor — so no reader of this or any later state can reach them. Snapshots
-// pinned before the prune keep their own (immutable) state and are unaffected.
-// Born/dead arrays and RowIDs are preserved so index entries stay valid.
-// It returns the number of versions reclaimed by this call.
-func (t *Table) pruneBelow(floor int64) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.state.Load()
-	n := 0
-	for id := range st.rows {
-		if st.rows[id] != nil && st.dead[id] != 0 && st.dead[id] <= floor {
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	rows := make([]Row, len(st.rows))
-	copy(rows, st.rows)
-	for id := range rows {
-		if st.dead[id] != 0 && st.dead[id] <= floor {
-			rows[id] = nil
-		}
-	}
-	t.state.Store(&tableState{
-		rows: rows, born: st.born, dead: st.dead, live: st.live,
-		indexes: st.indexes, ordered: st.ordered,
-	})
-	return n
 }
 
 // InsertMany inserts a batch of rows, stopping at the first error.
@@ -263,155 +215,88 @@ func (t *Table) InsertMany(rows []Row) error {
 	return nil
 }
 
-// Get returns the row with the given id, or false if it was deleted or never
-// existed. The returned row must not be mutated.
+// Get returns the row with the given id, or false if it never existed. The
+// returned row must not be mutated.
 func (t *Table) Get(id RowID) (Row, bool) {
 	st := t.state.Load()
-	if id < 0 || int(id) >= len(st.rows) || st.dead[id] != 0 {
+	return st.get(len(st.rows), id)
+}
+
+// Scan calls fn for each row in insertion order; returning false stops the
+// scan. The row must not be mutated. The scan walks the published state
+// directly — no lock is taken and nothing is copied; rows inserted after the
+// state was loaded are not reflected.
+func (t *Table) Scan(fn func(id RowID, r Row) bool) {
+	st := t.state.Load()
+	st.scan(len(st.rows), fn)
+}
+
+// visibleLen returns n(epoch), the number of rows visible at epoch: because
+// born is nondecreasing in store order, they are exactly rows[:n]. The
+// common pin — no row born after it — costs one comparison.
+func (s *tableState) visibleLen(epoch int64) int {
+	n := len(s.born)
+	if n == 0 || s.born[n-1] <= epoch {
+		return n
+	}
+	return sort.Search(n, func(i int) bool { return s.born[i] > epoch })
+}
+
+// scan walks the first n rows.
+func (s *tableState) scan(n int, fn func(id RowID, r Row) bool) {
+	for id, r := range s.rows[:n] {
+		if !fn(RowID(id), r) {
+			return
+		}
+	}
+}
+
+// get returns row id if it lies within the first n rows.
+func (s *tableState) get(n int, id RowID) (Row, bool) {
+	if id < 0 || int(id) >= n {
 		return nil, false
 	}
-	return st.rows[id], true
+	return s.rows[id], true
 }
 
-// tombstoned returns a copy of dead with id stamped at epoch e. Tombstones
-// copy-on-write instead of mutating in place so every already-published
-// state — including latest-epoch views pinned mid-transaction — stays
-// exactly as pinned. Deletes are rare in FlorDB's append-mostly workload,
-// so the O(rows) copy is a fair trade for lock-free, atomics-free readers.
-func (s *tableState) tombstoned(id RowID, e int64) []int64 {
-	dead := make([]int64, len(s.dead))
-	copy(dead, s.dead)
-	dead[id] = e
-	return dead
-}
-
-// Delete tombstones a row by id at the current write epoch. It reports
-// whether a live row was removed. The row stays visible to snapshots pinned
-// at earlier epochs (and to any view pinned before the delete); latest
-// reads stop seeing it immediately.
-func (t *Table) Delete(id RowID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.state.Load()
-	if id < 0 || int(id) >= len(st.rows) || st.dead[id] != 0 {
-		return false
-	}
-	ns := &tableState{
-		rows: st.rows, born: st.born, dead: st.tombstoned(id, t.writeEpoch()),
-		live: st.live - 1, indexes: st.indexes, ordered: st.ordered,
-	}
-	t.state.Store(ns)
-	return true
-}
-
-// Update replaces the row with the given id by tombstoning it and appending
-// the new version, whose RowID is returned. Snapshots pinned before the
-// update keep seeing the old version under the old id; the swap publishes
-// as one state store, so no reader ever observes the row absent or doubled.
-func (t *Table) Update(id RowID, r Row) (RowID, error) {
-	valid, err := t.schema.Validate(r)
-	if err != nil {
-		return 0, fmt.Errorf("table %s: %w", t.name, err)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.state.Load()
-	if id < 0 || int(id) >= len(st.rows) || st.dead[id] != 0 {
-		return 0, fmt.Errorf("table %s: update of missing row %d", t.name, id)
-	}
-	e := t.writeEpoch()
-	nid := RowID(len(st.rows))
-	ns := &tableState{
-		rows:    append(st.rows, valid),
-		born:    append(st.born, e),
-		dead:    append(st.tombstoned(id, e), 0),
-		live:    st.live,
-		indexes: st.indexes,
-		ordered: st.ordered,
-	}
-	for _, ix := range ns.indexes {
-		ix.add(nid, valid)
-	}
-	for _, ix := range ns.ordered {
-		ix.add(nid, valid)
-	}
-	t.state.Store(ns)
-	return nid, nil
-}
-
-// Scan calls fn for each live row in insertion order; returning false stops
-// the scan. The row must not be mutated. The scan walks the published state
-// directly — no lock is taken and nothing is copied; rows inserted or
-// deleted after the state was loaded are not reflected.
-func (t *Table) Scan(fn func(id RowID, r Row) bool) {
-	t.state.Load().scan(latestEpoch, fn)
-}
-
-// latestEpoch makes every published, non-tombstoned row visible.
-const latestEpoch = int64(1)<<62 - 1
-
-// scan walks the rows visible at the given epoch.
-func (s *tableState) scan(epoch int64, fn func(id RowID, r Row) bool) {
-	for id := range s.rows {
-		if s.visible(RowID(id), epoch) {
-			if !fn(RowID(id), s.rows[id]) {
-				return
-			}
-		}
-	}
-}
-
-// visible reports whether row id exists at the given epoch: born at or
-// before it, not tombstoned at or before it. Published states are immutable
-// below their length (tombstones copy-on-write), so plain reads suffice.
-func (s *tableState) visible(id RowID, epoch int64) bool {
-	if id < 0 || int(id) >= len(s.rows) || s.born[id] > epoch {
-		return false
-	}
-	d := s.dead[id]
-	return d == 0 || d > epoch
-}
-
-func (s *tableState) rowsAt(epoch int64) []Row {
-	out := make([]Row, 0, s.live)
-	for id := range s.rows {
-		if s.visible(RowID(id), epoch) {
-			out = append(out, s.rows[id])
-		}
-	}
-	return out
-}
-
-func (s *tableState) rowsByIDsAt(epoch int64, ids []RowID) []Row {
+// rowsByIDs returns the rows among ids that lie within the first n rows.
+func (s *tableState) rowsByIDs(n int, ids []RowID) []Row {
 	out := make([]Row, 0, len(ids))
 	for _, id := range ids {
-		if s.visible(id, epoch) {
+		if id >= 0 && int(id) < n {
 			out = append(out, s.rows[id])
 		}
 	}
 	return out
 }
 
-// RowsByIDs returns the live rows among ids in the given order. Index access
+// RowsByIDs returns the rows among ids in the given order. Index access
 // paths use it to fetch the rows an index lookup produced.
 func (t *Table) RowsByIDs(ids []RowID) []Row {
-	return t.state.Load().rowsByIDsAt(latestEpoch, ids)
+	st := t.state.Load()
+	return st.rowsByIDs(len(st.rows), ids)
 }
 
-// Rows returns the live rows in insertion order.
+// Rows returns the rows in insertion order. The slice shares the row store
+// and must not be mutated.
 func (t *Table) Rows() []Row {
-	return t.state.Load().rowsAt(latestEpoch)
+	rows := t.state.Load().rows
+	return rows[:len(rows):len(rows)]
 }
 
-// batchState exposes the published state and the epoch batch scans filter
-// visibility at (see BatchScanOp); latest reads see every non-tombstoned row.
-func (t *Table) batchState() (*tableState, int64) { return t.state.Load(), latestEpoch }
+// batchState exposes the published state and the length of the prefix batch
+// scans walk (see BatchScanOp); latest reads walk the whole store.
+func (t *Table) batchState() (*tableState, int) {
+	st := t.state.Load()
+	return st, len(st.rows)
+}
 
 // At pins the table's current state at the given epoch, returning a
-// consistent immutable view. Most callers want Database.Snapshot, which pins
-// every table of a database at one epoch.
+// consistent immutable view of the rows visible at it. Most callers want
+// Database.Snapshot, which pins every table of a database at one epoch.
 func (t *Table) At(epoch int64) *TableSnapshot {
-	return &TableSnapshot{name: t.name, schema: t.schema, epoch: epoch, st: t.state.Load(), owner: t}
+	st := t.state.Load()
+	return &TableSnapshot{name: t.name, schema: t.schema, epoch: epoch, st: st, n: st.visibleLen(epoch), owner: t}
 }
 
 // CreateHashIndex builds (or returns the existing) hash index over the named
@@ -435,10 +320,7 @@ func (t *Table) CreateHashIndex(cols ...string) (*HashIndex, error) {
 		indexes[k] = v
 	}
 	indexes[key] = ix
-	ns := &tableState{
-		rows: st.rows, born: st.born, dead: st.dead, live: st.live,
-		indexes: indexes, ordered: st.ordered,
-	}
+	ns := &tableState{rows: st.rows, born: st.born, indexes: indexes, ordered: st.ordered}
 	t.state.Store(ns)
 	return ix, nil
 }
@@ -464,16 +346,13 @@ func (t *Table) CreateOrderedIndex(col string) (*OrderedIndex, error) {
 		ordered[k] = v
 	}
 	ordered[key] = ix
-	ns := &tableState{
-		rows: st.rows, born: st.born, dead: st.dead, live: st.live,
-		indexes: st.indexes, ordered: ordered,
-	}
+	ns := &tableState{rows: st.rows, born: st.born, indexes: st.indexes, ordered: ordered}
 	t.state.Store(ns)
 	return ix, nil
 }
 
 // HashIndexOn returns the hash index over the given columns, if present.
-// Lookups may return tombstoned or not-yet-visible rows; resolve the ids
+// Lookups may return rows a pinned view cannot see yet; resolve the ids
 // through RowsByIDs (or a snapshot) to apply visibility.
 func (t *Table) HashIndexOn(cols ...string) (*HashIndex, bool) {
 	ix, ok := t.state.Load().indexes[indexKey(cols)]
@@ -543,14 +422,15 @@ func indexKey(cols []string) string {
 	return out
 }
 
-// TableSnapshot is an immutable view of one table pinned at one epoch. All
-// methods are lock-free and safe for concurrent use; none of them copy the
-// row store. It implements TableReader.
+// TableSnapshot is an immutable view of one table pinned at one epoch: the
+// first n rows of the pinned state. All methods are lock-free and safe for
+// concurrent use; none of them copy the row store. It implements TableReader.
 type TableSnapshot struct {
 	name   string
 	schema *Schema
 	epoch  int64
 	st     *tableState
+	n      int // rows visible at epoch: st.visibleLen(epoch), found once per pin
 	// owner is the table the snapshot was pinned from; batch scans reach the
 	// shared zone-map cache through it (zone maps derive from immutable data,
 	// so sharing them across snapshots of any epoch is sound). nil for
@@ -567,30 +447,24 @@ func (v *TableSnapshot) Schema() *Schema { return v.schema }
 // Epoch returns the epoch the view is pinned at.
 func (v *TableSnapshot) Epoch() int64 { return v.epoch }
 
-// Len estimates the number of rows visible in the view. It is exact when no
-// writer was mid-transaction at pin time; planners use it only to size hash
-// joins and pick build sides, so the estimate is deliberately O(1).
-func (v *TableSnapshot) Len() int { return v.st.live }
+// Len returns the number of rows visible in the view.
+func (v *TableSnapshot) Len() int { return v.n }
 
 // Scan calls fn for each visible row in insertion order.
-func (v *TableSnapshot) Scan(fn func(id RowID, r Row) bool) { v.st.scan(v.epoch, fn) }
+func (v *TableSnapshot) Scan(fn func(id RowID, r Row) bool) { v.st.scan(v.n, fn) }
 
 // Get returns the row with the given id if it is visible in the view.
-func (v *TableSnapshot) Get(id RowID) (Row, bool) {
-	if !v.st.visible(id, v.epoch) {
-		return nil, false
-	}
-	return v.st.rows[id], true
-}
+func (v *TableSnapshot) Get(id RowID) (Row, bool) { return v.st.get(v.n, id) }
 
-// Rows returns the visible rows in insertion order.
-func (v *TableSnapshot) Rows() []Row { return v.st.rowsAt(v.epoch) }
+// Rows returns the visible rows in insertion order. The slice shares the
+// row store and must not be mutated.
+func (v *TableSnapshot) Rows() []Row { return v.st.rows[:v.n:v.n] }
 
 // RowsByIDs returns the visible rows among ids in the given order.
-func (v *TableSnapshot) RowsByIDs(ids []RowID) []Row { return v.st.rowsByIDsAt(v.epoch, ids) }
+func (v *TableSnapshot) RowsByIDs(ids []RowID) []Row { return v.st.rowsByIDs(v.n, ids) }
 
-// batchState exposes the pinned state and epoch for batch scans.
-func (v *TableSnapshot) batchState() (*tableState, int64) { return v.st, v.epoch }
+// batchState exposes the pinned state and its visible prefix for batch scans.
+func (v *TableSnapshot) batchState() (*tableState, int) { return v.st, v.n }
 
 // HashIndexOn returns the hash index over the given columns, if present.
 func (v *TableSnapshot) HashIndexOn(cols ...string) (*HashIndex, bool) {
@@ -635,9 +509,8 @@ var (
 
 // HashIndex is an equality index over one or more columns. Buckets hold a
 // pointer to their id slice so the hot add path appends through the pointer
-// without allocating a string key per insertion. Entries are retained when
-// rows are tombstoned: MVCC readers filter candidate ids through row
-// visibility instead.
+// without allocating a string key per insertion. One index serves every
+// epoch: MVCC readers bound candidate ids by their visible prefix.
 type HashIndex struct {
 	mu        sync.RWMutex
 	cols      []string
@@ -695,8 +568,8 @@ func (ix *HashIndex) addLocked(id RowID, r Row) {
 
 // Lookup returns the RowIDs whose indexed columns equal the given values.
 // The ids are candidates: callers must resolve them through a visibility
-// filter (Table.RowsByIDs or a TableSnapshot) because tombstoned and
-// not-yet-visible rows stay indexed.
+// filter (Table.RowsByIDs or a TableSnapshot) because rows born after a
+// pinned epoch are indexed too.
 func (ix *HashIndex) Lookup(vals ...Value) []RowID {
 	if len(vals) != len(ix.positions) {
 		return nil
@@ -718,9 +591,8 @@ func (ix *HashIndex) Lookup(vals ...Value) []RowID {
 
 // OrderedIndex is a sorted single-column index supporting range scans. It is
 // maintained as a sorted slice; inserts use binary search. For the metadata
-// workloads FlorDB serves (append-mostly logs), this is simple and fast.
-// Like HashIndex, entries for tombstoned rows are retained and filtered at
-// read time.
+// workloads FlorDB serves (append-only logs), this is simple and fast.
+// Like HashIndex, it indexes every row and readers apply visibility.
 type OrderedIndex struct {
 	mu      sync.RWMutex
 	col     string

@@ -62,7 +62,7 @@ func TestSchemaValidateCoercion(t *testing.T) {
 	}
 }
 
-func TestTableInsertGetDelete(t *testing.T) {
+func TestTableInsertGet(t *testing.T) {
 	tbl := NewTable("t", testSchema(t))
 	id, err := tbl.Insert(Row{Int(1), Text("a"), Float(0.5)})
 	if err != nil {
@@ -72,39 +72,13 @@ func TestTableInsertGetDelete(t *testing.T) {
 	if !ok || r[1].AsText() != "a" {
 		t.Fatalf("get: %v %v", r, ok)
 	}
-	if !tbl.Delete(id) {
-		t.Fatal("delete should succeed")
-	}
-	if tbl.Delete(id) {
-		t.Fatal("double delete should fail")
-	}
-	if _, ok := tbl.Get(id); ok {
-		t.Fatal("deleted row still visible")
-	}
-	if tbl.Len() != 0 {
-		t.Fatalf("len = %d", tbl.Len())
-	}
-}
-
-func TestTableUpdate(t *testing.T) {
-	tbl := NewTable("t", testSchema(t))
-	id, _ := tbl.Insert(Row{Int(1), Text("a"), Float(0.5)})
-	nid, err := tbl.Update(id, Row{Int(1), Text("b"), Float(0.9)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := tbl.Get(id); ok {
-		t.Fatal("old version still visible under old id")
-	}
-	r, ok := tbl.Get(nid)
-	if !ok || r[1].AsText() != "b" {
-		t.Fatalf("update not applied: %v %v", r, ok)
+	for _, missing := range []RowID{-1, id + 1} {
+		if _, ok := tbl.Get(missing); ok {
+			t.Fatalf("get(%d) found a row that was never inserted", missing)
+		}
 	}
 	if tbl.Len() != 1 {
 		t.Fatalf("len = %d", tbl.Len())
-	}
-	if _, err := tbl.Update(RowID(999), Row{Int(1), Text("b"), Float(0.9)}); err == nil {
-		t.Fatal("update of missing row must fail")
 	}
 }
 
@@ -153,20 +127,19 @@ func TestHashIndexLookupAndMaintenance(t *testing.T) {
 		id, _ := tbl.Insert(Row{Int(int64(i)), Text(fmt.Sprintf("n%d", i%2)), Float(0)})
 		ids = append(ids, id)
 	}
-	liveN0 := func() int { return len(tbl.RowsByIDs(ix.Lookup(Text("n0")))) }
-	if got := liveN0(); got != 3 {
-		t.Fatalf("lookup n0 = %d live rows", got)
+	n0 := func() int { return len(tbl.RowsByIDs(ix.Lookup(Text("n0")))) }
+	if got := n0(); got != 3 {
+		t.Fatalf("lookup n0 = %d rows", got)
 	}
-	// Tombstoned rows stay indexed but are filtered by row visibility.
-	tbl.Delete(ids[0])
-	if got := liveN0(); got != 2 {
-		t.Fatalf("after delete lookup n0 = %d live rows", got)
-	}
-	if _, err := tbl.Update(ids[1], Row{Int(1), Text("n0"), Float(0)}); err != nil {
+	// Rows inserted after the index exists are maintained into it.
+	if _, err := tbl.Insert(Row{Int(6), Text("n0"), Float(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := liveN0(); got != 3 {
-		t.Fatalf("after update lookup n0 = %d live rows", got)
+	if got := n0(); got != 4 {
+		t.Fatalf("after insert lookup n0 = %d rows", got)
+	}
+	if got := ix.Lookup(Text("n1")); len(got) != 3 || got[0] != ids[1] {
+		t.Fatalf("lookup n1 = %v", got)
 	}
 }
 
@@ -246,18 +219,6 @@ func TestOrderedIndexMinMax(t *testing.T) {
 	}
 }
 
-func TestOrderedIndexDeleteMaintenance(t *testing.T) {
-	tbl := NewTable("t", testSchema(t))
-	ix, _ := tbl.CreateOrderedIndex("score")
-	id1, _ := tbl.Insert(Row{Int(1), Text("x"), Float(0.5)})
-	tbl.Insert(Row{Int(2), Text("y"), Float(0.5)})
-	tbl.Delete(id1)
-	rows := tbl.RowsByIDs(ix.Range(Float(0.5), Float(0.5)))
-	if len(rows) != 1 || rows[0][0].AsInt() != 2 {
-		t.Fatalf("after delete: %v", rows)
-	}
-}
-
 func TestTableConcurrentInserts(t *testing.T) {
 	tbl := NewTable("t", testSchema(t))
 	tbl.CreateHashIndex("name")
@@ -306,5 +267,28 @@ func TestOrderedIndexSortedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestLoadVersionsRefusesDecreasingBorn(t *testing.T) {
+	tbl := NewTable("t", testSchema(t))
+	row := func(i int) Row { return Row{Int(int64(i)), Text("x"), Float(0)} }
+	if err := tbl.LoadVersions([]Row{row(0), row(1)}, []int64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	for _, born := range [][]int64{{1}, {3, 2}} {
+		rows := make([]Row, len(born))
+		for i := range rows {
+			rows[i] = row(i)
+		}
+		if err := tbl.LoadVersions(rows, born); err == nil {
+			t.Fatalf("born %v after a store ending at 2 accepted", born)
+		}
+	}
+	if err := tbl.LoadVersions([]Row{row(2), row(3)}, []int64{2, 5}); err != nil {
+		t.Fatal(err)
+	}
+	if _, born := tbl.Versions(); len(born) != 4 || born[3] != 5 {
+		t.Fatalf("born = %v, want the two accepted loads only", born)
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // ErrEpochRetired is the sentinel for time-travel reads below the retention
-// floor: the epoch-retention GC has dropped (or may have dropped) row versions
-// the query would need, so the read is refused rather than answered wrong.
+// floor: the epoch-retention GC has retired the epoch (and the stamp that
+// resolves a timestamp to it), so the read is refused.
 // Match with errors.Is; the concrete error is an *EpochRetiredError carrying
 // the floor so callers can echo it (the HTTP layer returns it in the 400 body).
 var ErrEpochRetired = errors.New("relation: epoch retired by retention GC")
@@ -57,7 +57,7 @@ func (db *Database) MinEpoch() int64 { return db.minEpoch.Load() }
 // Restore positions the MVCC clock during recovery, before the database is
 // shared with readers: the committed epoch, the retention floor and the
 // epochs' commit stamps, together. Snapshot-loaded rows carry their
-// historical born/dead epochs, and tail replay advances from here, so the
+// historical born epochs, and tail replay advances from here, so the
 // recovered database counts and stamps exactly the commit records of its
 // whole history.
 func (db *Database) Restore(epoch, floor int64, stamps []EpochStamp) {
@@ -136,14 +136,14 @@ func (db *Database) OldestPin() int64 {
 
 // GCBelow retires epochs below the requested floor: it clamps the floor to the
 // committed epoch, the oldest live pin, and the current floor (the floor never
-// moves backwards), publishes the clamped floor, drops the stamps of retired
-// epochs, and rewrites every table's row store dropping versions both born
-// and tombstoned below it. It returns the number of row versions reclaimed
-// and the floor actually applied.
+// moves backwards), publishes the clamped floor and drops the stamps of
+// retired epochs. Tables are insert-only, so no row version is ever
+// invisible at every retained epoch and there is nothing to reclaim. It
+// returns the floor actually applied.
 //
 // Holding db.mu for writing excludes concurrent snapshotLocked calls, so no
 // reader can pin an epoch below the new floor while the floor is moving.
-func (db *Database) GCBelow(floor int64) (reclaimed int, applied int64) {
+func (db *Database) GCBelow(floor int64) int64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if cur := db.epoch.Load(); floor > cur {
@@ -163,10 +163,7 @@ func (db *Database) GCBelow(floor int64) (reclaimed int, applied int64) {
 	db.minEpoch.Store(floor)
 	db.stamps = append(db.stamps[:0], db.retainedLocked()...)
 	db.clockMu.Unlock()
-	for _, t := range db.tables {
-		reclaimed += t.pruneBelow(floor)
-	}
-	return reclaimed, floor
+	return floor
 }
 
 // AsOf implements TimeTraveler for the live database: a real pin at the
@@ -182,8 +179,8 @@ func (db *Database) AsOf(epoch int64) (Catalog, func(), error) {
 // AsOf implements TimeTraveler for an already-pinned snapshot. Rebasing to the
 // snapshot's own epoch is free; rebasing lower takes a fresh pin from the
 // owning database, which is equivalent to narrowing this snapshot's
-// visibility: table states only grow, and versions pruned by GC are dead at or
-// below the retention floor — invisible at every queryable epoch either way.
+// visibility: table states only grow, so the lower epoch's visible prefix is
+// the same rows in either state.
 // Rebasing above the pinned epoch is refused: a pinned view must not leak
 // commits from after its pin.
 func (s *Snapshot) AsOf(epoch int64) (Catalog, func(), error) {

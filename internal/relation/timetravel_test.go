@@ -49,21 +49,10 @@ func TestSnapshotAtRejectsFutureAndNegative(t *testing.T) {
 	}
 }
 
-func TestGCBelowRetiresEpochsAndReclaimsTombstones(t *testing.T) {
-	db, tbl := snapDB(t)
-	id, _ := tbl.Insert(Row{Int(1), Text("doomed")})
-	db.AdvanceEpoch(time.Now()) // epoch 1
-	tbl.Delete(id)
-	db.AdvanceEpoch(time.Now()) // epoch 2
-	tbl.Insert(Row{Int(2), Text("alive")})
-	db.AdvanceEpoch(time.Now()) // epoch 3
-
-	reclaimed, applied := db.GCBelow(3)
-	if applied != 3 {
+func TestGCBelowRetiresEpochs(t *testing.T) {
+	db, _ := travelDB(t, 3)
+	if applied := db.GCBelow(3); applied != 3 {
 		t.Fatalf("applied floor = %d, want 3", applied)
-	}
-	if reclaimed != 1 {
-		t.Fatalf("reclaimed = %d, want 1 (the born-and-tombstoned version)", reclaimed)
 	}
 	if db.MinEpoch() != 3 {
 		t.Fatalf("MinEpoch = %d, want 3", db.MinEpoch())
@@ -86,8 +75,8 @@ func TestGCBelowRetiresEpochsAndReclaimsTombstones(t *testing.T) {
 	}
 	defer snap.Release()
 	r, _ := snap.Reader("t")
-	if got := len(r.Rows()); got != 1 {
-		t.Fatalf("floor epoch rows = %d, want 1", got)
+	if got := len(r.Rows()); got != 3 {
+		t.Fatalf("floor epoch rows = %d, want 3", got)
 	}
 }
 
@@ -101,7 +90,7 @@ func TestGCBelowClampsToOldestPin(t *testing.T) {
 		t.Fatalf("OldestPin = %d, want 2", got)
 	}
 
-	if _, applied := db.GCBelow(4); applied != 2 {
+	if applied := db.GCBelow(4); applied != 2 {
 		t.Fatalf("GC with live pin at 2 applied floor %d, want clamp to 2", applied)
 	}
 	// The pinned epoch must remain readable.
@@ -115,17 +104,17 @@ func TestGCBelowClampsToOldestPin(t *testing.T) {
 	}
 
 	// With the pin gone the floor advances; it never moves backwards.
-	if _, applied := db.GCBelow(4); applied != 4 {
+	if applied := db.GCBelow(4); applied != 4 {
 		t.Fatalf("GC after release applied %d, want 4", applied)
 	}
-	if _, applied := db.GCBelow(1); applied != 4 {
+	if applied := db.GCBelow(1); applied != 4 {
 		t.Fatalf("GC below current floor applied %d, want unchanged 4", applied)
 	}
 }
 
 func TestGCBelowClampsToCommittedEpoch(t *testing.T) {
 	db, _ := travelDB(t, 2)
-	if _, applied := db.GCBelow(10); applied != 2 {
+	if applied := db.GCBelow(10); applied != 2 {
 		t.Fatalf("GC above committed epoch applied %d, want clamp to 2", applied)
 	}
 }
@@ -221,7 +210,7 @@ func TestEpochClock(t *testing.T) {
 	}
 	snap.Release()
 
-	if _, applied := db.GCBelow(3); applied != 3 {
+	if applied := db.GCBelow(3); applied != 3 {
 		t.Fatalf("applied floor = %d, want 3", applied)
 	}
 	if got := db.EpochStamps(); len(got) != 2 || got[0].Epoch != 3 {
@@ -252,25 +241,27 @@ func TestEpochClock(t *testing.T) {
 	}
 }
 
-// TestGCKeepsLiveRowsAndIndexes: pruning nils only dead payloads; live rows
-// and index lookups stay intact, and RowIDs remain stable.
+// TestGCKeepsLiveRowsAndIndexes: raising the floor touches no table — every
+// row, every RowID and every index entry survive it.
 func TestGCKeepsLiveRowsAndIndexes(t *testing.T) {
 	db, tbl := snapDB(t)
 	if _, err := tbl.CreateHashIndex("k"); err != nil {
 		t.Fatal(err)
 	}
 	keep, _ := tbl.Insert(Row{Int(1), Text("keep")})
-	gone, _ := tbl.Insert(Row{Int(2), Text("gone")})
 	db.AdvanceEpoch(time.Now())
-	tbl.Delete(gone)
+	tbl.Insert(Row{Int(2), Text("later")})
 	db.AdvanceEpoch(time.Now())
 
-	if reclaimed, _ := db.GCBelow(2); reclaimed != 1 {
-		t.Fatalf("reclaimed = %d, want 1", reclaimed)
+	if applied := db.GCBelow(2); applied != 2 {
+		t.Fatalf("applied floor = %d, want 2", applied)
+	}
+	if tbl.Len() != 2 {
+		t.Fatalf("len after GC = %d, want 2", tbl.Len())
 	}
 	got, ok := tbl.Get(keep)
 	if !ok || got[1].AsText() != "keep" {
-		t.Fatalf("live row damaged: %v %v", got, ok)
+		t.Fatalf("row damaged: %v %v", got, ok)
 	}
 	idx, ok := tbl.HashIndexOn("k")
 	if !ok {

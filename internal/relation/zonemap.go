@@ -14,18 +14,13 @@ import (
 // pages no visible row could possibly pass — before transposing a single
 // value.
 //
-// Soundness (prune-is-conservative, DESIGN §13). Everything a cached zone is
-// derived from is immutable once published: born epochs never change and row
-// payloads are append-only (the retention GC may nil a payload, but only for
-// versions tombstoned at or below the retention floor, which are invisible at
-// every epoch any reader can still pin — so excluding them from min/max/null
-// statistics never hides a visible row). Tombstone (dead) epochs are
-// deliberately NOT part of in-memory pruning: the dead array is copy-on-write
-// per delete, so a zone built from a newer state could claim a page all-dead
-// while an older pinned state — or a latest-epoch scan racing the delete —
-// still sees its rows. Dead-based skipping instead happens inside the scan
-// itself, which computes the selection vector from its *own* pinned state
-// before deciding whether to decode the page (see BatchScanOp.NextBatch).
+// Soundness (prune-is-conservative, DESIGN §13). Tables are insert-only, so
+// every complete page is immutable once published: its rows and born epochs
+// never change. A zone is therefore exact for its page under every state and
+// every pinned epoch, and a scan whose visible prefix ends inside a page
+// reads a subset of the rows the zone bounds — pruning that subset on the
+// page's statistics never hides a row that could pass. Visibility itself
+// needs no zone: a scan never walks past its visible prefix.
 const ZonePageRows = DefaultBatchSize
 
 // ColZone is the per-column statistics of one page.
@@ -34,22 +29,15 @@ type ColZone struct {
 	// total order; both are NULL when the page has no non-NULL cell (any
 	// comparison predicate can then skip the page outright).
 	Min, Max Value
-	// NullCount counts NULL cells among the page's non-reclaimed rows. Rows
-	// whose payload the retention GC reclaimed are counted in PageZone.Rows
-	// but in no column statistic, which only makes pruning more conservative.
+	// NullCount counts the page's NULL cells.
 	NullCount int
 }
 
 // PageZone is the zone map of one complete page of ZonePageRows rows.
 type PageZone struct {
 	MinBorn, MaxBorn int64 // bounds over the page's (immutable) born epochs
-	// MaxDead is persisted-format metadata only: the highest tombstone epoch
-	// when every version in the page was dead at snapshot-write time, else 0.
-	// In-memory pruning never consults it — see the package comment on why
-	// cached tombstone facts are unsound under copy-on-write deletes.
-	MaxDead int64
-	Rows    int // physical rows in the page (always ZonePageRows in memory)
-	Cols    []ColZone
+	Rows             int   // physical rows in the page (always ZonePageRows in memory)
+	Cols             []ColZone
 }
 
 // ZoneFilter reports that a page can be skipped: no row inside the zone's
@@ -112,21 +100,13 @@ func (t *Table) zonePages(st *tableState) []PageZone {
 	return pages
 }
 
-// buildPageZone computes the zone map of page p from the row store.
+// buildPageZone computes the zone map of page p from the row store. born is
+// nondecreasing, so its bounds are the page's first and last entries.
 func buildPageZone(schema *Schema, st *tableState, p int) PageZone {
 	lo, hi := p*ZonePageRows, (p+1)*ZonePageRows
 	z := PageZone{Rows: ZonePageRows, Cols: make([]ColZone, schema.Len())}
-	z.MinBorn, z.MaxBorn = st.born[lo], st.born[lo]
-	for i := lo; i < hi; i++ {
-		if b := st.born[i]; b < z.MinBorn {
-			z.MinBorn = b
-		} else if b > z.MaxBorn {
-			z.MaxBorn = b
-		}
-		r := st.rows[i]
-		if r == nil {
-			continue // reclaimed by retention GC; invisible everywhere
-		}
+	z.MinBorn, z.MaxBorn = st.born[lo], st.born[hi-1]
+	for _, r := range st.rows[lo:hi] {
 		for c := range r {
 			v := &r[c]
 			cz := &z.Cols[c]

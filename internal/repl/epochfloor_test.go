@@ -43,7 +43,7 @@ func TestEpochFloorTracksFollowerAcks(t *testing.T) {
 }
 
 // TestGCEpochsClampsToFollowerEpoch: epoch-retention GC on the primary may
-// not reclaim history a lagging follower still needs for AS OF answers.
+// not retire history a lagging follower still needs for AS OF answers.
 func TestGCEpochsClampsToFollowerEpoch(t *testing.T) {
 	e := newPrimaryEnv(t, flor.Options{RetainEpochs: 1})
 	e.commitN(4)
@@ -73,7 +73,7 @@ func TestGCEpochsClampsToFollowerEpoch(t *testing.T) {
 	}
 	v, err := e.sess.ReaderAt(4)
 	if err != nil {
-		t.Fatalf("follower-needed epoch 4 reclaimed: %v", err)
+		t.Fatalf("follower-needed epoch 4 retired: %v", err)
 	}
 	v.Close()
 }

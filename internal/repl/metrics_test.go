@@ -51,9 +51,7 @@ var engineMetricNames = []string{
 	"counter:queries_served",
 	"gauge:epoch",
 	"gauge:fsyncs_per_commit",
-	"gauge:gc_rows_reclaimed",
 	"gauge:in_flight",
-	"gauge:live_rows",
 	"gauge:pages_decoded",
 	"gauge:pages_pruned",
 	"gauge:plan_cache_hit_rate",

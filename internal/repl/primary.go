@@ -114,7 +114,7 @@ func (p *Primary) RetainFloor() int64 {
 // EpochFloor returns the lowest commit epoch a fresh follower has applied,
 // or MaxInt64 when no fresh follower exists — the contract
 // Session.SetEpochAckFloor expects. Epoch-retention GC clamps to it so
-// history a lagging replica still needs for AS OF answers is not reclaimed
+// history a lagging replica still needs for AS OF answers is not retired
 // out from under it.
 func (p *Primary) EpochFloor() int64 {
 	p.mu.Lock()

@@ -118,8 +118,9 @@ func TestHealthzReportsRetentionGauges(t *testing.T) {
 	if got, _ := payload["retention_floor_epoch"].(float64); int64(got) != 3 {
 		t.Fatalf("retention_floor_epoch = %v, want 3", payload["retention_floor_epoch"])
 	}
-	if got, _ := payload["gc_rows_reclaimed"].(float64); got < 0 {
-		t.Fatalf("gc_rows_reclaimed = %v", payload["gc_rows_reclaimed"])
+	// Retiring epochs reclaims no row: every logged version is still held.
+	if got, _ := payload["row_versions"].(float64); got < 4 {
+		t.Fatalf("row_versions = %v after GC, want all 4 logged rows", payload["row_versions"])
 	}
 }
 

@@ -98,7 +98,7 @@ func TestMetricsEndpointServesRouteHistograms(t *testing.T) {
 		t.Fatal("admission_rejections missing")
 	}
 	for _, g := range []string{"plan_cache_hit_rate", "fsyncs_per_commit", "snapshot_pins",
-		"pages_pruned", "pages_decoded", "epoch", "row_versions", "live_rows"} {
+		"pages_pruned", "pages_decoded", "epoch", "row_versions"} {
 		if _, ok := p.Gauges[g]; !ok {
 			t.Fatalf("gauge %q missing from /metrics: %v", g, p.Gauges)
 		}

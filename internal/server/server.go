@@ -234,7 +234,7 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 
 // reader pins the snapshot a query handler runs against: the latest committed
 // epoch by default, or the historical epoch named by ?as_of=. Asking for an
-// epoch retention GC already reclaimed is a client error, answered with 400
+// epoch retention GC already retired is a client error, answered with 400
 // and the current retention floor so the client can re-aim.
 func (s *Server) reader(w http.ResponseWriter, r *http.Request) (*flor.SnapshotView, bool) {
 	raw := r.URL.Query().Get("as_of")

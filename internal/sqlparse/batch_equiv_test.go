@@ -18,8 +18,10 @@ import (
 // indexes, serial and under a four-worker gather — so index paths packed
 // into batches, joins over index sources and gathers over full scans are
 // each compared with ExecuteScan, which runs the identical statement through
-// the volcano row operators. mustPlanOps asserts the shapes under test
-// really are in the plan. They run under -race via `make test` like
+// the volcano row operators. A share of every property's statements runs at
+// a random mid-history pin instead, against a reference database holding
+// only the rows born by then (prefixDB). mustPlanOps asserts the shapes under
+// test really are in the plan. They run under -race via `make test` like
 // everything else.
 
 // planEquivDB is one cell of the equivalence matrix.
@@ -28,6 +30,12 @@ type planEquivDB struct {
 	indexed bool
 	opts    ExecOptions
 	checked int
+
+	// cat is what the planned pipeline runs against and ref what the
+	// reference does: both db, or a pin of db and its prefixDB.
+	cat, ref relation.Catalog
+	rng      *rand.Rand // picks the pinned share and its epochs
+	prefixes map[int64]*relation.Database
 }
 
 // parallel reports whether the cell's full scans run under a gather.
@@ -49,13 +57,15 @@ func forEachEquivCell(t *testing.T, body func(t *testing.T, cell *planEquivDB)) 
 	for _, indexed := range []bool{true, false} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("indexed=%v/workers=%d", indexed, workers), func(t *testing.T) {
-				cell := &planEquivDB{indexed: indexed, opts: ExecOptions{ScanWorkers: workers}}
+				cell := &planEquivDB{indexed: indexed, opts: ExecOptions{ScanWorkers: workers},
+					rng: rand.New(rand.NewSource(int64(workers))), prefixes: map[int64]*relation.Database{}}
 				rows := 500
 				if cell.parallel() {
 					forceGather(t)
 					rows = 2*morselRows + 500
 				}
 				cell.db = randomWorkloadDBRows(t, indexed, rows)
+				cell.cat, cell.ref = cell.db, cell.db
 				body(t, cell)
 			})
 		}
@@ -75,8 +85,41 @@ func forceGather(t *testing.T) {
 	t.Cleanup(func() { parallelMinRows = old })
 }
 
+// prefixDB is the reference's view of db at epoch e, computed without the
+// engine's visibility rule: a fresh database holding, per base table, the
+// rows whose born epoch is at or below e, found by testing every row. An
+// error in the prefix bound a pin reads through cannot cancel out against it.
+func prefixDB(t *testing.T, db *relation.Database, e int64) *relation.Database {
+	t.Helper()
+	out := relation.NewDatabase()
+	for _, name := range db.Names() {
+		src, ok := db.Table(name)
+		if !ok {
+			continue // virtual
+		}
+		dst, err := out.CreateTable(name, src.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, born := src.Versions()
+		var keep []relation.Row
+		for i, r := range rows {
+			if born[i] <= e {
+				keep = append(keep, r)
+			}
+		}
+		if err := dst.LoadRows(keep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 // runEquivalence executes q through the planned pipeline and the reference
-// executor and compares row multisets (planEquivDB.diff). Error presence must
+// executor and compares row multisets (planEquivDB.diff) — one statement in
+// four at a random epoch, from a pin of the cell's database against the
+// prefixDB at that epoch, up to and including the committed epoch, past
+// which the builder leaves rows in flight. Error presence must
 // agree too: that is not the general contract (DESIGN §4 — access paths and
 // pushdown decide which rows reach a failing expression;
 // TestDeferredErrorContract pins both directions), but the generators here
@@ -88,18 +131,31 @@ func runEquivalence(t *testing.T, cell *planEquivDB, q string) {
 	if err != nil {
 		t.Fatalf("generated unparsable query %q: %v", q, err)
 	}
-	planned, perr := ExecuteOptions(cell.db, stmt, cell.opts)
+	c, at := *cell, "latest"
+	if cell.rng.Intn(4) == 0 {
+		e := cell.rng.Int63n(cell.db.Epoch() + 1)
+		snap, err := cell.db.SnapshotAt(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer snap.Release()
+		if cell.prefixes[e] == nil {
+			cell.prefixes[e] = prefixDB(t, cell.db, e)
+		}
+		c.cat, c.ref, at = snap, cell.prefixes[e], fmt.Sprintf("epoch %d", e)
+	}
+	planned, perr := ExecuteOptions(c.cat, stmt, c.opts)
 	stmt2, _ := Parse(q) // fresh AST in case execution mutates state
-	naive, nerr := ExecuteScan(cell.db, stmt2)
+	naive, nerr := ExecuteScan(c.ref, stmt2)
 	if (perr == nil) != (nerr == nil) {
-		t.Fatalf("query %q: planned err=%v naive err=%v", q, perr, nerr)
+		t.Fatalf("query %q at %s: planned err=%v naive err=%v", q, at, perr, nerr)
 	}
 	if perr != nil {
 		return
 	}
-	if d := cell.diff(t, q, stmt, planned, naive); d != "" {
-		t.Fatalf("query %q: planned and reference results differ: %s\nplan:\n%s",
-			q, d, cell.explain(t, q))
+	if d := c.diff(t, q, stmt, planned, naive); d != "" {
+		t.Fatalf("query %q at %s: planned and reference results differ: %s\nplan:\n%s",
+			q, at, d, c.explain(t, q))
 	}
 	cell.checked++
 }
@@ -153,7 +209,7 @@ func (c *planEquivDB) limitDiff(t *testing.T, stmt *SelectStmt, planned, referen
 	}
 	whole := *stmt
 	whole.Limit, whole.Offset = -1, 0
-	all, err := ExecuteScan(c.db, &whole)
+	all, err := ExecuteScan(c.ref, &whole)
 	if err != nil {
 		t.Fatalf("reference without LIMIT: %v", err)
 	}
@@ -170,11 +226,11 @@ func (c *planEquivDB) limitDiff(t *testing.T, stmt *SelectStmt, planned, referen
 	if keyed == nil {
 		return ""
 	}
-	p, err := ExecuteOptions(c.db, keyed, c.opts)
+	p, err := ExecuteOptions(c.cat, keyed, c.opts)
 	if err != nil {
 		t.Fatalf("planned with sort keys selected: %v", err)
 	}
-	r, err := ExecuteScan(c.db, keyed)
+	r, err := ExecuteScan(c.ref, keyed)
 	if err != nil {
 		t.Fatalf("reference with sort keys selected: %v", err)
 	}
@@ -227,7 +283,7 @@ func (c *planEquivDB) explain(t *testing.T, q string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ExecuteOptions(c.db, stmt, c.opts)
+	res, err := ExecuteOptions(c.cat, stmt, c.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +416,7 @@ func testAggregateEquivalence(t *testing.T, cell *planEquivDB) {
 		"SELECT value_name, min(value) AS mn, max(value) AS mx FROM logs GROUP BY value_name",
 		"SELECT count(*) AS n, avg(value) AS m FROM logs",
 		// References no columns at all: the batch scan materializes nothing
-		// and only computes the visibility selection (full pruning).
+		// and only counts its visible prefix (full pruning).
 		"SELECT count(*) AS n FROM logs",
 		"SELECT projid, value_name, count(*) AS n FROM logs GROUP BY projid, value_name",
 		"SELECT tstamp, count(*) AS n FROM logs GROUP BY tstamp HAVING count(*) > 2",

@@ -34,7 +34,11 @@ func FuzzPlannedVsScan(f *testing.F) {
 		f.Add("SELECT * FROM logs WHERE " + pool[rng.Intn(len(pool))]() + " AND " + pool[rng.Intn(len(pool))]())
 	}
 	for i := 0; i < 12; i++ {
-		f.Add(randomParallelQuery(rng, 0))
+		q, asOf := randomParallelQuery(rng, 0)
+		if asOf >= 0 {
+			q += fmt.Sprintf(" AS OF %d", asOf)
+		}
+		f.Add(q)
 	}
 	f.Add("SELECT projid FROM logs WHERE tstamp > 1000 AND value / 0 > 1")
 	f.Add("SELECT DISTINCT l.projid, r.vid FROM logs l JOIN runs r ON l.tstamp = r.tstamp AND l.value > 0.5 WHERE projid = 'p1' AND value_name IN ('acc', 'f1') ORDER BY vid DESC LIMIT 5 OFFSET 1")

@@ -12,8 +12,8 @@ import (
 // Gather: parallelism as a plan node. A statement's batch pipeline is built
 // by a factory; serial execution calls it once. When the pipeline bottoms out
 // in a full table scan (stream.scan) and the gather rule below allows it, the
-// factory is called once per worker instead, the table's physical row store
-// is carved into page-aligned morsels, and workers claim morsels from a
+// factory is called once per worker instead, the row-store prefix the scan
+// sees is carved into page-aligned morsels, and workers claim morsels from a
 // shared atomic counter, re-arming their own scan per morsel via SetRange.
 // Nothing below the sink is shared between workers — each pipeline has its
 // own batch buffers, compiled closures and scratch rows — so the only
@@ -24,9 +24,9 @@ import (
 // Correctness invariants, in terms the equivalence property tests assert:
 //
 //   - MVCC: every worker's scan resolves against the same published table
-//     state semantics as a serial scan (each NextBatch computes its selection
-//     vector from the scan's own pinned state), so tombstones and AS OF pins
-//     filter identically.
+//     state semantics as a serial scan (each walks no further than the
+//     visible prefix of its own pinned state), so AS OF pins and in-flight
+//     rows filter identically.
 //   - Ordering: non-aggregate results are reassembled in morsel order, which
 //     is exactly row-store order — the serial scan's order — before the
 //     (stable) ORDER BY/LIMIT operators run, so output is byte-identical to
@@ -71,9 +71,9 @@ func gatherWidth(stmt *SelectStmt, agg bool, scan *relation.BatchScanOp, opts Ex
 		// do all the work to throw most of it away.
 		return 1, 0
 	}
-	// Morsels cover the *physical* row store (tombstoned versions included —
-	// visibility is the scan's job). The store is append-only: a range valid
-	// against this scan's state is valid against every worker's.
+	// Morsels cover the row-store prefix visible to the scan. The store is
+	// append-only: a range valid against this scan's state is valid against
+	// every worker's.
 	storeLen := scan.StoreLen()
 	if storeLen < parallelMinRows {
 		return 1, 0

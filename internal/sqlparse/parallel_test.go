@@ -12,9 +12,9 @@ import (
 )
 
 // parallelWorkloadDB builds a logs table large enough to clear the parallel
-// fan-out threshold, with NULLs, duplicate keys, epoch structure (one epoch
-// per chunk of inserts) and tombstones spread across epochs — the state
-// shapes the morsel-parallel scan must agree with serial execution on.
+// fan-out threshold, with NULLs, duplicate keys and epoch structure (one
+// epoch per 300 inserts, so boundaries fall mid-page and mid-morsel) — the
+// state shapes the morsel-parallel scan must agree with serial execution on.
 func parallelWorkloadDB(t *testing.T) (*relation.Database, int64) {
 	t.Helper()
 	db := relation.NewDatabase()
@@ -30,7 +30,6 @@ func parallelWorkloadDB(t *testing.T) (*relation.Database, int64) {
 	rng := rand.New(rand.NewSource(41))
 	projids := []string{"p1", "p2", "p3"}
 	names := []string{"acc", "recall", "loss", "f1"}
-	var ids []relation.RowID
 	rows := 3 * parallelMinRows
 	for i := 0; i < rows; i++ {
 		val := relation.Null()
@@ -41,27 +40,16 @@ func parallelWorkloadDB(t *testing.T) (*relation.Database, int64) {
 		if rng.Intn(20) > 0 {
 			ts = relation.Int(int64(rng.Intn(50)))
 		}
-		id, err := logs.Insert(relation.Row{
+		if _, err := logs.Insert(relation.Row{
 			relation.Text(projids[rng.Intn(len(projids))]),
 			ts,
 			relation.Text(names[rng.Intn(len(names))]),
 			val,
-		})
-		if err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
-		// Epoch structure: a new committed epoch every ~1000 rows, plus a
-		// sprinkle of tombstones per epoch so AS OF pins land mid-history
-		// with some versions already dead and others not yet born.
-		if i%997 == 0 {
+		if i%300 == 299 {
 			db.AdvanceEpoch(time.Now())
-			for k := 0; k < 40 && len(ids) > 0; k++ {
-				j := rng.Intn(len(ids))
-				logs.Delete(ids[j])
-				ids[j] = ids[len(ids)-1]
-				ids = ids[:len(ids)-1]
-			}
 		}
 	}
 	db.AdvanceEpoch(time.Now())
@@ -69,9 +57,9 @@ func parallelWorkloadDB(t *testing.T) (*relation.Database, int64) {
 }
 
 // randomParallelQuery emits single-table statements from the shapes the
-// planner gathers (and a few it must leave serial), optionally
-// pinned AS OF a random mid-history epoch.
-func randomParallelQuery(rng *rand.Rand, maxEpoch int64) string {
+// planner gathers (and a few it must leave serial), and a random
+// mid-history epoch to pin one in three of them AS OF — or -1.
+func randomParallelQuery(rng *rand.Rand, maxEpoch int64) (string, int64) {
 	conjPool := []func() string{
 		func() string { return fmt.Sprintf("projid = 'p%d'", rng.Intn(4)) },
 		func() string { return fmt.Sprintf("'p%d' = projid", rng.Intn(4)) },
@@ -133,17 +121,18 @@ func randomParallelQuery(rng *rand.Rand, maxEpoch int64) string {
 		sb.WriteString(fmt.Sprintf(" LIMIT %d", rng.Intn(40))) // no ORDER BY: must stay serial
 	}
 	if rng.Intn(3) == 0 {
-		sb.WriteString(fmt.Sprintf(" AS OF %d", rng.Int63n(maxEpoch+1)))
+		return sb.String(), rng.Int63n(maxEpoch + 1)
 	}
-	return sb.String()
+	return sb.String(), -1
 }
 
 // TestConcurrentParallelScanEquivalence is the acceptance property for
 // morsel-driven parallel execution: across randomized predicates,
-// projections, aggregates, tombstones, mid-epoch AS OF pins and deferred
-// evaluation errors, parallel execution returns the same row multiset as the
-// serial reference executor — and the byte-identical ordered result whenever
-// the statement has an ORDER BY. Run under -race this also shakes out data
+// projections, aggregates, mid-epoch AS OF pins and deferred evaluation
+// errors, parallel execution returns the same row multiset as the serial
+// reference executor — and the byte-identical ordered result whenever the
+// statement has an ORDER BY. The reference answers an AS OF statement over
+// the prefixDB at its epoch, not through a pin. Run under -race this also shakes out data
 // races between worker pipelines (the race-stress CI job runs it at
 // GOMAXPROCS=8).
 func TestConcurrentParallelScanEquivalence(t *testing.T) {
@@ -172,15 +161,25 @@ func TestConcurrentParallelScanEquivalence(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(20260808))
+	prefixes := map[int64]*relation.Database{}
 	for i := 0; i < 250; i++ {
-		q := randomParallelQuery(rng, maxEpoch)
+		q, asOf := randomParallelQuery(rng, maxEpoch)
+		var ref relation.Catalog = db
+		if asOf >= 0 {
+			if prefixes[asOf] == nil {
+				prefixes[asOf] = prefixDB(t, db, asOf)
+			}
+			ref = prefixes[asOf]
+			q += fmt.Sprintf(" AS OF %d", asOf)
+		}
 		stmt, err := Parse(q)
 		if err != nil {
 			t.Fatalf("generated unparsable query %q: %v", q, err)
 		}
 		par, perr := ExecuteOptions(db, stmt, ExecOptions{})
 		stmt2, _ := Parse(q)
-		ser, serr := ExecuteScan(db, stmt2)
+		stmt2.AsOf = nil
+		ser, serr := ExecuteScan(ref, stmt2)
 		if (perr == nil) != (serr == nil) {
 			t.Fatalf("query %q: parallel err=%v serial err=%v", q, perr, serr)
 		}

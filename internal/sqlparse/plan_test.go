@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"flordb/internal/record"
 	"flordb/internal/relation"
@@ -252,10 +253,12 @@ func TestPlannerEquivalenceRandomized(t *testing.T) {
 	})
 }
 
-// randomWorkloadDBRows builds a logs/runs pair with NULLs, duplicate keys and
-// tombstoned rows — the shapes the access paths must agree on — with rows
-// versions in logs. With indexed=false no secondary index exists and every
-// base-table access path is the full scan.
+// randomWorkloadDBRows builds a logs/runs pair with NULLs and duplicate keys
+// — the shapes the access paths must agree on — with rows rows in logs. The
+// runs rows commit first; logs commits an epoch every 200 inserts, so epoch
+// boundaries fall mid-page, and leaves its tail in flight. With
+// indexed=false no secondary index exists and every base-table access path
+// is the full scan.
 func randomWorkloadDBRows(t *testing.T, indexed bool, rows int) *relation.Database {
 	t.Helper()
 	db := relation.NewDatabase()
@@ -276,35 +279,6 @@ func randomWorkloadDBRows(t *testing.T, indexed bool, rows int) *relation.Databa
 			t.Fatal(err)
 		}
 	}
-	rng := rand.New(rand.NewSource(7))
-	projids := []string{"p1", "p2", "p3"}
-	names := []string{"acc", "recall", "loss", "f1"}
-	var ids []relation.RowID
-	for i := 0; i < rows; i++ {
-		val := relation.Null()
-		if rng.Intn(10) > 0 {
-			val = relation.Float(float64(rng.Intn(100)) / 100)
-		}
-		ts := relation.Null()
-		if rng.Intn(20) > 0 {
-			ts = relation.Int(int64(rng.Intn(50)))
-		}
-		id, err := logs.Insert(relation.Row{
-			relation.Text(projids[rng.Intn(len(projids))]),
-			ts,
-			relation.Text(names[rng.Intn(len(names))]),
-			val,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	for _, id := range ids {
-		if rng.Intn(10) == 0 { // tombstones
-			logs.Delete(id)
-		}
-	}
 	runs, err := db.CreateTable("runs", relation.MustSchema(
 		relation.Column{Name: "tstamp", Type: relation.TInt},
 		relation.Column{Name: "vid", Type: relation.TText},
@@ -322,6 +296,31 @@ func randomWorkloadDBRows(t *testing.T, indexed bool, rows int) *relation.Databa
 			relation.Int(int64(i)), relation.Text(fmt.Sprintf("v%d", i)),
 		}); err != nil {
 			t.Fatal(err)
+		}
+	}
+	db.AdvanceEpoch(time.Now())
+	rng := rand.New(rand.NewSource(7))
+	projids := []string{"p1", "p2", "p3"}
+	names := []string{"acc", "recall", "loss", "f1"}
+	for i := 0; i < rows; i++ {
+		val := relation.Null()
+		if rng.Intn(10) > 0 {
+			val = relation.Float(float64(rng.Intn(100)) / 100)
+		}
+		ts := relation.Null()
+		if rng.Intn(20) > 0 {
+			ts = relation.Int(int64(rng.Intn(50)))
+		}
+		if _, err := logs.Insert(relation.Row{
+			relation.Text(projids[rng.Intn(len(projids))]),
+			ts,
+			relation.Text(names[rng.Intn(len(names))]),
+			val,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if i%200 == 199 {
+			db.AdvanceEpoch(time.Now())
 		}
 	}
 	return db

@@ -111,9 +111,8 @@ func (c *Compactor) Compact() (CompactStats, error) {
 		return stats, err
 	}
 	if base.Seq < upto {
-		// Versions tombstoned at or below the retention floor, and the
-		// stamps of retired epochs, are dropped from the new snapshot for
-		// good.
+		// The stamps of retired epochs are dropped from the new snapshot for
+		// good; every row version is kept.
 		meta := record.SnapshotMeta{
 			Version: record.SnapshotVersion, Seq: upto, MaxTstamp: max(base.MaxTstamp, res.MaxTstamp),
 			Epoch: db.Epoch(), MinEpoch: db.MinEpoch(), Epochs: db.EpochStamps(),
