@@ -96,11 +96,13 @@ bench-pair:
 	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<rev> [WORKLOAD=a,b] [PAIRS=10]"; exit 2; }
 	go run ./cmd/benchpair -base $(BASE) -pairs $(PAIRS) $(if $(WORKLOAD),-workload $(WORKLOAD))
 
-# fuzz runs a short smoke pass over every native fuzz target (decoder, WAL
-# replay, snapshot reader, planned-vs-reference SQL execution, version-store
-# journal load); CI runs it on each push.
+# fuzz runs a short smoke pass over every native fuzz target (WAL line
+# decoder and encoder against encoding/json, WAL replay, snapshot reader,
+# planned-vs-reference SQL execution, version-store journal load); CI runs
+# it on each push.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime 10s ./internal/record
+	go test -run '^$$' -fuzz '^FuzzRecordEncode$$' -fuzztime 10s ./internal/record
 	go test -run '^$$' -fuzz '^FuzzSnapshotRead$$' -fuzztime 10s ./internal/record
 	go test -run '^$$' -fuzz '^FuzzColumnarPageRead$$' -fuzztime 10s ./internal/record
 	go test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/storage

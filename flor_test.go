@@ -390,6 +390,70 @@ func TestRegisterBuildVirtualTable(t *testing.T) {
 	}
 }
 
+// TestInvalidUTF8LiveEqualsRecovered: a string that is not valid UTF-8
+// reads back the same from the session that logged it as after a reopen,
+// which rebuilds it from a WAL line carrying U+FFFD per invalid byte.
+func TestInvalidUTF8LiveEqualsRecovered(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, "proj", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetFilename("file\xfe.flow")
+	it := s.LoopVals("loop\xff", []string{"it\xc3", "ok"})
+	for it.Next() {
+		s.Log("name\xff", "a\xffb")
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	s.ArgString("arg\xed\xa0\x80", "val\xe2\x80")
+	if err := s.Commit(""); err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		"SELECT filename, value_name, value FROM logs ORDER BY ctx_id",
+		"SELECT filename, loop_name, iteration_value FROM loops ORDER BY ctx_id",
+		"SELECT filename, name, value FROM args",
+	}
+	answers := func(s *Session) []string {
+		var out []string
+		for _, q := range queries {
+			res, err := s.SQL(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) == 0 {
+				t.Fatalf("%s: no rows", q)
+			}
+			for _, row := range res.Rows {
+				var cols []string
+				for _, v := range row {
+					cols = append(cols, v.AsText())
+				}
+				out = append(out, strings.Join(cols, "|"))
+			}
+		}
+		return out
+	}
+	live := answers(s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir, "proj", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	recovered := answers(s2)
+	if fmt.Sprintf("%q", live) != fmt.Sprintf("%q", recovered) {
+		t.Fatalf("live answers differ from recovered ones:\n live %q\n recovered %q", live, recovered)
+	}
+	if want := "file\ufffd.flow|name\ufffd|a\ufffdb"; live[0] != want {
+		t.Fatalf("logs row = %q, want %q", live[0], want)
+	}
+}
+
 func TestDurableSessionRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, "proj", Options{Policy: replay.EveryN{N: 1}})

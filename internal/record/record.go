@@ -1,10 +1,28 @@
 // Package record defines FlorDB's log and loop records — the rows of the
-// Figure-1 data model — together with their JSONL wire encoding and the
+// Figure-1 data model — together with their WAL line codec and the
 // shredding of records into the relational store.
 //
 // Every record carries the structured provenance the paper requires:
 // projid, tstamp, filename, and ctx_id (the loop context the record belongs
 // to, with parent links expressing nesting).
+//
+// A WAL line is one record as a JSON object (codec.go). The codec is
+// hand-written, with no reflection, and keeps this contract:
+//   - AppendRecord and Encode write exactly the bytes json.Marshal writes
+//     for the record: struct field order, HTML-safe escaping, each invalid
+//     UTF-8 byte as \ufffd, and the wall clock as RFC 3339 with nanoseconds,
+//     failing where time.Time.MarshalJSON fails. The WAL format is
+//     encoding/json's, so lines written before the codec existed read back
+//     unchanged.
+//   - Decode accepts what json.Unmarshal accepts into the record structs:
+//     any key order and whitespace, every string escape, null, unknown
+//     keys, duplicate keys, and integers only for integer fields. The one
+//     narrowing is that keys must match byte for byte, where json would also
+//     match them case-insensitively.
+//
+// The invalid-UTF-8 replacement is the one way a line differs from the
+// record it was written from; Sanitize applies it to a record before it is
+// applied in memory, so live rows equal recovered ones.
 package record
 
 import (
@@ -98,62 +116,6 @@ type CommitRecord struct {
 	Tstamp int64     `json:"tstamp"`
 	VID    string    `json:"vid"` // version id produced by the vcs commit
 	Wall   time.Time `json:"wall"`
-}
-
-// Envelope wraps any record for decoding: peek at Kind, then decode fully.
-type Envelope struct {
-	Kind Kind `json:"kind"`
-}
-
-// Encode marshals a record to one JSONL line (no trailing newline).
-func Encode(rec any) ([]byte, error) {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("record: encode: %w", err)
-	}
-	return b, nil
-}
-
-// Decode parses one JSONL line into the concrete record type.
-func Decode(line []byte) (any, error) {
-	var env Envelope
-	if err := json.Unmarshal(line, &env); err != nil {
-		return nil, fmt.Errorf("record: bad envelope: %w", err)
-	}
-	switch env.Kind {
-	case KindLog:
-		var r LogRecord
-		if err := json.Unmarshal(line, &r); err != nil {
-			return nil, err
-		}
-		return &r, nil
-	case KindLoop:
-		var r LoopRecord
-		if err := json.Unmarshal(line, &r); err != nil {
-			return nil, err
-		}
-		return &r, nil
-	case KindArg:
-		var r ArgRecord
-		if err := json.Unmarshal(line, &r); err != nil {
-			return nil, err
-		}
-		return &r, nil
-	case KindCkpt:
-		var r CkptRecord
-		if err := json.Unmarshal(line, &r); err != nil {
-			return nil, err
-		}
-		return &r, nil
-	case KindCommit:
-		var r CommitRecord
-		if err := json.Unmarshal(line, &r); err != nil {
-			return nil, err
-		}
-		return &r, nil
-	default:
-		return nil, fmt.Errorf("record: unknown kind %q", env.Kind)
-	}
 }
 
 // FormatValue renders a Go value into the logs.value text column plus its

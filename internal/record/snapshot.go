@@ -18,8 +18,9 @@
 // did.
 //
 // The codec is deliberately not JSONL: decoding a snapshot cell costs a type
-// switch and a varint, not two reflective json.Unmarshal calls. This is
-// where the ≥10× recovery speedup over full WAL replay comes from (C11).
+// switch and a varint (a dictionary id for text), not a parse of a whole
+// WAL line with its keys, quotes and escapes. This is where the recovery
+// speedup over full WAL replay comes from (C11).
 package record
 
 import (

@@ -171,20 +171,19 @@ func (m *CheckpointManager) MaybeCheckpoint(ctx *Context, loopName string, iter 
 	if err != nil {
 		return false, err
 	}
-	name := ckptName(loopName, iter)
-	if err := ctx.Tables.PutBlob(ctx.ProjID, ctx.TstampNow(), ctx.Filename, ctxID, name, blob); err != nil {
+	rec := &record.CkptRecord{
+		Kind: record.KindCkpt, ProjID: ctx.ProjID, Tstamp: ctx.TstampNow(),
+		Filename: ctx.Filename, CtxID: ctxID, Name: ckptName(loopName, iter),
+	}
+	record.Sanitize(rec)
+	if err := ctx.Tables.PutBlob(rec.ProjID, rec.Tstamp, rec.Filename, rec.CtxID, rec.Name, blob); err != nil {
 		return false, err
 	}
 	if ctx.Blobs != nil {
-		key, err := ctx.Blobs.Put(blob)
-		if err != nil {
+		if rec.BlobKey, err = ctx.Blobs.Put(blob); err != nil {
 			return false, err
 		}
 		if ctx.WAL != nil {
-			rec := &record.CkptRecord{
-				Kind: record.KindCkpt, ProjID: ctx.ProjID, Tstamp: ctx.TstampNow(),
-				Filename: ctx.Filename, CtxID: ctxID, Name: name, BlobKey: key,
-			}
 			if err := ctx.WAL.Append(rec); err != nil {
 				return false, err
 			}
@@ -220,8 +219,10 @@ func (c *Context) SetTstamp(ts int64) { atomic.StoreInt64(&c.Tstamp, ts) }
 
 // write applies rec to the tables and appends it to the WAL when there is
 // one. Every record recording or replay makes takes this path, so every row
-// the tables gain is a row recovery rebuilds.
+// the tables gain is a row recovery rebuilds: rec's strings are first made
+// what its WAL line will carry (record.Sanitize).
 func (c *Context) write(rec any) error {
+	record.Sanitize(rec)
 	if err := c.Tables.Apply(rec); err != nil {
 		return err
 	}

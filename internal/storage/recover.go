@@ -155,8 +155,10 @@ func (st State) walk(walPath string, after, upto int64, active, strict bool) (Re
 // wall clock. Replay reaches it once per commit record, and a live commit
 // calls it once its record is durable, so a live database and one rebuilt
 // from its log count and stamp the same epochs. No commit names a build
-// target, so root_target is always empty.
+// target, so root_target is always empty. The row holds the strings the
+// record's WAL line carries (record.Sanitize).
 func (st State) Publish(rec *record.CommitRecord) error {
+	record.Sanitize(rec)
 	if rec.VID != "" {
 		if _, err := st.Tables.Ts2vid.Insert(relation.Row{
 			relation.Text(rec.ProjID), relation.Int(rec.Tstamp), relation.Int(rec.Tstamp),

@@ -47,6 +47,7 @@ type WAL struct {
 	fs        FS
 	f         File
 	w         *bufio.Writer
+	line      []byte   // encode buffer for one record, reused under mu
 	lock      *os.File // held flock; single-writer exclusion across processes
 	path      string
 	pending   int   // records buffered since last flush
@@ -155,23 +156,23 @@ func (w *WAL) Path() string { return w.path }
 // Append buffers one record. It does not flush; call Flush (or append a
 // commit record via AppendCommit) to make the record durable.
 func (w *WAL) Append(rec any) error {
-	line, err := record.Encode(rec)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.appendLocked(rec)
+}
+
+// appendLocked encodes rec into the WAL's line buffer, reused across
+// appends, and buffers the line.
+func (w *WAL) appendLocked(rec any) error {
+	line, err := record.AppendRecord(w.line[:0], rec)
 	if err != nil {
 		return err
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.appendLocked(line)
-}
-
-func (w *WAL) appendLocked(line []byte) error {
-	if _, err := w.w.Write(line); err != nil {
+	w.line = append(line, '\n')
+	if _, err := w.w.Write(w.line); err != nil {
 		return fmt.Errorf("storage: append: %w", err)
 	}
-	if err := w.w.WriteByte('\n'); err != nil {
-		return fmt.Errorf("storage: append: %w", err)
-	}
-	w.size += int64(len(line)) + 1
+	w.size += int64(len(w.line))
 	w.pending++
 	return nil
 }
@@ -241,12 +242,8 @@ func (w *WAL) RegisterMetrics(reg *metrics.Registry) {
 // the active file has reached the segment size the leader rotates it
 // afterward, so sealed segments always end with a commit record.
 func (w *WAL) AppendCommit(rec *record.CommitRecord) error {
-	line, err := record.Encode(rec)
-	if err != nil {
-		return err
-	}
 	w.mu.Lock()
-	if err := w.appendLocked(line); err != nil {
+	if err := w.appendLocked(rec); err != nil {
 		w.mu.Unlock()
 		return err
 	}

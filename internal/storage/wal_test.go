@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"flordb/internal/record"
 	"flordb/internal/relation"
@@ -53,6 +54,26 @@ func TestWALAppendFlushReplay(t *testing.T) {
 	}
 	if n != 6 {
 		t.Fatalf("replayed %d records", n)
+	}
+}
+
+// TestWALAppendAllocatesNothing: a buffered append encodes into the WAL's
+// reused line buffer, so a record costs no allocation.
+func TestWALAppendAllocatesNothing(t *testing.T) {
+	w, err := OpenWAL(walPath(t), Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	rec := &record.LogRecord{Kind: record.KindLog, ProjID: "proj", Tstamp: 7, Filename: "train.flow",
+		CtxID: 3, ValueName: "loss", Value: "0.25", ValueType: record.VTFloat, Wall: time.Now().UTC()}
+	// 100 lines of ~200 bytes stay inside the 64 KiB write buffer: no flush.
+	if n := testing.AllocsPerRun(100, func() {
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("WAL.Append: %v allocs per record, want 0", n)
 	}
 }
 
