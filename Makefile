@@ -47,13 +47,15 @@ test:
 # fallback with its recovery and compaction arms, retention manifest, blob
 # Put), its refusals to rebuild state around lost history (a segment gap, a
 # corrupt snapshot whose segments are gone — recovery and compaction alike),
-# recovery's fallback past a CRC-valid snapshot the reader refuses, and the
-# storagetest package's own tests. Kill points are enumerated from a
+# the incremental-snapshot property (every compaction's file equals a full
+# rewrite of the fully replayed log, and testdata/parent_project compacts to
+# known bytes), recovery's and compaction's fallback past a CRC-valid
+# snapshot the reader refuses, and the storagetest package's own tests. Kill points are enumerated from a
 # clean run's trace of FS steps (internal/storage/storagetest); CI runs it as
 # a parallel job.
 crash-matrix:
 	go test -run 'TestCrash|TestSnapshotPlusTail|TestConcurrentCommits' -count=1 -v .
-	go test -run 'TestRecoverFallsBackFromCorruptSnapshot|TestSegmentGapRefused|TestRecoveryRefusesFallback|KillAtEveryStep|PutCrash' -count=1 -v ./internal/storage
+	go test -run 'TestRecoverFallsBackFromCorruptSnapshot|TestSegmentGapRefused|TestRecoveryRefusesFallback|KillAtEveryStep|PutCrash|TestIncrementalSnapshotEqualsFullRewrite|TestParentProjectCompactsToKnownBytes' -count=1 -v ./internal/storage
 	go test -run 'TestRecoveryFallsBackFromRefusedSnapshot' -count=1 -v ./internal/record
 	go test -count=1 -v ./internal/storage/storagetest
 

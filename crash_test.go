@@ -273,7 +273,10 @@ func without(rows []string, field string) []string {
 // segment delete — then reopens and asserts the recovered state is exactly
 // the pre-compaction committed state, and that a subsequent compaction
 // completes the interrupted cycle. The kill points are grouped by the phase
-// of DESIGN §7 invariant 4 they fall in, and every phase must have one.
+// of DESIGN §7 invariant 4 they fall in, and every phase must have one. The
+// cycle is incremental: the project already holds a snapshot with two
+// complete logs pages, which every killed compaction reads and copies, and
+// the delta crosses the next page boundary.
 func TestCrashInjectionCompactionKillPoints(t *testing.T) {
 	base := t.TempDir()
 	s, err := flor.Open(base, "proj", flor.Options{SegmentBytes: 600})
@@ -281,12 +284,23 @@ func TestCrashInjectionCompactionKillPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetFilename("w.go")
-	for c := 0; c < 6; c++ {
-		s.Log("acc", 0.8+float64(c)/100)
+	logN := func(c, n int) {
+		for i := 0; i < n; i++ {
+			s.Log("acc", 0.8+float64(c)/100)
+		}
 		s.Log("step", int64(c))
 		if err := s.Commit(fmt.Sprintf("c%d", c)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for c := 0; c < 5; c++ {
+		logN(c, 499) // 2,500 logs rows: two complete pages and a partial one
+	}
+	if st, err := s.Compact(); err != nil || st.SnapshotSeq == 0 {
+		t.Fatalf("base compaction: %+v, %v", st, err)
+	}
+	for c := 5; c < 11; c++ {
+		logN(c, 99) // to 3,100 rows, across the page boundary at 3,072
 	}
 	// A commit that does not fill a segment leaves the seal a rotation.
 	s.Log("tail", int64(1))
@@ -303,27 +317,30 @@ func TestCrashInjectionCompactionKillPoints(t *testing.T) {
 
 	// compact copies the project and runs one compaction on the copy, every
 	// write going through fsys.
-	compact := func(t *testing.T, fsys storage.FS) (string, error) {
+	compact := func(t *testing.T, fsys storage.FS) (string, storage.CompactStats, error) {
 		dir := t.TempDir()
 		copyTree(t, base, dir)
 		w, err := storage.OpenWAL(filepath.Join(dir, ".flor", "flor.wal"), storage.Options{FS: fsys})
 		if err != nil {
-			return dir, err
+			return dir, storage.CompactStats{}, err
 		}
 		blobs, err := storage.NewBlobStore(filepath.Join(dir, ".flor", "objects"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = (&storage.Compactor{WAL: w, Blobs: blobs}).Compact()
+		st, err := (&storage.Compactor{WAL: w, Blobs: blobs}).Compact()
 		if cerr := w.Close(); err == nil {
 			err = cerr
 		}
-		return dir, err
+		return dir, st, err
 	}
 	rec := storagetest.Recorder()
-	dir, err := compact(t, rec)
+	dir, st, err := compact(t, rec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st.PagesCopied != 2 {
+		t.Fatalf("the clean compaction copied %d pages, want the base's 2 complete logs pages", st.PagesCopied)
 	}
 	trace := rec.Trace()
 	snaps, _ := storage.ListSnapshots(filepath.Join(dir, ".flor", "flor.wal"))
@@ -334,7 +351,7 @@ func TestCrashInjectionCompactionKillPoints(t *testing.T) {
 	t.Logf("compaction kill matrix: %d kill points", len(storagetest.Points(trace)))
 
 	run := func(t *testing.T, p storagetest.Point) {
-		dir, err := compact(t, storagetest.Crash(p))
+		dir, _, err := compact(t, storagetest.Crash(p))
 		if p.Step > 0 && !errors.Is(err, storagetest.ErrKilled) {
 			t.Fatalf("kill did not surface: %v", err)
 		}

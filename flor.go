@@ -160,10 +160,14 @@ type Options struct {
 	// Sealed segments are what compaction folds into snapshots and deletes.
 	SegmentBytes int64
 	// SnapshotEvery compacts automatically every N commits, keeping startup
-	// O(live data) without explicit Session.Compact calls. Each compaction
-	// cycle costs O(live data + delta) and runs synchronously inside the
-	// triggering Commit, so size N to amortize it. 0 disables
-	// auto-compaction.
+	// O(live data) without explicit Session.Compact calls. A compaction cycle
+	// replays and encodes only the delta, copying the previous snapshot's
+	// complete pages verbatim, but still verifies and decodes that snapshot
+	// in full, so it costs O(live data) decode plus O(delta) work; it runs
+	// synchronously inside the triggering Commit, so size N to amortize it.
+	// A failed automatic compaction does not fail the Commit; it is counted
+	// (compaction_failures at /metrics) and retried at the next commit. 0
+	// disables auto-compaction.
 	SnapshotEvery int
 	// RetainSegments keeps the newest N sealed WAL segments on disk across
 	// compactions even once a snapshot covers them, so read replicas that
@@ -314,6 +318,12 @@ func newSession(projid, dir string, wal *storage.WAL, walPath string, readOnly b
 	wal.RegisterMetrics(s.reg)
 	s.plans.RegisterMetrics(s.reg)
 	s.reg.IntGauge("scan_workers", func() int64 { return int64(sqlparse.EffectiveScanWorkers(s.scanWkrs)) })
+	// Compaction instruments exist from the start, so /metrics serves them
+	// at zero on every session, a replica that may be promoted included.
+	s.reg.Histogram("compact")
+	for _, name := range []string{"compactions", "compaction_failures", "compact_pages_copied", "compact_pages_encoded"} {
+		s.reg.Counter(name)
+	}
 	if s.stdout == nil {
 		s.stdout = io.Discard
 	}
@@ -673,8 +683,8 @@ func (s *Session) Commit(message string) error {
 			// retrying the "failed" transaction would duplicate it). The
 			// counter resets only when a snapshot actually covers history —
 			// an error, or a no-op because a concurrent append kept the WAL
-			// tail unsealable, retries at the next commit; a persistent
-			// failure surfaces through explicit Compact calls.
+			// tail unsealable, retries at the next commit. compactLocked
+			// counts every failure, so a persistent one shows at /metrics.
 			if st, err := s.compactLocked(); err == nil && st.SnapshotSeq > 0 {
 				s.sinceSnap = 0
 			}
@@ -701,6 +711,9 @@ func (s *Session) Compact() (storage.CompactStats, error) {
 	return s.compactLocked()
 }
 
+// compactLocked runs one compaction cycle and reports it to the session
+// registry: its duration in the compact histogram, and either a failure or a
+// completed cycle with the pages it copied and encoded.
 func (s *Session) compactLocked() (storage.CompactStats, error) {
 	if s.wal == nil {
 		return storage.CompactStats{}, fmt.Errorf("flor: in-memory session has no WAL to compact")
@@ -709,7 +722,17 @@ func (s *Session) compactLocked() (storage.CompactStats, error) {
 		WAL: s.wal, Blobs: s.blobs,
 		RetainSegments: s.retainSeg, RetainFloor: s.ackFloor,
 	}
-	return c.Compact()
+	start := time.Now()
+	st, err := c.Compact()
+	s.reg.Histogram("compact").Observe(int64(time.Since(start)))
+	if err != nil {
+		s.reg.Counter("compaction_failures").Inc()
+		return st, err
+	}
+	s.reg.Counter("compactions").Inc()
+	s.reg.Counter("compact_pages_copied").Add(int64(st.PagesCopied))
+	s.reg.Counter("compact_pages_encoded").Add(int64(st.PagesEncoded))
+	return st, nil
 }
 
 // SetRetainFloor installs the replication retention floor: a function

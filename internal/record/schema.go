@@ -147,12 +147,24 @@ func (t *Tables) At(snap *relation.Snapshot) (*TablesView, error) {
 	return v, nil
 }
 
-// CreateTables creates all base tables in the database and installs the
-// secondary indexes the access paths in the paper need: logs by
-// (projid, value_name) for dataframe pivots, logs/loops by tstamp for
-// version slicing, loops/ts2vid/args by project for the per-project hot
-// queries the SQL planner turns into index lookups.
+// CreateTables creates all base tables in the database and installs their
+// secondary indexes: NewTables, then CreateIndexes. Sessions, recovery and
+// replica apply — everything that queries the tables — start here.
 func CreateTables(db *relation.Database) (*Tables, error) {
+	t, err := NewTables(db)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.CreateIndexes(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// NewTables creates all base tables in the database with no secondary
+// index. A compaction builds its tables this way: they are only ever
+// written to a snapshot, never queried, and snapshots carry no indexes.
+func NewTables(db *relation.Database) (*Tables, error) {
 	logs, err := db.CreateTable("logs", LogsSchema())
 	if err != nil {
 		return nil, err
@@ -173,31 +185,40 @@ func CreateTables(db *relation.Database) (*Tables, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := logs.CreateHashIndex("projid", "value_name"); err != nil {
-		return nil, err
-	}
-	if _, err := logs.CreateOrderedIndex("tstamp"); err != nil {
-		return nil, err
-	}
-	if _, err := loops.CreateOrderedIndex("tstamp"); err != nil {
-		return nil, err
-	}
-	if _, err := objStore.CreateHashIndex("projid", "value_name"); err != nil {
-		return nil, err
-	}
-	if _, err := loops.CreateHashIndex("projid"); err != nil {
-		return nil, err
-	}
-	if _, err := ts2vid.CreateHashIndex("projid"); err != nil {
-		return nil, err
-	}
-	if _, err := ts2vid.CreateOrderedIndex("ts_start"); err != nil {
-		return nil, err
-	}
-	if _, err := args.CreateHashIndex("projid", "name"); err != nil {
-		return nil, err
-	}
 	return &Tables{Logs: logs, Loops: loops, Ts2vid: ts2vid, ObjStore: objStore, Args: args}, nil
+}
+
+// CreateIndexes installs the secondary indexes the access paths in the
+// paper need: logs by (projid, value_name) for dataframe pivots, logs/loops
+// by tstamp for version slicing, loops/ts2vid/args by project for the
+// per-project hot queries the SQL planner turns into index lookups. Rows
+// already in the tables are indexed in bulk.
+func (t *Tables) CreateIndexes() error {
+	for _, hix := range []struct {
+		tbl  *relation.Table
+		cols []string
+	}{
+		{t.Logs, []string{"projid", "value_name"}},
+		{t.ObjStore, []string{"projid", "value_name"}},
+		{t.Loops, []string{"projid"}},
+		{t.Ts2vid, []string{"projid"}},
+		{t.Args, []string{"projid", "name"}},
+	} {
+		if _, err := hix.tbl.CreateHashIndex(hix.cols...); err != nil {
+			return err
+		}
+	}
+	for _, oix := range []struct {
+		tbl *relation.Table
+		col string
+	}{
+		{t.Logs, "tstamp"}, {t.Loops, "tstamp"}, {t.Ts2vid, "ts_start"},
+	} {
+		if _, err := oix.tbl.CreateOrderedIndex(oix.col); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Apply shreds a decoded record into the base tables. Commit records carry

@@ -79,34 +79,59 @@ func (d *snapDict) id(s string) uint64 {
 }
 
 // ReadSnapshot verifies and decodes a snapshot, then bulk-loads the rows
-// into t (which must hold empty tables, as fresh from CreateTables; indexes
-// are rebuilt during the load). On any error the tables are left untouched:
-// the checksum and the full decode happen before the first insert, so a
-// corrupt snapshot is safe to fall back from.
+// into t (which must hold empty tables, as fresh from CreateTables or
+// NewTables; indexes, if any, are built during the load). On any error the
+// tables are left untouched: the checksum and the full decode happen before
+// the first insert, so a corrupt snapshot is safe to fall back from.
 func ReadSnapshot(data []byte, t *Tables) (SnapshotMeta, error) {
+	meta, _, err := ReadSnapshotBase(data, t)
+	return meta, err
+}
+
+// SnapshotBase is what a verified snapshot hands the writer of its
+// successor: per base table, in snapshot order, the directory entry and the
+// blob of each complete page, as slices of the file the reader verified.
+// Tables are insert-only and page boundaries are absolute row offsets, so
+// tables loaded from the snapshot and then extended still hold exactly
+// those pages, and WriteSnapshotOver emits their bytes verbatim.
+type SnapshotBase struct {
+	pages [][]storedPage // indexed like Tables.snapshotTables
+}
+
+// storedPage is one complete page as the file stores it.
+type storedPage struct {
+	dir, blob []byte
+}
+
+// ReadSnapshotBase is ReadSnapshot that also returns the snapshot's verified
+// complete pages. Every page — complete or not — passes the same checks
+// before any is returned or loaded. The base holds data: it must not be
+// modified while the base is in use.
+func ReadSnapshotBase(data []byte, t *Tables) (SnapshotMeta, *SnapshotBase, error) {
 	var meta SnapshotMeta
 	if len(data) < len(snapshotMagic)+4 {
-		return meta, errors.New("record: snapshot truncated")
+		return meta, nil, errors.New("record: snapshot truncated")
 	}
 	if string(data[:len(snapshotMagic)]) != snapshotMagic {
-		return meta, errors.New("record: bad snapshot magic")
+		return meta, nil, errors.New("record: bad snapshot magic")
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]
 	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(trailer) {
-		return meta, errors.New("record: snapshot checksum mismatch")
+		return meta, nil, errors.New("record: snapshot checksum mismatch")
 	}
 	rd := &snapReader{buf: body[len(snapshotMagic):]}
 	metaJSON := rd.bytes(int(rd.uvarint()))
 	if rd.err != nil {
-		return meta, rd.err
+		return meta, nil, rd.err
 	}
 	if err := json.Unmarshal(metaJSON, &meta); err != nil {
-		return meta, fmt.Errorf("record: snapshot meta: %w", err)
+		return meta, nil, fmt.Errorf("record: snapshot meta: %w", err)
 	}
 	if meta.Version != SnapshotVersion {
-		return meta, fmt.Errorf("record: unsupported snapshot version %d", meta.Version)
+		return meta, nil, fmt.Errorf("record: unsupported snapshot version %d", meta.Version)
 	}
-	return meta, readSnapshotV3(rd, t)
+	base, err := readSnapshotV3(rd, t)
+	return meta, base, err
 }
 
 // checkSnapCell validates a decoded cell against the schema column: type must

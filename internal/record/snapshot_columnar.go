@@ -3,8 +3,18 @@
 // split into pages of relation.ZonePageRows versions, and a page directory
 // ahead of the page blobs carries per-page zone maps
 // (born-epoch bounds, per-column min/max and NULL counts) so the reader can
-// seed the in-memory zone cache without a rebuild pass, and so future partial
-// readers can seek to individual pages.
+// seed the in-memory zone cache without a rebuild pass.
+//
+// Pages are also the unit a compaction copies. Tables are insert-only and a
+// page's boundaries are absolute row offsets, so a complete page — one of
+// ZonePageRows versions — never changes once written, and the encoding of a
+// page is a function of its rows alone. The reader therefore hands back the
+// directory entry and blob bytes of every complete page it verified
+// (ReadSnapshotBase), and the next snapshot's writer copies them verbatim,
+// encoding only from the first incomplete page onward (WriteSnapshotOver).
+// When this writer wrote the base, the file is byte-identical to a full
+// rewrite of the same tables (storage's TestIncrementalSnapshotEqualsFullRewrite
+// holds that property).
 //
 // Layout after the magic + meta prefix:
 //
@@ -70,78 +80,103 @@ import (
 	"flordb/internal/relation"
 )
 
-// WriteSnapshot serializes the tables to w under the given meta, whose
+// WriteSnapshot serializes the tables to w under the given meta: it is
+// WriteSnapshotOver with no base, so every page is encoded.
+func WriteSnapshot(w io.Writer, meta SnapshotMeta, t *Tables) error {
+	_, _, err := WriteSnapshotOver(w, meta, t, nil)
+	return err
+}
+
+// WriteSnapshotOver serializes the tables to w under the given meta, whose
 // Version must be SnapshotVersion for the file to be readable: one Write for
 // the magic, one for the meta, one per table section and one for the CRC
 // trailer, so a crash mid-file leaves a prefix of whole sections or a torn
 // one. The caller owns durability (buffering, fsync, atomic rename).
-func WriteSnapshot(w io.Writer, meta SnapshotMeta, t *Tables) error {
+//
+// base, when non-nil, is the snapshot t was loaded from (ReadSnapshotBase):
+// its complete pages are copied byte for byte, and only the pages after
+// them are encoded. Page encoding is deterministic, so the file is the one
+// a nil base produces whenever the base was written by this writer. It
+// returns how many pages were copied and how many encoded.
+func WriteSnapshotOver(w io.Writer, meta SnapshotMeta, t *Tables, base *SnapshotBase) (copied, encoded int, err error) {
 	h := crc32.New(castagnoli)
 	mw := io.MultiWriter(w, h)
 	if _, err := mw.Write([]byte(snapshotMagic)); err != nil {
-		return fmt.Errorf("record: write snapshot: %w", err)
+		return 0, 0, fmt.Errorf("record: write snapshot: %w", err)
 	}
 	metaJSON, err := json.Marshal(meta)
 	if err != nil {
-		return fmt.Errorf("record: snapshot meta: %w", err)
+		return 0, 0, fmt.Errorf("record: snapshot meta: %w", err)
 	}
 	buf := binary.AppendUvarint(nil, uint64(len(metaJSON)))
 	buf = append(buf, metaJSON...)
 	if _, err := mw.Write(buf); err != nil {
-		return fmt.Errorf("record: write snapshot: %w", err)
+		return 0, 0, fmt.Errorf("record: write snapshot: %w", err)
 	}
-	for _, tbl := range t.snapshotTables() {
-		sec, err := appendColumnarTable(buf[:0], tbl)
+	for ti, tbl := range t.snapshotTables() {
+		var stored []storedPage
+		if base != nil {
+			stored = base.pages[ti]
+		}
+		sec, n, err := appendColumnarTable(buf[:0], tbl, stored)
 		if err != nil {
-			return err
+			return 0, 0, err
 		}
 		if _, err := mw.Write(sec); err != nil {
-			return fmt.Errorf("record: write snapshot: %w", err)
+			return 0, 0, fmt.Errorf("record: write snapshot: %w", err)
 		}
+		copied += len(stored)
+		encoded += n
 		buf = sec // recycle the section buffer across tables
 	}
 	var trailer [4]byte
 	binary.LittleEndian.PutUint32(trailer[:], h.Sum32())
 	if _, err := w.Write(trailer[:]); err != nil {
-		return fmt.Errorf("record: write snapshot: %w", err)
+		return 0, 0, fmt.Errorf("record: write snapshot: %w", err)
 	}
-	return nil
+	return copied, encoded, nil
 }
 
 // appendColumnarTable appends one table section (header, page directory,
-// page blobs) to dst, persisting every version.
-func appendColumnarTable(dst []byte, tbl *relation.Table) ([]byte, error) {
+// page blobs) to dst, persisting every version. The table's first
+// len(stored) pages are the stored ones, copied; the rest are encoded, and
+// their number is returned.
+func appendColumnarTable(dst []byte, tbl *relation.Table, stored []storedPage) ([]byte, int, error) {
 	rows, born := tbl.Versions()
 	name := tbl.Name()
+	if len(stored)*relation.ZonePageRows > len(rows) {
+		return nil, 0, fmt.Errorf("record: snapshot %s: base has %d complete pages, table holds %d rows", name, len(stored), len(rows))
+	}
 	schema := tbl.Schema()
 	nPages := (len(rows) + relation.ZonePageRows - 1) / relation.ZonePageRows
-	blobs := make([][]byte, nPages)
-	zones := make([]relation.PageZone, nPages)
+	pages := make([]storedPage, nPages)
+	copy(pages, stored)
 	var cb bytes.Buffer
 	fw, err := flate.NewWriter(&cb, flate.BestSpeed)
 	if err != nil {
-		return nil, fmt.Errorf("record: snapshot compressor: %w", err)
+		return nil, 0, fmt.Errorf("record: snapshot compressor: %w", err)
 	}
-	for p := range blobs {
+	for p := len(stored); p < nPages; p++ {
 		lo := p * relation.ZonePageRows
 		hi := min(lo+relation.ZonePageRows, len(rows))
 		raw, zone, err := encodeColumnarPage(schema, rows[lo:hi], born[lo:hi])
 		if err != nil {
-			return nil, fmt.Errorf("record: snapshot %s page %d: %w", name, p, err)
+			return nil, 0, fmt.Errorf("record: snapshot %s page %d: %w", name, p, err)
 		}
-		blobs[p], zones[p] = framePage(raw, fw, &cb), zone
+		blob := framePage(raw, fw, &cb)
+		pages[p] = storedPage{dir: appendPageDir(nil, &zone, len(blob)), blob: blob}
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(name)))
 	dst = append(dst, name...)
 	dst = binary.AppendUvarint(dst, uint64(len(rows)))
 	dst = binary.AppendUvarint(dst, uint64(nPages))
-	for p := range blobs {
-		dst = appendPageDir(dst, &zones[p], len(blobs[p]))
+	for _, pg := range pages {
+		dst = append(dst, pg.dir...)
 	}
-	for _, b := range blobs {
-		dst = append(dst, b...)
+	for _, pg := range pages {
+		dst = append(dst, pg.blob...)
 	}
-	return dst, nil
+	return dst, nPages - len(stored), nil
 }
 
 // encodeColumnarPage encodes one page of versions as a raw (uncompressed)
@@ -432,21 +467,22 @@ type pageDirEntry struct {
 }
 
 // readSnapshotV3 decodes the columnar table sections, bulk-loads the rows,
-// and installs the verified zone maps of all complete pages. It is
-// all-or-nothing: every byte is validated before the first LoadVersions, so
-// a corrupt snapshot is safe to fall back from.
-func readSnapshotV3(rd *snapReader, t *Tables) error {
+// installs the verified zone maps of all complete pages, and returns those
+// pages' bytes. It is all-or-nothing: every byte is validated before the
+// first LoadVersions, so a corrupt snapshot is safe to fall back from.
+func readSnapshotV3(rd *snapReader, t *Tables) (*SnapshotBase, error) {
 	tbls := t.snapshotTables()
 	batches := make([][]relation.Row, len(tbls))
 	borns := make([][]int64, len(tbls))
 	zoneSets := make([][]relation.PageZone, len(tbls))
+	base := &SnapshotBase{pages: make([][]storedPage, len(tbls))}
 	for ti, tbl := range tbls {
 		name := string(rd.bytes(int(rd.uvarint())))
 		if rd.err != nil {
-			return rd.err
+			return nil, rd.err
 		}
 		if name != tbl.Name() {
-			return fmt.Errorf("record: snapshot table %q, want %q", name, tbl.Name())
+			return nil, fmt.Errorf("record: snapshot table %q, want %q", name, tbl.Name())
 		}
 		schema := tbl.Schema()
 		width := schema.Len()
@@ -458,82 +494,91 @@ func readSnapshotV3(rd *snapReader, t *Tables) error {
 		if rd.err != nil || total < 0 || width <= 0 ||
 			nPages != (total+relation.ZonePageRows-1)/relation.ZonePageRows ||
 			nPages > len(rd.buf) {
-			return errors.New("record: snapshot page count out of range")
+			return nil, errors.New("record: snapshot page count out of range")
 		}
+		// Only complete pages seed the zone cache and the base: the
+		// in-memory cache is defined over exact ZonePageRows-aligned pages,
+		// and a trailing partial page would misalign everything appended
+		// after recovery — and is rewritten by the next snapshot anyway.
+		complete := total / relation.ZonePageRows
+		stored := make([]storedPage, complete)
 		dir := make([]pageDirEntry, nPages)
 		for p := range dir {
+			entry := rd.buf
 			pr := int(rd.uvarint())
 			bl := int(rd.uvarint())
 			if rd.err != nil {
-				return rd.err
+				return nil, rd.err
 			}
 			want := relation.ZonePageRows
 			if p == nPages-1 {
 				want = total - p*relation.ZonePageRows
 			}
 			if pr != want {
-				return fmt.Errorf("record: snapshot %s page %d: %d rows, want %d", name, p, pr, want)
+				return nil, fmt.Errorf("record: snapshot %s page %d: %d rows, want %d", name, p, pr, want)
 			}
 			if bl < 0 || bl > len(rd.buf) {
-				return errors.New("record: snapshot page length out of range")
+				return nil, errors.New("record: snapshot page length out of range")
 			}
 			z := relation.PageZone{Rows: pr, Cols: make([]relation.ColZone, width)}
 			z.MinBorn = rd.varint()
 			z.MaxBorn = rd.varint()
 			if maxDead := rd.varint(); maxDead != 0 {
-				return fmt.Errorf("record: snapshot %s page %d: max dead epoch %d, want 0", name, p, maxDead)
+				return nil, fmt.Errorf("record: snapshot %s page %d: max dead epoch %d, want 0", name, p, maxDead)
 			}
 			for c := 0; c < width; c++ {
 				cz := &z.Cols[c]
 				nc := int(rd.uvarint())
 				if rd.err == nil && (nc < 0 || nc > pr) {
-					return fmt.Errorf("record: snapshot %s page %d: NULL count out of range", name, p)
+					return nil, fmt.Errorf("record: snapshot %s page %d: NULL count out of range", name, p)
 				}
 				cz.NullCount = nc
 				rd.plainValueInto(&cz.Min)
 				rd.plainValueInto(&cz.Max)
 			}
 			if rd.err != nil {
-				return rd.err
+				return nil, rd.err
 			}
 			dir[p] = pageDirEntry{rows: pr, blobLen: bl, zone: z}
+			if p < complete {
+				stored[p].dir = entry[:len(entry)-len(rd.buf)]
+			}
 		}
 		rows := make([]relation.Row, 0, min(total, 1<<16))
 		born := make([]int64, 0, min(total, 1<<16))
 		for p := range dir {
 			blob := rd.bytes(dir[p].blobLen)
 			if rd.err != nil {
-				return rd.err
+				return nil, rd.err
 			}
 			var err error
 			rows, born, err = decodeColumnarPage(blob, schema, &dir[p], name, p, rows, born)
 			if err != nil {
-				return err
+				return nil, err
+			}
+			if p < complete {
+				stored[p].blob = blob
 			}
 		}
 		batches[ti], borns[ti] = rows, born
-		// Only complete pages seed the zone cache: the in-memory cache is
-		// defined over exact ZonePageRows-aligned pages, and a trailing
-		// partial page would misalign everything appended after recovery.
-		complete := total / relation.ZonePageRows
 		zones := make([]relation.PageZone, complete)
 		for p := 0; p < complete; p++ {
 			zones[p] = dir[p].zone
 		}
-		zoneSets[ti] = zones
+		zoneSets[ti], base.pages[ti] = zones, stored
 	}
 	if len(rd.buf) != 0 {
-		return errors.New("record: trailing bytes after snapshot tables")
+		return nil, errors.New("record: trailing bytes after snapshot tables")
 	}
 	for i, tbl := range tbls {
 		if err := tbl.LoadVersions(batches[i], borns[i]); err != nil {
-			return err
+			return nil, err
 		}
 		if err := tbl.InstallZones(zoneSets[i]); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return base, nil
 }
 
 // decodeColumnarPage decodes one page blob, validates every cell against the

@@ -58,10 +58,11 @@ func columnarTables(t *testing.T) (*relation.Database, *Tables) {
 var snapshotDefects = []string{"dead epoch", "max dead", "born decreases in a page", "born decreases across pages"}
 
 // tamperedSnapshot writes a CRC-valid snapshot under meta whose logs table
-// is sound and whose args table — two pages, the last table the reader
-// decodes — carries defect. Its pages are framed uncompressed so the defect
-// can be patched into the raw payload: born varints, then dead varints, one
-// byte each for epochs below 64.
+// is sound and whose args table — the last table the reader decodes: two
+// complete pages and a partial one — carries defect inside a complete page,
+// the kind a compaction would copy. Its pages are framed uncompressed so the
+// defect can be patched into the raw payload: born varints, then dead
+// varints, one byte each for epochs below 64.
 func tamperedSnapshot(tb testing.TB, meta SnapshotMeta, defect string) []byte {
 	tb.Helper()
 	tables, err := CreateTables(relation.NewDatabase())
@@ -74,7 +75,8 @@ func tamperedSnapshot(tb testing.TB, meta SnapshotMeta, defect string) []byte {
 			tb.Fatal(err)
 		}
 	}
-	n := relation.ZonePageRows + 2
+	n := 2*relation.ZonePageRows + 2
+	nPages := (n + relation.ZonePageRows - 1) / relation.ZonePageRows
 	rows := make([]relation.Row, n)
 	born := make([]int64, n)
 	for i := range rows {
@@ -101,7 +103,7 @@ func tamperedSnapshot(tb testing.TB, meta SnapshotMeta, defect string) []byte {
 	data = append(data, metaJSON...)
 	for _, tbl := range tables.snapshotTables() {
 		if tbl != tables.Args {
-			if data, err = appendColumnarTable(data, tbl); err != nil {
+			if data, _, err = appendColumnarTable(data, tbl, nil); err != nil {
 				tb.Fatal(err)
 			}
 			continue
@@ -109,7 +111,7 @@ func tamperedSnapshot(tb testing.TB, meta SnapshotMeta, defect string) []byte {
 		data = binary.AppendUvarint(data, uint64(len(tbl.Name())))
 		data = append(data, tbl.Name()...)
 		data = binary.AppendUvarint(data, uint64(n))
-		data = binary.AppendUvarint(data, 2)
+		data = binary.AppendUvarint(data, uint64(nPages))
 		var blobs []byte
 		for lo := 0; lo < n; lo += relation.ZonePageRows {
 			hi := min(lo+relation.ZonePageRows, n)
@@ -145,7 +147,7 @@ func TestSnapshotRefusesWhatTheProductCannotWrite(t *testing.T) {
 	if _, err := ReadSnapshot(tamperedSnapshot(t, meta, ""), dst); err != nil {
 		t.Fatalf("untampered control: %v", err)
 	}
-	if dst.Args.Len() != relation.ZonePageRows+2 || dst.Logs.Len() != 3 {
+	if dst.Args.Len() != 2*relation.ZonePageRows+2 || dst.Logs.Len() != 3 {
 		t.Fatalf("untampered control loaded %d args, %d logs", dst.Args.Len(), dst.Logs.Len())
 	}
 	for _, defect := range snapshotDefects {

@@ -48,6 +48,10 @@ func metricNames(t *testing.T, api http.Handler) []string {
 // of relation, storage, sqlparse, the session, and internal/server.
 var engineMetricNames = []string{
 	"counter:admission_rejections",
+	"counter:compact_pages_copied",
+	"counter:compact_pages_encoded",
+	"counter:compaction_failures",
+	"counter:compactions",
 	"counter:queries_served",
 	"gauge:epoch",
 	"gauge:fsyncs_per_commit",
@@ -65,6 +69,7 @@ var engineMetricNames = []string{
 	"gauge:snapshot_pins",
 	"gauge:wal_commits",
 	"gauge:wal_syncs",
+	"histogram:compact",
 	"histogram:dataframe",
 	"histogram:explain",
 	"histogram:sql",

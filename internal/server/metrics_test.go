@@ -4,10 +4,15 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
+	flor "flordb"
 	"flordb/internal/metrics"
+	"flordb/internal/relation"
+	"flordb/internal/storage"
 )
 
 // metricsPayload mirrors the /metrics JSON shape.
@@ -208,5 +213,75 @@ func TestConcurrentMetricsScrapeUnderSQLTraffic(t *testing.T) {
 	final := getMetrics(t, srv)
 	if got := final.Histograms["sql"].Count; got != int64(queryWorkers*queriesPerW) {
 		t.Fatalf("final sql histogram count = %d, want %d", got, queryWorkers*queriesPerW)
+	}
+}
+
+// TestAutoCompactionFailureIsCounted: an automatic compaction that fails
+// inside Commit — a sealed segment it must fold is damaged under the open
+// session — does not fail the commit, which is already durable, and
+// /metrics counts the failure. Once the segment is repaired the next
+// compaction succeeds and copies exactly the base snapshot's complete pages.
+func TestAutoCompactionFailureIsCounted(t *testing.T) {
+	dir := t.TempDir()
+	s, err := flor.Open(dir, "p", flor.Options{SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*relation.ZonePageRows+10; i++ {
+		s.Log("acc", float64(i))
+	}
+	if err := s.Commit("base"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	s.Log("acc", 1.0)
+	if err := s.Commit("sealed after the base"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := storage.ListSegments(filepath.Join(dir, ".flor", "flor.wal"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no sealed segment after the base: %v", err)
+	}
+	seg := segs[len(segs)-1].Path
+	good, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = flor.Open(dir, "p", flor.Options{SegmentBytes: 1, SnapshotEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	srv := New(s, Config{})
+	if err := os.WriteFile(seg, []byte("{\"kind\":\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s.Log("acc", 2.0)
+	if err := s.Commit("compacts over a damaged segment"); err != nil {
+		t.Fatalf("Commit reported its compaction's failure: %v", err)
+	}
+	m := getMetrics(t, srv)
+	if m.Counters["compaction_failures"] != 1 || m.Counters["compactions"] != 0 || m.Histograms["compact"].Count != 1 {
+		t.Fatalf("after the failed compaction: failures %d, compactions %d, compact histogram count %d; want 1, 0, 1",
+			m.Counters["compaction_failures"], m.Counters["compactions"], m.Histograms["compact"].Count)
+	}
+
+	if err := os.WriteFile(seg, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Compact()
+	if err != nil || st.PagesCopied != 2 {
+		t.Fatalf("compaction after the repair: %+v, %v; want the base's 2 complete logs pages copied", st, err)
+	}
+	m = getMetrics(t, srv)
+	if m.Counters["compactions"] != 1 || m.Counters["compaction_failures"] != 1 ||
+		m.Counters["compact_pages_copied"] != 2 || m.Counters["compact_pages_encoded"] != int64(st.PagesEncoded) {
+		t.Fatalf("after the repaired compaction: counters %v", m.Counters)
 	}
 }

@@ -14,7 +14,10 @@ import (
 // Compactor folds WAL history into a durable table snapshot: it seals the
 // active file, replays the sealed segments a previous snapshot does not
 // already cover into a fresh set of tables, writes a new snapshot, and
-// deletes the covered segments plus superseded snapshots.
+// deletes the covered segments plus superseded snapshots. The new snapshot
+// copies the previous one's complete pages byte for byte and encodes only
+// the pages the delta touched, so the write is O(delta); the tables carry no
+// secondary indexes, since nothing queries them.
 //
 // Compaction never reads a live session's in-memory tables: the snapshot is
 // built purely from immutable inputs (the previous snapshot and sealed
@@ -50,7 +53,9 @@ const keepSnapshots = 2
 // CompactStats reports what one compaction did.
 type CompactStats struct {
 	SnapshotSeq      int64 // highest segment the installed snapshot covers (0 = none written)
-	Rows             int   // table rows serialized into the new snapshot
+	Rows             int   // table rows serialized into the new snapshot, copied pages' included
+	PagesCopied      int   // complete pages copied verbatim from the base snapshot
+	PagesEncoded     int   // pages encoded from the tables
 	SegmentsRemoved  int
 	SnapshotsRemoved int
 }
@@ -90,19 +95,21 @@ func (c *Compactor) Compact() (CompactStats, error) {
 	}
 
 	// Base: the newest readable snapshot, so compaction replays only the
-	// delta since the last cycle. The cycle itself still costs O(live data)
-	// — the base snapshot is decoded and the merged state re-serialized —
-	// but never O(total history): deleted segments are gone for good. The
-	// fold is the log consumer recovery uses (recover.go): the same snapshot
-	// fallback and gap refusal, the same retention floor, one epoch per
-	// commit record, so AS OF answers survive compaction.
+	// delta since the last cycle and never O(total history): deleted
+	// segments are gone for good. The fold is the log consumer recovery uses
+	// (recover.go): the same snapshot fallback and gap refusal, the same
+	// retention floor, one epoch per commit record, so AS OF answers survive
+	// compaction. The base is still verified and decoded in full — every
+	// page passes the reader's checks, which is what makes its complete
+	// pages safe to copy — so that step remains O(live data); the walk and
+	// the write are O(delta).
 	db := relation.NewDatabase()
-	tables, err := record.CreateTables(db)
+	tables, err := record.NewTables(db)
 	if err != nil {
 		return stats, err
 	}
 	st := State{DB: db, Tables: tables, Blobs: c.Blobs}
-	base, upto, err := st.open(walPath)
+	base, pages, upto, err := st.open(walPath)
 	if err != nil {
 		return stats, err
 	}
@@ -117,7 +124,7 @@ func (c *Compactor) Compact() (CompactStats, error) {
 			Version: record.SnapshotVersion, Seq: upto, MaxTstamp: max(base.MaxTstamp, res.MaxTstamp),
 			Epoch: db.Epoch(), MinEpoch: db.MinEpoch(), Epochs: db.EpochStamps(),
 		}
-		if err := c.writeSnapshot(walPath, meta, tables); err != nil {
+		if stats.PagesCopied, stats.PagesEncoded, err = c.writeSnapshot(walPath, meta, tables, pages); err != nil {
 			return stats, err
 		}
 	}
@@ -166,20 +173,20 @@ func (c *Compactor) Compact() (CompactStats, error) {
 	return stats, nil
 }
 
-// writeSnapshot writes the snapshot to a temp file, one Write per section,
-// and Installs it.
-func (c *Compactor) writeSnapshot(walPath string, meta record.SnapshotMeta, tables *record.Tables) error {
+// writeSnapshot writes the snapshot over base to a temp file, one Write per
+// section, and Installs it. It returns the pages copied and encoded.
+func (c *Compactor) writeSnapshot(walPath string, meta record.SnapshotMeta, tables *record.Tables, base *record.SnapshotBase) (copied, encoded int, err error) {
 	final := SnapshotPath(walPath, meta.Seq)
 	f, err := c.WAL.fs.OpenFile(final+".tmp", os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return fmt.Errorf("storage: snapshot temp: %w", err)
+		return 0, 0, fmt.Errorf("storage: snapshot temp: %w", err)
 	}
-	if err := record.WriteSnapshot(f, meta, tables); err != nil {
+	if copied, encoded, err = record.WriteSnapshotOver(f, meta, tables, base); err != nil {
 		f.Close()
-		return err
+		return 0, 0, err
 	}
 	if err := Install(c.WAL.fs, f, final, true); err != nil {
-		return fmt.Errorf("storage: snapshot install: %w", err)
+		return 0, 0, fmt.Errorf("storage: snapshot install: %w", err)
 	}
-	return nil
+	return copied, encoded, nil
 }

@@ -44,7 +44,7 @@ type RecoverHooks struct{}
 // silently shrunken database. When strict is true, records after the last
 // commit in the stream are not applied.
 func (st State) Recover(walPath string, strict bool) (RecoverResult, error) {
-	meta, upto, err := st.open(walPath)
+	meta, _, upto, err := st.open(walPath)
 	if err != nil {
 		return RecoverResult{}, err
 	}
@@ -76,22 +76,23 @@ func RecoverTables(walPath string, tables *record.Tables, blobs *BlobStore, _ st
 // open loads the newest readable snapshot into st.Tables and restores the
 // MVCC clock from it: the database epoch, the retention floor — the larger
 // of the snapshot's and the retention manifest's — and the epoch stamps. An
-// unreadable snapshot is skipped; ReadSnapshot decodes fully before touching
-// the tables, so a rejected one leaves them empty.
+// unreadable snapshot is skipped; the reader verifies every page before
+// touching the tables, so a rejected one leaves them empty.
 //
-// It returns the loaded meta (zero when none loads) and upto, the last
-// sealed segment a walk from it must reach: the newest segment on disk, and
-// at least the coverage of the newest snapshot file, loaded or not. A
-// fallback past an unreadable snapshot whose segments were compacted away
-// thus meets a missing segment in walk and is refused.
-func (st State) open(walPath string) (meta record.SnapshotMeta, upto int64, err error) {
+// It returns the loaded meta (zero when none loads), the loaded snapshot's
+// verified complete pages (nil when none loads; compaction copies them), and
+// upto, the last sealed segment a walk from it must reach: the newest
+// segment on disk, and at least the coverage of the newest snapshot file,
+// loaded or not. A fallback past an unreadable snapshot whose segments were
+// compacted away thus meets a missing segment in walk and is refused.
+func (st State) open(walPath string) (meta record.SnapshotMeta, base *record.SnapshotBase, upto int64, err error) {
 	segs, err := ListSegments(walPath)
 	if err != nil {
-		return meta, 0, err
+		return meta, nil, 0, err
 	}
 	snaps, err := ListSnapshots(walPath)
 	if err != nil {
-		return meta, 0, err
+		return meta, nil, 0, err
 	}
 	if len(segs) > 0 {
 		upto = segs[len(segs)-1].Seq
@@ -104,17 +105,17 @@ func (st State) open(walPath string) (meta record.SnapshotMeta, upto int64, err 
 		if rerr != nil {
 			continue
 		}
-		if m, rerr := record.ReadSnapshot(data, st.Tables); rerr == nil {
-			meta = m
+		if m, b, rerr := record.ReadSnapshotBase(data, st.Tables); rerr == nil {
+			meta, base = m, b
 			break
 		}
 	}
 	floor, err := readRetention(walPath)
 	if err != nil {
-		return meta, 0, err
+		return meta, nil, 0, err
 	}
 	st.DB.Restore(meta.Epoch, max(meta.MinEpoch, floor), meta.Epochs)
-	return meta, upto, nil
+	return meta, base, upto, nil
 }
 
 // walk replays the sealed segments after+1..upto in order — each must
