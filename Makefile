@@ -61,7 +61,9 @@ crash-matrix:
 
 # race-stress hammers the concurrent serving core (snapshot equivalence,
 # SQL+RunScript+Compact+epoch-GC+AS OF stress, replica reads while the
-# follower applies, close draining, group commit) repeatedly
+# follower applies, close draining, group commit, and hindsight replay
+# beside recording — TestConcurrentHindsightBesideRecording: one ctx_id
+# allocator, the backfill's pins held and released) repeatedly
 # with elevated parallelism; CI runs it on each push.
 race-stress:
 	GOMAXPROCS=8 go test -race -run Concurrent -count=3 -timeout 15m ./...

@@ -303,9 +303,17 @@ func benchParallelReplay(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	snap := sess.Database().Snapshot()
+	defer snap.Release()
+	view, err := sess.Tables().At(snap)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctxID := replay.MaxCtxID(view)
 	st := heavyHostState()
 	d := &replay.Driver{
-		Repo: sess.Repo(), Tables: sess.Tables(), ProjID: sess.ProjID,
+		Repo: sess.Repo(), Tables: sess.Tables(), View: view, ProjID: sess.ProjID,
+		NextCtx: func() int64 { return atomic.AddInt64(&ctxID, 1) },
 		Workers: workers,
 		Setup:   func(in *script.Interp) { hostlib.Register(in, st) },
 	}
@@ -528,7 +536,8 @@ func benchQueryDB(b *testing.B) *relation.Database {
 }
 
 func benchQuery(b *testing.B, query string, wantRows int, naive bool) {
-	db := benchQueryDB(b)
+	snap := benchQueryDB(b).SnapshotLatest()
+	defer snap.Release()
 	stmt, err := sqlparse.Parse(query)
 	if err != nil {
 		b.Fatal(err)
@@ -539,7 +548,7 @@ func benchQuery(b *testing.B, query string, wantRows int, naive bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := exec(db, stmt)
+		res, err := exec(snap, stmt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -631,7 +640,8 @@ const (
 )
 
 func benchC14(b *testing.B, query string, wantRows int, naive bool) {
-	db := benchC14DB(b)
+	snap := benchC14DB(b).SnapshotLatest()
+	defer snap.Release()
 	stmt, err := sqlparse.Parse(query)
 	if err != nil {
 		b.Fatal(err)
@@ -642,7 +652,7 @@ func benchC14(b *testing.B, query string, wantRows int, naive bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := exec(db, stmt)
+		res, err := exec(snap, stmt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -713,7 +723,8 @@ func benchC17ClusteredDB(b *testing.B) *relation.Database {
 }
 
 func BenchmarkC17ZoneMapSelectiveScan(b *testing.B) {
-	db := benchC17ClusteredDB(b)
+	snap := benchC17ClusteredDB(b).SnapshotLatest()
+	defer snap.Release()
 	stmt, err := sqlparse.Parse(
 		"SELECT tstamp, value FROM metrics WHERE tstamp BETWEEN 90000 AND 90999")
 	if err != nil {
@@ -722,7 +733,7 @@ func BenchmarkC17ZoneMapSelectiveScan(b *testing.B) {
 	p0, d0 := relation.ScanStats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sqlparse.Execute(db, stmt)
+		res, err := sqlparse.Execute(snap, stmt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -999,12 +1010,11 @@ func BenchmarkAblationWALGroupCommit(b *testing.B) {
 	}
 }
 
-func logBenchRecord() any {
-	return &struct {
-		Kind  string `json:"kind"`
-		Name  string `json:"value_name"`
-		Value string `json:"value"`
-	}{Kind: "log", Name: "loss", Value: "0.123"}
+func logBenchRecord() *record.LogRecord {
+	return &record.LogRecord{
+		Kind: record.KindLog, ProjID: "bench", Tstamp: 1, Filename: "train.go",
+		ValueName: "loss", Value: "0.123", Wall: time.Unix(0, 0).UTC(),
+	}
 }
 
 // ---------------------------------------------------------------------------

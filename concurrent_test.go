@@ -7,6 +7,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"flordb/internal/replay"
+	"flordb/internal/script"
 )
 
 // TestConcurrentSnapshotEquivalenceRandomized is the snapshot-equivalence
@@ -564,7 +568,10 @@ func TestConcurrentStagedCommitsEachKeepAVersion(t *testing.T) {
 		t.Fatalf("reopened version store has %d commits, %d were acknowledged", n, acked.Load())
 	}
 	seen := map[string]bool{}
-	for _, row := range s.Tables().Ts2vid.Rows() {
+	snap := s.Database().SnapshotLatest()
+	defer snap.Release()
+	ts2vid, _ := snap.Table("ts2vid")
+	for _, row := range ts2vid.Rows() {
 		vid := row[3].AsText()
 		if seen[vid] {
 			t.Fatalf("version %s has two ts2vid rows", vid)
@@ -576,5 +583,133 @@ func TestConcurrentStagedCommitsEachKeepAVersion(t *testing.T) {
 	}
 	if int64(len(seen)) != acked.Load() {
 		t.Fatalf("%d ts2vid rows after reopen, %d commits were acknowledged", len(seen), acked.Load())
+	}
+}
+
+// TestConcurrentHindsightBesideRecording: a hindsight backfill reads history
+// through its pins while a recorder runs and commits beside it. The backfill
+// covers exactly the versions committed at its committed pin, holds its pins
+// for the whole replay and releases them, and the loop contexts both create
+// draw from one ctx_id allocator. The recorder's transactions end before the
+// backfill's commit marker: a marker landing mid-transaction would commit it
+// half done (DESIGN §3).
+func TestConcurrentHindsightBesideRecording(t *testing.T) {
+	const withProbe = `
+epochs = flor.arg("epochs", 3)
+net = make_model()
+with flor.checkpointing(model=net) {
+    for epoch in flor.loop("epoch", range(epochs)) {
+        for step in flor.loop("step", range(2)) {
+            bump(net)
+        }
+        with flor.iteration("probe", nil, "x") {
+            flor.log("norm", probe(peek(net)))
+        }
+        flor.log("acc", peek(net))
+    }
+}
+`
+	s, err := Open(t.TempDir(), "hs", Options{Policy: replay.EveryN{N: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	registerCounterHosts(s)
+	record := func() error {
+		if err := s.RunScript("train.flow", sessTrainSrc); err != nil {
+			return err
+		}
+		return s.Commit("run")
+	}
+	for i := 0; i < 3; i++ {
+		if err := record(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	committed, err := s.Versions("train.flow")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The first probe call, mid-replay, releases the recorder; every call
+	// waits until it has committed, then checks the backfill's pin is held.
+	const epochs = 3
+	started, recorded := make(chan struct{}), make(chan struct{})
+	var startOnce sync.Once
+	var probes, unpinned atomic.Int64
+	s.RegisterHost("probe", func(args []script.Value, _ map[string]script.Value) (script.Value, error) {
+		startOnce.Do(func() { close(started) })
+		select {
+		case <-recorded:
+		case <-time.After(time.Minute):
+			return nil, errors.New("probe: the recorder never finished")
+		}
+		probes.Add(1)
+		if s.Database().Pins() < 1 {
+			unpinned.Add(1)
+		}
+		return args[0], nil
+	})
+	var recErr error
+	var recorder sync.WaitGroup
+	recorder.Add(1)
+	go func() {
+		defer recorder.Done()
+		defer close(recorded)
+		<-started
+		for i := 0; i < 2 && recErr == nil; i++ {
+			recErr = record()
+		}
+	}()
+	reports, err := s.Hindsight("train.flow", withProbe, nil)
+	startOnce.Do(func() { close(started) })
+	recorder.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recErr != nil {
+		t.Fatal(recErr)
+	}
+
+	if len(reports) != len(committed) {
+		t.Fatalf("hindsight backfilled %d versions, %d were committed at its pin", len(reports), len(committed))
+	}
+	for i, rep := range reports {
+		if rep.Err != nil {
+			t.Fatalf("version %d: %v", rep.Tstamp, rep.Err)
+		}
+		if rep.VID != committed[i].VID || rep.Tstamp != committed[i].Tstamp {
+			t.Fatalf("report %d is version %d (%s), want %d (%s)", i, rep.Tstamp, rep.VID, committed[i].Tstamp, committed[i].VID)
+		}
+	}
+	if all, err := s.Versions("train.flow"); err != nil || len(all) != len(committed)+2 {
+		t.Fatalf("versions after the concurrent recording: %d (err %v), want %d", len(all), err, len(committed)+2)
+	}
+	if want := int64(epochs * len(committed)); probes.Load() != want {
+		t.Fatalf("probe ran %d times, want %d", probes.Load(), want)
+	}
+	if n := unpinned.Load(); n > 0 {
+		t.Fatalf("%d probe calls saw no pin mid-replay", n)
+	}
+	if p := s.Database().Pins(); p != 0 {
+		t.Fatalf("pins after hindsight = %d, want 0", p)
+	}
+
+	res, err := s.SQL("SELECT ctx_id, tstamp, loop_name FROM loops")
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := map[int64]string{}
+	for _, r := range res.Rows {
+		ctx, use := r[0].AsInt(), fmt.Sprintf("%s@%d", r[2].AsText(), r[1].AsInt())
+		if prev, dup := owner[ctx]; dup {
+			t.Fatalf("ctx_id %d used twice: %s and %s", ctx, prev, use)
+		}
+		owner[ctx] = use
+	}
+	// 5 recorded runs x epochs x (1 + 2 steps), plus one probe context per
+	// backfilled epoch.
+	if want := 5*epochs*3 + epochs*len(committed); len(owner) != want {
+		t.Fatalf("loops rows = %d, want %d", len(owner), want)
 	}
 }

@@ -27,9 +27,11 @@ import (
 // dumpSession renders every base-table row of a session as strings, for
 // multiset comparison across recoveries.
 func dumpSession(s *flor.Session) []string {
-	t := s.Tables()
+	snap := s.Database().SnapshotLatest()
+	defer snap.Release()
 	var out []string
-	for _, tbl := range []*relation.Table{t.Logs, t.Loops, t.Ts2vid, t.ObjStore, t.Args} {
+	for _, name := range []string{"logs", "loops", "ts2vid", "obj_store", "args"} {
+		tbl, _ := snap.Table(name)
 		tbl.Scan(func(_ relation.RowID, r relation.Row) bool {
 			line := tbl.Name()
 			for _, v := range r {
@@ -41,6 +43,19 @@ func dumpSession(s *flor.Session) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// latestTable pins s's named base table at the in-flight write epoch for
+// the rest of the test: every row the session holds.
+func latestTable(t *testing.T, s *flor.Session, name string) *relation.TableSnapshot {
+	t.Helper()
+	snap := s.Database().SnapshotLatest()
+	t.Cleanup(snap.Release)
+	tbl, ok := snap.Table(name)
+	if !ok {
+		t.Fatalf("no table %q", name)
+	}
+	return tbl
 }
 
 func assertSameRows(t *testing.T, label string, got, want []string) {
@@ -572,7 +587,7 @@ func TestConcurrentCommitsAndCompaction(t *testing.T) {
 	}
 	defer s2.Close()
 	counts := make(map[string]int)
-	s2.Tables().Logs.Scan(func(_ relation.RowID, r relation.Row) bool {
+	latestTable(t, s2, "logs").Scan(func(_ relation.RowID, r relation.Row) bool {
 		counts[r[4].AsText()]++
 		return true
 	})
@@ -681,7 +696,7 @@ func TestCrashJournalBeforeWALProperty(t *testing.T) {
 				want[p.vid] = p.files
 			}
 		}
-		rows := s.Tables().Ts2vid.Rows()
+		rows := latestTable(t, s, "ts2vid").Rows()
 		if len(rows) != len(want) {
 			t.Fatalf("%s: %d ts2vid rows, want %d", label, len(rows), len(want))
 		}
@@ -779,7 +794,7 @@ func TestProjectWrittenBeforeTheJournalOpens(t *testing.T) {
 	want := []string{"lr = 0.1\n", "lr = 0.1\n", "lr = 0.01\n"}
 	check := func(s *flor.Session) {
 		t.Helper()
-		rows := s.Tables().Ts2vid.Rows()
+		rows := latestTable(t, s, "ts2vid").Rows()
 		if len(rows) != len(want) {
 			t.Fatalf("%d ts2vid rows, want %d", len(rows), len(want))
 		}

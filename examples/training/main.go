@@ -64,9 +64,9 @@ func main() {
 	fmt.Printf("\nbest checkpoint: version=%d epoch=%d recall=%.4f\n", ts, epoch, val)
 
 	net := mlsim.NewMLP(st.Dim, 32, 2, mlsim.NewRNG(7))
-	blob, ok := sess.Tables().GetBlobExact(sess.ProjID, replay.CkptBlobName("epoch", epoch), ts)
-	if !ok {
-		log.Fatal("checkpoint blob missing")
+	blob, err := hostlib.EpochCheckpoint(sess, ts, epoch)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if err := replay.RestoreObjects(blob, map[string]any{"model": net}); err != nil {
 		log.Fatal(err)

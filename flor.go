@@ -376,7 +376,12 @@ func newSession(projid, dir string, wal *storage.WAL, walPath string, readOnly b
 	ckpt := replay.NewCheckpointManager(opts.Policy)
 	s.recorder = replay.NewRecorder(ctx, ckpt)
 	s.recorder.Args = opts.Args
-	s.recorder.SetCtxCounter(replay.MaxCtxID(tables))
+	v, err := s.LatestReader()
+	if err != nil {
+		return nil, err
+	}
+	s.recorder.SetCtxCounter(replay.MaxCtxID(v.view))
+	v.Close()
 	s.recorder.OnCommit = func() error { return s.Commit("") }
 	return s, nil
 }
@@ -1220,10 +1225,21 @@ type HindsightReport = replay.VersionReport
 // version of the file and replayed incrementally (from checkpoints, in
 // parallel) to materialize the new metadata retroactively. targets
 // optionally restricts which checkpoint-loop iterations are materialized.
-// Hindsight should not run concurrently with active recording: backfilled
-// records interleave with live ones, and the durability marker appended
-// when the WAL tail was clean at the start would also cover records logged
-// mid-backfill.
+//
+// Hindsight reads through two pins held for the whole backfill. The
+// versions it backfills are those committed at a Reader pin. Their args,
+// loop contexts and checkpoints are read at a LatestReader pin taken after
+// it, so a backfill that is not yet committed (an in-memory session, or a
+// transaction in flight) lends its loop contexts to the next one. Loop
+// contexts it creates draw their ctx_ids from the recorder's allocator.
+//
+// Recording may run beside Hindsight: it changes neither what the backfill
+// reads nor the ctx_ids either allocates. Durability is not yet the
+// backfill's own. When the WAL tail was committed at the start, the commit
+// marker appended at the end commits and publishes every record logged
+// before it, including the part of a concurrent transaction already logged.
+// When the tail was not committed, no marker is written and the backfilled
+// rows ride on the next Commit.
 func (s *Session) Hindsight(filename, newSrc string, targets []int) ([]HindsightReport, error) {
 	if err := s.begin(); err != nil {
 		return nil, err
@@ -1232,7 +1248,17 @@ func (s *Session) Hindsight(filename, newSrc string, targets []int) ([]Hindsight
 	if s.readOnly.Load() {
 		return nil, ErrReadOnly
 	}
-	versions, err := replay.HistoricalVersions(s.repo, s.tables, s.ProjID, filename)
+	committed, err := s.Reader()
+	if err != nil {
+		return nil, err
+	}
+	defer committed.Close()
+	latest, err := s.LatestReader()
+	if err != nil {
+		return nil, err
+	}
+	defer latest.Close()
+	versions, err := replay.HistoricalVersions(s.repo, committed.view, s.ProjID, filename)
 	if err != nil {
 		return nil, err
 	}
@@ -1246,8 +1272,8 @@ func (s *Session) Hindsight(filename, newSrc string, targets []int) ([]Hindsight
 	}
 	s.mu.Unlock()
 	d := &replay.Driver{
-		Repo: s.repo, Tables: s.tables, WAL: s.wal, Blobs: s.blobs,
-		ProjID: s.ProjID,
+		Repo: s.repo, Tables: s.tables, View: latest.view, WAL: s.wal, Blobs: s.blobs,
+		ProjID: s.ProjID, NextCtx: s.recorder.NextCtx,
 		Setup: func(in *script.Interp) {
 			for name, fn := range hosts {
 				in.RegisterHost(name, fn)
@@ -1288,14 +1314,23 @@ func (s *Session) Hindsight(filename, newSrc string, targets []int) ([]Hindsight
 
 // Versions lists the committed versions of a file, oldest first.
 func (s *Session) Versions(filename string) ([]replay.VersionJob, error) {
-	return replay.HistoricalVersions(s.repo, s.tables, s.ProjID, filename)
+	v, err := s.Reader()
+	if err != nil {
+		return nil, err
+	}
+	defer v.Close()
+	return replay.HistoricalVersions(s.repo, v.view, s.ProjID, filename)
 }
 
 // LoggedNamesAcrossVersions returns, per version timestamp, the set of value
 // names logged — useful for seeing which versions are missing which metadata.
+// It reads the session's latest state, its own uncommitted rows included.
 func (s *Session) LoggedNamesAcrossVersions() map[int64][]string {
+	snap := s.db.SnapshotLatest()
+	defer snap.Release()
+	logs, _ := snap.Table("logs")
 	byTs := make(map[int64]map[string]bool)
-	s.tables.Logs.Scan(func(_ relation.RowID, r relation.Row) bool {
+	logs.Scan(func(_ relation.RowID, r relation.Row) bool {
 		if r[0].AsText() != s.ProjID {
 			return true
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -712,5 +713,290 @@ func TestExplainShowsIndexBackedPlan(t *testing.T) {
 	}
 	if len(rows.Rows) != 3 {
 		t.Fatalf("planned query returned %d rows, want 3", len(rows.Rows))
+	}
+}
+
+// TestHindsightSharesRecorderCtxIDs: loop contexts a hindsight replay
+// creates draw their ctx_ids from the session recorder's allocator, so a
+// recording made after the backfill never reuses one. Pivot resolves a
+// row's loop dimensions by ctx_id alone: a reused id gives the later row
+// the earlier context's dimensions, or the other way round.
+func TestHindsightSharesRecorderCtxIDs(t *testing.T) {
+	const src = `
+for e in flor.loop("epoch", range(2)) {
+    flor.log("a", e)
+}
+`
+	const withDoc = `
+for e in flor.loop("epoch", range(2)) {
+    flor.log("a", e)
+    with flor.iteration("doc", nil, "x") {
+        flor.log("b", e)
+    }
+}
+`
+	s := memSession(t, Options{})
+	run := func() {
+		t.Helper()
+		if err := s.RunScript("t.flow", src); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Commit("run"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	run()
+	reports, err := s.Hindsight("t.flow", withDoc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rep := range reports {
+		if rep.Err != nil {
+			t.Fatal(rep.Err)
+		}
+	}
+	run()
+
+	res, err := s.SQL("SELECT ctx_id, tstamp, loop_name FROM loops")
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := map[int64]string{}
+	for _, r := range res.Rows {
+		ctx, use := r[0].AsInt(), fmt.Sprintf("%s@%d", r[2].AsText(), r[1].AsInt())
+		if prev, dup := owner[ctx]; dup {
+			t.Fatalf("ctx_id %d used twice: %s and %s", ctx, prev, use)
+		}
+		owner[ctx] = use
+	}
+	if len(owner) != 10 { // 3 runs x 2 epochs + 2 backfilled versions x 2 docs
+		t.Fatalf("loops rows = %d, want 10", len(owner))
+	}
+
+	df, err := s.Dataframe("a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(df.Columns, ","); got != "projid,tstamp,filename,epoch_value,doc_value,a,b" {
+		t.Fatalf("columns: %s", got)
+	}
+	var got []string
+	for _, r := range df.Rows {
+		var cells []string
+		for _, v := range r[1:] {
+			cells = append(cells, v.String())
+		}
+		got = append(got, strings.Join(cells, " "))
+	}
+	sort.Strings(got)
+	var want []string
+	for ts := 1; ts <= 3; ts++ {
+		for e := 0; e < 2; e++ {
+			want = append(want, fmt.Sprintf("%d t.flow %d NULL %d NULL", ts, e, e))
+			if ts < 3 {
+				want = append(want, fmt.Sprintf("%d t.flow %d x NULL %d", ts, e, e))
+			}
+		}
+	}
+	sort.Strings(want)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("dataframe rows:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestSecondHindsightReusesUncommittedLoopContexts: a backfill that no
+// commit marker has published — an in-memory session never writes one, a
+// disk session skips it while a transaction is in flight — still lends its
+// loop contexts to the next Hindsight. Otherwise the second backfill opens a
+// second "doc" context per epoch, and pivot splits what belongs in one row.
+func TestSecondHindsightReusesUncommittedLoopContexts(t *testing.T) {
+	const src = `
+for e in flor.loop("epoch", range(2)) {
+    flor.log("a", e)
+}
+`
+	const withB = `
+for e in flor.loop("epoch", range(2)) {
+    flor.log("a", e)
+    with flor.iteration("doc", nil, "x") {
+        flor.log("b", e)
+    }
+}
+`
+	const withC = `
+for e in flor.loop("epoch", range(2)) {
+    flor.log("a", e)
+    with flor.iteration("doc", nil, "x") {
+        flor.log("c", e)
+    }
+}
+`
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) *Session
+		// inFlight leaves a third run uncommitted across both backfills.
+		inFlight bool
+	}{
+		{"memory", func(t *testing.T) *Session { return memSession(t, Options{}) }, false},
+		{"uncommitted tail", func(t *testing.T) *Session {
+			s, err := Open(t.TempDir(), "p", Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			return s
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.open(t)
+			for i := 0; i < 2; i++ {
+				if err := s.RunScript("t.flow", src); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Commit("run"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.inFlight {
+				if err := s.RunScript("t.flow", src); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, newSrc := range []string{withB, withC} {
+				reports, err := s.Hindsight("t.flow", newSrc, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, rep := range reports {
+					if rep.Err != nil {
+						t.Fatal(rep.Err)
+					}
+				}
+			}
+			if tc.inFlight {
+				if err := s.Commit("run"); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			res, err := s.SQL("SELECT tstamp, parent_ctx_id, loop_name, loop_iteration, iteration_value FROM loops")
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := map[string]bool{}
+			for _, r := range res.Rows {
+				key := fmt.Sprint(r)
+				if seen[key] {
+					t.Fatalf("loops row %s written twice", key)
+				}
+				seen[key] = true
+			}
+
+			df, err := s.Dataframe("b", "c")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := strings.Join(df.Columns, ","); got != "projid,tstamp,filename,epoch_value,doc_value,b,c" {
+				t.Fatalf("columns: %s", got)
+			}
+			var got []string
+			for _, r := range df.Rows {
+				var cells []string
+				for _, v := range r[1:] {
+					cells = append(cells, v.String())
+				}
+				got = append(got, strings.Join(cells, " "))
+			}
+			sort.Strings(got)
+			var want []string
+			for ts := 1; ts <= 2; ts++ {
+				for e := 0; e < 2; e++ {
+					want = append(want, fmt.Sprintf("%d t.flow %d x %d %d", ts, e, e, e))
+				}
+			}
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Fatalf("dataframe rows:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
+		})
+	}
+}
+
+// TestHindsightLeavesATransactionInFlightUncommitted: when a transaction is
+// in flight as Hindsight starts, the backfill writes no commit marker, so it
+// neither publishes nor makes durable the transaction's rows. Its own rows
+// ride on the transaction's Commit.
+func TestHindsightLeavesATransactionInFlightUncommitted(t *testing.T) {
+	const src = `
+for e in flor.loop("epoch", range(2)) {
+    flor.log("a", e)
+}
+`
+	const withB = `
+for e in flor.loop("epoch", range(2)) {
+    flor.log("a", e)
+    flor.log("b", e)
+}
+`
+	dir := t.TempDir()
+	s, err := Open(dir, "p", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 3; i++ {
+		if err := s.RunScript("t.flow", src); err != nil {
+			t.Fatal(err)
+		}
+		if i < 2 {
+			if err := s.Commit("run"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	counts := func(s *Session) string {
+		t.Helper()
+		v, err := s.Reader()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v.Close()
+		res, err := v.SQL("SELECT value_name, count(*) AS n FROM logs GROUP BY value_name ORDER BY value_name")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(res.Rows)
+	}
+	epoch := s.Database().Epoch()
+	reports, err := s.Hindsight("t.flow", withB, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != 2 || reports[0].Err != nil || reports[1].Err != nil {
+		t.Fatalf("reports: %+v", reports)
+	}
+	if got := s.Database().Epoch(); got != epoch {
+		t.Fatalf("hindsight beside a transaction in flight moved the epoch %d -> %d", epoch, got)
+	}
+	if got, want := counts(s), "[[a 4]]"; got != want {
+		t.Fatalf("committed logs after hindsight: %s, want %s", got, want)
+	}
+	if err := s.Commit("run"); err != nil {
+		t.Fatal(err)
+	}
+	const all = "[[a 6] [b 4]]"
+	if got := counts(s); got != all {
+		t.Fatalf("committed logs after the commit: %s, want %s", got, all)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir, "p", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := counts(s2); got != all {
+		t.Fatalf("recovered logs: %s, want %s", got, all)
 	}
 }

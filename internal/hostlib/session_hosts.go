@@ -29,9 +29,9 @@ func RegisterFlorQueries(r Registrar, sess *flor.Session) {
 		if err != nil {
 			return nil, err
 		}
-		blob, found := sess.Tables().GetBlobExact(sess.ProjID, replay.CkptBlobName("epoch", iter), ts)
-		if !found {
-			return nil, fmt.Errorf("restore_best: no checkpoint for epoch %d at version %d", iter, ts)
+		blob, err := EpochCheckpoint(sess, ts, iter)
+		if err != nil {
+			return nil, err
 		}
 		if err := replay.RestoreObjects(blob, map[string]script.Value{"model": m}); err != nil {
 			return nil, err
@@ -74,4 +74,21 @@ func BestCheckpoint(sess *flor.Session, metric string) (tstamp int64, epoch int,
 		return 0, 0, 0, fmt.Errorf("restore_best: bad epoch value %q", best[ei].AsText())
 	}
 	return best[ti].AsInt(), ep, best[df.Index(metric)].AsFloat(), nil
+}
+
+// EpochCheckpoint reads the checkpoint of the "epoch" loop's iteration epoch
+// taken by version tstamp, through a latest pin of the session's tables — the
+// visibility BestCheckpoint's dataframe reads at.
+func EpochCheckpoint(sess *flor.Session, tstamp int64, epoch int) ([]byte, error) {
+	snap := sess.Database().SnapshotLatest()
+	defer snap.Release()
+	view, err := sess.Tables().At(snap)
+	if err != nil {
+		return nil, err
+	}
+	blob, found := view.GetBlobExact(sess.ProjID, replay.CkptBlobName("epoch", epoch), tstamp)
+	if !found {
+		return nil, fmt.Errorf("restore_best: no checkpoint for epoch %d at version %d", epoch, tstamp)
+	}
+	return blob, nil
 }

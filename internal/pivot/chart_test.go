@@ -7,7 +7,7 @@ import (
 
 func TestChartRendersSeriesPerVersion(t *testing.T) {
 	tables := fixture(t)
-	df, err := Build(tables.View(), "pdf", []string{"acc"}, Options{})
+	df, err := Build(tables, "pdf", []string{"acc"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestChartRendersSeriesPerVersion(t *testing.T) {
 
 func TestChartErrors(t *testing.T) {
 	tables := fixture(t)
-	df, _ := Build(tables.View(), "pdf", []string{"acc"}, Options{})
+	df, _ := Build(tables, "pdf", []string{"acc"}, Options{})
 	if _, err := df.Chart("nope", "epoch_value", 40, 8); err == nil {
 		t.Fatal("unknown metric must error")
 	}
@@ -49,7 +49,7 @@ func TestChartErrors(t *testing.T) {
 
 func TestChartClampsTinyDimensions(t *testing.T) {
 	tables := fixture(t)
-	df, _ := Build(tables.View(), "pdf", []string{"acc"}, Options{})
+	df, _ := Build(tables, "pdf", []string{"acc"}, Options{})
 	out, err := df.Chart("acc", "epoch_value", 1, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestChartHandlesConstantSeries(t *testing.T) {
 	// recall - acc is constant offset; chart a constant by picking recall
 	// only at one version/epoch set where values repeat is hard; instead
 	// chart page_numbers which are all 1.
-	df, err := Build(tables.View(), "pdf", []string{"text_src"}, Options{})
+	df, err := Build(tables, "pdf", []string{"text_src"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

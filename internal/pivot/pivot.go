@@ -41,19 +41,17 @@ type Options struct {
 }
 
 // Build pivots the requested value names for a project. It reads through a
-// TablesView, so the pivot can run against the live tables (latest
-// visibility) or a pinned database snapshot — concurrent writers never
-// disturb a snapshot-backed build.
+// TablesView pinned at one epoch, so concurrent writers never disturb it.
 func Build(tables *record.TablesView, projid string, names []string, opts Options) (*Dataframe, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("pivot: no value names requested")
 	}
-	nameSet := make(map[string]int, len(names))
-	for i, n := range names {
-		if _, dup := nameSet[n]; dup {
+	nameSet := make(map[string]bool, len(names))
+	for _, n := range names {
+		if nameSet[n] {
 			return nil, fmt.Errorf("pivot: duplicate name %q", n)
 		}
-		nameSet[n] = i
+		nameSet[n] = true
 	}
 
 	// Loop contexts for dimension resolution.
@@ -85,11 +83,6 @@ func Build(tables *record.TablesView, projid string, names []string, opts Option
 	var keyBuf []byte // reused per visit; row keys are (tstamp, filename, ctx_id)
 	seq := 0
 
-	useIndex := false
-	ix, hasIx := tables.Logs.HashIndexOn("projid", "value_name")
-	if hasIx {
-		useIndex = true
-	}
 	visit := func(r relation.Row) {
 		tstamp := r[1].AsInt()
 		filename := r[2].AsText()
@@ -141,23 +134,8 @@ func Build(tables *record.TablesView, projid string, names []string, opts Option
 		}
 	}
 
-	if useIndex {
-		for _, n := range names {
-			for _, id := range ix.Lookup(relation.Text(projid), relation.Text(n)) {
-				if r, live := tables.Logs.Get(id); live {
-					visit(r)
-				}
-			}
-		}
-	} else {
-		tables.Logs.Scan(func(_ relation.RowID, r relation.Row) bool {
-			if r[0].AsText() == projid {
-				if _, want := nameSet[r[4].AsText()]; want {
-					visit(r)
-				}
-			}
-			return true
-		})
+	for _, n := range names {
+		tables.EachLog(projid, n, visit)
 	}
 
 	// Global dimension column order: first-seen path order across rows.

@@ -10,10 +10,11 @@ import (
 	"flordb/internal/relation"
 )
 
-// fixture builds tables resembling the Figure 3/5 workloads:
+// fixture builds tables resembling the Figure 3/5 workloads and pins them
+// at the latest epoch:
 //   - featurize.flow logs text_src/page_text per (document, page) at ts=1
 //   - train.flow logs acc/recall per epoch at ts=1 and ts=2
-func fixture(t *testing.T) *record.Tables {
+func fixture(t *testing.T) *record.TablesView {
 	t.Helper()
 	db := relation.NewDatabase()
 	tables, err := record.CreateTables(db)
@@ -63,12 +64,18 @@ func fixture(t *testing.T) *record.Tables {
 			logv(ts, "train.flow", ec, "recall", strconv.FormatFloat(acc-0.1, 'g', -1, 64), record.VTFloat)
 		}
 	}
-	return tables
+	snap := db.SnapshotLatest()
+	t.Cleanup(snap.Release)
+	view, err := tables.At(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return view
 }
 
 func TestPivotFigure3Shape(t *testing.T) {
 	tables := fixture(t)
-	df, err := Build(tables.View(), "pdf", []string{"text_src", "page_text"}, Options{})
+	df, err := Build(tables, "pdf", []string{"text_src", "page_text"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +118,7 @@ func TestPivotFigure3Shape(t *testing.T) {
 
 func TestPivotFigure5MetricsAcrossVersions(t *testing.T) {
 	tables := fixture(t)
-	df, err := Build(tables.View(), "pdf", []string{"acc", "recall"}, Options{})
+	df, err := Build(tables, "pdf", []string{"acc", "recall"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +149,7 @@ func TestPivotMixedLevelsYieldNullDims(t *testing.T) {
 	tables := fixture(t)
 	// text_src lives at page level; acc at epoch level (different file and
 	// dims): requesting both gives a union of dimension columns with NULLs.
-	df, err := Build(tables.View(), "pdf", []string{"text_src", "acc"}, Options{})
+	df, err := Build(tables, "pdf", []string{"text_src", "acc"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +169,7 @@ func TestPivotMixedLevelsYieldNullDims(t *testing.T) {
 
 func TestPivotFilenameAndTstampFilters(t *testing.T) {
 	tables := fixture(t)
-	df, err := Build(tables.View(), "pdf", []string{"acc"}, Options{Filename: "train.flow", Tstamp: 2})
+	df, err := Build(tables, "pdf", []string{"acc"}, Options{Filename: "train.flow", Tstamp: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +186,7 @@ func TestPivotFilenameAndTstampFilters(t *testing.T) {
 
 func TestLatest(t *testing.T) {
 	tables := fixture(t)
-	df, _ := Build(tables.View(), "pdf", []string{"acc"}, Options{})
+	df, _ := Build(tables, "pdf", []string{"acc"}, Options{})
 	latest := df.Latest()
 	if latest.Len() != 2 {
 		t.Fatalf("latest rows = %d", latest.Len())
@@ -198,7 +205,7 @@ func TestLatest(t *testing.T) {
 
 func TestArgMaxSelectsBestCheckpoint(t *testing.T) {
 	tables := fixture(t)
-	df, _ := Build(tables.View(), "pdf", []string{"acc", "recall"}, Options{})
+	df, _ := Build(tables, "pdf", []string{"acc", "recall"}, Options{})
 	best, err := df.ArgMax("acc")
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +224,7 @@ func TestArgMaxSelectsBestCheckpoint(t *testing.T) {
 
 func TestColumn(t *testing.T) {
 	tables := fixture(t)
-	df, _ := Build(tables.View(), "pdf", []string{"acc"}, Options{})
+	df, _ := Build(tables, "pdf", []string{"acc"}, Options{})
 	accs, err := df.Column("acc")
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +244,7 @@ func TestColumn(t *testing.T) {
 
 func TestFilter(t *testing.T) {
 	tables := fixture(t)
-	df, _ := Build(tables.View(), "pdf", []string{"text_src"}, Options{})
+	df, _ := Build(tables, "pdf", []string{"text_src"}, Options{})
 	i := df.Index("text_src")
 	ocr := df.Filter(func(r relation.Row) bool { return r[i].AsText() == "OCR" })
 	if ocr.Len() != 2 {
@@ -247,7 +254,7 @@ func TestFilter(t *testing.T) {
 
 func TestRenderString(t *testing.T) {
 	tables := fixture(t)
-	df, _ := Build(tables.View(), "pdf", []string{"acc"}, Options{})
+	df, _ := Build(tables, "pdf", []string{"acc"}, Options{})
 	out := df.String()
 	if !strings.Contains(out, "epoch_value") || !strings.Contains(out, "train.flow") {
 		t.Fatalf("render:\n%s", out)
@@ -280,67 +287,15 @@ func TestToCSV(t *testing.T) {
 
 func TestBuildErrors(t *testing.T) {
 	tables := fixture(t)
-	if _, err := Build(tables.View(), "pdf", nil, Options{}); err == nil {
+	if _, err := Build(tables, "pdf", nil, Options{}); err == nil {
 		t.Fatal("no names must error")
 	}
-	if _, err := Build(tables.View(), "pdf", []string{"a", "a"}, Options{}); err == nil {
+	if _, err := Build(tables, "pdf", []string{"a", "a"}, Options{}); err == nil {
 		t.Fatal("duplicate names must error")
 	}
-	df, err := Build(tables.View(), "missing-project", []string{"acc"}, Options{})
+	df, err := Build(tables, "missing-project", []string{"acc"}, Options{})
 	if err != nil || df.Len() != 0 {
 		t.Fatalf("missing project: %v %d", err, df.Len())
-	}
-}
-
-// TestPivotIndexFastPathEquivalence locks in the revived index fast-path:
-// Build must return identical rows whether or not the logs(projid,
-// value_name) hash index exists, and the index must be live out of
-// record.CreateTables.
-func TestPivotIndexFastPathEquivalence(t *testing.T) {
-	indexed := fixture(t)
-	if _, ok := indexed.Logs.HashIndexOn("projid", "value_name"); !ok {
-		t.Fatal("logs(projid, value_name) hash index is not live after CreateTables")
-	}
-
-	// Rebuild the same table contents with no indexes at all, forcing
-	// Build's scan fallback.
-	bare := &record.Tables{
-		Logs:     relation.NewTable("logs", record.LogsSchema()),
-		Loops:    relation.NewTable("loops", record.LoopsSchema()),
-		Ts2vid:   relation.NewTable("ts2vid", record.Ts2vidSchema()),
-		ObjStore: relation.NewTable("obj_store", record.ObjStoreSchema()),
-		Args:     relation.NewTable("args", record.ArgsSchema()),
-	}
-	if _, ok := bare.Logs.HashIndexOn("projid", "value_name"); ok {
-		t.Fatal("bare fixture unexpectedly has an index")
-	}
-	if err := bare.Logs.InsertMany(indexed.Logs.Rows()); err != nil {
-		t.Fatal(err)
-	}
-	if err := bare.Loops.InsertMany(indexed.Loops.Rows()); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, tc := range []struct {
-		names []string
-		opts  Options
-	}{
-		{[]string{"acc", "recall"}, Options{}},
-		{[]string{"acc"}, Options{Tstamp: 2}},
-		{[]string{"text_src", "page_text"}, Options{Filename: "featurize.flow"}},
-		{[]string{"missing"}, Options{}},
-	} {
-		fast, err := Build(indexed.View(), "pdf", tc.names, tc.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slow, err := Build(bare.View(), "pdf", tc.names, tc.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := render(fast), render(slow); got != want {
-			t.Fatalf("names %v: indexed and scan pivots differ:\nindexed:\n%s\nscan:\n%s", tc.names, got, want)
-		}
 	}
 }
 

@@ -57,7 +57,7 @@ func TestSnapshotPreservesVersionEpochs(t *testing.T) {
 			t.Fatalf("SnapshotAt(%d): %v", epoch, err)
 		}
 		defer snap.Release()
-		r, _ := snap.Reader("logs")
+		r, _ := snap.Table("logs")
 		return len(r.Rows())
 	}
 	for e := int64(2); e <= 3; e++ {

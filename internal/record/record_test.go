@@ -1,6 +1,7 @@
 package record
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -200,37 +201,54 @@ func TestGetBlobExact(t *testing.T) {
 	if err := tables.PutBlob("p", 3, "f", 0, "model", []byte("new")); err != nil {
 		t.Fatal(err)
 	}
+	snap := db.SnapshotLatest()
+	defer snap.Release()
+	view, err := tables.At(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for ts, want := range map[int64]string{1: "old", 3: "new"} {
-		if b, ok := tables.GetBlobExact("p", "model", ts); !ok || string(b) != want {
+		if b, ok := view.GetBlobExact("p", "model", ts); !ok || string(b) != want {
 			t.Fatalf("blob at %d: %q %v, want %q", ts, b, ok, want)
 		}
 	}
-	if _, ok := tables.GetBlobExact("p", "model", 2); ok {
+	if _, ok := view.GetBlobExact("p", "model", 2); ok {
 		t.Fatal("blob between tstamps must not be found")
 	}
-	if _, ok := tables.GetBlobExact("p", "missing", 1); ok {
+	if _, ok := view.GetBlobExact("p", "missing", 1); ok {
 		t.Fatal("missing blob must not be found")
 	}
 }
 
 func TestCreateTablesInstallsDefaultIndexes(t *testing.T) {
-	// Regression: the pivot fast-path (pivot.go's HashIndexOn check) and the
-	// SQL planner's access paths depend on these indexes being live from
-	// table creation, not on callers remembering to build them.
+	// Regression: the pivot's and the checkpoint-blob lookups' one access
+	// path (TablesView.EachLog, GetBlobExact) and the SQL planner's access
+	// paths depend on these indexes being live from table creation, not on
+	// callers remembering to build them.
 	db := relation.NewDatabase()
 	tables, err := CreateTables(db)
 	if err != nil {
 		t.Fatal(err)
 	}
+	view := func() *TablesView {
+		snap := db.SnapshotLatest()
+		defer snap.Release()
+		v, err := tables.At(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	v := view()
 	hashIndexes := []struct {
-		table *relation.Table
+		table *relation.TableSnapshot
 		cols  []string
 	}{
-		{tables.Logs, []string{"projid", "value_name"}},
-		{tables.ObjStore, []string{"projid", "value_name"}},
-		{tables.Loops, []string{"projid"}},
-		{tables.Ts2vid, []string{"projid"}},
-		{tables.Args, []string{"projid", "name"}},
+		{v.Logs, []string{"projid", "value_name"}},
+		{v.ObjStore, []string{"projid", "value_name"}},
+		{v.Loops, []string{"projid"}},
+		{v.Ts2vid, []string{"projid"}},
+		{v.Args, []string{"projid", "name"}},
 	}
 	for _, h := range hashIndexes {
 		if _, ok := h.table.HashIndexOn(h.cols...); !ok {
@@ -238,12 +256,12 @@ func TestCreateTablesInstallsDefaultIndexes(t *testing.T) {
 		}
 	}
 	orderedIndexes := []struct {
-		table *relation.Table
+		table *relation.TableSnapshot
 		col   string
 	}{
-		{tables.Logs, "tstamp"},
-		{tables.Loops, "tstamp"},
-		{tables.Ts2vid, "ts_start"},
+		{v.Logs, "tstamp"},
+		{v.Loops, "tstamp"},
+		{v.Ts2vid, "ts_start"},
 	}
 	for _, o := range orderedIndexes {
 		if _, ok := o.table.OrderedIndexOn(o.col); !ok {
@@ -259,8 +277,40 @@ func TestCreateTablesInstallsDefaultIndexes(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ix, _ := tables.Logs.HashIndexOn("projid", "value_name")
+	ix, _ := view().Logs.HashIndexOn("projid", "value_name")
 	if got := len(ix.Lookup(relation.Text("p"), relation.Text("acc"))); got != 1 {
 		t.Fatalf("index lookup after Apply: %d ids, want 1", got)
+	}
+}
+
+// TestTablesAtRefusesIndexlessTables: the pivot and the checkpoint-blob
+// lookups have one access path, the (projid, value_name) hash index, so a
+// view over tables without it is refused instead of read by a scan.
+func TestTablesAtRefusesIndexlessTables(t *testing.T) {
+	db := relation.NewDatabase()
+	bare, err := NewTables(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := db.SnapshotLatest()
+	defer snap.Release()
+	if _, err := bare.At(snap); err == nil || !strings.Contains(err.Error(), "no hash index") {
+		t.Fatalf("logs without the index: err %v, want a refusal", err)
+	}
+	if _, err := bare.Logs.CreateHashIndex(byNameCols...); err != nil {
+		t.Fatal(err)
+	}
+	snap2 := db.SnapshotLatest()
+	defer snap2.Release()
+	if _, err := bare.At(snap2); err == nil || !strings.Contains(err.Error(), `"obj_store"`) {
+		t.Fatalf("obj_store without the index: err %v, want a refusal", err)
+	}
+	if _, err := bare.ObjStore.CreateHashIndex(byNameCols...); err != nil {
+		t.Fatal(err)
+	}
+	snap3 := db.SnapshotLatest()
+	defer snap3.Release()
+	if _, err := bare.At(snap3); err != nil {
+		t.Fatalf("both indexes present: %v", err)
 	}
 }

@@ -97,8 +97,8 @@ func BuildDepsSchema() *relation.Schema {
 }
 
 // Tables bundles the base tables of a FlorDB database instance — the write
-// surface. Read paths that must not observe concurrent writers use a
-// TablesView pinned to a database snapshot instead (Tables.At).
+// surface. Every read goes through a TablesView pinned to a database
+// snapshot (Tables.At).
 type Tables struct {
 	Logs     *relation.Table
 	Loops    *relation.Table
@@ -107,45 +107,48 @@ type Tables struct {
 	Args     *relation.Table
 }
 
-// TablesView is the read surface over the Figure-1 base tables: either the
-// live tables (latest visibility) or their pinned snapshots (one-epoch
-// visibility). The pivot engine and blob accessors operate on it, so the
-// same code serves the recording session and concurrent snapshot readers.
+// TablesView is the read surface over the Figure-1 base tables: their
+// snapshots pinned at one epoch. The pivot engine, hindsight replay and the
+// checkpoint-blob lookups operate on it; a read-your-writes view is one
+// pinned with relation.Database.SnapshotLatest.
 type TablesView struct {
-	Logs     relation.TableReader
-	Loops    relation.TableReader
-	Ts2vid   relation.TableReader
-	ObjStore relation.TableReader
-	Args     relation.TableReader
-}
-
-// View returns the latest-visibility read surface over the live tables.
-func (t *Tables) View() *TablesView {
-	return &TablesView{
-		Logs: t.Logs, Loops: t.Loops, Ts2vid: t.Ts2vid,
-		ObjStore: t.ObjStore, Args: t.Args,
-	}
+	Logs     *relation.TableSnapshot
+	Loops    *relation.TableSnapshot
+	Ts2vid   *relation.TableSnapshot
+	ObjStore *relation.TableSnapshot
+	Args     *relation.TableSnapshot
 }
 
 // At returns the read surface pinned to a database snapshot. It fails if the
-// snapshot does not carry the Figure-1 base tables.
+// snapshot does not carry the Figure-1 base tables, or if logs or obj_store
+// lacks the (projid, value_name) hash index — the one access path of the
+// pivot and the checkpoint-blob lookups (CreateTables installs it).
 func (t *Tables) At(snap *relation.Snapshot) (*TablesView, error) {
 	v := &TablesView{}
 	for _, bind := range []struct {
 		name string
-		dst  *relation.TableReader
+		dst  **relation.TableSnapshot
 	}{
 		{"logs", &v.Logs}, {"loops", &v.Loops}, {"ts2vid", &v.Ts2vid},
 		{"obj_store", &v.ObjStore}, {"args", &v.Args},
 	} {
-		r, ok := snap.Reader(bind.name)
+		r, ok := snap.Table(bind.name)
 		if !ok {
 			return nil, fmt.Errorf("record: snapshot is missing base table %q", bind.name)
 		}
 		*bind.dst = r
 	}
+	for _, tbl := range []*relation.TableSnapshot{v.Logs, v.ObjStore} {
+		if _, ok := tbl.HashIndexOn(byNameCols...); !ok {
+			return nil, fmt.Errorf("record: table %q has no hash index on %v", tbl.Name(), byNameCols)
+		}
+	}
 	return v, nil
 }
+
+// byNameCols is the logs and obj_store hash index behind EachLog and
+// GetBlobExact.
+var byNameCols = []string{"projid", "value_name"}
 
 // CreateTables creates all base tables in the database and installs their
 // secondary indexes: NewTables, then CreateIndexes. Sessions, recovery and
@@ -163,7 +166,8 @@ func CreateTables(db *relation.Database) (*Tables, error) {
 
 // NewTables creates all base tables in the database with no secondary
 // index. A compaction builds its tables this way: they are only ever
-// written to a snapshot, never queried, and snapshots carry no indexes.
+// written to a snapshot, never queried (Tables.At refuses them), and
+// snapshots carry no indexes.
 func NewTables(db *relation.Database) (*Tables, error) {
 	logs, err := db.CreateTable("logs", LogsSchema())
 	if err != nil {
@@ -198,8 +202,8 @@ func (t *Tables) CreateIndexes() error {
 		tbl  *relation.Table
 		cols []string
 	}{
-		{t.Logs, []string{"projid", "value_name"}},
-		{t.ObjStore, []string{"projid", "value_name"}},
+		{t.Logs, byNameCols},
+		{t.ObjStore, byNameCols},
 		{t.Loops, []string{"projid"}},
 		{t.Ts2vid, []string{"projid"}},
 		{t.Args, []string{"projid", "name"}},
@@ -268,18 +272,11 @@ func (t *Tables) PutBlob(projid string, tstamp int64, filename string, ctxID int
 }
 
 // GetBlobExact retrieves the obj_store blob for (projid, name) written at
-// exactly the given tstamp, used by replay to load a specific version's
-// checkpoints.
-func (t *Tables) GetBlobExact(projid, name string, tstamp int64) ([]byte, bool) {
-	return t.View().GetBlobExact(projid, name, tstamp)
-}
-
-// GetBlobExact retrieves the obj_store blob for (projid, name) written at
 // exactly the given tstamp, honoring the view's visibility.
 func (v *TablesView) GetBlobExact(projid, name string, tstamp int64) ([]byte, bool) {
 	var out []byte
 	found := false
-	v.eachBlobRow(projid, name, func(r relation.Row) {
+	eachByName(v.ObjStore, projid, name, func(r relation.Row) {
 		if r[1].AsInt() == tstamp {
 			out = r[5].AsBlob()
 			found = true
@@ -288,21 +285,19 @@ func (v *TablesView) GetBlobExact(projid, name string, tstamp int64) ([]byte, bo
 	return out, found
 }
 
-// eachBlobRow visits the visible obj_store rows for (projid, name), through
-// the hash index when present.
-func (v *TablesView) eachBlobRow(projid, name string, fn func(relation.Row)) {
-	if ix, ok := v.ObjStore.HashIndexOn("projid", "value_name"); ok {
-		for _, id := range ix.Lookup(relation.Text(projid), relation.Text(name)) {
-			if r, ok := v.ObjStore.Get(id); ok {
-				fn(r)
-			}
-		}
-		return
-	}
-	v.ObjStore.Scan(func(_ relation.RowID, r relation.Row) bool {
-		if r[0].AsText() == projid && r[4].AsText() == name {
+// EachLog visits the visible logs rows for (projid, value_name) in store
+// order.
+func (v *TablesView) EachLog(projid, name string, fn func(relation.Row)) {
+	eachByName(v.Logs, projid, name, fn)
+}
+
+// eachByName visits t's visible rows for (projid, value_name) through the
+// hash index At guarantees.
+func eachByName(t *relation.TableSnapshot, projid, name string, fn func(relation.Row)) {
+	ix, _ := t.HashIndexOn(byNameCols...)
+	for _, id := range ix.Lookup(relation.Text(projid), relation.Text(name)) {
+		if r, ok := t.Get(id); ok {
 			fn(r)
 		}
-		return true
-	})
+	}
 }

@@ -224,7 +224,7 @@ func TestSnapshotV3MultiPageRoundTrip(t *testing.T) {
 	// Zone maps must be live after the load: a skip-everything zone filter
 	// prunes exactly the complete pages, leaving only trailing-partial-page
 	// rows. If the directory zones were dropped, nothing would be pruned.
-	scan := relation.NewBatchScan(dst.Logs, nil, relation.DefaultBatchSize)
+	scan := relation.NewBatchScan(latest(dst.Logs), nil, relation.DefaultBatchSize)
 	scan.SetZoneFilter(func(*relation.PageZone) bool { return true })
 	it := relation.NewRowsFromBatches(scan)
 	got := 0

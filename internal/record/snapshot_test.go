@@ -3,11 +3,15 @@ package record
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 	"time"
 
 	"flordb/internal/relation"
 )
+
+// latest pins tbl past every epoch: all of its published rows.
+func latest(tbl *relation.Table) *relation.TableSnapshot { return tbl.At(math.MaxInt64) }
 
 func snapTables(t *testing.T) *Tables {
 	t.Helper()
@@ -59,7 +63,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	meta := SnapshotMeta{Version: SnapshotVersion, Seq: 7, MaxTstamp: 9}
 	data := encodeSnapshot(t, meta, src)
 
-	dst := snapTables(t)
+	db := relation.NewDatabase()
+	dst, err := CreateTables(db)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := ReadSnapshot(data, dst)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +77,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	srcTbls, dstTbls := src.snapshotTables(), dst.snapshotTables()
 	for i := range srcTbls {
-		a, b := srcTbls[i].Rows(), dstTbls[i].Rows()
+		a, b := latest(srcTbls[i]).Rows(), latest(dstTbls[i]).Rows()
 		if len(a) != len(b) {
 			t.Fatalf("%s: %d rows != %d", srcTbls[i].Name(), len(b), len(a))
 		}
@@ -82,15 +90,21 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	// Indexes were rebuilt during the load.
-	ix, ok := dst.Logs.HashIndexOn("projid", "value_name")
+	snap := db.SnapshotLatest()
+	defer snap.Release()
+	view, err := dst.At(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, ok := view.Logs.HashIndexOn("projid", "value_name")
 	if !ok || len(ix.Lookup(relation.Text("p"), relation.Text("acc"))) != 10 {
 		t.Fatal("hash index not rebuilt from snapshot")
 	}
-	oix, ok := dst.Logs.OrderedIndexOn("tstamp")
+	oix, ok := view.Logs.OrderedIndexOn("tstamp")
 	if !ok || len(oix.Range(relation.Int(2), relation.Int(4))) != 3 {
 		t.Fatal("ordered index not rebuilt from snapshot")
 	}
-	blob, found := dst.GetBlobExact("p", "ckpt::epoch::2", 2)
+	blob, found := view.GetBlobExact("p", "ckpt::epoch::2", 2)
 	if !found || !bytes.Equal(blob, []byte{0, 1, 2, 0xFF}) {
 		t.Fatalf("blob round-trip: %v %v", blob, found)
 	}
@@ -138,7 +152,7 @@ func TestSnapshotAllValueTypes(t *testing.T) {
 	if _, err := ReadSnapshot(buf.Bytes(), dst); err != nil {
 		t.Fatal(err)
 	}
-	got := dst.Logs.Rows()[0]
+	got := latest(dst.Logs).Rows()[0]
 	for i := range row {
 		if got[i].Type() != row[i].Type() {
 			t.Fatalf("col %d type %v != %v", i, got[i].Type(), row[i].Type())

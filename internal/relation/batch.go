@@ -116,13 +116,6 @@ func (r *RowsFromBatchesOp) Next() (Row, bool) {
 
 // ---------- Batch scan ----------
 
-// batchStater is the internal surface batch scans pin table state through:
-// both Table (latest visibility) and TableSnapshot (epoch visibility)
-// expose their published state and the length of its visible prefix.
-type batchStater interface {
-	batchState() (*tableState, int)
-}
-
 // BatchScanOp scans the visible prefix of a row store in contiguous chunks,
 // transposing each chunk into column slices; every selection vector it emits
 // is the identity. Like ScanOp, state resolves lazily on the first
@@ -131,8 +124,8 @@ type batchStater interface {
 // either a table's (NewBatchScan) or a row set some other access path
 // resolved — index matches, a virtual table (NewBatchRows).
 type BatchScanOp struct {
-	src      TableReader  // nil for NewBatchRows
-	rowsFn   func() []Row // NewBatchRows: resolves the already-visible rows
+	src      *TableSnapshot // nil for NewBatchRows
+	rowsFn   func() []Row   // NewBatchRows: resolves the already-visible rows
 	schema   *Schema
 	needed   []int // nil = all columns
 	size     int
@@ -141,9 +134,8 @@ type BatchScanOp struct {
 	identity []int // pristine 0..size-1, copied into Sel (filters compact Sel in place)
 	resolved bool
 
-	// The rows walked: a table's visible prefix (Table / TableSnapshot), or
-	// rows already visibility-filtered (NewBatchRows, and table readers
-	// without a published state).
+	// The rows walked: a pinned table's visible prefix, or rows already
+	// visibility-filtered (NewBatchRows).
 	rows []Row
 	base int
 	hi   int // exclusive scan bound; -1 = all rows (see SetRange)
@@ -154,10 +146,10 @@ type BatchScanOp struct {
 	zones      []PageZone
 }
 
-// NewBatchScan returns a batch scan over a table read surface. needed lists
+// NewBatchScan returns a batch scan over a pinned table. needed lists
 // the schema positions to materialize (nil for all); size <= 0 selects
 // DefaultBatchSize.
-func NewBatchScan(t TableReader, needed []int, size int) *BatchScanOp {
+func NewBatchScan(t *TableSnapshot, needed []int, size int) *BatchScanOp {
 	if size <= 0 {
 		size = DefaultBatchSize
 	}
@@ -209,18 +201,11 @@ func (s *BatchScanOp) resolve() {
 	if s.rowsFn != nil {
 		s.rows = s.rowsFn()
 		s.size = max(1, min(s.size, len(s.rows)))
-	} else if bp, ok := s.src.(batchStater); ok {
-		st, n := bp.batchState()
-		s.rows = st.rows[:n]
-		if s.zoneFilter != nil {
-			if zt, ok := s.src.(zoneTabler); ok {
-				if t := zt.zoneTable(); t != nil {
-					s.zones = t.zonePages(st)
-				}
-			}
-		}
 	} else {
-		s.rows = s.src.Rows() // already visibility-filtered
+		s.rows = s.src.Rows()
+		if s.zoneFilter != nil {
+			s.zones = s.src.owner.zonePages(s.src.st)
+		}
 	}
 	s.batch = &Batch{schema: s.schema, Cols: make([][]Value, s.schema.Len())}
 	s.cols = s.needed

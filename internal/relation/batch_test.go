@@ -78,8 +78,8 @@ func TestBatchScanMatchesRowScan(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 100, 3000} {
 		db, tbl := randomBatchTable(t, rng, n)
 		// Latest visibility, with a batch size that forces partial chunks.
-		got := collectBatches(t, NewBatchScan(tbl, nil, 64))
-		rowsEqual(t, got, tbl.Rows())
+		got := collectBatches(t, NewBatchScan(latest(tbl), nil, 64))
+		rowsEqual(t, got, latest(tbl).Rows())
 		// Snapshot visibility at the committed epoch and at a random
 		// mid-history one: pinned batch scans and Rows must both agree with
 		// the rows whose born epoch is at or below the pin.
@@ -121,7 +121,7 @@ func TestBatchScanMidEpochSnapshotExcludesInFlightRows(t *testing.T) {
 
 func TestBatchScanColumnPruning(t *testing.T) {
 	_, tbl := randomBatchTable(t, rand.New(rand.NewSource(6)), 300)
-	sc := NewBatchScan(tbl, []int{0, 2}, 128)
+	sc := NewBatchScan(latest(tbl), []int{0, 2}, 128)
 	total := 0
 	for {
 		b, ok := sc.NextBatch()
@@ -144,7 +144,7 @@ func TestBatchScanColumnPruning(t *testing.T) {
 
 func TestBatchAdaptersRoundtrip(t *testing.T) {
 	_, tbl := randomBatchTable(t, rand.New(rand.NewSource(7)), 500)
-	want := tbl.Rows()
+	want := latest(tbl).Rows()
 	got := Collect(NewRowsFromBatches(NewBatchRows(tbl.Schema(), func() []Row { return want }, nil, 33)))
 	rowsEqual(t, got, want)
 }
@@ -153,8 +153,8 @@ func TestBatchFilterMatchesRowFilter(t *testing.T) {
 	_, tbl := randomBatchTable(t, rand.New(rand.NewSource(8)), 1000)
 	lit := Float(5)
 	pred := func(r Row) bool { return !r[2].IsNull() && Compare(r[2], lit) > 0 }
-	want := Collect(NewFilter(NewScan(tbl), pred))
-	got := collectBatches(t, NewBatchFilter(NewBatchScan(tbl, nil, 100), func(b *Batch) {
+	want := Collect(NewFilter(NewScan(latest(tbl)), pred))
+	got := collectBatches(t, NewBatchFilter(NewBatchScan(latest(tbl), nil, 100), func(b *Batch) {
 		sel := b.Sel[:0]
 		for _, i := range b.Sel {
 			v := &b.Cols[2][i]
@@ -196,11 +196,11 @@ func TestBatchProjectMatchesRowProject(t *testing.T) {
 			rowExprs[i].Eval = func(r Row) Value { return r[pos] }
 		}
 	}
-	rp, err := NewProject(NewScan(tbl), rowExprs)
+	rp, err := NewProject(NewScan(latest(tbl)), rowExprs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp, err := NewBatchProject(NewBatchScan(tbl, nil, 77), exprs)
+	bp, err := NewBatchProject(NewBatchScan(latest(tbl), nil, 77), exprs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,13 +230,13 @@ func TestBatchGroupMatchesRowGroup(t *testing.T) {
 		{Kind: AggMin, Col: "v", As: "mn"},
 		{Kind: AggMax, Col: "n", As: "mx"},
 	}
-	rg, err := NewGroup(NewScan(tbl), groupBy, aggs)
+	rg, err := NewGroup(NewScan(latest(tbl)), groupBy, aggs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// An unmerged sink emits groups in first-seen order, as GroupOp does over
 	// the same input order, so the comparison is exact, not just multiset.
-	rowsEqual(t, aggregateBatches(t, NewBatchScan(tbl, nil, 128), groupBy, aggs), Collect(rg))
+	rowsEqual(t, aggregateBatches(t, NewBatchScan(latest(tbl), nil, 128), groupBy, aggs), Collect(rg))
 }
 
 func TestBatchGroupGlobalAggregateOverEmptyInput(t *testing.T) {
@@ -246,11 +246,11 @@ func TestBatchGroupGlobalAggregateOverEmptyInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	aggs := []AggSpec{{Kind: AggCountStar, As: "n"}, {Kind: AggSum, Col: "x", As: "s"}}
-	rg, _ := NewGroup(NewScan(tbl), nil, aggs)
+	rg, _ := NewGroup(NewScan(latest(tbl)), nil, aggs)
 	want := Collect(rg)
-	rowsEqual(t, aggregateBatches(t, NewBatchScan(tbl, nil, 0), nil, aggs), want)
+	rowsEqual(t, aggregateBatches(t, NewBatchScan(latest(tbl), nil, 0), nil, aggs), want)
 	// An empty resolved row set behaves the same.
-	rowsEqual(t, aggregateBatches(t, NewBatchRows(tbl.Schema(), tbl.Rows, nil, 16), nil, aggs), want)
+	rowsEqual(t, aggregateBatches(t, NewBatchRows(tbl.Schema(), latest(tbl).Rows, nil, 16), nil, aggs), want)
 }
 
 func TestBatchHashJoinMatchesRowHashJoin(t *testing.T) {
@@ -276,7 +276,7 @@ func TestBatchHashJoinMatchesRowHashJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rj, err := NewHashJoin(NewScan(left), NewScan(right), []string{"n"}, []string{"n"}, "r")
+	rj, err := NewHashJoin(NewScan(latest(left)), NewScan(latest(right)), []string{"n"}, []string{"n"}, "r")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,9 +288,9 @@ func TestBatchHashJoinMatchesRowHashJoin(t *testing.T) {
 		var bj *BatchHashJoinOp
 		if buildLeft {
 			// Probe side is the right table.
-			bj, err = NewBatchHashJoin(NewBatchScan(right, nil, 97), NewBatchScan(left, nil, 97), []int{0}, []int{1}, schema, true)
+			bj, err = NewBatchHashJoin(NewBatchScan(latest(right), nil, 97), NewBatchScan(latest(left), nil, 97), []int{0}, []int{1}, schema, true)
 		} else {
-			bj, err = NewBatchHashJoin(NewBatchScan(left, nil, 97), NewBatchScan(right, nil, 97), []int{1}, []int{0}, schema, false)
+			bj, err = NewBatchHashJoin(NewBatchScan(latest(left), nil, 97), NewBatchScan(latest(right), nil, 97), []int{1}, []int{0}, schema, false)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -331,7 +331,7 @@ func TestBatchHashJoinBoundsOutputBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bj, err := NewBatchHashJoin(NewBatchScan(left, nil, 0), NewBatchScan(right, nil, 0), []int{0}, []int{0}, schema, false)
+	bj, err := NewBatchHashJoin(NewBatchScan(latest(left), nil, 0), NewBatchScan(latest(right), nil, 0), []int{0}, []int{0}, schema, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,18 +20,6 @@ type VirtualTable interface {
 	Rows() []Row
 }
 
-// Catalog is the read surface the SQL layer resolves table names against and
-// plans over: either the live Database (latest visibility) or a pinned
-// Snapshot (one-epoch visibility).
-type Catalog interface {
-	// Reader returns the named base table's read surface, if it exists.
-	Reader(name string) (TableReader, bool)
-	// Source returns an iterator over any table, base or virtual.
-	Source(name string) (Iterator, error)
-	// SchemaOf returns the schema of any table, base or virtual.
-	SchemaOf(name string) (*Schema, error)
-}
-
 // Database is a named collection of base and virtual tables and the epoch
 // authority for MVCC visibility: all of its tables share one epoch counter,
 // which advances at commit boundaries, so Snapshot can pin a consistent view
@@ -178,15 +166,6 @@ func (db *Database) Table(name string) (*Table, bool) {
 	return t, ok
 }
 
-// Reader implements Catalog with latest visibility.
-func (db *Database) Reader(name string) (TableReader, bool) {
-	t, ok := db.Table(name)
-	if !ok {
-		return nil, false
-	}
-	return t, true
-}
-
 // DropTable removes a base table.
 func (db *Database) DropTable(name string) bool {
 	db.mu.Lock()
@@ -197,37 +176,6 @@ func (db *Database) DropTable(name string) bool {
 	}
 	delete(db.tables, key)
 	return true
-}
-
-// Source returns an iterator and schema for any table, base or virtual.
-func (db *Database) Source(name string) (Iterator, error) {
-	key := strings.ToLower(name)
-	db.mu.RLock()
-	t, isBase := db.tables[key]
-	v, isVirtual := db.virtual[key]
-	db.mu.RUnlock()
-	switch {
-	case isBase:
-		return NewScan(t), nil
-	case isVirtual:
-		return NewLazyScan(v.Schema(), v.Rows), nil
-	default:
-		return nil, fmt.Errorf("relation: no table %q", name)
-	}
-}
-
-// SchemaOf returns the schema of any table, base or virtual.
-func (db *Database) SchemaOf(name string) (*Schema, error) {
-	key := strings.ToLower(name)
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if t, ok := db.tables[key]; ok {
-		return t.Schema(), nil
-	}
-	if v, ok := db.virtual[key]; ok {
-		return v.Schema(), nil
-	}
-	return nil, fmt.Errorf("relation: no table %q", name)
 }
 
 // RowVersions reports the row versions held across base tables and how
@@ -254,27 +202,13 @@ func (db *Database) RegisterMetrics(reg *metrics.Registry) {
 	reg.IntGauge("pages_decoded", zonePagesDecoded.Load)
 }
 
-// Names lists all table names (base then virtual), sorted.
-func (db *Database) Names() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var out []string
-	for _, t := range db.tables {
-		out = append(out, t.Name())
-	}
-	for _, v := range db.virtual {
-		out = append(out, v.Name())
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Snapshot is an immutable, consistent view of a database's tables pinned at
-// one epoch. It implements Catalog, so the SQL layer runs against it exactly
-// as it runs against the live database — every query (including multi-table
-// joins) observes one state. Virtual tables are not versioned: their rows
-// are derived from external stores (the version-control repo, the build
-// system) and materialize at read time.
+// one epoch, and the only catalog: the SQL layer resolves table names against
+// it, so every query (including multi-table joins) observes one state. A
+// "latest" read is a pin at the in-flight write epoch (SnapshotLatest).
+// Virtual tables are not versioned: their rows are derived from external
+// stores (the version-control repo, the build system) and materialize at
+// read time.
 type Snapshot struct {
 	db       *Database
 	epoch    int64
@@ -291,7 +225,7 @@ func (s *Snapshot) Epoch() int64 { return s.epoch }
 // readable afterwards (release only ends retention accounting, it does
 // not invalidate the pinned table states).
 func (s *Snapshot) Release() {
-	if s == nil || s.db == nil {
+	if s == nil {
 		return
 	}
 	if s.released.CompareAndSwap(false, true) {
@@ -318,16 +252,7 @@ func (s *Snapshot) Table(name string) (*TableSnapshot, bool) {
 	return v, ok
 }
 
-// Reader implements Catalog with the snapshot's epoch visibility.
-func (s *Snapshot) Reader(name string) (TableReader, bool) {
-	v, ok := s.tables[strings.ToLower(name)]
-	if !ok {
-		return nil, false
-	}
-	return v, true
-}
-
-// Source implements Catalog.
+// Source returns an iterator over any table, base or virtual.
 func (s *Snapshot) Source(name string) (Iterator, error) {
 	key := strings.ToLower(name)
 	if t, ok := s.tables[key]; ok {
@@ -339,7 +264,7 @@ func (s *Snapshot) Source(name string) (Iterator, error) {
 	return nil, fmt.Errorf("relation: no table %q", name)
 }
 
-// SchemaOf implements Catalog.
+// SchemaOf returns the schema of any table, base or virtual.
 func (s *Snapshot) SchemaOf(name string) (*Schema, error) {
 	key := strings.ToLower(name)
 	if t, ok := s.tables[key]; ok {
@@ -363,11 +288,6 @@ func (s *Snapshot) Names() []string {
 	sort.Strings(out)
 	return out
 }
-
-var (
-	_ Catalog = (*Database)(nil)
-	_ Catalog = (*Snapshot)(nil)
-)
 
 // FuncVirtualTable adapts a closure into a VirtualTable.
 type FuncVirtualTable struct {

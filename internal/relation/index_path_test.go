@@ -55,7 +55,7 @@ func TestScanConcurrentWithInserts(t *testing.T) {
 	}()
 	for i := 0; i < 50; i++ {
 		seen := 0
-		tab.Scan(func(_ RowID, r Row) bool {
+		latest(tab).Scan(func(_ RowID, r Row) bool {
 			seen++
 			_ = r[0].AsInt()
 			return true
@@ -93,7 +93,7 @@ func TestRowsByIDsSkipsInvisibleRows(t *testing.T) {
 	if len(rows) != 2 || rows[0][0].AsInt() != 1 || rows[1][0].AsInt() != 0 {
 		t.Fatalf("snapshot resolved %v, want rows 1 then 0", rows)
 	}
-	if got := len(tab.RowsByIDs(append(ids, 99, -1))); got != 4 {
+	if got := len(latest(tab).RowsByIDs(append(ids, 99, -1))); got != 4 {
 		t.Fatalf("latest view resolved %d rows, want 4", got)
 	}
 }
@@ -173,17 +173,17 @@ func TestIndexIntrospection(t *testing.T) {
 	if _, err := tab.CreateOrderedIndex("score"); err != nil {
 		t.Fatal(err)
 	}
-	hcols := tab.HashIndexColumns()
+	hcols := latest(tab).HashIndexColumns()
 	if len(hcols) != 2 || len(hcols[0]) != 2 {
 		t.Fatalf("HashIndexColumns = %v, want widest-first", hcols)
 	}
-	if ocols := tab.OrderedIndexColumns(); len(ocols) != 1 || ocols[0] != "score" {
+	if ocols := latest(tab).OrderedIndexColumns(); len(ocols) != 1 || ocols[0] != "score" {
 		t.Fatalf("OrderedIndexColumns = %v", ocols)
 	}
-	if _, ok := tab.OrderedIndexOn("score"); !ok {
+	if _, ok := latest(tab).OrderedIndexOn("score"); !ok {
 		t.Fatal("OrderedIndexOn(score) missing")
 	}
-	if _, ok := tab.OrderedIndexOn("name"); ok {
+	if _, ok := latest(tab).OrderedIndexOn("name"); ok {
 		t.Fatal("OrderedIndexOn(name) should not exist")
 	}
 }
@@ -202,7 +202,7 @@ func TestIndexLookupOp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	op, err := NewIndexLookup(tab, []string{"name"}, [][]Value{{Text("a")}}, nil)
+	op, err := NewIndexLookup(latest(tab), []string{"name"}, [][]Value{{Text("a")}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,21 +210,21 @@ func TestIndexLookupOp(t *testing.T) {
 		t.Fatalf("lookup a: %d rows, want 3", got)
 	}
 	// Multi-tuple (IN) lookup.
-	op, err = NewIndexLookup(tab, []string{"name"}, [][]Value{{Text("a")}, {Text("b")}}, nil)
+	op, err = NewIndexLookup(latest(tab), []string{"name"}, [][]Value{{Text("a")}, {Text("b")}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := len(Collect(NewRowsFromBatches(op))); got != 6 {
 		t.Fatalf("lookup a,b: %d rows, want 6", got)
 	}
-	if _, err := NewIndexLookup(tab, []string{"score"}, [][]Value{{Float(1)}}, nil); err == nil {
+	if _, err := NewIndexLookup(latest(tab), []string{"score"}, [][]Value{{Float(1)}}, nil); err == nil {
 		t.Fatal("lookup without index must fail")
 	}
 }
 
 func TestIndexRangeOp(t *testing.T) {
 	tab, _ := scoreTable(t, []Value{Float(0.1), Float(0.4), Float(0.6), Float(0.9)})
-	op, err := NewIndexRange(tab, "score", Float(0.2), Float(0.7), true, true, nil)
+	op, err := NewIndexRange(latest(tab), "score", Float(0.2), Float(0.7), true, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestIndexRangeOp(t *testing.T) {
 	if rows[0][2].AsFloat() != 0.4 || rows[1][2].AsFloat() != 0.6 {
 		t.Fatalf("range order wrong: %v", rows)
 	}
-	if _, err := NewIndexRange(tab, "name", Null(), Null(), true, true, nil); err == nil {
+	if _, err := NewIndexRange(latest(tab), "name", Null(), Null(), true, true, nil); err == nil {
 		t.Fatal("range without index must fail")
 	}
 }
@@ -260,8 +260,8 @@ func TestHashJoinLazyBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	right := &countingIter{in: NewScan(tab)}
-	j, err := NewHashJoin(NewScan(tab), right, []string{"id"}, []string{"id"}, "r")
+	right := &countingIter{in: NewScan(latest(tab))}
+	j, err := NewHashJoin(NewScan(latest(tab)), right, []string{"id"}, []string{"id"}, "r")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,9 @@ func Collect(it Iterator) []Row {
 
 // ---------- Scan ----------
 
-// ScanOp iterates a table snapshot in insertion order. The snapshot is taken
-// lazily on the first Next call, so building an operator tree (e.g. for
-// EXPLAIN) costs nothing.
+// ScanOp iterates a pinned table (or a virtual table's rows) in insertion
+// order. Rows materialize lazily on the first Next call, so building an
+// operator tree (e.g. for EXPLAIN) costs nothing.
 type ScanOp struct {
 	schema *Schema
 	src    func() []Row // nil once materialized
@@ -37,9 +37,9 @@ type ScanOp struct {
 	i      int
 }
 
-// NewScan returns a scan operator over a table read surface (a live table or
-// a pinned snapshot); rows materialize on first Next.
-func NewScan(t TableReader) *ScanOp {
+// NewScan returns a scan operator over a pinned table; rows materialize on
+// first Next.
+func NewScan(t *TableSnapshot) *ScanOp {
 	return &ScanOp{schema: t.Schema(), src: t.Rows}
 }
 
@@ -71,10 +71,10 @@ func (s *ScanOp) Next() (Row, bool) {
 // NewIndexLookup builds the equality-index access path over the hash index
 // covering cols: each entry of keys is one full key tuple (multiple tuples
 // serve IN-list plans). The lookup resolves lazily on the first NextBatch,
-// filtering candidate ids through the reader's row visibility, and gathers
+// filtering candidate ids through the pinned table's visibility, and gathers
 // the needed columns (nil = all) of the matching rows into batches. It fails
 // if no such index exists.
-func NewIndexLookup(t TableReader, cols []string, keys [][]Value, needed []int) (*BatchScanOp, error) {
+func NewIndexLookup(t *TableSnapshot, cols []string, keys [][]Value, needed []int) (*BatchScanOp, error) {
 	ix, ok := t.HashIndexOn(cols...)
 	if !ok {
 		return nil, fmt.Errorf("relation: table %s has no hash index on %v", t.Name(), cols)
@@ -96,9 +96,9 @@ func NewIndexLookup(t TableReader, cols []string, keys [][]Value, needed []int) 
 // NewIndexRange builds the range-index access path over the ordered index on
 // col, producing matching rows in ascending value order. NULL bounds mean
 // unbounded; NULL-valued rows are never produced. The range resolves lazily
-// on the first NextBatch, filtering candidate ids through the reader's
-// visibility, and gathers the needed columns (nil = all) into batches.
-func NewIndexRange(t TableReader, col string, lo, hi Value, loIncl, hiIncl bool, needed []int) (*BatchScanOp, error) {
+// on the first NextBatch, filtering candidate ids through the pinned
+// table's visibility, and gathers the needed columns (nil = all) into batches.
+func NewIndexRange(t *TableSnapshot, col string, lo, hi Value, loIncl, hiIncl bool, needed []int) (*BatchScanOp, error) {
 	ix, ok := t.OrderedIndexOn(col)
 	if !ok {
 		return nil, fmt.Errorf("relation: table %s has no ordered index on %s", t.Name(), col)

@@ -28,7 +28,7 @@ func opsTable(t *testing.T) *Table {
 
 func TestScanCollect(t *testing.T) {
 	tbl := opsTable(t)
-	rows := Collect(NewScan(tbl))
+	rows := Collect(NewScan(latest(tbl)))
 	if len(rows) != 6 {
 		t.Fatalf("scan = %d rows", len(rows))
 	}
@@ -37,7 +37,7 @@ func TestScanCollect(t *testing.T) {
 func TestFilter(t *testing.T) {
 	tbl := opsTable(t)
 	pos := tbl.Schema().Index("metric")
-	it := NewFilter(NewScan(tbl), func(r Row) bool { return Equal(r[pos], Text("acc")) })
+	it := NewFilter(NewScan(latest(tbl)), func(r Row) bool { return Equal(r[pos], Text("acc")) })
 	rows := Collect(it)
 	if len(rows) != 3 {
 		t.Fatalf("filter = %d rows", len(rows))
@@ -47,7 +47,7 @@ func TestFilter(t *testing.T) {
 func TestProjectExpression(t *testing.T) {
 	tbl := opsTable(t)
 	vpos := tbl.Schema().Index("value")
-	it, err := NewProject(NewScan(tbl), []ProjExpr{
+	it, err := NewProject(NewScan(latest(tbl)), []ProjExpr{
 		{Name: "pct", Type: TFloat, Eval: func(r Row) Value { return Float(r[vpos].AsFloat() * 100) }},
 	})
 	if err != nil {
@@ -65,7 +65,7 @@ func TestHashJoin(t *testing.T) {
 	right := NewTable("r", MustSchema(Column{Name: "run", Type: TInt}, Column{Name: "recall", Type: TFloat}))
 	right.InsertMany([]Row{{Int(1), Float(0.7)}, {Int(2), Float(0.75)}, {Int(3), Float(0.6)}})
 
-	j, err := NewHashJoin(NewScan(left), NewScan(right), []string{"run"}, []string{"run"}, "r")
+	j, err := NewHashJoin(NewScan(latest(left)), NewScan(latest(right)), []string{"run"}, []string{"run"}, "r")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 	left.Insert(Row{Null()})
 	right := NewTable("r", MustSchema(Column{Name: "k", Type: TInt}))
 	right.Insert(Row{Null()})
-	j, err := NewHashJoin(NewScan(left), NewScan(right), []string{"k"}, []string{"k"}, "r")
+	j, err := NewHashJoin(NewScan(latest(left)), NewScan(latest(right)), []string{"k"}, []string{"k"}, "r")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestHashJoinDuplicateKeys(t *testing.T) {
 	left.InsertMany([]Row{{Int(1)}, {Int(1)}})
 	right := NewTable("r", MustSchema(Column{Name: "k", Type: TInt}))
 	right.InsertMany([]Row{{Int(1)}, {Int(1)}, {Int(1)}})
-	j, _ := NewHashJoin(NewScan(left), NewScan(right), []string{"k"}, []string{"k"}, "r")
+	j, _ := NewHashJoin(NewScan(latest(left)), NewScan(latest(right)), []string{"k"}, []string{"k"}, "r")
 	if rows := Collect(j); len(rows) != 6 {
 		t.Fatalf("cartesian within key = %d", len(rows))
 	}
@@ -111,7 +111,7 @@ func TestHashJoinDuplicateKeys(t *testing.T) {
 
 func TestSortAscDesc(t *testing.T) {
 	tbl := opsTable(t)
-	s, err := NewSort(NewScan(tbl), []SortKey{{Col: "value", Desc: true}})
+	s, err := NewSort(NewScan(latest(tbl)), []SortKey{{Col: "value", Desc: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestSortAscDesc(t *testing.T) {
 
 func TestSortMultiKeyStable(t *testing.T) {
 	tbl := opsTable(t)
-	s, _ := NewSort(NewScan(tbl), []SortKey{{Col: "metric"}, {Col: "run", Desc: true}})
+	s, _ := NewSort(NewScan(latest(tbl)), []SortKey{{Col: "metric"}, {Col: "run", Desc: true}})
 	rows := Collect(s)
 	// First three are acc with run 3,2,1; then recall with run 3,2,1.
 	if rows[0][1].AsText() != "acc" || rows[0][0].AsInt() != 3 {
@@ -139,24 +139,24 @@ func TestSortMultiKeyStable(t *testing.T) {
 
 func TestLimitOffset(t *testing.T) {
 	tbl := opsTable(t)
-	rows := Collect(NewLimit(NewScan(tbl), 2, 1))
+	rows := Collect(NewLimit(NewScan(latest(tbl)), 2, 1))
 	if len(rows) != 2 {
 		t.Fatalf("limit = %d", len(rows))
 	}
 	if rows[0][1].AsText() != "recall" {
 		t.Fatalf("offset skipped wrong row: %v", rows[0])
 	}
-	if got := Collect(NewLimit(NewScan(tbl), -1, 0)); len(got) != 6 {
+	if got := Collect(NewLimit(NewScan(latest(tbl)), -1, 0)); len(got) != 6 {
 		t.Fatal("negative limit should mean unlimited")
 	}
-	if got := Collect(NewLimit(NewScan(tbl), 100, 10)); len(got) != 0 {
+	if got := Collect(NewLimit(NewScan(latest(tbl)), 100, 10)); len(got) != 0 {
 		t.Fatal("offset past end should be empty")
 	}
 }
 
 func TestGroupByWithAggregates(t *testing.T) {
 	tbl := opsTable(t)
-	g, err := NewGroup(NewScan(tbl), []string{"metric"}, []AggSpec{
+	g, err := NewGroup(NewScan(latest(tbl)), []string{"metric"}, []AggSpec{
 		{Kind: AggCountStar, As: "n"},
 		{Kind: AggAvg, Col: "value", As: "avg_v"},
 		{Kind: AggMax, Col: "value", As: "max_v"},
@@ -191,7 +191,7 @@ func TestGroupByWithAggregates(t *testing.T) {
 
 func TestGlobalAggregateEmptyInput(t *testing.T) {
 	tbl := NewTable("e", MustSchema(Column{Name: "v", Type: TFloat}))
-	g, _ := NewGroup(NewScan(tbl), nil, []AggSpec{
+	g, _ := NewGroup(NewScan(latest(tbl)), nil, []AggSpec{
 		{Kind: AggCountStar, As: "n"},
 		{Kind: AggSum, Col: "v", As: "s"},
 	})
@@ -206,7 +206,7 @@ func TestGlobalAggregateEmptyInput(t *testing.T) {
 
 func TestGroupByEmptyInputNoGroups(t *testing.T) {
 	tbl := NewTable("e", MustSchema(Column{Name: "k", Type: TText}, Column{Name: "v", Type: TFloat}))
-	g, _ := NewGroup(NewScan(tbl), []string{"k"}, []AggSpec{{Kind: AggCountStar, As: "n"}})
+	g, _ := NewGroup(NewScan(latest(tbl)), []string{"k"}, []AggSpec{{Kind: AggCountStar, As: "n"}})
 	if rows := Collect(g); len(rows) != 0 {
 		t.Fatalf("grouped empty input should yield 0 rows, got %d", len(rows))
 	}
@@ -215,7 +215,7 @@ func TestGroupByEmptyInputNoGroups(t *testing.T) {
 func TestAggregatesIgnoreNulls(t *testing.T) {
 	tbl := NewTable("n", MustSchema(Column{Name: "v", Type: TFloat}))
 	tbl.InsertMany([]Row{{Float(1)}, {Null()}, {Float(3)}})
-	g, _ := NewGroup(NewScan(tbl), nil, []AggSpec{
+	g, _ := NewGroup(NewScan(latest(tbl)), nil, []AggSpec{
 		{Kind: AggCount, Col: "v", As: "c"},
 		{Kind: AggCountStar, As: "cs"},
 		{Kind: AggAvg, Col: "v", As: "a"},
@@ -229,7 +229,7 @@ func TestAggregatesIgnoreNulls(t *testing.T) {
 func TestDistinct(t *testing.T) {
 	tbl := NewTable("d", MustSchema(Column{Name: "v", Type: TInt}))
 	tbl.InsertMany([]Row{{Int(1)}, {Int(2)}, {Int(1)}, {Int(3)}, {Int(2)}})
-	rows := Collect(NewDistinct(NewScan(tbl)))
+	rows := Collect(NewDistinct(NewScan(latest(tbl))))
 	if len(rows) != 3 {
 		t.Fatalf("distinct = %d", len(rows))
 	}
@@ -241,7 +241,7 @@ func TestSortIsPermutationProperty(t *testing.T) {
 		for _, v := range vals {
 			tbl.Insert(Row{Int(int64(v))})
 		}
-		s, _ := NewSort(NewScan(tbl), []SortKey{{Col: "v"}})
+		s, _ := NewSort(NewScan(latest(tbl)), []SortKey{{Col: "v"}})
 		rows := Collect(s)
 		if len(rows) != len(vals) {
 			return false
@@ -271,7 +271,7 @@ func TestSortIsPermutationProperty(t *testing.T) {
 	}
 }
 
-func TestDatabaseCatalog(t *testing.T) {
+func TestSnapshotCatalog(t *testing.T) {
 	db := NewDatabase()
 	s := MustSchema(Column{Name: "v", Type: TInt})
 	if _, err := db.CreateTable("t1", s); err != nil {
@@ -290,7 +290,9 @@ func TestDatabaseCatalog(t *testing.T) {
 	if err := db.RegisterVirtual(vt); err == nil {
 		t.Fatal("duplicate virtual must fail")
 	}
-	it, err := db.Source("vt")
+	snap := db.SnapshotLatest()
+	defer snap.Release()
+	it, err := snap.Source("vt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,10 +300,13 @@ func TestDatabaseCatalog(t *testing.T) {
 	if len(rows) != 1 || rows[0][0].AsInt() != 42 {
 		t.Fatalf("virtual rows: %v", rows)
 	}
-	if _, err := db.Source("missing"); err == nil {
+	if _, err := snap.Source("missing"); err == nil {
 		t.Fatal("missing table must error")
 	}
-	names := db.Names()
+	if _, err := snap.SchemaOf("missing"); err == nil {
+		t.Fatal("missing table schema must error")
+	}
+	names := snap.Names()
 	if len(names) != 2 || names[0] != "t1" || names[1] != "vt" {
 		t.Fatalf("names: %v", names)
 	}

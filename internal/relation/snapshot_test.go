@@ -27,12 +27,12 @@ func TestSnapshotSeesOnlyCommittedRows(t *testing.T) {
 	tbl.Insert(Row{Int(2), Text("b")}) // in flight, uncommitted
 
 	snap := db.Snapshot()
-	r, _ := snap.Reader("t")
+	r, _ := snap.Table("t")
 	if got := len(r.Rows()); got != 1 {
 		t.Fatalf("committed snapshot rows = %d, want 1", got)
 	}
 	latest := db.SnapshotLatest()
-	lr, _ := latest.Reader("t")
+	lr, _ := latest.Table("t")
 	if got := len(lr.Rows()); got != 2 {
 		t.Fatalf("latest snapshot rows = %d, want 2", got)
 	}
@@ -41,7 +41,7 @@ func TestSnapshotSeesOnlyCommittedRows(t *testing.T) {
 	if got := len(r.Rows()); got != 1 {
 		t.Fatalf("pinned snapshot moved: rows = %d", got)
 	}
-	r2, _ := db.Snapshot().Reader("t")
+	r2, _ := db.Snapshot().Table("t")
 	if got := len(r2.Rows()); got != 2 {
 		t.Fatalf("new snapshot rows = %d, want 2", got)
 	}
@@ -61,7 +61,7 @@ func TestSnapshotLenIsVisibleRows(t *testing.T) {
 	check := func(what string, snap *Snapshot, want int) {
 		t.Helper()
 		defer snap.Release()
-		r, _ := snap.Reader("t")
+		r, _ := snap.Table("t")
 		if got, rows := r.Len(), len(r.Rows()); got != want || rows != want {
 			t.Fatalf("%s: Len() = %d over %d visible rows, want %d", what, got, rows, want)
 		}
@@ -85,7 +85,7 @@ func TestPinnedLatestViewImmuneToLaterInserts(t *testing.T) {
 	db, tbl := snapDB(t)
 	id, _ := tbl.Insert(Row{Int(1), Text("a")}) // in flight, uncommitted
 	latest := db.SnapshotLatest()
-	r, _ := latest.Reader("t")
+	r, _ := latest.Table("t")
 	if _, ok := r.Get(id); !ok {
 		t.Fatal("latest view must see the in-flight row")
 	}
@@ -100,7 +100,7 @@ func TestPinnedLatestViewImmuneToLaterInserts(t *testing.T) {
 		t.Fatalf("pinned latest view resolves %d of two ids, want 1", got)
 	}
 	// A fresh latest view reflects the insert.
-	r2, _ := db.SnapshotLatest().Reader("t")
+	r2, _ := db.SnapshotLatest().Table("t")
 	if _, ok := r2.Get(nid); !ok {
 		t.Fatal("fresh latest view misses the new row")
 	}
@@ -118,7 +118,7 @@ func TestSnapshotIndexLookupFiltersVisibility(t *testing.T) {
 	tbl.Insert(Row{Int(2), Text("x")})
 	db.AdvanceEpoch(time.Now())
 
-	r, _ := snap.Reader("t")
+	r, _ := snap.Table("t")
 	ix, ok := r.HashIndexOn("name")
 	if !ok {
 		t.Fatal("index missing from snapshot")
@@ -127,7 +127,7 @@ func TestSnapshotIndexLookupFiltersVisibility(t *testing.T) {
 	if len(rows) != 1 || rows[0][0].AsInt() != 1 {
 		t.Fatalf("snapshot lookup = %v, want only the old row", rows)
 	}
-	if lrows := tbl.RowsByIDs(ix.Lookup(Text("x"))); len(lrows) != 2 {
+	if lrows := latest(tbl).RowsByIDs(ix.Lookup(Text("x"))); len(lrows) != 2 {
 		t.Fatalf("latest lookup = %v, want both rows", lrows)
 	}
 }
@@ -152,8 +152,8 @@ func TestSnapshotMultiTableConsistentCut(t *testing.T) {
 	}()
 	for i := 0; i < 500; i++ {
 		snap := db.Snapshot()
-		ra, _ := snap.Reader("a")
-		rb, _ := snap.Reader("b")
+		ra, _ := snap.Table("a")
+		rb, _ := snap.Table("b")
 		na, nb := len(ra.Rows()), len(rb.Rows())
 		if na != nb {
 			stop.Store(true)
@@ -193,7 +193,7 @@ func TestSnapshotScanDoesNotBlockWriter(t *testing.T) {
 			defer readers.Done()
 			for i := 0; i < 200; i++ {
 				snap := db.Snapshot()
-				tr, _ := snap.Reader("t")
+				tr, _ := snap.Table("t")
 				n := 0
 				tr.Scan(func(_ RowID, row Row) bool {
 					_ = row[0].AsInt()
@@ -236,7 +236,7 @@ func TestSnapshotPinAccounting(t *testing.T) {
 	}
 	// A released snapshot stays readable: release ends retention
 	// accounting, it does not invalidate the pinned state.
-	if r, ok := s1.Reader("t"); !ok || len(r.Rows()) != 1 {
+	if r, ok := s1.Table("t"); !ok || len(r.Rows()) != 1 {
 		t.Fatalf("released snapshot is no longer readable")
 	}
 	s2.Release()
@@ -261,7 +261,7 @@ func TestSnapshotPinAccountingConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				s := db.Snapshot()
-				if _, ok := s.Reader("t"); !ok {
+				if _, ok := s.Table("t"); !ok {
 					t.Error("snapshot lost table t")
 				}
 				s.Release()

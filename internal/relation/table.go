@@ -21,10 +21,12 @@ type RowID int64
 //     exactly a prefix of the store.
 //   - Writers serialize on an internal mutex and publish each change as a new
 //     immutable tableState via an atomic pointer.
-//   - Readers load the published state without taking any lock: "latest"
-//     reads (the Table methods below) see every published row, while
-//     snapshot reads (Database.Snapshot / Table.At) see the prefix visible at
-//     one pinned epoch — with zero copying.
+//   - Readers never read a Table directly: they pin it (Table.At, or
+//     Database.Snapshot for every table at one epoch) and read the
+//     TableSnapshot, which loads the published state without taking any lock
+//     and sees the prefix visible at the pinned epoch — with zero copying. A
+//     "latest" read is a pin at the in-flight write epoch
+//     (Database.SnapshotLatest).
 //
 // Epochs advance at commit boundaries (Database.AdvanceEpoch). Rows written
 // between commits are stamped with the next epoch, so a committed-epoch
@@ -88,7 +90,7 @@ func (t *Table) Schema() *Schema { return t.schema }
 // transaction will publish at its commit boundary.
 func (t *Table) writeEpoch() int64 { return t.epoch.Load() + 1 }
 
-// Len returns the number of rows in the latest view.
+// Len returns the number of published rows, committed or not.
 func (t *Table) Len() int { return len(t.state.Load().rows) }
 
 // Insert validates and appends a row, maintaining all indexes. It returns
@@ -215,22 +217,6 @@ func (t *Table) InsertMany(rows []Row) error {
 	return nil
 }
 
-// Get returns the row with the given id, or false if it never existed. The
-// returned row must not be mutated.
-func (t *Table) Get(id RowID) (Row, bool) {
-	st := t.state.Load()
-	return st.get(len(st.rows), id)
-}
-
-// Scan calls fn for each row in insertion order; returning false stops the
-// scan. The row must not be mutated. The scan walks the published state
-// directly — no lock is taken and nothing is copied; rows inserted after the
-// state was loaded are not reflected.
-func (t *Table) Scan(fn func(id RowID, r Row) bool) {
-	st := t.state.Load()
-	st.scan(len(st.rows), fn)
-}
-
 // visibleLen returns n(epoch), the number of rows visible at epoch: because
 // born is nondecreasing in store order, they are exactly rows[:n]. The
 // common pin — no row born after it — costs one comparison.
@@ -240,55 +226,6 @@ func (s *tableState) visibleLen(epoch int64) int {
 		return n
 	}
 	return sort.Search(n, func(i int) bool { return s.born[i] > epoch })
-}
-
-// scan walks the first n rows.
-func (s *tableState) scan(n int, fn func(id RowID, r Row) bool) {
-	for id, r := range s.rows[:n] {
-		if !fn(RowID(id), r) {
-			return
-		}
-	}
-}
-
-// get returns row id if it lies within the first n rows.
-func (s *tableState) get(n int, id RowID) (Row, bool) {
-	if id < 0 || int(id) >= n {
-		return nil, false
-	}
-	return s.rows[id], true
-}
-
-// rowsByIDs returns the rows among ids that lie within the first n rows.
-func (s *tableState) rowsByIDs(n int, ids []RowID) []Row {
-	out := make([]Row, 0, len(ids))
-	for _, id := range ids {
-		if id >= 0 && int(id) < n {
-			out = append(out, s.rows[id])
-		}
-	}
-	return out
-}
-
-// RowsByIDs returns the rows among ids in the given order. Index access
-// paths use it to fetch the rows an index lookup produced.
-func (t *Table) RowsByIDs(ids []RowID) []Row {
-	st := t.state.Load()
-	return st.rowsByIDs(len(st.rows), ids)
-}
-
-// Rows returns the rows in insertion order. The slice shares the row store
-// and must not be mutated.
-func (t *Table) Rows() []Row {
-	rows := t.state.Load().rows
-	return rows[:len(rows):len(rows)]
-}
-
-// batchState exposes the published state and the length of the prefix batch
-// scans walk (see BatchScanOp); latest reads walk the whole store.
-func (t *Table) batchState() (*tableState, int) {
-	st := t.state.Load()
-	return st, len(st.rows)
 }
 
 // At pins the table's current state at the given epoch, returning a
@@ -351,54 +288,6 @@ func (t *Table) CreateOrderedIndex(col string) (*OrderedIndex, error) {
 	return ix, nil
 }
 
-// HashIndexOn returns the hash index over the given columns, if present.
-// Lookups may return rows a pinned view cannot see yet; resolve the ids
-// through RowsByIDs (or a snapshot) to apply visibility.
-func (t *Table) HashIndexOn(cols ...string) (*HashIndex, bool) {
-	ix, ok := t.state.Load().indexes[indexKey(cols)]
-	return ix, ok
-}
-
-// OrderedIndexOn returns the ordered index over the given column, if present.
-func (t *Table) OrderedIndexOn(col string) (*OrderedIndex, bool) {
-	ix, ok := t.state.Load().ordered[indexKey([]string{col})]
-	return ix, ok
-}
-
-// HashIndexColumns lists the column sets of the table's hash indexes, sorted
-// widest-first so planners can prefer the most selective covering index.
-func (t *Table) HashIndexColumns() [][]string {
-	return t.state.Load().hashIndexColumns()
-}
-
-func (s *tableState) hashIndexColumns() [][]string {
-	out := make([][]string, 0, len(s.indexes))
-	for _, ix := range s.indexes {
-		out = append(out, append([]string(nil), ix.cols...))
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if len(out[a]) != len(out[b]) {
-			return len(out[a]) > len(out[b])
-		}
-		return indexKey(out[a]) < indexKey(out[b])
-	})
-	return out
-}
-
-// OrderedIndexColumns lists the columns carrying ordered indexes, sorted.
-func (t *Table) OrderedIndexColumns() []string {
-	return t.state.Load().orderedIndexColumns()
-}
-
-func (s *tableState) orderedIndexColumns() []string {
-	out := make([]string, 0, len(s.ordered))
-	for _, ix := range s.ordered {
-		out = append(out, ix.col)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func (t *Table) resolve(cols []string) ([]int, error) {
 	positions := make([]int, len(cols))
 	for i, c := range cols {
@@ -423,8 +312,10 @@ func indexKey(cols []string) string {
 }
 
 // TableSnapshot is an immutable view of one table pinned at one epoch: the
-// first n rows of the pinned state. All methods are lock-free and safe for
-// concurrent use; none of them copy the row store. It implements TableReader.
+// first n rows of the pinned state. It is the only table read surface — the
+// SQL planner, the pivot engine, hindsight replay and every other reader
+// operate on it. All methods are lock-free and safe for concurrent use; none
+// of them copy the row store.
 type TableSnapshot struct {
 	name   string
 	schema *Schema
@@ -433,8 +324,7 @@ type TableSnapshot struct {
 	n      int // rows visible at epoch: st.visibleLen(epoch), found once per pin
 	// owner is the table the snapshot was pinned from; batch scans reach the
 	// shared zone-map cache through it (zone maps derive from immutable data,
-	// so sharing them across snapshots of any epoch is sound). nil for
-	// hand-built snapshots, which then scan without pruning.
+	// so sharing them across snapshots of any epoch is sound).
 	owner *Table
 }
 
@@ -450,23 +340,43 @@ func (v *TableSnapshot) Epoch() int64 { return v.epoch }
 // Len returns the number of rows visible in the view.
 func (v *TableSnapshot) Len() int { return v.n }
 
-// Scan calls fn for each visible row in insertion order.
-func (v *TableSnapshot) Scan(fn func(id RowID, r Row) bool) { v.st.scan(v.n, fn) }
+// Scan calls fn for each visible row in insertion order; returning false
+// stops the scan. The row must not be mutated.
+func (v *TableSnapshot) Scan(fn func(id RowID, r Row) bool) {
+	for id, r := range v.Rows() {
+		if !fn(RowID(id), r) {
+			return
+		}
+	}
+}
 
-// Get returns the row with the given id if it is visible in the view.
-func (v *TableSnapshot) Get(id RowID) (Row, bool) { return v.st.get(v.n, id) }
+// Get returns the row with the given id if it is visible in the view. The
+// returned row must not be mutated.
+func (v *TableSnapshot) Get(id RowID) (Row, bool) {
+	if id < 0 || int(id) >= v.n {
+		return nil, false
+	}
+	return v.st.rows[id], true
+}
 
 // Rows returns the visible rows in insertion order. The slice shares the
 // row store and must not be mutated.
 func (v *TableSnapshot) Rows() []Row { return v.st.rows[:v.n:v.n] }
 
-// RowsByIDs returns the visible rows among ids in the given order.
-func (v *TableSnapshot) RowsByIDs(ids []RowID) []Row { return v.st.rowsByIDs(v.n, ids) }
-
-// batchState exposes the pinned state and its visible prefix for batch scans.
-func (v *TableSnapshot) batchState() (*tableState, int) { return v.st, v.n }
+// RowsByIDs returns the visible rows among ids in the given order. Index
+// access paths use it to resolve the candidate ids an index lookup produced.
+func (v *TableSnapshot) RowsByIDs(ids []RowID) []Row {
+	out := make([]Row, 0, len(ids))
+	for _, id := range ids {
+		if r, ok := v.Get(id); ok {
+			out = append(out, r)
+		}
+	}
+	return out
+}
 
 // HashIndexOn returns the hash index over the given columns, if present.
+// Lookups return candidate ids; resolve them through Get or RowsByIDs.
 func (v *TableSnapshot) HashIndexOn(cols ...string) (*HashIndex, bool) {
 	ix, ok := v.st.indexes[indexKey(cols)]
 	return ix, ok
@@ -478,34 +388,31 @@ func (v *TableSnapshot) OrderedIndexOn(col string) (*OrderedIndex, bool) {
 	return ix, ok
 }
 
-// HashIndexColumns lists the column sets of the table's hash indexes.
-func (v *TableSnapshot) HashIndexColumns() [][]string { return v.st.hashIndexColumns() }
-
-// OrderedIndexColumns lists the columns carrying ordered indexes.
-func (v *TableSnapshot) OrderedIndexColumns() []string { return v.st.orderedIndexColumns() }
-
-// TableReader is the read surface shared by live tables (latest visibility)
-// and pinned TableSnapshots (epoch visibility). The SQL planner, the pivot
-// engine, and every other reader operate on it, so the same code path serves
-// both a single-user session and concurrent snapshot readers.
-type TableReader interface {
-	Name() string
-	Schema() *Schema
-	Len() int
-	Scan(fn func(id RowID, r Row) bool)
-	Get(id RowID) (Row, bool)
-	Rows() []Row
-	RowsByIDs(ids []RowID) []Row
-	HashIndexOn(cols ...string) (*HashIndex, bool)
-	OrderedIndexOn(col string) (*OrderedIndex, bool)
-	HashIndexColumns() [][]string
-	OrderedIndexColumns() []string
+// HashIndexColumns lists the column sets of the table's hash indexes, sorted
+// widest-first so planners can prefer the most selective covering index.
+func (v *TableSnapshot) HashIndexColumns() [][]string {
+	out := make([][]string, 0, len(v.st.indexes))
+	for _, ix := range v.st.indexes {
+		out = append(out, append([]string(nil), ix.cols...))
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if len(out[a]) != len(out[b]) {
+			return len(out[a]) > len(out[b])
+		}
+		return indexKey(out[a]) < indexKey(out[b])
+	})
+	return out
 }
 
-var (
-	_ TableReader = (*Table)(nil)
-	_ TableReader = (*TableSnapshot)(nil)
-)
+// OrderedIndexColumns lists the columns carrying ordered indexes, sorted.
+func (v *TableSnapshot) OrderedIndexColumns() []string {
+	out := make([]string, 0, len(v.st.ordered))
+	for _, ix := range v.st.ordered {
+		out = append(out, ix.col)
+	}
+	sort.Strings(out)
+	return out
+}
 
 // HashIndex is an equality index over one or more columns. Buckets hold a
 // pointer to their id slice so the hot add path appends through the pointer
@@ -567,9 +474,8 @@ func (ix *HashIndex) addLocked(id RowID, r Row) {
 }
 
 // Lookup returns the RowIDs whose indexed columns equal the given values.
-// The ids are candidates: callers must resolve them through a visibility
-// filter (Table.RowsByIDs or a TableSnapshot) because rows born after a
-// pinned epoch are indexed too.
+// The ids are candidates: callers must resolve them through a TableSnapshot
+// (Get or RowsByIDs) because rows born after a pinned epoch are indexed too.
 func (ix *HashIndex) Lookup(vals ...Value) []RowID {
 	if len(vals) != len(ix.positions) {
 		return nil

@@ -7,6 +7,10 @@ import (
 	"testing/quick"
 )
 
+// latest pins t at its in-flight write epoch: every published row, the view
+// Database.SnapshotLatest gives of a whole database.
+func latest(t *Table) *TableSnapshot { return t.At(t.writeEpoch()) }
+
 func testSchema(t *testing.T) *Schema {
 	t.Helper()
 	s, err := NewSchema(
@@ -68,12 +72,12 @@ func TestTableInsertGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, ok := tbl.Get(id)
+	r, ok := latest(tbl).Get(id)
 	if !ok || r[1].AsText() != "a" {
 		t.Fatalf("get: %v %v", r, ok)
 	}
 	for _, missing := range []RowID{-1, id + 1} {
-		if _, ok := tbl.Get(missing); ok {
+		if _, ok := latest(tbl).Get(missing); ok {
 			t.Fatalf("get(%d) found a row that was never inserted", missing)
 		}
 	}
@@ -90,7 +94,7 @@ func TestTableScanOrder(t *testing.T) {
 		}
 	}
 	var got []int64
-	tbl.Scan(func(_ RowID, r Row) bool {
+	latest(tbl).Scan(func(_ RowID, r Row) bool {
 		got = append(got, r[0].AsInt())
 		return true
 	})
@@ -107,7 +111,7 @@ func TestTableScanEarlyStop(t *testing.T) {
 		tbl.Insert(Row{Int(int64(i)), Text("x"), Float(0)})
 	}
 	n := 0
-	tbl.Scan(func(_ RowID, _ Row) bool {
+	latest(tbl).Scan(func(_ RowID, _ Row) bool {
 		n++
 		return n < 3
 	})
@@ -127,7 +131,7 @@ func TestHashIndexLookupAndMaintenance(t *testing.T) {
 		id, _ := tbl.Insert(Row{Int(int64(i)), Text(fmt.Sprintf("n%d", i%2)), Float(0)})
 		ids = append(ids, id)
 	}
-	n0 := func() int { return len(tbl.RowsByIDs(ix.Lookup(Text("n0")))) }
+	n0 := func() int { return len(latest(tbl).RowsByIDs(ix.Lookup(Text("n0")))) }
 	if got := n0(); got != 3 {
 		t.Fatalf("lookup n0 = %d rows", got)
 	}
@@ -184,7 +188,7 @@ func TestOrderedIndexRange(t *testing.T) {
 	}
 	var prev float64 = -1
 	for _, id := range ids {
-		r, _ := tbl.Get(id)
+		r, _ := latest(tbl).Get(id)
 		f := r[2].AsFloat()
 		if f < prev {
 			t.Fatal("range result not ascending")
@@ -208,12 +212,12 @@ func TestOrderedIndexMinMax(t *testing.T) {
 	if !ok {
 		t.Fatal("min missing")
 	}
-	r, _ := tbl.Get(id)
+	r, _ := latest(tbl).Get(id)
 	if r[2].AsFloat() != 0.2 {
 		t.Fatalf("min = %v", r)
 	}
 	id, _ = ix.Max()
-	r, _ = tbl.Get(id)
+	r, _ = latest(tbl).Get(id)
 	if r[2].AsFloat() != 0.7 {
 		t.Fatalf("max = %v", r)
 	}
@@ -240,7 +244,7 @@ func TestTableConcurrentInserts(t *testing.T) {
 	if tbl.Len() != workers*per {
 		t.Fatalf("len = %d want %d", tbl.Len(), workers*per)
 	}
-	ix, _ := tbl.HashIndexOn("name")
+	ix, _ := latest(tbl).HashIndexOn("name")
 	if got := len(ix.Lookup(Text("c"))); got != workers*per {
 		t.Fatalf("index count = %d", got)
 	}
@@ -257,7 +261,7 @@ func TestOrderedIndexSortedProperty(t *testing.T) {
 		ids := ix.Range(Null(), Null())
 		var prev int64 = -1 << 62
 		for _, id := range ids {
-			r, _ := tbl.Get(id)
+			r, _ := latest(tbl).Get(id)
 			if r[0].AsInt() < prev {
 				return false
 			}

@@ -28,19 +28,6 @@ func (e *EpochRetiredError) Error() string {
 // Unwrap makes errors.Is(err, ErrEpochRetired) work.
 func (e *EpochRetiredError) Unwrap() error { return ErrEpochRetired }
 
-// TimeTraveler is a catalog that can rebase itself at a historical epoch. Both
-// Database and Snapshot implement it, so the SQL executor can honor an
-// `AS OF <epoch>` or `AS OF TIMESTAMP '<t>'` clause against either without
-// knowing which it was given.
-type TimeTraveler interface {
-	Catalog
-	// AsOf returns a catalog view pinned at the given epoch and a release
-	// function the caller must invoke when done with it (it may be a no-op).
-	AsOf(epoch int64) (Catalog, func(), error)
-	// EpochAt resolves a wall-clock time to the epoch AS OF TIMESTAMP reads.
-	EpochAt(t time.Time) int64
-}
-
 // EpochStamp maps one committed epoch to the wall-clock time of the commit
 // that published it. The ordered list of stamps is the epoch↔timestamp map
 // AS OF TIMESTAMP binary-searches; snapshot meta persists it under these
@@ -166,32 +153,19 @@ func (db *Database) GCBelow(floor int64) int64 {
 	return floor
 }
 
-// AsOf implements TimeTraveler for the live database: a real pin at the
-// historical epoch, released by the returned function.
-func (db *Database) AsOf(epoch int64) (Catalog, func(), error) {
-	snap, err := db.SnapshotAt(epoch)
-	if err != nil {
-		return nil, nil, err
-	}
-	return snap, snap.Release, nil
-}
-
-// AsOf implements TimeTraveler for an already-pinned snapshot. Rebasing to the
-// snapshot's own epoch is free; rebasing lower takes a fresh pin from the
-// owning database, which is equivalent to narrowing this snapshot's
-// visibility: table states only grow, so the lower epoch's visible prefix is
-// the same rows in either state.
-// Rebasing above the pinned epoch is refused: a pinned view must not leak
+// AsOf rebases the snapshot at a historical epoch for an `AS OF <epoch>` or
+// `AS OF TIMESTAMP '<t>'` read, returning a release function the caller must
+// invoke when done. Rebasing to the snapshot's own epoch is free; rebasing
+// lower takes a fresh pin from the owning database, which is equivalent to
+// narrowing this snapshot's visibility: table states only grow, so the lower
+// epoch's visible prefix is the same rows in either state. Rebasing above the pinned epoch is refused: a pinned view must not leak
 // commits from after its pin.
-func (s *Snapshot) AsOf(epoch int64) (Catalog, func(), error) {
+func (s *Snapshot) AsOf(epoch int64) (*Snapshot, func(), error) {
 	if epoch == s.epoch {
 		return s, func() {}, nil
 	}
 	if epoch > s.epoch {
 		return nil, nil, fmt.Errorf("relation: epoch %d is beyond this snapshot (pinned at %d)", epoch, s.epoch)
-	}
-	if s.db == nil {
-		return nil, nil, fmt.Errorf("relation: snapshot is detached, cannot rebase to epoch %d", epoch)
 	}
 	snap, err := s.db.SnapshotAt(epoch)
 	if err != nil {
@@ -200,18 +174,9 @@ func (s *Snapshot) AsOf(epoch int64) (Catalog, func(), error) {
 	return snap, snap.Release, nil
 }
 
-// EpochAt implements TimeTraveler for a pinned snapshot: the owning
+// EpochAt resolves a wall-clock time for a pinned snapshot: the owning
 // database's resolution, clamped to the pinned epoch — commits after the pin
-// cannot be visible through it. A detached snapshot has no clock and
-// resolves to 0, which AsOf refuses unless that is its own epoch.
+// cannot be visible through it.
 func (s *Snapshot) EpochAt(t time.Time) int64 {
-	if s.db == nil {
-		return 0
-	}
 	return min(s.db.EpochAt(t), s.epoch)
 }
-
-var (
-	_ TimeTraveler = (*Database)(nil)
-	_ TimeTraveler = (*Snapshot)(nil)
-)

@@ -28,7 +28,7 @@ func TestSnapshotAtSeesHistoricalPrefix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("SnapshotAt(%d): %v", e, err)
 		}
-		r, _ := snap.Reader("t")
+		r, _ := snap.Table("t")
 		if got := len(r.Rows()); got != int(e) {
 			t.Fatalf("epoch %d sees %d rows, want %d", e, got, e)
 		}
@@ -74,7 +74,7 @@ func TestGCBelowRetiresEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer snap.Release()
-	r, _ := snap.Reader("t")
+	r, _ := snap.Table("t")
 	if got := len(r.Rows()); got != 3 {
 		t.Fatalf("floor epoch rows = %d, want 3", got)
 	}
@@ -94,7 +94,7 @@ func TestGCBelowClampsToOldestPin(t *testing.T) {
 		t.Fatalf("GC with live pin at 2 applied floor %d, want clamp to 2", applied)
 	}
 	// The pinned epoch must remain readable.
-	r, _ := snap.Reader("t")
+	r, _ := snap.Table("t")
 	if got := len(r.Rows()); got != 2 {
 		t.Fatalf("pinned snapshot rows = %d, want 2", got)
 	}
@@ -132,7 +132,7 @@ func TestSnapshotAsOfRebases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if same != Catalog(snap) {
+	if same != snap {
 		t.Fatal("AsOf(own epoch) should return the snapshot itself")
 	}
 	release()
@@ -142,7 +142,7 @@ func TestSnapshotAsOfRebases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _ := past.Reader("t")
+	r, _ := past.Table("t")
 	if got := len(r.Rows()); got != 1 {
 		t.Fatalf("rebased rows = %d, want 1", got)
 	}
@@ -154,17 +154,19 @@ func TestSnapshotAsOfRebases(t *testing.T) {
 	}
 }
 
-func TestDatabaseAsOfPinsAndReleases(t *testing.T) {
+func TestSnapshotAsOfPinsAndReleases(t *testing.T) {
 	db, _ := travelDB(t, 3)
+	latest := db.SnapshotLatest()
+	defer latest.Release()
 	before := db.Pins()
-	cat, release, err := db.AsOf(2)
+	cat, release, err := latest.AsOf(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if db.Pins() != before+1 {
 		t.Fatalf("Pins = %d, want %d", db.Pins(), before+1)
 	}
-	r, _ := cat.Reader("t")
+	r, _ := cat.Table("t")
 	if got := len(r.Rows()); got != 2 {
 		t.Fatalf("rows = %d, want 2", got)
 	}
@@ -259,11 +261,11 @@ func TestGCKeepsLiveRowsAndIndexes(t *testing.T) {
 	if tbl.Len() != 2 {
 		t.Fatalf("len after GC = %d, want 2", tbl.Len())
 	}
-	got, ok := tbl.Get(keep)
+	got, ok := latest(tbl).Get(keep)
 	if !ok || got[1].AsText() != "keep" {
 		t.Fatalf("row damaged: %v %v", got, ok)
 	}
-	idx, ok := tbl.HashIndexOn("k")
+	idx, ok := latest(tbl).HashIndexOn("k")
 	if !ok {
 		t.Fatal("index lost")
 	}

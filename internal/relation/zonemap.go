@@ -66,15 +66,6 @@ type zoneCache struct {
 	pages []PageZone
 }
 
-// zoneTabler is the internal surface through which a batch scan reaches the
-// zone cache of the table backing its read surface.
-type zoneTabler interface {
-	zoneTable() *Table
-}
-
-func (t *Table) zoneTable() *Table         { return t }
-func (v *TableSnapshot) zoneTable() *Table { return v.owner }
-
 // zonePages returns zone maps covering every complete page within st's row
 // store, building and caching any pages not yet computed. Safe for
 // concurrent use: losing a publish race at worst discards work, never

@@ -33,9 +33,11 @@ import (
 // dump renders every base-table row of a session as strings for multiset
 // comparison between primary and replica.
 func dump(s *flor.Session) []string {
-	t := s.Tables()
+	snap := s.Database().SnapshotLatest()
+	defer snap.Release()
 	var out []string
-	for _, tbl := range []*relation.Table{t.Logs, t.Loops, t.Ts2vid, t.ObjStore, t.Args} {
+	for _, name := range []string{"logs", "loops", "ts2vid", "obj_store", "args"} {
+		tbl, _ := snap.Table(name)
 		tbl.Scan(func(_ relation.RowID, r relation.Row) bool {
 			line := tbl.Name()
 			for _, v := range r {

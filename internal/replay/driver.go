@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -20,12 +21,22 @@ import (
 // statements into every prior version via statement-level diffing, and (b)
 // replays each version selectively and in parallel to materialize the new
 // metadata (§2's "magic trick").
+//
+// Replays read history — args, loop contexts, checkpoints — through View, a
+// pinned snapshot of the tables, and write what they backfill through
+// Tables, as recording does. Tables, View and NextCtx are required:
+// Hindsight refuses a driver that lacks one.
 type Driver struct {
 	Repo   *vcs.Repo
 	Tables *record.Tables
+	View   *record.TablesView
 	WAL    *storage.WAL       // optional
 	Blobs  *storage.BlobStore // optional
 	ProjID string
+	// NextCtx allocates the ctx_id of a loop context a replay creates. The
+	// owning session passes its recorder's allocator (Recorder.NextCtx), so
+	// backfilled and recorded loops rows never share an id.
+	NextCtx func() int64
 	// Setup registers host functions on each replay interpreter (model
 	// constructors, featurizers, ...). It runs once per replayed version.
 	Setup func(in *script.Interp)
@@ -56,6 +67,9 @@ type VersionReport struct {
 // `filename`, whose newest content is newSrc, across the given historical
 // versions. Reports are returned in the order of `versions`.
 func (d *Driver) Hindsight(filename, newSrc string, versions []VersionJob, targets []int) ([]VersionReport, error) {
+	if d.Tables == nil || d.View == nil || d.NextCtx == nil {
+		return nil, errors.New("replay: a driver needs Tables, View and NextCtx")
+	}
 	newF, err := script.Parse(filename, newSrc)
 	if err != nil {
 		return nil, fmt.Errorf("replay: parse new version: %w", err)
@@ -70,8 +84,6 @@ func (d *Driver) Hindsight(filename, newSrc string, versions []VersionJob, targe
 		workers = len(versions)
 	}
 
-	ctxCounter := MaxCtxID(d.Tables)
-
 	reports := make([]VersionReport, len(versions))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -80,7 +92,7 @@ func (d *Driver) Hindsight(filename, newSrc string, versions []VersionJob, targe
 		go func() {
 			defer wg.Done()
 			for idx := range jobs {
-				reports[idx] = d.replayOne(filename, newF, newNamesAll, versions[idx], targets, &ctxCounter)
+				reports[idx] = d.replayOne(filename, newF, newNamesAll, versions[idx], targets)
 			}
 		}()
 	}
@@ -92,7 +104,7 @@ func (d *Driver) Hindsight(filename, newSrc string, versions []VersionJob, targe
 	return reports, nil
 }
 
-func (d *Driver) replayOne(filename string, newF *script.File, newNamesAll map[string]bool, job VersionJob, targets []int, ctxCounter *int64) VersionReport {
+func (d *Driver) replayOne(filename string, newF *script.File, newNamesAll map[string]bool, job VersionJob, targets []int) VersionReport {
 	start := time.Now()
 	rep := VersionReport{VID: job.VID, Tstamp: job.Tstamp, Mode: "none"}
 
@@ -130,11 +142,16 @@ func (d *Driver) replayOne(filename string, newF *script.File, newNamesAll map[s
 		mode = "full"
 	}
 
-	stats, err := d.runReplay(filename, merged, job, newNames, targets, innerNeeded, ctxCounter)
+	r := d.newReplayer(filename, job, newNames, targets, innerNeeded)
+	stats, err := d.run(r, merged)
 	if err != nil && !innerNeeded {
 		// COARSE can fail when post-inner-loop statements reference
-		// variables defined inside the skipped inner loop; retry FULL.
-		stats2, err2 := d.runReplay(filename, merged, job, newNames, targets, true, ctxCounter)
+		// variables defined inside the skipped inner loop; retry FULL. The
+		// retry resolves loop contexts through the first attempt's lookup:
+		// the loops rows that attempt wrote are not in the pinned view.
+		retry := d.newReplayer(filename, job, newNames, targets, true)
+		retry.ctxLookup = r.ctxLookup
+		stats2, err2 := d.run(retry, merged)
 		if err2 == nil {
 			rep.RetryFull = true
 			mode = "full"
@@ -151,7 +168,8 @@ func (d *Driver) replayOne(filename string, newF *script.File, newNamesAll map[s
 	return rep
 }
 
-func (d *Driver) runReplay(filename string, merged *script.File, job VersionJob, newNames map[string]bool, targets []int, innerNeeded bool, ctxCounter *int64) (ReplayStats, error) {
+// newReplayer builds the replayer of one version.
+func (d *Driver) newReplayer(filename string, job VersionJob, newNames map[string]bool, targets []int, innerNeeded bool) *Replayer {
 	ctx := &Context{
 		ProjID:   d.ProjID,
 		Filename: filename,
@@ -160,7 +178,7 @@ func (d *Driver) runReplay(filename string, merged *script.File, job VersionJob,
 		WAL:      d.WAL,
 		Blobs:    d.Blobs,
 	}
-	r := NewReplayer(ctx, ctxCounter)
+	r := NewReplayer(ctx, d.View, d.NextCtx)
 	r.NewNames = newNames
 	r.InnerNeeded = innerNeeded
 	if targets != nil {
@@ -169,6 +187,11 @@ func (d *Driver) runReplay(filename string, merged *script.File, job VersionJob,
 			r.Targets[t] = true
 		}
 	}
+	return r
+}
+
+// run replays merged under r.
+func (d *Driver) run(r *Replayer, merged *script.File) (ReplayStats, error) {
 	// A replay re-executes history to backfill logs; what it prints was
 	// already printed when the version first ran.
 	in := script.NewInterp(r, io.Discard)
@@ -205,11 +228,11 @@ func injectedInsideInnerLoop(f *script.File) bool {
 }
 
 // HistoricalVersions lists (vid, tstamp) pairs for every recorded execution
-// of a file, oldest first, using the ts2vid table. Versions where the file
-// was committed but never executed (no loops/logs/args rows carry its
-// filename at that timestamp) are skipped — hindsight logging backfills
-// runs, not mere commits.
-func HistoricalVersions(repo *vcs.Repo, tables *record.Tables, projid, filename string) ([]VersionJob, error) {
+// of a file visible in the view, oldest first, using the ts2vid table.
+// Versions where the file was committed but never executed (no loops/logs/
+// args rows carry its filename at that timestamp) are skipped — hindsight
+// logging backfills runs, not mere commits.
+func HistoricalVersions(repo *vcs.Repo, tables *record.TablesView, projid, filename string) ([]VersionJob, error) {
 	vids, err := repo.AllVersionsOf(filename)
 	if err != nil {
 		return nil, err

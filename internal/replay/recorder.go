@@ -44,7 +44,10 @@ func (r *Recorder) curCtx() int64 {
 	return r.ctxStack[len(r.ctxStack)-1]
 }
 
-func (r *Recorder) nextCtx() int64 { return atomic.AddInt64(&r.ctxCounter, 1) }
+// NextCtx allocates a fresh ctx_id. It is the session's one allocator:
+// recording and hindsight replay (Driver.NextCtx) both draw from it, so
+// their loops rows never share an id.
+func (r *Recorder) NextCtx() int64 { return atomic.AddInt64(&r.ctxCounter, 1) }
 
 // SetCtxCounter fast-forwards the ctx allocator (used after recovery so new
 // ctx_ids don't collide with historical ones).
@@ -88,7 +91,7 @@ func (r *Recorder) LoopBegin(name string, vals []script.Value) (script.LoopSessi
 
 // IterationBegin implements script.FlorHooks (flor.iteration context).
 func (r *Recorder) IterationBegin(name string, val script.Value) error {
-	ctx := r.nextCtx()
+	ctx := r.NextCtx()
 	if err := r.Ctx.writeLoop(ctx, r.curCtx(), name, -1, val); err != nil {
 		return err
 	}
@@ -137,7 +140,7 @@ type recordSession struct {
 // Decide implements script.LoopSession: always run; allocate the iteration's
 // ctx_id and write the loops row.
 func (s *recordSession) Decide(i int, v script.Value) (bool, error) {
-	ctx := s.r.nextCtx()
+	ctx := s.r.NextCtx()
 	if err := s.r.Ctx.writeLoop(ctx, s.r.curCtx(), s.name, int64(i), v); err != nil {
 		return false, err
 	}

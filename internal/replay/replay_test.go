@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,6 +26,35 @@ type toyModel struct {
 func (m *toyModel) Snapshot() ([]byte, error) { return json.Marshal(m) }
 func (m *toyModel) Restore(b []byte) error    { return json.Unmarshal(b, m) }
 
+// testDBs maps the tables newTestTables creates to their database, so view
+// can pin them.
+var testDBs sync.Map // *record.Tables -> *relation.Database
+
+// view pins tables at the latest epoch through Tables.At: every row recorded
+// so far, the view a session's LatestReader gives. The pin is released when
+// the test ends.
+func view(t *testing.T, tables *record.Tables) *record.TablesView {
+	t.Helper()
+	db, ok := testDBs.Load(tables)
+	if !ok {
+		t.Fatal("view: tables not made by newTestTables")
+	}
+	snap := db.(*relation.Database).SnapshotLatest()
+	t.Cleanup(snap.Release)
+	v, err := tables.At(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// allocAfter returns a ctx_id allocator past every id recorded in tables —
+// the one a session's recorder holds.
+func allocAfter(t *testing.T, tables *record.Tables) func() int64 {
+	n := MaxCtxID(view(t, tables))
+	return func() int64 { return atomic.AddInt64(&n, 1) }
+}
+
 func newTestTables(t *testing.T) *record.Tables {
 	t.Helper()
 	db := relation.NewDatabase()
@@ -31,6 +62,7 @@ func newTestTables(t *testing.T) *record.Tables {
 	if err != nil {
 		t.Fatal(err)
 	}
+	testDBs.Store(tables, db)
 	return tables
 }
 
@@ -76,7 +108,7 @@ func recordRun(t *testing.T, tables *record.Tables, tstamp int64, policy Checkpo
 	ctx := &Context{ProjID: "p", Filename: "train.flow", Tstamp: tstamp, Tables: tables}
 	ckpt := NewCheckpointManager(policy)
 	rec := NewRecorder(ctx, ckpt)
-	rec.SetCtxCounter(MaxCtxID(tables))
+	rec.SetCtxCounter(MaxCtxID(view(t, tables)))
 	model := &toyModel{}
 	in := script.NewInterp(rec, nil)
 	setupHosts(model)(in)
@@ -112,18 +144,18 @@ func TestRecorderPopulatesFigure1Tables(t *testing.T) {
 	}
 	// ctx nesting: every step row's parent is an epoch row.
 	epochCtx := map[int64]bool{}
-	for _, row := range tables.Loops.Rows() {
+	for _, row := range view(t, tables).Loops.Rows() {
 		if row[5].AsText() == "epoch" {
 			epochCtx[row[3].AsInt()] = true
 		}
 	}
-	for _, row := range tables.Loops.Rows() {
+	for _, row := range view(t, tables).Loops.Rows() {
 		if row[5].AsText() == "step" && !epochCtx[row[4].AsInt()] {
 			t.Fatalf("step row parent %d is not an epoch ctx", row[4].AsInt())
 		}
 	}
 	// Log rows carry the epoch ctx (logged after the inner loop).
-	for _, row := range tables.Logs.Rows() {
+	for _, row := range view(t, tables).Logs.Rows() {
 		if !epochCtx[row[3].AsInt()] {
 			t.Fatalf("log ctx %d not an epoch ctx", row[3].AsInt())
 		}
@@ -247,7 +279,7 @@ with flor.checkpointing(model=net) {
 
 func TestHindsightCoarseReplayAcrossVersions(t *testing.T) {
 	repo, tables, versions, model := hindsightFixture(t)
-	d := &Driver{Repo: repo, Tables: tables, ProjID: "p", Setup: setupHosts(model), Workers: 1}
+	d := &Driver{Repo: repo, Tables: tables, View: view(t, tables), NextCtx: allocAfter(t, tables), ProjID: "p", Setup: setupHosts(model), Workers: 1}
 	reports, err := d.Hindsight("train.flow", newSrcWithWeightLog, versions, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +311,7 @@ func TestHindsightCoarseReplayAcrossVersions(t *testing.T) {
 		want[e] = float64(n*(n-1)) / 2
 	}
 	count := 0
-	for _, row := range tables.Logs.Rows() {
+	for _, row := range view(t, tables).Logs.Rows() {
 		if row[4].AsText() != "weight" {
 			continue
 		}
@@ -288,7 +320,7 @@ func TestHindsightCoarseReplayAcrossVersions(t *testing.T) {
 		ctxID := row[3].AsInt()
 		ts := row[1].AsInt()
 		var epoch int64 = -1
-		for _, lrow := range tables.Loops.Rows() {
+		for _, lrow := range view(t, tables).Loops.Rows() {
 			if lrow[3].AsInt() == ctxID && lrow[1].AsInt() == ts {
 				epoch = lrow[6].AsInt()
 			}
@@ -306,7 +338,7 @@ func TestHindsightCoarseReplayAcrossVersions(t *testing.T) {
 	}
 	// Old names must NOT be duplicated: still exactly 4 acc logs per version.
 	accCount := 0
-	for _, row := range tables.Logs.Rows() {
+	for _, row := range view(t, tables).Logs.Rows() {
 		if row[4].AsText() == "acc" {
 			accCount++
 		}
@@ -334,7 +366,7 @@ with flor.checkpointing(model=net) {
 
 func TestHindsightFullReplayForInnerLoopStatements(t *testing.T) {
 	repo, tables, versions, model := hindsightFixture(t)
-	d := &Driver{Repo: repo, Tables: tables, ProjID: "p", Setup: setupHosts(model), Workers: 1}
+	d := &Driver{Repo: repo, Tables: tables, View: view(t, tables), NextCtx: allocAfter(t, tables), ProjID: "p", Setup: setupHosts(model), Workers: 1}
 	reports, err := d.Hindsight("train.flow", newSrcWithStepLog, versions[:1], nil)
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +383,7 @@ func TestHindsightFullReplayForInnerLoopStatements(t *testing.T) {
 	}
 	// Check a value: running_sum after step s of epoch e is sum of 0..(3e+s).
 	found := 0
-	for _, row := range tables.Logs.Rows() {
+	for _, row := range view(t, tables).Logs.Rows() {
 		if row[4].AsText() != "running_sum" || row[1].AsInt() != 1 {
 			continue
 		}
@@ -364,7 +396,7 @@ func TestHindsightFullReplayForInnerLoopStatements(t *testing.T) {
 
 func TestHindsightTargetedEpochs(t *testing.T) {
 	repo, tables, versions, model := hindsightFixture(t)
-	d := &Driver{Repo: repo, Tables: tables, ProjID: "p", Setup: setupHosts(model), Workers: 1}
+	d := &Driver{Repo: repo, Tables: tables, View: view(t, tables), NextCtx: allocAfter(t, tables), ProjID: "p", Setup: setupHosts(model), Workers: 1}
 	reports, err := d.Hindsight("train.flow", newSrcWithWeightLog, versions[:1], []int{3})
 	if err != nil {
 		t.Fatal(err)
@@ -381,10 +413,29 @@ func TestHindsightTargetedEpochs(t *testing.T) {
 	}
 }
 
+// TestDriverRefusesMissingViewOrAllocator: a driver without the pinned view
+// history is read from, or without the ctx_id allocator, fails with an error
+// before replaying anything.
+func TestDriverRefusesMissingViewOrAllocator(t *testing.T) {
+	repo, tables, versions, model := hindsightFixture(t)
+	loopsBefore, logsBefore := tables.Loops.Len(), tables.Logs.Len()
+	for name, d := range map[string]*Driver{
+		"no view":      {Repo: repo, Tables: tables, NextCtx: allocAfter(t, tables), ProjID: "p", Setup: setupHosts(model)},
+		"no allocator": {Repo: repo, Tables: tables, View: view(t, tables), ProjID: "p", Setup: setupHosts(model)},
+	} {
+		if reports, err := d.Hindsight("train.flow", newSrcWithWeightLog, versions, nil); err == nil {
+			t.Fatalf("%s: hindsight ran: %+v", name, reports)
+		}
+	}
+	if tables.Loops.Len() != loopsBefore || tables.Logs.Len() != logsBefore {
+		t.Fatal("a refused driver wrote rows")
+	}
+}
+
 func TestHindsightReusesRecordedCtxIDs(t *testing.T) {
 	repo, tables, versions, model := hindsightFixture(t)
 	loopsBefore := tables.Loops.Len()
-	d := &Driver{Repo: repo, Tables: tables, ProjID: "p", Setup: setupHosts(model), Workers: 1}
+	d := &Driver{Repo: repo, Tables: tables, View: view(t, tables), NextCtx: allocAfter(t, tables), ProjID: "p", Setup: setupHosts(model), Workers: 1}
 	if _, err := d.Hindsight("train.flow", newSrcWithWeightLog, versions, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +449,7 @@ func TestHindsightParallelWorkers(t *testing.T) {
 	repo, tables, versions, _ := hindsightFixture(t)
 	// Each worker needs its own model instance; Setup constructs per-interp
 	// models via make_model with a fresh toyModel per call.
-	d := &Driver{Repo: repo, Tables: tables, ProjID: "p", Workers: 3,
+	d := &Driver{Repo: repo, Tables: tables, View: view(t, tables), NextCtx: allocAfter(t, tables), ProjID: "p", Workers: 3,
 		Setup: func(in *script.Interp) {
 			m := &toyModel{}
 			setupHosts(m)(in)
@@ -421,7 +472,7 @@ func TestHindsightParallelWorkers(t *testing.T) {
 
 func TestHindsightIdenticalVersionSkipped(t *testing.T) {
 	repo, tables, versions, model := hindsightFixture(t)
-	d := &Driver{Repo: repo, Tables: tables, ProjID: "p", Setup: setupHosts(model), Workers: 1}
+	d := &Driver{Repo: repo, Tables: tables, View: view(t, tables), NextCtx: allocAfter(t, tables), ProjID: "p", Setup: setupHosts(model), Workers: 1}
 	reports, err := d.Hindsight("train.flow", trainSrc, versions, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -473,7 +524,7 @@ with flor.checkpointing(model=net) {
 	tables.Ts2vid.Insert(relation.Row{relation.Text("p"), relation.Int(1), relation.Int(1), relation.Text(vid), relation.Text("train")})
 
 	model := &toyModel{}
-	d := &Driver{Repo: repo, Tables: tables, ProjID: "p", Setup: setupHosts(model), Workers: 1}
+	d := &Driver{Repo: repo, Tables: tables, View: view(t, tables), NextCtx: allocAfter(t, tables), ProjID: "p", Setup: setupHosts(model), Workers: 1}
 	reports, err := d.Hindsight("train.flow", newSrc, []VersionJob{{VID: vid, Tstamp: 1}}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -492,7 +543,7 @@ with flor.checkpointing(model=net) {
 
 func TestHistoricalVersions(t *testing.T) {
 	repo, tables, versions, _ := hindsightFixture(t)
-	jobs, err := HistoricalVersions(repo, tables, "p", "train.flow")
+	jobs, err := HistoricalVersions(repo, view(t, tables), "p", "train.flow")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,8 +574,7 @@ func TestReplayArgUsesHistoricalValue(t *testing.T) {
 		t.Fatalf("recorded epochs = %d logs", tables.Logs.Len())
 	}
 	// Replay: default says 4, history says 2 — replay must honor 2.
-	var counter int64 = MaxCtxID(tables)
-	r := NewReplayer(&Context{ProjID: "p", Filename: "train.flow", Tstamp: 1, Tables: tables}, &counter)
+	r := NewReplayer(&Context{ProjID: "p", Filename: "train.flow", Tstamp: 1, Tables: tables}, view(t, tables), allocAfter(t, tables))
 	r.NewNames = map[string]bool{"weight": true}
 	in2 := script.NewInterp(r, nil)
 	model2 := &toyModel{}
@@ -547,8 +597,8 @@ func TestReplayerIterationContextReachesWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var counter int64
-	r := NewReplayer(&Context{ProjID: "p", Filename: "f", Tstamp: 1, Tables: newTestTables(t), WAL: wal}, &counter)
+	tables := newTestTables(t)
+	r := NewReplayer(&Context{ProjID: "p", Filename: "f", Tstamp: 1, Tables: tables, WAL: wal}, view(t, tables), allocAfter(t, tables))
 	if err := r.IterationBegin("doc", "a.txt"); err != nil {
 		t.Fatal(err)
 	}
@@ -569,17 +619,17 @@ func TestReplayerIterationContextReachesWAL(t *testing.T) {
 	if _, err := storage.RecoverTables(walPath, got, nil, "", true, storage.RecoverHooks{}); err != nil {
 		t.Fatal(err)
 	}
-	logs := got.Logs.Rows()
+	logs := view(t, got).Logs.Rows()
 	if len(logs) != 1 {
 		t.Fatalf("recovered %d logs rows, want 1", len(logs))
 	}
 	ctxID := logs[0][3].AsInt()
-	for _, row := range got.Loops.Rows() {
+	for _, row := range view(t, got).Loops.Rows() {
 		if row[3].AsInt() == ctxID && row[5].AsText() == "doc" && row[6].AsInt() == -1 && row[7].AsText() == "a.txt" {
 			return
 		}
 	}
-	t.Fatalf("the logs row points at ctx %d, but recovery rebuilt no loops row for it: %v", ctxID, got.Loops.Rows())
+	t.Fatalf("the logs row points at ctx %d, but recovery rebuilt no loops row for it: %v", ctxID, view(t, got).Loops.Rows())
 }
 
 func TestRecorderArgCoercion(t *testing.T) {
@@ -635,7 +685,7 @@ func TestReplayNoCheckpointsDegeneratesToFull(t *testing.T) {
 	tables.Ts2vid.Insert(relation.Row{relation.Text("p"), relation.Int(1), relation.Int(1), relation.Text(vid), relation.Text("train")})
 
 	model := &toyModel{}
-	d := &Driver{Repo: repo, Tables: tables, ProjID: "p", Setup: setupHosts(model), Workers: 1}
+	d := &Driver{Repo: repo, Tables: tables, View: view(t, tables), NextCtx: allocAfter(t, tables), ProjID: "p", Setup: setupHosts(model), Workers: 1}
 	reports, err := d.Hindsight("train.flow", newSrcWithWeightLog, []VersionJob{{VID: vid, Tstamp: 1}}, nil)
 	if err != nil {
 		t.Fatal(err)

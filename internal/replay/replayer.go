@@ -2,7 +2,6 @@ package replay
 
 import (
 	"strconv"
-	"sync/atomic"
 
 	"flordb/internal/record"
 	"flordb/internal/relation"
@@ -28,6 +27,9 @@ type ReplayStats struct {
 type Replayer struct {
 	Ctx  *Context // Tstamp is the HISTORICAL version's timestamp
 	Ckpt *CheckpointManager
+	// View is the pinned snapshot history is read from: args, loop
+	// contexts and checkpoints. Backfilled rows are written through Ctx.
+	View *record.TablesView
 
 	// NewNames restricts which flor.log names are recorded; nil records all
 	// (used when replaying a version that never ran).
@@ -51,24 +53,26 @@ type Replayer struct {
 	skipInner    bool
 	lastRestored int
 
-	// ctxCounter allocates fresh ctx ids for loop iterations that have no
+	// nextCtx allocates fresh ctx ids for loop iterations that have no
 	// recorded row (e.g. replaying a version that was never recorded).
-	ctxCounter *int64
+	nextCtx func() int64
 }
 
 // NewReplayer builds a replayer for the version at ctx.Tstamp, loading the
-// historical args and loop contexts from the tables.
-func NewReplayer(ctx *Context, ctxCounter *int64) *Replayer {
+// historical args and loop contexts from view. nextCtx allocates the ids of
+// loop contexts the replay creates (Recorder.NextCtx).
+func NewReplayer(ctx *Context, view *record.TablesView, nextCtx func() int64) *Replayer {
 	r := &Replayer{
 		Ctx:          ctx,
 		Ckpt:         NewCheckpointManager(Never{}), // no re-checkpointing during replay
+		View:         view,
 		argLookup:    make(map[string]string),
 		ctxLookup:    make(map[string]int64),
 		lastRestored: -1,
-		ctxCounter:   ctxCounter,
+		nextCtx:      nextCtx,
 	}
 	// Historical flor.arg resolutions.
-	ctx.Tables.Args.Scan(func(_ relation.RowID, row relation.Row) bool {
+	view.Args.Scan(func(_ relation.RowID, row relation.Row) bool {
 		if row[0].AsText() == ctx.ProjID && row[1].AsInt() == ctx.TstampNow() {
 			r.argLookup[row[3].AsText()] = row[4].AsText()
 		}
@@ -78,7 +82,7 @@ func NewReplayer(ctx *Context, ctxCounter *int64) *Replayer {
 	// plus value-keyed entries for flor.iteration contexts. The parent ctx is
 	// part of the key because inner loops restart per outer iteration (every
 	// document has a page 0).
-	ctx.Tables.Loops.Scan(func(_ relation.RowID, row relation.Row) bool {
+	view.Loops.Scan(func(_ relation.RowID, row relation.Row) bool {
 		if row[0].AsText() == ctx.ProjID && row[1].AsInt() == ctx.TstampNow() {
 			name := row[5].AsText()
 			iter := row[6].AsInt()
@@ -109,15 +113,13 @@ func (r *Replayer) curCtx() int64 {
 	return r.ctxStack[len(r.ctxStack)-1]
 }
 
-func (r *Replayer) allocCtx() int64 { return atomic.AddInt64(r.ctxCounter, 1) }
-
 // resolveCtx finds the recorded ctx_id for a loop iteration or allocates a
 // fresh one (writing the loops row so the new provenance is queryable).
 func (r *Replayer) resolveCtx(loopName string, iter int64, val script.Value) (int64, error) {
 	if id, ok := r.ctxLookup[loopKey(r.curCtx(), loopName, iter)]; ok {
 		return id, nil
 	}
-	id := r.allocCtx()
+	id := r.nextCtx()
 	if err := r.Ctx.writeLoop(id, r.curCtx(), loopName, iter, val); err != nil {
 		return 0, err
 	}
@@ -172,7 +174,7 @@ func (r *Replayer) LoopBegin(name string, vals []script.Value) (script.LoopSessi
 func (r *Replayer) ckptLoopName() string { return r.Ckpt.loopName }
 
 func (r *Replayer) ckptBlob(loopName string, iter int) ([]byte, bool) {
-	return r.Ctx.Tables.GetBlobExact(r.Ctx.ProjID, ckptName(loopName, iter), r.Ctx.TstampNow())
+	return r.View.GetBlobExact(r.Ctx.ProjID, ckptName(loopName, iter), r.Ctx.TstampNow())
 }
 
 // outerPlan describes, per iteration, whether it runs and in which mode.
@@ -228,7 +230,7 @@ func (r *Replayer) IterationBegin(name string, val script.Value) error {
 	text, _ := formatScriptValue(val)
 	id, ok := r.ctxLookup[iterKey(r.curCtx(), name, text)]
 	if !ok {
-		id = r.allocCtx()
+		id = r.nextCtx()
 		if err := r.Ctx.writeLoop(id, r.curCtx(), name, -1, val); err != nil {
 			return err
 		}
@@ -371,9 +373,9 @@ func (s *replayRunAllSession) PostIter(int, script.Value) error {
 // End implements script.LoopSession.
 func (s *replayRunAllSession) End() error { return nil }
 
-// MaxCtxID scans the loops table for the highest allocated ctx_id, so replay
-// and recovery can continue the sequence without collisions.
-func MaxCtxID(tables *record.Tables) int64 {
+// MaxCtxID scans the loops table for the highest ctx_id visible in the view,
+// so a session can seed its allocator past every recovered one.
+func MaxCtxID(tables *record.TablesView) int64 {
 	var maxID int64
 	tables.Loops.Scan(func(_ relation.RowID, row relation.Row) bool {
 		if id := row[3].AsInt(); id > maxID {

@@ -100,7 +100,7 @@ func asofDB(t *testing.T) *relation.Database {
 func TestExecuteAsOfRebasesEpoch(t *testing.T) {
 	db := asofDB(t)
 	for e := 0; e <= 4; e++ {
-		res, err := Run(db, "SELECT count(*) c FROM logs AS OF "+strconv.Itoa(e))
+		res, err := Run(latest(t, db), "SELECT count(*) c FROM logs AS OF "+strconv.Itoa(e))
 		if err != nil {
 			t.Fatalf("epoch %d: %v", e, err)
 		}
@@ -109,7 +109,7 @@ func TestExecuteAsOfRebasesEpoch(t *testing.T) {
 		}
 	}
 	// Without AS OF: current visibility.
-	res, err := Run(db, "SELECT count(*) c FROM logs")
+	res, err := Run(latest(t, db), "SELECT count(*) c FROM logs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,19 +140,19 @@ func TestExecuteAsOfAgainstSnapshotRefusesFuture(t *testing.T) {
 func TestExecuteAsOfRetiredEpoch(t *testing.T) {
 	db := asofDB(t)
 	db.GCBelow(3)
-	_, err := Run(db, "SELECT * FROM logs AS OF 1")
+	_, err := Run(latest(t, db), "SELECT * FROM logs AS OF 1")
 	if !errors.Is(err, relation.ErrEpochRetired) {
 		t.Fatalf("err = %v, want ErrEpochRetired", err)
 	}
 }
 
-// TestExecuteAsOfByTimeResolvesAgainstDatabase: a bare database resolves
-// AS OF TIMESTAMP through its own clock — the greatest epoch stamped at or
+// TestExecuteAsOfByTimeResolvesAgainstDatabase: a latest pin resolves AS OF
+// TIMESTAMP through its database's clock — the greatest epoch stamped at or
 // before the time, 0 before every stamp, clamped to a snapshot's pin, and a
 // retired epoch once the GC has trimmed history from under the time.
 func TestExecuteAsOfByTimeResolvesAgainstDatabase(t *testing.T) {
 	db := asofDB(t)
-	count := func(cat relation.Catalog, ts string) int64 {
+	count := func(cat *relation.Snapshot, ts string) int64 {
 		t.Helper()
 		res, err := Run(cat, "SELECT count(*) c FROM logs AS OF TIMESTAMP '"+ts+"'")
 		if err != nil {
@@ -170,7 +170,7 @@ func TestExecuteAsOfByTimeResolvesAgainstDatabase(t *testing.T) {
 		{"2026-08-01 15:00:00", 4},    // the last commit's stamp
 		{"2027-01-01T00:00:00.5Z", 4}, // after every commit
 	} {
-		if got := count(db, c.ts); got != c.want {
+		if got := count(latest(t, db), c.ts); got != c.want {
 			t.Fatalf("AS OF TIMESTAMP %s counts %d rows, want %d", c.ts, got, c.want)
 		}
 	}
@@ -183,10 +183,10 @@ func TestExecuteAsOfByTimeResolvesAgainstDatabase(t *testing.T) {
 	}
 	snap.Release()
 	db.GCBelow(3)
-	if _, err := Run(db, "SELECT * FROM logs AS OF TIMESTAMP '2026-08-01T13:30:00Z'"); !errors.Is(err, relation.ErrEpochRetired) {
+	if _, err := Run(latest(t, db), "SELECT * FROM logs AS OF TIMESTAMP '2026-08-01T13:30:00Z'"); !errors.Is(err, relation.ErrEpochRetired) {
 		t.Fatalf("err = %v, want ErrEpochRetired", err)
 	}
-	if got := count(db, "2026-08-01T14:00:00Z"); got != 3 {
+	if got := count(latest(t, db), "2026-08-01T14:00:00Z"); got != 3 {
 		t.Fatalf("AS OF the floor's own stamp counts %d rows, want 3", got)
 	}
 }

@@ -208,8 +208,8 @@ type SelectStmt struct {
 // AsOfClause is the time-travel clause at the end of a SELECT:
 // `AS OF <epoch>` names an MVCC commit epoch directly; `AS OF TIMESTAMP
 // '<ts>'` names a commit wall-clock time, which the executor resolves to the
-// greatest epoch committed at or before it through the catalog's MVCC clock
-// (relation.TimeTraveler.EpochAt).
+// greatest epoch committed at or before it through the snapshot's MVCC clock
+// (relation.Snapshot.EpochAt).
 type AsOfClause struct {
 	Epoch  int64
 	Time   time.Time

@@ -32,10 +32,11 @@ type planEquivDB struct {
 	checked int
 
 	// cat is what the planned pipeline runs against and ref what the
-	// reference does: both db, or a pin of db and its prefixDB.
-	cat, ref relation.Catalog
+	// reference does: both a latest pin of db, or a pin of db at an epoch
+	// and its prefixDB.
+	cat, ref *relation.Snapshot
 	rng      *rand.Rand // picks the pinned share and its epochs
-	prefixes map[int64]*relation.Database
+	prefixes map[int64]*relation.Snapshot
 }
 
 // parallel reports whether the cell's full scans run under a gather.
@@ -58,14 +59,15 @@ func forEachEquivCell(t *testing.T, body func(t *testing.T, cell *planEquivDB)) 
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("indexed=%v/workers=%d", indexed, workers), func(t *testing.T) {
 				cell := &planEquivDB{indexed: indexed, opts: ExecOptions{ScanWorkers: workers},
-					rng: rand.New(rand.NewSource(int64(workers))), prefixes: map[int64]*relation.Database{}}
+					rng: rand.New(rand.NewSource(int64(workers))), prefixes: map[int64]*relation.Snapshot{}}
 				rows := 500
 				if cell.parallel() {
 					forceGather(t)
 					rows = 2*morselRows + 500
 				}
 				cell.db = randomWorkloadDBRows(t, indexed, rows)
-				cell.cat, cell.ref = cell.db, cell.db
+				cell.cat = latest(t, cell.db)
+				cell.ref = cell.cat
 				body(t, cell)
 			})
 		}
@@ -86,13 +88,14 @@ func forceGather(t *testing.T) {
 }
 
 // prefixDB is the reference's view of db at epoch e, computed without the
-// engine's visibility rule: a fresh database holding, per base table, the
-// rows whose born epoch is at or below e, found by testing every row. An
-// error in the prefix bound a pin reads through cannot cancel out against it.
-func prefixDB(t *testing.T, db *relation.Database, e int64) *relation.Database {
+// engine's visibility rule: a latest pin of a fresh database holding, per
+// base table, the rows whose born epoch is at or below e, found by testing
+// every row. An error in the prefix bound a pin reads through cannot cancel
+// out against it.
+func prefixDB(t *testing.T, db *relation.Database, e int64) *relation.Snapshot {
 	t.Helper()
 	out := relation.NewDatabase()
-	for _, name := range db.Names() {
+	for _, name := range latest(t, db).Names() {
 		src, ok := db.Table(name)
 		if !ok {
 			continue // virtual
@@ -112,7 +115,7 @@ func prefixDB(t *testing.T, db *relation.Database, e int64) *relation.Database {
 			t.Fatal(err)
 		}
 	}
-	return out
+	return latest(t, out)
 }
 
 // runEquivalence executes q through the planned pipeline and the reference

@@ -13,9 +13,10 @@ type Result struct {
 	Rows    []relation.Row
 }
 
-// Run parses and executes a SQL query against a catalog — the live database
-// (latest visibility) or a pinned snapshot (one-epoch visibility).
-func Run(cat relation.Catalog, query string) (*Result, error) {
+// Run parses and executes a SQL query against a pinned snapshot: every table
+// it reads is visible at the snapshot's epoch. For read-your-writes latest
+// visibility, pin with Database.SnapshotLatest.
+func Run(cat *relation.Snapshot, query string) (*Result, error) {
 	stmt, err := Parse(query)
 	if err != nil {
 		return nil, err
@@ -32,17 +33,18 @@ type ExecOptions struct {
 	ScanWorkers int
 }
 
-// Execute runs a parsed statement against a catalog using the query planner
-// (index-backed access paths, predicate pushdown below joins, morsel-driven
-// parallel full scans). An EXPLAIN statement returns the rendered plan
+// Execute runs a parsed statement against a pinned snapshot using the query
+// planner (index-backed access paths, predicate pushdown below joins,
+// morsel-driven parallel full scans). An AS OF clause rebases it at a
+// historical epoch no later than the pin. An EXPLAIN statement returns the rendered plan
 // instead of rows. The statement is not mutated, so a cached parse may be
 // executed concurrently.
-func Execute(cat relation.Catalog, stmt *SelectStmt) (*Result, error) {
+func Execute(cat *relation.Snapshot, stmt *SelectStmt) (*Result, error) {
 	return ExecuteOptions(cat, stmt, ExecOptions{})
 }
 
 // ExecuteOptions is Execute with execution tuning.
-func ExecuteOptions(cat relation.Catalog, stmt *SelectStmt, opts ExecOptions) (*Result, error) {
+func ExecuteOptions(cat *relation.Snapshot, stmt *SelectStmt, opts ExecOptions) (*Result, error) {
 	cat, release, err := pinAsOf(cat, stmt)
 	if err != nil {
 		return nil, err
@@ -64,22 +66,18 @@ func ExecuteOptions(cat relation.Catalog, stmt *SelectStmt, opts ExecOptions) (*
 	return c.run(ctx)
 }
 
-// pinAsOf rebases the catalog to the statement's AS OF epoch, if it has one;
-// an AS OF TIMESTAMP clause is first resolved to an epoch by the catalog's
-// own clock. The returned release must be called once the statement has run.
-func pinAsOf(cat relation.Catalog, stmt *SelectStmt) (relation.Catalog, func(), error) {
+// pinAsOf rebases the snapshot to the statement's AS OF epoch, if it has one;
+// an AS OF TIMESTAMP clause is first resolved to an epoch by the snapshot's
+// MVCC clock. The returned release must be called once the statement has run.
+func pinAsOf(cat *relation.Snapshot, stmt *SelectStmt) (*relation.Snapshot, func(), error) {
 	if stmt.AsOf == nil {
 		return cat, func() {}, nil
 	}
-	tt, ok := cat.(relation.TimeTraveler)
-	if !ok {
-		return nil, nil, fmt.Errorf("sql: this catalog does not support AS OF")
-	}
 	epoch := stmt.AsOf.Epoch
 	if stmt.AsOf.ByTime {
-		epoch = tt.EpochAt(stmt.AsOf.Time)
+		epoch = cat.EpochAt(stmt.AsOf.Time)
 	}
-	return tt.AsOf(epoch)
+	return cat.AsOf(epoch)
 }
 
 // compiled is a fully planned statement: the operator pipeline, the plan tree
@@ -110,7 +108,7 @@ func (c *compiled) run(ctx *execCtx) (*Result, error) {
 // pipeline, built by a factory the gather rule may call once per worker;
 // DISTINCT, ORDER BY, LIMIT, HAVING and the post-aggregate projection are
 // row operators over its (small, or inherently row-ordered) output.
-func compile(cat relation.Catalog, stmt *SelectStmt, ctx *execCtx, opts ExecOptions) (*compiled, error) {
+func compile(cat *relation.Snapshot, stmt *SelectStmt, ctx *execCtx, opts ExecOptions) (*compiled, error) {
 	fc, err := resolveFrom(cat, stmt)
 	if err != nil {
 		return nil, err

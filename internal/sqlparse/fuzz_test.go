@@ -52,8 +52,8 @@ func FuzzPlannedVsScan(f *testing.F) {
 		if db == nil {
 			db = randomWorkloadDBRows(t, true, 500)
 		}
-		planned, perr := Execute(db, stmt)
-		reference, rerr := ExecuteScan(db, stmt)
+		planned, perr := Execute(latest(t, db), stmt)
+		reference, rerr := ExecuteScan(latest(t, db), stmt)
 		if perr != nil || rerr != nil {
 			return
 		}

@@ -13,7 +13,7 @@ import (
 // operators. The randomized equivalence properties and FuzzPlannedVsScan
 // compare the planned pipeline against it, and the C8–C10 benchmarks measure
 // it as the baseline; it has no plan to EXPLAIN.
-func ExecuteScan(cat relation.Catalog, stmt *SelectStmt) (*Result, error) {
+func ExecuteScan(cat *relation.Snapshot, stmt *SelectStmt) (*Result, error) {
 	if stmt.Explain {
 		return nil, fmt.Errorf("sql: the reference executor has no plan to EXPLAIN")
 	}

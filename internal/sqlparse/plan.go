@@ -103,7 +103,7 @@ type fromClause struct {
 // resolveFrom simulates the joined schema to attribute each output column to
 // the source it comes from; this mirrors relation.Concat's collision renaming
 // exactly, so pushdown resolution matches the runtime binder.
-func resolveFrom(cat relation.Catalog, stmt *SelectStmt) (*fromClause, error) {
+func resolveFrom(cat *relation.Snapshot, stmt *SelectStmt) (*fromClause, error) {
 	fc := &fromClause{sources: make([]TableRef, 0, 1+len(stmt.Joins))}
 	fc.sources = append(fc.sources, stmt.From)
 	for _, j := range stmt.Joins {
@@ -130,7 +130,7 @@ func resolveFrom(cat relation.Catalog, stmt *SelectStmt) (*fromClause, error) {
 // planInput builds the FROM/JOIN/WHERE pipeline: WHERE splits into conjuncts,
 // every single-source conjunct is pushed down to its source's access path,
 // and the rest filter above the joins.
-func planInput(cat relation.Catalog, stmt *SelectStmt, fc *fromClause, ctx *execCtx) (stream, error) {
+func planInput(cat *relation.Snapshot, stmt *SelectStmt, fc *fromClause, ctx *execCtx) (stream, error) {
 	pushed := make([][]Expr, len(fc.sources))
 	var retained []Expr
 	if stmt.Where != nil {
@@ -366,8 +366,8 @@ func combineAnd(exprs []Expr) Expr {
 // needed restricts which columns the source materializes (nil = all). A base
 // table gets an access path; a virtual table is materialized lazily and
 // gathered into batches.
-func planSource(cat relation.Catalog, ref TableRef, conjs []Expr, ctx *execCtx, needed []int) (stream, error) {
-	if t, ok := cat.Reader(ref.Name); ok {
+func planSource(cat *relation.Snapshot, ref TableRef, conjs []Expr, ctx *execCtx, needed []int) (stream, error) {
+	if t, ok := cat.Table(ref.Name); ok {
 		return planTableAccess(t, ref, conjs, ctx, needed)
 	}
 	it, err := cat.Source(ref.Name)
@@ -408,12 +408,11 @@ type sargable struct {
 
 // planTableAccess picks the cheapest access path the pushed conjuncts allow:
 // hash-index lookup > ordered-index range > full scan. Unconsumed conjuncts
-// become a residual filter over the narrowed stream. The reader may be a
-// live table or a pinned snapshot; access paths resolve rows through its
-// visibility filter either way. Every path emits batches of the needed
-// columns: index paths gather them from the rows their row IDs resolve to,
-// the full scan transposes the row store directly.
-func planTableAccess(t relation.TableReader, ref TableRef, conjs []Expr, ctx *execCtx, needed []int) (stream, error) {
+// become a residual filter over the narrowed stream. Access paths resolve
+// rows through the pinned table's visibility. Every path emits batches of
+// the needed columns: index paths gather them from the rows their row IDs
+// resolve to, the full scan transposes the row store directly.
+func planTableAccess(t *relation.TableSnapshot, ref TableRef, conjs []Expr, ctx *execCtx, needed []int) (stream, error) {
 	binding := ref.Binding()
 	schema := t.Schema()
 
@@ -501,7 +500,7 @@ func planTableAccess(t relation.TableReader, ref TableRef, conjs []Expr, ctx *ex
 // chooseHashIndex returns the widest hash index whose every column is bound
 // by an equality (or one IN) conjunct, with the expanded key tuples and the
 // set of consumed conjunct indices.
-func chooseHashIndex(t relation.TableReader, eqs map[string]sargable) (cols []string, keys [][]relation.Value, consumed map[int]bool) {
+func chooseHashIndex(t *relation.TableSnapshot, eqs map[string]sargable) (cols []string, keys [][]relation.Value, consumed map[int]bool) {
 	if len(eqs) == 0 {
 		return nil, nil, nil
 	}
@@ -570,7 +569,7 @@ func dedupeKeys(keys [][]relation.Value) [][]relation.Value {
 
 // chooseOrderedIndex returns the ordered-indexed column whose range conjuncts
 // consume the most predicates, with the combined bounds.
-func chooseOrderedIndex(t relation.TableReader, ranges map[string][]sargable) (col string, lo, hi relation.Value, loIncl, hiIncl bool, consumed map[int]bool) {
+func chooseOrderedIndex(t *relation.TableSnapshot, ranges map[string][]sargable) (col string, lo, hi relation.Value, loIncl, hiIncl bool, consumed map[int]bool) {
 	best := -1
 	for _, ixCol := range t.OrderedIndexColumns() {
 		sargs := ranges[strings.ToLower(ixCol)]

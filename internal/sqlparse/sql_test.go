@@ -7,6 +7,14 @@ import (
 	"flordb/internal/relation"
 )
 
+// latest pins db at its in-flight write epoch for the rest of the test: the
+// read-your-writes view a recording session queries through.
+func latest(t testing.TB, db *relation.Database) *relation.Snapshot {
+	snap := db.SnapshotLatest()
+	t.Cleanup(snap.Release)
+	return snap
+}
+
 func testDB(t *testing.T) *relation.Database {
 	t.Helper()
 	db := relation.NewDatabase()
@@ -49,7 +57,7 @@ func testDB(t *testing.T) *relation.Database {
 
 func mustRun(t *testing.T, db *relation.Database, q string) *Result {
 	t.Helper()
-	res, err := Run(db, q)
+	res, err := Run(latest(t, db), q)
 	if err != nil {
 		t.Fatalf("query %q: %v", q, err)
 	}
@@ -223,7 +231,7 @@ func TestJoin(t *testing.T) {
 }
 
 func TestJoinRequiresEquality(t *testing.T) {
-	if _, err := Run(testDB(t), "SELECT * FROM logs l JOIN runs r ON l.tstamp > r.tstamp"); err == nil {
+	if _, err := Run(latest(t, testDB(t)), "SELECT * FROM logs l JOIN runs r ON l.tstamp > r.tstamp"); err == nil {
 		t.Fatal("non-equi join must fail")
 	}
 }
@@ -317,16 +325,16 @@ func TestDistinct(t *testing.T) {
 
 func TestUnknownColumnAndTable(t *testing.T) {
 	db := testDB(t)
-	if _, err := Run(db, "SELECT nope FROM logs"); err == nil || !strings.Contains(err.Error(), "unknown column") {
+	if _, err := Run(latest(t, db), "SELECT nope FROM logs"); err == nil || !strings.Contains(err.Error(), "unknown column") {
 		t.Fatalf("unknown column: %v", err)
 	}
-	if _, err := Run(db, "SELECT * FROM nope"); err == nil {
+	if _, err := Run(latest(t, db), "SELECT * FROM nope"); err == nil {
 		t.Fatal("unknown table must fail")
 	}
 }
 
 func TestDivisionByZeroSurfaces(t *testing.T) {
-	if _, err := Run(testDB(t), "SELECT * FROM logs WHERE 1 / 0 = 1"); err == nil {
+	if _, err := Run(latest(t, testDB(t)), "SELECT * FROM logs WHERE 1 / 0 = 1"); err == nil {
 		t.Fatal("division by zero must surface")
 	}
 }

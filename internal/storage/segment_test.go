@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -156,11 +157,12 @@ func TestTruncateDropsTail(t *testing.T) {
 	}
 }
 
-// dumpTables renders every base-table row for multiset comparison.
+// dumpTables renders every base-table row for multiset comparison, each
+// table pinned past every epoch.
 func dumpTables(t *record.Tables) []string {
 	var out []string
 	for _, tbl := range []*relation.Table{t.Logs, t.Loops, t.Ts2vid, t.ObjStore, t.Args} {
-		tbl.Scan(func(_ relation.RowID, r relation.Row) bool {
+		tbl.At(math.MaxInt64).Scan(func(_ relation.RowID, r relation.Row) bool {
 			line := tbl.Name()
 			for _, v := range r {
 				line += "|" + v.String()
