@@ -102,8 +102,8 @@ bench-pair:
 
 # fuzz runs a short smoke pass over every native fuzz target (WAL line
 # decoder and encoder against encoding/json, WAL replay, snapshot reader,
-# planned-vs-reference SQL execution, version-store journal load); CI runs
-# it on each push.
+# planned-vs-reference SQL execution, version-store journal load, hindsight
+# replay against re-execution of generated scripts); CI runs it on each push.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime 10s ./internal/record
 	go test -run '^$$' -fuzz '^FuzzRecordEncode$$' -fuzztime 10s ./internal/record
@@ -112,3 +112,4 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/storage
 	go test -run '^$$' -fuzz '^FuzzPlannedVsScan$$' -fuzztime 10s ./internal/sqlparse
 	go test -run '^$$' -fuzz '^FuzzRepoLoad$$' -fuzztime 10s ./internal/vcs
+	go test -run '^$$' -fuzz '^FuzzHindsightPlan$$' -fuzztime 10s ./internal/replay

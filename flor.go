@@ -1223,8 +1223,16 @@ type HindsightReport = replay.VersionReport
 // Hindsight performs the paper's §2 "magic trick" for a script file: the
 // new source's added log statements are propagated into every committed
 // version of the file and replayed incrementally (from checkpoints, in
-// parallel) to materialize the new metadata retroactively. targets
-// optionally restricts which checkpoint-loop iterations are materialized.
+// parallel) to materialize the new metadata retroactively. Each version
+// replays once, under a plan fixed from its merged script before the replay
+// starts (DESIGN §3), and logs what re-executing that script would log for
+// the new names.
+//
+// targets optionally restricts which checkpoint-loop iterations are
+// materialized: logs and loops rows are written only inside those
+// iterations. Other iterations, and statements before the checkpoint loop,
+// run only to rebuild state; a version's replay ends after the last
+// iteration its plan runs. nil materializes everything.
 //
 // Hindsight reads through two pins held for the whole backfill. The
 // versions it backfills are those committed at a Reader pin. Their args,

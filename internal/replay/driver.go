@@ -20,7 +20,8 @@ import (
 // version of a script containing new log statements, it (a) propagates the
 // statements into every prior version via statement-level diffing, and (b)
 // replays each version selectively and in parallel to materialize the new
-// metadata (§2's "magic trick").
+// metadata (§2's "magic trick"). Each version replays once, under a plan
+// fixed from its merged script before the replay starts (analyze).
 //
 // Replays read history — args, loop contexts, checkpoints — through View, a
 // pinned snapshot of the tables, and write what they backfill through
@@ -52,15 +53,18 @@ type VersionJob struct {
 
 // VersionReport describes what happened for one version.
 type VersionReport struct {
-	VID       string
-	Tstamp    int64
-	Injected  int
-	Mode      string // "coarse", "full", or "none"
-	Stats     ReplayStats
-	Duration  time.Duration
-	Skipped   bool // nothing to inject
-	RetryFull bool // coarse replay failed; succeeded after full retry
-	Err       error
+	VID      string
+	Tstamp   int64
+	Injected int
+	// Mode is the plan the version was replayed under, fixed before the
+	// replay from the merged script: "coarse" (an iteration with a
+	// checkpoint skips its inner loop and restores the checkpoint), "full"
+	// (inner loops run), or "none" (nothing to inject).
+	Mode     string
+	Stats    ReplayStats
+	Duration time.Duration
+	Skipped  bool // nothing to inject
+	Err      error
 }
 
 // Hindsight runs the full propagate-and-replay pipeline for the file
@@ -74,7 +78,6 @@ func (d *Driver) Hindsight(filename, newSrc string, versions []VersionJob, targe
 	if err != nil {
 		return nil, fmt.Errorf("replay: parse new version: %w", err)
 	}
-	newNamesAll := script.LoggedNames(newF)
 
 	workers := d.Workers
 	if workers <= 0 {
@@ -92,7 +95,7 @@ func (d *Driver) Hindsight(filename, newSrc string, versions []VersionJob, targe
 		go func() {
 			defer wg.Done()
 			for idx := range jobs {
-				reports[idx] = d.replayOne(filename, newF, newNamesAll, versions[idx], targets)
+				reports[idx] = d.replayOne(filename, newF, versions[idx], targets)
 			}
 		}()
 	}
@@ -104,7 +107,9 @@ func (d *Driver) Hindsight(filename, newSrc string, versions []VersionJob, targe
 	return reports, nil
 }
 
-func (d *Driver) replayOne(filename string, newF *script.File, newNamesAll map[string]bool, job VersionJob, targets []int) VersionReport {
+// replayOne propagates newF into one version, fixes its replay plan from
+// the merged script, and replays it once under that plan.
+func (d *Driver) replayOne(filename string, newF *script.File, job VersionJob, targets []int) VersionReport {
 	start := time.Now()
 	rep := VersionReport{VID: job.VID, Tstamp: job.Tstamp, Mode: "none"}
 
@@ -136,95 +141,36 @@ func (d *Driver) replayOne(filename string, newF *script.File, newNamesAll map[s
 		}
 	}
 
-	innerNeeded := injectedInsideInnerLoop(merged)
-	mode := "coarse"
-	if innerNeeded {
-		mode = "full"
+	facts := analyze(merged)
+	rep.Mode = "coarse"
+	if facts.innerNeeded {
+		rep.Mode = "full"
 	}
-
-	r := d.newReplayer(filename, job, newNames, targets, innerNeeded)
-	stats, err := d.run(r, merged)
-	if err != nil && !innerNeeded {
-		// COARSE can fail when post-inner-loop statements reference
-		// variables defined inside the skipped inner loop; retry FULL. The
-		// retry resolves loop contexts through the first attempt's lookup:
-		// the loops rows that attempt wrote are not in the pinned view.
-		retry := d.newReplayer(filename, job, newNames, targets, true)
-		retry.ctxLookup = r.ctxLookup
-		stats2, err2 := d.run(retry, merged)
-		if err2 == nil {
-			rep.RetryFull = true
-			mode = "full"
-			stats = stats2
-			err = nil
-		} else {
-			err = err2
-		}
-	}
-	rep.Mode = mode
-	rep.Stats = stats
-	rep.Err = err
-	rep.Duration = time.Since(start)
-	return rep
-}
-
-// newReplayer builds the replayer of one version.
-func (d *Driver) newReplayer(filename string, job VersionJob, newNames map[string]bool, targets []int, innerNeeded bool) *Replayer {
-	ctx := &Context{
-		ProjID:   d.ProjID,
-		Filename: filename,
-		Tstamp:   job.Tstamp,
-		Tables:   d.Tables,
-		WAL:      d.WAL,
-		Blobs:    d.Blobs,
-	}
-	r := NewReplayer(ctx, d.View, d.NextCtx)
+	r := NewReplayer(&Context{
+		ProjID: d.ProjID, Filename: filename, Tstamp: job.Tstamp,
+		Tables: d.Tables, WAL: d.WAL, Blobs: d.Blobs,
+	}, d.View, d.NextCtx)
 	r.NewNames = newNames
-	r.InnerNeeded = innerNeeded
+	r.InnerNeeded = facts.innerNeeded
+	r.Carried = facts.carried
 	if targets != nil {
 		r.Targets = make(map[int]bool, len(targets))
 		for _, t := range targets {
 			r.Targets[t] = true
 		}
 	}
-	return r
-}
-
-// run replays merged under r.
-func (d *Driver) run(r *Replayer, merged *script.File) (ReplayStats, error) {
 	// A replay re-executes history to backfill logs; what it prints was
 	// already printed when the version first ran.
 	in := script.NewInterp(r, io.Discard)
 	if d.Setup != nil {
 		d.Setup(in)
 	}
-	err := in.Run(merged)
-	return r.Stats, err
-}
-
-// injectedInsideInnerLoop reports whether any injected statement (Line()==0)
-// sits at flor.loop nesting depth >= 2 — requiring FULL re-execution.
-func injectedInsideInnerLoop(f *script.File) bool {
-	found := false
-	var walk func(stmts []script.Stmt, loopDepth int)
-	walk = func(stmts []script.Stmt, loopDepth int) {
-		for _, s := range stmts {
-			depth := loopDepth
-			if fs, ok := s.(*script.ForStmt); ok {
-				if call, isCall := fs.Iterable.(*script.CallExpr); isCall && call.Fn == "flor.loop" {
-					depth++
-				}
-			}
-			if s.Line() == 0 && loopDepth >= 2 {
-				found = true
-			}
-			for _, b := range script.Body(s) {
-				walk(b, depth)
-			}
-		}
+	if err := in.Run(merged); !errors.Is(err, errPlanDone) {
+		rep.Err = err
 	}
-	walk(f.Stmts, 0)
-	return found
+	rep.Stats = r.Stats
+	rep.Duration = time.Since(start)
+	return rep
 }
 
 // HistoricalVersions lists (vid, tstamp) pairs for every recorded execution

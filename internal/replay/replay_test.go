@@ -2,6 +2,7 @@ package replay
 
 import (
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -245,17 +246,7 @@ func hindsightFixture(t *testing.T) (*vcs.Repo, *record.Tables, []VersionJob, *t
 	repo := vcs.NewRepo()
 	var versions []VersionJob
 	for ts := int64(1); ts <= 3; ts++ {
-		recordRun(t, tables, ts, EveryN{N: 1}, trainSrc)
-		vid, err := repo.CommitFiles(map[string]string{"train.flow": trainSrc}, "run", time.Unix(ts, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tables.Ts2vid.Insert(relation.Row{
-			relation.Text("p"), relation.Int(ts), relation.Int(ts), relation.Text(vid), relation.Text("train"),
-		}); err != nil {
-			t.Fatal(err)
-		}
-		versions = append(versions, VersionJob{VID: vid, Tstamp: ts})
+		versions = append(versions, commitVersion(t, repo, tables, ts, EveryN{N: 1}, trainSrc))
 	}
 	return repo, tables, versions, &toyModel{}
 }
@@ -484,11 +475,8 @@ func TestHindsightIdenticalVersionSkipped(t *testing.T) {
 	}
 }
 
-func TestHindsightCoarseFallsBackToFull(t *testing.T) {
-	// The OLD code defines `x` only inside the inner loop; the new version
-	// merely adds flor.log("last_x", x) after the inner loop. COARSE replay
-	// skips the inner loop, hits an undefined `x`, and must retry FULL.
-	oldSrc := `
+// innerXSrc defines x only inside the inner loop.
+const innerXSrc = `
 epochs = flor.arg("epochs", 4)
 net = make_model()
 with flor.checkpointing(model=net) {
@@ -502,42 +490,142 @@ with flor.checkpointing(model=net) {
     }
 }
 `
-	newSrc := `
-epochs = flor.arg("epochs", 4)
-net = make_model()
-with flor.checkpointing(model=net) {
-    for epoch in flor.loop("epoch", range(epochs)) {
-        for step in flor.loop("step", range(3)) {
-            x = epoch * 3 + step
-            train_step(net, x)
-        }
-        flor.log("last_x", x)
-        acc = eval_model(net)
-        flor.log("acc", acc)
-    }
-}
-`
-	tables := newTestTables(t)
-	repo := vcs.NewRepo()
-	recordRun(t, tables, 1, EveryN{N: 1}, oldSrc)
-	vid, _ := repo.CommitFiles(map[string]string{"train.flow": oldSrc}, "run", time.Unix(1, 0))
-	tables.Ts2vid.Insert(relation.Row{relation.Text("p"), relation.Int(1), relation.Int(1), relation.Text(vid), relation.Text("train")})
 
-	model := &toyModel{}
-	d := &Driver{Repo: repo, Tables: tables, View: view(t, tables), NextCtx: allocAfter(t, tables), ProjID: "p", Setup: setupHosts(model), Workers: 1}
-	reports, err := d.Hindsight("train.flow", newSrc, []VersionJob{{VID: vid, Tstamp: 1}}, nil)
-	if err != nil {
-		t.Fatal(err)
+// bestSrc carries best across epochs in a name no checkpoint holds.
+const bestSrc = `
+epochs = flor.arg("epochs", 4)
+best = 0
+net = make_model()
+with flor.checkpointing(model=net) {
+    for epoch in flor.loop("epoch", range(epochs)) {
+        for step in flor.loop("step", range(3)) {
+            train_step(net, epoch * 3 + step)
+        }
+        acc = eval_model(net)
+        flor.log("acc", acc)
+        best = best + acc
+    }
+}
+`
+
+// change replaces the first match of its old text with its new text.
+type change struct{ old, new string }
+
+// edit applies changes to src in order.
+func edit(src string, cs ...change) string {
+	for _, c := range cs {
+		if !strings.Contains(src, c.old) {
+			panic(fmt.Sprintf("edit: %q not in source", c.old))
+		}
+		src = strings.Replace(src, c.old, c.new, 1)
 	}
-	rep := reports[0]
-	if rep.Err != nil {
-		t.Fatal(rep.Err)
-	}
-	if !rep.RetryFull || rep.Mode != "full" {
-		t.Fatalf("expected full-mode retry: %+v", rep)
-	}
-	if rep.Stats.LogsEmitted != 4 {
-		t.Fatalf("logs = %d", rep.Stats.LogsEmitted)
+	return src
+}
+
+// Changes that add a statement to the epoch body of the scripts above:
+// before the inner loop, right after it, or after the acc log.
+func beforeInner(stmt string) change {
+	return change{"        for step", "        " + stmt + "\n        for step"}
+}
+
+func afterInner(stmt string) change {
+	return change{"        }\n        acc", "        }\n        " + stmt + "\n        acc"}
+}
+
+func afterAcc(stmt string) change {
+	return change{`flor.log("acc", acc)`, `flor.log("acc", acc)` + "\n        " + stmt}
+}
+
+// TestHindsightPlanRegressions: cases where planning a version while it
+// ran (COARSE, retried FULL on error) logged what re-execution would not.
+// Each version now replays once under a plan fixed from the merged script,
+// and logs exactly what recording the merged source from scratch logs for
+// the new names, restricted to the targets when there are any.
+func TestHindsightPlanRegressions(t *testing.T) {
+	withX := edit(innerXSrc, change{"net = make_model()", "x = -1\nnet = make_model()"})
+	lastX := afterInner(`flor.log("last_x", x)`)
+	cases := []struct {
+		name     string
+		old, new string
+		policy   CheckpointPolicy
+		targets  []int
+		facts    scriptFacts
+		mode     string
+		run      int // checkpoint-loop iterations the plan runs
+	}{{
+		// COARSE ran without an error and logged the prelude's -1.
+		name: "stale inner-loop variable",
+		old:  withX, new: edit(withX, lastX),
+		policy: EveryN{N: 1},
+		facts:  scriptFacts{innerNeeded: true, carried: true}, mode: "full", run: 4,
+	}, {
+		// COARSE wrote e for epoch 0, failed on x, and the FULL retry
+		// wrote it again.
+		name: "rows of a failed attempt",
+		old:  innerXSrc, new: edit(innerXSrc, lastX, beforeInner(`flor.log("e", epoch)`)),
+		policy: EveryN{N: 1},
+		facts:  scriptFacts{innerNeeded: true, carried: true}, mode: "full", run: 4,
+	}, {
+		// Iteration 0 ran only to rebuild state for 1, and wrote acc2.
+		name: "targets write only target iterations",
+		old:  trainSrc, new: edit(trainSrc, afterAcc(`flor.log("acc2", acc * 2)`)),
+		policy: EveryN{N: 3}, targets: []int{1},
+		mode: "coarse", run: 2,
+	}, {
+		// Target 3 started at checkpoint 2 with best = 0 and logged 66.
+		name: "targets keep state carried across iterations",
+		old:  bestSrc, new: edit(bestSrc, change{"best = best + acc", "best = best + acc\n        flor.log(\"best\", best)"}),
+		policy: EveryN{N: 1}, targets: []int{3},
+		facts: scriptFacts{carried: true}, mode: "coarse", run: 4,
+	}, {
+		// Target 2 ran COARSE on the model as the prelude left it: the
+		// start read it before the inner loop's restore.
+		name: "targets restore the state a COARSE start reads",
+		old:  trainSrc, new: edit(trainSrc, beforeInner(`flor.log("start", eval_model(net))`)),
+		policy: EveryN{N: 1}, targets: []int{2},
+		mode: "coarse", run: 1,
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tables := newTestTables(t)
+			repo := vcs.NewRepo()
+			job := commitVersion(t, repo, tables, 1, tc.policy, tc.old)
+
+			oldF, _ := script.Parse("train.flow", tc.old)
+			newF, _ := script.Parse("train.flow", tc.new)
+			merged, _ := script.Propagate(oldF, newF)
+			if got := analyze(merged); got != tc.facts {
+				t.Fatalf("plan facts = %+v, want %+v", got, tc.facts)
+			}
+
+			replays := 0
+			d := &Driver{Repo: repo, Tables: tables, View: view(t, tables), NextCtx: allocAfter(t, tables), ProjID: "p", Workers: 1,
+				Setup: func(in *script.Interp) { replays++; freshHosts(in) }}
+			reports, err := d.Hindsight("train.flow", tc.new, []VersionJob{job}, tc.targets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := reports[0]
+			if rep.Err != nil {
+				t.Fatal(rep.Err)
+			}
+			names := addedNames(oldF, merged)
+			want := reexecuted(t, script.Print(merged), names, inTargets(tc.targets))
+			got := loggedRows(t, tables, 1, names, nil)
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Fatalf("hindsight logged\n  %s\nre-execution logs\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+			}
+			if rep.Mode != tc.mode {
+				t.Fatalf("mode = %s, want %s", rep.Mode, tc.mode)
+			}
+			// One replay, and no iteration in it twice.
+			if replays != 1 || rep.Stats.IterationsRun != tc.run || rep.Stats.IterationsRun+rep.Stats.IterationsSkipped != 4 {
+				t.Fatalf("%d replays, stats %+v; want 1 replay running %d of 4 iterations", replays, rep.Stats, tc.run)
+			}
+			if rep.Stats.LogsEmitted != len(want) {
+				t.Fatalf("logs emitted = %d, want %d", rep.Stats.LogsEmitted, len(want))
+			}
+		})
 	}
 }
 
@@ -706,17 +794,56 @@ func TestReplayNoCheckpointsDegeneratesToFull(t *testing.T) {
 	}
 }
 
-func TestInjectedInsideInnerLoopDetection(t *testing.T) {
-	newF, _ := script.Parse("t", newSrcWithStepLog)
-	oldF, _ := script.Parse("t", trainSrc)
-	merged, _ := script.Propagate(oldF, newF)
-	if !injectedInsideInnerLoop(merged) {
-		t.Fatal("inner-loop injection not detected")
+// TestReplayPlanAnalysis: the static reading of a merged script that fixes
+// a version's plan — FULL when the inner loops must run, carried when no
+// target may start at a checkpoint.
+func TestReplayPlanAnalysis(t *testing.T) {
+	histSrc := edit(trainSrc,
+		change{"net = make_model()", "hist = []\nnet = make_model()"},
+		change{"            train_step(net, epoch * 3 + step)", "            train_step(net, epoch * 3 + step)\n            append(hist, step)"})
+	withLast := edit(innerXSrc, change{"net = make_model()", "func last() {\n    return x\n}\nnet = make_model()"})
+	twoInner := edit(trainSrc, afterInner("for k in flor.loop(\"eval\", range(2)) {\n            train_step(net, k)\n        }"))
+	noCkpt := "for i in flor.loop(\"i\", range(3)) {\n    y = i\n}\n"
+	cases := []struct {
+		name, old, new string
+		want           scriptFacts
+	}{
+		{"step-level log", trainSrc, newSrcWithStepLog, scriptFacts{innerNeeded: true}},
+		{"weight_norm(net) after the inner loop", trainSrc,
+			edit(trainSrc, afterInner("norm = weight_norm(net)\n        flor.log(\"weight_norm\", norm)")), scriptFacts{}},
+		{"read of an inner-loop variable", trainSrc,
+			edit(trainSrc, afterAcc(`flor.log("last_step", step)`)), scriptFacts{innerNeeded: true, carried: true}},
+		{"append(hist, ...) in the inner loop, read after it", histSrc,
+			edit(histSrc, afterAcc(`flor.log("hist", hist)`)), scriptFacts{innerNeeded: true, carried: true}},
+		{"best = best + acc", bestSrc,
+			edit(bestSrc, change{"best = best + acc", "best = best + acc\n        flor.log(\"best\", best)"}), scriptFacts{carried: true}},
+		{"model read before the inner loop", trainSrc,
+			edit(trainSrc, beforeInner(`flor.log("start", eval_model(net))`)), scriptFacts{}},
+		{"func reads an inner-loop variable", withLast,
+			edit(withLast, afterAcc(`flor.log("last", last())`)), scriptFacts{innerNeeded: true, carried: true}},
+		{"two inner loops", twoInner,
+			edit(twoInner, afterAcc(`flor.log("acc2", acc)`)), scriptFacts{innerNeeded: true}},
+		{"no checkpoint loop", noCkpt,
+			edit(noCkpt, change{"    y = i\n", "    y = i\n    flor.log(\"y\", y)\n"}), scriptFacts{innerNeeded: true}},
 	}
-	newF2, _ := script.Parse("t", newSrcWithWeightLog)
-	merged2, _ := script.Propagate(oldF, newF2)
-	if injectedInsideInnerLoop(merged2) {
-		t.Fatal("outer-loop injection misdetected as inner")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			oldF, err := script.Parse("t", tc.old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			newF, err := script.Parse("t", tc.new)
+			if err != nil {
+				t.Fatal(err)
+			}
+			merged, res := script.Propagate(oldF, newF)
+			if res.Injected == 0 {
+				t.Fatal("nothing injected")
+			}
+			if got := analyze(merged); got != tc.want {
+				t.Fatalf("facts = %+v, want %+v\n%s", got, tc.want, script.Print(merged))
+			}
+		})
 	}
 }
 

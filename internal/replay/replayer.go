@@ -1,6 +1,8 @@
 package replay
 
 import (
+	"errors"
+	"fmt"
 	"strconv"
 
 	"flordb/internal/record"
@@ -20,10 +22,11 @@ type ReplayStats struct {
 }
 
 // Replayer implements script.FlorHooks for hindsight replay of one
-// historical version: flor.arg resolves from the recorded args, the
-// checkpoint loop skips iterations not needed for the new statements
-// (restoring object state from checkpoints), and only the newly injected
-// value names are recorded.
+// historical version, run once under a plan fixed before it starts:
+// flor.arg resolves from the recorded args, the checkpoint loop runs only
+// the iterations its plan needs (starting after a checkpoint it restores
+// where InnerNeeded and Carried allow), and only the newly injected value
+// names are recorded — inside target iterations only, when Targets is set.
 type Replayer struct {
 	Ctx  *Context // Tstamp is the HISTORICAL version's timestamp
 	Ckpt *CheckpointManager
@@ -35,12 +38,18 @@ type Replayer struct {
 	// (used when replaying a version that never ran).
 	NewNames map[string]bool
 	// Targets restricts which checkpoint-loop iterations are materialized;
-	// nil means all iterations.
+	// nil means all iterations. When set, logs and loops rows are written
+	// only inside target iterations: other iterations, and statements
+	// outside the checkpoint loop, run only to rebuild state.
 	Targets map[int]bool
-	// InnerNeeded forces FULL re-execution of target iterations (set when
-	// an injected statement lives inside an inner loop; otherwise COARSE
-	// mode restores the iteration's checkpoint and skips the inner loop).
+	// InnerNeeded runs the checkpoint loop's inner loops (FULL). Otherwise
+	// an iteration with a checkpoint skips them and restores that
+	// checkpoint where they end (COARSE).
 	InnerNeeded bool
+	// Carried means state crosses checkpoint-loop iterations outside the
+	// checkpointed objects: every iteration up to the last target runs,
+	// from the first.
+	Carried bool
 
 	Stats ReplayStats
 
@@ -48,10 +57,9 @@ type Replayer struct {
 	ctxLookup map[string]int64
 	ctxStack  []int64
 
-	outerActive  bool
-	outerIter    int
-	skipInner    bool
-	lastRestored int
+	outerActive bool
+	outerIter   int
+	skipInner   bool
 
 	// nextCtx allocates fresh ctx ids for loop iterations that have no
 	// recorded row (e.g. replaying a version that was never recorded).
@@ -63,13 +71,12 @@ type Replayer struct {
 // loop contexts the replay creates (Recorder.NextCtx).
 func NewReplayer(ctx *Context, view *record.TablesView, nextCtx func() int64) *Replayer {
 	r := &Replayer{
-		Ctx:          ctx,
-		Ckpt:         NewCheckpointManager(Never{}), // no re-checkpointing during replay
-		View:         view,
-		argLookup:    make(map[string]string),
-		ctxLookup:    make(map[string]int64),
-		lastRestored: -1,
-		nextCtx:      nextCtx,
+		Ctx:       ctx,
+		Ckpt:      NewCheckpointManager(Never{}), // no re-checkpointing during replay
+		View:      view,
+		argLookup: make(map[string]string),
+		ctxLookup: make(map[string]int64),
+		nextCtx:   nextCtx,
 	}
 	// Historical flor.arg resolutions.
 	view.Args.Scan(func(_ relation.RowID, row relation.Row) bool {
@@ -113,24 +120,41 @@ func (r *Replayer) curCtx() int64 {
 	return r.ctxStack[len(r.ctxStack)-1]
 }
 
-// resolveCtx finds the recorded ctx_id for a loop iteration or allocates a
-// fresh one (writing the loops row so the new provenance is queryable).
+// writing reports whether the replay is where it writes rows: anywhere
+// without Targets, else inside a target iteration of the checkpoint loop.
+func (r *Replayer) writing() bool {
+	return r.Targets == nil || (r.outerActive && r.Targets[r.outerIter])
+}
+
+// resolveCtx finds the recorded ctx_id for a loop iteration (iter >= 0) or
+// a flor.iteration context (iter == -1, keyed by its value), or allocates a
+// fresh one and writes its loops row so the new provenance is queryable.
+// Where the replay writes nothing, a fresh context is -1, no recorded
+// context's parent.
 func (r *Replayer) resolveCtx(loopName string, iter int64, val script.Value) (int64, error) {
-	if id, ok := r.ctxLookup[loopKey(r.curCtx(), loopName, iter)]; ok {
+	key := loopKey(r.curCtx(), loopName, iter)
+	if iter < 0 {
+		text, _ := formatScriptValue(val)
+		key = iterKey(r.curCtx(), loopName, text)
+	}
+	if id, ok := r.ctxLookup[key]; ok {
 		return id, nil
+	}
+	if !r.writing() {
+		return -1, nil
 	}
 	id := r.nextCtx()
 	if err := r.Ctx.writeLoop(id, r.curCtx(), loopName, iter, val); err != nil {
 		return 0, err
 	}
-	r.ctxLookup[loopKey(r.curCtx(), loopName, iter)] = id
+	r.ctxLookup[key] = id
 	return id, nil
 }
 
 // Log implements script.FlorHooks: record only newly injected names, with
 // the historical timestamp and the original loop context.
 func (r *Replayer) Log(name string, v script.Value) (script.Value, error) {
-	if r.NewNames != nil && !r.NewNames[name] {
+	if (r.NewNames != nil && !r.NewNames[name]) || !r.writing() {
 		r.Stats.LogsSuppressed++
 		return v, nil
 	}
@@ -181,45 +205,37 @@ func (r *Replayer) ckptBlob(loopName string, iter int) ([]byte, bool) {
 type outerPlan struct {
 	run    []bool
 	coarse []bool // run with inner-loop skip + restore ckpt[i]
+	last   int    // the last iteration that runs; -1 if none
 }
 
-// planOuter computes the run set: COARSE targets run alone (their own
-// checkpoint restores end-of-iteration state); FULL targets run together
-// with the gap iterations back to the nearest prior checkpoint.
+// errPlanDone ends a replay whose plan has no iteration left to run: with
+// targets, nothing after the last one is written.
+var errPlanDone = errors.New("replay: plan done")
+
+// planOuter computes the run set once, before the checkpoint loop starts.
+// Each target runs together with the iterations back to the nearest
+// checkpoint before it, whose state is restored first — or back to
+// iteration 0 when Carried. A running iteration with a checkpoint of its
+// own is COARSE unless InnerNeeded.
 func (r *Replayer) planOuter(loopName string, n int) outerPlan {
-	plan := outerPlan{run: make([]bool, n), coarse: make([]bool, n)}
+	plan := outerPlan{run: make([]bool, n), coarse: make([]bool, n), last: -1}
 	hasCkpt := make([]bool, n)
 	for i := 0; i < n; i++ {
 		_, hasCkpt[i] = r.ckptBlob(loopName, i)
 	}
+	start := 0
 	for t := 0; t < n; t++ {
+		if t > 0 && hasCkpt[t-1] && !r.Carried {
+			start = t
+		}
 		if r.Targets != nil && !r.Targets[t] {
 			continue
 		}
-		if !r.InnerNeeded && hasCkpt[t] {
-			plan.run[t] = true
-			plan.coarse[t] = true
-			continue
-		}
-		// FULL: run from the nearest checkpoint strictly before t.
-		start := 0
-		for j := t - 1; j >= 0; j-- {
-			if hasCkpt[j] {
-				start = j + 1
-				break
-			}
-		}
 		for j := start; j <= t; j++ {
-			if !plan.coarse[j] {
-				plan.run[j] = true
-			}
-			// A gap iteration that was planned COARSE must be upgraded to
-			// FULL so it recomputes state for the target after it.
-			if j < t && plan.coarse[j] {
-				plan.coarse[j] = false
-				plan.run[j] = true
-			}
+			plan.run[j] = true
+			plan.coarse[j] = hasCkpt[j] && !r.InnerNeeded
 		}
+		plan.last = t
 	}
 	return plan
 }
@@ -227,14 +243,9 @@ func (r *Replayer) planOuter(loopName string, n int) outerPlan {
 // IterationBegin implements script.FlorHooks: reuse the recorded ctx for the
 // same (name, value) pair or create a new one.
 func (r *Replayer) IterationBegin(name string, val script.Value) error {
-	text, _ := formatScriptValue(val)
-	id, ok := r.ctxLookup[iterKey(r.curCtx(), name, text)]
-	if !ok {
-		id = r.nextCtx()
-		if err := r.Ctx.writeLoop(id, r.curCtx(), name, -1, val); err != nil {
-			return err
-		}
-		r.ctxLookup[iterKey(r.curCtx(), name, text)] = id
+	id, err := r.resolveCtx(name, -1, val)
+	if err != nil {
+		return err
 	}
 	r.ctxStack = append(r.ctxStack, id)
 	return nil
@@ -276,41 +287,46 @@ type replayOuterSession struct {
 // Decide implements script.LoopSession.
 func (s *replayOuterSession) Decide(i int, v script.Value) (bool, error) {
 	r := s.r
-	if i >= len(s.plan.run) || !s.plan.run[i] {
+	if i > s.plan.last {
+		r.Stats.IterationsSkipped += len(s.plan.run) - i
+		return false, errPlanDone
+	}
+	if !s.plan.run[i] {
 		r.Stats.IterationsSkipped++
 		return false, nil
 	}
-	// FULL iterations need end-of-(i-1) state.
-	if !s.plan.coarse[i] && i > 0 && r.lastRestored != i-1 {
-		if blob, ok := r.ckptBlob(s.name, i-1); ok {
-			if err := r.Ckpt.RestoreInto(blob, r.Ckpt.objs); err != nil {
-				return false, err
-			}
-			r.Stats.Restores++
-			r.lastRestored = i - 1
+	// An iteration that starts a run needs end-of-(i-1) state: the plan
+	// starts one only after a checkpoint.
+	if i > 0 && !s.plan.run[i-1] {
+		blob, ok := r.ckptBlob(s.name, i-1)
+		if !ok {
+			return false, fmt.Errorf("replay: no checkpoint of %s before iteration %d", s.name, i)
 		}
+		if err := r.Ckpt.RestoreInto(blob, r.Ckpt.objs); err != nil {
+			return false, err
+		}
+		r.Stats.Restores++
 	}
+	r.outerActive = true
+	r.outerIter = i
+	r.skipInner = s.plan.coarse[i]
 	ctxID, err := r.resolveCtx(s.name, int64(i), v)
 	if err != nil {
 		return false, err
 	}
 	r.ctxStack = append(r.ctxStack, ctxID)
-	r.outerActive = true
-	r.outerIter = i
-	r.skipInner = s.plan.coarse[i]
 	r.Stats.IterationsRun++
 	return true, nil
 }
 
 // PostIter implements script.LoopSession.
-func (s *replayOuterSession) PostIter(i int, _ script.Value) error {
+func (s *replayOuterSession) PostIter(int, script.Value) error {
 	r := s.r
 	if len(r.ctxStack) > 0 {
 		r.ctxStack = r.ctxStack[:len(r.ctxStack)-1]
 	}
 	r.outerActive = false
 	r.skipInner = false
-	r.lastRestored = i
 	return nil
 }
 

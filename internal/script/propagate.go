@@ -124,7 +124,7 @@ func isLogBearing(s Stmt) bool {
 
 func containsFlorCall(e Expr) bool {
 	found := false
-	walkExpr(e, func(x Expr) {
+	WalkExpr(e, func(x Expr) {
 		if c, ok := x.(*CallExpr); ok && strings.HasPrefix(c.Fn, "flor.") {
 			found = true
 		}
@@ -134,7 +134,7 @@ func containsFlorCall(e Expr) bool {
 
 func containsOnlyFlorLog(e Expr) bool {
 	ok := true
-	walkExpr(e, func(x Expr) {
+	WalkExpr(e, func(x Expr) {
 		if c, isCall := x.(*CallExpr); isCall && strings.HasPrefix(c.Fn, "flor.") && c.Fn != "flor.log" {
 			ok = false
 		}
@@ -142,7 +142,9 @@ func containsOnlyFlorLog(e Expr) bool {
 	return ok
 }
 
-func walkExpr(e Expr, fn func(Expr)) {
+// WalkExpr calls fn on e and on every expression nested in it, parents
+// first.
+func WalkExpr(e Expr, fn func(Expr)) {
 	if e == nil {
 		return
 	}
@@ -150,28 +152,28 @@ func walkExpr(e Expr, fn func(Expr)) {
 	switch x := e.(type) {
 	case *ListLit:
 		for _, it := range x.Items {
-			walkExpr(it, fn)
+			WalkExpr(it, fn)
 		}
 	case *DictLit:
 		for i := range x.Keys {
-			walkExpr(x.Keys[i], fn)
-			walkExpr(x.Vals[i], fn)
+			WalkExpr(x.Keys[i], fn)
+			WalkExpr(x.Vals[i], fn)
 		}
 	case *IndexExpr:
-		walkExpr(x.X, fn)
-		walkExpr(x.Index, fn)
+		WalkExpr(x.X, fn)
+		WalkExpr(x.Index, fn)
 	case *CallExpr:
 		for _, a := range x.Args {
-			walkExpr(a, fn)
+			WalkExpr(a, fn)
 		}
 		for _, a := range x.KwVals {
-			walkExpr(a, fn)
+			WalkExpr(a, fn)
 		}
 	case *BinaryExpr:
-		walkExpr(x.L, fn)
-		walkExpr(x.R, fn)
+		WalkExpr(x.L, fn)
+		WalkExpr(x.R, fn)
 	case *UnaryExpr:
-		walkExpr(x.X, fn)
+		WalkExpr(x.X, fn)
 	}
 }
 
