@@ -9,7 +9,7 @@
 # figures only compare within one machine, and only paired runs separate a
 # change from noise.
 
-.PHONY: check fmt vet vet-custom build test crash-matrix race-stress repl-matrix bench bench-full bench-pair fuzz
+.PHONY: check fmt vet vet-custom build test crash-matrix race-stress repl-matrix bench bench-full bench-pair fuzz loc
 
 check: fmt vet vet-custom build test bench
 
@@ -113,3 +113,11 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzPlannedVsScan$$' -fuzztime 10s ./internal/sqlparse
 	go test -run '^$$' -fuzz '^FuzzRepoLoad$$' -fuzztime 10s ./internal/vcs
 	go test -run '^$$' -fuzz '^FuzzHindsightPlan$$' -fuzztime 10s ./internal/replay
+
+# loc prints the non-test Go lines of each package directory and their total,
+# blank and //-comment lines dropped, vendor/ and testdata/ left out: the
+# count ROADMAP and CHANGES.md give for line-count claims.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './vendor/*' ! -path '*/testdata/*' -print0 | \
+		xargs -0 awk '!/^[[:space:]]*($$|\/\/)/ { d = FILENAME; sub(/\/[^\/]*$$/, "", d); n[d]++; total++ } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", total }' | sort -k2

@@ -458,10 +458,8 @@ func (b binder) compileScalarFunc(x *FuncCall) (func(relation.Row) (relation.Val
 // compileBatchPredicate is the vectorized entry point for filter
 // evaluation: it compiles a predicate into a kernel that evaluates the
 // expression over a whole batch and compacts the selection vector to the
-// passing rows. Comparisons between a column and a literal (either operand
-// order) or between two columns, IS [NOT] NULL on a column, [NOT] IN over a
-// literal list, [NOT] BETWEEN literal bounds, and AND/OR combinations of
-// those run as tight loops over column slices without closure dispatch.
+// passing rows. The shapes classify recognizes, and AND/OR combinations of
+// them, run as tight loops over column slices without closure dispatch.
 // Everything else falls back to the compiled row evaluator applied to a
 // scratch row populated with only the referenced columns. Row-at-a-time
 // semantics are preserved exactly: a NULL predicate result filters the row,
@@ -474,71 +472,38 @@ func (b binder) compileBatchPredicate(e Expr, evalErr *error) (relation.BatchPre
 	return b.batchFallback(e, evalErr)
 }
 
-// kernelize returns a closure-free vectorized kernel for the supported
-// predicate shapes, or nil when e needs the generic fallback. Kernels never
+// kernelize returns a closure-free vectorized kernel for AND/OR trees of
+// classified shapes, or nil when e needs the generic fallback. Kernels never
 // produce evaluation errors, which is what makes decomposing AND/OR safe:
 // with errors impossible, "filtered because false" and "filtered because
 // NULL" compose identically to the row evaluator's three-valued logic.
 func (b binder) kernelize(e Expr) relation.BatchPredicate {
-	switch x := e.(type) {
-	case *BinaryExpr:
-		switch x.Op {
-		case "AND":
-			l, r := b.kernelize(x.Left), b.kernelize(x.Right)
-			if l == nil || r == nil {
-				return nil
-			}
-			return func(bt *relation.Batch) {
-				l(bt)
-				if len(bt.Sel) > 0 {
-					r(bt)
-				}
-			}
-		case "OR":
-			l, r := b.kernelize(x.Left), b.kernelize(x.Right)
-			if l == nil || r == nil {
-				return nil
-			}
+	if x, ok := e.(*BinaryExpr); ok && (x.Op == "AND" || x.Op == "OR") {
+		l, r := b.kernelize(x.Left), b.kernelize(x.Right)
+		if l == nil || r == nil {
+			return nil
+		}
+		if x.Op == "OR" {
 			return orKernel(l, r)
-		case "=", "!=", "<", "<=", ">", ">=":
-			if lref, ok := x.Left.(*ColumnRef); ok {
-				if rref, ok := x.Right.(*ColumnRef); ok {
-					lp, lerr := b.resolve(lref)
-					rp, rerr := b.resolve(rref)
-					if lerr != nil || rerr != nil {
-						return nil
-					}
-					return colColKernel(lp, rp, x.Op)
-				}
-				if lit, ok := literalOf(x.Right); ok {
-					p, err := b.resolve(lref)
-					if err != nil {
-						return nil
-					}
-					return colLitKernel(p, lit, x.Op)
-				}
-			}
-			if rref, ok := x.Right.(*ColumnRef); ok {
-				if lit, ok := literalOf(x.Left); ok {
-					p, err := b.resolve(rref)
-					if err != nil {
-						return nil
-					}
-					var flip = map[string]string{"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-					return colLitKernel(p, lit, flip[x.Op])
-				}
+		}
+		return func(bt *relation.Batch) {
+			l(bt)
+			if len(bt.Sel) > 0 {
+				r(bt)
 			}
 		}
-	case *IsNullExpr:
-		ref, ok := x.Expr.(*ColumnRef)
-		if !ok {
-			return nil
-		}
-		p, err := b.resolve(ref)
-		if err != nil {
-			return nil
-		}
-		negate := x.Negate
+	}
+	s, ok := classify(e)
+	if !ok {
+		return nil
+	}
+	p, err := b.resolve(s.col)
+	if err != nil {
+		return nil
+	}
+	negate := s.negate
+	switch s.op {
+	case "is null":
 		return func(bt *relation.Batch) {
 			col := bt.Cols[p]
 			sel := bt.Sel[:0]
@@ -549,24 +514,8 @@ func (b binder) kernelize(e Expr) relation.BatchPredicate {
 			}
 			bt.Sel = sel
 		}
-	case *InExpr:
-		ref, ok := x.Expr.(*ColumnRef)
-		if !ok {
-			return nil
-		}
-		p, err := b.resolve(ref)
-		if err != nil {
-			return nil
-		}
-		lits := make([]relation.Value, 0, len(x.List))
-		for _, le := range x.List {
-			lit, ok := literalOf(le)
-			if !ok {
-				return nil
-			}
-			lits = append(lits, lit)
-		}
-		negate := x.Negate
+	case "in":
+		lits := s.lits
 		return func(bt *relation.Batch) {
 			col := bt.Cols[p]
 			sel := bt.Sel[:0]
@@ -589,25 +538,12 @@ func (b binder) kernelize(e Expr) relation.BatchPredicate {
 			}
 			bt.Sel = sel
 		}
-	case *BetweenExpr:
-		ref, ok := x.Expr.(*ColumnRef)
-		if !ok {
-			return nil
-		}
-		p, err := b.resolve(ref)
-		if err != nil {
-			return nil
-		}
-		lo, lok := literalOf(x.Lo)
-		hi, hok := literalOf(x.Hi)
-		if !lok || !hok {
-			return nil
-		}
+	case "between":
+		lo, hi := s.lits[0], s.lits[1]
 		if lo.IsNull() || hi.IsNull() {
 			// A NULL bound makes the predicate NULL for every row.
 			return func(bt *relation.Batch) { bt.Sel = bt.Sel[:0] }
 		}
-		negate := x.Negate
 		return func(bt *relation.Batch) {
 			col := bt.Cols[p]
 			sel := bt.Sel[:0]
@@ -624,7 +560,14 @@ func (b binder) kernelize(e Expr) relation.BatchPredicate {
 			bt.Sel = sel
 		}
 	}
-	return nil
+	if s.other == nil {
+		return colLitKernel(p, s.lits[0], s.op)
+	}
+	q, err := b.resolve(s.other)
+	if err != nil {
+		return nil
+	}
+	return colColKernel(p, q, s.op)
 }
 
 // cmpWant maps a comparison operator to which Compare outcomes (-1, 0, +1,

@@ -13,7 +13,10 @@ import (
 // FuzzPlannedVsScan is the differential fuzz of the planned pipeline against
 // the reference executor: any SQL text that parses runs through Execute and
 // ExecuteScan over the indexed workload database, and whenever both succeed
-// they must return the same columns and the same multiset of rows. What is
+// they must return the same columns and the same multiset of rows. Beside
+// logs and runs, the database holds addShapeTables' t and ti: five complete
+// zone pages clustered on id, so range predicates over them reach zone-map
+// pruning, which logs (every page spans all of tstamp) never does. What is
 // deliberately not compared, because it is not part of the contract:
 //
 //   - error presence (DESIGN §4: access paths and pushdown decide which rows
@@ -23,7 +26,8 @@ import (
 //   - the digits of a float computed by sum()/avg(), whose association order
 //     follows the access path.
 //
-// The corpus is seeded from the equivalence generators' output.
+// The corpus is seeded from the equivalence generators' output and with
+// clustered-range predicates over t and ti.
 func FuzzPlannedVsScan(f *testing.F) {
 	rng := rand.New(rand.NewSource(20260925))
 	for i := 0; i < 24; i++ {
@@ -41,6 +45,13 @@ func FuzzPlannedVsScan(f *testing.F) {
 		f.Add(q)
 	}
 	f.Add("SELECT projid FROM logs WHERE tstamp > 1000 AND value / 0 > 1")
+	for _, pred := range []string{
+		"id BETWEEN 1000 AND 2100", "(id < 1024 OR id > 4500)", "grp = 'g01' AND id >= 2048",
+		"4096 <= id AND u IN (3, 4)", "sparse IS NULL AND id < 5000", "id NOT BETWEEN 100 AND 5000",
+	} {
+		f.Add("SELECT * FROM t WHERE " + pred)
+		f.Add("SELECT grp, count(*) AS n, max(sparse) AS mx FROM ti WHERE " + pred + " GROUP BY grp")
+	}
 	f.Add("SELECT DISTINCT l.projid, r.vid FROM logs l JOIN runs r ON l.tstamp = r.tstamp AND l.value > 0.5 WHERE projid = 'p1' AND value_name IN ('acc', 'f1') ORDER BY vid DESC LIMIT 5 OFFSET 1")
 
 	var db *relation.Database // built on first use: the fuzz engine runs one target function per process at a time
@@ -51,6 +62,7 @@ func FuzzPlannedVsScan(f *testing.F) {
 		}
 		if db == nil {
 			db = randomWorkloadDBRows(t, true, 500)
+			addShapeTables(t, db, 5)
 		}
 		planned, perr := Execute(latest(t, db), stmt)
 		reference, rerr := ExecuteScan(latest(t, db), stmt)

@@ -398,12 +398,12 @@ func sourceDetail(ref TableRef, est int64) string {
 
 // ---------- Access-path selection over one base table ----------
 
-// sargable is one index-usable conjunct: col <op> literal(s).
+// sargable is one index-usable conjunct: col = lit, col <cmp> lit,
+// col IN (lits...) or col BETWEEN lit AND lit, with no NULL literal (SQL
+// comparisons with NULL match nothing; the residual filter handles them).
 type sargable struct {
-	idx  int    // position in the conjunct list
-	col  string // schema-normalized (lower-cased) column name
-	op   string // "=", "in", "<", "<=", ">", ">=", "between"
-	vals []relation.Value
+	idx int // position in the conjunct list
+	shape
 }
 
 // planTableAccess picks the cheapest access path the pushed conjuncts allow:
@@ -419,34 +419,35 @@ func planTableAccess(t *relation.TableSnapshot, ref TableRef, conjs []Expr, ctx 
 	eqs := make(map[string]sargable)
 	ranges := make(map[string][]sargable)
 	for i, c := range conjs {
-		s, ok := classifySargable(c, binding, schema)
+		sh, ok := classify(c)
+		if !ok || sh.other != nil || sh.negate || sh.op == "!=" || sh.op == "is null" || sh.nullLit() {
+			continue
+		}
+		col, ok := tableColOf(sh.col, binding, schema)
 		if !ok {
 			continue
 		}
-		s.idx = i
+		s := sargable{idx: i, shape: sh}
 		switch s.op {
 		case "=":
-			if _, dup := eqs[s.col]; !dup {
-				eqs[s.col] = s
+			if _, dup := eqs[col]; !dup {
+				eqs[col] = s
 			}
-			ranges[s.col] = append(ranges[s.col], s)
+			ranges[col] = append(ranges[col], s)
 		case "in":
-			if _, dup := eqs[s.col]; !dup {
-				eqs[s.col] = s
+			if _, dup := eqs[col]; !dup {
+				eqs[col] = s
 			}
 		default:
-			ranges[s.col] = append(ranges[s.col], s)
+			ranges[col] = append(ranges[col], s)
 		}
 	}
 
 	hashCols, keys, consumed := chooseHashIndex(t, eqs)
-	var (
-		rangeCol       string
-		lo, hi         relation.Value
-		loIncl, hiIncl bool
-	)
+	var rangeCol string
+	var bounds interval
 	if hashCols == nil {
-		rangeCol, lo, hi, loIncl, hiIncl, consumed = chooseOrderedIndex(t, ranges)
+		rangeCol, bounds, consumed = chooseOrderedIndex(t, ranges)
 	}
 	var residual []Expr
 	for i, c := range conjs {
@@ -463,23 +464,17 @@ func planTableAccess(t *relation.TableSnapshot, ref TableRef, conjs []Expr, ctx 
 		out.node = &PlanNode{Op: "IndexLookup", Detail: lookupDetail(ref, hashCols, keys)}
 		out.est = int64(len(keys))
 	case rangeCol != "":
-		out.it, err = relation.NewIndexRange(t, rangeCol, lo, hi, loIncl, hiIncl, needed)
-		out.node = &PlanNode{Op: "IndexRange", Detail: rangeDetail(ref, rangeCol, lo, hi, loIncl, hiIncl)}
+		out.it, err = relation.NewIndexRange(t, rangeCol, bounds.lo, bounds.hi, bounds.loIncl, bounds.hiIncl, needed)
+		out.node = &PlanNode{Op: "IndexRange", Detail: rangeDetail(ref, rangeCol, bounds)}
 		out.est = int64(t.Len())/4 + 1
 	default:
 		out.scan = relation.NewBatchScan(t, needed, relation.DefaultBatchSize)
 		if len(conjs) > 0 {
-			// Zone-map pruning for the full scan, gated on the whole pushed
-			// predicate kernelizing: kernels never produce evaluation errors,
-			// so skipping a page can never suppress a deferred error the
-			// unpruned scan would have latched (see binder.zoneFilter).
-			pred := combineAnd(conjs)
-			zb := binder{schema: schema}
-			if zb.kernelize(pred) != nil {
-				if zf := zb.zoneFilter(pred); zf != nil {
-					out.scan.SetZoneFilter(zf)
-					zonemap = true
-				}
+			// Zone-map pruning for the full scan, armed only when every leaf
+			// of the pushed predicate is a classified shape (binder.zoneFilter).
+			if zf, _ := (binder{schema: schema}).zoneFilter(combineAnd(conjs)); zf != nil {
+				out.scan.SetZoneFilter(zf)
+				zonemap = true
 			}
 		}
 		out.it = out.scan
@@ -522,9 +517,9 @@ func chooseHashIndex(t *relation.TableSnapshot, eqs map[string]sargable) (cols [
 					break
 				}
 				inUsed = true
-				expanded := make([][]relation.Value, 0, len(keys)*len(s.vals))
+				expanded := make([][]relation.Value, 0, len(keys)*len(s.lits))
 				for _, k := range keys {
-					for _, v := range s.vals {
+					for _, v := range s.lits {
 						nk := make([]relation.Value, 0, len(k)+1)
 						nk = append(nk, k...)
 						expanded = append(expanded, append(nk, v))
@@ -533,7 +528,7 @@ func chooseHashIndex(t *relation.TableSnapshot, eqs map[string]sargable) (cols [
 				keys = expanded
 			} else {
 				for i := range keys {
-					keys[i] = append(keys[i], s.vals[0])
+					keys[i] = append(keys[i], s.lits[0])
 				}
 			}
 			consumed[s.idx] = true
@@ -568,8 +563,8 @@ func dedupeKeys(keys [][]relation.Value) [][]relation.Value {
 }
 
 // chooseOrderedIndex returns the ordered-indexed column whose range conjuncts
-// consume the most predicates, with the combined bounds.
-func chooseOrderedIndex(t *relation.TableSnapshot, ranges map[string][]sargable) (col string, lo, hi relation.Value, loIncl, hiIncl bool, consumed map[int]bool) {
+// consume the most predicates, with the intersection of their intervals.
+func chooseOrderedIndex(t *relation.TableSnapshot, ranges map[string][]sargable) (col string, bounds interval, consumed map[int]bool) {
 	best := -1
 	for _, ixCol := range t.OrderedIndexColumns() {
 		sargs := ranges[strings.ToLower(ixCol)]
@@ -581,111 +576,15 @@ func chooseOrderedIndex(t *relation.TableSnapshot, ranges map[string][]sargable)
 		}
 		best = len(sargs)
 		col = ixCol
-		lo, hi = relation.Null(), relation.Null()
-		loIncl, hiIncl = true, true
+		bounds = interval{}
 		consumed = make(map[int]bool)
 		for _, s := range sargs {
-			switch s.op {
-			case "=":
-				lo, loIncl = tightenLo(lo, loIncl, s.vals[0], true)
-				hi, hiIncl = tightenHi(hi, hiIncl, s.vals[0], true)
-			case "between":
-				lo, loIncl = tightenLo(lo, loIncl, s.vals[0], true)
-				hi, hiIncl = tightenHi(hi, hiIncl, s.vals[1], true)
-			case ">":
-				lo, loIncl = tightenLo(lo, loIncl, s.vals[0], false)
-			case ">=":
-				lo, loIncl = tightenLo(lo, loIncl, s.vals[0], true)
-			case "<":
-				hi, hiIncl = tightenHi(hi, hiIncl, s.vals[0], false)
-			case "<=":
-				hi, hiIncl = tightenHi(hi, hiIncl, s.vals[0], true)
-			}
+			iv, _ := s.interval()
+			bounds = bounds.intersect(iv)
 			consumed[s.idx] = true
 		}
 	}
-	return col, lo, hi, loIncl, hiIncl, consumed
-}
-
-func tightenLo(cur relation.Value, curIncl bool, v relation.Value, incl bool) (relation.Value, bool) {
-	if cur.IsNull() {
-		return v, incl
-	}
-	c := relation.Compare(v, cur)
-	if c > 0 || (c == 0 && curIncl && !incl) {
-		return v, incl
-	}
-	return cur, curIncl
-}
-
-func tightenHi(cur relation.Value, curIncl bool, v relation.Value, incl bool) (relation.Value, bool) {
-	if cur.IsNull() {
-		return v, incl
-	}
-	c := relation.Compare(v, cur)
-	if c < 0 || (c == 0 && curIncl && !incl) {
-		return v, incl
-	}
-	return cur, curIncl
-}
-
-// classifySargable recognizes the index-usable predicate shapes over the
-// given table: col = lit, col <cmp> lit (either operand order), col IN
-// (lits...), col BETWEEN lit AND lit. NULL literals are never sargable (SQL
-// comparisons with NULL match nothing; the residual filter handles them).
-func classifySargable(c Expr, binding string, schema *relation.Schema) (sargable, bool) {
-	switch x := c.(type) {
-	case *BinaryExpr:
-		var flip = map[string]string{"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-		if _, cmp := flip[x.Op]; !cmp {
-			return sargable{}, false
-		}
-		if col, ok := tableColOf(x.Left, binding, schema); ok {
-			if v, ok := literalOf(x.Right); ok && !v.IsNull() {
-				return sargable{col: col, op: x.Op, vals: []relation.Value{v}}, true
-			}
-		}
-		if col, ok := tableColOf(x.Right, binding, schema); ok {
-			if v, ok := literalOf(x.Left); ok && !v.IsNull() {
-				return sargable{col: col, op: flip[x.Op], vals: []relation.Value{v}}, true
-			}
-		}
-	case *InExpr:
-		if x.Negate {
-			return sargable{}, false
-		}
-		col, ok := tableColOf(x.Expr, binding, schema)
-		if !ok {
-			return sargable{}, false
-		}
-		vals := make([]relation.Value, 0, len(x.List))
-		for _, e := range x.List {
-			v, ok := literalOf(e)
-			if !ok || v.IsNull() {
-				return sargable{}, false
-			}
-			vals = append(vals, v)
-		}
-		if len(vals) == 0 {
-			return sargable{}, false
-		}
-		return sargable{col: col, op: "in", vals: vals}, true
-	case *BetweenExpr:
-		if x.Negate {
-			return sargable{}, false
-		}
-		col, ok := tableColOf(x.Expr, binding, schema)
-		if !ok {
-			return sargable{}, false
-		}
-		lo, lok := literalOf(x.Lo)
-		hi, hok := literalOf(x.Hi)
-		if !lok || !hok || lo.IsNull() || hi.IsNull() {
-			return sargable{}, false
-		}
-		return sargable{col: col, op: "between", vals: []relation.Value{lo, hi}}, true
-	}
-	return sargable{}, false
+	return col, bounds, consumed
 }
 
 // tableColOf resolves e as a reference to a column of the table bound as
@@ -703,29 +602,6 @@ func tableColOf(e Expr, binding string, schema *relation.Schema) (string, bool) 
 		return "", false
 	}
 	return strings.ToLower(schema.Col(i).Name), true
-}
-
-// literalOf extracts a constant from a Literal or a negated numeric Literal.
-func literalOf(e Expr) (relation.Value, bool) {
-	switch x := e.(type) {
-	case *Literal:
-		return x.Value, true
-	case *UnaryExpr:
-		if x.Op != "-" {
-			return relation.Null(), false
-		}
-		inner, ok := x.Expr.(*Literal)
-		if !ok {
-			return relation.Null(), false
-		}
-		switch inner.Value.Type() {
-		case relation.TInt:
-			return relation.Int(-inner.Value.AsInt()), true
-		case relation.TFloat:
-			return relation.Float(-inner.Value.AsFloat()), true
-		}
-	}
-	return relation.Null(), false
 }
 
 // ---------- EXPLAIN rendering details ----------
@@ -752,26 +628,26 @@ func lookupDetail(ref TableRef, cols []string, keys [][]relation.Value) string {
 	return d + " IN (" + strings.Join(tuples, ", ") + ")"
 }
 
-func rangeDetail(ref TableRef, col string, lo, hi relation.Value, loIncl, hiIncl bool) string {
+func rangeDetail(ref TableRef, col string, bounds interval) string {
 	d := ref.Name
 	if ref.Alias != "" {
 		d += " AS " + ref.Alias
 	}
 	d += " via ordered(" + col + ")"
 	var parts []string
-	if !lo.IsNull() {
+	if !bounds.lo.IsNull() {
 		op := ">"
-		if loIncl {
+		if bounds.loIncl {
 			op = ">="
 		}
-		parts = append(parts, col+" "+op+" "+valueSQL(lo))
+		parts = append(parts, col+" "+op+" "+valueSQL(bounds.lo))
 	}
-	if !hi.IsNull() {
+	if !bounds.hi.IsNull() {
 		op := "<"
-		if hiIncl {
+		if bounds.hiIncl {
 			op = "<="
 		}
-		parts = append(parts, col+" "+op+" "+valueSQL(hi))
+		parts = append(parts, col+" "+op+" "+valueSQL(bounds.hi))
 	}
 	if len(parts) == 0 {
 		return d

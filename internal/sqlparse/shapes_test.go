@@ -11,8 +11,9 @@ import (
 	"flordb/internal/relation"
 )
 
-// shapesDB builds two tables holding the same rows — t without secondary
-// indexes, ti with them — of 17 complete zone pages plus a partial tail:
+// addShapeTables adds two tables holding the same rows to db — t without
+// secondary indexes, ti with them — of pages complete zone pages plus a
+// 300-row tail, and commits them:
 //
 //   - id: the row number, clustered and unique;
 //   - grp: clustered text, one value per 1,536 rows, so even pages are
@@ -22,9 +23,8 @@ import (
 //   - u: (i*37)%100, every page spanning the whole range.
 //
 // ti carries hash(grp), hash(u), ordered(id) and ordered(sparse).
-func shapesDB(t *testing.T) *relation.Database {
+func addShapeTables(t *testing.T, db *relation.Database, pages int) {
 	t.Helper()
-	db := relation.NewDatabase()
 	schema := relation.MustSchema(
 		relation.Column{Name: "id", Type: relation.TInt},
 		relation.Column{Name: "grp", Type: relation.TText},
@@ -48,7 +48,7 @@ func shapesDB(t *testing.T) *relation.Database {
 				}
 			}
 		}
-		for i := 0; i < 17*relation.ZonePageRows+300; i++ {
+		for i := 0; i < pages*relation.ZonePageRows+300; i++ {
 			page := i / relation.ZonePageRows
 			sparse := relation.Float(float64(i%relation.ZonePageRows) / 8)
 			if page == 4 || page == 5 || (page%2 == 1 && i%7 == 0) {
@@ -65,7 +65,6 @@ func shapesDB(t *testing.T) *relation.Database {
 		}
 	}
 	db.AdvanceEpoch(time.Now())
-	return db
 }
 
 // shapePredicates are the WHERE clauses TestPredicateShapesPinned runs over
@@ -134,8 +133,8 @@ func shapeLine(t *testing.T, cat *relation.Snapshot, table, pred string, ref *Re
 		table, pred, strings.Join(lines, " <- "), p1-p0, d1-d0, outcome)
 }
 
-// sameRowsByID compares two results of SELECT * over shapesDB as row
-// multisets: id is unique, so both sort by it into one order.
+// sameRowsByID compares two results of SELECT * over addShapeTables' rows as
+// row multisets: id is unique, so both sort by it into one order.
 func sameRowsByID(a, b *Result) bool {
 	if len(a.Rows) != len(b.Rows) {
 		return false
@@ -176,7 +175,9 @@ func TestPredicateShapesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
-	cat := latest(t, shapesDB(t))
+	db := relation.NewDatabase()
+	addShapeTables(t, db, 17)
+	cat := latest(t, db)
 	var got []string
 	for _, pred := range shapePredicates {
 		// Both tables hold the same rows: one reference answer serves both.

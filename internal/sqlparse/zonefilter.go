@@ -2,120 +2,83 @@ package sqlparse
 
 import "flordb/internal/relation"
 
-// Zone-map filter compilation: turn the WHERE clause into a
-// relation.ZoneFilter that decides, from a page's per-column min/max and
-// null-count zone, whether the page can be skipped without decoding.
+// zoneFilter compiles a pushed WHERE predicate into a relation.ZoneFilter
+// that decides, from a page's per-column min/max and null-count zone,
+// whether the page can be skipped without decoding. It may only skip a page
+// when provably no row in it satisfies the predicate.
 //
-// The filter answers "can any row in this page possibly satisfy the
-// predicate?" — it may only return true (skip) when the answer is provably
-// no. Everything it cannot reason about compiles to nil, which downstream
-// means "never skip". The supported shapes mirror kernelize exactly, and a
-// zone filter is only ever armed when the *whole* predicate kernelizes: a
-// predicate with a fallback-evaluated subtree could raise a deferred
-// evaluation error on a row, and skipping the page would suppress that error
-// (binder.compile's AND evaluates the right side when the left is NULL, so
-// even one AND conjunct can carry another's error). Kernels never produce
-// evaluation errors, so under this gate pruning is behavior-identical to the
-// serial scan.
+// ok is false, and zf nil, unless every leaf of e is a classified shape
+// whose columns resolve (AND/OR trees of them). That is the gate on
+// pruning: any other leaf could raise a deferred evaluation error on a row,
+// and skipping the page would suppress that error (binder.compile's AND
+// evaluates the right side when the left is NULL, so even one AND conjunct
+// can carry another's error). Shapes never produce evaluation errors, so
+// under this gate pruning is behavior-identical to the serial scan. With
+// ok true, zf is nil when no leaf can ever skip a page.
 //
-// Soundness notes per shape (z tracks non-NULL cells only; NULL comparisons
-// are never satisfied, so NULL cells can be ignored for every shape except
-// IS [NOT] NULL, which uses the null count):
+// Soundness per shape (a zone's Min/Max track non-NULL cells only; NULL
+// comparisons are never satisfied, so NULL cells can be ignored for every
+// shape except IS [NOT] NULL, which uses the null count):
 //
 //   - A page whose column zone has Min == NULL holds no non-NULL cell, so
 //     any comparison / IN / BETWEEN prunes it.
-//   - col = lit: skip when lit < Min or lit > Max.
+//   - A NULL literal in a comparison or BETWEEN satisfies no row at all —
+//     always skip.
+//   - Range shapes (=, <, <=, >, >=, BETWEEN): skip when their interval is
+//     disjoint from [Min, Max]. NOT BETWEEN: skip when [Min, Max] lies
+//     inside [lo, hi].
 //   - col != lit: skip when Min == lit == Max (every non-NULL cell equals lit).
-//   - col < lit: skip when Min >= lit; col <= lit: skip when Min > lit.
-//   - col > lit: skip when Max <= lit; col >= lit: skip when Max < lit.
-//   - A NULL literal satisfies no row at all — always skip.
 //   - IN: skip when every non-NULL list literal falls outside [Min, Max]
 //     (NULL list items never match; an all-NULL list matches nothing).
-//   - BETWEEN lo AND hi: skip when Max < lo or Min > hi; a NULL bound makes
-//     the predicate NULL everywhere — always skip. NOT BETWEEN: skip when
-//     the whole zone lies inside [lo, hi].
 //   - IS NULL: skip when NullCount == 0; IS NOT NULL: when NullCount == Rows.
 //   - AND: a page skippable by either conjunct is skippable. OR: only a page
-//     skippable by both disjuncts is skippable (both must compile).
-//   - Column-vs-column comparisons and anything else: nil (never skip).
+//     skippable by both disjuncts is skippable.
+//   - Column-vs-column comparisons and NOT IN: never skip.
 //
 // Ordering uses relation.ComparePtr — the same total order the kernels
 // filter by — so numeric cross-type comparisons prune consistently.
-func (b binder) zoneFilter(e Expr) relation.ZoneFilter {
-	switch x := e.(type) {
-	case *BinaryExpr:
-		switch x.Op {
-		case "AND":
-			l, r := b.zoneFilter(x.Left), b.zoneFilter(x.Right)
-			if l == nil && r == nil {
-				return nil
-			}
-			return func(z *relation.PageZone) bool {
-				return (l != nil && l(z)) || (r != nil && r(z))
-			}
-		case "OR":
-			l, r := b.zoneFilter(x.Left), b.zoneFilter(x.Right)
-			if l == nil || r == nil {
-				return nil
-			}
-			return func(z *relation.PageZone) bool { return l(z) && r(z) }
-		case "=", "!=", "<", "<=", ">", ">=":
-			if lref, ok := x.Left.(*ColumnRef); ok {
-				if lit, ok := literalOf(x.Right); ok {
-					p, err := b.resolve(lref)
-					if err != nil {
-						return nil
-					}
-					return zoneCmpFilter(p, lit, x.Op)
-				}
-			}
-			if rref, ok := x.Right.(*ColumnRef); ok {
-				if lit, ok := literalOf(x.Left); ok {
-					p, err := b.resolve(rref)
-					if err != nil {
-						return nil
-					}
-					var flip = map[string]string{"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-					return zoneCmpFilter(p, lit, flip[x.Op])
-				}
-			}
+func (b binder) zoneFilter(e Expr) (zf relation.ZoneFilter, ok bool) {
+	if x, isBin := e.(*BinaryExpr); isBin && (x.Op == "AND" || x.Op == "OR") {
+		l, lok := b.zoneFilter(x.Left)
+		r, rok := b.zoneFilter(x.Right)
+		switch {
+		case !lok || !rok:
+			return nil, false
+		case x.Op == "OR" && (l == nil || r == nil):
+			return nil, true
+		case x.Op == "OR":
+			return func(z *relation.PageZone) bool { return l(z) && r(z) }, true
+		case l == nil:
+			return r, true
+		case r == nil:
+			return l, true
 		}
-	case *IsNullExpr:
-		ref, ok := x.Expr.(*ColumnRef)
-		if !ok {
-			return nil
-		}
-		p, err := b.resolve(ref)
-		if err != nil {
-			return nil
-		}
-		negate := x.Negate
+		return func(z *relation.PageZone) bool { return l(z) || r(z) }, true
+	}
+	s, ok := classify(e)
+	if !ok {
+		return nil, false
+	}
+	p, err := b.resolve(s.col)
+	if err != nil {
+		return nil, false
+	}
+	switch {
+	case s.other != nil:
+		_, err = b.resolve(s.other)
+		return nil, err == nil
+	case s.op == "is null":
+		negate := s.negate
 		return func(z *relation.PageZone) bool {
 			if negate {
 				return z.Cols[p].NullCount == z.Rows
 			}
 			return z.Cols[p].NullCount == 0
-		}
-	case *InExpr:
-		if x.Negate {
-			return nil // NOT IN excludes a finite set; min/max bounds say nothing
-		}
-		ref, ok := x.Expr.(*ColumnRef)
-		if !ok {
-			return nil
-		}
-		p, err := b.resolve(ref)
-		if err != nil {
-			return nil
-		}
-		lits := make([]relation.Value, 0, len(x.List))
-		for _, le := range x.List {
-			lit, ok := literalOf(le)
-			if !ok {
-				return nil
-			}
-			lits = append(lits, lit)
-		}
+		}, true
+	case s.op == "in" && s.negate:
+		return nil, true // NOT IN excludes a finite set; min/max bounds say nothing
+	case s.op == "in":
+		lits := s.lits
 		return func(z *relation.PageZone) bool {
 			cz := &z.Cols[p]
 			if cz.Min.IsNull() {
@@ -130,65 +93,26 @@ func (b binder) zoneFilter(e Expr) relation.ZoneFilter {
 				}
 			}
 			return true
-		}
-	case *BetweenExpr:
-		ref, ok := x.Expr.(*ColumnRef)
-		if !ok {
-			return nil
-		}
-		p, err := b.resolve(ref)
-		if err != nil {
-			return nil
-		}
-		lo, lok := literalOf(x.Lo)
-		hi, hok := literalOf(x.Hi)
-		if !lok || !hok {
-			return nil
-		}
-		if lo.IsNull() || hi.IsNull() {
-			return func(*relation.PageZone) bool { return true }
-		}
-		negate := x.Negate
+		}, true
+	case s.nullLit():
+		return func(*relation.PageZone) bool { return true }, true
+	case s.op == "!=":
+		lit := s.lits[0]
 		return func(z *relation.PageZone) bool {
 			cz := &z.Cols[p]
-			if cz.Min.IsNull() {
-				return true
-			}
-			if negate {
-				return relation.ComparePtr(&cz.Min, &lo) >= 0 && relation.ComparePtr(&cz.Max, &hi) <= 0
-			}
-			return relation.ComparePtr(&cz.Max, &lo) < 0 || relation.ComparePtr(&cz.Min, &hi) > 0
-		}
+			return cz.Min.IsNull() || relation.ComparePtr(&lit, &cz.Min) == 0 && relation.ComparePtr(&lit, &cz.Max) == 0
+		}, true
 	}
-	return nil
-}
-
-// zoneCmpFilter prunes pages for `col <op> lit` from the column's [Min, Max].
-func zoneCmpFilter(pos int, lit relation.Value, op string) relation.ZoneFilter {
-	if lit.IsNull() {
-		return func(*relation.PageZone) bool { return true }
-	}
+	iv, _ := s.interval()
+	negate := s.negate
 	return func(z *relation.PageZone) bool {
-		cz := &z.Cols[pos]
+		cz := &z.Cols[p]
 		if cz.Min.IsNull() {
 			return true // no non-NULL cell in the page
 		}
-		lo := relation.ComparePtr(&lit, &cz.Min)
-		hi := relation.ComparePtr(&lit, &cz.Max)
-		switch op {
-		case "=":
-			return lo < 0 || hi > 0
-		case "!=":
-			return lo == 0 && hi == 0
-		case "<":
-			return lo <= 0 // Min >= lit: no cell below lit
-		case "<=":
-			return lo < 0 // Min > lit
-		case ">":
-			return hi >= 0 // Max <= lit: no cell above lit
-		case ">=":
-			return hi > 0 // Max < lit
+		if negate {
+			return relation.ComparePtr(&cz.Min, &iv.lo) >= 0 && relation.ComparePtr(&cz.Max, &iv.hi) <= 0
 		}
-		return false
-	}
+		return iv.disjoint(&cz.Min, &cz.Max)
+	}, true
 }
