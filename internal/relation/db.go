@@ -166,18 +166,6 @@ func (db *Database) Table(name string) (*Table, bool) {
 	return t, ok
 }
 
-// DropTable removes a base table.
-func (db *Database) DropTable(name string) bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	key := strings.ToLower(name)
-	if _, ok := db.tables[key]; !ok {
-		return false
-	}
-	delete(db.tables, key)
-	return true
-}
-
 // RowVersions reports the row versions held across base tables and how
 // many are live in the latest view. Tables are insert-only, so the two are
 // always equal. It feeds the /metrics row_versions gauge.

@@ -5,6 +5,16 @@ import (
 	"testing/quick"
 )
 
+// insertAll inserts rows into tbl one at a time.
+func insertAll(t *testing.T, tbl *Table, rows []Row) {
+	t.Helper()
+	for _, r := range rows {
+		if _, err := tbl.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func opsTable(t *testing.T) *Table {
 	t.Helper()
 	tbl := NewTable("runs", MustSchema(
@@ -20,9 +30,7 @@ func opsTable(t *testing.T) *Table {
 		{Int(3), Text("acc"), Float(0.90)},
 		{Int(3), Text("recall"), Float(0.65)},
 	}
-	if err := tbl.InsertMany(rows); err != nil {
-		t.Fatal(err)
-	}
+	insertAll(t, tbl, rows)
 	return tbl
 }
 
@@ -61,9 +69,9 @@ func TestProjectExpression(t *testing.T) {
 
 func TestHashJoin(t *testing.T) {
 	left := NewTable("l", MustSchema(Column{Name: "run", Type: TInt}, Column{Name: "acc", Type: TFloat}))
-	left.InsertMany([]Row{{Int(1), Float(0.8)}, {Int(2), Float(0.85)}, {Int(4), Float(0.7)}})
+	insertAll(t, left, []Row{{Int(1), Float(0.8)}, {Int(2), Float(0.85)}, {Int(4), Float(0.7)}})
 	right := NewTable("r", MustSchema(Column{Name: "run", Type: TInt}, Column{Name: "recall", Type: TFloat}))
-	right.InsertMany([]Row{{Int(1), Float(0.7)}, {Int(2), Float(0.75)}, {Int(3), Float(0.6)}})
+	insertAll(t, right, []Row{{Int(1), Float(0.7)}, {Int(2), Float(0.75)}, {Int(3), Float(0.6)}})
 
 	j, err := NewHashJoin(NewScan(latest(left)), NewScan(latest(right)), []string{"run"}, []string{"run"}, "r")
 	if err != nil {
@@ -100,9 +108,9 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 
 func TestHashJoinDuplicateKeys(t *testing.T) {
 	left := NewTable("l", MustSchema(Column{Name: "k", Type: TInt}))
-	left.InsertMany([]Row{{Int(1)}, {Int(1)}})
+	insertAll(t, left, []Row{{Int(1)}, {Int(1)}})
 	right := NewTable("r", MustSchema(Column{Name: "k", Type: TInt}))
-	right.InsertMany([]Row{{Int(1)}, {Int(1)}, {Int(1)}})
+	insertAll(t, right, []Row{{Int(1)}, {Int(1)}, {Int(1)}})
 	j, _ := NewHashJoin(NewScan(latest(left)), NewScan(latest(right)), []string{"k"}, []string{"k"}, "r")
 	if rows := Collect(j); len(rows) != 6 {
 		t.Fatalf("cartesian within key = %d", len(rows))
@@ -214,7 +222,7 @@ func TestGroupByEmptyInputNoGroups(t *testing.T) {
 
 func TestAggregatesIgnoreNulls(t *testing.T) {
 	tbl := NewTable("n", MustSchema(Column{Name: "v", Type: TFloat}))
-	tbl.InsertMany([]Row{{Float(1)}, {Null()}, {Float(3)}})
+	insertAll(t, tbl, []Row{{Float(1)}, {Null()}, {Float(3)}})
 	g, _ := NewGroup(NewScan(latest(tbl)), nil, []AggSpec{
 		{Kind: AggCount, Col: "v", As: "c"},
 		{Kind: AggCountStar, As: "cs"},
@@ -228,7 +236,7 @@ func TestAggregatesIgnoreNulls(t *testing.T) {
 
 func TestDistinct(t *testing.T) {
 	tbl := NewTable("d", MustSchema(Column{Name: "v", Type: TInt}))
-	tbl.InsertMany([]Row{{Int(1)}, {Int(2)}, {Int(1)}, {Int(3)}, {Int(2)}})
+	insertAll(t, tbl, []Row{{Int(1)}, {Int(2)}, {Int(1)}, {Int(3)}, {Int(2)}})
 	rows := Collect(NewDistinct(NewScan(latest(tbl))))
 	if len(rows) != 3 {
 		t.Fatalf("distinct = %d", len(rows))
@@ -309,9 +317,6 @@ func TestSnapshotCatalog(t *testing.T) {
 	names := snap.Names()
 	if len(names) != 2 || names[0] != "t1" || names[1] != "vt" {
 		t.Fatalf("names: %v", names)
-	}
-	if !db.DropTable("t1") || db.DropTable("t1") {
-		t.Fatal("drop semantics wrong")
 	}
 }
 

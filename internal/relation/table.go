@@ -207,16 +207,6 @@ func (t *Table) LoadVersions(rows []Row, born []int64) error {
 	return nil
 }
 
-// InsertMany inserts a batch of rows, stopping at the first error.
-func (t *Table) InsertMany(rows []Row) error {
-	for i, r := range rows {
-		if _, err := t.Insert(r); err != nil {
-			return fmt.Errorf("row %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // visibleLen returns n(epoch), the number of rows visible at epoch: because
 // born is nondecreasing in store order, they are exactly rows[:n]. The
 // common pin — no row born after it — costs one comparison.

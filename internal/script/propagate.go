@@ -308,27 +308,6 @@ func cloneExpr(e Expr) Expr {
 	}
 }
 
-// CountLogCalls counts flor.log statements in a file (used in tests and by
-// replay planning to decide whether a version needs replay at all).
-func CountLogCalls(f *File) int {
-	count := 0
-	var walk func(stmts []Stmt)
-	walk = func(stmts []Stmt) {
-		for _, s := range stmts {
-			if es, ok := s.(*ExprStmt); ok {
-				if call, isCall := es.X.(*CallExpr); isCall && call.Fn == "flor.log" {
-					count++
-				}
-			}
-			for _, b := range Body(s) {
-				walk(b)
-			}
-		}
-	}
-	walk(f.Stmts)
-	return count
-}
-
 // LoggedNames returns the set of statically-known value names appearing in
 // flor.log(name, ...) calls with literal name arguments.
 func LoggedNames(f *File) map[string]bool {

@@ -45,6 +45,7 @@ func FuzzPlannedVsScan(f *testing.F) {
 		f.Add(q)
 	}
 	f.Add("SELECT projid FROM logs WHERE tstamp > 1000 AND value / 0 > 1")
+	f.Add("SELECT DISTINCT l.projid, r.vid FROM logs l JOIN runs r ON l.tstamp = r.tstamp AND l.value > 0.5 WHERE projid = 'p1' AND value_name IN ('acc', 'f1') ORDER BY vid DESC LIMIT 5 OFFSET 1")
 	for _, pred := range []string{
 		"id BETWEEN 1000 AND 2100", "(id < 1024 OR id > 4500)", "grp = 'g01' AND id >= 2048",
 		"4096 <= id AND u IN (3, 4)", "sparse IS NULL AND id < 5000", "id NOT BETWEEN 100 AND 5000",
@@ -52,7 +53,6 @@ func FuzzPlannedVsScan(f *testing.F) {
 		f.Add("SELECT * FROM t WHERE " + pred)
 		f.Add("SELECT grp, count(*) AS n, max(sparse) AS mx FROM ti WHERE " + pred + " GROUP BY grp")
 	}
-	f.Add("SELECT DISTINCT l.projid, r.vid FROM logs l JOIN runs r ON l.tstamp = r.tstamp AND l.value > 0.5 WHERE projid = 'p1' AND value_name IN ('acc', 'f1') ORDER BY vid DESC LIMIT 5 OFFSET 1")
 
 	var db *relation.Database // built on first use: the fuzz engine runs one target function per process at a time
 	f.Fuzz(func(t *testing.T, q string) {

@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -37,8 +38,10 @@ func testDB(t *testing.T) *relation.Database {
 		{relation.Text("pdf"), relation.Int(3), relation.Text("infer.py"), relation.Text("pred"), relation.Text("cat")},
 		{relation.Text("other"), relation.Int(1), relation.Text("x.py"), relation.Text("acc"), relation.Text("0.10")},
 	}
-	if err := logs.InsertMany(rows); err != nil {
-		t.Fatal(err)
+	for _, r := range rows {
+		if _, err := logs.Insert(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	runs, err := db.CreateTable("runs", relation.MustSchema(
 		relation.Column{Name: "tstamp", Type: relation.TInt},
@@ -47,11 +50,11 @@ func testDB(t *testing.T) *relation.Database {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs.InsertMany([]relation.Row{
-		{relation.Int(1), relation.Text("v1")},
-		{relation.Int(2), relation.Text("v2")},
-		{relation.Int(3), relation.Text("v3")},
-	})
+	for i := int64(1); i <= 3; i++ {
+		if _, err := runs.Insert(relation.Row{relation.Int(i), relation.Text(fmt.Sprintf("v%d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	return db
 }
 

@@ -28,9 +28,6 @@ func NewBlobStore(dir string) (*BlobStore, error) {
 	return b, nil
 }
 
-// Root returns the store's directory.
-func (b *BlobStore) Root() string { return b.root }
-
 // HashKey computes the content address for a payload.
 func HashKey(data []byte) string {
 	sum := sha256.Sum256(data)

@@ -419,13 +419,6 @@ func (w *WAL) Truncate(off int64) error {
 	return nil
 }
 
-// Pending reports how many records are buffered but not yet flushed.
-func (w *WAL) Pending() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.pending
-}
-
 // Close flushes and closes the file, releasing the project lock.
 func (w *WAL) Close() error {
 	w.mu.Lock()

@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -192,96 +191,6 @@ func (r *Repo) FilesAt(vid string) (map[string]string, error) {
 	return out, nil
 }
 
-// ChangeKind classifies a file change between two versions.
-type ChangeKind int
-
-// Change kinds.
-const (
-	Added ChangeKind = iota
-	Removed
-	Modified
-)
-
-// String renders the change kind.
-func (k ChangeKind) String() string {
-	switch k {
-	case Added:
-		return "added"
-	case Removed:
-		return "removed"
-	case Modified:
-		return "modified"
-	default:
-		return "?"
-	}
-}
-
-// Change is one file-level difference between two commits.
-type Change struct {
-	Filename string
-	Kind     ChangeKind
-}
-
-// DiffCommits lists file-level changes from commit a to commit b, sorted by
-// filename. Passing "" for a means "the empty tree".
-func (r *Repo) DiffCommits(a, b string) ([]Change, error) {
-	var at map[string]string
-	if a == "" {
-		at = map[string]string{}
-	} else {
-		ca, err := r.GetCommit(a)
-		if err != nil {
-			return nil, err
-		}
-		at = ca.Tree
-	}
-	cb, err := r.GetCommit(b)
-	if err != nil {
-		return nil, err
-	}
-	var out []Change
-	for name, hb := range cb.Tree {
-		ha, ok := at[name]
-		switch {
-		case !ok:
-			out = append(out, Change{Filename: name, Kind: Added})
-		case ha != hb:
-			out = append(out, Change{Filename: name, Kind: Modified})
-		}
-	}
-	for name := range at {
-		if _, ok := cb.Tree[name]; !ok {
-			out = append(out, Change{Filename: name, Kind: Removed})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Filename < out[j].Filename })
-	return out, nil
-}
-
-// VersionsOf returns the ids of all commits containing the file, oldest
-// first, skipping commits where the file's content is identical to the
-// previous returned version (i.e. it lists distinct content versions).
-func (r *Repo) VersionsOf(filename string) ([]string, error) {
-	log, err := r.Log()
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	prevBlob := ""
-	for _, c := range log {
-		blob, ok := c.Tree[filename]
-		if !ok {
-			continue
-		}
-		if blob == prevBlob {
-			continue
-		}
-		out = append(out, c.ID)
-		prevBlob = blob
-	}
-	return out, nil
-}
-
 // AllVersionsOf returns every commit id containing the file, oldest first,
 // including commits where the content did not change.
 func (r *Repo) AllVersionsOf(filename string) ([]string, error) {
@@ -331,13 +240,4 @@ func (r *Repo) GitRows() ([][4]string, error) {
 		}
 	}
 	return out, nil
-}
-
-// Describe renders a one-line summary of a commit for CLI display.
-func Describe(c *Commit) string {
-	msg := c.Message
-	if i := strings.IndexByte(msg, '\n'); i >= 0 {
-		msg = msg[:i]
-	}
-	return fmt.Sprintf("%s  #%d  %s  %s", short(c.ID), c.Seq, c.Wall.Format(time.RFC3339), msg)
 }

@@ -70,52 +70,17 @@ func TestIdenticalTreesGetDistinctIDs(t *testing.T) {
 	}
 }
 
-func TestDiffCommits(t *testing.T) {
-	r := NewRepo()
-	v1, _ := r.CommitFiles(map[string]string{"a": "1", "b": "1", "c": "1"}, "", time.Unix(1, 0))
-	v2, _ := r.CommitFiles(map[string]string{"a": "2", "c": "1", "d": "new"}, "", time.Unix(2, 0))
-	changes, err := r.DiffCommits(v1, v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]ChangeKind{"a": Modified, "b": Removed, "d": Added}
-	if len(changes) != len(want) {
-		t.Fatalf("changes: %v", changes)
-	}
-	for _, ch := range changes {
-		if want[ch.Filename] != ch.Kind {
-			t.Fatalf("change %s: got %v", ch.Filename, ch.Kind)
-		}
-	}
-	// Diff from the empty tree: everything is Added.
-	changes, err = r.DiffCommits("", v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ch := range changes {
-		if ch.Kind != Added {
-			t.Fatalf("empty-tree diff: %v", ch)
-		}
-	}
-}
-
-func TestVersionsOfSkipsUnchanged(t *testing.T) {
+func TestAllVersionsOfKeepsUnchanged(t *testing.T) {
 	r := NewRepo()
 	v1, _ := r.CommitFiles(map[string]string{"f": "A"}, "", time.Unix(1, 0))
-	r.CommitFiles(map[string]string{"f": "A", "g": "x"}, "", time.Unix(2, 0)) // f unchanged
+	v2, _ := r.CommitFiles(map[string]string{"f": "A", "g": "x"}, "", time.Unix(2, 0)) // f unchanged
 	v3, _ := r.CommitFiles(map[string]string{"f": "B"}, "", time.Unix(3, 0))
-	distinct, err := r.VersionsOf("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(distinct) != 2 || distinct[0] != v1 || distinct[1] != v3 {
-		t.Fatalf("distinct versions: %v", distinct)
-	}
+	r.CommitFiles(map[string]string{"g": "y"}, "", time.Unix(4, 0)) // f gone
 	all, err := r.AllVersionsOf("f")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 3 {
+	if len(all) != 3 || all[0] != v1 || all[1] != v2 || all[2] != v3 {
 		t.Fatalf("all versions: %v", all)
 	}
 }
@@ -160,21 +125,6 @@ func TestCommitEmptyFilenameRejected(t *testing.T) {
 	r := NewRepo()
 	if _, err := r.CommitFiles(map[string]string{"": "x"}, "", time.Unix(1, 0)); err == nil {
 		t.Fatal("empty filename must be rejected")
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	r := NewRepo()
-	vid, _ := r.CommitFiles(map[string]string{"a": "1"}, "message line\nsecond line", time.Unix(1, 0))
-	c, _ := r.GetCommit(vid)
-	d := Describe(c)
-	if len(d) == 0 || d[:8] != vid[:8] {
-		t.Fatalf("describe: %s", d)
-	}
-	for _, ch := range d {
-		if ch == '\n' {
-			t.Fatal("describe must be one line")
-		}
 	}
 }
 
