@@ -398,9 +398,10 @@ func sourceDetail(ref TableRef, est int64) string {
 
 // ---------- Access-path selection over one base table ----------
 
-// sargable is one index-usable conjunct: col = lit, col <cmp> lit,
-// col IN (lits...) or col BETWEEN lit AND lit, with no NULL literal (SQL
-// comparisons with NULL match nothing; the residual filter handles them).
+// sargable is one index-usable conjunct: a range shape (col = lit,
+// col <cmp> lit, col BETWEEN lit AND lit) or col IN (lits...), neither
+// negated, with no NULL literal (SQL comparisons with NULL match nothing;
+// the residual filter handles them).
 type sargable struct {
 	idx int // position in the conjunct list
 	shape
@@ -420,7 +421,10 @@ func planTableAccess(t *relation.TableSnapshot, ref TableRef, conjs []Expr, ctx 
 	ranges := make(map[string][]sargable)
 	for i, c := range conjs {
 		sh, ok := classify(c)
-		if !ok || sh.other != nil || sh.negate || sh.op == "!=" || sh.op == "is null" || sh.nullLit() {
+		if !ok || sh.negate || sh.nullLit() {
+			continue
+		}
+		if _, isRange := sh.interval(); !isRange && sh.op != "in" {
 			continue
 		}
 		col, ok := tableColOf(sh.col, binding, schema)
