@@ -3,8 +3,9 @@
 // fine-grained source differencing à la GumTree [6]).
 //
 // It offers a Myers O(ND) edit script over token/line sequences and an
-// alignment map between two sequences. The statement-level anchoring used to inject flor.log statements
-// into historical versions builds on Align (see internal/replay).
+// alignment map between two sequences. The statement-level anchoring used
+// to inject flor.log statements into historical versions builds on Align
+// (see internal/replay).
 package diffkit
 
 // Op is an edit operation kind.
