@@ -147,15 +147,15 @@ func (iv interval) intersect(o interval) interval {
 	return iv
 }
 
-// disjoint reports that iv admits no value in [min, max].
-func (iv *interval) disjoint(min, max *relation.Value) bool {
+// disjoint reports that iv admits no value in [zmin, zmax].
+func (iv *interval) disjoint(zmin, zmax *relation.Value) bool {
 	if !iv.hi.IsNull() {
-		if c := relation.ComparePtr(&iv.hi, min); c < 0 || (c == 0 && !iv.hiIncl) {
+		if c := relation.ComparePtr(&iv.hi, zmin); c < 0 || (c == 0 && !iv.hiIncl) {
 			return true
 		}
 	}
 	if !iv.lo.IsNull() {
-		if c := relation.ComparePtr(&iv.lo, max); c > 0 || (c == 0 && !iv.loIncl) {
+		if c := relation.ComparePtr(&iv.lo, zmax); c > 0 || (c == 0 && !iv.loIncl) {
 			return true
 		}
 	}

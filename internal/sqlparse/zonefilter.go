@@ -14,7 +14,7 @@ import "flordb/internal/relation"
 // evaluates the right side when the left is NULL, so even one AND conjunct
 // can carry another's error). Shapes never produce evaluation errors, so
 // under this gate pruning is behavior-identical to the serial scan. With
-// ok true, zf is nil when no leaf can ever skip a page.
+// ok true, zf is nil when the predicate can never skip a page.
 //
 // Soundness per shape (a zone's Min/Max track non-NULL cells only; NULL
 // comparisons are never satisfied, so NULL cells can be ignored for every
