@@ -103,7 +103,9 @@ bench-pair:
 # fuzz runs a short smoke pass over every native fuzz target (WAL line
 # decoder and encoder against encoding/json, WAL replay, snapshot reader,
 # planned-vs-reference SQL execution, version-store journal load, hindsight
-# replay against re-execution of generated scripts); CI runs it on each push.
+# replay against re-execution of generated scripts, the value JSON appender
+# against encoding/json, the pivot against its map-per-row reference); CI
+# runs it on each push.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime 10s ./internal/record
 	go test -run '^$$' -fuzz '^FuzzRecordEncode$$' -fuzztime 10s ./internal/record
@@ -113,6 +115,8 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzPlannedVsScan$$' -fuzztime 10s ./internal/sqlparse
 	go test -run '^$$' -fuzz '^FuzzRepoLoad$$' -fuzztime 10s ./internal/vcs
 	go test -run '^$$' -fuzz '^FuzzHindsightPlan$$' -fuzztime 10s ./internal/replay
+	go test -run '^$$' -fuzz '^FuzzAppendJSON$$' -fuzztime 10s ./internal/relation
+	go test -run '^$$' -fuzz '^FuzzPivotMatchesReference$$' -fuzztime 10s ./internal/pivot
 
 # loc prints the non-test Go lines of each package directory and their total,
 # blank and //-comment lines dropped, vendor/ and testdata/ left out: the

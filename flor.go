@@ -160,7 +160,13 @@ type Options struct {
 	// Sealed segments are what compaction folds into snapshots and deletes.
 	SegmentBytes int64
 	// SnapshotEvery compacts automatically every N commits, keeping startup
-	// O(live data) without explicit Session.Compact calls. A compaction cycle
+	// O(live data) without explicit Session.Compact calls. The count is per
+	// session: it starts at 0 when the session opens, not at the commits
+	// the WAL already holds past the newest snapshot, and restarts after
+	// each automatic compaction. A session that commits fewer than N times
+	// — one run per process, say — never compacts automatically, and the
+	// first compaction of a long-lived session folds every commit since the
+	// newest snapshot, not only its own N. A compaction cycle
 	// replays and encodes only the delta, copying the previous snapshot's
 	// complete pages verbatim, but still verifies and decodes that snapshot
 	// in full, so it costs O(live data) decode plus O(delta) work; it runs

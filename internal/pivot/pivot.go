@@ -10,9 +10,9 @@
 package pivot
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 
 	"flordb/internal/record"
@@ -28,8 +28,8 @@ type Dataframe struct {
 type loopInfo struct {
 	name    string
 	iterVal string
-	iter    int64
 	parent  int64
+	path    int // index into Build's paths once resolved; 0 until then
 }
 
 // Options tunes dataframe construction.
@@ -42,148 +42,144 @@ type Options struct {
 
 // Build pivots the requested value names for a project. It reads through a
 // TablesView pinned at one epoch, so concurrent writers never disturb it.
+//
+// It is a grouping sink over the (projid, value_name) index: each visited
+// log row maps its (tstamp, filename, ctx_id) to a dense group index, and
+// its value lands in that group's slot for the name — the last one logged
+// wins. Groups, and the dimension columns of each distinct ctx_id's loop
+// path, are numbered in first-seen order; rows come out stable-sorted by
+// (tstamp, filename), carved from one backing array.
 func Build(tables *record.TablesView, projid string, names []string, opts Options) (*Dataframe, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("pivot: no value names requested")
 	}
-	nameSet := make(map[string]bool, len(names))
-	for _, n := range names {
-		if nameSet[n] {
+	for i, n := range names {
+		if slices.Contains(names[:i], n) {
 			return nil, fmt.Errorf("pivot: duplicate name %q", n)
 		}
-		nameSet[n] = true
 	}
 
-	// Loop contexts for dimension resolution.
-	ctxs := make(map[int64]loopInfo)
+	// Loop contexts for dimension resolution; the last row of a ctx_id wins.
+	loops := make([]loopInfo, 0, tables.Loops.Len())
+	loopOf := make(map[int64]int, tables.Loops.Len())
 	tables.Loops.Scan(func(_ relation.RowID, r relation.Row) bool {
 		if r[0].AsText() != projid {
 			return true
 		}
-		ctxs[r[3].AsInt()] = loopInfo{
-			name:    r[5].AsText(),
-			iter:    r[6].AsInt(),
-			iterVal: iterValText(r[7]),
-			parent:  r[4].AsInt(),
-		}
+		loopOf[r[3].AsInt()] = len(loops)
+		loops = append(loops, loopInfo{name: r[5].AsText(), iterVal: iterValText(r[7]), parent: r[4].AsInt()})
 		return true
 	})
 
-	type rowAgg struct {
+	// A ctx_id's loop path, root first: one (dimension column, value) per
+	// level, applied in order, so a loop name repeated along the path keeps
+	// its deepest value. paths[0] is the empty path of a ctx_id no loop row
+	// names.
+	type dimCell struct {
+		col int
+		val string
+	}
+	var (
+		paths    = [][]dimCell{nil}
+		dimCells []dimCell // every path's cells, back to back
+		dimCols  []string
+		dimOf    = make(map[string]int) // loop name -> dimension column
+		walk     []int
+	)
+	resolve := func(ctxID int64) int {
+		li, ok := loopOf[ctxID]
+		if !ok || ctxID == 0 {
+			return 0
+		}
+		if p := loops[li].path; p != 0 {
+			return p
+		}
+		walk = walk[:0]
+		for id := ctxID; id != 0; {
+			i, ok := loopOf[id]
+			if !ok {
+				break
+			}
+			walk = append(walk, i)
+			id = loops[i].parent
+		}
+		start := len(dimCells)
+		for i := len(walk) - 1; i >= 0; i-- {
+			info := &loops[walk[i]]
+			col, ok := dimOf[info.name]
+			if !ok {
+				col = len(dimCols)
+				dimOf[info.name] = col
+				dimCols = append(dimCols, info.name+"_value")
+			}
+			dimCells = append(dimCells, dimCell{col, info.iterVal})
+		}
+		loops[li].path = len(paths)
+		paths = append(paths, dimCells[start:len(dimCells):len(dimCells)])
+		return loops[li].path
+	}
+
+	type groupKey struct {
 		tstamp   int64
 		filename string
 		ctxID    int64
-		dims     map[string]string // dim column -> value
-		dimOrder []string
-		vals     map[string]relation.Value
-		seq      int
 	}
-	aggs := make(map[string]*rowAgg)
-	var order []string
-	var keyBuf []byte // reused per visit; row keys are (tstamp, filename, ctx_id)
-	seq := 0
-
-	visit := func(r relation.Row) {
-		tstamp := r[1].AsInt()
-		filename := r[2].AsText()
-		ctxID := r[3].AsInt()
-		vname := r[4].AsText()
-		if opts.Filename != "" && filename != opts.Filename {
-			return
-		}
-		if opts.Tstamp > 0 && tstamp != opts.Tstamp {
-			return
-		}
-		keyBuf = strconv.AppendInt(keyBuf[:0], tstamp, 10)
-		keyBuf = append(keyBuf, '\x1f')
-		keyBuf = append(keyBuf, filename...)
-		keyBuf = append(keyBuf, '\x1f')
-		keyBuf = strconv.AppendInt(keyBuf, ctxID, 10)
-		agg, ok := aggs[string(keyBuf)]
-		if !ok {
-			key := string(keyBuf)
-			agg = &rowAgg{
-				tstamp: tstamp, filename: filename, ctxID: ctxID,
-				dims: make(map[string]string), vals: make(map[string]relation.Value), seq: seq,
+	type group struct {
+		groupKey
+		path int
+	}
+	var (
+		groups  []group
+		groupOf = make(map[groupKey]int)
+		slots   []relation.Value // len(names) per group, NULL until logged
+		noVals  = make([]relation.Value, len(names))
+	)
+	for ni, n := range names {
+		tables.EachLog(projid, n, func(r relation.Row) {
+			k := groupKey{r[1].AsInt(), r[2].AsText(), r[3].AsInt()}
+			if opts.Filename != "" && k.filename != opts.Filename || opts.Tstamp > 0 && k.tstamp != opts.Tstamp {
+				return
 			}
-			seq++
-			// Resolve the loop path root -> ctx.
-			var path []loopInfo
-			for id := ctxID; id != 0; {
-				info, ok := ctxs[id]
-				if !ok {
-					break
-				}
-				path = append(path, info)
-				id = info.parent
+			g, ok := groupOf[k]
+			if !ok {
+				g = len(groups)
+				groupOf[k] = g
+				groups = append(groups, group{k, resolve(k.ctxID)})
+				slots = append(slots, noVals...)
 			}
-			for i := len(path) - 1; i >= 0; i-- {
-				col := path[i].name + "_value"
-				agg.dims[col] = path[i].iterVal
-				agg.dimOrder = append(agg.dimOrder, col)
+			v := relation.Null()
+			if !r[5].IsNull() {
+				v = record.ParseValue(r[5].AsText(), record.ValueType(r[6].AsInt()))
 			}
-			aggs[key] = agg
-			order = append(order, key)
-		}
-		var valText string
-		if r[5].IsNull() {
-			agg.vals[vname] = relation.Null()
-		} else {
-			valText = r[5].AsText()
-			agg.vals[vname] = record.ParseValue(valText, record.ValueType(r[6].AsInt()))
-		}
+			slots[g*len(names)+ni] = v
+		})
 	}
 
-	for _, n := range names {
-		tables.EachLog(projid, n, visit)
+	columns := slices.Concat([]string{"projid", "tstamp", "filename"}, dimCols, names)
+	order := make([]int, len(groups))
+	for i := range order {
+		order[i] = i
 	}
-
-	// Global dimension column order: first-seen path order across rows.
-	var dimCols []string
-	seenDim := map[string]bool{}
-	for _, key := range order {
-		for _, col := range aggs[key].dimOrder {
-			if !seenDim[col] {
-				seenDim[col] = true
-				dimCols = append(dimCols, col)
-			}
+	slices.SortStableFunc(order, func(a, b int) int {
+		ga, gb := &groups[a], &groups[b]
+		if c := cmp.Compare(ga.tstamp, gb.tstamp); c != 0 {
+			return c
 		}
-	}
-
-	columns := append([]string{"projid", "tstamp", "filename"}, dimCols...)
-	columns = append(columns, names...)
-
-	rows := make([]relation.Row, 0, len(aggs))
-	keys := append([]string(nil), order...)
-	sort.SliceStable(keys, func(a, b int) bool {
-		ra, rb := aggs[keys[a]], aggs[keys[b]]
-		if ra.tstamp != rb.tstamp {
-			return ra.tstamp < rb.tstamp
-		}
-		if ra.filename != rb.filename {
-			return ra.filename < rb.filename
-		}
-		return ra.seq < rb.seq
+		return strings.Compare(ga.filename, gb.filename)
 	})
-	for _, key := range keys {
-		agg := aggs[key]
-		row := make(relation.Row, 0, len(columns))
-		row = append(row, relation.Text(projid), relation.Int(agg.tstamp), relation.Text(agg.filename))
-		for _, col := range dimCols {
-			if v, ok := agg.dims[col]; ok {
-				row = append(row, relation.Text(v))
-			} else {
-				row = append(row, relation.Null())
-			}
+	width, valCol := len(columns), 3+len(dimCols)
+	cells := make([]relation.Value, len(groups)*width)
+	rows := make([]relation.Row, len(groups))
+	proj := relation.Text(projid)
+	for i, g := range order {
+		row := cells[i*width : (i+1)*width : (i+1)*width]
+		grp := &groups[g]
+		row[0], row[1], row[2] = proj, relation.Int(grp.tstamp), relation.Text(grp.filename)
+		for _, d := range paths[grp.path] {
+			row[3+d.col] = relation.Text(d.val)
 		}
-		for _, n := range names {
-			if v, ok := agg.vals[n]; ok {
-				row = append(row, v)
-			} else {
-				row = append(row, relation.Null())
-			}
-		}
-		rows = append(rows, row)
+		copy(row[valCol:], slots[g*len(names):])
+		rows[i] = row
 	}
 	return &Dataframe{Columns: columns, Rows: rows}, nil
 }

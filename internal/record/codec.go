@@ -12,6 +12,8 @@ import (
 	"time"
 	"unicode/utf16"
 	"unicode/utf8"
+
+	"flordb/internal/relation"
 )
 
 // Encode renders a record as one WAL line (no trailing newline).
@@ -29,50 +31,50 @@ func AppendRecord(dst []byte, rec any) ([]byte, error) {
 	var err error
 	switch r := rec.(type) {
 	case *LogRecord:
-		dst = appendString(append(dst, `{"kind":`...), string(r.Kind))
-		dst = appendString(append(dst, `,"projid":`...), r.ProjID)
+		dst = relation.AppendJSONString(append(dst, `{"kind":`...), string(r.Kind))
+		dst = relation.AppendJSONString(append(dst, `,"projid":`...), r.ProjID)
 		dst = strconv.AppendInt(append(dst, `,"tstamp":`...), r.Tstamp, 10)
-		dst = appendString(append(dst, `,"filename":`...), r.Filename)
+		dst = relation.AppendJSONString(append(dst, `,"filename":`...), r.Filename)
 		dst = strconv.AppendInt(append(dst, `,"ctx_id":`...), r.CtxID, 10)
-		dst = appendString(append(dst, `,"value_name":`...), r.ValueName)
-		dst = appendString(append(dst, `,"value":`...), r.Value)
+		dst = relation.AppendJSONString(append(dst, `,"value_name":`...), r.ValueName)
+		dst = relation.AppendJSONString(append(dst, `,"value":`...), r.Value)
 		dst = strconv.AppendInt(append(dst, `,"value_type":`...), int64(r.ValueType), 10)
 		dst, err = appendTime(append(dst, `,"wall":`...), r.Wall)
 		return finish(dst, n0, err)
 	case *LoopRecord:
-		dst = appendString(append(dst, `{"kind":`...), string(r.Kind))
-		dst = appendString(append(dst, `,"projid":`...), r.ProjID)
+		dst = relation.AppendJSONString(append(dst, `{"kind":`...), string(r.Kind))
+		dst = relation.AppendJSONString(append(dst, `,"projid":`...), r.ProjID)
 		dst = strconv.AppendInt(append(dst, `,"tstamp":`...), r.Tstamp, 10)
-		dst = appendString(append(dst, `,"filename":`...), r.Filename)
+		dst = relation.AppendJSONString(append(dst, `,"filename":`...), r.Filename)
 		dst = strconv.AppendInt(append(dst, `,"ctx_id":`...), r.CtxID, 10)
 		dst = strconv.AppendInt(append(dst, `,"parent_ctx_id":`...), r.ParentCtxID, 10)
-		dst = appendString(append(dst, `,"loop_name":`...), r.LoopName)
+		dst = relation.AppendJSONString(append(dst, `,"loop_name":`...), r.LoopName)
 		dst = strconv.AppendInt(append(dst, `,"loop_iteration":`...), r.LoopIter, 10)
-		dst = appendString(append(dst, `,"iteration_value":`...), r.IterValue)
+		dst = relation.AppendJSONString(append(dst, `,"iteration_value":`...), r.IterValue)
 		dst, err = appendTime(append(dst, `,"wall":`...), r.Wall)
 		return finish(dst, n0, err)
 	case *ArgRecord:
-		dst = appendString(append(dst, `{"kind":`...), string(r.Kind))
-		dst = appendString(append(dst, `,"projid":`...), r.ProjID)
+		dst = relation.AppendJSONString(append(dst, `{"kind":`...), string(r.Kind))
+		dst = relation.AppendJSONString(append(dst, `,"projid":`...), r.ProjID)
 		dst = strconv.AppendInt(append(dst, `,"tstamp":`...), r.Tstamp, 10)
-		dst = appendString(append(dst, `,"filename":`...), r.Filename)
-		dst = appendString(append(dst, `,"name":`...), r.Name)
-		dst = appendString(append(dst, `,"value":`...), r.Value)
+		dst = relation.AppendJSONString(append(dst, `,"filename":`...), r.Filename)
+		dst = relation.AppendJSONString(append(dst, `,"name":`...), r.Name)
+		dst = relation.AppendJSONString(append(dst, `,"value":`...), r.Value)
 		return finish(dst, n0, nil)
 	case *CkptRecord:
-		dst = appendString(append(dst, `{"kind":`...), string(r.Kind))
-		dst = appendString(append(dst, `,"projid":`...), r.ProjID)
+		dst = relation.AppendJSONString(append(dst, `{"kind":`...), string(r.Kind))
+		dst = relation.AppendJSONString(append(dst, `,"projid":`...), r.ProjID)
 		dst = strconv.AppendInt(append(dst, `,"tstamp":`...), r.Tstamp, 10)
-		dst = appendString(append(dst, `,"filename":`...), r.Filename)
+		dst = relation.AppendJSONString(append(dst, `,"filename":`...), r.Filename)
 		dst = strconv.AppendInt(append(dst, `,"ctx_id":`...), r.CtxID, 10)
-		dst = appendString(append(dst, `,"name":`...), r.Name)
-		dst = appendString(append(dst, `,"blob_key":`...), r.BlobKey)
+		dst = relation.AppendJSONString(append(dst, `,"name":`...), r.Name)
+		dst = relation.AppendJSONString(append(dst, `,"blob_key":`...), r.BlobKey)
 		return finish(dst, n0, nil)
 	case *CommitRecord:
-		dst = appendString(append(dst, `{"kind":`...), string(r.Kind))
-		dst = appendString(append(dst, `,"projid":`...), r.ProjID)
+		dst = relation.AppendJSONString(append(dst, `{"kind":`...), string(r.Kind))
+		dst = relation.AppendJSONString(append(dst, `,"projid":`...), r.ProjID)
 		dst = strconv.AppendInt(append(dst, `,"tstamp":`...), r.Tstamp, 10)
-		dst = appendString(append(dst, `,"vid":`...), r.VID)
+		dst = relation.AppendJSONString(append(dst, `,"vid":`...), r.VID)
 		dst, err = appendTime(append(dst, `,"wall":`...), r.Wall)
 		return finish(dst, n0, err)
 	}
@@ -84,74 +86,6 @@ func finish(dst []byte, n0 int, err error) ([]byte, error) {
 		return dst[:n0], fmt.Errorf("record: encode: %w", err)
 	}
 	return append(dst, '}'), nil
-}
-
-// safeASCII marks the ASCII bytes a string encodes verbatim: printable,
-// and none of the quote, the backslash or the HTML-significant < > &.
-var safeASCII = func() (t [utf8.RuneSelf]bool) {
-	for b := 0x20; b < utf8.RuneSelf; b++ {
-		t[b] = true
-	}
-	for _, b := range `"\<>&` {
-		t[b] = false
-	}
-	return t
-}()
-
-const hexDigits = "0123456789abcdef"
-
-// appendString appends s as a quoted string with json.Marshal's escaping:
-// short escapes for \ " \b \f \n \r \t; \u00XX for the other control bytes
-// and for < > &; \u2028 and \u2029 for the two Unicode line separators;
-// and \ufffd for each byte that is not part of valid UTF-8.
-func appendString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		b := s[i]
-		if b < utf8.RuneSelf {
-			if safeASCII[b] {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '\\', '"':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case c == utf8.RuneError && size == 1:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-		case c == '\u2028' || c == '\u2029':
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
 }
 
 // appendTime appends t as a quoted RFC 3339 timestamp with nanoseconds,

@@ -107,9 +107,9 @@ func (db *Database) SnapshotAt(epoch int64) (*Snapshot, error) {
 	return db.snapshotLocked(epoch), nil
 }
 
-// OldestPin returns the lowest epoch with a live pin, or math.MaxInt64 when
+// oldestPin returns the lowest epoch with a live pin, or math.MaxInt64 when
 // nothing is pinned. The epoch-retention GC clamps its floor to it.
-func (db *Database) OldestPin() int64 {
+func (db *Database) oldestPin() int64 {
 	db.pinMu.Lock()
 	defer db.pinMu.Unlock()
 	oldest := int64(math.MaxInt64)
@@ -133,19 +133,7 @@ func (db *Database) OldestPin() int64 {
 func (db *Database) GCBelow(floor int64) int64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if cur := db.epoch.Load(); floor > cur {
-		floor = cur
-	}
-	db.pinMu.Lock()
-	for e := range db.pinned {
-		if e < floor {
-			floor = e
-		}
-	}
-	db.pinMu.Unlock()
-	if m := db.minEpoch.Load(); floor < m {
-		floor = m
-	}
+	floor = max(min(floor, db.epoch.Load(), db.oldestPin()), db.minEpoch.Load())
 	db.clockMu.Lock()
 	db.minEpoch.Store(floor)
 	db.stamps = append(db.stamps[:0], db.retainedLocked()...)

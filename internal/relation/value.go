@@ -10,11 +10,15 @@
 package relation
 
 import (
+	"encoding/base64"
+	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // Type enumerates the column types supported by the kernel. They correspond
@@ -205,6 +209,127 @@ func (v Value) JSON() any {
 	default:
 		return v.String()
 	}
+}
+
+// AppendJSON appends to dst exactly the bytes encoding/json writes for
+// v.JSON(), without boxing or reflection: HTML-safe string escapes, floats
+// in ES6 number form, times as RFC 3339 text, blobs in base64 (a nil blob
+// as null). NaN and ±Inf fail with the *json.UnsupportedValueError
+// json.Marshal returns for them, and dst comes back unextended.
+func (v Value) AppendJSON(dst []byte) ([]byte, error) {
+	switch v.typ {
+	case TNull:
+		return append(dst, "null"...), nil
+	case TText:
+		return AppendJSONString(dst, v.s), nil
+	case TInt:
+		return strconv.AppendInt(dst, int64(v.num), 10), nil
+	case TFloat:
+		return appendJSONFloat(dst, math.Float64frombits(v.num))
+	case TBool:
+		return strconv.AppendBool(dst, v.num != 0), nil
+	case TTime:
+		// RFC 3339 text of a UTC instant in years 1678–2262 needs no escape.
+		dst = v.AsTime().AppendFormat(append(dst, '"'), time.RFC3339Nano)
+		return append(dst, '"'), nil
+	case TBlob:
+		if v.blob == nil {
+			return append(dst, "null"...), nil
+		}
+		dst = base64.StdEncoding.AppendEncode(append(dst, '"'), v.blob)
+		return append(dst, '"'), nil
+	default:
+		return AppendJSONString(dst, v.String()), nil
+	}
+}
+
+// appendJSONFloat writes f as encoding/json does: 'f' form, or 'e' form
+// below 1e-6 and from 1e21 in magnitude with a one-digit exponent kept
+// unpadded (e-7, not e-07).
+func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return dst, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst, nil
+}
+
+// jsonSafeASCII marks the ASCII bytes a JSON string carries verbatim:
+// printable, and none of the quote, the backslash or the HTML-significant
+// < > &.
+var jsonSafeASCII = func() (t [utf8.RuneSelf]bool) {
+	for b := 0x20; b < utf8.RuneSelf; b++ {
+		t[b] = true
+	}
+	for _, b := range `"\<>&` {
+		t[b] = false
+	}
+	return t
+}()
+
+const hexDigits = "0123456789abcdef"
+
+// AppendJSONString appends s as a quoted string with json.Marshal's
+// escaping: short escapes for \ " \b \f \n \r \t; \u00XX for the other
+// control bytes and for < > &; \u2028 and \u2029 for the two Unicode line
+// separators; and \ufffd for each byte that is not part of valid UTF-8.
+// The WAL record codec and Value.AppendJSON share it.
+func AppendJSONString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b < utf8.RuneSelf {
+			if jsonSafeASCII[b] {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // Compare orders two values. NULL sorts before everything; numeric types

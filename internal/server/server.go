@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -387,28 +388,29 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 const flushEvery = 256
 
 // streamResult writes {"epoch":E,"columns":[...],"rows":[[...],...],"row_count":N}
-// incrementally: rows are encoded one at a time and the connection is flushed
-// every flushEvery rows, so large results reach slow clients without
-// buffering the whole payload server-side.
+// incrementally: each row is appended into one reused buffer — the bytes
+// encoding/json writes for its values, plus a newline — and written with
+// one Write, and the connection is flushed every flushEvery rows, so large
+// results reach slow clients without buffering the whole payload
+// server-side.
 func (s *Server) streamResult(w http.ResponseWriter, epoch int64, res *sqlparse.Result) {
 	w.Header().Set("Content-Type", "application/json")
 	flusher, _ := w.(http.Flusher)
 
 	head, _ := json.Marshal(res.Columns)
 	fmt.Fprintf(w, `{"epoch":%d,"columns":%s,"rows":[`, epoch, head)
-	enc := json.NewEncoder(w)
-	row := make([]any, 0, 8)
+	var buf []byte
 	for i, r := range res.Rows {
 		if i > 0 {
-			fmt.Fprint(w, ",")
+			io.WriteString(w, ",")
 		}
-		row = row[:0]
-		for _, v := range r {
-			row = append(row, v.JSON())
+		var err error
+		// The newline after each row is harmless whitespace inside the
+		// rows array and keeps huge results line-splittable.
+		if buf, err = appendRow(buf[:0], r); err == nil {
+			_, err = w.Write(buf)
 		}
-		// Encoder appends a newline per value; inside the rows array that is
-		// harmless whitespace and keeps huge results line-splittable.
-		if err := enc.Encode(row); err != nil {
+		if err != nil {
 			// The 200 header is already on the wire, so the status code
 			// cannot signal failure. Emit a terminal sentinel object into the
 			// rows array and leave the JSON unterminated — strict clients
@@ -434,6 +436,22 @@ func (s *Server) streamResult(w http.ResponseWriter, epoch int64, res *sqlparse.
 	if flusher != nil {
 		flusher.Flush()
 	}
+}
+
+// appendRow appends r as a JSON array followed by a newline: the line
+// json.Encoder writes for the row's JSON values.
+func appendRow(dst []byte, r relation.Row) ([]byte, error) {
+	dst = append(dst, '[')
+	for j := range r {
+		if j > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = r[j].AppendJSON(dst); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, ']', '\n'), nil
 }
 
 func splitNonEmpty(csv string) []string {
