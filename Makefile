@@ -105,18 +105,20 @@ bench-pair:
 # planned-vs-reference SQL execution, version-store journal load, hindsight
 # replay against re-execution of generated scripts, the value JSON appender
 # against encoding/json, the pivot against its map-per-row reference); CI
-# runs it on each push.
+# runs it on each push for 10 s per target, the nightly job for 2 minutes:
+#   make fuzz FUZZTIME=2m
+FUZZTIME ?= 10s
 fuzz:
-	go test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime 10s ./internal/record
-	go test -run '^$$' -fuzz '^FuzzRecordEncode$$' -fuzztime 10s ./internal/record
-	go test -run '^$$' -fuzz '^FuzzSnapshotRead$$' -fuzztime 10s ./internal/record
-	go test -run '^$$' -fuzz '^FuzzColumnarPageRead$$' -fuzztime 10s ./internal/record
-	go test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/storage
-	go test -run '^$$' -fuzz '^FuzzPlannedVsScan$$' -fuzztime 10s ./internal/sqlparse
-	go test -run '^$$' -fuzz '^FuzzRepoLoad$$' -fuzztime 10s ./internal/vcs
-	go test -run '^$$' -fuzz '^FuzzHindsightPlan$$' -fuzztime 10s ./internal/replay
-	go test -run '^$$' -fuzz '^FuzzAppendJSON$$' -fuzztime 10s ./internal/relation
-	go test -run '^$$' -fuzz '^FuzzPivotMatchesReference$$' -fuzztime 10s ./internal/pivot
+	go test -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime $(FUZZTIME) ./internal/record
+	go test -run '^$$' -fuzz '^FuzzRecordEncode$$' -fuzztime $(FUZZTIME) ./internal/record
+	go test -run '^$$' -fuzz '^FuzzSnapshotRead$$' -fuzztime $(FUZZTIME) ./internal/record
+	go test -run '^$$' -fuzz '^FuzzColumnarPageRead$$' -fuzztime $(FUZZTIME) ./internal/record
+	go test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/storage
+	go test -run '^$$' -fuzz '^FuzzPlannedVsScan$$' -fuzztime $(FUZZTIME) ./internal/sqlparse
+	go test -run '^$$' -fuzz '^FuzzRepoLoad$$' -fuzztime $(FUZZTIME) ./internal/vcs
+	go test -run '^$$' -fuzz '^FuzzHindsightPlan$$' -fuzztime $(FUZZTIME) ./internal/replay
+	go test -run '^$$' -fuzz '^FuzzAppendJSON$$' -fuzztime $(FUZZTIME) ./internal/relation
+	go test -run '^$$' -fuzz '^FuzzPivotMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/pivot
 
 # loc prints the non-test Go lines of each package directory and their total,
 # blank and //-comment lines dropped, vendor/ and testdata/ left out: the

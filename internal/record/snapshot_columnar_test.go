@@ -226,12 +226,8 @@ func TestSnapshotV3MultiPageRoundTrip(t *testing.T) {
 	// rows. If the directory zones were dropped, nothing would be pruned.
 	scan := relation.NewBatchScan(latest(dst.Logs), nil, relation.DefaultBatchSize)
 	scan.SetZoneFilter(func(*relation.PageZone) bool { return true })
-	it := relation.NewRowsFromBatches(scan)
 	got := 0
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
+	for range relation.RowsOf(scan) {
 		got++
 	}
 	all := dst.Logs.Len()

@@ -1,6 +1,9 @@
 package relation
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Batch execution. A Batch is a fixed-size, column-oriented chunk of rows
 // with a selection vector: operators process whole batches instead of one
@@ -13,8 +16,8 @@ import "fmt"
 // Ownership contract: a Batch returned by NextBatch — its column slices and
 // its selection vector — is valid only until the next NextBatch call on the
 // same iterator. Producers reuse buffers across batches; consumers that
-// retain values must copy them (RowsFromBatches does). Consumers may compact
-// Sel of a batch they received in place; they must not mutate column values.
+// retain values must copy them (RowsOf does). Consumers may compact Sel of a
+// batch they received in place; they must not mutate column values.
 
 // DefaultBatchSize is the number of rows a batch-producing operator packs
 // per chunk. 1024 rows keeps a handful of column slices L2-resident while
@@ -71,46 +74,31 @@ func (b *Batch) row(i int, dst Row) Row {
 	return dst
 }
 
-// BatchIterator is the batch-at-a-time operator interface, the vectorized
-// sibling of Iterator. NextBatch returns the next non-empty batch or
-// (nil, false) at end of stream.
+// BatchIterator is the batch-at-a-time operator interface. NextBatch returns
+// the next non-empty batch or (nil, false) at end of stream.
 type BatchIterator interface {
 	Schema() *Schema
 	NextBatch() (*Batch, bool)
 }
 
-// ---------- Batch -> row adapter ----------
+// ---------- Batch -> row boundary ----------
 
-// RowsFromBatchesOp adapts a BatchIterator into a row Iterator at a
-// pipeline boundary (sort, distinct, limit, final materialization). Each
-// emitted row is freshly allocated, since batch buffers are reused.
-type RowsFromBatchesOp struct {
-	in  BatchIterator
-	cur *Batch
-	i   int // next position within cur.Sel
-}
-
-// NewRowsFromBatches wraps a batch stream as a row stream.
-func NewRowsFromBatches(in BatchIterator) *RowsFromBatchesOp {
-	return &RowsFromBatchesOp{in: in}
-}
-
-// Schema implements Iterator.
-func (r *RowsFromBatchesOp) Schema() *Schema { return r.in.Schema() }
-
-// Next implements Iterator.
-func (r *RowsFromBatchesOp) Next() (Row, bool) {
-	for {
-		if r.cur != nil && r.i < len(r.cur.Sel) {
-			row := r.cur.row(r.cur.Sel[r.i], nil)
-			r.i++
-			return row, true
+// RowsOf is the batch-to-row boundary: it yields the selected rows of each
+// batch in, each freshly allocated since batch buffers are reused, and pulls
+// the next batch only when the consumer ranges past the current one.
+func RowsOf(in BatchIterator) iter.Seq[Row] {
+	return func(yield func(Row) bool) {
+		for {
+			b, ok := in.NextBatch()
+			if !ok {
+				return
+			}
+			for _, i := range b.Sel {
+				if !yield(b.row(i, nil)) {
+					return
+				}
+			}
 		}
-		b, ok := r.in.NextBatch()
-		if !ok {
-			return nil, false
-		}
-		r.cur, r.i = b, 0
 	}
 }
 
@@ -118,11 +106,11 @@ func (r *RowsFromBatchesOp) Next() (Row, bool) {
 
 // BatchScanOp scans the visible prefix of a row store in contiguous chunks,
 // transposing each chunk into column slices; every selection vector it emits
-// is the identity. Like ScanOp, state resolves lazily on the first
-// NextBatch, so building a plan (EXPLAIN) costs nothing. Column pruning:
-// when needed is non-nil, only those columns are materialized. The store is
-// either a table's (NewBatchScan) or a row set some other access path
-// resolved — index matches, a virtual table (NewBatchRows).
+// is the identity. State resolves lazily on the first NextBatch, so building
+// a plan (EXPLAIN) costs nothing. Column pruning: when needed is non-nil,
+// only those columns are materialized. The store is either a table's
+// (NewBatchScan) or a row set some other access path resolved — index
+// matches, a virtual table (NewBatchRows).
 type BatchScanOp struct {
 	src      *TableSnapshot // nil for NewBatchRows
 	rowsFn   func() []Row   // NewBatchRows: resolves the already-visible rows
@@ -327,7 +315,7 @@ type BatchProjExpr struct {
 	NeedCols []int
 	// Eval computes the value from a row of the input schema; nil marks a
 	// pass-through of column Input. Evaluation errors are captured out of
-	// band (see sqlparse's execCtx), matching ProjExpr.
+	// band (see sqlparse's execCtx), as with ProjExpr.
 	Eval func(Row) Value
 }
 
@@ -404,7 +392,7 @@ func (p *BatchProjectOp) NextBatch() (*Batch, bool) {
 
 // ---------- Batch hash join ----------
 
-// BatchHashJoinOp is the vectorized sibling of HashJoinOp: the build side
+// BatchHashJoinOp is the vectorized sibling of HashJoin: the build side
 // is drained into a hash table on first use (lazily, so EXPLAIN is free)
 // and the probe side streams batch-at-a-time, each selected probe row
 // emitting its matches into a column-oriented output batch of at most

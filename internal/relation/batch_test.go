@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -70,7 +71,7 @@ func randomBatchTable(t *testing.T, rng *rand.Rand, rows int) (*Database, *Table
 
 func collectBatches(t *testing.T, it BatchIterator) []Row {
 	t.Helper()
-	return Collect(NewRowsFromBatches(it))
+	return slices.Collect(RowsOf(it))
 }
 
 func TestBatchScanMatchesRowScan(t *testing.T) {
@@ -145,7 +146,7 @@ func TestBatchScanColumnPruning(t *testing.T) {
 func TestBatchAdaptersRoundtrip(t *testing.T) {
 	_, tbl := randomBatchTable(t, rand.New(rand.NewSource(7)), 500)
 	want := latest(tbl).Rows()
-	got := Collect(NewRowsFromBatches(NewBatchRows(tbl.Schema(), func() []Row { return want }, nil, 33)))
+	got := collectBatches(t, NewBatchRows(tbl.Schema(), func() []Row { return want }, nil, 33))
 	rowsEqual(t, got, want)
 }
 
@@ -153,7 +154,7 @@ func TestBatchFilterMatchesRowFilter(t *testing.T) {
 	_, tbl := randomBatchTable(t, rand.New(rand.NewSource(8)), 1000)
 	lit := Float(5)
 	pred := func(r Row) bool { return !r[2].IsNull() && Compare(r[2], lit) > 0 }
-	want := Collect(NewFilter(NewScan(latest(tbl)), pred))
+	want := slices.Collect(Filter(scan(tbl), pred))
 	got := collectBatches(t, NewBatchFilter(NewBatchScan(latest(tbl), nil, 100), func(b *Batch) {
 		sel := b.Sel[:0]
 		for _, i := range b.Sel {
@@ -196,7 +197,7 @@ func TestBatchProjectMatchesRowProject(t *testing.T) {
 			rowExprs[i].Eval = func(r Row) Value { return r[pos] }
 		}
 	}
-	rp, err := NewProject(NewScan(latest(tbl)), rowExprs)
+	_, rp, err := Project(scan(tbl), rowExprs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestBatchProjectMatchesRowProject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowsEqual(t, collectBatches(t, bp), Collect(rp))
+	rowsEqual(t, collectBatches(t, bp), slices.Collect(rp))
 }
 
 // aggregateBatches drains in through one PartialAgg sink, the way a serial
@@ -230,13 +231,13 @@ func TestBatchGroupMatchesRowGroup(t *testing.T) {
 		{Kind: AggMin, Col: "v", As: "mn"},
 		{Kind: AggMax, Col: "n", As: "mx"},
 	}
-	rg, err := NewGroup(NewScan(latest(tbl)), groupBy, aggs)
+	_, rg, err := Group(tbl.Schema(), scan(tbl), groupBy, aggs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An unmerged sink emits groups in first-seen order, as GroupOp does over
+	// An unmerged sink emits groups in first-seen order, as Group does over
 	// the same input order, so the comparison is exact, not just multiset.
-	rowsEqual(t, aggregateBatches(t, NewBatchScan(latest(tbl), nil, 128), groupBy, aggs), Collect(rg))
+	rowsEqual(t, aggregateBatches(t, NewBatchScan(latest(tbl), nil, 128), groupBy, aggs), slices.Collect(rg))
 }
 
 func TestBatchGroupGlobalAggregateOverEmptyInput(t *testing.T) {
@@ -246,8 +247,8 @@ func TestBatchGroupGlobalAggregateOverEmptyInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	aggs := []AggSpec{{Kind: AggCountStar, As: "n"}, {Kind: AggSum, Col: "x", As: "s"}}
-	rg, _ := NewGroup(NewScan(latest(tbl)), nil, aggs)
-	want := Collect(rg)
+	_, rg, _ := Group(tbl.Schema(), scan(tbl), nil, aggs)
+	want := slices.Collect(rg)
 	rowsEqual(t, aggregateBatches(t, NewBatchScan(latest(tbl), nil, 0), nil, aggs), want)
 	// An empty resolved row set behaves the same.
 	rowsEqual(t, aggregateBatches(t, NewBatchRows(tbl.Schema(), latest(tbl).Rows, nil, 16), nil, aggs), want)
@@ -276,11 +277,11 @@ func TestBatchHashJoinMatchesRowHashJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rj, err := NewHashJoin(NewScan(latest(left)), NewScan(latest(right)), []string{"n"}, []string{"n"}, "r")
+	_, rj, err := HashJoin(left.Schema(), scan(left), right.Schema(), scan(right), []string{"n"}, []string{"n"}, "r")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Collect(rj)
+	want := slices.Collect(rj)
 	if len(want) == 0 {
 		t.Fatal("join produced no rows; weak test data")
 	}

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 	"sync"
@@ -240,28 +241,18 @@ func (s *Snapshot) Table(name string) (*TableSnapshot, bool) {
 	return v, ok
 }
 
-// Source returns an iterator over any table, base or virtual.
-func (s *Snapshot) Source(name string) (Iterator, error) {
+// Source returns the schema and the lazy row sequence of any table, base or
+// virtual: a base table yields its pinned visible rows in insertion order,
+// and a virtual table produces its rows only when the sequence is ranged.
+func (s *Snapshot) Source(name string) (*Schema, iter.Seq[Row], error) {
 	key := strings.ToLower(name)
 	if t, ok := s.tables[key]; ok {
-		return NewScan(t), nil
+		return t.Schema(), lazyRows(t.Rows), nil
 	}
 	if v, ok := s.virtual[key]; ok {
-		return NewLazyScan(v.Schema(), v.Rows), nil
+		return v.Schema(), lazyRows(v.Rows), nil
 	}
-	return nil, fmt.Errorf("relation: no table %q", name)
-}
-
-// SchemaOf returns the schema of any table, base or virtual.
-func (s *Snapshot) SchemaOf(name string) (*Schema, error) {
-	key := strings.ToLower(name)
-	if t, ok := s.tables[key]; ok {
-		return t.Schema(), nil
-	}
-	if v, ok := s.virtual[key]; ok {
-		return v.Schema(), nil
-	}
-	return nil, fmt.Errorf("relation: no table %q", name)
+	return nil, nil, fmt.Errorf("relation: no table %q", name)
 }
 
 // Names lists all table names (base then virtual), sorted.

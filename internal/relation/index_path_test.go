@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -206,7 +207,7 @@ func TestIndexLookupOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(Collect(NewRowsFromBatches(op))); got != 3 {
+	if got := len(slices.Collect(RowsOf(op))); got != 3 {
 		t.Fatalf("lookup a: %d rows, want 3", got)
 	}
 	// Multi-tuple (IN) lookup.
@@ -214,7 +215,7 @@ func TestIndexLookupOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(Collect(NewRowsFromBatches(op))); got != 6 {
+	if got := len(slices.Collect(RowsOf(op))); got != 6 {
 		t.Fatalf("lookup a,b: %d rows, want 6", got)
 	}
 	if _, err := NewIndexLookup(latest(tab), []string{"score"}, [][]Value{{Float(1)}}, nil); err == nil {
@@ -228,7 +229,7 @@ func TestIndexRangeOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := Collect(NewRowsFromBatches(op))
+	rows := slices.Collect(RowsOf(op))
 	if len(rows) != 2 {
 		t.Fatalf("range rows = %d, want 2", len(rows))
 	}
@@ -241,18 +242,6 @@ func TestIndexRangeOp(t *testing.T) {
 	}
 }
 
-// countingIter counts Next calls, for asserting lazy evaluation.
-type countingIter struct {
-	in Iterator
-	n  int
-}
-
-func (c *countingIter) Schema() *Schema { return c.in.Schema() }
-func (c *countingIter) Next() (Row, bool) {
-	c.n++
-	return c.in.Next()
-}
-
 func TestHashJoinLazyBuild(t *testing.T) {
 	tab := NewTable("t", testSchema(t))
 	for i := 0; i < 3; i++ {
@@ -260,19 +249,27 @@ func TestHashJoinLazyBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	right := &countingIter{in: NewScan(latest(tab))}
-	j, err := NewHashJoin(NewScan(latest(tab)), right, []string{"id"}, []string{"id"}, "r")
+	built := 0 // build rows pulled
+	build := func(yield func(Row) bool) {
+		for r := range scan(tab) {
+			built++
+			if !yield(r) {
+				return
+			}
+		}
+	}
+	_, j, err := HashJoin(tab.Schema(), scan(tab), tab.Schema(), build, []string{"id"}, []string{"id"}, "r")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if right.n != 0 {
-		t.Fatalf("build side drained at construction: %d Next calls", right.n)
+	if built != 0 {
+		t.Fatalf("build side drained at construction: %d rows pulled", built)
 	}
-	if got := len(Collect(j)); got != 3 {
+	if got := len(slices.Collect(j)); got != 3 {
 		t.Fatalf("join rows = %d, want 3", got)
 	}
-	if right.n == 0 {
-		t.Fatal("build side never drained")
+	if built != 3 {
+		t.Fatalf("build side pulled %d rows, want 3", built)
 	}
 }
 

@@ -2,69 +2,9 @@ package relation
 
 import (
 	"fmt"
-	"sort"
+	"iter"
+	"slices"
 )
-
-// Iterator is the volcano-style operator interface. Next returns the next
-// row or (nil, false) at end of stream. Rows returned by Next must not be
-// mutated by callers.
-type Iterator interface {
-	Schema() *Schema
-	Next() (Row, bool)
-}
-
-// Collect drains an iterator into a slice.
-func Collect(it Iterator) []Row {
-	var out []Row
-	for {
-		r, ok := it.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, r)
-	}
-}
-
-// ---------- Scan ----------
-
-// ScanOp iterates a pinned table (or a virtual table's rows) in insertion
-// order. Rows materialize lazily on the first Next call, so building an
-// operator tree (e.g. for EXPLAIN) costs nothing.
-type ScanOp struct {
-	schema *Schema
-	src    func() []Row // nil once materialized
-	rows   []Row
-	i      int
-}
-
-// NewScan returns a scan operator over a pinned table; rows materialize on
-// first Next.
-func NewScan(t *TableSnapshot) *ScanOp {
-	return &ScanOp{schema: t.Schema(), src: t.Rows}
-}
-
-// NewLazyScan wraps a row producer that is invoked on first Next; virtual
-// tables use it so EXPLAIN does not materialize them.
-func NewLazyScan(schema *Schema, src func() []Row) *ScanOp {
-	return &ScanOp{schema: schema, src: src}
-}
-
-// Schema implements Iterator.
-func (s *ScanOp) Schema() *Schema { return s.schema }
-
-// Next implements Iterator.
-func (s *ScanOp) Next() (Row, bool) {
-	if s.src != nil {
-		s.rows = s.src()
-		s.src = nil
-	}
-	if s.i >= len(s.rows) {
-		return nil, false
-	}
-	r := s.rows[s.i]
-	s.i++
-	return r, true
-}
 
 // ---------- Index access paths ----------
 
@@ -108,34 +48,36 @@ func NewIndexRange(t *TableSnapshot, col string, lo, hi Value, loIncl, hiIncl bo
 	}, needed, 0), nil
 }
 
+// The row functions. Every row stream is a lazy iter.Seq[Row]: nothing runs
+// until the sequence is ranged, and a consumer that stops ranging stops the
+// producer, so rows past a LIMIT never reach an expression (DESIGN §4). The
+// planned path uses them above its batch pipeline; the reference executor is
+// built from them alone. Rows a sequence yields must not be mutated.
+
+// lazyRows yields the rows src resolves when the sequence is ranged: a
+// pinned table's visible rows or a virtual table's rows.
+func lazyRows(src func() []Row) iter.Seq[Row] {
+	return func(yield func(Row) bool) {
+		for _, r := range src() {
+			if !yield(r) {
+				return
+			}
+		}
+	}
+}
+
 // ---------- Filter ----------
 
 // Predicate decides whether a row passes a filter.
 type Predicate func(Row) bool
 
-// FilterOp passes through rows satisfying a predicate.
-type FilterOp struct {
-	in   Iterator
-	pred Predicate
-}
-
-// NewFilter wraps an iterator with a predicate.
-func NewFilter(in Iterator, pred Predicate) *FilterOp {
-	return &FilterOp{in: in, pred: pred}
-}
-
-// Schema implements Iterator.
-func (f *FilterOp) Schema() *Schema { return f.in.Schema() }
-
-// Next implements Iterator.
-func (f *FilterOp) Next() (Row, bool) {
-	for {
-		r, ok := f.in.Next()
-		if !ok {
-			return nil, false
-		}
-		if f.pred(r) {
-			return r, true
+// Filter yields the rows of in that satisfy pred.
+func Filter(in iter.Seq[Row], pred Predicate) iter.Seq[Row] {
+	return func(yield func(Row) bool) {
+		for r := range in {
+			if pred(r) && !yield(r) {
+				return
+			}
 		}
 	}
 }
@@ -149,88 +91,90 @@ type ProjExpr struct {
 	Eval func(Row) Value
 }
 
-// ProjectOp maps input rows through a list of expressions.
-type ProjectOp struct {
-	in     Iterator
-	exprs  []ProjExpr
-	schema *Schema
-}
-
-// NewProject builds a projection operator.
-func NewProject(in Iterator, exprs []ProjExpr) (*ProjectOp, error) {
+// Project maps the rows of in through exprs, one freshly allocated row each,
+// and returns the output schema.
+func Project(in iter.Seq[Row], exprs []ProjExpr) (*Schema, iter.Seq[Row], error) {
 	cols := make([]Column, len(exprs))
 	for i, e := range exprs {
 		cols[i] = Column{Name: e.Name, Type: e.Type}
 	}
 	s, err := NewSchema(cols...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &ProjectOp{in: in, exprs: exprs, schema: s}, nil
-}
-
-// Schema implements Iterator.
-func (p *ProjectOp) Schema() *Schema { return p.schema }
-
-// Next implements Iterator.
-func (p *ProjectOp) Next() (Row, bool) {
-	r, ok := p.in.Next()
-	if !ok {
-		return nil, false
-	}
-	out := make(Row, len(p.exprs))
-	for i, e := range p.exprs {
-		out[i] = e.Eval(r)
-	}
-	return out, true
+	return s, func(yield func(Row) bool) {
+		for r := range in {
+			out := make(Row, len(exprs))
+			for i, e := range exprs {
+				out[i] = e.Eval(r)
+			}
+			if !yield(out) {
+				return
+			}
+		}
+	}, nil
 }
 
 // ---------- Hash Join ----------
 
-// HashJoinOp implements an equi-join: the right (build) side is materialized
-// into a hash table keyed on the build columns; the left (probe) side
-// streams. The build happens lazily on the first Next, so constructing the
-// operator under a LIMIT that is never reached costs nothing. It is the
-// reference the batch join (which can build on either side) is tested
+// HashJoin is an equi-join on leftCols[i] == rightCols[i]: the right (build)
+// rows are drained into a hash table each time the sequence is ranged, and
+// the left (probe) rows stream through it. Output rows are left ++ right; the
+// output schema qualifies colliding right columns with rightQualifier. It is
+// the reference the batch join (which can build on either side) is tested
 // against.
-type HashJoinOp struct {
-	probe     Iterator
-	buildSrc  Iterator // drained into buildRows on first Next
-	buildRows map[string][]Row
-	probeCols []int
-	buildCols []int
-	schema    *Schema
-	built     bool
-	pending   []Row
-	keyBuf    []byte
+func HashJoin(left *Schema, probe iter.Seq[Row], right *Schema, build iter.Seq[Row], leftCols, rightCols []string, rightQualifier string) (*Schema, iter.Seq[Row], error) {
+	if len(leftCols) != len(rightCols) || len(leftCols) == 0 {
+		return nil, nil, fmt.Errorf("relation: join requires equal, non-empty key lists")
+	}
+	lpos, err := columnPositions(left, leftCols, "join: left")
+	if err != nil {
+		return nil, nil, err
+	}
+	rpos, err := columnPositions(right, rightCols, "join: right")
+	if err != nil {
+		return nil, nil, err
+	}
+	schema, err := Concat(left, right, rightQualifier)
+	if err != nil {
+		return nil, nil, err
+	}
+	return schema, func(yield func(Row) bool) {
+		var keyBuf []byte
+		built := make(map[string][]Row)
+		for r := range build {
+			key, ok := appendJoinKey(keyBuf[:0], r, rpos)
+			keyBuf = key
+			if ok {
+				built[string(key)] = append(built[string(key)], r)
+			}
+		}
+		for p := range probe {
+			key, ok := appendJoinKey(keyBuf[:0], p, lpos)
+			keyBuf = key
+			if !ok {
+				continue
+			}
+			for _, b := range built[string(key)] {
+				out := make(Row, 0, len(p)+len(b))
+				out = append(out, p...)
+				if !yield(append(out, b...)) {
+					return
+				}
+			}
+		}
+	}, nil
 }
 
-// NewHashJoin joins left (probe) to right (build) on leftCols[i] == rightCols[i].
-func NewHashJoin(left, right Iterator, leftCols, rightCols []string, rightQualifier string) (*HashJoinOp, error) {
-	if len(leftCols) != len(rightCols) || len(leftCols) == 0 {
-		return nil, fmt.Errorf("relation: join requires equal, non-empty key lists")
-	}
-	lpos := make([]int, len(leftCols))
-	for i, c := range leftCols {
-		p := left.Schema().Index(c)
-		if p < 0 {
-			return nil, fmt.Errorf("relation: join: left has no column %q", c)
+// columnPositions resolves names against s.
+func columnPositions(s *Schema, names []string, what string) ([]int, error) {
+	pos := make([]int, len(names))
+	for i, c := range names {
+		if pos[i] = s.Index(c); pos[i] < 0 {
+			return nil, fmt.Errorf("relation: %s has no column %q", what, c)
 		}
-		lpos[i] = p
 	}
-	rpos := make([]int, len(rightCols))
-	for i, c := range rightCols {
-		p := right.Schema().Index(c)
-		if p < 0 {
-			return nil, fmt.Errorf("relation: join: right has no column %q", c)
-		}
-		rpos[i] = p
-	}
-	schema, err := Concat(left.Schema(), right.Schema(), rightQualifier)
-	if err != nil {
-		return nil, err
-	}
-	return &HashJoinOp{schema: schema, probe: left, probeCols: lpos, buildSrc: right, buildCols: rpos}, nil
+	return pos, nil
 }
 
 // appendJoinKey builds the join key for a row into dst; ok is false when any
@@ -246,149 +190,51 @@ func appendJoinKey(dst []byte, r Row, pos []int) (_ []byte, ok bool) {
 	return dst, true
 }
 
-// Schema implements Iterator.
-func (j *HashJoinOp) Schema() *Schema { return j.schema }
-
-// Next implements Iterator.
-func (j *HashJoinOp) Next() (Row, bool) {
-	if !j.built {
-		j.buildRows = make(map[string][]Row)
-		for {
-			r, ok := j.buildSrc.Next()
-			if !ok {
-				break
-			}
-			key, ok := appendJoinKey(j.keyBuf[:0], r, j.buildCols)
-			j.keyBuf = key
-			if !ok {
-				continue
-			}
-			j.buildRows[string(key)] = append(j.buildRows[string(key)], r)
-		}
-		j.built = true
-	}
-	for {
-		if len(j.pending) > 0 {
-			r := j.pending[0]
-			j.pending = j.pending[1:]
-			return r, true
-		}
-		p, ok := j.probe.Next()
-		if !ok {
-			return nil, false
-		}
-		key, ok := appendJoinKey(j.keyBuf[:0], p, j.probeCols)
-		j.keyBuf = key
-		if !ok {
-			continue
-		}
-		for _, b := range j.buildRows[string(key)] {
-			out := make(Row, 0, len(p)+len(b))
-			out = append(out, p...)
-			out = append(out, b...)
-			j.pending = append(j.pending, out)
-		}
-	}
-}
-
 // ---------- Sort ----------
 
-// SortKey is one ORDER BY term.
+// SortKey is one ORDER BY term: a column position and its direction.
 type SortKey struct {
-	Col  string
+	Pos  int
 	Desc bool
 }
 
-// SortOp fully materializes its input and emits it ordered.
-type SortOp struct {
-	in     Iterator
-	keys   []SortKey
-	rows   []Row
-	sorted bool
-	i      int
-}
-
-// NewSort builds a sort operator over the given keys.
-func NewSort(in Iterator, keys []SortKey) (*SortOp, error) {
-	for _, k := range keys {
-		if in.Schema().Index(k.Col) < 0 {
-			return nil, fmt.Errorf("relation: sort: no column %q", k.Col)
-		}
-	}
-	return &SortOp{in: in, keys: keys}, nil
-}
-
-// Schema implements Iterator.
-func (s *SortOp) Schema() *Schema { return s.in.Schema() }
-
-// Next implements Iterator.
-func (s *SortOp) Next() (Row, bool) {
-	if !s.sorted {
-		s.rows = Collect(s.in)
-		pos := make([]int, len(s.keys))
-		for i, k := range s.keys {
-			pos[i] = s.in.Schema().Index(k.Col)
-		}
-		sort.SliceStable(s.rows, func(a, b int) bool {
-			for i, k := range s.keys {
-				c := Compare(s.rows[a][pos[i]], s.rows[b][pos[i]])
-				if c == 0 {
-					continue
+// Sort collects in and yields it stably ordered by keys.
+func Sort(in iter.Seq[Row], keys []SortKey) iter.Seq[Row] {
+	return lazyRows(func() []Row {
+		rows := slices.Collect(in)
+		slices.SortStableFunc(rows, func(a, b Row) int {
+			for _, k := range keys {
+				if c := Compare(a[k.Pos], b[k.Pos]); c != 0 {
+					if k.Desc {
+						return -c
+					}
+					return c
 				}
-				if k.Desc {
-					return c > 0
-				}
-				return c < 0
 			}
-			return false
+			return 0
 		})
-		s.sorted = true
-	}
-	if s.i >= len(s.rows) {
-		return nil, false
-	}
-	r := s.rows[s.i]
-	s.i++
-	return r, true
+		return rows
+	})
 }
 
 // ---------- Limit / Offset ----------
 
-// LimitOp emits at most n rows after skipping offset rows. A negative limit
-// means unlimited.
-type LimitOp struct {
-	in      Iterator
-	limit   int64
-	offset  int64
-	emitted int64
-	skipped int64
-}
-
-// NewLimit builds a limit/offset operator.
-func NewLimit(in Iterator, limit, offset int64) *LimitOp {
-	return &LimitOp{in: in, limit: limit, offset: offset}
-}
-
-// Schema implements Iterator.
-func (l *LimitOp) Schema() *Schema { return l.in.Schema() }
-
-// Next implements Iterator.
-func (l *LimitOp) Next() (Row, bool) {
-	for l.skipped < l.offset {
-		if _, ok := l.in.Next(); !ok {
-			return nil, false
+// Limit yields at most limit rows of in after skipping offset rows; a
+// negative limit means unlimited. It pulls no row past the last one it
+// yields or skips.
+func Limit(in iter.Seq[Row], limit, offset int64) iter.Seq[Row] {
+	return func(yield func(Row) bool) {
+		if limit == 0 && offset == 0 {
+			return
 		}
-		l.skipped++
+		var n int64
+		for r := range in {
+			n++
+			if (n > offset && !yield(r)) || (limit >= 0 && n == offset+limit) {
+				return
+			}
+		}
 	}
-	if l.limit >= 0 && l.emitted >= l.limit {
-		return nil, false
-	}
-	r, ok := l.in.Next()
-	if !ok {
-		return nil, false
-	}
-	l.emitted++
-	return r, true
 }
 
 // ---------- Aggregate ----------
@@ -456,7 +302,7 @@ type aggGroup struct {
 	states []aggState
 }
 
-// aggHash accumulates groups in first-seen order; GroupOp and PartialAgg
+// aggHash accumulates groups in first-seen order; Group and PartialAgg
 // share it so the reference and the batch pipeline cannot diverge. It is a small
 // open-addressing table keyed by the encoded group-key bytes: group-by keys
 // are short (a tag byte plus payload per column) and looked up once per
@@ -570,35 +416,50 @@ func (h *aggHash) finish(groupCols int, aggs []AggSpec) []Row {
 	return out
 }
 
-// GroupOp implements hash aggregation with optional grouping columns.
-type GroupOp struct {
-	in       Iterator
-	groupBy  []string
-	aggs     []AggSpec
-	schema   *Schema
-	results  []Row
-	done     bool
-	i        int
-	groupPos []int
-	aggPos   []int
-}
-
-// NewGroup builds a grouping/aggregation operator. With no groupBy columns
-// it produces exactly one row (global aggregates).
-func NewGroup(in Iterator, groupBy []string, aggs []AggSpec) (*GroupOp, error) {
-	schema, groupPos, aggPos, err := groupSchema(in.Schema(), groupBy, aggs)
+// Group is hash aggregation over rows of schema in, with optional grouping
+// columns: it drains rows when the sequence is ranged and yields the groups
+// in first-seen order. It returns the output schema (group keys, then one
+// column per aggregate). With no groupBy columns it yields exactly one row
+// (global aggregates).
+func Group(in *Schema, rows iter.Seq[Row], groupBy []string, aggs []AggSpec) (*Schema, iter.Seq[Row], error) {
+	schema, groupPos, aggPos, err := groupSchema(in, groupBy, aggs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &GroupOp{
-		in: in, groupBy: groupBy, aggs: aggs,
-		schema: schema, groupPos: groupPos, aggPos: aggPos,
-	}, nil
+	return schema, lazyRows(func() []Row {
+		h := newAggHash()
+		var keyBuf []byte
+		for r := range rows {
+			h.sawAny = true
+			keyBuf = keyBuf[:0]
+			for _, p := range groupPos {
+				keyBuf = r[p].AppendKey(keyBuf)
+				keyBuf = append(keyBuf, '\x1f')
+			}
+			grp := h.find(keyBuf)
+			if grp == nil {
+				keyRow := make(Row, len(groupPos))
+				for i, p := range groupPos {
+					keyRow[i] = r[p]
+				}
+				grp = &aggGroup{key: keyRow, states: make([]aggState, len(aggs))}
+				h.insert(keyBuf, grp)
+			}
+			for i, a := range aggs {
+				if a.Kind == AggCountStar {
+					grp.states[i].count++
+					continue
+				}
+				grp.states[i].observe(a.Kind, &r[aggPos[i]])
+			}
+		}
+		return h.finish(len(groupPos), aggs)
+	}), nil
 }
 
 // groupSchema resolves the grouping columns and aggregate arguments against
 // the input schema and builds the output schema (group keys first, then one
-// column per aggregate). GroupOp and PartialAgg share it.
+// column per aggregate). Group and PartialAgg share it.
 func groupSchema(in *Schema, groupBy []string, aggs []AggSpec) (*Schema, []int, []int, error) {
 	var cols []Column
 	var groupPos, aggPos []int
@@ -659,90 +520,26 @@ func aggName(a AggSpec) string {
 	return "agg"
 }
 
-// Schema implements Iterator.
-func (g *GroupOp) Schema() *Schema { return g.schema }
-
-// Next implements Iterator.
-func (g *GroupOp) Next() (Row, bool) {
-	if !g.done {
-		g.run()
-		g.done = true
-	}
-	if g.i >= len(g.results) {
-		return nil, false
-	}
-	r := g.results[g.i]
-	g.i++
-	return r, true
-}
-
-func (g *GroupOp) run() {
-	h := newAggHash()
-	var keyBuf []byte
-	for {
-		r, ok := g.in.Next()
-		if !ok {
-			break
-		}
-		h.sawAny = true
-		keyBuf = keyBuf[:0]
-		for _, p := range g.groupPos {
-			keyBuf = r[p].AppendKey(keyBuf)
-			keyBuf = append(keyBuf, '\x1f')
-		}
-		grp := h.find(keyBuf)
-		if grp == nil {
-			keyRow := make(Row, len(g.groupPos))
-			for i, p := range g.groupPos {
-				keyRow[i] = r[p]
-			}
-			grp = &aggGroup{key: keyRow, states: make([]aggState, len(g.aggs))}
-			h.insert(keyBuf, grp)
-		}
-		for i, a := range g.aggs {
-			if a.Kind == AggCountStar {
-				grp.states[i].count++
-				continue
-			}
-			grp.states[i].observe(a.Kind, &r[g.aggPos[i]])
-		}
-	}
-	g.results = h.finish(len(g.groupPos), g.aggs)
-}
-
 // ---------- Distinct ----------
 
-// DistinctOp removes duplicate rows (by full-row key).
-type DistinctOp struct {
-	in     Iterator
-	seen   map[string]struct{}
-	keyBuf []byte
-}
-
-// NewDistinct wraps an iterator with duplicate elimination.
-func NewDistinct(in Iterator) *DistinctOp {
-	return &DistinctOp{in: in, seen: make(map[string]struct{})}
-}
-
-// Schema implements Iterator.
-func (d *DistinctOp) Schema() *Schema { return d.in.Schema() }
-
-// Next implements Iterator.
-func (d *DistinctOp) Next() (Row, bool) {
-	for {
-		r, ok := d.in.Next()
-		if !ok {
-			return nil, false
+// Distinct yields the rows of in with duplicates (by full-row key) removed.
+func Distinct(in iter.Seq[Row]) iter.Seq[Row] {
+	return func(yield func(Row) bool) {
+		seen := make(map[string]struct{})
+		var keyBuf []byte
+		for r := range in {
+			keyBuf = keyBuf[:0]
+			for _, v := range r {
+				keyBuf = v.AppendKey(keyBuf)
+				keyBuf = append(keyBuf, '\x1f')
+			}
+			if _, dup := seen[string(keyBuf)]; dup {
+				continue
+			}
+			seen[string(keyBuf)] = struct{}{}
+			if !yield(r) {
+				return
+			}
 		}
-		d.keyBuf = d.keyBuf[:0]
-		for _, v := range r {
-			d.keyBuf = v.AppendKey(d.keyBuf)
-			d.keyBuf = append(d.keyBuf, '\x1f')
-		}
-		if _, dup := d.seen[string(d.keyBuf)]; dup {
-			continue
-		}
-		d.seen[string(d.keyBuf)] = struct{}{}
-		return r, true
 	}
 }

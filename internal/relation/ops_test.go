@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"iter"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -34,9 +36,12 @@ func opsTable(t *testing.T) *Table {
 	return tbl
 }
 
+// scan is the lazy row sequence of tbl's latest visible rows.
+func scan(tbl *Table) iter.Seq[Row] { return lazyRows(latest(tbl).Rows) }
+
 func TestScanCollect(t *testing.T) {
 	tbl := opsTable(t)
-	rows := Collect(NewScan(latest(tbl)))
+	rows := slices.Collect(scan(tbl))
 	if len(rows) != 6 {
 		t.Fatalf("scan = %d rows", len(rows))
 	}
@@ -45,8 +50,7 @@ func TestScanCollect(t *testing.T) {
 func TestFilter(t *testing.T) {
 	tbl := opsTable(t)
 	pos := tbl.Schema().Index("metric")
-	it := NewFilter(NewScan(latest(tbl)), func(r Row) bool { return Equal(r[pos], Text("acc")) })
-	rows := Collect(it)
+	rows := slices.Collect(Filter(scan(tbl), func(r Row) bool { return Equal(r[pos], Text("acc")) }))
 	if len(rows) != 3 {
 		t.Fatalf("filter = %d rows", len(rows))
 	}
@@ -55,13 +59,13 @@ func TestFilter(t *testing.T) {
 func TestProjectExpression(t *testing.T) {
 	tbl := opsTable(t)
 	vpos := tbl.Schema().Index("value")
-	it, err := NewProject(NewScan(latest(tbl)), []ProjExpr{
+	_, it, err := Project(scan(tbl), []ProjExpr{
 		{Name: "pct", Type: TFloat, Eval: func(r Row) Value { return Float(r[vpos].AsFloat() * 100) }},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := Collect(it)
+	rows := slices.Collect(it)
 	if rows[0][0].AsFloat() != 80.0 {
 		t.Fatalf("expr: %v", rows[0])
 	}
@@ -73,17 +77,17 @@ func TestHashJoin(t *testing.T) {
 	right := NewTable("r", MustSchema(Column{Name: "run", Type: TInt}, Column{Name: "recall", Type: TFloat}))
 	insertAll(t, right, []Row{{Int(1), Float(0.7)}, {Int(2), Float(0.75)}, {Int(3), Float(0.6)}})
 
-	j, err := NewHashJoin(NewScan(latest(left)), NewScan(latest(right)), []string{"run"}, []string{"run"}, "r")
+	schema, j, err := HashJoin(left.Schema(), scan(left), right.Schema(), scan(right), []string{"run"}, []string{"run"}, "r")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := Collect(j)
+	rows := slices.Collect(j)
 	if len(rows) != 2 {
 		t.Fatalf("join = %d rows", len(rows))
 	}
 	// schema: run, acc, r.run, recall
-	if j.Schema().Index("r.run") < 0 {
-		t.Fatalf("join schema: %v", j.Schema().Names())
+	if schema.Index("r.run") < 0 {
+		t.Fatalf("join schema: %v", schema.Names())
 	}
 	for _, r := range rows {
 		if r[0].AsInt() != r[2].AsInt() {
@@ -97,11 +101,11 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 	left.Insert(Row{Null()})
 	right := NewTable("r", MustSchema(Column{Name: "k", Type: TInt}))
 	right.Insert(Row{Null()})
-	j, err := NewHashJoin(NewScan(latest(left)), NewScan(latest(right)), []string{"k"}, []string{"k"}, "r")
+	_, j, err := HashJoin(left.Schema(), scan(left), right.Schema(), scan(right), []string{"k"}, []string{"k"}, "r")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows := Collect(j); len(rows) != 0 {
+	if rows := slices.Collect(j); len(rows) != 0 {
 		t.Fatalf("NULL join keys matched: %v", rows)
 	}
 }
@@ -111,20 +115,16 @@ func TestHashJoinDuplicateKeys(t *testing.T) {
 	insertAll(t, left, []Row{{Int(1)}, {Int(1)}})
 	right := NewTable("r", MustSchema(Column{Name: "k", Type: TInt}))
 	insertAll(t, right, []Row{{Int(1)}, {Int(1)}, {Int(1)}})
-	j, _ := NewHashJoin(NewScan(latest(left)), NewScan(latest(right)), []string{"k"}, []string{"k"}, "r")
-	if rows := Collect(j); len(rows) != 6 {
+	_, j, _ := HashJoin(left.Schema(), scan(left), right.Schema(), scan(right), []string{"k"}, []string{"k"}, "r")
+	if rows := slices.Collect(j); len(rows) != 6 {
 		t.Fatalf("cartesian within key = %d", len(rows))
 	}
 }
 
 func TestSortAscDesc(t *testing.T) {
 	tbl := opsTable(t)
-	s, err := NewSort(NewScan(latest(tbl)), []SortKey{{Col: "value", Desc: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := Collect(s)
 	vpos := tbl.Schema().Index("value")
+	rows := slices.Collect(Sort(scan(tbl), []SortKey{{Pos: vpos, Desc: true}}))
 	for i := 1; i < len(rows); i++ {
 		if rows[i][vpos].AsFloat() > rows[i-1][vpos].AsFloat() {
 			t.Fatal("desc sort violated")
@@ -134,8 +134,7 @@ func TestSortAscDesc(t *testing.T) {
 
 func TestSortMultiKeyStable(t *testing.T) {
 	tbl := opsTable(t)
-	s, _ := NewSort(NewScan(latest(tbl)), []SortKey{{Col: "metric"}, {Col: "run", Desc: true}})
-	rows := Collect(s)
+	rows := slices.Collect(Sort(scan(tbl), []SortKey{{Pos: 1}, {Pos: 0, Desc: true}}))
 	// First three are acc with run 3,2,1; then recall with run 3,2,1.
 	if rows[0][1].AsText() != "acc" || rows[0][0].AsInt() != 3 {
 		t.Fatalf("multikey sort head: %v", rows[0])
@@ -147,24 +146,48 @@ func TestSortMultiKeyStable(t *testing.T) {
 
 func TestLimitOffset(t *testing.T) {
 	tbl := opsTable(t)
-	rows := Collect(NewLimit(NewScan(latest(tbl)), 2, 1))
+	rows := slices.Collect(Limit(scan(tbl), 2, 1))
 	if len(rows) != 2 {
 		t.Fatalf("limit = %d", len(rows))
 	}
 	if rows[0][1].AsText() != "recall" {
 		t.Fatalf("offset skipped wrong row: %v", rows[0])
 	}
-	if got := Collect(NewLimit(NewScan(latest(tbl)), -1, 0)); len(got) != 6 {
+	if got := slices.Collect(Limit(scan(tbl), -1, 0)); len(got) != 6 {
 		t.Fatal("negative limit should mean unlimited")
 	}
-	if got := Collect(NewLimit(NewScan(latest(tbl)), 100, 10)); len(got) != 0 {
+	if got := slices.Collect(Limit(scan(tbl), 100, 10)); len(got) != 0 {
 		t.Fatal("offset past end should be empty")
+	}
+}
+
+// TestLimitPullsNoRowPastTheLast: a LIMIT stops its input after the last row
+// it yields (and after the skipped rows of an OFFSET with LIMIT 0), so rows
+// past it never reach an expression upstream.
+func TestLimitPullsNoRowPastTheLast(t *testing.T) {
+	tbl := opsTable(t)
+	for _, tc := range []struct{ limit, offset, pulled int64 }{
+		{1, 0, 1}, {2, 1, 3}, {0, 0, 0}, {0, 2, 2}, {-1, 0, 6}, {100, 0, 6},
+	} {
+		var pulled int64
+		counted := func(yield func(Row) bool) {
+			for r := range scan(tbl) {
+				pulled++
+				if !yield(r) {
+					return
+				}
+			}
+		}
+		slices.Collect(Limit(counted, tc.limit, tc.offset))
+		if pulled != tc.pulled {
+			t.Errorf("LIMIT %d OFFSET %d pulled %d rows, want %d", tc.limit, tc.offset, pulled, tc.pulled)
+		}
 	}
 }
 
 func TestGroupByWithAggregates(t *testing.T) {
 	tbl := opsTable(t)
-	g, err := NewGroup(NewScan(latest(tbl)), []string{"metric"}, []AggSpec{
+	_, g, err := Group(tbl.Schema(), scan(tbl), []string{"metric"}, []AggSpec{
 		{Kind: AggCountStar, As: "n"},
 		{Kind: AggAvg, Col: "value", As: "avg_v"},
 		{Kind: AggMax, Col: "value", As: "max_v"},
@@ -174,7 +197,7 @@ func TestGroupByWithAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := Collect(g)
+	rows := slices.Collect(g)
 	if len(rows) != 2 {
 		t.Fatalf("groups = %d", len(rows))
 	}
@@ -199,11 +222,11 @@ func TestGroupByWithAggregates(t *testing.T) {
 
 func TestGlobalAggregateEmptyInput(t *testing.T) {
 	tbl := NewTable("e", MustSchema(Column{Name: "v", Type: TFloat}))
-	g, _ := NewGroup(NewScan(latest(tbl)), nil, []AggSpec{
+	_, g, _ := Group(tbl.Schema(), scan(tbl), nil, []AggSpec{
 		{Kind: AggCountStar, As: "n"},
 		{Kind: AggSum, Col: "v", As: "s"},
 	})
-	rows := Collect(g)
+	rows := slices.Collect(g)
 	if len(rows) != 1 {
 		t.Fatalf("global agg rows = %d", len(rows))
 	}
@@ -214,8 +237,8 @@ func TestGlobalAggregateEmptyInput(t *testing.T) {
 
 func TestGroupByEmptyInputNoGroups(t *testing.T) {
 	tbl := NewTable("e", MustSchema(Column{Name: "k", Type: TText}, Column{Name: "v", Type: TFloat}))
-	g, _ := NewGroup(NewScan(latest(tbl)), []string{"k"}, []AggSpec{{Kind: AggCountStar, As: "n"}})
-	if rows := Collect(g); len(rows) != 0 {
+	_, g, _ := Group(tbl.Schema(), scan(tbl), []string{"k"}, []AggSpec{{Kind: AggCountStar, As: "n"}})
+	if rows := slices.Collect(g); len(rows) != 0 {
 		t.Fatalf("grouped empty input should yield 0 rows, got %d", len(rows))
 	}
 }
@@ -223,12 +246,12 @@ func TestGroupByEmptyInputNoGroups(t *testing.T) {
 func TestAggregatesIgnoreNulls(t *testing.T) {
 	tbl := NewTable("n", MustSchema(Column{Name: "v", Type: TFloat}))
 	insertAll(t, tbl, []Row{{Float(1)}, {Null()}, {Float(3)}})
-	g, _ := NewGroup(NewScan(latest(tbl)), nil, []AggSpec{
+	_, g, _ := Group(tbl.Schema(), scan(tbl), nil, []AggSpec{
 		{Kind: AggCount, Col: "v", As: "c"},
 		{Kind: AggCountStar, As: "cs"},
 		{Kind: AggAvg, Col: "v", As: "a"},
 	})
-	rows := Collect(g)
+	rows := slices.Collect(g)
 	if rows[0][0].AsInt() != 2 || rows[0][1].AsInt() != 3 || rows[0][2].AsFloat() != 2.0 {
 		t.Fatalf("null handling: %v", rows[0])
 	}
@@ -237,7 +260,7 @@ func TestAggregatesIgnoreNulls(t *testing.T) {
 func TestDistinct(t *testing.T) {
 	tbl := NewTable("d", MustSchema(Column{Name: "v", Type: TInt}))
 	insertAll(t, tbl, []Row{{Int(1)}, {Int(2)}, {Int(1)}, {Int(3)}, {Int(2)}})
-	rows := Collect(NewDistinct(NewScan(latest(tbl))))
+	rows := slices.Collect(Distinct(scan(tbl)))
 	if len(rows) != 3 {
 		t.Fatalf("distinct = %d", len(rows))
 	}
@@ -249,8 +272,7 @@ func TestSortIsPermutationProperty(t *testing.T) {
 		for _, v := range vals {
 			tbl.Insert(Row{Int(int64(v))})
 		}
-		s, _ := NewSort(NewScan(latest(tbl)), []SortKey{{Col: "v"}})
-		rows := Collect(s)
+		rows := slices.Collect(Sort(scan(tbl), []SortKey{{Pos: 0}}))
 		if len(rows) != len(vals) {
 			return false
 		}
@@ -300,19 +322,19 @@ func TestSnapshotCatalog(t *testing.T) {
 	}
 	snap := db.SnapshotLatest()
 	defer snap.Release()
-	it, err := snap.Source("vt")
+	schema, it, err := snap.Source("vt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := Collect(it)
+	if schema != s {
+		t.Fatalf("virtual schema: %v", schema.Names())
+	}
+	rows := slices.Collect(it)
 	if len(rows) != 1 || rows[0][0].AsInt() != 42 {
 		t.Fatalf("virtual rows: %v", rows)
 	}
-	if _, err := snap.Source("missing"); err == nil {
+	if _, _, err := snap.Source("missing"); err == nil {
 		t.Fatal("missing table must error")
-	}
-	if _, err := snap.SchemaOf("missing"); err == nil {
-		t.Fatal("missing table schema must error")
 	}
 	names := snap.Names()
 	if len(names) != 2 || names[0] != "t1" || names[1] != "vt" {

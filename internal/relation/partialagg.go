@@ -132,7 +132,7 @@ func mergeAggState(dst, o *aggState, kind AggKind) {
 }
 
 // Rows renders the groups. A sink nothing was merged into emits them in
-// first-seen order, exactly as the row GroupOp does. After a merge, worker
+// first-seen order, exactly as the row Group does. After a merge, worker
 // scheduling has made first-seen order nondeterministic across runs, so the
 // groups are ordered by encoded key instead — a deterministic permutation of
 // the serial output (row-multiset-equal; queries that need a specific order

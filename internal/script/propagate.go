@@ -16,7 +16,8 @@ import (
 //
 //  1. Align the statement sequences of corresponding blocks using Myers
 //     diff over canonical statement signatures (block headers for compound
-//     statements; full renderings for simple statements).
+//     statements, a flor.loop header by its loop's name; full renderings
+//     for simple statements).
 //  2. Recurse into the bodies of matched compound statements.
 //  3. Any *new* statement that is a flor.log / flor.commit call (or an
 //     assignment feeding one) is injected into the old block at the aligned
@@ -44,11 +45,11 @@ func Propagate(oldF, newF *File) (*File, PropagateResult) {
 func propagateBlock(oldStmts, newStmts []Stmt, res *PropagateResult) []Stmt {
 	oldSigs := make([]string, len(oldStmts))
 	for i, s := range oldStmts {
-		oldSigs[i] = s.Signature()
+		oldSigs[i] = alignSignature(s)
 	}
 	newSigs := make([]string, len(newStmts))
 	for i, s := range newStmts {
-		newSigs[i] = s.Signature()
+		newSigs[i] = alignSignature(s)
 	}
 	// align[j] = index in old of the statement matching new[j], or -1.
 	align := diffkit.Align(oldSigs, newSigs)
@@ -91,6 +92,21 @@ func propagateBlock(oldStmts, newStmts []Stmt, res *PropagateResult) []Stmt {
 		out = append(out, injections[i]...)
 	}
 	return out
+}
+
+// alignSignature is the signature a statement aligns by. A flor.loop header
+// aligns by the loop's identity, its variable and literal name, so a loop
+// whose bound changed between the versions is still the same loop; a loop
+// whose name is not a string literal keeps its rendered header.
+func alignSignature(s Stmt) string {
+	if f, ok := s.(*ForStmt); ok {
+		if c, ok := f.Iterable.(*CallExpr); ok && c.Fn == "flor.loop" && len(c.Args) > 0 {
+			if name, ok := c.Args[0].(*StringLit); ok {
+				return "for " + f.Var + " in flor.loop(" + name.Render() + ")"
+			}
+		}
+	}
+	return s.Signature()
 }
 
 // isLogBearing reports whether a statement should be carried into history:

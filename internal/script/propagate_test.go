@@ -115,6 +115,48 @@ for e in flor.loop("epoch", range(5)) {
 	}
 }
 
+// TestPropagateAlignsLoopByName changes a flor.loop's bound between the
+// versions: the loop is the same loop, so the new log lands inside the old
+// 3-epoch loop instead of the whole 5-epoch loop being injected beside it.
+func TestPropagateAlignsLoopByName(t *testing.T) {
+	oldSrc := `
+for e in flor.loop("epoch", range(3)) {
+    loss = step(net)
+}
+`
+	newSrc := `
+for e in flor.loop("epoch", range(5)) {
+    loss = step(net)
+    flor.log("loss", loss)
+}
+`
+	merged, res := Propagate(mustParse(t, oldSrc), mustParse(t, newSrc))
+	if res.Injected != 1 || res.Matched != 2 {
+		t.Fatalf("injected = %d, matched = %d; want 1, 2", res.Injected, res.Matched)
+	}
+	want := Print(mustParse(t, `
+for e in flor.loop("epoch", range(3)) {
+    loss = step(net)
+    flor.log("loss", loss)
+}
+`))
+	if got := Print(merged); got != want {
+		t.Fatalf("merged:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestPropagateLoopWithComputedNameKeepsHeader: a loop whose name is not a
+// string literal has no identity to align by, so only its rendered header
+// matches.
+func TestPropagateLoopWithComputedNameKeepsHeader(t *testing.T) {
+	oldSrc := "for e in flor.loop(name, range(3)) {\n    loss = step(net)\n}\n"
+	newSrc := "for e in flor.loop(name, range(5)) {\n    loss = step(net)\n    flor.log(\"loss\", loss)\n}\n"
+	_, res := Propagate(mustParse(t, oldSrc), mustParse(t, newSrc))
+	if res.Matched != 0 {
+		t.Fatalf("matched = %d; a computed loop name must not align across bounds", res.Matched)
+	}
+}
+
 func TestPropagateIntoNestedLoops(t *testing.T) {
 	oldSrc := `
 for d in flor.loop("document", docs) {

@@ -18,7 +18,7 @@ import (
 // indexes, serial and under a four-worker gather — so index paths packed
 // into batches, joins over index sources and gathers over full scans are
 // each compared with ExecuteScan, which runs the identical statement through
-// the volcano row operators. A share of every property's statements runs at
+// the row functions. A share of every property's statements runs at
 // a random mid-history pin instead, against a reference database holding
 // only the rows born by then (prefixDB). mustPlanOps asserts the shapes under
 // test really are in the plan. They run under -race via `make test` like

@@ -2,6 +2,8 @@ package sqlparse
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"strings"
 
 	"flordb/internal/relation"
@@ -80,18 +82,18 @@ func pinAsOf(cat *relation.Snapshot, stmt *SelectStmt) (*relation.Snapshot, func
 	return cat.AsOf(epoch)
 }
 
-// compiled is a fully planned statement: the operator pipeline, the plan tree
+// compiled is a fully planned statement: the lazy row sequence, the plan tree
 // describing it, and the output shape.
 type compiled struct {
-	it      relation.Iterator
+	rows    iter.Seq[relation.Row]
 	plan    *PlanNode
 	columns []string // visible output columns
 	hidden  int      // trailing hidden sort columns to strip
 }
 
-// run drains the pipeline and surfaces the first deferred evaluation error.
+// run drains the sequence and surfaces the first deferred evaluation error.
 func (c *compiled) run(ctx *execCtx) (*Result, error) {
-	rows := relation.Collect(c.it)
+	rows := slices.Collect(c.rows)
 	if err := ctx.firstErr(); err != nil {
 		return nil, err
 	}
@@ -107,7 +109,7 @@ func (c *compiled) run(ctx *execCtx) (*Result, error) {
 // aggregates, the pre-projection feeding the aggregation sink) is one batch
 // pipeline, built by a factory the gather rule may call once per worker;
 // DISTINCT, ORDER BY, LIMIT, HAVING and the post-aggregate projection are
-// row operators over its (small, or inherently row-ordered) output.
+// row functions over its (small, or inherently row-ordered) output.
 func compile(cat *relation.Snapshot, stmt *SelectStmt, ctx *execCtx, opts ExecOptions) (*compiled, error) {
 	fc, err := resolveFrom(cat, stmt)
 	if err != nil {
@@ -284,50 +286,50 @@ func selectItems(stmt *SelectStmt, schema *relation.Schema) []projItem {
 // against the visible output names; expressions that are not output columns
 // are handed to project as hidden items, to be appended to the projection as
 // trailing columns (stripped again after the sort). On the projected row
-// stream and plan subtree project returns, it stacks DISTINCT, ORDER BY and
+// sequence and plan subtree project returns, it stacks DISTINCT, ORDER BY and
 // LIMIT/OFFSET.
-// relation.NewSort is stable, so sorting a gathered result reassembled in
+// relation.Sort is stable, so sorting a gathered result reassembled in
 // row-store order yields exactly the serial output.
-func finishRows(stmt *SelectStmt, columns []string, project func(hidden []projItem) (relation.Iterator, *PlanNode, error)) (*compiled, error) {
-	outNames := map[string]bool{}
-	for _, c := range columns {
-		outNames[strings.ToLower(c)] = true
+func finishRows(stmt *SelectStmt, columns []string, project func(hidden []projItem) (iter.Seq[relation.Row], *PlanNode, error)) (*compiled, error) {
+	outPos := make(map[string]int, len(columns)) // names are unique, or the projection fails
+	for i, c := range columns {
+		outPos[strings.ToLower(c)] = i
 	}
 	var hidden []projItem
 	var sortKeys []relation.SortKey
 	var sortDisplay []string
 	for i, oi := range stmt.OrderBy {
-		name := fmt.Sprintf("__sort%d", i)
-		if cr, ok := oi.Expr.(*ColumnRef); ok && cr.Table == "" && outNames[strings.ToLower(cr.Name)] {
-			name = cr.Name
-		} else {
-			hidden = append(hidden, projItem{expr: oi.Expr, name: name})
+		pos, visible := 0, false
+		if cr, ok := oi.Expr.(*ColumnRef); ok && cr.Table == "" {
+			pos, visible = outPos[strings.ToLower(cr.Name)]
 		}
-		sortKeys = append(sortKeys, relation.SortKey{Col: name, Desc: oi.Desc})
+		if !visible {
+			pos = len(columns) + len(hidden)
+			hidden = append(hidden, projItem{expr: oi.Expr, name: fmt.Sprintf("__sort%d", i)})
+		}
+		sortKeys = append(sortKeys, relation.SortKey{Pos: pos, Desc: oi.Desc})
 		sortDisplay = append(sortDisplay, orderItemSQL(oi))
 	}
 	if stmt.Distinct && len(hidden) > 0 {
 		return nil, fmt.Errorf("sql: ORDER BY with DISTINCT must reference selected columns")
 	}
-	it, node, err := project(hidden)
+	rows, node, err := project(hidden)
 	if err != nil {
 		return nil, err
 	}
 	if stmt.Distinct {
-		it = relation.NewDistinct(it)
+		rows = relation.Distinct(rows)
 		node = planAbove("Distinct", "", node)
 	}
 	if len(sortKeys) > 0 {
-		if it, err = relation.NewSort(it, sortKeys); err != nil {
-			return nil, err
-		}
+		rows = relation.Sort(rows, sortKeys)
 		node = planAbove("Sort", "["+strings.Join(sortDisplay, ", ")+"]", node)
 	}
 	if stmt.Limit >= 0 || stmt.Offset > 0 {
-		it = relation.NewLimit(it, stmt.Limit, stmt.Offset)
+		rows = relation.Limit(rows, stmt.Limit, stmt.Offset)
 		node = planAbove("Limit", limitDetail(stmt), node)
 	}
-	return &compiled{it: it, plan: node, columns: columns, hidden: len(hidden)}, nil
+	return &compiled{rows: rows, plan: node, columns: columns, hidden: len(hidden)}, nil
 }
 
 // itemNames lists the output names of projection items.
@@ -353,12 +355,12 @@ func projectNode(columns []string, child *PlanNode) *PlanNode {
 }
 
 // compileSimple handles the non-aggregate path: the batch pipeline projects
-// the output items (plus hidden sort columns) and the rows adapter at its
-// root feeds the row half.
+// the output items (plus hidden sort columns) and the batch-to-row boundary
+// at its root feeds the row half.
 func compileSimple(stmt *SelectStmt, schema *relation.Schema, pipelines func([]projItem) (*gather, error)) (*compiled, error) {
 	visible := selectItems(stmt, schema)
 	columns := itemNames(visible)
-	return finishRows(stmt, columns, func(hidden []projItem) (relation.Iterator, *PlanNode, error) {
+	return finishRows(stmt, columns, func(hidden []projItem) (iter.Seq[relation.Row], *PlanNode, error) {
 		g, err := pipelines(append(visible, hidden...))
 		if err != nil {
 			return nil, nil, err
@@ -478,7 +480,7 @@ func compileAggregate(stmt *SelectStmt, ctx *execCtx, pipelines func([]projItem)
 	if err != nil {
 		return nil, err
 	}
-	grouped, err := g.aggregate(ap.groupCols, ap.specs)
+	schema, grouped, err := g.aggregate(ap.groupCols, ap.specs)
 	if err != nil {
 		return nil, err
 	}
@@ -487,22 +489,21 @@ func compileAggregate(stmt *SelectStmt, ctx *execCtx, pipelines func([]projItem)
 		op = "PartialAggregate"
 	}
 	node := &PlanNode{Op: op, Detail: aggDetail(ap.groupCols, ap.rw.calls), Children: []*PlanNode{g.input()}}
-	return compileAggPost(grouped, g.node(node, ""), stmt, ctx, ap)
+	return compileAggPost(schema, grouped, g.node(node, ""), stmt, ctx, ap)
 }
 
-// applyFilter wraps a row stream with a predicate compiled from pred;
-// evaluation errors are registered on ctx and surfaced after execution. The
-// planned path uses it for HAVING only — every other filter is a vectorized
-// predicate over batches (stream.filter).
-func applyFilter(ctx *execCtx, in relation.Iterator, pred Expr) (relation.Iterator, error) {
-	b := binder{schema: in.Schema()}
-	f, err := b.compile(pred)
+// applyFilter filters a row sequence of the given schema by a predicate
+// compiled from pred; evaluation errors are registered on ctx and surfaced
+// after execution. The planned path uses it for HAVING only — every other
+// filter is a vectorized predicate over batches (stream.filter).
+func applyFilter(ctx *execCtx, schema *relation.Schema, in iter.Seq[relation.Row], pred Expr) (iter.Seq[relation.Row], error) {
+	f, err := binder{schema: schema}.compile(pred)
 	if err != nil {
 		return nil, err
 	}
 	evalErr := new(error)
 	ctx.register(evalErr)
-	return relation.NewFilter(in, func(r relation.Row) bool {
+	return relation.Filter(in, func(r relation.Row) bool {
 		if *evalErr != nil {
 			return false
 		}
@@ -524,26 +525,26 @@ func applyFilter(ctx *execCtx, in relation.Iterator, pred Expr) (relation.Iterat
 }
 
 // compileAggPost stacks the post-aggregation half of the pipeline — HAVING,
-// select-list rewrite, then finishRows — on an aggregated row stream whose
-// plan subtree is node (nil for the reference executor).
-func compileAggPost(grouped relation.Iterator, node *PlanNode, stmt *SelectStmt, ctx *execCtx, ap *aggPlan) (*compiled, error) {
+// select-list rewrite, then finishRows — on an aggregated row sequence of the
+// given schema whose plan subtree is node (nil for the reference executor).
+func compileAggPost(schema *relation.Schema, grouped iter.Seq[relation.Row], node *PlanNode, stmt *SelectStmt, ctx *execCtx, ap *aggPlan) (*compiled, error) {
 	if len(stmt.Items) == 0 {
 		return nil, fmt.Errorf("sql: SELECT * is not valid with GROUP BY")
 	}
-	items := selectItems(stmt, grouped.Schema())
+	items := selectItems(stmt, schema)
 	columns := itemNames(items)
-	return finishRows(stmt, columns, func(hidden []projItem) (relation.Iterator, *PlanNode, error) {
+	return finishRows(stmt, columns, func(hidden []projItem) (iter.Seq[relation.Row], *PlanNode, error) {
 		out := grouped
 		if stmt.Having != nil {
 			var err error
-			out, err = applyFilter(ctx, out, ap.rw.rewrite(stmt.Having, ap.groupSQL))
+			out, err = applyFilter(ctx, schema, out, ap.rw.rewrite(stmt.Having, ap.groupSQL))
 			if err != nil {
 				return nil, nil, err
 			}
 			node = planAbove("Filter", "HAVING "+stmt.Having.SQL(), node)
 		}
 		// Post-aggregation binder over the grouped schema.
-		gb := binder{schema: grouped.Schema()}
+		gb := binder{schema: schema}
 		var exprs []relation.ProjExpr
 		for _, it := range append(items, hidden...) {
 			it.expr = ap.rw.rewrite(it.expr, ap.groupSQL)
@@ -556,7 +557,7 @@ func compileAggPost(grouped relation.Iterator, node *PlanNode, stmt *SelectStmt,
 			}
 			exprs = append(exprs, e)
 		}
-		post, err := relation.NewProject(out, exprs)
+		_, post, err := relation.Project(out, exprs)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -2,7 +2,9 @@ package sqlparse
 
 import (
 	"fmt"
+	"iter"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -164,49 +166,48 @@ func (g *gather) run(drain func(w, m int)) {
 	}
 }
 
-// rows puts the rows adapter at the root of each pipeline. The serial
-// pipeline streams through it (so a LIMIT stops the scan early); a parallel
-// gather is lazy — EXPLAIN never runs workers — and reassembles the morsels'
-// rows in morsel order, which is row-store order.
-func (g *gather) rows() relation.Iterator {
-	its := make([]relation.Iterator, len(g.ps))
-	for w, p := range g.ps {
-		its[w] = relation.NewRowsFromBatches(p.it)
-	}
+// rows is the pipelines' batch-to-row boundary. The serial pipeline streams
+// through it (so a LIMIT stops the scan early); a parallel gather runs its
+// workers only when the sequence is ranged — EXPLAIN never ranges it — and
+// yields the morsels' rows in morsel order, which is row-store order.
+func (g *gather) rows() iter.Seq[relation.Row] {
 	if g.morsels == 0 {
-		return its[0]
+		return relation.RowsOf(g.ps[0].it)
 	}
-	return relation.NewLazyScan(its[0].Schema(), func() []relation.Row {
+	return func(yield func(relation.Row) bool) {
 		out := make([][]relation.Row, g.morsels)
-		g.run(func(w, m int) { out[m] = relation.Collect(its[w]) })
-		total := 0
+		g.run(func(w, m int) { out[m] = slices.Collect(relation.RowsOf(g.ps[w].it)) })
 		for _, rs := range out {
-			total += len(rs)
+			for _, r := range rs {
+				if !yield(r) {
+					return
+				}
+			}
 		}
-		all := make([]relation.Row, 0, total)
-		for _, rs := range out {
-			all = append(all, rs...)
-		}
-		return all
-	})
+	}
 }
 
 // aggregate sinks every pipeline into its own relation.PartialAgg and
-// returns the (lazy) aggregated row stream: the one sink rendered as is when
-// serial, the workers' partials merged and rendered in key order otherwise.
-func (g *gather) aggregate(groupCols []string, specs []relation.AggSpec) (relation.Iterator, error) {
+// returns the aggregated schema and row sequence: the one sink rendered as
+// is when serial, the workers' partials merged and rendered in key order
+// otherwise. Like rows, nothing runs until the sequence is ranged.
+func (g *gather) aggregate(groupCols []string, specs []relation.AggSpec) (*relation.Schema, iter.Seq[relation.Row], error) {
 	sinks := make([]*relation.PartialAgg, len(g.ps))
 	for w, p := range g.ps {
 		var err error
 		if sinks[w], err = relation.NewPartialAgg(p.it.Schema(), groupCols, specs); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return relation.NewLazyScan(sinks[0].Schema(), func() []relation.Row {
+	return sinks[0].Schema(), func(yield func(relation.Row) bool) {
 		g.run(func(w, _ int) { sinks[w].Consume(g.ps[w].it) })
 		for _, o := range sinks[1:] {
 			sinks[0].Merge(o)
 		}
-		return sinks[0].Rows()
-	}), nil
+		for _, r := range sinks[0].Rows() {
+			if !yield(r) {
+				return
+			}
+		}
+	}, nil
 }

@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"iter"
 
 	"flordb/internal/relation"
 )
@@ -9,10 +10,10 @@ import (
 // ExecuteScan is the reference executor: no planner, no batches, no
 // parallelism. Every source is fully scanned, joins are row hash joins in
 // statement order building on the right input, WHERE filters the joined
-// stream post hoc, and projection and aggregation are the volcano-style row
-// operators. The randomized equivalence properties and FuzzPlannedVsScan
-// compare the planned pipeline against it, and the C8–C10 benchmarks measure
-// it as the baseline; it has no plan to EXPLAIN.
+// sequence post hoc, and projection and aggregation are the row functions
+// over lazy sequences. The randomized equivalence properties and
+// FuzzPlannedVsScan compare the planned pipeline against it, and the C8–C10
+// benchmarks measure it as the baseline; it has no plan to EXPLAIN.
 func ExecuteScan(cat *relation.Snapshot, stmt *SelectStmt) (*Result, error) {
 	if stmt.Explain {
 		return nil, fmt.Errorf("sql: the reference executor has no plan to EXPLAIN")
@@ -24,46 +25,46 @@ func ExecuteScan(cat *relation.Snapshot, stmt *SelectStmt) (*Result, error) {
 	defer release()
 	ctx := &execCtx{}
 
-	it, err := cat.Source(stmt.From.Name)
+	schema, rows, err := cat.Source(stmt.From.Name)
 	if err != nil {
 		return nil, err
 	}
 	for _, j := range stmt.Joins {
-		right, err := cat.Source(j.Table.Name)
+		right, build, err := cat.Source(j.Table.Name)
 		if err != nil {
 			return nil, err
 		}
 		binding := j.Table.Binding()
-		leftCols, rightCols, residual, err := splitJoinOn(j.On, it.Schema(), right.Schema(), binding)
+		leftCols, rightCols, residual, err := splitJoinOn(j.On, schema, right, binding)
 		if err != nil {
 			return nil, err
 		}
-		if it, err = relation.NewHashJoin(it, right, leftCols, rightCols, binding); err != nil {
+		if schema, rows, err = relation.HashJoin(schema, rows, right, build, leftCols, rightCols, binding); err != nil {
 			return nil, err
 		}
 		if residual != nil {
-			if it, err = applyFilter(ctx, it, residual); err != nil {
+			if rows, err = applyFilter(ctx, schema, rows, residual); err != nil {
 				return nil, err
 			}
 		}
 	}
 	if stmt.Where != nil {
-		if it, err = applyFilter(ctx, it, stmt.Where); err != nil {
+		if rows, err = applyFilter(ctx, schema, rows, stmt.Where); err != nil {
 			return nil, err
 		}
 	}
 
-	// project maps the stream through items with the row projection.
-	project := func(items []projItem) (relation.Iterator, error) {
+	// project maps the sequence through items with the row projection.
+	project := func(items []projItem) (*relation.Schema, iter.Seq[relation.Row], error) {
 		exprs := make([]relation.ProjExpr, len(items))
 		for i, item := range items {
-			e, err := compileRowProjExpr(binder{schema: it.Schema()}, ctx, item)
+			e, err := compileRowProjExpr(binder{schema: schema}, ctx, item)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			exprs[i] = e
 		}
-		return relation.NewProject(it, exprs)
+		return relation.Project(rows, exprs)
 	}
 	var c *compiled
 	if stmt.HasAggregates() || len(stmt.GroupBy) > 0 {
@@ -71,24 +72,24 @@ func ExecuteScan(cat *relation.Snapshot, stmt *SelectStmt) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pre, err := project(ap.pre)
+		preSchema, pre, err := project(ap.pre)
 		if err != nil {
 			return nil, err
 		}
-		grouped, err := relation.NewGroup(pre, ap.groupCols, ap.specs)
+		groupedSchema, grouped, err := relation.Group(preSchema, pre, ap.groupCols, ap.specs)
 		if err != nil {
 			return nil, err
 		}
-		if c, err = compileAggPost(grouped, nil, stmt, ctx, ap); err != nil {
+		if c, err = compileAggPost(groupedSchema, grouped, nil, stmt, ctx, ap); err != nil {
 			return nil, err
 		}
 	} else {
 		if stmt.Having != nil {
 			return nil, fmt.Errorf("sql: HAVING requires GROUP BY or aggregates")
 		}
-		visible := selectItems(stmt, it.Schema())
-		c, err = finishRows(stmt, itemNames(visible), func(hidden []projItem) (relation.Iterator, *PlanNode, error) {
-			out, err := project(append(visible, hidden...))
+		visible := selectItems(stmt, schema)
+		c, err = finishRows(stmt, itemNames(visible), func(hidden []projItem) (iter.Seq[relation.Row], *PlanNode, error) {
+			_, out, err := project(append(visible, hidden...))
 			return out, nil, err
 		})
 		if err != nil {

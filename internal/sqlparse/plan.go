@@ -10,6 +10,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -45,8 +46,8 @@ func (n *PlanNode) render(out *[]string, depth int) {
 func (n *PlanNode) String() string { return strings.Join(n.Lines(), "\n") }
 
 // execCtx threads deferred evaluation errors through a query pipeline. Filter
-// and projection closures cannot return errors through the iterator
-// interfaces, so each registers an error slot here and the executor checks
+// and projection closures cannot return errors through a batch or a row
+// sequence, so each registers an error slot here and the executor checks
 // every slot after the stream is drained — including slots buried under
 // joins, which the previous executor silently dropped.
 type execCtx struct {
@@ -110,7 +111,7 @@ func resolveFrom(cat *relation.Snapshot, stmt *SelectStmt) (*fromClause, error) 
 		fc.sources = append(fc.sources, j.Table)
 	}
 	for k, ref := range fc.sources {
-		s, err := cat.SchemaOf(ref.Name)
+		s, _, err := cat.Source(ref.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -364,18 +365,18 @@ func combineAnd(exprs []Expr) Expr {
 
 // planSource plans one FROM/JOIN source given the conjuncts pushed to it.
 // needed restricts which columns the source materializes (nil = all). A base
-// table gets an access path; a virtual table is materialized lazily and
-// gathered into batches.
+// table gets an access path; a virtual table's rows are produced on the first
+// NextBatch and gathered into batches.
 func planSource(cat *relation.Snapshot, ref TableRef, conjs []Expr, ctx *execCtx, needed []int) (stream, error) {
 	if t, ok := cat.Table(ref.Name); ok {
 		return planTableAccess(t, ref, conjs, ctx, needed)
 	}
-	it, err := cat.Source(ref.Name)
+	schema, rows, err := cat.Source(ref.Name)
 	if err != nil {
 		return stream{}, err
 	}
 	s := stream{
-		it:   relation.NewBatchRows(it.Schema(), func() []relation.Row { return relation.Collect(it) }, needed, 0),
+		it:   relation.NewBatchRows(schema, func() []relation.Row { return slices.Collect(rows) }, needed, 0),
 		node: &PlanNode{Op: "VirtualScan", Detail: sourceDetail(ref, -1)},
 		est:  -1,
 	}

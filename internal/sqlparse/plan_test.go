@@ -218,6 +218,10 @@ func TestDeferredErrorContract(t *testing.T) {
 		// join no row survives r.vid = 'zzz' to reach it.
 		{"pushdown feeds the conjunct",
 			"SELECT l.projid FROM logs l JOIN runs r ON l.tstamp = r.tstamp WHERE r.vid = 'zzz' AND l.value / 0 > 1", true, false},
+		// The batch projection evaluates the whole first batch, a row with
+		// tstamp = 7 included; the reference's LIMIT stops after one row.
+		{"limit stops the reference",
+			"SELECT 1 / (tstamp - 7) FROM logs LIMIT 1", true, false},
 	} {
 		stmt, err := Parse(tc.q)
 		if err != nil {

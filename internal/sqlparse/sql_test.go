@@ -155,6 +155,38 @@ func TestOrderByDescLimitOffset(t *testing.T) {
 	}
 }
 
+// TestReferenceLeavesPinnedStoreUnchanged: TableSnapshot.Rows aliases the
+// table's row store, so a reference executor that sorted or compacted the
+// rows it scanned in place would reorder every other pin's view too.
+func TestReferenceLeavesPinnedStoreUnchanged(t *testing.T) {
+	db := testDB(t)
+	other, _ := latest(t, db).Table("logs")
+	before := other.Rows()
+	want := make([]relation.Row, len(before))
+	for i, r := range before {
+		want[i] = append(relation.Row(nil), r...)
+	}
+	for _, q := range []string{
+		"SELECT * FROM logs ORDER BY tstamp DESC, value_name",
+		"SELECT * FROM logs WHERE value_name = 'recall' OR tstamp = 3",
+	} {
+		if _, err := ExecuteScan(latest(t, db), mustParse(t, q)); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		got := other.Rows()
+		if len(got) != len(want) {
+			t.Fatalf("%s: second pin sees %d rows, want %d", q, len(got), len(want))
+		}
+		for i := range want {
+			for j := range want[i] {
+				if relation.Compare(got[i][j], want[i][j]) != 0 {
+					t.Fatalf("%s: second pin's row %d changed: %v, want %v", q, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestOrderByExpressionNotSelected(t *testing.T) {
 	res := mustRun(t, testDB(t), "SELECT value_name FROM logs WHERE projid='pdf' ORDER BY tstamp * -1, value_name")
 	if len(res.Columns) != 1 {
