@@ -492,9 +492,9 @@ func BenchmarkC7BuildDirtyLeaf(b *testing.B) { benchBuild(b, "src2") }
 func BenchmarkC7BuildDirtyRoot(b *testing.B) { benchBuild(b, "src1") }
 
 // ---------------------------------------------------------------------------
-// C8/C9/C10 — query planner: index-backed access paths and join pushdown vs
-// the pre-planner full-scan executor, over a 100k-row logs table (1000
-// versions x 100 value names). The *ScanBaseline variants run the identical
+// C8/C9/C10 — query planner: the hash-index lookup, the zone-pruned range
+// scan and join pushdown vs the pre-planner full-scan executor, over a
+// 100k-row logs table (1000 versions x 100 value names). The *ScanBaseline variants run the identical
 // statement through sqlparse.ExecuteScan — the pre-planner behavior — so the
 // speedup is measured in-tree; EXPERIMENTS.md records the ratios.
 // ---------------------------------------------------------------------------

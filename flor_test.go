@@ -6,13 +6,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"flordb/internal/build"
+	"flordb/internal/relation"
 	"flordb/internal/replay"
 	"flordb/internal/script"
+	"flordb/internal/sqlparse"
 )
 
 // counterModel is a trivially checkable Snapshotter.
@@ -714,6 +717,106 @@ func TestExplainShowsIndexBackedPlan(t *testing.T) {
 	if len(rows.Rows) != 3 {
 		t.Fatalf("planned query returned %d rows, want 3", len(rows.Rows))
 	}
+}
+
+// TestRangeReadsOverBackfilledHistory: hindsight appends rows carrying old
+// tstamps after newer ones, so the tail pages of logs get wide tstamp zones
+// while the recorded pages stay narrow. Version slicing by tstamp ranges
+// must stay exact over both: on one pin the planned, zone-pruned scan
+// returns the reference executor's multiset and the closed-form count.
+func TestRangeReadsOverBackfilledHistory(t *testing.T) {
+	const versions, epochs = 8, 300
+	const src = `for epoch in flor.loop("epoch", range(300)) {
+    flor.log("acc", epoch)
+}
+`
+	const withHalf = `for epoch in flor.loop("epoch", range(300)) {
+    flor.log("half", epoch / 2)
+    flor.log("acc", epoch)
+}
+`
+	// A durable session: its backfill commits, so a committed pin sees it.
+	s, err := Open(t.TempDir(), "proj", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	tstamps := make([]int64, versions)
+	for v := range tstamps {
+		tstamps[v] = s.Tstamp()
+		if err := s.RunScript("train.flow", src); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Commit("run"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.tables.Logs.Len(); n < 2*relation.ZonePageRows {
+		t.Fatalf("logs holds %d rows before the backfill, want two complete zone pages", n)
+	}
+	reports, err := s.Hindsight("train.flow", withHalf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rep := range reports {
+		if rep.Err != nil {
+			t.Fatal(rep.Err)
+		}
+	}
+
+	v, err := s.Reader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	const perVersion = 2 * epochs // acc recorded, half backfilled
+	for _, tc := range []struct {
+		pred string
+		want int
+	}{
+		{fmt.Sprintf("tstamp = %d", tstamps[3]), perVersion},
+		{fmt.Sprintf("tstamp BETWEEN %d AND %d", tstamps[2], tstamps[5]), 4 * perVersion},
+		{fmt.Sprintf("tstamp < %d", tstamps[3]), 3 * perVersion},
+		{fmt.Sprintf("tstamp >= %d", tstamps[6]), 2 * perVersion},
+	} {
+		q := "SELECT tstamp, ctx_id, value_name, value FROM logs WHERE " + tc.pred
+		planned, err := v.SQL(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stmt, err := sqlparse.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := sqlparse.ExecuteScan(v.snap, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rowMultiset(planned), rowMultiset(ref); !slices.Equal(got, want) {
+			t.Errorf("%s: planned rows differ from the reference scan", tc.pred)
+		}
+		if len(planned.Rows) != tc.want {
+			t.Errorf("%s: %d rows, want %d", tc.pred, len(planned.Rows), tc.want)
+		}
+		plan, err := v.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, "[zonemap]") {
+			t.Errorf("%s: plan does not prune by zone:\n%s", tc.pred, plan)
+		}
+	}
+}
+
+// rowMultiset renders a result's rows as sorted strings, so two results
+// compare as multisets whatever order their rows arrived in.
+func rowMultiset(res *sqlparse.Result) []string {
+	out := make([]string, len(res.Rows))
+	for i, r := range res.Rows {
+		out[i] = fmt.Sprint(r)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // TestHindsightSharesRecorderCtxIDs: loop contexts a hindsight replay

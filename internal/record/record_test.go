@@ -255,20 +255,6 @@ func TestCreateTablesInstallsDefaultIndexes(t *testing.T) {
 			t.Errorf("table %s: hash index on %v missing", h.table.Name(), h.cols)
 		}
 	}
-	orderedIndexes := []struct {
-		table *relation.TableSnapshot
-		col   string
-	}{
-		{v.Logs, "tstamp"},
-		{v.Loops, "tstamp"},
-		{v.Ts2vid, "ts_start"},
-	}
-	for _, o := range orderedIndexes {
-		if _, ok := o.table.OrderedIndexOn(o.col); !ok {
-			t.Errorf("table %s: ordered index on %s missing", o.table.Name(), o.col)
-		}
-	}
-
 	// The indexes are maintained, not just created: inserted rows must be
 	// visible through them.
 	if err := tables.Apply(&LogRecord{

@@ -192,11 +192,12 @@ func NewTables(db *relation.Database) (*Tables, error) {
 	return &Tables{Logs: logs, Loops: loops, Ts2vid: ts2vid, ObjStore: objStore, Args: args}, nil
 }
 
-// CreateIndexes installs the secondary indexes the access paths in the
-// paper need: logs by (projid, value_name) for dataframe pivots, logs/loops
-// by tstamp for version slicing, loops/ts2vid/args by project for the
-// per-project hot queries the SQL planner turns into index lookups. Rows
-// already in the tables are indexed in bulk.
+// CreateIndexes installs the hash indexes the access paths in the paper
+// need: logs by (projid, value_name) for dataframe pivots, loops/ts2vid/args
+// by project for the per-project hot queries the SQL planner turns into
+// index lookups. Version slicing by tstamp needs no index: the zone maps of
+// the full scan skip the pages outside the range. Rows already in the
+// tables are indexed in bulk.
 func (t *Tables) CreateIndexes() error {
 	for _, hix := range []struct {
 		tbl  *relation.Table
@@ -209,16 +210,6 @@ func (t *Tables) CreateIndexes() error {
 		{t.Args, []string{"projid", "name"}},
 	} {
 		if _, err := hix.tbl.CreateHashIndex(hix.cols...); err != nil {
-			return err
-		}
-	}
-	for _, oix := range []struct {
-		tbl *relation.Table
-		col string
-	}{
-		{t.Logs, "tstamp"}, {t.Loops, "tstamp"}, {t.Ts2vid, "ts_start"},
-	} {
-		if _, err := oix.tbl.CreateOrderedIndex(oix.col); err != nil {
 			return err
 		}
 	}

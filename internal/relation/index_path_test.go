@@ -7,22 +7,6 @@ import (
 	"time"
 )
 
-// scoreTable builds a table over testSchema with an ordered index on score.
-func scoreTable(t *testing.T, scores []Value) (*Table, *OrderedIndex) {
-	t.Helper()
-	tab := NewTable("t", testSchema(t))
-	ix, err := tab.CreateOrderedIndex("score")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range scores {
-		if _, err := tab.Insert(Row{Int(int64(i)), Text("r"), s}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return tab, ix
-}
-
 func TestScanConcurrentWithInserts(t *testing.T) {
 	// Scan walks a lock-free published state; concurrent inserts must
 	// neither race (run with -race) nor disturb an in-flight scan. The
@@ -99,67 +83,140 @@ func TestRowsByIDsSkipsInvisibleRows(t *testing.T) {
 	}
 }
 
+// pageTable builds a table over testSchema whose page p holds ZonePageRows
+// rows, their scores cycling through pages[p].
+func pageTable(t *testing.T, pages ...[]Value) *Table {
+	t.Helper()
+	tab := NewTable("t", testSchema(t))
+	for p, scores := range pages {
+		for i := 0; i < ZonePageRows; i++ {
+			id := int64(p*ZonePageRows + i)
+			if _, err := tab.Insert(Row{Int(id), Text("r"), scores[i%len(scores)]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return tab
+}
+
+// zoneRange reads the scores of tab within lo..hi through the zone-pruned
+// batch scan, the one range access path: a NULL bound is absent, and incLo
+// and incHi make a bound inclusive. Pages are ruled out on their score zone
+// alone, so the counts pin what the zones record. It returns the rows that
+// match, checked against a row-at-a-time scan, and the pages pruned.
+func zoneRange(t *testing.T, tab *Table, lo, hi Value, incLo, incHi bool) (rows int, pruned int64) {
+	t.Helper()
+	above := func(v, b Value, inc bool) bool {
+		c := Compare(v, b)
+		return c > 0 || inc && c == 0
+	}
+	in := func(v Value) bool {
+		return !v.IsNull() && (lo.IsNull() || above(v, lo, incLo)) && (hi.IsNull() || above(hi, v, incHi))
+	}
+	want := 0
+	latest(tab).Scan(func(_ RowID, r Row) bool {
+		if in(r[2]) {
+			want++
+		}
+		return true
+	})
+	scan := NewBatchScan(latest(tab), nil, ZonePageRows)
+	scan.SetZoneFilter(func(z *PageZone) bool {
+		s := z.Cols[2]
+		return s.Min.IsNull() ||
+			!lo.IsNull() && !above(s.Max, lo, incLo) ||
+			!hi.IsNull() && !above(hi, s.Min, incHi)
+	})
+	p0, _ := ScanStats()
+	got := collectBatches(t, NewBatchFilter(scan, func(b *Batch) {
+		sel := b.Sel[:0]
+		for _, i := range b.Sel {
+			if in(b.Cols[2][i]) {
+				sel = append(sel, i)
+			}
+		}
+		b.Sel = sel
+	}))
+	p1, _ := ScanStats()
+	if len(got) != want {
+		t.Fatalf("zone-pruned scan matched %d rows, row scan %d", len(got), want)
+	}
+	return len(got), p1 - p0
+}
+
 func TestRangeBoundsExclusive(t *testing.T) {
-	_, ix := scoreTable(t, []Value{Float(0.1), Float(0.3), Float(0.5), Float(0.7)})
-	if got := len(ix.RangeBounds(Float(0.3), Float(0.7), false, false)); got != 1 {
-		t.Fatalf("(0.3, 0.7) exclusive: got %d ids, want 1", got)
-	}
-	if got := len(ix.RangeBounds(Float(0.3), Float(0.7), true, false)); got != 2 {
-		t.Fatalf("[0.3, 0.7): got %d ids, want 2", got)
-	}
-	if got := len(ix.RangeBounds(Float(0.3), Float(0.7), false, true)); got != 2 {
-		t.Fatalf("(0.3, 0.7]: got %d ids, want 2", got)
-	}
-	if got := len(ix.RangeBounds(Float(0.3), Float(0.7), true, true)); got != 3 {
-		t.Fatalf("[0.3, 0.7]: got %d ids, want 3", got)
+	// A bound equal to a page's max or min prunes the page when exclusive
+	// and keeps it when inclusive.
+	const page = ZonePageRows
+	tab := pageTable(t, []Value{Float(0.1)}, []Value{Float(0.3)}, []Value{Float(0.5)}, []Value{Float(0.7)})
+	for _, tc := range []struct {
+		name         string
+		incLo, incHi bool
+		rows         int
+		pruned       int64
+	}{
+		{"(0.3, 0.7)", false, false, page, 3},
+		{"[0.3, 0.7)", true, false, 2 * page, 2},
+		{"(0.3, 0.7]", false, true, 2 * page, 2},
+		{"[0.3, 0.7]", true, true, 3 * page, 1},
+	} {
+		rows, pruned := zoneRange(t, tab, Float(0.3), Float(0.7), tc.incLo, tc.incHi)
+		if rows != tc.rows || pruned != tc.pruned {
+			t.Errorf("%s: %d rows and %d pages pruned, want %d and %d", tc.name, rows, pruned, tc.rows, tc.pruned)
+		}
 	}
 }
 
 func TestRangeBoundsNullEntriesExcluded(t *testing.T) {
-	// SQL range predicates never match NULL, even when a bound is absent.
-	tab, ix := scoreTable(t, []Value{Null(), Float(0.2), Null(), Float(0.8)})
-	if got := len(ix.RangeBounds(Null(), Null(), true, true)); got != 2 {
-		t.Fatalf("unbounded RangeBounds returned %d ids, want 2 (no NULLs)", got)
+	// SQL range predicates never match NULL, even when a bound is absent:
+	// NULL cells stay out of a page's bounds, and an all-NULL page has none.
+	const page = ZonePageRows
+	tab := pageTable(t, []Value{Null(), Float(0.2)}, []Value{Null()}, []Value{Float(0.8)})
+	zones := tab.zonePages(tab.state.Load())
+	if z := zones[0].Cols[2]; Compare(z.Min, Float(0.2)) != 0 || Compare(z.Max, Float(0.2)) != 0 || z.NullCount != page/2 {
+		t.Fatalf("mixed page zone %+v, want min = max = 0.2 over %d NULLs", z, page/2)
 	}
-	if got := len(ix.RangeBounds(Null(), Float(0.5), true, true)); got != 1 {
-		t.Fatalf("<= 0.5 returned %d ids, want 1", got)
+	if z := zones[1].Cols[2]; !z.Min.IsNull() || !z.Max.IsNull() || z.NullCount != page {
+		t.Fatalf("all-NULL page zone %+v, want NULL bounds over %d NULLs", z, page)
 	}
-	if got := len(ix.RangeBounds(Float(0.0), Null(), true, true)); got != 2 {
-		t.Fatalf(">= 0.0 returned %d ids, want 2", got)
+	for _, tc := range []struct {
+		name   string
+		lo, hi Value
+		rows   int
+		pruned int64
+	}{
+		{"unbounded", Null(), Null(), page/2 + page, 1},
+		{"<= 0.5", Null(), Float(0.5), page / 2, 2},
+		{">= 0.0", Float(0.0), Null(), page/2 + page, 1},
+	} {
+		rows, pruned := zoneRange(t, tab, tc.lo, tc.hi, true, true)
+		if rows != tc.rows || pruned != tc.pruned {
+			t.Errorf("%s: %d rows and %d pages pruned, want %d and %d", tc.name, rows, pruned, tc.rows, tc.pruned)
+		}
 	}
-	// Contrast: the inclusive Range keeps its legacy include-all behavior.
-	if got := len(ix.Range(Null(), Null())); got != 4 {
-		t.Fatalf("legacy Range(NULL, NULL) returned %d ids, want 4", got)
-	}
-	_ = tab
 }
 
 func TestRangeBoundsDuplicateKeys(t *testing.T) {
-	_, ix := scoreTable(t, []Value{Float(0.5), Float(0.5), Float(0.5), Float(0.2)})
-	ids := ix.RangeBounds(Float(0.5), Float(0.5), true, true)
-	if len(ids) != 3 {
-		t.Fatalf("point range over duplicates returned %d ids, want 3", len(ids))
+	const page = ZonePageRows
+	tab := pageTable(t, []Value{Float(0.5)}, []Value{Float(0.2), Float(0.5)})
+	if rows, pruned := zoneRange(t, tab, Float(0.5), Float(0.5), true, true); rows != page+page/2 || pruned != 0 {
+		t.Fatalf("point range over duplicates: %d rows and %d pages pruned, want %d and 0", rows, pruned, page+page/2)
 	}
-	if got := len(ix.RangeBounds(Float(0.5), Float(0.5), false, true)); got != 0 {
-		t.Fatalf("(0.5, 0.5] must be empty, got %d", got)
+	if rows, pruned := zoneRange(t, tab, Float(0.5), Float(0.5), false, true); rows != 0 || pruned != 2 {
+		t.Fatalf("(0.5, 0.5]: %d rows and %d pages pruned, want 0 and 2", rows, pruned)
 	}
 }
 
 func TestRangeBoundsEmptyAndInverted(t *testing.T) {
-	_, ix := scoreTable(t, []Value{Float(0.1), Float(0.9)})
-	if got := len(ix.RangeBounds(Float(0.2), Float(0.8), true, true)); got != 0 {
-		t.Fatalf("gap range returned %d ids, want 0", got)
+	tab := pageTable(t, []Value{Float(0.1)}, []Value{Float(0.9)})
+	if rows, pruned := zoneRange(t, tab, Float(0.2), Float(0.8), true, true); rows != 0 || pruned != 2 {
+		t.Fatalf("gap range: %d rows and %d pages pruned, want 0 and 2", rows, pruned)
 	}
-	if got := len(ix.RangeBounds(Float(0.9), Float(0.1), true, true)); got != 0 {
-		t.Fatalf("inverted range returned %d ids, want 0", got)
+	if rows, pruned := zoneRange(t, tab, Float(0.9), Float(0.1), true, true); rows != 0 || pruned != 2 {
+		t.Fatalf("inverted range: %d rows and %d pages pruned, want 0 and 2", rows, pruned)
 	}
-	empty := NewTable("e", testSchema(t))
-	eix, err := empty.CreateOrderedIndex("score")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(eix.RangeBounds(Null(), Null(), true, true)); got != 0 {
-		t.Fatalf("empty index returned %d ids", got)
+	if rows, pruned := zoneRange(t, pageTable(t), Null(), Null(), true, true); rows != 0 || pruned != 0 {
+		t.Fatalf("empty table: %d rows and %d pages pruned", rows, pruned)
 	}
 }
 
@@ -171,21 +228,9 @@ func TestIndexIntrospection(t *testing.T) {
 	if _, err := tab.CreateHashIndex("id", "name"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tab.CreateOrderedIndex("score"); err != nil {
-		t.Fatal(err)
-	}
 	hcols := latest(tab).HashIndexColumns()
 	if len(hcols) != 2 || len(hcols[0]) != 2 {
 		t.Fatalf("HashIndexColumns = %v, want widest-first", hcols)
-	}
-	if ocols := latest(tab).OrderedIndexColumns(); len(ocols) != 1 || ocols[0] != "score" {
-		t.Fatalf("OrderedIndexColumns = %v", ocols)
-	}
-	if _, ok := latest(tab).OrderedIndexOn("score"); !ok {
-		t.Fatal("OrderedIndexOn(score) missing")
-	}
-	if _, ok := latest(tab).OrderedIndexOn("name"); ok {
-		t.Fatal("OrderedIndexOn(name) should not exist")
 	}
 }
 
@@ -220,25 +265,6 @@ func TestIndexLookupOp(t *testing.T) {
 	}
 	if _, err := NewIndexLookup(latest(tab), []string{"score"}, [][]Value{{Float(1)}}, nil); err == nil {
 		t.Fatal("lookup without index must fail")
-	}
-}
-
-func TestIndexRangeOp(t *testing.T) {
-	tab, _ := scoreTable(t, []Value{Float(0.1), Float(0.4), Float(0.6), Float(0.9)})
-	op, err := NewIndexRange(latest(tab), "score", Float(0.2), Float(0.7), true, true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := slices.Collect(RowsOf(op))
-	if len(rows) != 2 {
-		t.Fatalf("range rows = %d, want 2", len(rows))
-	}
-	// Rows come back in ascending value order.
-	if rows[0][2].AsFloat() != 0.4 || rows[1][2].AsFloat() != 0.6 {
-		t.Fatalf("range order wrong: %v", rows)
-	}
-	if _, err := NewIndexRange(latest(tab), "name", Null(), Null(), true, true, nil); err == nil {
-		t.Fatal("range without index must fail")
 	}
 }
 

@@ -33,21 +33,6 @@ func NewIndexLookup(t *TableSnapshot, cols []string, keys [][]Value, needed []in
 	}, needed, 0), nil
 }
 
-// NewIndexRange builds the range-index access path over the ordered index on
-// col, producing matching rows in ascending value order. NULL bounds mean
-// unbounded; NULL-valued rows are never produced. The range resolves lazily
-// on the first NextBatch, filtering candidate ids through the pinned
-// table's visibility, and gathers the needed columns (nil = all) into batches.
-func NewIndexRange(t *TableSnapshot, col string, lo, hi Value, loIncl, hiIncl bool, needed []int) (*BatchScanOp, error) {
-	ix, ok := t.OrderedIndexOn(col)
-	if !ok {
-		return nil, fmt.Errorf("relation: table %s has no ordered index on %s", t.Name(), col)
-	}
-	return NewBatchRows(t.Schema(), func() []Row {
-		return t.RowsByIDs(ix.RangeBounds(lo, hi, loIncl, hiIncl))
-	}, needed, 0), nil
-}
-
 // The row functions. Every row stream is a lazy iter.Seq[Row]: nothing runs
 // until the sequence is ranged, and a consumer that stops ranging stops the
 // producer, so rows past a LIMIT never reach an expression (DESIGN §4). The

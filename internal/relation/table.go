@@ -61,11 +61,10 @@ type tableState struct {
 	rows []Row
 	born []int64
 
-	// Secondary indexes. Index entries are added on insert; readers bound
-	// candidate RowIDs by their visible prefix. The maps are copy-on-write:
+	// Hash indexes. Index entries are added on insert; readers bound
+	// candidate RowIDs by their visible prefix. The map is copy-on-write:
 	// creating an index publishes a new state with a new map.
 	indexes map[string]*HashIndex
-	ordered map[string]*OrderedIndex
 }
 
 // NewTable creates an empty table with the given schema. The table gets a
@@ -73,10 +72,7 @@ type tableState struct {
 // the database's counter so one snapshot can pin all tables consistently.
 func NewTable(name string, schema *Schema) *Table {
 	t := &Table{name: name, schema: schema, epoch: new(atomic.Int64)}
-	t.state.Store(&tableState{
-		indexes: make(map[string]*HashIndex),
-		ordered: make(map[string]*OrderedIndex),
-	})
+	t.state.Store(&tableState{indexes: make(map[string]*HashIndex)})
 	return t
 }
 
@@ -109,12 +105,8 @@ func (t *Table) Insert(r Row) (RowID, error) {
 		rows:    append(st.rows, valid),
 		born:    append(st.born, t.writeEpoch()),
 		indexes: st.indexes,
-		ordered: st.ordered,
 	}
 	for _, ix := range ns.indexes {
-		ix.add(id, valid)
-	}
-	for _, ix := range ns.ordered {
 		ix.add(id, valid)
 	}
 	t.state.Store(ns)
@@ -123,9 +115,9 @@ func (t *Table) Insert(r Row) (RowID, error) {
 
 // LoadRows bulk-appends rows that were already validated when first
 // inserted — e.g. rows decoded from a checksummed snapshot. It skips per-row
-// schema validation (only arity is checked) and builds ordered indexes by
-// sorting once instead of insertion-sorting per row, which is what makes
-// snapshot recovery O(live data) with a small constant.
+// schema validation (only arity is checked) and indexes the run under one
+// lock acquisition per index, which is what makes snapshot recovery
+// O(live data) with a small constant.
 func (t *Table) LoadRows(rows []Row) error {
 	width := t.schema.Len()
 	for i, r := range rows {
@@ -153,12 +145,8 @@ func (t *Table) publishLoaded(st *tableState, rows []Row, born []int64) {
 		rows:    append(st.rows, rows...),
 		born:    born,
 		indexes: st.indexes,
-		ordered: st.ordered,
 	}
 	for _, ix := range ns.indexes {
-		ix.bulkAdd(start, rows)
-	}
-	for _, ix := range ns.ordered {
 		ix.bulkAdd(start, rows)
 	}
 	t.state.Store(ns)
@@ -247,33 +235,7 @@ func (t *Table) CreateHashIndex(cols ...string) (*HashIndex, error) {
 		indexes[k] = v
 	}
 	indexes[key] = ix
-	ns := &tableState{rows: st.rows, born: st.born, indexes: indexes, ordered: st.ordered}
-	t.state.Store(ns)
-	return ix, nil
-}
-
-// CreateOrderedIndex builds (or returns the existing) ordered index over a
-// single column, supporting range scans.
-func (t *Table) CreateOrderedIndex(col string) (*OrderedIndex, error) {
-	positions, err := t.resolve([]string{col})
-	if err != nil {
-		return nil, err
-	}
-	key := indexKey([]string{col})
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.state.Load()
-	if ix, ok := st.ordered[key]; ok {
-		return ix, nil
-	}
-	ix := newOrderedIndex(col, positions[0])
-	ix.bulkAdd(0, st.rows)
-	ordered := make(map[string]*OrderedIndex, len(st.ordered)+1)
-	for k, v := range st.ordered {
-		ordered[k] = v
-	}
-	ordered[key] = ix
-	ns := &tableState{rows: st.rows, born: st.born, indexes: st.indexes, ordered: ordered}
+	ns := &tableState{rows: st.rows, born: st.born, indexes: indexes}
 	t.state.Store(ns)
 	return ix, nil
 }
@@ -372,12 +334,6 @@ func (v *TableSnapshot) HashIndexOn(cols ...string) (*HashIndex, bool) {
 	return ix, ok
 }
 
-// OrderedIndexOn returns the ordered index over the given column, if present.
-func (v *TableSnapshot) OrderedIndexOn(col string) (*OrderedIndex, bool) {
-	ix, ok := v.st.ordered[indexKey([]string{col})]
-	return ix, ok
-}
-
 // HashIndexColumns lists the column sets of the table's hash indexes, sorted
 // widest-first so planners can prefer the most selective covering index.
 func (v *TableSnapshot) HashIndexColumns() [][]string {
@@ -391,16 +347,6 @@ func (v *TableSnapshot) HashIndexColumns() [][]string {
 		}
 		return indexKey(out[a]) < indexKey(out[b])
 	})
-	return out
-}
-
-// OrderedIndexColumns lists the columns carrying ordered indexes, sorted.
-func (v *TableSnapshot) OrderedIndexColumns() []string {
-	out := make([]string, 0, len(v.st.ordered))
-	for _, ix := range v.st.ordered {
-		out = append(out, ix.col)
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -483,166 +429,4 @@ func (ix *HashIndex) Lookup(vals ...Value) []RowID {
 		return nil
 	}
 	return append([]RowID(nil), *ids...)
-}
-
-// OrderedIndex is a sorted single-column index supporting range scans. It is
-// maintained as a sorted slice; inserts use binary search. For the metadata
-// workloads FlorDB serves (append-only logs), this is simple and fast.
-// Like HashIndex, it indexes every row and readers apply visibility.
-type OrderedIndex struct {
-	mu      sync.RWMutex
-	col     string
-	pos     int
-	entries []orderedEntry
-}
-
-type orderedEntry struct {
-	v  Value
-	id RowID
-}
-
-func newOrderedIndex(col string, pos int) *OrderedIndex {
-	return &OrderedIndex{col: col, pos: pos}
-}
-
-// Column returns the indexed column name.
-func (ix *OrderedIndex) Column() string { return ix.col }
-
-func (ix *OrderedIndex) add(id RowID, r Row) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	v := r[ix.pos]
-	i := sort.Search(len(ix.entries), func(i int) bool {
-		c := Compare(ix.entries[i].v, v)
-		return c > 0 || (c == 0 && ix.entries[i].id >= id)
-	})
-	ix.entries = append(ix.entries, orderedEntry{})
-	copy(ix.entries[i+1:], ix.entries[i:])
-	ix.entries[i] = orderedEntry{v: v, id: id}
-}
-
-// bulkAdd indexes a contiguous run of rows (ids start, start+1, ...) by
-// appending their entries and re-sorting once — O((n+m) log (n+m)) instead
-// of n insertion-sorts with O(m) memmoves each. Recovery workloads arrive
-// already ordered (tstamps increase commit by commit), so an O(n) sortedness
-// check usually skips the sort entirely; the fallback sorts a permutation of
-// indexes to keep the comparison loop free of 72-byte entry copies.
-func (ix *OrderedIndex) bulkAdd(start RowID, rows []Row) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.entries = slices.Grow(ix.entries, len(rows))
-	for i, r := range rows {
-		ix.entries = append(ix.entries, orderedEntry{v: r[ix.pos], id: start + RowID(i)})
-	}
-	less := func(a, b int) bool {
-		c := comparePtr(&ix.entries[a].v, &ix.entries[b].v)
-		return c < 0 || (c == 0 && ix.entries[a].id < ix.entries[b].id)
-	}
-	sorted := true
-	for i := 1; i < len(ix.entries); i++ {
-		if less(i, i-1) {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return
-	}
-	perm := make([]int, len(ix.entries))
-	for i := range perm {
-		perm[i] = i
-	}
-	slices.SortFunc(perm, func(a, b int) int {
-		if less(a, b) {
-			return -1
-		}
-		if less(b, a) {
-			return 1
-		}
-		return 0
-	})
-	out := make([]orderedEntry, len(ix.entries))
-	for i, j := range perm {
-		out[i] = ix.entries[j]
-	}
-	ix.entries = out
-}
-
-// Range returns RowIDs with lo <= value <= hi in ascending value order.
-// A NULL bound means unbounded on that side. Like Lookup, the ids are
-// candidates that must pass a visibility filter.
-func (ix *OrderedIndex) Range(lo, hi Value) []RowID {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	start := 0
-	if !lo.IsNull() {
-		start = sort.Search(len(ix.entries), func(i int) bool {
-			return Compare(ix.entries[i].v, lo) >= 0
-		})
-	}
-	var out []RowID
-	for i := start; i < len(ix.entries); i++ {
-		if !hi.IsNull() && Compare(ix.entries[i].v, hi) > 0 {
-			break
-		}
-		out = append(out, ix.entries[i].id)
-	}
-	return out
-}
-
-// RangeBounds returns RowIDs whose value falls within the given bounds in
-// ascending value order, with per-bound inclusivity. A NULL bound means
-// unbounded on that side. Unlike Range, NULL-valued entries are never
-// returned: SQL range predicates (<, <=, >, >=, BETWEEN) do not match NULL.
-func (ix *OrderedIndex) RangeBounds(lo, hi Value, loIncl, hiIncl bool) []RowID {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	var start int
-	if lo.IsNull() {
-		// Unbounded below: skip the NULL run at the front of the entries.
-		start = sort.Search(len(ix.entries), func(i int) bool {
-			return !ix.entries[i].v.IsNull()
-		})
-	} else {
-		start = sort.Search(len(ix.entries), func(i int) bool {
-			c := Compare(ix.entries[i].v, lo)
-			if loIncl {
-				return c >= 0
-			}
-			return c > 0
-		})
-	}
-	var out []RowID
-	for i := start; i < len(ix.entries); i++ {
-		if !hi.IsNull() {
-			c := Compare(ix.entries[i].v, hi)
-			if c > 0 || (c == 0 && !hiIncl) {
-				break
-			}
-		}
-		out = append(out, ix.entries[i].id)
-	}
-	return out
-}
-
-// Min returns the RowID holding the smallest non-NULL value, if any.
-func (ix *OrderedIndex) Min() (RowID, bool) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	for _, e := range ix.entries {
-		if !e.v.IsNull() {
-			return e.id, true
-		}
-	}
-	return 0, false
-}
-
-// Max returns the RowID holding the largest value, if any.
-func (ix *OrderedIndex) Max() (RowID, bool) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if len(ix.entries) == 0 {
-		return 0, false
-	}
-	return ix.entries[len(ix.entries)-1].id, true
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 // latest pins t at its in-flight write epoch: every published row, the view
@@ -173,56 +172,6 @@ func TestHashIndexComposite(t *testing.T) {
 	}
 }
 
-func TestOrderedIndexRange(t *testing.T) {
-	tbl := NewTable("t", testSchema(t))
-	ix, err := tbl.CreateOrderedIndex("score")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []float64{0.5, 0.1, 0.9, 0.3, 0.7} {
-		tbl.Insert(Row{Int(1), Text("x"), Float(f)})
-	}
-	ids := ix.Range(Float(0.3), Float(0.7))
-	if len(ids) != 3 {
-		t.Fatalf("range [0.3,0.7] = %d ids", len(ids))
-	}
-	var prev float64 = -1
-	for _, id := range ids {
-		r, _ := latest(tbl).Get(id)
-		f := r[2].AsFloat()
-		if f < prev {
-			t.Fatal("range result not ascending")
-		}
-		prev = f
-	}
-	if all := ix.Range(Null(), Null()); len(all) != 5 {
-		t.Fatalf("unbounded range = %d", len(all))
-	}
-}
-
-func TestOrderedIndexMinMax(t *testing.T) {
-	tbl := NewTable("t", testSchema(t))
-	ix, _ := tbl.CreateOrderedIndex("score")
-	if _, ok := ix.Min(); ok {
-		t.Fatal("empty index has no min")
-	}
-	tbl.Insert(Row{Int(1), Text("x"), Float(0.7)})
-	tbl.Insert(Row{Int(2), Text("y"), Float(0.2)})
-	id, ok := ix.Min()
-	if !ok {
-		t.Fatal("min missing")
-	}
-	r, _ := latest(tbl).Get(id)
-	if r[2].AsFloat() != 0.2 {
-		t.Fatalf("min = %v", r)
-	}
-	id, _ = ix.Max()
-	r, _ = latest(tbl).Get(id)
-	if r[2].AsFloat() != 0.7 {
-		t.Fatalf("max = %v", r)
-	}
-}
-
 func TestTableConcurrentInserts(t *testing.T) {
 	tbl := NewTable("t", testSchema(t))
 	tbl.CreateHashIndex("name")
@@ -247,30 +196,6 @@ func TestTableConcurrentInserts(t *testing.T) {
 	ix, _ := latest(tbl).HashIndexOn("name")
 	if got := len(ix.Lookup(Text("c"))); got != workers*per {
 		t.Fatalf("index count = %d", got)
-	}
-}
-
-func TestOrderedIndexSortedProperty(t *testing.T) {
-	// Property: for any insert sequence, Range(NULL,NULL) is sorted.
-	f := func(vals []int16) bool {
-		tbl := NewTable("t", MustSchema(Column{Name: "v", Type: TInt}))
-		ix, _ := tbl.CreateOrderedIndex("v")
-		for _, v := range vals {
-			tbl.Insert(Row{Int(int64(v))})
-		}
-		ids := ix.Range(Null(), Null())
-		var prev int64 = -1 << 62
-		for _, id := range ids {
-			r, _ := latest(tbl).Get(id)
-			if r[0].AsInt() < prev {
-				return false
-			}
-			prev = r[0].AsInt()
-		}
-		return len(ids) == len(vals)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package relation implements the relational kernel underlying FlorDB's
-// metadata store: a typed value model, heap-resident tables with hash and
-// ordered indexes, batch operators, and the row functions over lazy
-// sequences (filter, project, join, sort, limit, aggregate, distinct).
+// metadata store: a typed value model, heap-resident tables with hash
+// indexes and per-page zone maps, batch operators, and the row functions
+// over lazy sequences (filter, project, join, sort, limit, aggregate,
+// distinct).
 //
 // The kernel is deliberately small but complete enough to host the Figure-1
 // schema of the FlorDB paper (logs, loops, ts2vid, obj_store base tables and

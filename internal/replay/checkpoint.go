@@ -4,6 +4,8 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -107,13 +109,7 @@ func (m *CheckpointManager) Serialize() ([]byte, error) {
 		entries = append(entries, snapshotEntry{Name: name, Data: base64.StdEncoding.EncodeToString(data)})
 	}
 	// Deterministic order for stable blobs.
-	for i := 0; i < len(entries); i++ {
-		for j := i + 1; j < len(entries); j++ {
-			if entries[j].Name < entries[i].Name {
-				entries[i], entries[j] = entries[j], entries[i]
-			}
-		}
-	}
+	slices.SortFunc(entries, func(a, b snapshotEntry) int { return strings.Compare(a.Name, b.Name) })
 	return json.Marshal(entries)
 }
 
@@ -157,8 +153,8 @@ func (m *CheckpointManager) RestoreInto(blob []byte, objs map[string]script.Valu
 }
 
 // MaybeCheckpoint consults the policy and, when told to, snapshots into the
-// tables (and WAL/blob store when present). Returns whether a checkpoint was
-// taken.
+// blob store and WAL when present, then into the tables. Returns whether a
+// checkpoint was taken.
 func (m *CheckpointManager) MaybeCheckpoint(ctx *Context, loopName string, iter int, ctxID int64, bodyDur time.Duration) (bool, error) {
 	if !m.active || m.loopName != loopName {
 		return false, nil
@@ -176,9 +172,6 @@ func (m *CheckpointManager) MaybeCheckpoint(ctx *Context, loopName string, iter 
 		Filename: ctx.Filename, CtxID: ctxID, Name: ckptName(loopName, iter),
 	}
 	record.Sanitize(rec)
-	if err := ctx.Tables.PutBlob(rec.ProjID, rec.Tstamp, rec.Filename, rec.CtxID, rec.Name, blob); err != nil {
-		return false, err
-	}
 	if ctx.Blobs != nil {
 		if rec.BlobKey, err = ctx.Blobs.Put(blob); err != nil {
 			return false, err
@@ -188,6 +181,11 @@ func (m *CheckpointManager) MaybeCheckpoint(ctx *Context, loopName string, iter 
 				return false, err
 			}
 		}
+	}
+	// The table row follows its durable write: a failed Put or Append
+	// leaves no row that recovery would drop.
+	if err := ctx.Tables.PutBlob(rec.ProjID, rec.Tstamp, rec.Filename, rec.CtxID, rec.Name, blob); err != nil {
+		return false, err
 	}
 	m.lastCkptDur = time.Since(start)
 	if ad, ok := m.Policy.(*Adaptive); ok {

@@ -18,7 +18,10 @@
 // version's timestamp and the original loop contexts' ctx_ids.
 package replay
 
-import "time"
+import (
+	"strconv"
+	"time"
+)
 
 // CheckpointPolicy decides whether to take a checkpoint at an iteration
 // boundary of the checkpoint loop.
@@ -47,7 +50,7 @@ func (p EveryN) Name() string {
 	if p.N <= 1 {
 		return "every-iteration"
 	}
-	return "every-" + itoa(p.N)
+	return "every-" + strconv.Itoa(p.N)
 }
 
 // Never disables checkpointing (the "no checkpoints" ablation baseline —
@@ -98,25 +101,3 @@ func (p *Adaptive) RecordCheckpointCost(d time.Duration) { p.ckptTotal += d }
 
 // Name implements CheckpointPolicy.
 func (p *Adaptive) Name() string { return "adaptive" }
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}

@@ -3,6 +3,7 @@ package replay
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -217,6 +218,39 @@ func TestCheckpointSerializeRestoreRoundTrip(t *testing.T) {
 	}
 	if model.Sum != 42.5 || model.Steps != 7 {
 		t.Fatalf("restore: %+v", model)
+	}
+}
+
+// TestCheckpointRowFollowsDurableWrite: a checkpoint's obj_store row is
+// inserted only after its blob is durable. When the blob write fails, the
+// live session holds no row that no WAL record backs — a row recovery
+// would drop.
+func TestCheckpointRowFollowsDurableWrite(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "blobs")
+	blobs, err := storage.NewBlobStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A regular file where the blob root was: every Put now fails.
+	if err := os.Remove(root); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(root, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tables := newTestTables(t)
+	ctx := &Context{ProjID: "p", Filename: "train.flow", Tstamp: 1, Tables: tables, Blobs: blobs}
+	m := NewCheckpointManager(EveryN{N: 1})
+	if err := m.Begin(map[string]script.Value{"model": &toyModel{}}); err != nil {
+		t.Fatal(err)
+	}
+	m.ClaimLoop("epoch")
+	taken, err := m.MaybeCheckpoint(ctx, "epoch", 0, 1, time.Millisecond)
+	if err == nil || taken {
+		t.Fatalf("checkpoint over a broken blob root: taken=%v err=%v, want a failure", taken, err)
+	}
+	if n := view(t, tables).ObjStore.Len(); n != 0 {
+		t.Fatalf("obj_store rows=%d after the failed blob write, want 0", n)
 	}
 }
 

@@ -187,7 +187,7 @@ func (c *planEquivDB) diff(t *testing.T, q string, stmt *SelectStmt, planned, re
 		return diffResults(planned, reference)
 	}
 	ops := planOps(c.explain(t, q))
-	indexOrder := ops["IndexLookup"] || ops["IndexRange"]
+	indexOrder := ops["IndexLookup"]
 	key := rowKey
 	if floatSums && (indexOrder || ops["Gather"]) {
 		key = approxKey

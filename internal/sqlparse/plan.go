@@ -1,9 +1,9 @@
 // Query planning. The planner is rule-based: it decomposes the WHERE clause
 // into AND-ed conjuncts, pushes every single-table conjunct below the joins to
 // the table it references, and picks an access path per base table —
-// hash-index lookup for equality/IN predicates, ordered-index range scan for
-// range predicates, full scan as the fallback — with the unconsumed residual
-// applied as a filter over the narrowed stream. Joins materialize the smaller
+// hash-index lookup for equality/IN predicates, else a full scan whose zone
+// maps skip the pages range predicates rule out — with the unconsumed
+// residual applied as a filter over the narrowed stream. Joins materialize the smaller
 // estimated input as the hash-build side. EXPLAIN renders the chosen plan
 // tree without executing it (all access paths materialize lazily).
 package sqlparse
@@ -19,7 +19,7 @@ import (
 
 // PlanNode is one operator of a chosen query plan, used by EXPLAIN.
 type PlanNode struct {
-	Op       string // Scan, IndexLookup, IndexRange, Filter, HashJoin, ...
+	Op       string // Scan, IndexLookup, Filter, HashJoin, ...
 	Detail   string
 	Children []*PlanNode
 }
@@ -399,8 +399,7 @@ func sourceDetail(ref TableRef, est int64) string {
 
 // ---------- Access-path selection over one base table ----------
 
-// sargable is one index-usable conjunct: a range shape (col = lit,
-// col <cmp> lit, col BETWEEN lit AND lit) or col IN (lits...), neither
+// sargable is one hash-lookup conjunct: col = lit or col IN (lits...), not
 // negated, with no NULL literal (SQL comparisons with NULL match nothing;
 // the residual filter handles them).
 type sargable struct {
@@ -409,51 +408,33 @@ type sargable struct {
 }
 
 // planTableAccess picks the cheapest access path the pushed conjuncts allow:
-// hash-index lookup > ordered-index range > full scan. Unconsumed conjuncts
-// become a residual filter over the narrowed stream. Access paths resolve
-// rows through the pinned table's visibility. Every path emits batches of
-// the needed columns: index paths gather them from the rows their row IDs
-// resolve to, the full scan transposes the row store directly.
+// hash-index lookup > full scan. Range shapes need no path of their own: the
+// full scan's zone maps skip the pages they rule out (DESIGN §13).
+// Unconsumed conjuncts become a residual filter over the narrowed stream.
+// Access paths resolve rows through the pinned table's visibility. Every
+// path emits batches of the needed columns: the lookup gathers them from the
+// rows its row IDs resolve to, the full scan transposes the row store
+// directly.
 func planTableAccess(t *relation.TableSnapshot, ref TableRef, conjs []Expr, ctx *execCtx, needed []int) (stream, error) {
 	binding := ref.Binding()
 	schema := t.Schema()
 
 	eqs := make(map[string]sargable)
-	ranges := make(map[string][]sargable)
 	for i, c := range conjs {
 		sh, ok := classify(c)
-		if !ok || sh.negate || sh.nullLit() {
-			continue
-		}
-		if _, isRange := sh.interval(); !isRange && sh.op != "in" {
+		if !ok || sh.negate || sh.nullLit() || sh.other != nil || (sh.op != "=" && sh.op != "in") {
 			continue
 		}
 		col, ok := tableColOf(sh.col, binding, schema)
 		if !ok {
 			continue
 		}
-		s := sargable{idx: i, shape: sh}
-		switch s.op {
-		case "=":
-			if _, dup := eqs[col]; !dup {
-				eqs[col] = s
-			}
-			ranges[col] = append(ranges[col], s)
-		case "in":
-			if _, dup := eqs[col]; !dup {
-				eqs[col] = s
-			}
-		default:
-			ranges[col] = append(ranges[col], s)
+		if _, dup := eqs[col]; !dup {
+			eqs[col] = sargable{idx: i, shape: sh}
 		}
 	}
 
 	hashCols, keys, consumed := chooseHashIndex(t, eqs)
-	var rangeCol string
-	var bounds interval
-	if hashCols == nil {
-		rangeCol, bounds, consumed = chooseOrderedIndex(t, ranges)
-	}
 	var residual []Expr
 	for i, c := range conjs {
 		if !consumed[i] {
@@ -461,18 +442,15 @@ func planTableAccess(t *relation.TableSnapshot, ref TableRef, conjs []Expr, ctx 
 		}
 	}
 	var out stream
-	var err error
 	zonemap := false // the scan skips pages by zone; shown on its Filter line
-	switch {
-	case hashCols != nil:
-		out.it, err = relation.NewIndexLookup(t, hashCols, keys, needed)
-		out.node = &PlanNode{Op: "IndexLookup", Detail: lookupDetail(ref, hashCols, keys)}
-		out.est = int64(len(keys))
-	case rangeCol != "":
-		out.it, err = relation.NewIndexRange(t, rangeCol, bounds.lo, bounds.hi, bounds.loIncl, bounds.hiIncl, needed)
-		out.node = &PlanNode{Op: "IndexRange", Detail: rangeDetail(ref, rangeCol, bounds)}
-		out.est = int64(t.Len())/4 + 1
-	default:
+	if hashCols != nil {
+		it, err := relation.NewIndexLookup(t, hashCols, keys, needed)
+		if err != nil {
+			return stream{}, err
+		}
+		out = stream{it: it, est: int64(len(keys)),
+			node: &PlanNode{Op: "IndexLookup", Detail: lookupDetail(ref, hashCols, keys)}}
+	} else {
 		out.scan = relation.NewBatchScan(t, needed, relation.DefaultBatchSize)
 		if len(conjs) > 0 {
 			// Zone-map pruning for the full scan, armed only when every leaf
@@ -486,13 +464,12 @@ func planTableAccess(t *relation.TableSnapshot, ref TableRef, conjs []Expr, ctx 
 		out.est = int64(t.Len())
 		out.node = &PlanNode{Op: "Scan", Detail: sourceDetail(ref, out.est)}
 	}
-	if err != nil {
-		return stream{}, err
+	if len(residual) == 0 {
+		return out, nil
 	}
-	if len(residual) > 0 {
-		if out, err = out.filter(ctx, combineAnd(residual)); err == nil && zonemap {
-			out.node.Detail += " [zonemap]"
-		}
+	out, err := out.filter(ctx, combineAnd(residual))
+	if err == nil && zonemap {
+		out.node.Detail += " [zonemap]"
 	}
 	return out, err
 }
@@ -567,31 +544,6 @@ func dedupeKeys(keys [][]relation.Value) [][]relation.Value {
 	return out
 }
 
-// chooseOrderedIndex returns the ordered-indexed column whose range conjuncts
-// consume the most predicates, with the intersection of their intervals.
-func chooseOrderedIndex(t *relation.TableSnapshot, ranges map[string][]sargable) (col string, bounds interval, consumed map[int]bool) {
-	best := -1
-	for _, ixCol := range t.OrderedIndexColumns() {
-		sargs := ranges[strings.ToLower(ixCol)]
-		if len(sargs) <= best {
-			continue
-		}
-		if len(sargs) == 0 {
-			continue
-		}
-		best = len(sargs)
-		col = ixCol
-		bounds = interval{}
-		consumed = make(map[int]bool)
-		for _, s := range sargs {
-			iv, _ := s.interval()
-			bounds = bounds.intersect(iv)
-			consumed[s.idx] = true
-		}
-	}
-	return col, bounds, consumed
-}
-
 // tableColOf resolves e as a reference to a column of the table bound as
 // binding, returning the schema-normalized column name.
 func tableColOf(e Expr, binding string, schema *relation.Schema) (string, bool) {
@@ -631,31 +583,4 @@ func lookupDetail(ref TableRef, cols []string, keys [][]relation.Value) string {
 		return d + " = " + tuples[0]
 	}
 	return d + " IN (" + strings.Join(tuples, ", ") + ")"
-}
-
-func rangeDetail(ref TableRef, col string, bounds interval) string {
-	d := ref.Name
-	if ref.Alias != "" {
-		d += " AS " + ref.Alias
-	}
-	d += " via ordered(" + col + ")"
-	var parts []string
-	if !bounds.lo.IsNull() {
-		op := ">"
-		if bounds.loIncl {
-			op = ">="
-		}
-		parts = append(parts, col+" "+op+" "+valueSQL(bounds.lo))
-	}
-	if !bounds.hi.IsNull() {
-		op := "<"
-		if bounds.hiIncl {
-			op = "<="
-		}
-		parts = append(parts, col+" "+op+" "+valueSQL(bounds.hi))
-	}
-	if len(parts) == 0 {
-		return d
-	}
-	return d + ": " + strings.Join(parts, " AND ")
 }

@@ -21,14 +21,8 @@ func indexedDB(t *testing.T) *relation.Database {
 	if _, err := logs.CreateHashIndex("projid", "value_name"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := logs.CreateOrderedIndex("tstamp"); err != nil {
-		t.Fatal(err)
-	}
 	runs, _ := db.Table("runs")
 	if _, err := runs.CreateHashIndex("vid"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runs.CreateOrderedIndex("tstamp"); err != nil {
 		t.Fatal(err)
 	}
 	return db
@@ -59,21 +53,22 @@ func TestExplainPointQueryUsesIndexLookup(t *testing.T) {
 	}
 }
 
-func TestExplainRangeQueryUsesOrderedIndex(t *testing.T) {
+func TestExplainRangeQueryUsesZoneMap(t *testing.T) {
+	// Range shapes have no index path: they reach the full scan, whose zone
+	// maps skip the pages the whole predicate rules out.
 	db := indexedDB(t)
 	plan := explain(t, db, "SELECT value FROM logs WHERE tstamp BETWEEN 1 AND 2 AND value_name = 'acc'")
-	if !strings.Contains(plan, "IndexRange logs via ordered(tstamp): tstamp >= 1 AND tstamp <= 2") {
-		t.Fatalf("plan does not range-scan the ordered index:\n%s", plan)
+	if !strings.Contains(plan, "Filter (tstamp BETWEEN 1 AND 2 AND (value_name = 'acc')) [zonemap]") {
+		t.Fatalf("range query does not filter a zone-pruned scan:\n%s", plan)
 	}
-	// The non-sargable part must survive as a residual filter.
-	if !strings.Contains(plan, "Filter (value_name = 'acc')") {
-		t.Fatalf("residual filter missing:\n%s", plan)
+	if !strings.Contains(plan, "Scan logs") {
+		t.Fatalf("range query does not scan:\n%s", plan)
 	}
 
-	// Bounds from >/>= conjuncts combine, exclusivity preserved.
+	// Both bounds of a >/<= pair stay in the pruned filter, exclusivity kept.
 	plan = explain(t, db, "SELECT value FROM logs WHERE tstamp > 1 AND tstamp <= 3")
-	if !strings.Contains(plan, "tstamp > 1 AND tstamp <= 3") {
-		t.Fatalf("bounds not combined:\n%s", plan)
+	if !strings.Contains(plan, "Filter ((tstamp > 1) AND (tstamp <= 3)) [zonemap]") {
+		t.Fatalf("bounds not filtered under the zone map:\n%s", plan)
 	}
 }
 
@@ -143,7 +138,7 @@ func TestNonSargableShapesStayResidual(t *testing.T) {
 		"SELECT value FROM logs WHERE projid = NULL",                        // NULL literal
 	} {
 		plan := explain(t, db, q)
-		if strings.Contains(plan, "IndexLookup") || strings.Contains(plan, "IndexRange") {
+		if strings.Contains(plan, "IndexLookup") {
 			t.Fatalf("%s\nshould not be index-backed:\n%s", q, plan)
 		}
 	}
@@ -210,10 +205,11 @@ func TestDeferredErrorContract(t *testing.T) {
 		name, q                  string
 		plannedErr, referenceErr bool
 	}{
-		// The ordered index on tstamp returns no row, so the residual never
-		// runs; the reference evaluates the whole WHERE on every row.
+		// The hash index on (projid, value_name) finds no row, so the
+		// residual never runs; the reference evaluates the whole WHERE on
+		// every row.
 		{"index path starves the residual",
-			"SELECT projid FROM logs WHERE tstamp > 1000 AND value / 0 > 1", false, true},
+			"SELECT projid FROM logs WHERE value / 0 > 1 AND projid = 'zzz' AND value_name = 'nope'", false, true},
 		// Pushed below the join, the division sees every logs row; above the
 		// join no row survives r.vid = 'zzz' to reach it.
 		{"pushdown feeds the conjunct",
@@ -279,9 +275,6 @@ func randomWorkloadDBRows(t *testing.T, indexed bool, rows int) *relation.Databa
 		if _, err := logs.CreateHashIndex("projid", "value_name"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := logs.CreateOrderedIndex("tstamp"); err != nil {
-			t.Fatal(err)
-		}
 	}
 	runs, err := db.CreateTable("runs", relation.MustSchema(
 		relation.Column{Name: "tstamp", Type: relation.TInt},
@@ -289,11 +282,6 @@ func randomWorkloadDBRows(t *testing.T, indexed bool, rows int) *relation.Databa
 	))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if indexed {
-		if _, err := runs.CreateOrderedIndex("tstamp"); err != nil {
-			t.Fatal(err)
-		}
 	}
 	for i := 0; i < 50; i++ {
 		if _, err := runs.Insert(relation.Row{
@@ -444,7 +432,7 @@ func TestExplainViaRunReturnsPlanColumn(t *testing.T) {
 		t.Fatalf("columns = %v", res.Columns)
 	}
 	plan := explain(t, db, "SELECT value FROM logs WHERE tstamp > 1 ORDER BY value DESC LIMIT 2")
-	for _, want := range []string{"Limit 2", "Sort [value DESC]", "Project [value]", "IndexRange"} {
+	for _, want := range []string{"Limit 2", "Sort [value DESC]", "Project [value]", "Filter (tstamp > 1) [zonemap]", "Scan logs"} {
 		if !strings.Contains(plan, want) {
 			t.Fatalf("plan missing %q:\n%s", want, plan)
 		}

@@ -4,8 +4,8 @@ import "flordb/internal/relation"
 
 // Predicate shapes: the WHERE leaves the engine reasons about without
 // evaluating them. classify is the one recognizer; the vectorized kernels
-// (binder.kernelize), zone-map pruning (binder.zoneFilter) and index access
-// (planTableAccess) each switch on its result.
+// (binder.kernelize), zone-map pruning (binder.zoneFilter) and hash-index
+// lookups (planTableAccess) each switch on its result.
 
 // shape is one classified leaf:
 //
@@ -129,22 +129,6 @@ func (s shape) interval() (interval, bool) {
 		return interval{lo: s.lits[0], hi: s.lits[1], loIncl: true, hiIncl: true}, true
 	}
 	return interval{}, false
-}
-
-// intersect narrows iv to the values o admits too: the higher lower bound
-// and the lower upper bound, the exclusive one where two bounds tie.
-func (iv interval) intersect(o interval) interval {
-	if !o.lo.IsNull() {
-		if c := relation.Compare(o.lo, iv.lo); iv.lo.IsNull() || c > 0 || (c == 0 && !o.loIncl) {
-			iv.lo, iv.loIncl = o.lo, o.loIncl
-		}
-	}
-	if !o.hi.IsNull() {
-		if c := relation.Compare(o.hi, iv.hi); iv.hi.IsNull() || c < 0 || (c == 0 && !o.hiIncl) {
-			iv.hi, iv.hiIncl = o.hi, o.hiIncl
-		}
-	}
-	return iv
 }
 
 // disjoint reports that iv admits no value in [zmin, zmax].

@@ -22,7 +22,7 @@ import (
 //     and 5 and on every 7th row of odd pages;
 //   - u: (i*37)%100, every page spanning the whole range.
 //
-// ti carries hash(grp), hash(u), ordered(id) and ordered(sparse).
+// ti carries hash(grp) and hash(u).
 func addShapeTables(t *testing.T, db *relation.Database, pages int) {
 	t.Helper()
 	schema := relation.MustSchema(
@@ -39,11 +39,6 @@ func addShapeTables(t *testing.T, db *relation.Database, pages int) {
 		if name == "ti" {
 			for _, col := range []string{"grp", "u"} {
 				if _, err := tbl.CreateHashIndex(col); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, col := range []string{"id", "sparse"} {
-				if _, err := tbl.CreateOrderedIndex(col); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -196,5 +191,84 @@ func TestPredicateShapesPinned(t *testing.T) {
 		if got[i] != wantLines[i] {
 			t.Errorf("line %d:\n got: %s\nwant: %s", i+1, got[i], wantLines[i])
 		}
+	}
+}
+
+// TestRangeEdgesOverZonePages pins the bound semantics of the one range
+// access path, the zone-pruned scan, where a bound meets a page's min or
+// max: exclusive bounds prune the page they touch and inclusive ones keep
+// it, NULL cells never match even with one bound absent, duplicates all
+// match a point range, and a gap, an inverted range or an empty table
+// match nothing. Each case states its rows and its pruned complete pages;
+// rows must equal the reference executor's.
+func TestRangeEdgesOverZonePages(t *testing.T) {
+	const page = relation.ZonePageRows
+	db := relation.NewDatabase()
+	schema := relation.MustSchema(
+		relation.Column{Name: "id", Type: relation.TInt},
+		relation.Column{Name: "score", Type: relation.TFloat},
+	)
+	tbl, err := db.CreateTable("r", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateTable("e", schema); err != nil {
+		t.Fatal(err)
+	}
+	// Page 0 holds 0.3 only, page 1 0.5 and NULL alternately, page 2 NULL
+	// only, page 3 0.7 only; a 100-row tail of 0.9 is never pruned.
+	for i := 0; i < 4*page+100; i++ {
+		score := relation.Float(0.9)
+		switch p := i / page; {
+		case p == 0:
+			score = relation.Float(0.3)
+		case p == 1 && i%2 == 0:
+			score = relation.Float(0.5)
+		case p == 1 || p == 2:
+			score = relation.Null()
+		case p == 3:
+			score = relation.Float(0.7)
+		}
+		if _, err := tbl.Insert(relation.Row{relation.Int(int64(i)), score}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.AdvanceEpoch(time.Now())
+	cat := latest(t, db)
+	for _, tc := range []struct {
+		pred         string
+		rows, pruned int
+	}{
+		{"score > 0.3 AND score < 0.7", page / 2, 3},
+		{"score >= 0.3 AND score <= 0.7", 2*page + page/2, 1},
+		{"score > 0.3 AND score <= 0.7", page + page/2, 2},
+		{"score >= 0.3 AND score < 0.7", page + page/2, 2},
+		{"score <= 0.5", page + page/2, 2},
+		{"score > 0", 2*page + page/2 + 100, 1},
+		{"score BETWEEN 0.3 AND 0.3", page, 3},
+		{"score > 0.3 AND score <= 0.3", 0, 4},
+		{"score > 0.5 AND score < 0.7", 0, 4},
+		{"score BETWEEN 0.7 AND 0.3", 0, 4},
+	} {
+		q := "SELECT * FROM r WHERE " + tc.pred
+		ref, err := ExecuteScan(cat, mustParse(t, q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p0, _ := relation.ScanStats()
+		res, err := ExecuteOptions(cat, mustParse(t, q), ExecOptions{ScanWorkers: 1})
+		p1, _ := relation.ScanStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != tc.rows || !sameRowsByID(res, ref) {
+			t.Errorf("%s: %d rows, want %d and the reference's %d", tc.pred, len(res.Rows), tc.rows, len(ref.Rows))
+		}
+		if int(p1-p0) != tc.pruned {
+			t.Errorf("%s: pruned %d pages, want %d", tc.pred, p1-p0, tc.pruned)
+		}
+	}
+	if res := mustRun(t, db, "SELECT * FROM e WHERE score BETWEEN 0 AND 1"); len(res.Rows) != 0 {
+		t.Fatalf("empty table: %d rows", len(res.Rows))
 	}
 }
