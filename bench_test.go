@@ -662,6 +662,11 @@ func benchC14(b *testing.B, query string, wantRows int, naive bool) {
 	}
 }
 
+// BenchmarkC14ScanAggregate runs c14AggQuery, which the page-partial memo
+// admits (EXPLAIN marks it [pages]: projid = 'bench' contains every page),
+// but whose signature the memo refuses: every page holds all 100 names, over
+// its bound of ZonePageRows/16 groups. It measures the decode path after
+// that refusal (EXPERIMENTS C14, C24).
 func BenchmarkC14ScanAggregate(b *testing.B) {
 	benchC14(b, c14AggQuery, c14Names, false)
 }
@@ -1265,4 +1270,48 @@ func BenchmarkC16AsOfQuery(b *testing.B) {
 
 func BenchmarkC16AsOfQueryLatestBaseline(b *testing.B) {
 	benchAsOfQuery(b, "SELECT count(*) AS n FROM logs WHERE value_name = 'metric'", 10000)
+}
+
+// ---------------------------------------------------------------------------
+// C24 — page partials (Moerkotte's small materialized aggregates). An
+// eligible aggregate merges the stored partial of each complete page it
+// contains instead of decoding it; the first statement to touch a page
+// builds its partial. Cold runs each query on a fresh table every iteration,
+// the load outside the timer: the first-touch figure. Warm repeats it on one
+// table: the reuse figure. "grouped" is c14AggQuery, whose signature the
+// memo refuses (100 groups per page); "global" is one group per page.
+// ---------------------------------------------------------------------------
+
+const c24GlobalQuery = "SELECT count(*) AS n, avg(value) AS mean FROM metrics WHERE projid = 'bench'"
+
+func BenchmarkC24PageAggregatesCold(b *testing.B) {
+	for _, bc := range []struct {
+		name, query string
+		rows        int
+	}{{"grouped", c14AggQuery, c14Names}, {"global", c24GlobalQuery, 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			stmt, err := sqlparse.Parse(bc.query)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				snap := benchC14DB(b).SnapshotLatest()
+				runtime.GC() // the load's garbage is not the query's
+				b.StartTimer()
+				res, err := sqlparse.Execute(snap, stmt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Rows) != bc.rows {
+					b.Fatalf("rows = %d, want %d", len(res.Rows), bc.rows)
+				}
+				snap.Release()
+			}
+		})
+	}
+}
+
+func BenchmarkC24PageAggregatesWarm(b *testing.B) {
+	benchC14(b, c24GlobalQuery, 1, false)
 }

@@ -723,7 +723,10 @@ func TestExplainShowsIndexBackedPlan(t *testing.T) {
 // tstamps after newer ones, so the tail pages of logs get wide tstamp zones
 // while the recorded pages stay narrow. Version slicing by tstamp ranges
 // must stay exact over both: on one pin the planned, zone-pruned scan
-// returns the reference executor's multiset and the closed-form count.
+// returns the reference executor's multiset and the closed-form count. The
+// backfilled rows land in new pages, beside the page partials a GROUP BY
+// stored before the backfill: its counts stay exact after it, on the run
+// that builds the new pages' partials and on the one that reuses them.
 func TestRangeReadsOverBackfilledHistory(t *testing.T) {
 	const versions, epochs = 8, 300
 	const src = `for epoch in flor.loop("epoch", range(300)) {
@@ -754,6 +757,26 @@ func TestRangeReadsOverBackfilledHistory(t *testing.T) {
 	if n := s.tables.Logs.Len(); n < 2*relation.ZonePageRows {
 		t.Fatalf("logs holds %d rows before the backfill, want two complete zone pages", n)
 	}
+	const byName = "SELECT value_name, count(*) FROM logs GROUP BY value_name"
+	checkByName := func(want ...string) {
+		t.Helper()
+		v, err := s.Reader()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v.Close()
+		res, err := v.SQL(byName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rowMultiset(res); !slices.Equal(got, want) {
+			t.Errorf("%s: %v, want %v", byName, got, want)
+		}
+		if plan, err := v.Explain(byName); err != nil || !strings.Contains(plan, "[pages]") {
+			t.Errorf("%s: plan does not merge page partials (err %v):\n%s", byName, err, plan)
+		}
+	}
+	checkByName(fmt.Sprint([]any{"acc", versions * epochs}))
 	reports, err := s.Hindsight("train.flow", withHalf, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -762,6 +785,10 @@ func TestRangeReadsOverBackfilledHistory(t *testing.T) {
 		if rep.Err != nil {
 			t.Fatal(rep.Err)
 		}
+	}
+
+	for range 2 { // the first run builds the new pages' partials, the second reuses them
+		checkByName(fmt.Sprint([]any{"acc", versions * epochs}), fmt.Sprint([]any{"half", versions * epochs}))
 	}
 
 	v, err := s.Reader()

@@ -231,6 +231,15 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// RegisterCounter publishes under name a counter its owner already holds
+// and increments — one that exists before any registry does, such as a
+// database's. A re-registration under the same name replaces the counter.
+func (r *Registry) RegisterCounter(name string, c *Counter) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.counters[name] = c
+}
+
 // Gauge registers a polled gauge: fn is evaluated at snapshot time. A
 // re-registration under the same name replaces the function.
 func (r *Registry) Gauge(name string, fn func() float64) {

@@ -240,6 +240,37 @@ func TestBatchGroupMatchesRowGroup(t *testing.T) {
 	rowsEqual(t, aggregateBatches(t, NewBatchScan(latest(tbl), nil, 128), groupBy, aggs), slices.Collect(rg))
 }
 
+// TestMergeReadsItsOperand: Merge copies the groups it takes from its
+// operand, so one partial merged into several sinks (a page partial of the
+// table memo) and a sink merged into afterwards leave the operand as built.
+func TestMergeReadsItsOperand(t *testing.T) {
+	_, tbl := randomBatchTable(t, rand.New(rand.NewSource(12)), 1500)
+	groupBy := []string{"k"}
+	aggs := []AggSpec{{Kind: AggCountStar, As: "cnt"}, {Kind: AggSum, Col: "v", As: "sv"}, {Kind: AggMax, Col: "n", As: "mx"}}
+	sink := func(lo, hi int) *PartialAgg {
+		scan := NewBatchScan(latest(tbl), nil, 128)
+		scan.SetRange(lo, hi)
+		pa, err := NewPartialAgg(tbl.Schema(), groupBy, aggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pa.Consume(scan)
+		return pa
+	}
+	part := sink(0, 700)
+	want := sink(0, 700)
+	want.Merge(sink(700, 700)) // renders in key order, as a merged part does
+	for range 2 {
+		into := sink(700, 700)
+		into.Merge(part)
+		into.Merge(sink(0, 50))
+		into.Rows()
+	}
+	probe := sink(700, 700)
+	probe.Merge(part)
+	rowsEqual(t, probe.Rows(), want.Rows())
+}
+
 func TestBatchGroupGlobalAggregateOverEmptyInput(t *testing.T) {
 	db := NewDatabase()
 	tbl, err := db.CreateTable("e", MustSchema(Column{Name: "x", Type: TInt}))

@@ -40,6 +40,8 @@ type Database struct {
 
 	clockMu sync.Mutex   // serializes epoch advances; guards stamps; acquired after mu
 	stamps  []EpochStamp // ascending Epoch, nondecreasing Wall
+
+	memo memoStats // page-partial counters of every table (pagememo.go)
 }
 
 // NewDatabase creates an empty database at epoch 0.
@@ -140,6 +142,7 @@ func (db *Database) CreateTable(name string, schema *Schema) (*Table, error) {
 	}
 	t := NewTable(name, schema)
 	t.epoch = &db.epoch
+	t.stats = &db.memo
 	db.tables[key] = t
 	return t, nil
 }
@@ -181,8 +184,16 @@ func (db *Database) RowVersions() (total, live int64) {
 
 // RegisterMetrics publishes the database's state as polled gauges: the MVCC
 // clock and its retention bounds, version-store size, and the process-wide
-// zone-map scan counters.
+// zone-map scan counters. The page-partial memo reports per database: the
+// counters agg_pages_reused (pages an aggregate merged from the memo instead
+// of decoding), agg_pages_built and agg_memo_refusals (signatures refused for
+// their group count, and statements the signature cap turned away), and the
+// gauge agg_memo_groups (groups the memo holds).
 func (db *Database) RegisterMetrics(reg *metrics.Registry) {
+	reg.RegisterCounter("agg_pages_reused", &db.memo.reused)
+	reg.RegisterCounter("agg_pages_built", &db.memo.built)
+	reg.RegisterCounter("agg_memo_refusals", &db.memo.refusals)
+	reg.IntGauge("agg_memo_groups", db.memo.groups.Load)
 	reg.IntGauge("epoch", db.Epoch)
 	reg.IntGauge("snapshot_pins", db.Pins)
 	reg.IntGauge("retention_floor_epoch", db.MinEpoch)

@@ -248,7 +248,7 @@ func TestIndexLookupOp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	op, err := NewIndexLookup(latest(tab), []string{"name"}, [][]Value{{Text("a")}}, nil)
+	op, err := NewIndexLookup(latest(tab), []string{"name"}, [][]Value{{Text("a")}}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,14 +256,14 @@ func TestIndexLookupOp(t *testing.T) {
 		t.Fatalf("lookup a: %d rows, want 3", got)
 	}
 	// Multi-tuple (IN) lookup.
-	op, err = NewIndexLookup(latest(tab), []string{"name"}, [][]Value{{Text("a")}, {Text("b")}}, nil)
+	op, err = NewIndexLookup(latest(tab), []string{"name"}, [][]Value{{Text("a")}, {Text("b")}}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := len(slices.Collect(RowsOf(op))); got != 6 {
 		t.Fatalf("lookup a,b: %d rows, want 6", got)
 	}
-	if _, err := NewIndexLookup(latest(tab), []string{"score"}, [][]Value{{Float(1)}}, nil); err == nil {
+	if _, err := NewIndexLookup(latest(tab), []string{"score"}, [][]Value{{Float(1)}}, nil, nil); err == nil {
 		t.Fatal("lookup without index must fail")
 	}
 }

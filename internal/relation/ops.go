@@ -12,9 +12,11 @@ import (
 // covering cols: each entry of keys is one full key tuple (multiple tuples
 // serve IN-list plans). The lookup resolves lazily on the first NextBatch,
 // filtering candidate ids through the pinned table's visibility, and gathers
-// the needed columns (nil = all) of the matching rows into batches. It fails
-// if no such index exists.
-func NewIndexLookup(t *TableSnapshot, cols []string, keys [][]Value, needed []int) (*BatchScanOp, error) {
+// the needed columns (nil = all) of the matching rows into batches. A
+// non-nil zf is the zone filter of the residual predicate the caller still
+// applies: candidates on a complete page whose zone it rules out are dropped
+// before any row is resolved. It fails if no such index exists.
+func NewIndexLookup(t *TableSnapshot, cols []string, keys [][]Value, needed []int, zf ZoneFilter) (*BatchScanOp, error) {
 	ix, ok := t.HashIndexOn(cols...)
 	if !ok {
 		return nil, fmt.Errorf("relation: table %s has no hash index on %v", t.Name(), cols)
@@ -29,8 +31,26 @@ func NewIndexLookup(t *TableSnapshot, cols []string, keys [][]Value, needed []in
 		for _, k := range keys {
 			ids = append(ids, ix.Lookup(k...)...)
 		}
+		if zf != nil {
+			ids = t.dropByZone(ids, zf)
+		}
 		return t.RowsByIDs(ids)
 	}, needed, 0), nil
+}
+
+// dropByZone removes, in place, the ids on a complete page whose zone zf
+// rules out. The zone bounds every row of its page, so no dropped row could
+// pass zf's predicate; ids past the visible prefix are left to RowsByIDs.
+func (v *TableSnapshot) dropByZone(ids []RowID, zf ZoneFilter) []RowID {
+	zones := v.owner.zonePages(v.st)
+	out := ids[:0]
+	for _, id := range ids {
+		if p := int(id) / ZonePageRows; p < len(zones) && zf(&zones[p]) {
+			continue
+		}
+		out = append(out, id)
+	}
+	return out
 }
 
 // The row functions. Every row stream is a lazy iter.Seq[Row]: nothing runs

@@ -1,6 +1,9 @@
 package relation
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // PartialAgg is the batch pipeline's one aggregation sink. A serial
 // statement drains its whole stream into a single PartialAgg and renders it;
@@ -90,9 +93,11 @@ func (p *PartialAgg) Consume(in BatchIterator) {
 	}
 }
 
-// Merge folds o's groups into p. o must aggregate the same spec over the
-// same schema and must not be used afterwards (its group states are adopted,
-// not copied). Groups are visited in o's first-seen slice order, never by
+// Merge folds o's groups into p. o must aggregate the same spec over a
+// schema of the same layout; it is only read: groups p lacks are copied in,
+// never adopted, so o may be merged again — a worker's partial once, a page
+// partial of the table memo into every statement that covers its page
+// (pagememo.go). Groups are visited in o's first-seen slice order, never by
 // map iteration, so repeated merges of the same partials are deterministic.
 func (p *PartialAgg) Merge(o *PartialAgg) {
 	p.merged = true
@@ -101,7 +106,7 @@ func (p *PartialAgg) Merge(o *PartialAgg) {
 		key := []byte(o.h.keys[idx])
 		dst := p.h.find(key)
 		if dst == nil {
-			p.h.insert(key, grp)
+			p.h.insert(key, &aggGroup{key: grp.key, states: slices.Clone(grp.states)})
 			continue
 		}
 		for k := range p.aggs {

@@ -44,6 +44,12 @@ type Table struct {
 	// snapshot loader; derived purely from immutable data, so it is shared by
 	// every state and every pinned snapshot of the table.
 	zones atomic.Pointer[zoneCache]
+
+	// memo keeps complete pages' partial aggregates beside their zones
+	// (pagememo.go), equally shared by every pin; stats is where it counts
+	// its work — the owning Database's, or the table's own.
+	memo  aggMemo
+	stats *memoStats
 }
 
 // tableState is one published version of a table. All slices are append-only
@@ -71,7 +77,7 @@ type tableState struct {
 // private epoch counter; tables created through Database.CreateTable share
 // the database's counter so one snapshot can pin all tables consistently.
 func NewTable(name string, schema *Schema) *Table {
-	t := &Table{name: name, schema: schema, epoch: new(atomic.Int64)}
+	t := &Table{name: name, schema: schema, epoch: new(atomic.Int64), stats: new(memoStats)}
 	t.state.Store(&tableState{indexes: make(map[string]*HashIndex)})
 	return t
 }

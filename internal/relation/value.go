@@ -364,9 +364,19 @@ func comparePtr(a, b *Value) int {
 			return -1
 		case af > bf:
 			return 1
-		default:
+		case af == bf:
 			return 0
 		}
+		// A NaN orders above every other number and equals itself, so the
+		// order stays total: a page zone's [Min, Max] then bounds its NaN
+		// cells too, which pruning and containment both rely on.
+		switch aNaN, bNaN := af != af, bf != bf; {
+		case aNaN == bNaN:
+			return 0
+		case aNaN:
+			return 1
+		}
+		return -1
 	}
 	if a.typ != b.typ {
 		if a.typ < b.typ {

@@ -51,6 +51,11 @@ func TestCompareNumericCrossType(t *testing.T) {
 	if Compare(Float(3.5), Int(3)) != 1 {
 		t.Fatal("3.5 > 3 failed")
 	}
+	// NaN orders above every other number and equals itself.
+	nan := Float(math.NaN())
+	if Compare(nan, Float(math.Inf(1))) != 1 || Compare(Int(7), nan) != -1 || Compare(nan, Float(-math.NaN())) != 0 {
+		t.Fatal("NaN is not the greatest number")
+	}
 }
 
 func TestCompareNullsFirst(t *testing.T) {

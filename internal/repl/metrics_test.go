@@ -48,11 +48,15 @@ func metricNames(t *testing.T, api http.Handler) []string {
 // of relation, storage, sqlparse, the session, and internal/server.
 var engineMetricNames = []string{
 	"counter:admission_rejections",
+	"counter:agg_memo_refusals",
+	"counter:agg_pages_built",
+	"counter:agg_pages_reused",
 	"counter:compact_pages_copied",
 	"counter:compact_pages_encoded",
 	"counter:compaction_failures",
 	"counter:compactions",
 	"counter:queries_served",
+	"gauge:agg_memo_groups",
 	"gauge:epoch",
 	"gauge:fsyncs_per_commit",
 	"gauge:in_flight",

@@ -170,8 +170,9 @@ func runEquivalence(t *testing.T, cell *planEquivDB, q string) {
 // as merged per-worker partials under a gather. That changes two things, and
 // the comparison gives way only for the statements they touch:
 //
-//   - sum/avg add floats in another order, so under an index path or a
-//     gather their statements compare floats at 9 digits (approxKey);
+//   - sum/avg add floats in another order, so under an index path, a
+//     gather or merged page partials (EXPLAIN's [pages]) their statements
+//     compare floats at 9 digits (approxKey);
 //   - LIMIT/OFFSET may cut a run of ORDER BY ties elsewhere, so under an
 //     index path they compare what stays defined (limitDiff).
 func (c *planEquivDB) diff(t *testing.T, q string, stmt *SelectStmt, planned, reference *Result) string {
@@ -186,10 +187,11 @@ func (c *planEquivDB) diff(t *testing.T, q string, stmt *SelectStmt, planned, re
 	if !limited && !floatSums {
 		return diffResults(planned, reference)
 	}
-	ops := planOps(c.explain(t, q))
+	plan := c.explain(t, q)
+	ops := planOps(plan)
 	indexOrder := ops["IndexLookup"]
 	key := rowKey
-	if floatSums && (indexOrder || ops["Gather"]) {
+	if floatSums && (indexOrder || ops["Gather"] || strings.Contains(plan, "[pages]")) {
 		key = approxKey
 	}
 	if limited && indexOrder {

@@ -142,7 +142,7 @@ func compile(cat *relation.Snapshot, stmt *SelectStmt, ctx *execCtx, opts ExecOp
 		})
 	}
 	if agg {
-		return compileAggregate(stmt, ctx, pipelines)
+		return compileAggregate(cat, stmt, ctx, pipelines)
 	}
 	return compileSimple(stmt, fc.combined, pipelines)
 }
@@ -470,8 +470,10 @@ func buildAggPlan(stmt *SelectStmt) (*aggPlan, error) {
 // select list, HAVING and ORDER BY to reference the aggregated schema. (1)
 // and (2) are the batch pipeline and its sink: pre-projection aliases plain
 // column references and the sink reads column slices directly, so a GROUP BY
-// allocates nothing per input row.
-func compileAggregate(stmt *SelectStmt, ctx *execCtx, pipelines func([]projItem) (*gather, error)) (*compiled, error) {
+// allocates nothing per input row. A statement planPages admits merges the
+// stored partials of the pages it contains instead of decoding them; EXPLAIN
+// marks its aggregate [pages].
+func compileAggregate(cat *relation.Snapshot, stmt *SelectStmt, ctx *execCtx, pipelines func([]projItem) (*gather, error)) (*compiled, error) {
 	ap, err := buildAggPlan(stmt)
 	if err != nil {
 		return nil, err
@@ -480,7 +482,8 @@ func compileAggregate(stmt *SelectStmt, ctx *execCtx, pipelines func([]projItem)
 	if err != nil {
 		return nil, err
 	}
-	schema, grouped, err := g.aggregate(ap.groupCols, ap.specs)
+	pages := planPages(cat, stmt, ap, g.ps[0].scan)
+	schema, grouped, err := g.aggregate(ap.groupCols, ap.specs, pages)
 	if err != nil {
 		return nil, err
 	}
@@ -488,7 +491,11 @@ func compileAggregate(stmt *SelectStmt, ctx *execCtx, pipelines func([]projItem)
 	if g.morsels > 0 {
 		op = "PartialAggregate"
 	}
-	node := &PlanNode{Op: op, Detail: aggDetail(ap.groupCols, ap.rw.calls), Children: []*PlanNode{g.input()}}
+	detail := aggDetail(ap.groupCols, ap.rw.calls)
+	if pages != nil {
+		detail += " [pages]"
+	}
+	node := &PlanNode{Op: op, Detail: detail, Children: []*PlanNode{g.input()}}
 	return compileAggPost(schema, grouped, g.node(node, ""), stmt, ctx, ap)
 }
 

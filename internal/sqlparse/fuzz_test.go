@@ -26,8 +26,9 @@ import (
 //   - the digits of a float computed by sum()/avg(), whose association order
 //     follows the access path.
 //
-// The corpus is seeded from the equivalence generators' output and with
-// clustered-range predicates over t and ti.
+// The corpus is seeded from the equivalence generators' output, with
+// clustered-range predicates over t and ti, and with aggregates over t at
+// each edge of page containment (the page-partial memo).
 func FuzzPlannedVsScan(f *testing.F) {
 	rng := rand.New(rand.NewSource(20260925))
 	for i := 0; i < 24; i++ {
@@ -52,6 +53,19 @@ func FuzzPlannedVsScan(f *testing.F) {
 	} {
 		f.Add("SELECT * FROM t WHERE " + pred)
 		f.Add("SELECT grp, count(*) AS n, max(sparse) AS mx FROM ti WHERE " + pred + " GROUP BY grp")
+	}
+
+	// Containment edges of the page-partial memo over t's pages (page p holds
+	// ids p*1024 .. p*1024+1023): inclusive and exclusive bounds at a page's
+	// min and max, NULL-bearing pages, NOT BETWEEN, != and a single-valued IN.
+	for _, pred := range []string{
+		"id >= 1024", "id > 1024", "id > 1023", "id <= 2047", "id < 2047", "id < 2048",
+		"id BETWEEN 1024 AND 2047", "id BETWEEN 1025 AND 2047", "sparse >= 0", "sparse IS NULL",
+		"sparse IS NOT NULL AND id >= 2048", "id NOT BETWEEN 1024 AND 2047", "grp != 'g00'",
+		"id != 3000", "grp IN ('g00')", "(id < 1024 OR grp IN ('g02'))",
+	} {
+		f.Add("SELECT count(*) FROM t WHERE " + pred)
+		f.Add("SELECT grp, count(*), min(id), max(sparse), sum(u), avg(sparse) FROM t WHERE " + pred + " GROUP BY grp")
 	}
 
 	var db *relation.Database // built on first use: the fuzz engine runs one target function per process at a time

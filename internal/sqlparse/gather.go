@@ -190,8 +190,11 @@ func (g *gather) rows() iter.Seq[relation.Row] {
 // aggregate sinks every pipeline into its own relation.PartialAgg and
 // returns the aggregated schema and row sequence: the one sink rendered as
 // is when serial, the workers' partials merged and rendered in key order
-// otherwise. Like rows, nothing runs until the sequence is ranged.
-func (g *gather) aggregate(groupCols []string, specs []relation.AggSpec) (*relation.Schema, iter.Seq[relation.Row], error) {
+// otherwise. With a pagePlan, each pipeline walks its range page by page
+// (walkPages), merging the stored partials of the pages the plan covers in
+// full; the sink is then a merge too, and renders in key order. Like rows,
+// nothing runs until the sequence is ranged.
+func (g *gather) aggregate(groupCols []string, specs []relation.AggSpec, pages *pagePlan) (*relation.Schema, iter.Seq[relation.Row], error) {
 	sinks := make([]*relation.PartialAgg, len(g.ps))
 	for w, p := range g.ps {
 		var err error
@@ -200,7 +203,20 @@ func (g *gather) aggregate(groupCols []string, specs []relation.AggSpec) (*relat
 		}
 	}
 	return sinks[0].Schema(), func(yield func(relation.Row) bool) {
-		g.run(func(w, _ int) { sinks[w].Consume(g.ps[w].it) })
+		if pages == nil {
+			g.run(func(w, _ int) { sinks[w].Consume(g.ps[w].it) })
+		} else {
+			memo := pages.table.PageAggs(pages.groupPos, specs, pages.argPos, pages.contains, len(g.ps))
+			storeLen := g.ps[0].scan.StoreLen()
+			g.run(func(w, m int) {
+				lo, hi := 0, storeLen
+				if g.morsels > 0 {
+					lo = m * morselRows
+					hi = min(lo+morselRows, storeLen)
+				}
+				walkPages(sinks[w], g.ps[w], memo, w, lo, hi)
+			})
+		}
 		for _, o := range sinks[1:] {
 			sinks[0].Merge(o)
 		}
@@ -210,4 +226,85 @@ func (g *gather) aggregate(groupCols []string, specs []relation.AggSpec) (*relat
 			}
 		}
 	}, nil
+}
+
+// walkPages drains row-store positions [lo, hi) of worker w's pipeline p
+// into sink page by page. A page memo hands a partial for is contained: its
+// partial is merged. Every run of other pages is decoded through the
+// pipeline, whose scan still prunes the pages its zone filter rules out.
+func walkPages(sink *relation.PartialAgg, p stream, memo *relation.PageAggs, w, lo, hi int) {
+	decoded := lo // start of the run of pages not yet drained
+	for pg := lo / relation.ZonePageRows; pg*relation.ZonePageRows < hi; pg++ {
+		part := memo.Partial(w, pg)
+		if part == nil {
+			continue
+		}
+		if start := pg * relation.ZonePageRows; decoded < start {
+			p.scan.SetRange(decoded, start)
+			sink.Consume(p.it)
+		}
+		sink.Merge(part)
+		decoded = (pg + 1) * relation.ZonePageRows
+	}
+	if decoded < hi {
+		p.scan.SetRange(decoded, hi)
+		sink.Consume(p.it)
+	}
+}
+
+// pagePlan is an aggregate statement stored page partials can serve
+// (planPages): its table, the table positions of its group keys and of each
+// aggregate's argument (-1 for count(*)), and the containment test of its
+// WHERE (nil without one: every page is contained).
+type pagePlan struct {
+	table            *relation.TableSnapshot
+	groupPos, argPos []int
+	contains         func(*relation.PageZone) bool
+}
+
+// planPages decides whether an aggregate may merge its table's stored page
+// partials (relation.PageAggs), and returns nil when it may not. It may when
+// it reads one base table through a full scan with no join; when every
+// pre-projection item — group key or aggregate argument — is a plain column
+// of that table; when it has no LIMIT or OFFSET (merged partials render in
+// key order; gatherWidth's rule); and when its WHERE, if any, passes the
+// classified-shape gate with a containment test (binder.zoneContains). Any
+// aggregate kind qualifies: sum and avg then add floats in another order,
+// as under a gather.
+func planPages(cat *relation.Snapshot, stmt *SelectStmt, ap *aggPlan, scan *relation.BatchScanOp) *pagePlan {
+	if scan == nil || len(stmt.Joins) > 0 || stmt.Limit >= 0 || stmt.Offset > 0 {
+		return nil
+	}
+	t, ok := cat.Table(stmt.From.Name)
+	if !ok {
+		return nil
+	}
+	b := binder{schema: t.Schema()}
+	pos := make([]int, len(ap.pre))
+	for i, it := range ap.pre {
+		ref, ok := it.expr.(*ColumnRef)
+		if !ok {
+			return nil
+		}
+		var err error
+		if pos[i], err = b.resolve(ref); err != nil {
+			return nil
+		}
+	}
+	pp := &pagePlan{table: t, groupPos: pos[:len(ap.groupCols)]}
+	args := pos[len(ap.groupCols):]
+	for _, spec := range ap.specs {
+		if spec.Kind == relation.AggCountStar {
+			pp.argPos = append(pp.argPos, -1)
+			continue
+		}
+		pp.argPos = append(pp.argPos, args[0])
+		args = args[1:]
+	}
+	if stmt.Where != nil {
+		if pp.contains, ok = b.zoneContains(stmt.Where); !ok || pp.contains == nil {
+			return nil
+		}
+	}
+	return pp
 }

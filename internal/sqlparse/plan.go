@@ -409,7 +409,8 @@ type sargable struct {
 
 // planTableAccess picks the cheapest access path the pushed conjuncts allow:
 // hash-index lookup > full scan. Range shapes need no path of their own: the
-// full scan's zone maps skip the pages they rule out (DESIGN §13).
+// full scan's zone maps skip the pages they rule out (DESIGN §13), and a
+// lookup drops the candidates on such pages before resolving them.
 // Unconsumed conjuncts become a residual filter over the narrowed stream.
 // Access paths resolve rows through the pinned table's visibility. Every
 // path emits batches of the needed columns: the lookup gathers them from the
@@ -442,9 +443,16 @@ func planTableAccess(t *relation.TableSnapshot, ref TableRef, conjs []Expr, ctx 
 		}
 	}
 	var out stream
-	zonemap := false // the scan skips pages by zone; shown on its Filter line
+	zonemap := false // the access path skips pages by zone; shown on its Filter line
 	if hashCols != nil {
-		it, err := relation.NewIndexLookup(t, hashCols, keys, needed)
+		// The lookup drops candidate ids whose page zone rules the residual
+		// out, under the same gate as the scan's pruning.
+		var zf relation.ZoneFilter
+		if len(residual) > 0 {
+			zf, _ = binder{schema: schema}.zoneFilter(combineAnd(residual))
+			zonemap = zf != nil
+		}
+		it, err := relation.NewIndexLookup(t, hashCols, keys, needed, zf)
 		if err != nil {
 			return stream{}, err
 		}

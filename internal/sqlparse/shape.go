@@ -145,3 +145,18 @@ func (iv *interval) disjoint(zmin, zmax *relation.Value) bool {
 	}
 	return false
 }
+
+// contains reports that iv admits every value in [zmin, zmax].
+func (iv *interval) contains(zmin, zmax *relation.Value) bool {
+	if !iv.lo.IsNull() {
+		if c := relation.ComparePtr(&iv.lo, zmin); c > 0 || (c == 0 && !iv.loIncl) {
+			return false
+		}
+	}
+	if !iv.hi.IsNull() {
+		if c := relation.ComparePtr(&iv.hi, zmax); c < 0 || (c == 0 && !iv.hiIncl) {
+			return false
+		}
+	}
+	return true
+}

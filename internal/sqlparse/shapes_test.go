@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -44,17 +45,7 @@ func addShapeTables(t *testing.T, db *relation.Database, pages int) {
 			}
 		}
 		for i := 0; i < pages*relation.ZonePageRows+300; i++ {
-			page := i / relation.ZonePageRows
-			sparse := relation.Float(float64(i%relation.ZonePageRows) / 8)
-			if page == 4 || page == 5 || (page%2 == 1 && i%7 == 0) {
-				sparse = relation.Null()
-			}
-			if _, err := tbl.Insert(relation.Row{
-				relation.Int(int64(i)),
-				relation.Text(fmt.Sprintf("g%02d", i/1536)),
-				sparse,
-				relation.Int(int64(i * 37 % 100)),
-			}); err != nil {
+			if _, err := tbl.Insert(shapeRow(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -270,5 +261,49 @@ func TestRangeEdgesOverZonePages(t *testing.T) {
 	}
 	if res := mustRun(t, db, "SELECT * FROM e WHERE score BETWEEN 0 AND 1"); len(res.Rows) != 0 {
 		t.Fatalf("empty table: %d rows", len(res.Rows))
+	}
+}
+
+// TestNaNCellsOverZonePages: NaN orders above every other number and equals
+// itself (relation.Compare), so a page zone's [Min, Max] bounds its NaN
+// cells: zone pruning keeps a page whose NaN cells pass a predicate, and
+// page containment never takes a page whose NaN cells fail one. Each page
+// alternates 1.0 and NaN; every answer equals the reference executor's
+// and a closed-form count.
+func TestNaNCellsOverZonePages(t *testing.T) {
+	const page = relation.ZonePageRows
+	db := relation.NewDatabase()
+	tbl, err := db.CreateTable("f", relation.MustSchema(relation.Column{Name: "v", Type: relation.TFloat}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*page; i++ {
+		v := 1.0
+		if i%2 == 1 {
+			v = math.NaN()
+		}
+		if _, err := tbl.Insert(relation.Row{relation.Float(v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.AdvanceEpoch(time.Now())
+	for _, tc := range []struct {
+		pred string
+		want int64
+	}{
+		{"v = 7", 0}, {"v < 5", page}, {"v > 5", page}, {"v >= 1", 2 * page},
+		{"v BETWEEN 0 AND 2", page}, {"v != 1", page}, {"v IS NOT NULL", 2 * page},
+	} {
+		for range 2 { // cold, then over the stored page partials
+			q := "SELECT count(*) FROM f WHERE " + tc.pred
+			res := mustRun(t, db, q)
+			ref, err := ExecuteScan(latest(t, db), mustParse(t, q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Rows[0][0].AsInt(); got != tc.want || relation.Compare(res.Rows[0][0], ref.Rows[0][0]) != 0 {
+				t.Errorf("%s: planned %d, reference %v, want %d", q, got, ref.Rows[0][0], tc.want)
+			}
+		}
 	}
 }

@@ -116,3 +116,98 @@ func (b binder) zoneFilter(e Expr) (zf relation.ZoneFilter, ok bool) {
 		return iv.disjoint(&cz.Min, &cz.Max)
 	}, true
 }
+
+// zoneContains compiles a WHERE predicate into the containment test of a
+// page: true when provably every row of the page satisfies the predicate, so
+// an aggregate may take the page's stored partial instead of filtering its
+// rows (relation.PageAggs). It mirrors zoneFilter — the same gate, so ok is
+// false unless every leaf is a classified shape whose columns resolve — and
+// must be conservative in the other direction: returning false is always
+// safe. With ok true, zc is nil when the predicate can never contain a page.
+//
+// Rules per shape. A zone's Min/Max bound only the non-NULL cells, and a
+// NULL cell satisfies no comparison, so every shape but IS NULL needs its
+// column's NullCount to be 0:
+//
+//   - Range shapes (=, <, <=, >, >=, BETWEEN): [Min, Max] lies inside the
+//     interval. NOT BETWEEN: [Min, Max] is disjoint from [lo, hi].
+//   - col != lit: lit lies outside [Min, Max].
+//   - IN: the page is constant (Min == Max) on a non-NULL list literal.
+//   - IS NULL: NullCount == Rows; IS NOT NULL: NullCount == 0.
+//   - A NULL literal satisfies no row: never.
+//   - AND: both sides contain the page. OR: either side does.
+//   - Column-vs-column comparisons and NOT IN: never.
+func (b binder) zoneContains(e Expr) (zc func(*relation.PageZone) bool, ok bool) {
+	if x, isBin := e.(*BinaryExpr); isBin && (x.Op == "AND" || x.Op == "OR") {
+		l, lok := b.zoneContains(x.Left)
+		r, rok := b.zoneContains(x.Right)
+		switch {
+		case !lok || !rok:
+			return nil, false
+		case x.Op == "AND" && (l == nil || r == nil):
+			return nil, true
+		case x.Op == "AND":
+			return func(z *relation.PageZone) bool { return l(z) && r(z) }, true
+		case l == nil:
+			return r, true
+		case r == nil:
+			return l, true
+		}
+		return func(z *relation.PageZone) bool { return l(z) || r(z) }, true
+	}
+	s, ok := classify(e)
+	if !ok {
+		return nil, false
+	}
+	p, err := b.resolve(s.col)
+	if err != nil {
+		return nil, false
+	}
+	switch {
+	case s.other != nil:
+		_, err = b.resolve(s.other)
+		return nil, err == nil
+	case s.op == "is null":
+		negate := s.negate
+		return func(z *relation.PageZone) bool {
+			if negate {
+				return z.Cols[p].NullCount == 0
+			}
+			return z.Cols[p].NullCount == z.Rows
+		}, true
+	case s.op == "in" && s.negate, s.nullLit() && s.op != "in":
+		return nil, true
+	case s.op == "in":
+		lits := s.lits
+		return func(z *relation.PageZone) bool {
+			cz := &z.Cols[p]
+			if cz.NullCount > 0 || relation.ComparePtr(&cz.Min, &cz.Max) != 0 {
+				return false
+			}
+			for k := range lits {
+				if !lits[k].IsNull() && relation.ComparePtr(&lits[k], &cz.Min) == 0 {
+					return true
+				}
+			}
+			return false
+		}, true
+	case s.op == "!=":
+		iv := interval{lo: s.lits[0], hi: s.lits[0], loIncl: true, hiIncl: true}
+		return func(z *relation.PageZone) bool {
+			cz := &z.Cols[p]
+			return cz.NullCount == 0 && iv.disjoint(&cz.Min, &cz.Max)
+		}, true
+	}
+	iv, _ := s.interval()
+	negate := s.negate
+	return func(z *relation.PageZone) bool {
+		cz := &z.Cols[p]
+		if cz.NullCount > 0 {
+			return false
+		}
+		if negate {
+			return iv.disjoint(&cz.Min, &cz.Max)
+		}
+		return iv.contains(&cz.Min, &cz.Max)
+	}, true
+}
