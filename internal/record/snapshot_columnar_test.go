@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -438,4 +440,77 @@ func FuzzColumnarPageRead(f *testing.F) {
 			}
 		}
 	})
+}
+
+// nanLossTables logs a run's losses, every 97th of which diverged to NaN:
+// one complete logs page and a partial one, an epoch every 100 rows.
+func nanLossTables(t *testing.T) *Tables {
+	t.Helper()
+	db := relation.NewDatabase()
+	tables, err := CreateTables(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < relation.ZonePageRows+40; i++ {
+		v := float64(i%11) + 0.5
+		if i%97 == 3 {
+			v = math.NaN()
+		}
+		s, vt := FormatValue(v)
+		if err := tables.Apply(&LogRecord{Kind: KindLog, ProjID: "p", Tstamp: int64(i / 100), Filename: "train.py",
+			CtxID: int64(i), ValueName: "loss", Value: s, ValueType: vt}); err != nil {
+			t.Fatal(err)
+		}
+		if i%100 == 99 {
+			db.AdvanceEpoch(time.Unix(0, 0))
+		}
+	}
+	db.AdvanceEpoch(time.Unix(0, 0))
+	return tables
+}
+
+// TestSnapshotWithLoggedNaNLoss: testdata/nan_loss.snap holds nanLossTables
+// as written by the build whose relation.Compare still let NaN equal every
+// number. A logged float reaches logs.value as text ("NaN"), no snapshot
+// table has a FLOAT column, and the reader refuses a float cell, so no
+// persisted zone bounds a float: the ordering of NaN changes no zone on
+// disk. The file opens, reads back every loss, and is byte for byte the file
+// this writer writes from the same log.
+func TestSnapshotWithLoggedNaNLoss(t *testing.T) {
+	data, err := os.ReadFile("testdata/nan_loss.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := snapTables(t)
+	if _, err := ReadSnapshot(data, dst); err != nil {
+		t.Fatalf("snapshot with a logged NaN loss refused: %v", err)
+	}
+	above, nans, wantAbove, wantNaNs := 0, 0, 0, 0
+	for i := 0; i < relation.ZonePageRows+40; i++ {
+		switch {
+		case i%97 == 3:
+			wantNaNs++
+		case float64(i%11)+0.5 > 5:
+			wantAbove++
+		}
+	}
+	for _, r := range latest(dst.Logs).Rows() {
+		v := ParseValue(r[5].AsText(), ValueType(r[6].AsInt()))
+		switch f := v.AsFloat(); {
+		case math.IsNaN(f):
+			nans++
+		case f > 5:
+			above++
+		}
+	}
+	if above != wantAbove || nans != wantNaNs {
+		t.Fatalf("losses above 5: %d, NaN: %d; want %d and %d", above, nans, wantAbove, wantNaNs)
+	}
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, SnapshotMeta{Version: SnapshotVersion, Seq: 7, MaxTstamp: 10}, nanLossTables(t)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), data) {
+		t.Fatal("this writer writes the logged NaN losses differently from the file on disk")
+	}
 }

@@ -27,7 +27,9 @@ import (
 // Two constant bounds keep the memo small beside the row store: a signature
 // whose page partial holds more than memoMaxGroups groups is refused on that
 // table (and the refusal remembered), and a table holds at most memoMaxSigs
-// signatures, first come.
+// signatures, first come. A refusal holds no slot: it is a name in a set
+// beside the memo's entries, so ad-hoc high-cardinality groupings cannot
+// crowd out a signature the memo can serve.
 const (
 	memoMaxGroups = ZonePageRows / 16
 	memoMaxSigs   = 8
@@ -40,29 +42,35 @@ type memoStats struct {
 	groups                  atomic.Int64 // groups held by published page partials
 }
 
-// aggMemo is a table's page-partial store, keyed by signature.
+// aggMemo is a table's page-partial store, keyed by signature, and the set
+// of signatures it refused.
 type aggMemo struct {
-	mu   sync.Mutex
-	sigs map[string]*memoEntry
+	mu      sync.Mutex
+	sigs    map[string]*memoEntry
+	refused map[string]struct{}
 }
 
 // memoEntry holds one signature's page partials. Readers load pages without
 // a lock; publishers serialize on mu and either fill a slot of the current
 // slice or publish a longer copy.
 type memoEntry struct {
+	sig     string
 	mu      sync.Mutex
 	pages   atomic.Pointer[[]atomic.Pointer[PartialAgg]] // page-indexed; a nil slot is not built yet
 	refused atomic.Bool
 }
 
 // entry returns the memo entry for sig, creating it while the table holds
-// fewer than memoMaxSigs signatures; nil when there is no room for it. A
-// refused signature keeps its entry, so the refusal is remembered.
+// fewer than memoMaxSigs signatures; nil when sig was refused or there is no
+// room for it.
 func (m *aggMemo) entry(sig string, stats *memoStats) *memoEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if e, ok := m.sigs[sig]; ok {
 		return e
+	}
+	if _, ok := m.refused[sig]; ok {
+		return nil
 	}
 	if len(m.sigs) >= memoMaxSigs {
 		stats.refusals.Inc()
@@ -71,9 +79,21 @@ func (m *aggMemo) entry(sig string, stats *memoStats) *memoEntry {
 	if m.sigs == nil {
 		m.sigs = make(map[string]*memoEntry)
 	}
-	e := &memoEntry{}
+	e := &memoEntry{sig: sig}
 	m.sigs[sig] = e
 	return e
+}
+
+// refuse moves e's signature from the entries to the refused set, freeing
+// its slot.
+func (m *aggMemo) refuse(e *memoEntry) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.sigs, e.sig)
+	if m.refused == nil {
+		m.refused = make(map[string]struct{})
+	}
+	m.refused[e.sig] = struct{}{}
 }
 
 // load returns page p's published partial, or nil.
@@ -85,11 +105,11 @@ func (e *memoEntry) load(p int) *PartialAgg {
 }
 
 // publish stores part as page p's partial, unless the signature is refused
-// or part has too many groups (which refuses it and drops what the entry
-// held). It returns page p's partial: another builder's equal one when that
-// builder won the race, else part, which serves the caller's statement
-// whether or not the memo kept it.
-func (e *memoEntry) publish(p int, part *PartialAgg, stats *memoStats) *PartialAgg {
+// or part has too many groups (which refuses it on m, freeing its slot, and
+// drops what the entry held). It returns page p's partial: another
+// builder's equal one when that builder won the race, else part, which
+// serves the caller's statement whether or not the memo kept it.
+func (e *memoEntry) publish(m *aggMemo, p int, part *PartialAgg, stats *memoStats) *PartialAgg {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.refused.Load() {
@@ -97,6 +117,7 @@ func (e *memoEntry) publish(p int, part *PartialAgg, stats *memoStats) *PartialA
 	}
 	if len(part.h.groups) > memoMaxGroups {
 		e.refused.Store(true)
+		m.refuse(e)
 		stats.refusals.Inc()
 		if s := e.pages.Load(); s != nil {
 			for i := range *s {
@@ -169,11 +190,11 @@ func (v *TableSnapshot) PageAggs(groupCols []int, aggs []AggSpec, argCols []int,
 // Partial returns, to worker w, the partial aggregate of every row of page p
 // when the pin sees the whole page and contains accepts the page's zone,
 // building and publishing it the first time any statement needs it. nil
-// means the caller decodes the page: it is cut short, not contained, or the
-// signature has no memo on this table. Distinct workers may call it
-// concurrently.
+// means the caller decodes the page: it is cut short, not contained, the
+// signature has no memo on this table, or pa is nil (the statement has no
+// page plan). Distinct workers may call it concurrently.
 func (pa *PageAggs) Partial(w, p int) *PartialAgg {
-	if pa.e == nil || (p+1)*ZonePageRows > pa.v.n || pa.e.refused.Load() {
+	if pa == nil || pa.e == nil || (p+1)*ZonePageRows > pa.v.n || pa.e.refused.Load() {
 		return nil
 	}
 	if pa.contains != nil && (p >= len(pa.zones) || !pa.contains(&pa.zones[p])) {
@@ -198,5 +219,5 @@ func (pa *PageAggs) Partial(w, p int) *PartialAgg {
 	part := &PartialAgg{h: newAggHash(), groupPos: pa.groupPos, aggPos: pa.argPos, aggs: pa.aggs}
 	scan.SetRange(p*ZonePageRows, (p+1)*ZonePageRows)
 	part.Consume(scan)
-	return pa.e.publish(p, part, stats)
+	return pa.e.publish(&pa.v.owner.memo, p, part, stats)
 }

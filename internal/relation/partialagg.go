@@ -25,7 +25,7 @@ type PartialAgg struct {
 	aggPos   []int
 	aggs     []AggSpec
 	schema   *Schema
-	merged   bool // another partial was folded in: first-seen order is gone
+	keyOrder bool // render in encoded-key order: a partial was or may be folded in
 }
 
 // NewPartialAgg builds an aggregation sink over the projected input schema
@@ -100,7 +100,7 @@ func (p *PartialAgg) Consume(in BatchIterator) {
 // (pagememo.go). Groups are visited in o's first-seen slice order, never by
 // map iteration, so repeated merges of the same partials are deterministic.
 func (p *PartialAgg) Merge(o *PartialAgg) {
-	p.merged = true
+	p.keyOrder = true
 	p.h.sawAny = p.h.sawAny || o.h.sawAny
 	for idx, grp := range o.h.groups {
 		key := []byte(o.h.keys[idx])
@@ -136,6 +136,12 @@ func mergeAggState(dst, o *aggState, kind AggKind) {
 	}
 }
 
+// RenderInKeyOrder makes Rows order the groups by encoded key, as after a
+// merge, even if nothing is merged: a statement whose sink may or may not
+// take partials (page partials, pagememo.go) then renders one order however
+// many it took.
+func (p *PartialAgg) RenderInKeyOrder() { p.keyOrder = true }
+
 // Rows renders the groups. A sink nothing was merged into emits them in
 // first-seen order, exactly as the row Group does. After a merge, worker
 // scheduling has made first-seen order nondeterministic across runs, so the
@@ -144,7 +150,7 @@ func mergeAggState(dst, o *aggState, kind AggKind) {
 // say ORDER BY, which sorts downstream either way).
 func (p *PartialAgg) Rows() []Row {
 	h := p.h
-	if p.merged {
+	if p.keyOrder {
 		idx := make([]int, len(h.groups))
 		for i := range idx {
 			idx[i] = i

@@ -130,12 +130,17 @@ func (g *gather) node(worker *PlanNode, suffix string) *PlanNode {
 	}
 }
 
-// run drives every pipeline to completion; drain(w, m) consumes what
-// pipeline w produces for morsel m. The serial pipeline runs whole, on the
-// calling goroutine.
-func (g *gather) run(drain func(w, m int)) {
+// run drives every pipeline to completion; drain(w, lo, hi) consumes what
+// pipeline w produces for row-store positions [lo, hi), the range its scan
+// is armed with. The serial pipeline runs whole, on the calling goroutine,
+// over [0, the visible length) — [0, 0) when it reads no table scan.
+func (g *gather) run(drain func(w, lo, hi int)) {
 	if g.morsels == 0 {
-		drain(0, 0)
+		hi := 0
+		if s := g.ps[0].scan; s != nil {
+			hi = s.StoreLen()
+		}
+		drain(0, 0, hi)
 		return
 	}
 	storeLen := g.ps[0].scan.StoreLen()
@@ -152,9 +157,9 @@ func (g *gather) run(drain func(w, m int)) {
 				if m >= g.morsels {
 					return
 				}
-				lo := m * morselRows
-				g.ps[w].scan.SetRange(lo, min(lo+morselRows, storeLen))
-				drain(w, m)
+				lo, hi := m*morselRows, min((m+1)*morselRows, storeLen)
+				g.ps[w].scan.SetRange(lo, hi)
+				drain(w, lo, hi)
 			}
 		}(w)
 	}
@@ -176,7 +181,7 @@ func (g *gather) rows() iter.Seq[relation.Row] {
 	}
 	return func(yield func(relation.Row) bool) {
 		out := make([][]relation.Row, g.morsels)
-		g.run(func(w, m int) { out[m] = slices.Collect(relation.RowsOf(g.ps[w].it)) })
+		g.run(func(w, lo, _ int) { out[lo/morselRows] = slices.Collect(relation.RowsOf(g.ps[w].it)) })
 		for _, rs := range out {
 			for _, r := range rs {
 				if !yield(r) {
@@ -192,8 +197,8 @@ func (g *gather) rows() iter.Seq[relation.Row] {
 // is when serial, the workers' partials merged and rendered in key order
 // otherwise. With a pagePlan, each pipeline walks its range page by page
 // (walkPages), merging the stored partials of the pages the plan covers in
-// full; the sink is then a merge too, and renders in key order. Like rows,
-// nothing runs until the sequence is ranged.
+// full; the sink then renders in key order too, whether or not a page was
+// merged. Like rows, nothing runs until the sequence is ranged.
 func (g *gather) aggregate(groupCols []string, specs []relation.AggSpec, pages *pagePlan) (*relation.Schema, iter.Seq[relation.Row], error) {
 	sinks := make([]*relation.PartialAgg, len(g.ps))
 	for w, p := range g.ps {
@@ -203,20 +208,12 @@ func (g *gather) aggregate(groupCols []string, specs []relation.AggSpec, pages *
 		}
 	}
 	return sinks[0].Schema(), func(yield func(relation.Row) bool) {
-		if pages == nil {
-			g.run(func(w, _ int) { sinks[w].Consume(g.ps[w].it) })
-		} else {
-			memo := pages.table.PageAggs(pages.groupPos, specs, pages.argPos, pages.contains, len(g.ps))
-			storeLen := g.ps[0].scan.StoreLen()
-			g.run(func(w, m int) {
-				lo, hi := 0, storeLen
-				if g.morsels > 0 {
-					lo = m * morselRows
-					hi = min(lo+morselRows, storeLen)
-				}
-				walkPages(sinks[w], g.ps[w], memo, w, lo, hi)
-			})
+		var memo *relation.PageAggs
+		if pages != nil {
+			memo = pages.table.PageAggs(pages.groupPos, specs, pages.argPos, pages.contains, len(g.ps))
+			sinks[0].RenderInKeyOrder()
 		}
+		g.run(func(w, lo, hi int) { walkPages(sinks[w], g.ps[w], memo, w, lo, hi) })
 		for _, o := range sinks[1:] {
 			sinks[0].Merge(o)
 		}
@@ -228,10 +225,12 @@ func (g *gather) aggregate(groupCols []string, specs []relation.AggSpec, pages *
 	}, nil
 }
 
-// walkPages drains row-store positions [lo, hi) of worker w's pipeline p
-// into sink page by page. A page memo hands a partial for is contained: its
-// partial is merged. Every run of other pages is decoded through the
-// pipeline, whose scan still prunes the pages its zone filter rules out.
+// walkPages drains row-store positions [lo, hi) of worker w's pipeline p —
+// the range its scan is armed with — into sink page by page. A page memo
+// hands a partial for is contained: its partial is merged. Every run of
+// other pages is decoded through the pipeline, whose scan still prunes the
+// pages its zone filter rules out. With no page merged (a nil memo among
+// them) the pipeline is drained as armed, scan or not.
 func walkPages(sink *relation.PartialAgg, p stream, memo *relation.PageAggs, w, lo, hi int) {
 	decoded := lo // start of the run of pages not yet drained
 	for pg := lo / relation.ZonePageRows; pg*relation.ZonePageRows < hi; pg++ {
@@ -246,10 +245,10 @@ func walkPages(sink *relation.PartialAgg, p stream, memo *relation.PageAggs, w, 
 		sink.Merge(part)
 		decoded = (pg + 1) * relation.ZonePageRows
 	}
-	if decoded < hi {
+	if decoded > lo {
 		p.scan.SetRange(decoded, hi)
-		sink.Consume(p.it)
 	}
+	sink.Consume(p.it)
 }
 
 // pagePlan is an aggregate statement stored page partials can serve

@@ -240,3 +240,51 @@ func mustParseConcurrent(q string) *SelectStmt {
 	}
 	return stmt
 }
+
+// TestPageStatementsRenderInKeyOrder: a statement marked [pages] renders its
+// groups in encoded-key order whether it merged page partials or decoded
+// every row — before the table has a complete page, at a pin that cuts the
+// first page short, and once pages are merged — serially, so no gather's
+// merge orders them. Rows are inserted with the group keys descending, so
+// first-seen order is the reverse of key order.
+func TestPageStatementsRenderInKeyOrder(t *testing.T) {
+	db := relation.NewDatabase()
+	tbl, err := db.CreateTable("t", relation.MustSchema(relation.Column{Name: "grp", Type: relation.TText}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT grp, count(*) AS n FROM t GROUP BY grp"
+	insert := func(n int) {
+		for i := range n {
+			if _, err := tbl.Insert(relation.Row{relation.Text(fmt.Sprintf("g%d", 2-i%3))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.AdvanceEpoch(time.Now())
+	}
+	insert(300)
+	first := db.Epoch()
+	insert(3 * relation.ZonePageRows)
+	for _, e := range []int64{first, db.Epoch(), db.Epoch()} {
+		snap, err := db.SnapshotAt(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := ExecuteOptions(snap, mustParse(t, "EXPLAIN "+q), ExecOptions{ScanWorkers: 1})
+		if err != nil || !strings.Contains(fmt.Sprint(plan.Rows), "[pages]") {
+			t.Fatalf("%s is not marked [pages] (err %v): %v", q, err, plan)
+		}
+		got, err := ExecuteOptions(snap, mustParse(t, q), ExecOptions{ScanWorkers: 1})
+		snap.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		for _, r := range got.Rows {
+			keys = append(keys, r[0].AsText())
+		}
+		if fmt.Sprint(keys) != "[g0 g1 g2]" {
+			t.Fatalf("at epoch %d: groups %v, want key order [g0 g1 g2]", e, keys)
+		}
+	}
+}
