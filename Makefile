@@ -105,8 +105,9 @@ bench-pair:
 # fuzz runs a short smoke pass over every native fuzz target (WAL line
 # decoder and encoder against encoding/json, WAL replay, snapshot reader,
 # planned-vs-reference SQL execution, version-store journal load, hindsight
-# replay against re-execution of generated scripts, the value JSON appender
-# against encoding/json, the pivot against its map-per-row reference); CI
+# replay against re-execution of generated scripts, script propagation
+# against its invariants, the value JSON appender against encoding/json, the
+# pivot against its map-per-row reference); CI
 # runs it on each push for 10 s per target, the nightly job for 2 minutes:
 #   make fuzz FUZZTIME=2m
 FUZZTIME ?= 10s
@@ -119,6 +120,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzPlannedVsScan$$' -fuzztime $(FUZZTIME) ./internal/sqlparse
 	go test -run '^$$' -fuzz '^FuzzRepoLoad$$' -fuzztime $(FUZZTIME) ./internal/vcs
 	go test -run '^$$' -fuzz '^FuzzHindsightPlan$$' -fuzztime $(FUZZTIME) ./internal/replay
+	go test -run '^$$' -fuzz '^FuzzPropagate$$' -fuzztime $(FUZZTIME) ./internal/script
 	go test -run '^$$' -fuzz '^FuzzAppendJSON$$' -fuzztime $(FUZZTIME) ./internal/relation
 	go test -run '^$$' -fuzz '^FuzzPivotMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/pivot
 

@@ -141,7 +141,7 @@ func (d *Driver) replayOne(filename string, newF *script.File, job VersionJob, t
 		}
 	}
 
-	facts := analyze(merged)
+	facts := analyze(merged, res.IsInjected)
 	rep.Mode = "coarse"
 	if facts.innerNeeded {
 		rep.Mode = "full"

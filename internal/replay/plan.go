@@ -39,15 +39,16 @@ type scriptFacts struct {
 // iteration. Where unsure it answers FULL and from the start. func bodies
 // are read as globals: their reads count everywhere and their writes in
 // every loop. A func that holds a flor.loop or an injected statement, or a
-// script with no checkpoint loop, gets FULL.
-func analyze(f *script.File) scriptFacts {
+// script with no checkpoint loop, gets FULL. injected reports whether
+// propagation put a statement into f (script.PropagateResult.IsInjected).
+func analyze(f *script.File, injected func(script.Stmt) bool) scriptFacts {
 	a := &analysis{mutable: names{}}
 	a.scan(f.Stmts, nil, nil)
 	var fx scriptFacts
 
 	funcReads, funcWrites := names{}, names{}
 	for _, d := range a.funcs {
-		if anyStmt(d.Body, isInjected) || anyStmt(d.Body, isFlorLoop) {
+		if script.Inspect(d.Body, injected) || script.Inspect(d.Body, isFlorLoop) {
 			fx = scriptFacts{innerNeeded: true, carried: true}
 		}
 		params := names{}
@@ -72,7 +73,7 @@ func analyze(f *script.File) scriptFacts {
 			outside := a.use(f.Stmts, nil, nil, l).reads
 			outside.add(funcReads)
 			outside.add(in.early)
-			if anyStmt(l.Body, isInjected) || in.writes.meets(outside) {
+			if script.Inspect(l.Body, injected) || in.writes.meets(outside) {
 				fx.innerNeeded = true
 			}
 		}
@@ -145,11 +146,11 @@ func (a *analysis) scan(ss []script.Stmt, objs names, c *checkpointLoop) {
 				a.ckptLoops = append(a.ckptLoops, cl)
 				a.scan(x.Body, nil, cl)
 				continue
-			case c != nil && anyStmt(x.Body, isFlorLoop):
+			case c != nil && script.Inspect(x.Body, isFlorLoop):
 				c.repeated = true
 			}
 		case *script.WhileStmt:
-			if c != nil && anyStmt(x.Body, isFlorLoop) {
+			if c != nil && script.Inspect(x.Body, isFlorLoop) {
 				c.repeated = true
 			}
 		case *script.WithStmt:
@@ -295,9 +296,6 @@ func overRange(s *script.ForStmt) bool {
 	return ok && call.Fn == "range"
 }
 
-// isInjected reports whether propagation added s (it has no source line).
-func isInjected(s script.Stmt) bool { return s.Line() == 0 }
-
 func isFlorLoop(s script.Stmt) bool {
 	f, ok := s.(*script.ForStmt)
 	if !ok {
@@ -305,20 +303,4 @@ func isFlorLoop(s script.Stmt) bool {
 	}
 	call, ok := f.Iterable.(*script.CallExpr)
 	return ok && call.Fn == "flor.loop"
-}
-
-// anyStmt reports whether pred holds for a statement in ss or nested in
-// one.
-func anyStmt(ss []script.Stmt, pred func(script.Stmt) bool) bool {
-	for _, s := range ss {
-		if pred(s) {
-			return true
-		}
-		for _, b := range script.Body(s) {
-			if anyStmt(b, pred) {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -627,8 +627,8 @@ func TestHindsightPlanRegressions(t *testing.T) {
 
 			oldF, _ := script.Parse("train.flow", tc.old)
 			newF, _ := script.Parse("train.flow", tc.new)
-			merged, _ := script.Propagate(oldF, newF)
-			if got := analyze(merged); got != tc.facts {
+			merged, res := script.Propagate(oldF, newF)
+			if got := analyze(merged, res.IsInjected); got != tc.facts {
 				t.Fatalf("plan facts = %+v, want %+v", got, tc.facts)
 			}
 
@@ -838,6 +838,7 @@ func TestReplayPlanAnalysis(t *testing.T) {
 	withLast := edit(innerXSrc, change{"net = make_model()", "func last() {\n    return x\n}\nnet = make_model()"})
 	twoInner := edit(trainSrc, afterInner("for k in flor.loop(\"eval\", range(2)) {\n            train_step(net, k)\n        }"))
 	noCkpt := "for i in flor.loop(\"i\", range(3)) {\n    y = i\n}\n"
+	noInner := edit(trainSrc, change{"        for step in flor.loop(\"step\", range(3)) {\n            train_step(net, epoch * 3 + step)\n        }\n", "        train_step(net, epoch)\n"})
 	cases := []struct {
 		name, old, new string
 		want           scriptFacts
@@ -859,6 +860,14 @@ func TestReplayPlanAnalysis(t *testing.T) {
 			edit(twoInner, afterAcc(`flor.log("acc2", acc)`)), scriptFacts{innerNeeded: true}},
 		{"no checkpoint loop", noCkpt,
 			edit(noCkpt, change{"    y = i\n", "    y = i\n    flor.log(\"y\", y)\n"}), scriptFacts{innerNeeded: true}},
+		// Injected compounds: what analyze finds inside them counts as
+		// injected, not only the statement propagation added.
+		{"new if holding a log in the inner loop", trainSrc,
+			edit(trainSrc, change{"step)\n        }", "step)\n            if step > 0 {\n                flor.log(\"step\", step)\n            }\n        }"}), scriptFacts{innerNeeded: true}},
+		{"new func holding a log", trainSrc,
+			edit(trainSrc, change{"net = make_model()", "func probe(v) {\n    flor.log(\"probe\", v)\n}\nnet = make_model()"}), scriptFacts{innerNeeded: true, carried: true}},
+		{"new inner loop holding a log", noInner,
+			edit(noInner, change{"        train_step(net, epoch)\n", "        train_step(net, epoch)\n        for k in flor.loop(\"probe\", range(2)) {\n            flor.log(\"probe\", k)\n        }\n"}), scriptFacts{innerNeeded: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -874,7 +883,7 @@ func TestReplayPlanAnalysis(t *testing.T) {
 			if res.Injected == 0 {
 				t.Fatal("nothing injected")
 			}
-			if got := analyze(merged); got != tc.want {
+			if got := analyze(merged, res.IsInjected); got != tc.want {
 				t.Fatalf("facts = %+v, want %+v\n%s", got, tc.want, script.Print(merged))
 			}
 		})

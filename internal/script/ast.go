@@ -8,8 +8,8 @@ import (
 
 // Node is any AST node.
 type Node interface {
-	// Line is the 1-based source line the node starts on (0 for injected
-	// nodes that have no source position).
+	// Line is the 1-based source line the node starts on. A statement
+	// propagation injects keeps its line in the version it came from.
 	Line() int
 }
 
@@ -328,7 +328,10 @@ func (*WithStmt) stmtNode() {}
 // Signature implements Stmt.
 func (s *WithStmt) Signature() string { return "with " + s.Call.Render() }
 
-// File is a parsed Flow source file.
+// File is a parsed Flow source file. An AST is immutable after Parse:
+// nothing writes to a node, so files may share nodes (propagation builds a
+// merged file from the nodes of both versions) and goroutines may run and
+// read one file at once.
 type File struct {
 	Name  string
 	Stmts []Stmt
@@ -398,22 +401,47 @@ func Body(s Stmt) [][]Stmt {
 	}
 }
 
-// SetBody replaces the i-th child block of a compound statement.
-func SetBody(s Stmt, i int, body []Stmt) {
+// withBodies returns a shallow copy of the compound statement s holding
+// bodies, given in Body's order, in place of its own.
+func withBodies(s Stmt, bodies [][]Stmt) Stmt {
 	switch x := s.(type) {
 	case *IfStmt:
-		if i == 0 {
-			x.Then = body
-		} else {
-			x.Else = body
-		}
+		c := *x
+		c.Then, c.Else = bodies[0], bodies[1]
+		return &c
 	case *ForStmt:
-		x.Body = body
+		c := *x
+		c.Body = bodies[0]
+		return &c
 	case *WhileStmt:
-		x.Body = body
+		c := *x
+		c.Body = bodies[0]
+		return &c
 	case *FuncStmt:
-		x.Body = body
+		c := *x
+		c.Body = bodies[0]
+		return &c
 	case *WithStmt:
-		x.Body = body
+		c := *x
+		c.Body = bodies[0]
+		return &c
 	}
+	return s
+}
+
+// Inspect calls fn on every statement in stmts and nested in them, each
+// compound statement before its bodies, and stops at the first for which
+// fn returns true. It reports whether fn did.
+func Inspect(stmts []Stmt, fn func(Stmt) bool) bool {
+	for _, s := range stmts {
+		if fn(s) {
+			return true
+		}
+		for _, b := range Body(s) {
+			if Inspect(b, fn) {
+				return true
+			}
+		}
+	}
+	return false
 }

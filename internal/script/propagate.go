@@ -32,16 +32,41 @@ import (
 type PropagateResult struct {
 	Injected int // statements inserted into the old version
 	Matched  int // statements aligned between the versions
+	// injected holds each inserted statement and every statement inside
+	// one.
+	injected map[Stmt]bool
 }
 
-// Propagate returns a copy of oldF with the new log-bearing statements of
-// newF injected at their aligned positions. Neither input is mutated.
+// IsInjected reports whether propagation inserted s into the merged file,
+// or s lies inside a statement it inserted.
+func (r PropagateResult) IsInjected(s Stmt) bool { return r.injected[s] }
+
+func (r *PropagateResult) inject(s Stmt) {
+	r.Injected++
+	if r.injected == nil {
+		r.injected = make(map[Stmt]bool)
+	}
+	Inspect([]Stmt{s}, func(x Stmt) bool {
+		r.injected[x] = true
+		return false
+	})
+}
+
+// Propagate returns oldF with the new log-bearing statements of newF
+// injected at their aligned positions. The merged file shares the inputs'
+// nodes: an old statement whose bodies gained nothing and every injected
+// statement appear as themselves, and a matched compound statement whose
+// bodies gained an injection is a shallow copy holding the merged bodies.
+// Neither input is mutated, and an injected statement keeps its line in
+// newF.
 func Propagate(oldF, newF *File) (*File, PropagateResult) {
-	res := &PropagateResult{}
-	merged := propagateBlock(cloneStmts(oldF.Stmts), newF.Stmts, res)
-	return &File{Name: oldF.Name, Stmts: merged}, *res
+	var res PropagateResult
+	merged := propagateBlock(oldF.Stmts, newF.Stmts, &res)
+	return &File{Name: oldF.Name, Stmts: merged}, res
 }
 
+// propagateBlock returns oldStmts itself when nothing was injected into the
+// block or below it.
 func propagateBlock(oldStmts, newStmts []Stmt, res *PropagateResult) []Stmt {
 	oldSigs := make([]string, len(oldStmts))
 	for i, s := range oldStmts {
@@ -54,40 +79,51 @@ func propagateBlock(oldStmts, newStmts []Stmt, res *PropagateResult) []Stmt {
 	// align[j] = index in old of the statement matching new[j], or -1.
 	align := diffkit.Align(oldSigs, newSigs)
 
-	// Start from a copy of the old block; compute, for each old index, the
-	// list of new statements to inject immediately after it (or at the
-	// front for index -1).
-	injections := make(map[int][]Stmt) // old index (insert after) -> stmts
+	// For each old index, the new statements to inject immediately after
+	// it (or at the front for index -1), and the merged copy of a matched
+	// compound statement whose bodies gained an injection.
+	before := res.Injected
+	injections := make(map[int][]Stmt)
+	var merged map[int]Stmt
 	lastMatchedOld := -1
 	for j, s := range newStmts {
-		if align[j] >= 0 {
-			lastMatchedOld = align[j]
-			res.Matched++
-			// Recurse into matched compound statements.
-			oldStmt := oldStmts[align[j]]
-			newBodies := Body(s)
-			oldBodies := Body(oldStmt)
-			if len(newBodies) == len(oldBodies) && len(newBodies) > 0 {
-				for bi := range newBodies {
-					mergedBody := propagateBlock(oldBodies[bi], newBodies[bi], res)
-					SetBody(oldStmt, bi, mergedBody)
-				}
+		i := align[j]
+		if i < 0 {
+			// New statement: inject only if log-bearing.
+			if isLogBearing(s) {
+				injections[lastMatchedOld] = append(injections[lastMatchedOld], s)
+				res.inject(s)
 			}
 			continue
 		}
-		// New statement: inject only if log-bearing.
-		if isLogBearing(s) {
-			injections[lastMatchedOld] = append(injections[lastMatchedOld], markInjected(s))
-			res.Injected++
+		lastMatchedOld = i
+		res.Matched++
+		// Recurse into matched compound statements.
+		oldBodies, newBodies := Body(oldStmts[i]), Body(s)
+		if len(oldBodies) != len(newBodies) {
+			continue
+		}
+		n := res.Injected
+		for bi := range oldBodies {
+			oldBodies[bi] = propagateBlock(oldBodies[bi], newBodies[bi], res)
+		}
+		if res.Injected != n {
+			if merged == nil {
+				merged = make(map[int]Stmt)
+			}
+			merged[i] = withBodies(oldStmts[i], oldBodies)
 		}
 	}
 
-	if len(injections) == 0 {
+	if res.Injected == before {
 		return oldStmts
 	}
 	var out []Stmt
 	out = append(out, injections[-1]...)
 	for i, s := range oldStmts {
+		if m, ok := merged[i]; ok {
+			s = m
+		}
 		out = append(out, s)
 		out = append(out, injections[i]...)
 	}
@@ -113,29 +149,21 @@ func alignSignature(s Stmt) string {
 // flor.log / flor.commit expression statements, assignments whose value
 // feeds a later log (conservatively: any assignment whose right-hand side
 // contains no flor call is allowed — it is a pure derivation), and compound
-// statements any of whose bodies contain a log-bearing statement.
+// statements that hold a log-bearing statement.
 func isLogBearing(s Stmt) bool {
-	switch x := s.(type) {
-	case *ExprStmt:
-		if call, ok := x.X.(*CallExpr); ok {
-			return call.Fn == "flor.log" || call.Fn == "flor.commit"
+	return Inspect([]Stmt{s}, func(c Stmt) bool {
+		switch x := c.(type) {
+		case *ExprStmt:
+			call, ok := x.X.(*CallExpr)
+			return ok && (call.Fn == "flor.log" || call.Fn == "flor.commit")
+		case *AssignStmt:
+			// A new assignment is carried along as a derivation for
+			// subsequent new logs (e.g. `ratio = loss / acc` followed by
+			// `flor.log("ratio", ratio)`).
+			return !containsFlorCall(x.Value) || containsOnlyFlorLog(x.Value)
 		}
 		return false
-	case *AssignStmt:
-		// A new assignment is carried along as a derivation for subsequent
-		// new logs (e.g. `ratio = loss / acc` followed by
-		// `flor.log("ratio", ratio)`).
-		return !containsFlorCall(x.Value) || containsOnlyFlorLog(x.Value)
-	default:
-		for _, body := range Body(s) {
-			for _, child := range body {
-				if isLogBearing(child) {
-					return true
-				}
-			}
-		}
-		return false
-	}
+	})
 }
 
 func containsFlorCall(e Expr) bool {
@@ -193,156 +221,19 @@ func WalkExpr(e Expr, fn func(Expr)) {
 	}
 }
 
-// cloneStmt deep-copies a statement so injection into multiple historical
-// versions never aliases AST nodes.
-func cloneStmt(s Stmt) Stmt {
-	switch x := s.(type) {
-	case *AssignStmt:
-		return &AssignStmt{pos: x.pos, Target: cloneExpr(x.Target), Value: cloneExpr(x.Value)}
-	case *ExprStmt:
-		return &ExprStmt{pos: x.pos, X: cloneExpr(x.X)}
-	case *IfStmt:
-		return &IfStmt{pos: x.pos, Cond: cloneExpr(x.Cond), Then: cloneStmts(x.Then), Else: cloneStmts(x.Else)}
-	case *ForStmt:
-		return &ForStmt{pos: x.pos, Var: x.Var, Iterable: cloneExpr(x.Iterable), Body: cloneStmts(x.Body)}
-	case *WhileStmt:
-		return &WhileStmt{pos: x.pos, Cond: cloneExpr(x.Cond), Body: cloneStmts(x.Body)}
-	case *FuncStmt:
-		return &FuncStmt{pos: x.pos, Name: x.Name, Params: append([]string(nil), x.Params...), Body: cloneStmts(x.Body)}
-	case *ReturnStmt:
-		var e Expr
-		if x.X != nil {
-			e = cloneExpr(x.X)
-		}
-		return &ReturnStmt{pos: x.pos, X: e}
-	case *BreakStmt:
-		return &BreakStmt{pos: x.pos}
-	case *ContinueStmt:
-		return &ContinueStmt{pos: x.pos}
-	case *WithStmt:
-		return &WithStmt{pos: x.pos, Call: cloneExpr(x.Call).(*CallExpr), Body: cloneStmts(x.Body)}
-	default:
-		return s
-	}
-}
-
-// markInjected zeroes a statement's position (recursively) so downstream
-// consumers — replay mode planning, the CLI's diff display — can identify
-// statements that were added by propagation rather than written in the
-// original version.
-func markInjected(s Stmt) Stmt {
-	c := cloneStmt(s)
-	switch x := c.(type) {
-	case *AssignStmt:
-		x.pos = pos{0}
-	case *ExprStmt:
-		x.pos = pos{0}
-	case *IfStmt:
-		x.pos = pos{0}
-	case *ForStmt:
-		x.pos = pos{0}
-	case *WhileStmt:
-		x.pos = pos{0}
-	case *FuncStmt:
-		x.pos = pos{0}
-	case *ReturnStmt:
-		x.pos = pos{0}
-	case *BreakStmt:
-		x.pos = pos{0}
-	case *ContinueStmt:
-		x.pos = pos{0}
-	case *WithStmt:
-		x.pos = pos{0}
-	}
-	for bi, body := range Body(c) {
-		marked := make([]Stmt, len(body))
-		for i, child := range body {
-			marked[i] = markInjected(child)
-		}
-		SetBody(c, bi, marked)
-	}
-	return c
-}
-
-func cloneStmts(stmts []Stmt) []Stmt {
-	out := make([]Stmt, len(stmts))
-	for i, s := range stmts {
-		out[i] = cloneStmt(s)
-	}
-	return out
-}
-
-func cloneExpr(e Expr) Expr {
-	switch x := e.(type) {
-	case *NumberLit:
-		c := *x
-		return &c
-	case *StringLit:
-		c := *x
-		return &c
-	case *BoolLit:
-		c := *x
-		return &c
-	case *NilLit:
-		c := *x
-		return &c
-	case *NameExpr:
-		c := *x
-		return &c
-	case *ListLit:
-		items := make([]Expr, len(x.Items))
-		for i, it := range x.Items {
-			items[i] = cloneExpr(it)
-		}
-		return &ListLit{pos: x.pos, Items: items}
-	case *DictLit:
-		keys := make([]Expr, len(x.Keys))
-		vals := make([]Expr, len(x.Vals))
-		for i := range x.Keys {
-			keys[i] = cloneExpr(x.Keys[i])
-			vals[i] = cloneExpr(x.Vals[i])
-		}
-		return &DictLit{pos: x.pos, Keys: keys, Vals: vals}
-	case *IndexExpr:
-		return &IndexExpr{pos: x.pos, X: cloneExpr(x.X), Index: cloneExpr(x.Index)}
-	case *CallExpr:
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = cloneExpr(a)
-		}
-		kwVals := make([]Expr, len(x.KwVals))
-		for i, a := range x.KwVals {
-			kwVals[i] = cloneExpr(a)
-		}
-		return &CallExpr{pos: x.pos, Fn: x.Fn, Args: args, KwNames: append([]string(nil), x.KwNames...), KwVals: kwVals}
-	case *BinaryExpr:
-		return &BinaryExpr{pos: x.pos, Op: x.Op, L: cloneExpr(x.L), R: cloneExpr(x.R)}
-	case *UnaryExpr:
-		return &UnaryExpr{pos: x.pos, Op: x.Op, X: cloneExpr(x.X)}
-	default:
-		return e
-	}
-}
-
 // LoggedNames returns the set of statically-known value names appearing in
 // flor.log(name, ...) calls with literal name arguments.
 func LoggedNames(f *File) map[string]bool {
 	out := make(map[string]bool)
-	var walk func(stmts []Stmt)
-	walk = func(stmts []Stmt) {
-		for _, s := range stmts {
-			if es, ok := s.(*ExprStmt); ok {
-				if call, isCall := es.X.(*CallExpr); isCall && call.Fn == "flor.log" && len(call.Args) >= 1 {
-					if lit, isLit := call.Args[0].(*StringLit); isLit {
-						out[lit.S] = true
-					}
+	Inspect(f.Stmts, func(s Stmt) bool {
+		if es, ok := s.(*ExprStmt); ok {
+			if call, isCall := es.X.(*CallExpr); isCall && call.Fn == "flor.log" && len(call.Args) >= 1 {
+				if lit, isLit := call.Args[0].(*StringLit); isLit {
+					out[lit.S] = true
 				}
 			}
-			for _, b := range Body(s) {
-				walk(b)
-			}
 		}
-	}
-	walk(f.Stmts)
+		return false
+	})
 	return out
 }

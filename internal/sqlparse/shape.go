@@ -4,7 +4,7 @@ import "flordb/internal/relation"
 
 // Predicate shapes: the WHERE leaves the engine reasons about without
 // evaluating them. classify is the one recognizer; the vectorized kernels
-// (binder.kernelize), zone-map pruning (binder.zoneFilter) and hash-index
+// (binder.kernelize), zone verdicts (binder.zoneVerdict) and hash-index
 // lookups (planTableAccess) each switch on its result.
 
 // shape is one classified leaf:

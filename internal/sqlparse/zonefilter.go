@@ -2,212 +2,194 @@ package sqlparse
 
 import "flordb/internal/relation"
 
-// zoneFilter compiles a pushed WHERE predicate into a relation.ZoneFilter
-// that decides, from a page's per-column min/max and null-count zone,
-// whether the page can be skipped without decoding. It may only skip a page
-// when provably no row in it satisfies the predicate.
+// zoneVerdict is what a page's zone proves about a WHERE predicate over the
+// page's rows. Zone maps answer two questions with it: a page where no row
+// can pass is pruned (binder.zoneFilter), and a page where every row passes
+// is contained — an aggregate may take its stored partial instead of
+// filtering its rows (binder.zoneContains, relation.PageAggs).
+type zoneVerdict uint8
+
+const (
+	zoneSome zoneVerdict = iota // the zone proves neither
+	zoneNone                    // provably no row of the page passes
+	zoneAll                     // provably every row of the page passes
+)
+
+// zoneTest is a compiled verdict. With wantAll false it answers only
+// zoneNone or zoneSome and does no work toward zoneAll, so pruning pays only
+// for its own question.
+type zoneTest func(z *relation.PageZone, wantAll bool) zoneVerdict
+
+// zoneAnswers records which verdicts besides zoneSome a test can ever give.
+type zoneAnswers uint8
+
+const (
+	canNone zoneAnswers = 1 << iota
+	canAll
+)
+
+func alwaysSome(*relation.PageZone, bool) zoneVerdict { return zoneSome }
+
+// zoneVerdict compiles a WHERE predicate into its zone test, with the
+// verdicts it can ever give; t is nil when it can give neither zoneNone nor
+// zoneAll.
 //
-// ok is false, and zf nil, unless every leaf of e is a classified shape
-// whose columns resolve (AND/OR trees of them). That is the gate on
-// pruning: any other leaf could raise a deferred evaluation error on a row,
-// and skipping the page would suppress that error (binder.compile's AND
-// evaluates the right side when the left is NULL, so even one AND conjunct
-// can carry another's error). Shapes never produce evaluation errors, so
-// under this gate pruning is behavior-identical to the serial scan. With
-// ok true, zf is nil when the predicate can never skip a page.
+// ok is false unless every leaf of e is a classified shape whose columns
+// resolve (AND/OR trees of them). That is the gate on both uses: any other
+// leaf could raise a deferred evaluation error on a row, and skipping the
+// page, or taking its partial, would suppress that error (binder.compile's
+// AND evaluates the right side when the left is NULL, so even one AND
+// conjunct can carry another's error). Shapes never produce evaluation
+// errors, so under this gate both are behavior-identical to the serial
+// scan.
 //
-// Soundness per shape (a zone's Min/Max track non-NULL cells only; NULL
-// comparisons are never satisfied, so NULL cells can be ignored for every
-// shape except IS [NOT] NULL, which uses the null count):
-//
-//   - A page whose column zone has Min == NULL holds no non-NULL cell, so
-//     any comparison / IN / BETWEEN prunes it.
-//   - A NULL literal in a comparison or BETWEEN satisfies no row at all —
-//     always skip.
-//   - Range shapes (=, <, <=, >, >=, BETWEEN): skip when their interval is
-//     disjoint from [Min, Max]. NOT BETWEEN: skip when [Min, Max] lies
-//     inside [lo, hi].
-//   - col != lit: skip when Min == lit == Max (every non-NULL cell equals lit).
-//   - IN: skip when every non-NULL list literal falls outside [Min, Max]
-//     (NULL list items never match; an all-NULL list matches nothing).
-//   - IS NULL: skip when NullCount == 0; IS NOT NULL: when NullCount == Rows.
-//   - AND: a page skippable by either conjunct is skippable. OR: only a page
-//     skippable by both disjuncts is skippable.
-//   - Column-vs-column comparisons and NOT IN: never skip.
-//
-// Ordering uses relation.ComparePtr — the same total order the kernels
-// filter by — so numeric cross-type comparisons prune consistently.
-func (b binder) zoneFilter(e Expr) (zf relation.ZoneFilter, ok bool) {
+// Each verdict is a theorem over the zone (DESIGN §13 has the table). A
+// zone's Min/Max bound only the non-NULL cells (both NULL when the page has
+// none) and a NULL cell satisfies no comparison, so zoneNone may ignore NULL
+// cells, and zoneAll needs the column's NullCount to be 0 for every shape
+// but IS [NOT] NULL. Each leaf tests zoneNone first. Ordering uses
+// relation.ComparePtr, the same total order the kernels filter by, so
+// numeric cross-type comparisons agree with them.
+func (b binder) zoneVerdict(e Expr) (t zoneTest, can zoneAnswers, ok bool) {
 	if x, isBin := e.(*BinaryExpr); isBin && (x.Op == "AND" || x.Op == "OR") {
-		l, lok := b.zoneFilter(x.Left)
-		r, rok := b.zoneFilter(x.Right)
-		switch {
-		case !lok || !rok:
-			return nil, false
-		case x.Op == "OR" && (l == nil || r == nil):
-			return nil, true
-		case x.Op == "OR":
-			return func(z *relation.PageZone) bool { return l(z) && r(z) }, true
-		case l == nil:
-			return r, true
-		case r == nil:
-			return l, true
+		l, lcan, lok := b.zoneVerdict(x.Left)
+		r, rcan, rok := b.zoneVerdict(x.Right)
+		if !lok || !rok {
+			return nil, 0, false
 		}
-		return func(z *relation.PageZone) bool { return l(z) || r(z) }, true
+		if x.Op == "AND" {
+			can = (lcan|rcan)&canNone | lcan&rcan&canAll
+		} else {
+			can = lcan&rcan&canNone | (lcan|rcan)&canAll
+		}
+		if can == 0 {
+			return nil, 0, true
+		}
+		if l == nil {
+			l = alwaysSome
+		}
+		if r == nil {
+			r = alwaysSome
+		}
+		if x.Op == "AND" {
+			return zoneAnd(l, r), can, true
+		}
+		return zoneOr(l, r), can, true
 	}
 	s, ok := classify(e)
 	if !ok {
-		return nil, false
+		return nil, 0, false
 	}
 	p, err := b.resolve(s.col)
 	if err != nil {
-		return nil, false
+		return nil, 0, false
 	}
 	switch {
 	case s.other != nil:
 		_, err = b.resolve(s.other)
-		return nil, err == nil
+		return nil, 0, err == nil
 	case s.op == "is null":
 		negate := s.negate
-		return func(z *relation.PageZone) bool {
+		return func(z *relation.PageZone, wantAll bool) zoneVerdict {
+			passing := z.Cols[p].NullCount // the cells IS NULL passes
 			if negate {
-				return z.Cols[p].NullCount == z.Rows
+				passing = z.Rows - passing
 			}
-			return z.Cols[p].NullCount == 0
-		}, true
+			switch {
+			case passing == 0:
+				return zoneNone
+			case wantAll && passing == z.Rows:
+				return zoneAll
+			}
+			return zoneSome
+		}, canNone | canAll, true
 	case s.op == "in" && s.negate:
-		return nil, true // NOT IN excludes a finite set; min/max bounds say nothing
+		return nil, 0, true // NOT IN excludes a finite set; min/max bounds say nothing
 	case s.op == "in":
 		lits := s.lits
-		return func(z *relation.PageZone) bool {
+		return func(z *relation.PageZone, wantAll bool) zoneVerdict {
 			cz := &z.Cols[p]
 			if cz.Min.IsNull() {
-				return true
+				return zoneNone
 			}
 			for k := range lits {
-				if lits[k].IsNull() {
-					continue
-				}
-				if relation.ComparePtr(&lits[k], &cz.Min) >= 0 && relation.ComparePtr(&lits[k], &cz.Max) <= 0 {
-					return false // this literal may match a cell in the page
+				if !lits[k].IsNull() && relation.ComparePtr(&lits[k], &cz.Min) >= 0 && relation.ComparePtr(&lits[k], &cz.Max) <= 0 {
+					// This literal may match a cell of the page, and it
+					// matches every cell of a page constant on it.
+					if wantAll && cz.NullCount == 0 && relation.ComparePtr(&cz.Min, &cz.Max) == 0 {
+						return zoneAll
+					}
+					return zoneSome
 				}
 			}
-			return true
-		}, true
+			return zoneNone
+		}, canNone | canAll, true
 	case s.nullLit():
-		return func(*relation.PageZone) bool { return true }, true
-	case s.op == "!=":
-		lit := s.lits[0]
-		return func(z *relation.PageZone) bool {
-			cz := &z.Cols[p]
-			return cz.Min.IsNull() || relation.ComparePtr(&lit, &cz.Min) == 0 && relation.ComparePtr(&lit, &cz.Max) == 0
-		}, true
+		return func(*relation.PageZone, bool) zoneVerdict { return zoneNone }, canNone, true
 	}
 	iv, _ := s.interval()
-	negate := s.negate
-	return func(z *relation.PageZone) bool {
+	negate := s.negate // NOT BETWEEN admits the complement of its interval
+	if s.op == "!=" {
+		iv, negate = interval{lo: s.lits[0], hi: s.lits[0], loIncl: true, hiIncl: true}, true
+	}
+	return func(z *relation.PageZone, wantAll bool) zoneVerdict {
 		cz := &z.Cols[p]
-		if cz.Min.IsNull() {
-			return true // no non-NULL cell in the page
+		switch {
+		case cz.Min.IsNull() || !negate && iv.disjoint(&cz.Min, &cz.Max) || negate && iv.contains(&cz.Min, &cz.Max):
+			return zoneNone
+		case wantAll && cz.NullCount == 0 && (!negate && iv.contains(&cz.Min, &cz.Max) || negate && iv.disjoint(&cz.Min, &cz.Max)):
+			return zoneAll
 		}
-		if negate {
-			return relation.ComparePtr(&cz.Min, &iv.lo) >= 0 && relation.ComparePtr(&cz.Max, &iv.hi) <= 0
-		}
-		return iv.disjoint(&cz.Min, &cz.Max)
-	}, true
+		return zoneSome
+	}, canNone | canAll, true
 }
 
-// zoneContains compiles a WHERE predicate into the containment test of a
-// page: true when provably every row of the page satisfies the predicate, so
-// an aggregate may take the page's stored partial instead of filtering its
-// rows (relation.PageAggs). It mirrors zoneFilter — the same gate, so ok is
-// false unless every leaf is a classified shape whose columns resolve — and
-// must be conservative in the other direction: returning false is always
-// safe. With ok true, zc is nil when the predicate can never contain a page.
-//
-// Rules per shape. A zone's Min/Max bound only the non-NULL cells, and a
-// NULL cell satisfies no comparison, so every shape but IS NULL needs its
-// column's NullCount to be 0:
-//
-//   - Range shapes (=, <, <=, >, >=, BETWEEN): [Min, Max] lies inside the
-//     interval. NOT BETWEEN: [Min, Max] is disjoint from [lo, hi].
-//   - col != lit: lit lies outside [Min, Max].
-//   - IN: the page is constant (Min == Max) on a non-NULL list literal.
-//   - IS NULL: NullCount == Rows; IS NOT NULL: NullCount == 0.
-//   - A NULL literal satisfies no row: never.
-//   - AND: both sides contain the page. OR: either side does.
-//   - Column-vs-column comparisons and NOT IN: never.
-func (b binder) zoneContains(e Expr) (zc func(*relation.PageZone) bool, ok bool) {
-	if x, isBin := e.(*BinaryExpr); isBin && (x.Op == "AND" || x.Op == "OR") {
-		l, lok := b.zoneContains(x.Left)
-		r, rok := b.zoneContains(x.Right)
-		switch {
-		case !lok || !rok:
-			return nil, false
-		case x.Op == "AND" && (l == nil || r == nil):
-			return nil, true
-		case x.Op == "AND":
-			return func(z *relation.PageZone) bool { return l(z) && r(z) }, true
-		case l == nil:
-			return r, true
-		case r == nil:
-			return l, true
+// zoneAnd: no row passes if no row passes either side; every row passes if
+// every row passes both.
+func zoneAnd(l, r zoneTest) zoneTest {
+	return func(z *relation.PageZone, wantAll bool) zoneVerdict {
+		lv := l(z, wantAll)
+		if lv == zoneNone {
+			return zoneNone
 		}
-		return func(z *relation.PageZone) bool { return l(z) || r(z) }, true
+		return r(z, wantAll && lv == zoneAll)
 	}
-	s, ok := classify(e)
-	if !ok {
-		return nil, false
-	}
-	p, err := b.resolve(s.col)
-	if err != nil {
-		return nil, false
-	}
-	switch {
-	case s.other != nil:
-		_, err = b.resolve(s.other)
-		return nil, err == nil
-	case s.op == "is null":
-		negate := s.negate
-		return func(z *relation.PageZone) bool {
-			if negate {
-				return z.Cols[p].NullCount == 0
-			}
-			return z.Cols[p].NullCount == z.Rows
-		}, true
-	case s.op == "in" && s.negate, s.nullLit() && s.op != "in":
-		return nil, true
-	case s.op == "in":
-		lits := s.lits
-		return func(z *relation.PageZone) bool {
-			cz := &z.Cols[p]
-			if cz.NullCount > 0 || relation.ComparePtr(&cz.Min, &cz.Max) != 0 {
-				return false
-			}
-			for k := range lits {
-				if !lits[k].IsNull() && relation.ComparePtr(&lits[k], &cz.Min) == 0 {
-					return true
-				}
-			}
-			return false
-		}, true
-	case s.op == "!=":
-		iv := interval{lo: s.lits[0], hi: s.lits[0], loIncl: true, hiIncl: true}
-		return func(z *relation.PageZone) bool {
-			cz := &z.Cols[p]
-			return cz.NullCount == 0 && iv.disjoint(&cz.Min, &cz.Max)
-		}, true
-	}
-	iv, _ := s.interval()
-	negate := s.negate
-	return func(z *relation.PageZone) bool {
-		cz := &z.Cols[p]
-		if cz.NullCount > 0 {
-			return false
+}
+
+// zoneOr: no row passes if none passes either side; every row passes if
+// every row passes one side.
+func zoneOr(l, r zoneTest) zoneTest {
+	return func(z *relation.PageZone, wantAll bool) zoneVerdict {
+		lv := l(z, wantAll)
+		if lv == zoneAll || lv == zoneSome && !wantAll {
+			return lv
 		}
-		if negate {
-			return iv.disjoint(&cz.Min, &cz.Max)
+		rv := r(z, wantAll)
+		if lv == zoneNone || rv == zoneAll {
+			return rv
 		}
-		return iv.contains(&cz.Min, &cz.Max)
-	}, true
+		return zoneSome
+	}
+}
+
+// zoneFilter is the pruning use of zoneVerdict: a relation.ZoneFilter that
+// skips the pages where no row passes, nil when the predicate can never
+// skip one. ok is zoneVerdict's gate.
+func (b binder) zoneFilter(e Expr) (relation.ZoneFilter, bool) {
+	t, can, ok := b.zoneVerdict(e)
+	if can&canNone == 0 {
+		return nil, ok
+	}
+	return func(z *relation.PageZone) bool { return t(z, false) == zoneNone }, true
+}
+
+// zoneContains is the containment use of zoneVerdict: true for the pages
+// where every row passes, nil when the predicate can never contain one. ok
+// is zoneVerdict's gate.
+func (b binder) zoneContains(e Expr) (func(*relation.PageZone) bool, bool) {
+	t, can, ok := b.zoneVerdict(e)
+	if can&canAll == 0 {
+		return nil, ok
+	}
+	return func(z *relation.PageZone) bool { return t(z, true) == zoneAll }, true
 }
