@@ -44,9 +44,9 @@ test:
 # (WAL byte truncation, a compaction killed at every step it performs, the
 # version-journal x WAL crash cut), the snapshot-plus-tail property, commits
 # racing compaction, the storage layer's fault-FS matrices (snapshot
-# fallback with its recovery and compaction arms, retention manifest, blob
-# Put), its refusals to rebuild state around lost history (a segment gap, a
-# corrupt snapshot whose segments are gone — recovery and compaction alike),
+# fallback with its recovery and compaction arms, blob Put), its refusals
+# to rebuild state around lost history (a segment gap, a corrupt snapshot
+# whose segments are gone — recovery and compaction alike),
 # the incremental-snapshot property (every compaction's file equals a full
 # rewrite of the fully replayed log, and testdata/parent_project compacts to
 # known bytes), recovery's and compaction's fallback past a CRC-valid
@@ -55,12 +55,12 @@ test:
 # a parallel job.
 crash-matrix:
 	go test -run 'TestCrash|TestSnapshotPlusTail|TestConcurrentCommits' -count=1 -v .
-	go test -run 'TestRecoverFallsBackFromCorruptSnapshot|TestSegmentGapRefused|TestRecoveryRefusesFallback|KillAtEveryStep|PutCrash|TestIncrementalSnapshotEqualsFullRewrite|TestParentProjectCompactsToKnownBytes' -count=1 -v ./internal/storage
+	go test -run 'TestRecoverFallsBackFromCorruptSnapshot|TestSegmentGapRefused|TestRecoveryRefusesFallback|PutCrash|TestIncrementalSnapshotEqualsFullRewrite|TestParentProjectCompactsToKnownBytes' -count=1 -v ./internal/storage
 	go test -run 'TestRecoveryFallsBackFromRefusedSnapshot' -count=1 -v ./internal/record
 	go test -count=1 -v ./internal/storage/storagetest
 
 # race-stress hammers the concurrent serving core (snapshot equivalence,
-# SQL+RunScript+Compact+epoch-GC+AS OF stress, replica reads while the
+# SQL+RunScript+Compact+AS OF stress, replica reads while the
 # follower applies, close draining, group commit, and hindsight replay
 # beside recording — TestConcurrentHindsightBesideRecording: one ctx_id
 # allocator, the backfill's pins held and released, and page-partial

@@ -137,13 +137,12 @@ func TestConcurrentSnapshotEquivalenceRandomized(t *testing.T) {
 // TestConcurrentSQLRunScriptCompactStress drives the whole stack at once on
 // a durable session: Flow scripts recording and committing, SQL and
 // dataframe readers pinning snapshots, time-travel readers pinning random
-// retained epochs, the epoch-retention GC retiring history under them, and
-// the compactor folding WAL history — all concurrently, under -race, with
+// epochs, and the compactor folding WAL history — all concurrently, under -race, with
 // segment rotation forced small so compaction actually has sealed segments
 // to fold.
 func TestConcurrentSQLRunScriptCompactStress(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, "stress", Options{SegmentBytes: 2 << 10, RetainEpochs: 4})
+	s, err := Open(dir, "stress", Options{SegmentBytes: 2 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +193,7 @@ for i in flor.loop("iter", range(4)) {
 				if err == nil {
 					_, err = v.Dataframe("stress_val")
 				}
-				v.Close() // a leaked pin would hold the retention floor down
+				v.Close()
 				if err != nil {
 					t.Error(err)
 					return
@@ -206,10 +205,8 @@ for i in flor.loop("iter", range(4)) {
 			}
 		}()
 	}
-	// Time-travel reader: pins a random epoch of the whole history. One the
-	// GC has retired must be refused with ErrEpochRetired, the one refusal
-	// allowed; a pinned epoch e sees exactly the rows of the scripts
-	// committed by then.
+	// Time-travel reader: pins a random epoch of the whole history; a pinned
+	// epoch e sees exactly the rows of the scripts committed by then.
 	var asOfReads atomic.Int64
 	aux.Add(1)
 	go func() {
@@ -223,13 +220,6 @@ for i in flor.loop("iter", range(4)) {
 			}
 			e := base + rng.Int63n(s.Database().Epoch()-base+1)
 			v, err := s.ReaderAt(e)
-			if errors.Is(err, ErrEpochRetired) {
-				if floor := s.RetentionFloor(); e >= floor {
-					t.Errorf("ReaderAt(%d) refused as retired, floor %d", e, floor)
-					return
-				}
-				continue
-			}
 			if err != nil {
 				t.Error(err)
 				return
@@ -247,47 +237,33 @@ for i in flor.loop("iter", range(4)) {
 			asOfReads.Add(1)
 		}
 	}()
-	// Epoch-retention GC and compactor: retire history and fold sealed
-	// segments while everything else runs.
-	for _, maintain := range []func() error{
-		func() error { _, err := s.GCEpochs(); return err },
-		func() error { _, err := s.Compact(); return err },
-	} {
-		aux.Add(1)
-		go func(maintain func() error) {
-			defer aux.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				if err := maintain(); err != nil {
-					t.Error(err)
-					return
-				}
+	// Compactor: fold sealed segments while everything else runs.
+	aux.Add(1)
+	go func() {
+		defer aux.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
 			}
-		}(maintain)
-	}
+			if _, err := s.Compact(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 
 	writer.Wait()
 	aux.Wait()
 
-	// The history the GC kept: it retired some, the time-travel reader ran,
-	// and at rest every epoch below the floor is refused while every epoch
-	// from the floor up reads exactly the rows committed by then.
+	// The whole history: the time-travel reader ran, and at rest every
+	// epoch reads exactly the rows committed by then.
 	t.Run("asof-timetravel", func(t *testing.T) {
-		floor := s.RetentionFloor()
-		if floor == 0 || asOfReads.Load() == 0 {
-			t.Fatalf("retention floor %d after %d time-travel reads: the GC or the reader never ran",
-				floor, asOfReads.Load())
+		if asOfReads.Load() == 0 {
+			t.Fatal("the time-travel reader never ran")
 		}
-		v, err := s.ReaderAt(floor - 1)
-		v.Close()
-		if !errors.Is(err, ErrEpochRetired) {
-			t.Fatalf("ReaderAt(%d) below floor %d: err %v, want ErrEpochRetired", floor-1, floor, err)
-		}
-		for e := floor; e <= s.Database().Epoch(); e++ {
+		for e := base; e <= s.Database().Epoch(); e++ {
 			v, err := s.ReaderAt(e)
 			if err != nil {
 				t.Fatal(err)
@@ -711,5 +687,43 @@ with flor.checkpointing(model=net) {
 	// backfilled epoch.
 	if want := 5*epochs*3 + epochs*len(committed); len(owner) != want {
 		t.Fatalf("loops rows = %d, want %d", len(owner), want)
+	}
+}
+
+// TestConcurrentLogBesideSetFilename: the file name records are stamped with
+// may change while another goroutine logs. Under -race the two must share no
+// unsynchronized memory, and every row carries one of the names that was set.
+func TestConcurrentLogBesideSetFilename(t *testing.T) {
+	s, err := OpenMemory("fname", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const n = 500
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			s.SetFilename(fmt.Sprintf("f%d.go", i%2))
+		}
+	}()
+	for i := 0; i < n; i++ {
+		s.Log("x", i)
+	}
+	wg.Wait()
+	res, err := s.SQL("SELECT filename, count(*) FROM logs GROUP BY filename")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, r := range res.Rows {
+		if name := r[0].AsText(); name != "main" && name != "f0.go" && name != "f1.go" {
+			t.Fatalf("a row is stamped with file %q, which was never set", name)
+		}
+		total += r[1].AsInt()
+	}
+	if total != n {
+		t.Fatalf("%d rows logged, want %d", total, n)
 	}
 }

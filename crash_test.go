@@ -415,7 +415,7 @@ func TestCrashInjectionCompactionKillPoints(t *testing.T) {
 // directories through an identical randomized workload — one compacting
 // aggressively with tiny segments, one never compacting — and asserts their
 // recovered states are row-multiset equal across all tables, for several
-// seeds, and agree on the epoch, the retention floor and the AS OF
+// seeds, and agree on the epoch, the commit stamps and the AS OF
 // TIMESTAMP answer at each commit's wall stamp. This is the property that
 // makes compaction a pure optimization.
 func TestSnapshotPlusTailEqualsFullReplayProperty(t *testing.T) {
@@ -509,9 +509,6 @@ func TestSnapshotPlusTailEqualsFullReplayProperty(t *testing.T) {
 			}
 			if ea, eb := ra.Database().Epoch(), rb.Database().Epoch(); ea != eb || ea != int64(len(stampsA)) {
 				t.Fatalf("epoch diverged: %d vs %d, want %d commits", ea, eb, len(stampsA))
-			}
-			if fa, fb := ra.RetentionFloor(), rb.RetentionFloor(); fa != fb {
-				t.Fatalf("retention floor diverged: %d vs %d", fa, fb)
 			}
 			// Each session committed at its own wall clock: the i-th commit's
 			// stamp must resolve to the same state on both sides.

@@ -64,11 +64,6 @@ var ErrClosed = errors.New("flor: session is closed")
 // replica session (OpenReplica) that has not been promoted.
 var ErrReadOnly = errors.New("flor: session is read-only (replica; promote to write)")
 
-// ErrEpochRetired is returned by time-travel reads (ReaderAt, AS OF) that
-// target an epoch below the retention floor set by the epoch-retention GC.
-// The concrete error is a *relation.EpochRetiredError carrying the floor.
-var ErrEpochRetired = relation.ErrEpochRetired
-
 // Session is one FlorDB project handle: a shared engine owning the metadata
 // database, the WAL, the checkpoint blob store, and the version-control
 // repository. Methods are safe for concurrent use unless noted.
@@ -99,11 +94,8 @@ type Session struct {
 	sinceSnap int               // commits since the last auto-compaction
 	retainSeg int               // sealed segments compaction always keeps (Options.RetainSegments)
 	ackFloor  func() int64      // replication retention floor fed to the compactor
-	retainEp  int               // epochs GCEpochs keeps below the committed epoch (0 = retain all)
-	epAck     func() int64      // lowest follower-applied epoch, fed to GCEpochs by internal/repl
 	workspace map[string]string // filename -> contents staged for commit
 	hosts     map[string]script.HostFunc
-	cliArgs   map[string]string
 	stdout    io.Writer
 	plans     *sqlparse.PlanCache
 	scanWkrs  int               // Options.ScanWorkers (0 = GOMAXPROCS)
@@ -182,11 +174,8 @@ type Options struct {
 	// live follower has not yet acked (Session.SetRetainFloor). 0 retains
 	// nothing beyond the ack floor.
 	RetainSegments int
-	// RetainEpochs bounds time-travel history: Session.GCEpochs retires
-	// epochs more than RetainEpochs commits behind the committed epoch
-	// (clamped to live snapshot pins and follower acks), after which AS OF
-	// refuses them. 0 retains every epoch forever — GCEpochs is then a
-	// no-op.
+	// RetainEpochs has no effect: every committed epoch stays readable by
+	// AS OF. It remains only for callers that still set it.
 	RetainEpochs int
 	// ScanWorkers caps the worker pool SQL execution fans morsel-driven
 	// parallel scans out over. 0 uses GOMAXPROCS; 1 forces serial scans.
@@ -307,10 +296,8 @@ func newSession(projid, dir string, wal *storage.WAL, walPath string, readOnly b
 		tstamp:    1,
 		snapEvery: opts.SnapshotEvery,
 		retainSeg: opts.RetainSegments,
-		retainEp:  opts.RetainEpochs,
 		workspace: make(map[string]string),
 		hosts:     make(map[string]script.HostFunc),
-		cliArgs:   opts.Args,
 		stdout:    opts.Stdout,
 		plans:     sqlparse.NewPlanCache(0),
 		scanWkrs:  opts.ScanWorkers,
@@ -375,10 +362,8 @@ func newSession(projid, dir string, wal *storage.WAL, walPath string, readOnly b
 		return nil, err
 	}
 
-	ctx := &replay.Context{
-		ProjID: projid, Filename: "main", Tstamp: s.tstamp,
-		Tables: tables, WAL: wal, Blobs: blobs,
-	}
+	ctx := &replay.Context{ProjID: projid, Tstamp: s.tstamp, Tables: tables, WAL: wal, Blobs: blobs}
+	ctx.SetFilename("main")
 	ckpt := replay.NewCheckpointManager(opts.Policy)
 	s.recorder = replay.NewRecorder(ctx, ckpt)
 	s.recorder.Args = opts.Args
@@ -430,9 +415,7 @@ func (s *Session) Tstamp() int64 {
 // records (the paper profiles the executing file automatically; Go programs
 // declare it).
 func (s *Session) SetFilename(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.recorder.Ctx.Filename = name
+	s.recorder.Ctx.SetFilename(name)
 }
 
 // ---------- Native Go API (§2.1) ----------
@@ -758,35 +741,17 @@ func (s *Session) SetRetainFloor(fn func() int64) {
 	s.ackFloor = fn
 }
 
-// SetEpochAckFloor installs the replication epoch floor: a function returning
-// the lowest committed epoch a live follower has applied (math.MaxInt64 for
-// "no constraint"). GCEpochs clamps its retention floor to it, so the primary
-// never retires history a replica is still serving time-travel reads from.
-// internal/repl's primary installs this from its follower ack tracking.
-func (s *Session) SetEpochAckFloor(fn func() int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.epAck = fn
-}
-
-// GCStats reports what one epoch-retention GC cycle did.
+// GCStats reports what one GCEpochs call did: nothing.
 type GCStats struct {
-	// Floor is the retention floor after the cycle: the lowest epoch
-	// time-travel reads may still target.
-	Floor int64
-	// RowsReclaimed is always 0: tables are insert-only, so every row
-	// version stays visible at every retained epoch and none is reclaimed.
+	// RowsReclaimed is always 0: tables are insert-only.
 	RowsReclaimed int
 }
 
-// GCEpochs runs one epoch-retention GC cycle. The retention floor is
-// committed epoch − Options.RetainEpochs, clamped down to the oldest live
-// snapshot pin and the oldest follower-applied epoch (SetEpochAckFloor), and
-// never below the previous floor. Raising the floor retires the epochs below
-// it — AS OF refuses them and their commit stamps are dropped — but no row:
-// tables are insert-only. The floor is persisted in the storage retention
-// manifest so a restarted session keeps refusing AS OF below it. With
-// Options.RetainEpochs zero the call is a no-op.
+// GCEpochs does nothing: tables are insert-only and every committed epoch
+// stays readable by AS OF, so there is no history to retire. It fails only
+// on a closed session or an unpromoted replica, like any write. It, GCStats,
+// RetentionFloor, GCRowsReclaimed and Options.RetainEpochs remain only for
+// callers that still use them.
 func (s *Session) GCEpochs() (GCStats, error) {
 	if err := s.begin(); err != nil {
 		return GCStats{}, err
@@ -795,34 +760,12 @@ func (s *Session) GCEpochs() (GCStats, error) {
 	if s.readOnly.Load() {
 		return GCStats{}, ErrReadOnly
 	}
-	s.mu.Lock()
-	retain := s.retainEp
-	epAck := s.epAck
-	s.mu.Unlock()
-	if retain <= 0 {
-		return GCStats{Floor: s.db.MinEpoch()}, nil
-	}
-	floor := s.db.Epoch() - int64(retain)
-	if epAck != nil {
-		if f := epAck(); f < floor {
-			floor = f
-		}
-	}
-	if floor <= 0 {
-		return GCStats{Floor: s.db.MinEpoch()}, nil
-	}
-	applied := s.db.GCBelow(floor)
-	if w := s.currentWAL(); w != nil {
-		if err := w.WriteRetention(applied); err != nil {
-			return GCStats{Floor: applied}, err
-		}
-	}
-	return GCStats{Floor: applied}, nil
+	return GCStats{}, nil
 }
 
-// RetentionFloor returns the current epoch retention floor: the lowest epoch
-// ReaderAt and AS OF may target.
-func (s *Session) RetentionFloor() int64 { return s.db.MinEpoch() }
+// RetentionFloor returns the lowest epoch ReaderAt and AS OF may target:
+// always 0.
+func (s *Session) RetentionFloor() int64 { return 0 }
 
 // GCRowsReclaimed returns the row versions GCEpochs has reclaimed since the
 // session opened: always 0, because tables are insert-only.
@@ -977,11 +920,9 @@ func (s *Session) makeView(pin func(*relation.Database) *relation.Snapshot) (*Sn
 // ReaderAt pins a read-only view at a historical committed epoch — the
 // time-travel analog of Reader. Epoch e sees exactly the first e commits of
 // the project's history, on the primary, on any replica, and across restarts
-// and compactions (epochs count commit records since project birth). Future
-// epochs are refused outright; epochs below the retention floor fail with
-// ErrEpochRetired, carrying the floor in a *relation.EpochRetiredError.
-// Close the view when done: the pin blocks the epoch-retention GC from
-// retiring the pinned epoch.
+// and compactions (epochs count commit records since project birth). Every
+// committed epoch is readable; future epochs are refused. Close the view when
+// done.
 func (s *Session) ReaderAt(epoch int64) (*SnapshotView, error) {
 	if err := s.begin(); err != nil {
 		return nil, err
@@ -1004,11 +945,9 @@ func (v *SnapshotView) Epoch() int64 { return v.snap.Epoch() }
 
 // Close releases the view's snapshot pin (it implements io.Closer and
 // always returns nil). Closing is idempotent and nil-safe, and the
-// view's data stays readable afterwards — the pin only feeds retention
-// accounting (the /healthz snapshot_pins gauge, and the epoch-retention
-// GC's notion of which epochs are still covered). Every code path that
-// pins a view must Close it; the snapshotrelease analyzer enforces this
-// at build time.
+// view's data stays readable afterwards — the pin only feeds the /healthz
+// snapshot_pins gauge. Every code path that pins a view must Close it; the
+// snapshotrelease analyzer enforces this at build time.
 func (v *SnapshotView) Close() error {
 	if v != nil {
 		v.snap.Release()
@@ -1018,10 +957,9 @@ func (v *SnapshotView) Close() error {
 
 // SQL runs a SQL query against the pinned state. Repeated query texts hit
 // the session's LRU plan cache. An `AS OF <epoch>` clause rebases the query
-// at the historical epoch (failing with ErrEpochRetired below the retention
-// floor); `AS OF TIMESTAMP '<ts>'` first resolves the timestamp to the
-// greatest epoch committed at or before it, no later than the view's pin,
-// through the database's MVCC clock.
+// at the historical epoch; `AS OF TIMESTAMP '<ts>'` first resolves the
+// timestamp to the greatest epoch committed at or before it, no later than
+// the view's pin, through the database's MVCC clock.
 func (v *SnapshotView) SQL(query string) (*sqlparse.Result, error) {
 	stmt, err := v.sess.plans.Parse(query)
 	if err != nil {
@@ -1198,9 +1136,9 @@ func (s *Session) RunScript(filename, src string) error {
 	}
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
+	prevFile := s.recorder.Ctx.Filename()
+	s.recorder.Ctx.SetFilename(filename)
 	s.mu.Lock()
-	prevFile := s.recorder.Ctx.Filename
-	s.recorder.Ctx.Filename = filename
 	s.workspace[filename] = src
 	hosts := make(map[string]script.HostFunc, len(s.hosts))
 	for k, v := range s.hosts {
@@ -1214,10 +1152,7 @@ func (s *Session) RunScript(filename, src string) error {
 		in.RegisterHost(name, fn)
 	}
 	runErr := in.Run(f)
-
-	s.mu.Lock()
-	s.recorder.Ctx.Filename = prevFile
-	s.mu.Unlock()
+	s.recorder.Ctx.SetFilename(prevFile)
 	return runErr
 }
 

@@ -4,9 +4,8 @@
 // Session.Reader(), Session.LatestReader(), Session.ReaderAt() — must be
 // released (Release/Close) on every control-flow path, lostcancel-style.
 // Pins are cheap but counted: the pin count feeds the /healthz
-// snapshot_pins gauge, and epoch-retention GC refuses to retire epochs
-// that a leaked pin still covers, so a request handler that forgets Close
-// turns into an unbounded retention leak under load.
+// snapshot_pins gauge, so a request handler that forgets Close makes that
+// gauge climb without bound under load and hides the handler's real pins.
 //
 // An acquisition is a call to a method named Snapshot, SnapshotLatest,
 // SnapshotAt, Reader, ReaderAt, or LatestReader whose first result has a

@@ -122,7 +122,7 @@ func goodPassed(s *Session, sink func(*View)) error {
 }
 
 // leakyReaderAt: the time-travel pin paths are acquisitions too — a leaked
-// historical pin blocks epoch-retention GC at that epoch.
+// historical pin is counted in snapshot_pins like any other.
 func leakyReaderAt(s *Session) (int, error) {
 	v, err := s.ReaderAt(7) // want `snapshot pinned by ReaderAt is never released`
 	if err != nil {

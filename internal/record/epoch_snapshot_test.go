@@ -9,9 +9,8 @@ import (
 )
 
 // TestSnapshotPreservesVersionEpochs: the snapshot carries every version's
-// born epoch — whatever the retention floor in its meta — so a database
-// loaded from it answers AS OF queries identically to the one that wrote it,
-// at every epoch the floor still admits.
+// born epoch, so a database loaded from it answers AS OF queries identically
+// to the one that wrote it, at every committed epoch.
 func TestSnapshotPreservesVersionEpochs(t *testing.T) {
 	db := relation.NewDatabase()
 	src, err := CreateTables(db)
@@ -29,9 +28,7 @@ func TestSnapshotPreservesVersionEpochs(t *testing.T) {
 			db.AdvanceEpoch(time.Now()) // epochs 1..3 commit two rows each
 		}
 	}
-	db.GCBelow(2)
-
-	meta := SnapshotMeta{Version: SnapshotVersion, Seq: 1, Epoch: db.Epoch(), MinEpoch: db.MinEpoch()}
+	meta := SnapshotMeta{Version: SnapshotVersion, Seq: 1, Epoch: db.Epoch(), Epochs: db.EpochStamps()}
 	var buf bytes.Buffer
 	if err := WriteSnapshot(&buf, meta, src); err != nil {
 		t.Fatal(err)
@@ -46,9 +43,9 @@ func TestSnapshotPreservesVersionEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db2.Restore(got.Epoch, got.MinEpoch, got.Epochs)
+	db2.Restore(got.Epoch, got.Epochs)
 	if dst.Logs.Len() != 6 {
-		t.Fatalf("loaded %d versions, want all 6 despite the floor", dst.Logs.Len())
+		t.Fatalf("loaded %d versions, want all 6", dst.Logs.Len())
 	}
 
 	counts := func(db *relation.Database, epoch int64) int {
@@ -60,12 +57,9 @@ func TestSnapshotPreservesVersionEpochs(t *testing.T) {
 		r, _ := snap.Table("logs")
 		return len(r.Rows())
 	}
-	for e := int64(2); e <= 3; e++ {
+	for e := int64(0); e <= 3; e++ {
 		if a, b := counts(db, e), counts(db2, e); a != b || a != int(2*e) {
 			t.Fatalf("epoch %d: source sees %d rows, snapshot-loaded sees %d, want %d", e, a, b, 2*e)
 		}
-	}
-	if _, err := db2.SnapshotAt(1); err == nil {
-		t.Fatal("snapshot-loaded database answers below the persisted floor")
 	}
 }

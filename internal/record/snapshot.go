@@ -46,9 +46,10 @@ type SnapshotMeta struct {
 	Seq       int64 `json:"seq"`        // highest sealed WAL segment folded in
 	MaxTstamp int64 `json:"max_tstamp"` // highest logical timestamp covered
 	Epoch     int64 `json:"epoch"`      // committed epoch folded in (commit records since birth)
-	MinEpoch  int64 `json:"min_epoch,omitempty"`
-	// Epochs is the epoch↔commit-wall-clock map for epochs in
-	// [MinEpoch, Epoch], ascending. Tail replay extends it.
+	// Epochs is the epoch↔commit-wall-clock map, ascending. Tail replay
+	// extends it. A snapshot written by the epoch-retention GC of earlier
+	// releases may start it above epoch 1 (and carry a min_epoch key, which
+	// is ignored).
 	Epochs []relation.EpochStamp `json:"epochs,omitempty"`
 }
 

@@ -201,7 +201,7 @@ func TestSnapshotV2ReadCompatibility(t *testing.T) {
 func TestSnapshotV3MultiPageRoundTrip(t *testing.T) {
 	_, src := columnarTables(t)
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, SnapshotMeta{Version: SnapshotVersion, Seq: 3, MinEpoch: 0}, src); err != nil {
+	if err := WriteSnapshot(&buf, SnapshotMeta{Version: SnapshotVersion, Seq: 3}, src); err != nil {
 		t.Fatal(err)
 	}
 	dst := snapTables(t)

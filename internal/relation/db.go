@@ -28,15 +28,11 @@ type VirtualTable interface {
 // recorded with its commit's wall time, which AS OF TIMESTAMP resolves
 // against (timetravel.go).
 type Database struct {
-	mu       sync.RWMutex
-	tables   map[string]*Table
-	virtual  map[string]VirtualTable
-	epoch    atomic.Int64 // committed epoch; rows written now belong to epoch+1
-	minEpoch atomic.Int64 // retention floor; epochs below it are retired
-	pins     atomic.Int64 // live (unreleased) snapshot pins
-
-	pinMu  sync.Mutex    // guards pinned; acquired after mu when both are held
-	pinned map[int64]int // live pin count per epoch, for the GC retention floor
+	mu      sync.RWMutex
+	tables  map[string]*Table
+	virtual map[string]VirtualTable
+	epoch   atomic.Int64 // committed epoch; rows written now belong to epoch+1
+	pins    atomic.Int64 // live (unreleased) snapshot pins
 
 	clockMu sync.Mutex   // serializes epoch advances; guards stamps; acquired after mu
 	stamps  []EpochStamp // ascending Epoch, nondecreasing Wall
@@ -49,7 +45,6 @@ func NewDatabase() *Database {
 	return &Database{
 		tables:  make(map[string]*Table),
 		virtual: make(map[string]VirtualTable),
-		pinned:  make(map[int64]int),
 	}
 }
 
@@ -57,10 +52,9 @@ func NewDatabase() *Database {
 func (db *Database) Epoch() int64 { return db.epoch.Load() }
 
 // Pins returns the number of live (unreleased) snapshot pins. It feeds the
-// /healthz snapshot_pins gauge, and the epoch-retention GC will refuse to
-// retire epochs a live pin still covers — so a leaked pin is an unbounded
-// retention leak, which is why the snapshotrelease analyzer enforces the
-// release discipline statically.
+// /healthz snapshot_pins gauge; a leaked pin would distort it for good, which
+// is why the snapshotrelease analyzer enforces the release discipline
+// statically.
 func (db *Database) Pins() int64 { return db.pins.Load() }
 
 // AdvanceEpoch publishes the in-flight write epoch: rows written since the
@@ -102,17 +96,7 @@ func (db *Database) SnapshotLatest() *Snapshot { return db.snapshotAt(db.epoch.L
 func (db *Database) snapshotAt(epoch int64) *Snapshot {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.snapshotLocked(epoch)
-}
-
-// snapshotLocked pins under db.mu (read or write side), which excludes GCBelow:
-// the pin is registered before GCBelow can recompute the floor, so a snapshot
-// returned from here is never retired underneath its reader.
-func (db *Database) snapshotLocked(epoch int64) *Snapshot {
 	db.pins.Add(1)
-	db.pinMu.Lock()
-	db.pinned[epoch]++
-	db.pinMu.Unlock()
 	s := &Snapshot{
 		db:      db,
 		epoch:   epoch,
@@ -183,7 +167,7 @@ func (db *Database) RowVersions() (total, live int64) {
 }
 
 // RegisterMetrics publishes the database's state as polled gauges: the MVCC
-// clock and its retention bounds, version-store size, and the process-wide
+// clock and its pins, version-store size, and the process-wide
 // zone-map scan counters. The page-partial memo reports per database: the
 // counters agg_pages_reused (pages an aggregate merged from the memo instead
 // of decoding), agg_pages_built and agg_memo_refusals (signatures refused for
@@ -196,7 +180,6 @@ func (db *Database) RegisterMetrics(reg *metrics.Registry) {
 	reg.IntGauge("agg_memo_groups", db.memo.groups.Load)
 	reg.IntGauge("epoch", db.Epoch)
 	reg.IntGauge("snapshot_pins", db.Pins)
-	reg.IntGauge("retention_floor_epoch", db.MinEpoch)
 	reg.IntGauge("row_versions", func() int64 { total, _ := db.RowVersions(); return total })
 	reg.IntGauge("pages_pruned", zonePagesPruned.Load)
 	reg.IntGauge("pages_decoded", zonePagesDecoded.Load)
@@ -222,27 +205,14 @@ func (s *Snapshot) Epoch() int64 { return s.epoch }
 
 // Release unpins the snapshot, decrementing the owning database's pin
 // count. It is idempotent and nil-safe; the snapshot's data remains
-// readable afterwards (release only ends retention accounting, it does
-// not invalidate the pinned table states).
+// readable afterwards (release only ends pin accounting, it does not
+// invalidate the pinned table states).
 func (s *Snapshot) Release() {
 	if s == nil {
 		return
 	}
 	if s.released.CompareAndSwap(false, true) {
 		s.db.pins.Add(-1)
-		s.db.unpin(s.epoch)
-	}
-}
-
-// unpin retires one per-epoch pin registration. Dropping a pin can only raise
-// the oldest-pin floor, so it needs no coordination with GCBelow beyond pinMu.
-func (db *Database) unpin(epoch int64) {
-	db.pinMu.Lock()
-	defer db.pinMu.Unlock()
-	if n := db.pinned[epoch]; n <= 1 {
-		delete(db.pinned, epoch)
-	} else {
-		db.pinned[epoch] = n - 1
 	}
 }
 

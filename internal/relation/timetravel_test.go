@@ -1,8 +1,7 @@
 package relation
 
 import (
-	"errors"
-	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -46,76 +45,6 @@ func TestSnapshotAtRejectsFutureAndNegative(t *testing.T) {
 	}
 	if _, err := db.SnapshotAt(-1); err == nil {
 		t.Fatal("negative epoch accepted")
-	}
-}
-
-func TestGCBelowRetiresEpochs(t *testing.T) {
-	db, _ := travelDB(t, 3)
-	if applied := db.GCBelow(3); applied != 3 {
-		t.Fatalf("applied floor = %d, want 3", applied)
-	}
-	if db.MinEpoch() != 3 {
-		t.Fatalf("MinEpoch = %d, want 3", db.MinEpoch())
-	}
-
-	// Retired epochs answer with the typed error carrying the floor.
-	_, err := db.SnapshotAt(2)
-	if !errors.Is(err, ErrEpochRetired) {
-		t.Fatalf("SnapshotAt(2) after GC: %v, want ErrEpochRetired", err)
-	}
-	var retired *EpochRetiredError
-	if !errors.As(err, &retired) || retired.Floor != 3 || retired.Epoch != 2 {
-		t.Fatalf("typed error = %+v", retired)
-	}
-
-	// The floor epoch itself stays queryable and correct.
-	snap, err := db.SnapshotAt(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer snap.Release()
-	r, _ := snap.Table("t")
-	if got := len(r.Rows()); got != 3 {
-		t.Fatalf("floor epoch rows = %d, want 3", got)
-	}
-}
-
-func TestGCBelowClampsToOldestPin(t *testing.T) {
-	db, _ := travelDB(t, 5)
-	snap, err := db.SnapshotAt(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := db.OldestPin(); got != 2 {
-		t.Fatalf("OldestPin = %d, want 2", got)
-	}
-
-	if applied := db.GCBelow(4); applied != 2 {
-		t.Fatalf("GC with live pin at 2 applied floor %d, want clamp to 2", applied)
-	}
-	// The pinned epoch must remain readable.
-	r, _ := snap.Table("t")
-	if got := len(r.Rows()); got != 2 {
-		t.Fatalf("pinned snapshot rows = %d, want 2", got)
-	}
-	snap.Release()
-	if got := db.OldestPin(); got != math.MaxInt64 {
-		t.Fatalf("OldestPin after release = %d, want MaxInt64", got)
-	}
-
-	// With the pin gone the floor advances; it never moves backwards.
-	if applied := db.GCBelow(4); applied != 4 {
-		t.Fatalf("GC after release applied %d, want 4", applied)
-	}
-	if applied := db.GCBelow(1); applied != 4 {
-		t.Fatalf("GC below current floor applied %d, want unchanged 4", applied)
-	}
-}
-
-func TestGCBelowClampsToCommittedEpoch(t *testing.T) {
-	db, _ := travelDB(t, 2)
-	if applied := db.GCBelow(10); applied != 2 {
-		t.Fatalf("GC above committed epoch applied %d, want clamp to 2", applied)
 	}
 }
 
@@ -178,9 +107,9 @@ func TestSnapshotAsOfPinsAndReleases(t *testing.T) {
 
 // TestEpochClock: every advance is stamped in order, stamps never go
 // backwards across a clock step, AS OF TIMESTAMP resolves to the greatest
-// epoch stamped at or before t (0 before every stamp, floor−1 once the GC
-// retired history, clamped to a snapshot's pin), GCBelow drops retired
-// stamps, and Restore sets the epoch, floor and stamps together.
+// epoch stamped at or before t (0 before every stamp, clamped to a
+// snapshot's pin, refused before a first stamp above epoch 1), and Restore
+// sets the epoch and stamps together.
 func TestEpochClock(t *testing.T) {
 	db := NewDatabase()
 	base := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
@@ -199,40 +128,29 @@ func TestEpochClock(t *testing.T) {
 		}
 	}
 	for _, c := range []struct{ sec, epoch int }{{5, 0}, {10, 1}, {19, 1}, {20, 3}, {29, 3}, {99, 4}} {
-		if got := db.EpochAt(at(c.sec)); got != int64(c.epoch) {
-			t.Fatalf("EpochAt(+%ds) = %d, want %d", c.sec, got, c.epoch)
+		if got, err := db.EpochAt(at(c.sec)); err != nil || got != int64(c.epoch) {
+			t.Fatalf("EpochAt(+%ds) = %d, %v, want %d", c.sec, got, err, c.epoch)
 		}
 	}
 	snap, err := db.SnapshotAt(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := snap.EpochAt(at(99)); got != 2 {
-		t.Fatalf("pinned EpochAt = %d, want the pin 2", got)
+	if got, err := snap.EpochAt(at(99)); err != nil || got != 2 {
+		t.Fatalf("pinned EpochAt = %d, %v, want the pin 2", got, err)
 	}
 	snap.Release()
 
-	if applied := db.GCBelow(3); applied != 3 {
-		t.Fatalf("applied floor = %d, want 3", applied)
-	}
-	if got := db.EpochStamps(); len(got) != 2 || got[0].Epoch != 3 {
-		t.Fatalf("stamps after GC = %v, want epochs 3 and 4", got)
-	}
-	if got := db.EpochAt(at(12)); got != 2 {
-		t.Fatalf("EpochAt before the retained stamps = %d, want floor-1 = 2", got)
-	}
-
 	re := NewDatabase()
-	re.Restore(db.Epoch(), db.MinEpoch(), append([]EpochStamp{{2, at(20).UnixNano()}}, db.EpochStamps()...))
-	if re.Epoch() != 4 || re.MinEpoch() != 3 {
-		t.Fatalf("restored epoch %d floor %d, want 4 and 3", re.Epoch(), re.MinEpoch())
+	re.Restore(db.Epoch(), db.EpochStamps())
+	if re.Epoch() != 4 {
+		t.Fatalf("restored epoch %d, want 4", re.Epoch())
 	}
-	if got := re.EpochStamps(); len(got) != 2 || got[0].Epoch != 3 {
-		t.Fatalf("restored stamps = %v: a stamp below the floor must not be retained", got)
-	}
-	for _, sec := range []int{12, 20, 99} {
-		if a, b := re.EpochAt(at(sec)), db.EpochAt(at(sec)); a != b {
-			t.Fatalf("EpochAt(+%ds): restored %d, live %d", sec, a, b)
+	for _, sec := range []int{5, 12, 20, 99} {
+		a, errA := re.EpochAt(at(sec))
+		b, errB := db.EpochAt(at(sec))
+		if a != b || errA != nil || errB != nil {
+			t.Fatalf("EpochAt(+%ds): restored %d (%v), live %d (%v)", sec, a, errA, b, errB)
 		}
 	}
 	if e := re.AdvanceEpoch(at(25)); e != 5 {
@@ -241,36 +159,15 @@ func TestEpochClock(t *testing.T) {
 	if got := re.EpochStamps(); got[len(got)-1].Wall != at(30).UnixNano() {
 		t.Fatalf("advance after restore stamped %v, want clamped to the restored last stamp", got[len(got)-1])
 	}
-}
 
-// TestGCKeepsLiveRowsAndIndexes: raising the floor touches no table — every
-// row, every RowID and every index entry survive it.
-func TestGCKeepsLiveRowsAndIndexes(t *testing.T) {
-	db, tbl := snapDB(t)
-	if _, err := tbl.CreateHashIndex("k"); err != nil {
-		t.Fatal(err)
+	// Stamps that start above epoch 1, as a snapshot written by the old
+	// epoch-retention GC holds them: a time before the first is refused with
+	// an error naming its epoch, never resolved to epoch 0.
+	re.Restore(db.Epoch(), db.EpochStamps()[2:])
+	if got, err := re.EpochAt(at(12)); err == nil || !strings.Contains(err.Error(), "epoch 3") {
+		t.Fatalf("EpochAt before the first stamp = %d, %v; want an error naming epoch 3", got, err)
 	}
-	keep, _ := tbl.Insert(Row{Int(1), Text("keep")})
-	db.AdvanceEpoch(time.Now())
-	tbl.Insert(Row{Int(2), Text("later")})
-	db.AdvanceEpoch(time.Now())
-
-	if applied := db.GCBelow(2); applied != 2 {
-		t.Fatalf("applied floor = %d, want 2", applied)
-	}
-	if tbl.Len() != 2 {
-		t.Fatalf("len after GC = %d, want 2", tbl.Len())
-	}
-	got, ok := latest(tbl).Get(keep)
-	if !ok || got[1].AsText() != "keep" {
-		t.Fatalf("row damaged: %v %v", got, ok)
-	}
-	idx, ok := latest(tbl).HashIndexOn("k")
-	if !ok {
-		t.Fatal("index lost")
-	}
-	ids := idx.Lookup(Int(1))
-	if len(ids) != 1 || ids[0] != keep {
-		t.Fatalf("index lookup = %v, want [%d]", ids, keep)
+	if got, err := re.EpochAt(at(20)); err != nil || got != 3 {
+		t.Fatalf("EpochAt at the first stamp = %d, %v, want 3", got, err)
 	}
 }

@@ -551,9 +551,6 @@ func (f *Follower) fetchManifest(ctx context.Context, have int64, wait time.Dura
 	q := url.Values{}
 	q.Set("follower", f.id)
 	q.Set("acked", strconv.FormatInt(f.applied.Load(), 10))
-	if f.sess != nil { // nil while bootstrapping, before the replica session opens
-		q.Set("epoch", strconv.FormatInt(f.sess.Database().Epoch(), 10))
-	}
 	if wait > 0 {
 		q.Set("have", strconv.FormatInt(have, 10))
 		q.Set("wait_ms", strconv.FormatInt(int64(wait/time.Millisecond), 10))

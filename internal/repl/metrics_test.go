@@ -67,7 +67,6 @@ var engineMetricNames = []string{
 	"gauge:plan_cache_misses",
 	"gauge:queued",
 	"gauge:repl_segments_shipped",
-	"gauge:retention_floor_epoch",
 	"gauge:row_versions",
 	"gauge:scan_workers",
 	"gauge:snapshot_pins",

@@ -36,14 +36,13 @@ type Primary struct {
 	shipped atomic.Int64 // segments fully streamed to a follower
 }
 
-// followerTTL bounds how long a silent follower pins segments and epochs via
-// the retention floors. A follower that has not polled within it is presumed
+// followerTTL bounds how long a silent follower pins segments via the
+// retention floor. A follower that has not polled within it is presumed
 // dead; RetainSegments still gives late joiners a catch-up window.
 const followerTTL = 30 * time.Second
 
 type followerAck struct {
 	acked int64 // highest segment seq the follower has applied
-	epoch int64 // highest commit epoch the follower has applied
 	seen  time.Time
 }
 
@@ -64,7 +63,6 @@ func NewPrimary(sess *flor.Session, blobs *storage.BlobStore) *Primary {
 		snapCRCs:  make(map[string]crcEntry),
 	}
 	sess.SetRetainFloor(p.RetainFloor)
-	sess.SetEpochAckFloor(p.EpochFloor)
 	reg := sess.Metrics()
 	reg.IntGauge("repl_segments_shipped", p.shipped.Load)
 	reg.IntGauge("repl_followers", p.liveFollowers)
@@ -111,35 +109,14 @@ func (p *Primary) RetainFloor() int64 {
 	return floor
 }
 
-// EpochFloor returns the lowest commit epoch a fresh follower has applied,
-// or MaxInt64 when no fresh follower exists — the contract
-// Session.SetEpochAckFloor expects. Epoch-retention GC clamps to it so
-// history a lagging replica still needs for AS OF answers is not retired
-// out from under it.
-func (p *Primary) EpochFloor() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	floor := int64(math.MaxInt64)
-	for id, f := range p.followers {
-		if time.Since(f.seen) > followerTTL {
-			delete(p.followers, id)
-			continue
-		}
-		if f.epoch < floor {
-			floor = f.epoch
-		}
-	}
-	return floor
-}
-
 // recordAck notes a follower poll: its identity, its applied-through
-// sequence and epoch, and freshness for the retention floors.
-func (p *Primary) recordAck(id string, acked, epoch int64) {
+// sequence, and freshness for the retention floor.
+func (p *Primary) recordAck(id string, acked int64) {
 	if id == "" {
 		return
 	}
 	p.mu.Lock()
-	p.followers[id] = followerAck{acked: acked, epoch: epoch, seen: time.Now()}
+	p.followers[id] = followerAck{acked: acked, seen: time.Now()}
 	p.mu.Unlock()
 }
 
@@ -223,19 +200,12 @@ func (p *Primary) stampSnapshot(sf storage.SnapshotFile) (FileEntry, error) {
 //
 //	follower=id  — follower identity for ack tracking
 //	acked=N      — highest segment the follower has applied (retention floor)
-//	epoch=E      — highest commit epoch the follower has applied (GC floor)
 //	have=N       — long-poll: block until a segment with Seq > N is sealed
 //	wait_ms=M    — long-poll budget (capped at 30s; 0 = answer immediately)
 func (p *Primary) handleManifest(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	if acked, err := strconv.ParseInt(q.Get("acked"), 10, 64); err == nil {
-		epoch, eerr := strconv.ParseInt(q.Get("epoch"), 10, 64)
-		if eerr != nil {
-			// Pre-epoch follower: report MaxInt64 so it never drags the GC
-			// floor (segment retention still protects its catch-up).
-			epoch = math.MaxInt64
-		}
-		p.recordAck(q.Get("follower"), acked, epoch)
+		p.recordAck(q.Get("follower"), acked)
 	}
 	have, _ := strconv.ParseInt(q.Get("have"), 10, 64)
 	waitMs, _ := strconv.ParseInt(q.Get("wait_ms"), 10, 64)

@@ -926,7 +926,7 @@ func TestBackoff(t *testing.T) {
 // TestReplicaEqualsPrimaryProperty is the randomized equivalence property:
 // random commit/compact/kill interleavings on the primary while a follower
 // tails throughout (dying and restarting at random), ending in full-table
-// multiset equality and agreement on the epoch, the retention floor and the
+// multiset equality and agreement on the epoch, the commit stamps and the
 // AS OF TIMESTAMP answer at every commit's wall stamp. Run under -race.
 func TestReplicaEqualsPrimaryProperty(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
@@ -1009,9 +1009,6 @@ func TestReplicaEqualsPrimaryProperty(t *testing.T) {
 			prim, rep := e.sess, f.Session()
 			if pe, re := prim.Database().Epoch(), rep.Database().Epoch(); pe != re {
 				t.Fatalf("seed %d: replica epoch %d, primary %d", seed, re, pe)
-			}
-			if pf, rf := prim.RetentionFloor(), rep.RetentionFloor(); pf != rf {
-				t.Fatalf("seed %d: replica retention floor %d, primary %d", seed, rf, pf)
 			}
 			stamps := prim.Database().EpochStamps()
 			if int64(len(stamps)) != prim.Database().Epoch() {

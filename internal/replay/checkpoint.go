@@ -169,7 +169,7 @@ func (m *CheckpointManager) MaybeCheckpoint(ctx *Context, loopName string, iter 
 	}
 	rec := &record.CkptRecord{
 		Kind: record.KindCkpt, ProjID: ctx.ProjID, Tstamp: ctx.TstampNow(),
-		Filename: ctx.Filename, CtxID: ctxID, Name: ckptName(loopName, iter),
+		Filename: ctx.Filename(), CtxID: ctxID, Name: ckptName(loopName, iter),
 	}
 	record.Sanitize(rec)
 	if ctx.Blobs != nil {
@@ -198,8 +198,11 @@ func (m *CheckpointManager) MaybeCheckpoint(ctx *Context, loopName string, iter 
 // Context carries the shared state of one FlorDB execution (recording or
 // replay): identity, destination tables, and durability sinks.
 type Context struct {
-	ProjID   string
-	Filename string
+	ProjID string
+	// filename is the script file records are stamped with. The owning
+	// session may set it while other goroutines record; go through
+	// Filename/SetFilename.
+	filename atomic.Pointer[string]
 	// Tstamp is the logical timestamp records are stamped with. The owning
 	// session advances it on commit, possibly while other goroutines record;
 	// concurrent readers must go through TstampNow/SetTstamp.
@@ -214,6 +217,17 @@ func (c *Context) TstampNow() int64 { return atomic.LoadInt64(&c.Tstamp) }
 
 // SetTstamp atomically advances the logical timestamp.
 func (c *Context) SetTstamp(ts int64) { atomic.StoreInt64(&c.Tstamp, ts) }
+
+// Filename atomically reads the file name records are stamped with.
+func (c *Context) Filename() string {
+	if p := c.filename.Load(); p != nil {
+		return *p
+	}
+	return ""
+}
+
+// SetFilename atomically replaces the file name records are stamped with.
+func (c *Context) SetFilename(name string) { c.filename.Store(&name) }
 
 // write applies rec to the tables and appends it to the WAL when there is
 // one. Every record recording or replay makes takes this path, so every row
@@ -235,7 +249,7 @@ func (c *Context) writeLog(ctxID int64, name string, v script.Value) error {
 	text, vt := formatScriptValue(v)
 	return c.write(&record.LogRecord{
 		Kind: record.KindLog, ProjID: c.ProjID, Tstamp: c.TstampNow(),
-		Filename: c.Filename, CtxID: ctxID, ValueName: name,
+		Filename: c.Filename(), CtxID: ctxID, ValueName: name,
 		Value: text, ValueType: vt, Wall: time.Now().UTC(),
 	})
 }
@@ -246,7 +260,7 @@ func (c *Context) writeLoop(ctxID, parent int64, name string, iter int64, val sc
 	text, _ := formatScriptValue(val)
 	return c.write(&record.LoopRecord{
 		Kind: record.KindLoop, ProjID: c.ProjID, Tstamp: c.TstampNow(),
-		Filename: c.Filename, CtxID: ctxID, ParentCtxID: parent,
+		Filename: c.Filename(), CtxID: ctxID, ParentCtxID: parent,
 		LoopName: name, LoopIter: iter, IterValue: text, Wall: time.Now().UTC(),
 	})
 }

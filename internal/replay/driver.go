@@ -146,10 +146,9 @@ func (d *Driver) replayOne(filename string, newF *script.File, job VersionJob, t
 	if facts.innerNeeded {
 		rep.Mode = "full"
 	}
-	r := NewReplayer(&Context{
-		ProjID: d.ProjID, Filename: filename, Tstamp: job.Tstamp,
-		Tables: d.Tables, WAL: d.WAL, Blobs: d.Blobs,
-	}, d.View, d.NextCtx)
+	ctx := &Context{ProjID: d.ProjID, Tstamp: job.Tstamp, Tables: d.Tables, WAL: d.WAL, Blobs: d.Blobs}
+	ctx.SetFilename(filename)
+	r := NewReplayer(ctx, d.View, d.NextCtx)
 	r.NewNames = newNames
 	r.InnerNeeded = facts.innerNeeded
 	r.Carried = facts.carried

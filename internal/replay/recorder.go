@@ -26,7 +26,6 @@ type Recorder struct {
 
 	ctxCounter int64
 	ctxStack   []int64
-	loopDepth  int
 }
 
 // NewRecorder builds a recorder over a context.
@@ -75,7 +74,7 @@ func (r *Recorder) Arg(name string, def script.Value) (script.Value, error) {
 	text, _ := formatScriptValue(resolved)
 	if err := r.Ctx.write(&record.ArgRecord{
 		Kind: record.KindArg, ProjID: r.Ctx.ProjID, Tstamp: r.Ctx.TstampNow(),
-		Filename: r.Ctx.Filename, Name: name, Value: text,
+		Filename: r.Ctx.Filename(), Name: name, Value: text,
 	}); err != nil {
 		return nil, err
 	}
@@ -85,7 +84,6 @@ func (r *Recorder) Arg(name string, def script.Value) (script.Value, error) {
 // LoopBegin implements script.FlorHooks.
 func (r *Recorder) LoopBegin(name string, vals []script.Value) (script.LoopSession, error) {
 	isCkptLoop := r.Ckpt.ClaimLoop(name)
-	r.loopDepth++
 	return &recordSession{r: r, name: name, isCkptLoop: isCkptLoop}, nil
 }
 
@@ -165,7 +163,6 @@ func (s *recordSession) PostIter(i int, _ script.Value) error {
 
 // End implements script.LoopSession.
 func (s *recordSession) End() error {
-	s.r.loopDepth--
 	if s.isCkptLoop {
 		s.r.Ckpt.ReleaseLoop(s.name)
 	}

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -104,10 +105,17 @@ func setupHosts(model *toyModel) func(in *script.Interp) {
 	}
 }
 
+// newCtx is a context of project "p" stamping records with file and tstamp.
+func newCtx(tables *record.Tables, file string, tstamp int64) *Context {
+	ctx := &Context{ProjID: "p", Tstamp: tstamp, Tables: tables}
+	ctx.SetFilename(file)
+	return ctx
+}
+
 // recordRun executes trainSrc with a Recorder at the given tstamp.
 func recordRun(t *testing.T, tables *record.Tables, tstamp int64, policy CheckpointPolicy, src string) *CheckpointManager {
 	t.Helper()
-	ctx := &Context{ProjID: "p", Filename: "train.flow", Tstamp: tstamp, Tables: tables}
+	ctx := newCtx(tables, "train.flow", tstamp)
 	ckpt := NewCheckpointManager(policy)
 	rec := NewRecorder(ctx, ckpt)
 	rec.SetCtxCounter(MaxCtxID(view(t, tables)))
@@ -239,7 +247,8 @@ func TestCheckpointRowFollowsDurableWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	tables := newTestTables(t)
-	ctx := &Context{ProjID: "p", Filename: "train.flow", Tstamp: 1, Tables: tables, Blobs: blobs}
+	ctx := newCtx(tables, "train.flow", 1)
+	ctx.Blobs = blobs
 	m := NewCheckpointManager(EveryN{N: 1})
 	if err := m.Begin(map[string]script.Value{"model": &toyModel{}}); err != nil {
 		t.Fatal(err)
@@ -370,6 +379,54 @@ func TestHindsightCoarseReplayAcrossVersions(t *testing.T) {
 	}
 	if accCount != 12 {
 		t.Fatalf("acc logs = %d (replay must not duplicate old logs)", accCount)
+	}
+}
+
+// restoreFailsModel is a toyModel whose second Restore fails.
+type restoreFailsModel struct {
+	toyModel
+	restores int
+}
+
+func (m *restoreFailsModel) Restore(b []byte) error {
+	if m.restores++; m.restores == 2 {
+		return errors.New("restore failed")
+	}
+	return m.toyModel.Restore(b)
+}
+
+// TestHindsightCoarseReportsFailedRestore: a COARSE replay restores the
+// iteration's checkpoint where the skipped inner loop ends. When that
+// restore fails, the version's report carries the error instead of the
+// replay carrying on from stale state.
+func TestHindsightCoarseReportsFailedRestore(t *testing.T) {
+	repo, tables, versions, _ := hindsightFixture(t)
+	m := &restoreFailsModel{}
+	setup := func(in *script.Interp) {
+		in.RegisterHost("make_model", func([]script.Value, map[string]script.Value) (script.Value, error) {
+			*m = restoreFailsModel{}
+			return m, nil
+		})
+		in.RegisterHost("train_step", func(args []script.Value, _ map[string]script.Value) (script.Value, error) {
+			m.Sum += float64(args[1].(int64))
+			m.Steps++
+			return nil, nil
+		})
+		in.RegisterHost("eval_model", func([]script.Value, map[string]script.Value) (script.Value, error) {
+			return m.Sum, nil
+		})
+	}
+	d := &Driver{Repo: repo, Tables: tables, View: view(t, tables), NextCtx: allocAfter(t, tables), ProjID: "p", Setup: setup, Workers: 1}
+	reports, err := d.Hindsight("train.flow", newSrcWithWeightLog, versions[:1], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := reports[0]
+	if rep.Mode != "coarse" {
+		t.Fatalf("mode = %s, want coarse", rep.Mode)
+	}
+	if rep.Err == nil || !strings.Contains(rep.Err.Error(), "restore failed") {
+		t.Fatalf("report error = %v, want the failed restore", rep.Err)
 	}
 }
 
@@ -682,7 +739,7 @@ func TestHistoricalVersions(t *testing.T) {
 func TestReplayArgUsesHistoricalValue(t *testing.T) {
 	tables := newTestTables(t)
 	// Record with epochs=2 override.
-	ctx := &Context{ProjID: "p", Filename: "train.flow", Tstamp: 1, Tables: tables}
+	ctx := newCtx(tables, "train.flow", 1)
 	rec := NewRecorder(ctx, NewCheckpointManager(EveryN{N: 1}))
 	rec.Args = map[string]string{"epochs": "2"}
 	model := &toyModel{}
@@ -696,7 +753,7 @@ func TestReplayArgUsesHistoricalValue(t *testing.T) {
 		t.Fatalf("recorded epochs = %d logs", tables.Logs.Len())
 	}
 	// Replay: default says 4, history says 2 — replay must honor 2.
-	r := NewReplayer(&Context{ProjID: "p", Filename: "train.flow", Tstamp: 1, Tables: tables}, view(t, tables), allocAfter(t, tables))
+	r := NewReplayer(newCtx(tables, "train.flow", 1), view(t, tables), allocAfter(t, tables))
 	r.NewNames = map[string]bool{"weight": true}
 	in2 := script.NewInterp(r, nil)
 	model2 := &toyModel{}
@@ -720,7 +777,9 @@ func TestReplayerIterationContextReachesWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	tables := newTestTables(t)
-	r := NewReplayer(&Context{ProjID: "p", Filename: "f", Tstamp: 1, Tables: tables, WAL: wal}, view(t, tables), allocAfter(t, tables))
+	ctx := newCtx(tables, "f", 1)
+	ctx.WAL = wal
+	r := NewReplayer(ctx, view(t, tables), allocAfter(t, tables))
 	if err := r.IterationBegin("doc", "a.txt"); err != nil {
 		t.Fatal(err)
 	}
@@ -756,7 +815,7 @@ func TestReplayerIterationContextReachesWAL(t *testing.T) {
 
 func TestRecorderArgCoercion(t *testing.T) {
 	tables := newTestTables(t)
-	ctx := &Context{ProjID: "p", Filename: "f", Tstamp: 1, Tables: tables}
+	ctx := newCtx(tables, "f", 1)
 	rec := NewRecorder(ctx, nil)
 	rec.Args = map[string]string{"lr": "0.5", "n": "7", "flag": "true", "name": "x"}
 	if v, err := rec.Arg("lr", 0.001); err != nil || v.(float64) != 0.5 {

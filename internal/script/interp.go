@@ -306,7 +306,7 @@ func (in *Interp) execFor(f *File, x *ForStmt, env *Env) (ctrl, error) {
 	return ctrl{}, nil
 }
 
-func (in *Interp) execFlorLoop(f *File, x *ForStmt, call *CallExpr, env *Env) (ctrl, error) {
+func (in *Interp) execFlorLoop(f *File, x *ForStmt, call *CallExpr, env *Env) (c ctrl, err error) {
 	if len(call.Args) != 2 {
 		return ctrl{}, in.rerr(f.Name, x, fmt.Errorf("flor.loop(name, iterable) expects 2 arguments"))
 	}
@@ -330,7 +330,13 @@ func (in *Interp) execFlorLoop(f *File, x *ForStmt, call *CallExpr, env *Env) (c
 	if err != nil {
 		return ctrl{}, in.rerr(f.Name, x, err)
 	}
-	defer session.End()
+	// End runs on every exit and its error counts: in a COARSE replay it is
+	// where the iteration's checkpoint is restored. The first error wins.
+	defer func() {
+		if endErr := session.End(); endErr != nil && err == nil {
+			c, err = ctrl{}, in.rerr(f.Name, x, endErr)
+		}
+	}()
 	for i, v := range items {
 		run, err := session.Decide(i, v)
 		if err != nil {

@@ -66,61 +66,21 @@ func TestSQLAsOfRejectsGarbageAndFuture(t *testing.T) {
 	}
 }
 
-// TestSQLAsOfRetiredEchoesFloor: a request below the retention floor is a
-// client error that must carry the floor, so clients can re-aim without a
-// second round trip.
-func TestSQLAsOfRetiredEchoesFloor(t *testing.T) {
-	sess := historySession(t, flor.Options{RetainEpochs: 2})
-	st, err := sess.GCEpochs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Floor != 2 {
-		t.Fatalf("GC floor = %d, want 2", st.Floor)
-	}
-	srv := New(sess, Config{})
-
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sql?as_of=1&q=SELECT+*+FROM+logs", nil))
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
-	}
-	var resp struct {
-		Error string `json:"error"`
-		Floor int64  `json:"retention_floor_epoch"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Floor != 2 || !strings.Contains(resp.Error, "retired") {
-		t.Fatalf("resp = %+v", resp)
-	}
-
-	// The floor itself remains queryable.
-	code, _ := getJSON(t, srv, "/sql?as_of=2&q=SELECT+count(*)+AS+n+FROM+logs")
-	if code != http.StatusOK {
-		t.Fatalf("floor epoch status = %d", code)
-	}
-}
-
+// TestHealthzReportsRetentionGauges: /healthz carries the pin and version
+// gauges, and every logged row version is still held.
 func TestHealthzReportsRetentionGauges(t *testing.T) {
-	sess := historySession(t, flor.Options{RetainEpochs: 1})
-	if _, err := sess.GCEpochs(); err != nil {
-		t.Fatal(err)
-	}
-	srv := New(sess, Config{})
+	srv := New(historySession(t, flor.Options{}), Config{})
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	var payload map[string]any
 	if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := payload["retention_floor_epoch"].(float64); int64(got) != 3 {
-		t.Fatalf("retention_floor_epoch = %v, want 3", payload["retention_floor_epoch"])
+	if got, ok := payload["snapshot_pins"].(float64); !ok || got != 0 {
+		t.Fatalf("snapshot_pins = %v, want 0 between requests", payload["snapshot_pins"])
 	}
-	// Retiring epochs reclaims no row: every logged version is still held.
 	if got, _ := payload["row_versions"].(float64); got < 4 {
-		t.Fatalf("row_versions = %v after GC, want all 4 logged rows", payload["row_versions"])
+		t.Fatalf("row_versions = %v, want all 4 logged rows", payload["row_versions"])
 	}
 }
 

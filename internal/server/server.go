@@ -234,9 +234,8 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 }
 
 // reader pins the snapshot a query handler runs against: the latest committed
-// epoch by default, or the historical epoch named by ?as_of=. Asking for an
-// epoch retention GC already retired is a client error, answered with 400
-// and the current retention floor so the client can re-aim.
+// epoch by default, or the historical epoch named by ?as_of=. A malformed or
+// not yet committed epoch is a client error, answered with 400.
 func (s *Server) reader(w http.ResponseWriter, r *http.Request) (*flor.SnapshotView, bool) {
 	raw := r.URL.Query().Get("as_of")
 	if raw == "" {
@@ -254,16 +253,6 @@ func (s *Server) reader(w http.ResponseWriter, r *http.Request) (*flor.SnapshotV
 	}
 	view, err := s.sess.ReaderAt(epoch)
 	if err != nil {
-		var retired *relation.EpochRetiredError
-		if errors.As(err, &retired) {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusBadRequest)
-			json.NewEncoder(w).Encode(map[string]any{
-				"error":                 err.Error(),
-				"retention_floor_epoch": retired.Floor,
-			})
-			return nil, false
-		}
 		writeError(w, http.StatusBadRequest, err.Error())
 		return nil, false
 	}

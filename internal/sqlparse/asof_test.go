@@ -1,8 +1,8 @@
 package sqlparse
 
 import (
-	"errors"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -137,19 +137,11 @@ func TestExecuteAsOfAgainstSnapshotRefusesFuture(t *testing.T) {
 	}
 }
 
-func TestExecuteAsOfRetiredEpoch(t *testing.T) {
-	db := asofDB(t)
-	db.GCBelow(3)
-	_, err := Run(latest(t, db), "SELECT * FROM logs AS OF 1")
-	if !errors.Is(err, relation.ErrEpochRetired) {
-		t.Fatalf("err = %v, want ErrEpochRetired", err)
-	}
-}
-
 // TestExecuteAsOfByTimeResolvesAgainstDatabase: a latest pin resolves AS OF
 // TIMESTAMP through its database's clock — the greatest epoch stamped at or
-// before the time, 0 before every stamp, clamped to a snapshot's pin, and a
-// retired epoch once the GC has trimmed history from under the time.
+// before the time, 0 before every stamp, clamped to a snapshot's pin — and a
+// refusal naming the first stamp, never epoch 0, before the first stamp of a
+// clock whose stamps start above epoch 1.
 func TestExecuteAsOfByTimeResolvesAgainstDatabase(t *testing.T) {
 	db := asofDB(t)
 	count := func(cat *relation.Snapshot, ts string) int64 {
@@ -182,12 +174,12 @@ func TestExecuteAsOfByTimeResolvesAgainstDatabase(t *testing.T) {
 		t.Fatalf("snapshot pinned at 2 counts %d rows, want 2", got)
 	}
 	snap.Release()
-	db.GCBelow(3)
-	if _, err := Run(latest(t, db), "SELECT * FROM logs AS OF TIMESTAMP '2026-08-01T13:30:00Z'"); !errors.Is(err, relation.ErrEpochRetired) {
-		t.Fatalf("err = %v, want ErrEpochRetired", err)
+	db.Restore(db.Epoch(), db.EpochStamps()[2:])
+	if _, err := Run(latest(t, db), "SELECT * FROM logs AS OF TIMESTAMP '2026-08-01T13:30:00Z'"); err == nil || !strings.Contains(err.Error(), "epoch 3") {
+		t.Fatalf("err = %v, want a refusal naming epoch 3", err)
 	}
 	if got := count(latest(t, db), "2026-08-01T14:00:00Z"); got != 3 {
-		t.Fatalf("AS OF the floor's own stamp counts %d rows, want 3", got)
+		t.Fatalf("AS OF the first stamp counts %d rows, want 3", got)
 	}
 }
 

@@ -77,7 +77,10 @@ func pinAsOf(cat *relation.Snapshot, stmt *SelectStmt) (*relation.Snapshot, func
 	}
 	epoch := stmt.AsOf.Epoch
 	if stmt.AsOf.ByTime {
-		epoch = cat.EpochAt(stmt.AsOf.Time)
+		var err error
+		if epoch, err = cat.EpochAt(stmt.AsOf.Time); err != nil {
+			return nil, nil, err
+		}
 	}
 	return cat.AsOf(epoch)
 }

@@ -72,13 +72,26 @@ var pageAggSelects = []string{
 	"SELECT grp, count(*) AS n FROM t%s GROUP BY grp ORDER BY grp LIMIT 3",
 }
 
+// sparseRanges are the range shapes of shapePredicates — each comparison in
+// both operand orders, BETWEEN, NOT BETWEEN and != — on sparse, with
+// literals whose interval holds every non-NULL sparse cell (0 .. 127.875).
+// Every cell of a page passes such a range except its NULL cells, so a page
+// holding NULL cells (the odd ones) must not be counted whole.
+var sparseRanges = []string{
+	"sparse > -1", "-1 < sparse", "sparse >= 0", "0 <= sparse",
+	"sparse < 128", "128 > sparse", "sparse <= 127.875", "127.875 >= sparse",
+	"sparse BETWEEN 0 AND 127.875", "sparse NOT BETWEEN 200 AND 300", "sparse != 500", "500 != sparse",
+}
+
 // TestPageAggregatesEqualScanRandomized is the property that holds the page
 // partial memo: random aggregates, eligible and not, under WHERE clauses
 // drawn from shapePredicates, at random pins — mid-page ones included —
 // each run cold (the first statement of a fresh table, or the first to need
 // a page) and then warm, serially and under a gather, return what the
 // reference executor returns over the rows visible at the pin, as a
-// multiset (sum/avg floats at 9 digits). The memo must also have been used.
+// multiset (sum/avg floats at 9 digits). The first round also runs count(*)
+// under every one of sparseRanges at the newest pin. The memo must also have
+// been used.
 func TestPageAggregatesEqualScanRandomized(t *testing.T) {
 	forceGather(t)
 	rng := rand.New(rand.NewSource(20261018))
@@ -89,15 +102,26 @@ func TestPageAggregatesEqualScanRandomized(t *testing.T) {
 		db.RegisterMetrics(reg)
 		addPageAggTable(t, db, 9)
 		prefixes := map[int64]*relation.Snapshot{}
-		for i := 0; i < 14; i++ {
-			where := ""
-			if rng.Intn(4) > 0 {
-				where = " WHERE " + shapePredicates[rng.Intn(len(shapePredicates))]
+		var fixed []string
+		if round == 0 {
+			for _, pred := range sparseRanges {
+				fixed = append(fixed, "SELECT count(*) AS n FROM t WHERE "+pred)
 			}
-			q := fmt.Sprintf(pageAggSelects[rng.Intn(len(pageAggSelects))], where)
+		}
+		for i := 0; i < len(fixed)+14; i++ {
+			var q string
 			e := db.Epoch()
-			if rng.Intn(2) == 0 {
-				e = rng.Int63n(e + 1)
+			if i < len(fixed) {
+				q = fixed[i]
+			} else {
+				where := ""
+				if rng.Intn(4) > 0 {
+					where = " WHERE " + shapePredicates[rng.Intn(len(shapePredicates))]
+				}
+				q = fmt.Sprintf(pageAggSelects[rng.Intn(len(pageAggSelects))], where)
+				if rng.Intn(2) == 0 {
+					e = rng.Int63n(e + 1)
+				}
 			}
 			snap, err := db.SnapshotAt(e)
 			if err != nil {

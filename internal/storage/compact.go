@@ -97,9 +97,8 @@ func (c *Compactor) Compact() (CompactStats, error) {
 	// Base: the newest readable snapshot, so compaction replays only the
 	// delta since the last cycle and never O(total history): deleted
 	// segments are gone for good. The fold is the log consumer recovery uses
-	// (recover.go): the same snapshot fallback and gap refusal, the same
-	// retention floor, one epoch per commit record, so AS OF answers survive
-	// compaction. The base is still verified and decoded in full — every
+	// (recover.go): the same snapshot fallback and gap refusal, one epoch
+	// and one stamp per commit record, so AS OF answers survive compaction. The base is still verified and decoded in full — every
 	// page passes the reader's checks, which is what makes its complete
 	// pages safe to copy — so that step remains O(live data); the walk and
 	// the write are O(delta).
@@ -118,11 +117,9 @@ func (c *Compactor) Compact() (CompactStats, error) {
 		return stats, err
 	}
 	if base.Seq < upto {
-		// The stamps of retired epochs are dropped from the new snapshot for
-		// good; every row version is kept.
 		meta := record.SnapshotMeta{
 			Version: record.SnapshotVersion, Seq: upto, MaxTstamp: max(base.MaxTstamp, res.MaxTstamp),
-			Epoch: db.Epoch(), MinEpoch: db.MinEpoch(), Epochs: db.EpochStamps(),
+			Epoch: db.Epoch(), Epochs: db.EpochStamps(),
 		}
 		if stats.PagesCopied, stats.PagesEncoded, err = c.writeSnapshot(walPath, meta, tables, pages); err != nil {
 			return stats, err

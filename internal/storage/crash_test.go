@@ -159,51 +159,6 @@ func TestRecoverFallsBackFromCorruptSnapshot(t *testing.T) {
 	}
 }
 
-// TestWriteRetentionKillAtEveryStep: a retention manifest write killed at any
-// step leaves the old floor or the new one, never an unreadable manifest.
-func TestWriteRetentionKillAtEveryStep(t *testing.T) {
-	write := func(fsys storage.FS) string {
-		path := filepath.Join(t.TempDir(), "flor.wal")
-		w, err := storage.OpenWAL(path, storage.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.WriteRetention(3); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		w, err = storage.OpenWAL(path, storage.Options{FS: fsys})
-		if err == nil {
-			_ = w.WriteRetention(7)
-			w.Close()
-		}
-		return path
-	}
-	rec := storagetest.Recorder()
-	path := write(rec)
-	trace := rec.Trace()
-	if !storagetest.Installed(trace, path+".retention") {
-		t.Fatalf("the manifest is not installed by fsync, rename, dir-fsync: %v", trace)
-	}
-	points := storagetest.Points(trace)
-	t.Logf("%d kill points", len(points))
-	floors := map[int64]int{}
-	for _, p := range append(points, storagetest.Point{}) {
-		st := newState(t)
-		_, err := st.Recover(write(storagetest.Crash(p)), true)
-		floor := st.DB.MinEpoch()
-		if err != nil || (floor != 3 && floor != 7) {
-			t.Fatalf("%v: recovered floor %d, %v; want floor 3 or 7", p, floor, err)
-		}
-		floors[floor]++
-	}
-	if floors[3] == 0 || floors[7] == 0 {
-		t.Fatalf("floors seen %v: the matrix never crossed the rename", floors)
-	}
-}
-
 // TestBlobStorePutCrashLeavesKeyAbsentOrWhole is the crash half of
 // TestBlobStorePutLeavesOnlyTheBlob: a Put killed at any step leaves its key
 // absent or naming a blob that Get verifies — never a torn one.

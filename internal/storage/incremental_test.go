@@ -20,8 +20,7 @@ import (
 // installs must be exactly the one a full rewrite produces. Seeded workloads
 // chain 1–8 compactions whose deltas start and end mid-page in every base
 // table — obj_store rows rehydrated from the blob store, ts2vid rows from
-// commit records — with retention-floor advances between cycles. After each
-// cycle the installed file is compared byte for byte with WriteSnapshot of
+// commit records. After each cycle the installed file is compared byte for byte with WriteSnapshot of
 // the tables rebuilt by replaying the whole log from segment 1 (every
 // segment is retained), and the cycle must have copied exactly the previous
 // snapshot's complete pages.
@@ -64,8 +63,8 @@ func incrementalSeed(t *testing.T, seed int64, copiedFrom *[5]bool) {
 	c := &Compactor{WAL: w, Blobs: blobs, RetainSegments: 1 << 30}
 
 	wall := time.Unix(1_700_000_000, 0).UTC()
-	ts, floor := int64(1), int64(0) // ts-1 is the committed epoch
-	prev := make([]int, 5)          // rows per snapshot table in the previous snapshot
+	ts := int64(1)         // ts-1 is the committed epoch
+	prev := make([]int, 5) // rows per snapshot table in the previous snapshot
 	cycles := 1 + rng.Intn(8)
 	for cycle := 0; cycle < cycles; cycle++ {
 		// The first cycle gives every table complete pages to copy; later
@@ -114,13 +113,6 @@ func incrementalSeed(t *testing.T, seed int64, copiedFrom *[5]bool) {
 			}
 			ts++
 		}
-		if rng.Intn(2) == 0 {
-			floor += rng.Int63n(ts - floor)
-			if err := w.WriteRetention(floor); err != nil {
-				t.Fatal(err)
-			}
-		}
-
 		stats, err := c.Compact()
 		if err != nil {
 			t.Fatalf("cycle %d: %v", cycle, err)
@@ -165,24 +157,18 @@ func setTstamp(rec any, ts int64) {
 }
 
 // fullRewrite is the reference: it rebuilds the tables from the whole log —
-// no snapshot, every segment 1..upto, the persisted retention floor — and
-// encodes every page of them.
+// no snapshot, every segment 1..upto — and encodes every page of them.
 func fullRewrite(t *testing.T, path string, blobs *BlobStore, upto int64) ([]byte, *record.Tables) {
 	t.Helper()
 	st := newState(t)
 	st.Blobs = blobs
-	floor, err := readRetention(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.DB.Restore(0, floor, nil)
 	res, err := st.walk(path, 0, upto, false, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	meta := record.SnapshotMeta{
 		Version: record.SnapshotVersion, Seq: upto, MaxTstamp: res.MaxTstamp,
-		Epoch: st.DB.Epoch(), MinEpoch: st.DB.MinEpoch(), Epochs: st.DB.EpochStamps(),
+		Epoch: st.DB.Epoch(), Epochs: st.DB.EpochStamps(),
 	}
 	var buf bytes.Buffer
 	if err := record.WriteSnapshot(&buf, meta, st.Tables); err != nil {

@@ -74,8 +74,7 @@ func RecoverTables(walPath string, tables *record.Tables, blobs *BlobStore, _ st
 }
 
 // open loads the newest readable snapshot into st.Tables and restores the
-// MVCC clock from it: the database epoch, the retention floor — the larger
-// of the snapshot's and the retention manifest's — and the epoch stamps. An
+// MVCC clock from it: the database epoch and the epoch stamps. An
 // unreadable snapshot is skipped; the reader verifies every page before
 // touching the tables, so a rejected one leaves them empty.
 //
@@ -110,11 +109,7 @@ func (st State) open(walPath string) (meta record.SnapshotMeta, base *record.Sna
 			break
 		}
 	}
-	floor, err := readRetention(walPath)
-	if err != nil {
-		return meta, nil, 0, err
-	}
-	st.DB.Restore(meta.Epoch, max(meta.MinEpoch, floor), meta.Epochs)
+	st.DB.Restore(meta.Epoch, meta.Epochs)
 	return meta, base, upto, nil
 }
 

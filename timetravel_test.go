@@ -1,18 +1,28 @@
-// End-to-end tests for time-travel AS OF queries and epoch-retention GC:
-// epoch semantics across restart, compaction, replication-free GC cycles,
-// timestamp resolution, and a randomized prefix-equivalence property.
+// End-to-end tests for time-travel AS OF queries: epoch semantics across
+// restart, compaction and replication, timestamp resolution, snapshots whose
+// stamps start above epoch 1, and a randomized prefix-equivalence property.
 package flor_test
 
 import (
-	"errors"
+	"context"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	flor "flordb"
+	"flordb/internal/relation"
+	"flordb/internal/repl"
+	"flordb/internal/storage"
 )
 
 // commitStep logs `perCommit` rows stamped with the commit's ordinal and
@@ -58,8 +68,7 @@ func expectSteps(e, perCommit int) []string {
 
 func assertEpochsVisible(t *testing.T, s *flor.Session, upto, perCommit int) {
 	t.Helper()
-	floor := s.RetentionFloor()
-	for e := int(floor); e <= upto; e++ {
+	for e := 0; e <= upto; e++ {
 		got := stepsAsOf(t, s, int64(e))
 		want := expectSteps(e, perCommit)
 		if len(got) != len(want) {
@@ -175,72 +184,191 @@ func TestAsOfTimestampResolvesToEpoch(t *testing.T) {
 	}
 }
 
-func TestGCEpochsRetiresHistory(t *testing.T) {
+// TestEveryEpochReadableAfterGCRestartAndCompaction: GCEpochs retires
+// nothing. With RetainEpochs set, after repeated GCEpochs calls, a restart and
+// a compaction, AS OF e equals the first e commits for every committed e — on
+// the primary, and on a replica that bootstraps from the compacted snapshot
+// and then follows new commits segment by segment.
+func TestEveryEpochReadableAfterGCRestartAndCompaction(t *testing.T) {
+	const commits, perCommit = 8, 2
 	dir := t.TempDir()
-	s, err := flor.Open(dir, "tt-gc", flor.Options{RetainEpochs: 2})
+	opts := flor.Options{RetainEpochs: 1, SegmentBytes: 1}
+	s, err := flor.Open(dir, "tt-gc", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.SetFilename("train.go")
-	for c := 1; c <= 5; c++ {
-		commitStep(t, s, c, 2)
+	gc := func() {
+		t.Helper()
+		st, err := s.GCEpochs()
+		if err != nil || st.RowsReclaimed != 0 || s.RetentionFloor() != 0 {
+			t.Fatalf("GCEpochs = %+v, %v, floor %d: want a no-op", st, err, s.RetentionFloor())
+		}
 	}
-
-	// A pin at epoch 1 clamps the floor.
-	pinned, err := s.ReaderAt(1)
-	if err != nil {
-		t.Fatal(err)
+	for c := 1; c <= commits; c++ {
+		commitStep(t, s, c, perCommit)
+		gc()
+		gc()
 	}
-	st, err := s.GCEpochs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Floor != 1 {
-		t.Fatalf("floor with pin at 1 = %d, want 1", st.Floor)
-	}
-	pinned.Close()
-
-	// Unclamped: floor = epoch 5 - retain 2 = 3.
-	st, err = s.GCEpochs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Floor != 3 {
-		t.Fatalf("floor = %d, want 3", st.Floor)
-	}
-	if s.RetentionFloor() != 3 {
-		t.Fatalf("RetentionFloor = %d", s.RetentionFloor())
-	}
-
-	// Retired epochs refuse with the typed sentinel, on both read paths.
-	if _, err := s.ReaderAt(2); !errors.Is(err, flor.ErrEpochRetired) {
-		t.Fatalf("ReaderAt(2) after GC: %v", err)
-	}
-	if _, err := s.SQL("SELECT * FROM logs AS OF 2"); !errors.Is(err, flor.ErrEpochRetired) {
-		t.Fatalf("SQL AS OF 2 after GC: %v", err)
-	}
-	assertEpochsVisible(t, s, 5, 2)
+	assertEpochsVisible(t, s, commits, perCommit)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// The floor is persisted: a restarted session keeps refusing, and a
-	// compaction folds the retired versions out of the durable snapshot.
-	s, err = flor.Open(dir, "tt-gc", flor.Options{RetainEpochs: 2})
-	if err != nil {
+	if s, err = flor.Open(dir, "tt-gc", opts); err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if got := s.RetentionFloor(); got != 3 {
-		t.Fatalf("RetentionFloor after restart = %d, want 3", got)
+	s.SetFilename("train.go")
+	gc()
+	if _, err := s.Compact(); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s.ReaderAt(2); !errors.Is(err, flor.ErrEpochRetired) {
-		t.Fatalf("ReaderAt(2) after restart: %v", err)
+	assertEpochsVisible(t, s, commits, perCommit)
+
+	blobs, err := storage.NewBlobStore(filepath.Join(dir, ".flor", "objects"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(repl.NewPrimary(s, blobs).Routes())
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	f, err := repl.StartFollower(ctx, repl.FollowerConfig{
+		PrimaryURL: srv.URL, Dir: t.TempDir(), ProjID: "tt-gc", PollWait: 10 * time.Millisecond,
+	})
+	if err != nil {
+		cancel()
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { f.Run(ctx); close(done) }()
+	defer func() { cancel(); <-done; f.Close() }()
+	follow := func(upto int) {
+		t.Helper()
+		deadline := time.Now().Add(20 * time.Second)
+		for f.Session().Database().Epoch() < int64(upto) {
+			if err := f.Fault(); err != nil {
+				t.Fatalf("follower faulted: %v", err)
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("replica stuck at epoch %d, want %d", f.Session().Database().Epoch(), upto)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		assertEpochsVisible(t, f.Session(), upto, perCommit)
+	}
+	follow(commits)
+	for c := commits + 1; c <= commits+2; c++ {
+		commitStep(t, s, c, perCommit)
+		gc()
+	}
+	assertEpochsVisible(t, s, commits+2, perCommit)
+	follow(commits + 2)
+}
+
+// rewriteSnapshotMeta replaces the meta of the snapshot file at path with
+// edit's result and re-seals the file's checksum: the way to write a
+// snapshot in a format this code no longer produces.
+func rewriteSnapshotMeta(t *testing.T, path string, edit func(map[string]any)) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const magic = "FLORSNAP"
+	n, k := binary.Uvarint(data[len(magic):])
+	start := len(magic) + k
+	meta := map[string]any{}
+	if err := json.Unmarshal(data[start:start+int(n)], &meta); err != nil {
+		t.Fatal(err)
+	}
+	edit(meta)
+	metaJSON, err := json.Marshal(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(magic), binary.AppendUvarint(nil, uint64(len(metaJSON)))...)
+	out = append(out, metaJSON...)
+	out = append(out, data[start+int(n):len(data)-4]...)
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLegacySnapshotStampGap: a snapshot written by the retired
+// epoch-retention GC carries a min_epoch and stamps that start above epoch 1.
+// Opened now, every epoch reads by number, and AS OF TIMESTAMP before the
+// first stamp is refused with an error naming that epoch — never answered
+// with epoch 0 — across a restart and a compaction that drops the key.
+func TestLegacySnapshotStampGap(t *testing.T) {
+	const commits, perCommit, first = 5, 2, 3
+	dir := t.TempDir()
+	s, err := flor.Open(dir, "tt-legacy", flor.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetFilename("train.go")
+	for c := 1; c <= commits; c++ {
+		commitStep(t, s, c, perCommit)
+		time.Sleep(2 * time.Millisecond) // distinct stamps
 	}
 	if _, err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	assertEpochsVisible(t, s, 5, 2)
+	stamps := s.Database().EpochStamps()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir, ".flor", "flor.wal")
+	snaps, err := storage.ListSnapshots(walPath)
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshot to rewrite: %v", err)
+	}
+	rewriteSnapshotMeta(t, snaps[len(snaps)-1].Path, func(m map[string]any) {
+		m["min_epoch"] = first
+		m["epochs"] = stamps[first-1:]
+	})
+
+	at := func(wall int64) string { return time.Unix(0, wall).UTC().Format(time.RFC3339Nano) }
+	check := func(s *flor.Session, upto int) {
+		t.Helper()
+		assertEpochsVisible(t, s, upto, perCommit)
+		for _, wall := range []int64{stamps[0].Wall, stamps[first-2].Wall, stamps[first-1].Wall - 1} {
+			res, err := s.SQL("SELECT count(*) c FROM logs AS OF TIMESTAMP '" + at(wall) + "'")
+			if err == nil {
+				t.Fatalf("AS OF TIMESTAMP %s before the first stamp answered %v", at(wall), res.Rows)
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("epoch %d", first)) {
+				t.Fatalf("AS OF TIMESTAMP %s: %v; want the first stamped epoch %d named", at(wall), err, first)
+			}
+		}
+		for _, st := range stamps[first-1:] {
+			if got, want := fmt.Sprint(stepsAsOfTime(t, s, st.Wall)), fmt.Sprint(stepsAsOf(t, s, st.Epoch)); got != want {
+				t.Fatalf("AS OF TIMESTAMP of commit %d = %s, AS OF %d = %s", st.Epoch, got, st.Epoch, want)
+			}
+		}
+	}
+	if s, err = flor.Open(dir, "tt-legacy", flor.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	s.SetFilename("train.go")
+	check(s, commits)
+	if got := s.Database().EpochStamps(); len(got) != commits-first+1 || got[0] != (relation.EpochStamp{Epoch: first, Wall: stamps[first-1].Wall}) {
+		t.Fatalf("recovered stamps %v, want those of epochs %d..%d", got, first, commits)
+	}
+	commitStep(t, s, commits+1, perCommit)
+	if _, err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check(s, commits+1)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = flor.Open(dir, "tt-legacy", flor.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	check(s, commits+1)
 }
 
 // stepsAsOfTime is stepsAsOf for AS OF TIMESTAMP at wall (Unix nanoseconds).
@@ -271,10 +399,10 @@ func ts2vidAsOf(t *testing.T, s *flor.Session, epoch int64) int64 {
 
 // TestAsOfPrefixEquivalenceRandomized is the randomized property: under a
 // random interleaving of commits (some staging a version), compactions, GC
-// cycles, and restarts, AS OF e must equal the fully-replayed prefix at e for
-// every retained epoch — its logged rows and one ts2vid row per staged commit
-// — AS OF TIMESTAMP at commit e's own live stamp must equal AS OF e, and
-// every retired epoch must fail with ErrEpochRetired.
+// calls, and restarts, AS OF e must equal the fully-replayed prefix at e for
+// every committed epoch — its logged rows and one ts2vid row per staged
+// commit — and AS OF TIMESTAMP at commit e's own live stamp must equal AS OF
+// e.
 func TestAsOfPrefixEquivalenceRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
@@ -335,14 +463,7 @@ func TestAsOfPrefixEquivalenceRandomized(t *testing.T) {
 				if got := s.Database().Epoch(); got != commits {
 					t.Fatalf("step %d: epoch %d, want %d commits", step, got, commits)
 				}
-				floor := s.RetentionFloor()
 				for e := int64(0); e <= commits; e++ {
-					if e < floor {
-						if _, err := s.ReaderAt(e); !errors.Is(err, flor.ErrEpochRetired) {
-							t.Fatalf("step %d: retired epoch %d gave %v", step, e, err)
-						}
-						continue
-					}
 					got := stepsAsOf(t, s, e)
 					// The fully-replayed prefix at e: every row of commits 1..e.
 					var want []string
