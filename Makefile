@@ -21,9 +21,9 @@ vet:
 	go vet ./...
 
 # vet-custom runs florvet, the project's own go/analysis suite
-# (internal/lint): MVCC snapshot-release discipline, WAL error and
-# lock-vs-fsync ordering, epoch publication order, atomic-field
-# consistency, and deterministic rendering. DESIGN §10 maps each
+# (internal/lint), five analyzers: WAL error checks, lock-vs-fsync
+# ordering, epoch publication order, atomic-field consistency, and
+# deterministic rendering. DESIGN §10 maps each
 # analyzer to the invariant it encodes. Suppressions: per-site
 # //florvet:ignore comments, or -<analyzer>.exclude=pkg/prefix flags
 # appended to the go vet line.

@@ -304,7 +304,6 @@ func benchParallelReplay(b *testing.B, workers int) {
 		b.Fatal(err)
 	}
 	snap := sess.Database().Snapshot()
-	defer snap.Release()
 	view, err := sess.Tables().At(snap)
 	if err != nil {
 		b.Fatal(err)
@@ -537,7 +536,6 @@ func benchQueryDB(b *testing.B) *relation.Database {
 
 func benchQuery(b *testing.B, query string, wantRows int, naive bool) {
 	snap := benchQueryDB(b).SnapshotLatest()
-	defer snap.Release()
 	stmt, err := sqlparse.Parse(query)
 	if err != nil {
 		b.Fatal(err)
@@ -641,7 +639,6 @@ const (
 
 func benchC14(b *testing.B, query string, wantRows int, naive bool) {
 	snap := benchC14DB(b).SnapshotLatest()
-	defer snap.Release()
 	stmt, err := sqlparse.Parse(query)
 	if err != nil {
 		b.Fatal(err)
@@ -729,7 +726,6 @@ func benchC17ClusteredDB(b *testing.B) *relation.Database {
 
 func BenchmarkC17ZoneMapSelectiveScan(b *testing.B) {
 	snap := benchC17ClusteredDB(b).SnapshotLatest()
-	defer snap.Release()
 	stmt, err := sqlparse.Parse(
 		"SELECT tstamp, value FROM metrics WHERE tstamp BETWEEN 90000 AND 90999")
 	if err != nil {
@@ -1306,7 +1302,6 @@ func BenchmarkC24PageAggregatesCold(b *testing.B) {
 				if len(res.Rows) != bc.rows {
 					b.Fatalf("rows = %d, want %d", len(res.Rows), bc.rows)
 				}
-				snap.Release()
 			}
 		})
 	}

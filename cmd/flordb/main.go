@@ -192,7 +192,6 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			defer view.Close()
 			res, err = view.SQL(pos[0])
 			if err != nil {
 				return err

@@ -193,7 +193,6 @@ for i in flor.loop("iter", range(4)) {
 				if err == nil {
 					_, err = v.Dataframe("stress_val")
 				}
-				v.Close()
 				if err != nil {
 					t.Error(err)
 					return
@@ -225,7 +224,6 @@ for i in flor.loop("iter", range(4)) {
 				return
 			}
 			res, err := v.SQL("SELECT count(*) AS n FROM logs WHERE value_name = 'stress_val'")
-			v.Close()
 			if err != nil {
 				t.Error(err)
 				return
@@ -269,7 +267,6 @@ for i in flor.loop("iter", range(4)) {
 				t.Fatal(err)
 			}
 			res, err := v.SQL("SELECT count(*) AS n FROM logs WHERE value_name = 'stress_val'")
-			v.Close()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -545,7 +542,6 @@ func TestConcurrentStagedCommitsEachKeepAVersion(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	snap := s.Database().SnapshotLatest()
-	defer snap.Release()
 	ts2vid, _ := snap.Table("ts2vid")
 	for _, row := range ts2vid.Rows() {
 		vid := row[3].AsText()
@@ -564,8 +560,8 @@ func TestConcurrentStagedCommitsEachKeepAVersion(t *testing.T) {
 
 // TestConcurrentHindsightBesideRecording: a hindsight backfill reads history
 // through its pins while a recorder runs and commits beside it. The backfill
-// covers exactly the versions committed at its committed pin, holds its pins
-// for the whole replay and releases them, and the loop contexts both create
+// covers exactly the versions committed at its committed pin, and the loop
+// contexts both create
 // draw from one ctx_id allocator. The recorder's transactions end before the
 // backfill's commit marker: a marker landing mid-transaction would commit it
 // half done (DESIGN §3).
@@ -608,11 +604,11 @@ with flor.checkpointing(model=net) {
 	}
 
 	// The first probe call, mid-replay, releases the recorder; every call
-	// waits until it has committed, then checks the backfill's pin is held.
+	// waits until it has committed.
 	const epochs = 3
 	started, recorded := make(chan struct{}), make(chan struct{})
 	var startOnce sync.Once
-	var probes, unpinned atomic.Int64
+	var probes atomic.Int64
 	s.RegisterHost("probe", func(args []script.Value, _ map[string]script.Value) (script.Value, error) {
 		startOnce.Do(func() { close(started) })
 		select {
@@ -621,9 +617,6 @@ with flor.checkpointing(model=net) {
 			return nil, errors.New("probe: the recorder never finished")
 		}
 		probes.Add(1)
-		if s.Database().Pins() < 1 {
-			unpinned.Add(1)
-		}
 		return args[0], nil
 	})
 	var recErr error
@@ -663,12 +656,6 @@ with flor.checkpointing(model=net) {
 	}
 	if want := int64(epochs * len(committed)); probes.Load() != want {
 		t.Fatalf("probe ran %d times, want %d", probes.Load(), want)
-	}
-	if n := unpinned.Load(); n > 0 {
-		t.Fatalf("%d probe calls saw no pin mid-replay", n)
-	}
-	if p := s.Database().Pins(); p != 0 {
-		t.Fatalf("pins after hindsight = %d, want 0", p)
 	}
 
 	res, err := s.SQL("SELECT ctx_id, tstamp, loop_name FROM loops")

@@ -28,7 +28,6 @@ import (
 // multiset comparison across recoveries.
 func dumpSession(s *flor.Session) []string {
 	snap := s.Database().SnapshotLatest()
-	defer snap.Release()
 	var out []string
 	for _, name := range []string{"logs", "loops", "ts2vid", "obj_store", "args"} {
 		tbl, _ := snap.Table(name)
@@ -50,7 +49,6 @@ func dumpSession(s *flor.Session) []string {
 func latestTable(t *testing.T, s *flor.Session, name string) *relation.TableSnapshot {
 	t.Helper()
 	snap := s.Database().SnapshotLatest()
-	t.Cleanup(snap.Release)
 	tbl, ok := snap.Table(name)
 	if !ok {
 		t.Fatalf("no table %q", name)

@@ -372,7 +372,6 @@ func newSession(projid, dir string, wal *storage.WAL, walPath string, readOnly b
 		return nil, err
 	}
 	s.recorder.SetCtxCounter(replay.MaxCtxID(v.view))
-	v.Close()
 	s.recorder.OnCommit = func() error { return s.Commit("") }
 	return s, nil
 }
@@ -892,7 +891,7 @@ type SnapshotView struct {
 // transactions are serialized — as RunScript-driven writes are — not when
 // independent goroutines interleave Log/Commit sequences on one session.
 func (s *Session) Reader() (*SnapshotView, error) {
-	return s.makeView((*relation.Database).Snapshot)
+	return s.makeView(s.db.Snapshot(), nil)
 }
 
 // LatestReader pins a view at the in-flight write epoch: committed state
@@ -900,41 +899,32 @@ func (s *Session) Reader() (*SnapshotView, error) {
 // for the recording process itself (a training loop inspecting metrics it
 // just logged); serving paths should prefer Reader.
 func (s *Session) LatestReader() (*SnapshotView, error) {
-	return s.makeView((*relation.Database).SnapshotLatest)
-}
-
-func (s *Session) makeView(pin func(*relation.Database) *relation.Snapshot) (*SnapshotView, error) {
-	if err := s.begin(); err != nil {
-		return nil, err
-	}
-	defer s.end()
-	snap := pin(s.db)
-	view, err := s.tables.At(snap)
-	if err != nil {
-		snap.Release()
-		return nil, err
-	}
-	return &SnapshotView{sess: s, snap: snap, view: view}, nil
+	return s.makeView(s.db.SnapshotLatest(), nil)
 }
 
 // ReaderAt pins a read-only view at a historical committed epoch — the
 // time-travel analog of Reader. Epoch e sees exactly the first e commits of
 // the project's history, on the primary, on any replica, and across restarts
 // and compactions (epochs count commit records since project birth). Every
-// committed epoch is readable; future epochs are refused. Close the view when
-// done.
+// committed epoch is readable; future epochs are refused.
 func (s *Session) ReaderAt(epoch int64) (*SnapshotView, error) {
+	return s.makeView(s.db.SnapshotAt(epoch))
+}
+
+// makeView is the one view constructor: it opens the record layer's table
+// view over a snapshot the caller pinned. A pin has no side effect, so it may
+// be taken before the session admits the call; a closed session still
+// answers ErrClosed before any pin error.
+func (s *Session) makeView(snap *relation.Snapshot, pinErr error) (*SnapshotView, error) {
 	if err := s.begin(); err != nil {
 		return nil, err
 	}
 	defer s.end()
-	snap, err := s.db.SnapshotAt(epoch)
-	if err != nil {
-		return nil, err
+	if pinErr != nil {
+		return nil, pinErr
 	}
 	view, err := s.tables.At(snap)
 	if err != nil {
-		snap.Release()
 		return nil, err
 	}
 	return &SnapshotView{sess: s, snap: snap, view: view}, nil
@@ -943,17 +933,10 @@ func (s *Session) ReaderAt(epoch int64) (*SnapshotView, error) {
 // Epoch returns the committed epoch the view is pinned at.
 func (v *SnapshotView) Epoch() int64 { return v.snap.Epoch() }
 
-// Close releases the view's snapshot pin (it implements io.Closer and
-// always returns nil). Closing is idempotent and nil-safe, and the
-// view's data stays readable afterwards — the pin only feeds the /healthz
-// snapshot_pins gauge. Every code path that pins a view must Close it; the
-// snapshotrelease analyzer enforces this at build time.
-func (v *SnapshotView) Close() error {
-	if v != nil {
-		v.snap.Release()
-	}
-	return nil
-}
+// Close does nothing and returns nil: a view holds no resource, and its data
+// stays readable for as long as it is referenced. It is kept only for the
+// benchmark harness, which still calls it.
+func (v *SnapshotView) Close() error { return nil }
 
 // SQL runs a SQL query against the pinned state. Repeated query texts hit
 // the session's LRU plan cache. An `AS OF <epoch>` clause rebases the query
@@ -1017,7 +1000,6 @@ func (s *Session) Dataframe(names ...string) (*Dataframe, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer v.Close()
 	return v.Dataframe(names...)
 }
 
@@ -1027,7 +1009,6 @@ func (s *Session) DataframeAt(filename string, tstamp int64, names ...string) (*
 	if err != nil {
 		return nil, err
 	}
-	defer v.Close()
 	return v.DataframeAt(filename, tstamp, names...)
 }
 
@@ -1042,7 +1023,6 @@ func (s *Session) SQL(query string) (*sqlparse.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer v.Close()
 	return v.SQL(query)
 }
 
@@ -1054,7 +1034,6 @@ func (s *Session) Explain(query string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	defer v.Close()
 	return v.Explain(query)
 }
 
@@ -1175,12 +1154,12 @@ type HindsightReport = replay.VersionReport
 // run only to rebuild state; a version's replay ends after the last
 // iteration its plan runs. nil materializes everything.
 //
-// Hindsight reads through two pins held for the whole backfill. The
-// versions it backfills are those committed at a Reader pin. Their args,
-// loop contexts and checkpoints are read at a LatestReader pin taken after
-// it, so a backfill that is not yet committed (an in-memory session, or a
-// transaction in flight) lends its loop contexts to the next one. Loop
-// contexts it creates draw their ctx_ids from the recorder's allocator.
+// Hindsight reads through two pins. The versions it backfills are those
+// committed at a Reader pin. Their args, loop contexts and checkpoints are
+// read at a LatestReader pin taken after it, so a backfill that is not yet
+// committed (an in-memory session, or a transaction in flight) lends its
+// loop contexts to the next one. Loop contexts it creates draw their
+// ctx_ids from the recorder's allocator.
 //
 // Recording may run beside Hindsight: it changes neither what the backfill
 // reads nor the ctx_ids either allocates. Durability is not yet the
@@ -1201,12 +1180,10 @@ func (s *Session) Hindsight(filename, newSrc string, targets []int) ([]Hindsight
 	if err != nil {
 		return nil, err
 	}
-	defer committed.Close()
 	latest, err := s.LatestReader()
 	if err != nil {
 		return nil, err
 	}
-	defer latest.Close()
 	versions, err := replay.HistoricalVersions(s.repo, committed.view, s.ProjID, filename)
 	if err != nil {
 		return nil, err
@@ -1267,7 +1244,6 @@ func (s *Session) Versions(filename string) ([]replay.VersionJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer v.Close()
 	return replay.HistoricalVersions(s.repo, v.view, s.ProjID, filename)
 }
 
@@ -1276,7 +1252,6 @@ func (s *Session) Versions(filename string) ([]replay.VersionJob, error) {
 // It reads the session's latest state, its own uncommitted rows included.
 func (s *Session) LoggedNamesAcrossVersions() map[int64][]string {
 	snap := s.db.SnapshotLatest()
-	defer snap.Release()
 	logs, _ := snap.Table("logs")
 	byTs := make(map[int64]map[string]bool)
 	logs.Scan(func(_ relation.RowID, r relation.Row) bool {

@@ -764,7 +764,6 @@ func TestRangeReadsOverBackfilledHistory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer v.Close()
 		res, err := v.SQL(byName)
 		if err != nil {
 			t.Fatal(err)
@@ -795,7 +794,6 @@ func TestRangeReadsOverBackfilledHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v.Close()
 	const perVersion = 2 * epochs // acc recorded, half backfilled
 	for _, tc := range []struct {
 		pred string
@@ -1090,7 +1088,6 @@ for e in flor.loop("epoch", range(2)) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer v.Close()
 		res, err := v.SQL("SELECT value_name, count(*) AS n FROM logs GROUP BY value_name ORDER BY value_name")
 		if err != nil {
 			t.Fatal(err)

@@ -81,7 +81,6 @@ func BestCheckpoint(sess *flor.Session, metric string) (tstamp int64, epoch int,
 // visibility BestCheckpoint's dataframe reads at.
 func EpochCheckpoint(sess *flor.Session, tstamp int64, epoch int) ([]byte, error) {
 	snap := sess.Database().SnapshotLatest()
-	defer snap.Release()
 	view, err := sess.Tables().At(snap)
 	if err != nil {
 		return nil, err

@@ -1,8 +1,8 @@
-// Package lint is florvet — FlorDB's custom go/analysis suite. Each
-// subpackage encodes one hand-maintained engine invariant from DESIGN
-// §7–§9 as a static check, so the invariants are enforced at every call
-// site on every build instead of only at the sites the race detector
-// and crash matrix happen to execute. DESIGN §10 maps each analyzer to
+// Package lint is florvet — FlorDB's custom go/analysis suite of five
+// analyzers. Each subpackage encodes one hand-maintained engine invariant
+// from DESIGN §7–§9 as a static check, so the invariants are enforced at
+// every call site on every build instead of only at the sites the race
+// detector and crash matrix happen to execute. DESIGN §10 maps each analyzer to
 // the invariant it encodes and the dynamic check it complements.
 //
 // Run the suite with `make vet-custom`, which builds cmd/florvet and
@@ -16,7 +16,6 @@ import (
 	"flordb/internal/lint/deterministicrender"
 	"flordb/internal/lint/epochorder"
 	"flordb/internal/lint/lockfsync"
-	"flordb/internal/lint/snapshotrelease"
 	"flordb/internal/lint/walerrcheck"
 )
 
@@ -27,7 +26,6 @@ func Analyzers() []*analysis.Analyzer {
 		deterministicrender.Analyzer,
 		epochorder.Analyzer,
 		lockfsync.Analyzer,
-		snapshotrelease.Analyzer,
 		walerrcheck.Analyzer,
 	}
 }

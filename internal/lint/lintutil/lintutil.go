@@ -14,8 +14,8 @@
 //     The reason is mandatory by convention (reviewed, not enforced).
 //  3. Diagnostics inside _test.go files are dropped: the invariants the
 //     suite encodes protect production control flow, and test bodies
-//     intentionally construct half-states (unreleased snapshots, torn
-//     commits) to probe the engine.
+//     intentionally construct half-states (torn commits, swallowed
+//     WAL errors) to probe the engine.
 package lintutil
 
 import (
@@ -198,21 +198,6 @@ func PublishCall(info *types.Info, call *ast.CallExpr) string {
 	case "Publish":
 		if ReceiverTypeName(info, call) == "State" {
 			return "State.Publish"
-		}
-	}
-	return ""
-}
-
-// HasMethod reports whether type t (or *t) has a method with one of the
-// given names; it returns the first matching name, or "".
-func HasMethod(t types.Type, names ...string) string {
-	for _, name := range names {
-		if ptr, ok := t.(*types.Pointer); ok {
-			t = ptr.Elem()
-		}
-		obj, _, _ := types.LookupFieldOrMethod(t, true, nil, name)
-		if f, ok := obj.(*types.Func); ok && f != nil {
-			return name
 		}
 	}
 	return ""

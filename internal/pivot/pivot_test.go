@@ -65,7 +65,6 @@ func fixture(t *testing.T) *record.TablesView {
 		}
 	}
 	snap := db.SnapshotLatest()
-	t.Cleanup(snap.Release)
 	view, err := tables.At(snap)
 	if err != nil {
 		t.Fatal(err)

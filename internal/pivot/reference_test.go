@@ -306,7 +306,6 @@ func genPivotCase(rng *rand.Rand) pivotCase {
 // or the same columns and rows with every cell of the same type and value.
 func checkPivotCase(t *testing.T, c pivotCase) {
 	t.Helper()
-	defer c.snap.Release()
 	got, gerr := Build(c.tables, "p", c.names, c.opts)
 	want, werr := referenceBuild(c.tables, "p", c.names, c.opts)
 	if fmt.Sprint(gerr) != fmt.Sprint(werr) {

@@ -53,7 +53,6 @@ func TestSnapshotPreservesVersionEpochs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("SnapshotAt(%d): %v", epoch, err)
 		}
-		defer snap.Release()
 		r, _ := snap.Table("logs")
 		return len(r.Rows())
 	}

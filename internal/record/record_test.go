@@ -202,7 +202,6 @@ func TestGetBlobExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := db.SnapshotLatest()
-	defer snap.Release()
 	view, err := tables.At(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +231,6 @@ func TestCreateTablesInstallsDefaultIndexes(t *testing.T) {
 	}
 	view := func() *TablesView {
 		snap := db.SnapshotLatest()
-		defer snap.Release()
 		v, err := tables.At(snap)
 		if err != nil {
 			t.Fatal(err)
@@ -279,7 +277,6 @@ func TestTablesAtRefusesIndexlessTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := db.SnapshotLatest()
-	defer snap.Release()
 	if _, err := bare.At(snap); err == nil || !strings.Contains(err.Error(), "no hash index") {
 		t.Fatalf("logs without the index: err %v, want a refusal", err)
 	}
@@ -287,7 +284,6 @@ func TestTablesAtRefusesIndexlessTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap2 := db.SnapshotLatest()
-	defer snap2.Release()
 	if _, err := bare.At(snap2); err == nil || !strings.Contains(err.Error(), `"obj_store"`) {
 		t.Fatalf("obj_store without the index: err %v, want a refusal", err)
 	}
@@ -295,7 +291,6 @@ func TestTablesAtRefusesIndexlessTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap3 := db.SnapshotLatest()
-	defer snap3.Release()
 	if _, err := bare.At(snap3); err != nil {
 		t.Fatalf("both indexes present: %v", err)
 	}

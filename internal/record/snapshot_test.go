@@ -91,7 +91,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	// Indexes were rebuilt during the load.
 	snap := db.SnapshotLatest()
-	defer snap.Release()
 	view, err := dst.At(snap)
 	if err != nil {
 		t.Fatal(err)

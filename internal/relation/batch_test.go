@@ -99,7 +99,6 @@ func TestBatchScanMatchesRowScan(t *testing.T) {
 			}
 			rowsEqual(t, collectBatches(t, NewBatchScan(sv, nil, 64)), want)
 			rowsEqual(t, sv.Rows(), want)
-			snap.Release()
 		}
 	}
 }

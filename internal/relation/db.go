@@ -32,7 +32,6 @@ type Database struct {
 	tables  map[string]*Table
 	virtual map[string]VirtualTable
 	epoch   atomic.Int64 // committed epoch; rows written now belong to epoch+1
-	pins    atomic.Int64 // live (unreleased) snapshot pins
 
 	clockMu sync.Mutex   // serializes epoch advances; guards stamps; acquired after mu
 	stamps  []EpochStamp // ascending Epoch, nondecreasing Wall
@@ -50,12 +49,6 @@ func NewDatabase() *Database {
 
 // Epoch returns the current committed epoch.
 func (db *Database) Epoch() int64 { return db.epoch.Load() }
-
-// Pins returns the number of live (unreleased) snapshot pins. It feeds the
-// /healthz snapshot_pins gauge; a leaked pin would distort it for good, which
-// is why the snapshotrelease analyzer enforces the release discipline
-// statically.
-func (db *Database) Pins() int64 { return db.pins.Load() }
 
 // AdvanceEpoch publishes the in-flight write epoch: rows written since the
 // previous advance become visible to committed-epoch snapshots taken from
@@ -96,7 +89,6 @@ func (db *Database) SnapshotLatest() *Snapshot { return db.snapshotAt(db.epoch.L
 func (db *Database) snapshotAt(epoch int64) *Snapshot {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	db.pins.Add(1)
 	s := &Snapshot{
 		db:      db,
 		epoch:   epoch,
@@ -167,7 +159,7 @@ func (db *Database) RowVersions() (total, live int64) {
 }
 
 // RegisterMetrics publishes the database's state as polled gauges: the MVCC
-// clock and its pins, version-store size, and the process-wide
+// clock, version-store size, and the process-wide
 // zone-map scan counters. The page-partial memo reports per database: the
 // counters agg_pages_reused (pages an aggregate merged from the memo instead
 // of decoding), agg_pages_built and agg_memo_refusals (signatures refused for
@@ -179,7 +171,6 @@ func (db *Database) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterCounter("agg_memo_refusals", &db.memo.refusals)
 	reg.IntGauge("agg_memo_groups", db.memo.groups.Load)
 	reg.IntGauge("epoch", db.Epoch)
-	reg.IntGauge("snapshot_pins", db.Pins)
 	reg.IntGauge("row_versions", func() int64 { total, _ := db.RowVersions(); return total })
 	reg.IntGauge("pages_pruned", zonePagesPruned.Load)
 	reg.IntGauge("pages_decoded", zonePagesDecoded.Load)
@@ -193,28 +184,19 @@ func (db *Database) RegisterMetrics(reg *metrics.Registry) {
 // stores (the version-control repo, the build system) and materialize at
 // read time.
 type Snapshot struct {
-	db       *Database
-	epoch    int64
-	tables   map[string]*TableSnapshot
-	virtual  map[string]VirtualTable
-	released atomic.Bool
+	db      *Database
+	epoch   int64
+	tables  map[string]*TableSnapshot
+	virtual map[string]VirtualTable
 }
 
 // Epoch returns the epoch the snapshot is pinned at.
 func (s *Snapshot) Epoch() int64 { return s.epoch }
 
-// Release unpins the snapshot, decrementing the owning database's pin
-// count. It is idempotent and nil-safe; the snapshot's data remains
-// readable afterwards (release only ends pin accounting, it does not
-// invalidate the pinned table states).
-func (s *Snapshot) Release() {
-	if s == nil {
-		return
-	}
-	if s.released.CompareAndSwap(false, true) {
-		s.db.pins.Add(-1)
-	}
-}
+// Release does nothing: a pin holds no resource, and the snapshot's data
+// stays readable for as long as it is referenced. It is kept only for the
+// benchmark harness, which still calls it.
+func (s *Snapshot) Release() {}
 
 // Table returns the named table's pinned view.
 func (s *Snapshot) Table(name string) (*TableSnapshot, bool) {

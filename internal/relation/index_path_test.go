@@ -71,7 +71,6 @@ func TestRowsByIDsSkipsInvisibleRows(t *testing.T) {
 		}
 	}
 	snap := db.Snapshot()
-	defer snap.Release()
 	sv, _ := snap.Table("t")
 	// Ids arrive in index order, not store order; visible ones keep it.
 	rows := sv.RowsByIDs([]RowID{ids[3], ids[1], ids[2], ids[0], 99, -1})

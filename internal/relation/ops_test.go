@@ -321,7 +321,6 @@ func TestSnapshotCatalog(t *testing.T) {
 		t.Fatal("duplicate virtual must fail")
 	}
 	snap := db.SnapshotLatest()
-	defer snap.Release()
 	schema, it, err := snap.Source("vt")
 	if err != nil {
 		t.Fatal(err)

@@ -60,7 +60,6 @@ func TestSnapshotLenIsVisibleRows(t *testing.T) {
 	}
 	check := func(what string, snap *Snapshot, want int) {
 		t.Helper()
-		defer snap.Release()
 		r, _ := snap.Table("t")
 		if got, rows := r.Len(), len(r.Rows()); got != want || rows != want {
 			t.Fatalf("%s: Len() = %d over %d visible rows, want %d", what, got, rows, want)
@@ -210,66 +209,4 @@ func TestSnapshotScanDoesNotBlockWriter(t *testing.T) {
 	readers.Wait()
 	stop.Store(true)
 	writer.Wait()
-}
-
-func TestSnapshotPinAccounting(t *testing.T) {
-	db, tbl := snapDB(t)
-	tbl.Insert(Row{Int(1), Text("a")})
-	db.AdvanceEpoch(time.Now())
-
-	if got := db.Pins(); got != 0 {
-		t.Fatalf("fresh database pins = %d, want 0", got)
-	}
-	s1 := db.Snapshot()
-	s2 := db.SnapshotLatest()
-	if got := db.Pins(); got != 2 {
-		t.Fatalf("pins after two snapshots = %d, want 2", got)
-	}
-	s1.Release()
-	if got := db.Pins(); got != 1 {
-		t.Fatalf("pins after one release = %d, want 1", got)
-	}
-	// Release is idempotent: a double release must not underflow the gauge.
-	s1.Release()
-	if got := db.Pins(); got != 1 {
-		t.Fatalf("pins after double release = %d, want 1", got)
-	}
-	// A released snapshot stays readable: release ends retention
-	// accounting, it does not invalidate the pinned state.
-	if r, ok := s1.Table("t"); !ok || len(r.Rows()) != 1 {
-		t.Fatalf("released snapshot is no longer readable")
-	}
-	s2.Release()
-	if got := db.Pins(); got != 0 {
-		t.Fatalf("pins after all releases = %d, want 0", got)
-	}
-	// Nil snapshots are safe to release (error paths call it blindly).
-	var nilSnap *Snapshot
-	nilSnap.Release()
-}
-
-func TestSnapshotPinAccountingConcurrent(t *testing.T) {
-	db, tbl := snapDB(t)
-	tbl.Insert(Row{Int(1), Text("a")})
-	db.AdvanceEpoch(time.Now())
-
-	const G = 16
-	var wg sync.WaitGroup
-	for g := 0; g < G; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				s := db.Snapshot()
-				if _, ok := s.Table("t"); !ok {
-					t.Error("snapshot lost table t")
-				}
-				s.Release()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := db.Pins(); got != 0 {
-		t.Fatalf("pins after balanced concurrent pin/release = %d, want 0", got)
-	}
 }

@@ -57,8 +57,7 @@ func (db *Database) EpochAt(t time.Time) (int64, error) {
 
 // SnapshotAt pins an immutable, consistent view of all tables at the given
 // historical epoch. Every committed epoch is readable; epochs above the
-// committed epoch (the future) and negative epochs are refused. The caller
-// must Release the snapshot.
+// committed epoch (the future) and negative epochs are refused.
 func (db *Database) SnapshotAt(epoch int64) (*Snapshot, error) {
 	if cur := db.epoch.Load(); epoch > cur {
 		return nil, fmt.Errorf("relation: epoch %d not committed yet (committed epoch is %d)", epoch, cur)
@@ -70,24 +69,18 @@ func (db *Database) SnapshotAt(epoch int64) (*Snapshot, error) {
 }
 
 // AsOf rebases the snapshot at a historical epoch for an `AS OF <epoch>` or
-// `AS OF TIMESTAMP '<t>'` read, returning a release function the caller must
-// invoke when done. Rebasing to the snapshot's own epoch is free; rebasing
-// lower takes a fresh pin from the owning database, which is equivalent to
-// narrowing this snapshot's visibility: table states only grow, so the lower
-// epoch's visible prefix is the same rows in either state. Rebasing above the pinned epoch is refused: a pinned view must not leak
-// commits from after its pin.
-func (s *Snapshot) AsOf(epoch int64) (*Snapshot, func(), error) {
-	if epoch == s.epoch {
-		return s, func() {}, nil
-	}
+// `AS OF TIMESTAMP '<t>'` read. It takes a fresh pin from the owning
+// database, which is equivalent to narrowing this snapshot's visibility:
+// table states only grow, so the lower epoch's visible prefix is the same
+// rows in either state. Rebasing above the pinned epoch is refused (a pinned
+// view must not leak commits from after its pin), and so is an epoch not
+// yet committed: a latest pin sits at the in-flight epoch, whose rows are
+// not a committed state.
+func (s *Snapshot) AsOf(epoch int64) (*Snapshot, error) {
 	if epoch > s.epoch {
-		return nil, nil, fmt.Errorf("relation: epoch %d is beyond this snapshot (pinned at %d)", epoch, s.epoch)
+		return nil, fmt.Errorf("relation: epoch %d is beyond this snapshot (pinned at %d)", epoch, s.epoch)
 	}
-	snap, err := s.db.SnapshotAt(epoch)
-	if err != nil {
-		return nil, nil, err
-	}
-	return snap, snap.Release, nil
+	return s.db.SnapshotAt(epoch)
 }
 
 // EpochAt resolves a wall-clock time for a pinned snapshot: the owning

@@ -34,7 +34,6 @@ func TestSnapshotAtSeesHistoricalPrefix(t *testing.T) {
 		if snap.Epoch() != e {
 			t.Fatalf("snap.Epoch() = %d, want %d", snap.Epoch(), e)
 		}
-		snap.Release()
 	}
 }
 
@@ -54,20 +53,18 @@ func TestSnapshotAsOfRebases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer snap.Release()
 
-	// Same epoch: the snapshot itself, free.
-	same, release, err := snap.AsOf(3)
+	// Same epoch: the same rows.
+	same, err := snap.AsOf(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if same != snap {
-		t.Fatal("AsOf(own epoch) should return the snapshot itself")
+	if r, _ := same.Table("t"); same.Epoch() != 3 || len(r.Rows()) != 3 {
+		t.Fatalf("AsOf(own epoch) = epoch %d, %d rows; want 3, 3", same.Epoch(), len(r.Rows()))
 	}
-	release()
 
 	// Lower epoch: a fresh pin with narrowed visibility.
-	past, release, err := snap.AsOf(1)
+	past, err := snap.AsOf(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,33 +72,33 @@ func TestSnapshotAsOfRebases(t *testing.T) {
 	if got := len(r.Rows()); got != 1 {
 		t.Fatalf("rebased rows = %d, want 1", got)
 	}
-	release()
 
 	// Above the pin: refused — a pinned view must not leak later commits.
-	if _, _, err := snap.AsOf(4); err == nil {
+	if _, err := snap.AsOf(4); err == nil {
 		t.Fatal("AsOf above the pinned epoch accepted")
 	}
 }
 
-func TestSnapshotAsOfPinsAndReleases(t *testing.T) {
-	db, _ := travelDB(t, 3)
-	latest := db.SnapshotLatest()
-	defer latest.Release()
-	before := db.Pins()
-	cat, release, err := latest.AsOf(2)
-	if err != nil {
+// TestSnapshotAsOfFromLatest: a latest pin rebases to any committed epoch,
+// but its own in-flight epoch is not committed state, so AsOf refuses it
+// with SnapshotAt's error rather than answering with uncommitted rows.
+func TestSnapshotAsOfFromLatest(t *testing.T) {
+	db, tbl := travelDB(t, 3)
+	if _, err := tbl.Insert(Row{Int(99), Text("r")}); err != nil { // in flight at epoch 4
 		t.Fatal(err)
 	}
-	if db.Pins() != before+1 {
-		t.Fatalf("Pins = %d, want %d", db.Pins(), before+1)
+	latest := db.SnapshotLatest()
+	cat, err := latest.AsOf(2)
+	if err != nil {
+		t.Fatal(err)
 	}
 	r, _ := cat.Table("t")
 	if got := len(r.Rows()); got != 2 {
 		t.Fatalf("rows = %d, want 2", got)
 	}
-	release()
-	if db.Pins() != before {
-		t.Fatalf("Pins after release = %d, want %d", db.Pins(), before)
+	_, want := db.SnapshotAt(latest.Epoch())
+	if _, err := latest.AsOf(latest.Epoch()); err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("AsOf(in-flight epoch %d) = %v, want SnapshotAt's refusal %v", latest.Epoch(), err, want)
 	}
 }
 
@@ -139,7 +136,6 @@ func TestEpochClock(t *testing.T) {
 	if got, err := snap.EpochAt(at(99)); err != nil || got != 2 {
 		t.Fatalf("pinned EpochAt = %d, %v, want the pin 2", got, err)
 	}
-	snap.Release()
 
 	re := NewDatabase()
 	re.Restore(db.Epoch(), db.EpochStamps())

@@ -69,7 +69,6 @@ var engineMetricNames = []string{
 	"gauge:repl_segments_shipped",
 	"gauge:row_versions",
 	"gauge:scan_workers",
-	"gauge:snapshot_pins",
 	"gauge:wal_commits",
 	"gauge:wal_syncs",
 	"histogram:compact",

@@ -34,7 +34,6 @@ import (
 // comparison between primary and replica.
 func dump(s *flor.Session) []string {
 	snap := s.Database().SnapshotLatest()
-	defer snap.Release()
 	var out []string
 	for _, name := range []string{"logs", "loops", "ts2vid", "obj_store", "args"} {
 		tbl, _ := snap.Table(name)
@@ -621,7 +620,7 @@ func TestStalenessGateAndHealthz(t *testing.T) {
 	if err := jsonDecode(hresp, &h); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"replica_lag_epochs", "replica_last_fetch_unix", "repl_segments_shipped", "snapshot_pins"} {
+	for _, k := range []string{"replica_lag_epochs", "replica_last_fetch_unix", "repl_segments_shipped"} {
 		if _, ok := h[k]; !ok {
 			t.Fatalf("/healthz missing %q: %v", k, h)
 		}
@@ -699,7 +698,6 @@ func TestConcurrentReplicaReadsWhileFollowerApplies(t *testing.T) {
 				}
 				res, err := v.SQL("SELECT count(*) AS n FROM logs WHERE value_name = 'metric'")
 				epoch := v.Epoch()
-				v.Close()
 				if err != nil {
 					t.Error(err)
 					return

@@ -165,11 +165,26 @@ func (d *Driver) replayOne(filename string, newF *script.File, job VersionJob, t
 		d.Setup(in)
 	}
 	if err := in.Run(merged); !errors.Is(err, errPlanDone) {
-		rep.Err = err
+		rep.Err = sourceOf(err, filename, job.VID, res)
 	}
 	rep.Stats = r.Stats
 	rep.Duration = time.Since(start)
 	return rep
+}
+
+// sourceOf names the source a replay error's line counts in. The merged
+// script carries the old version's file name, but a statement propagation
+// injected keeps its line in the new source.
+func sourceOf(err error, filename, vid string, res script.PropagateResult) error {
+	var re *script.RuntimeError
+	switch {
+	case !errors.As(err, &re):
+		return err
+	case re.Stmt != nil && res.IsInjected(re.Stmt):
+		return fmt.Errorf("%s (new source): %w", filename, err)
+	default:
+		return fmt.Errorf("%s@%s: %w", filename, vcs.Short(vid), err)
+	}
 }
 
 // HistoricalVersions lists (vid, tstamp) pairs for every recorded execution

@@ -34,8 +34,7 @@ func (m *toyModel) Restore(b []byte) error    { return json.Unmarshal(b, m) }
 var testDBs sync.Map // *record.Tables -> *relation.Database
 
 // view pins tables at the latest epoch through Tables.At: every row recorded
-// so far, the view a session's LatestReader gives. The pin is released when
-// the test ends.
+// so far, the view a session's LatestReader gives.
 func view(t *testing.T, tables *record.Tables) *record.TablesView {
 	t.Helper()
 	db, ok := testDBs.Load(tables)
@@ -43,7 +42,6 @@ func view(t *testing.T, tables *record.Tables) *record.TablesView {
 		t.Fatal("view: tables not made by newTestTables")
 	}
 	snap := db.(*relation.Database).SnapshotLatest()
-	t.Cleanup(snap.Release)
 	v, err := tables.At(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -884,6 +882,48 @@ func TestReplayNoCheckpointsDegeneratesToFull(t *testing.T) {
 	// All 4 iterations had to run.
 	if rep.Stats.IterationsRun != 4 {
 		t.Fatalf("iterations run = %d", rep.Stats.IterationsRun)
+	}
+}
+
+// TestReplayErrorNamesItsSource extends TestPropagatedErrorReportsNewLine's
+// pair through Driver.Hindsight: a replay error's line counts in the new
+// source when an injected statement raised it, and in the replayed version
+// otherwise, and VersionReport.Err says which.
+func TestReplayErrorNamesItsSource(t *testing.T) {
+	const oldSrc = "xs = [1]\nflor.log(\"xs\", xs)\n"
+	cases := []struct {
+		name, old, new, line string
+		injected             bool
+	}{
+		{"injected statement", oldSrc, oldSrc + "\nxs[5] = 2\n", "train.flow:4:", true},
+		{"old statement", "xs = [1]\nys = xs[5]\n" + oldSrc, "xs = [1]\nys = xs[5]\n" + oldSrc + "flor.log(\"ys\", ys)\n", "train.flow:2:", false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tables := newTestTables(t)
+			repo := vcs.NewRepo()
+			vid, err := repo.CommitFiles(map[string]string{"train.flow": tc.old}, "run", time.Unix(1, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := &Driver{Repo: repo, Tables: tables, View: view(t, tables), NextCtx: allocAfter(t, tables), ProjID: "p", Workers: 1}
+			reports, err := d.Hindsight("train.flow", tc.new, []VersionJob{{VID: vid, Tstamp: 1}}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := reports[0]
+			if rep.Injected != 1 {
+				t.Fatalf("injected = %d, want 1", rep.Injected)
+			}
+			source := "train.flow@" + vcs.Short(vid) + ": "
+			if tc.injected {
+				source = "train.flow (new source): "
+			}
+			var re *script.RuntimeError
+			if rep.Err == nil || !errors.As(rep.Err, &re) || !strings.HasPrefix(rep.Err.Error(), source) || !strings.Contains(rep.Err.Error(), tc.line) {
+				t.Fatalf("err = %v, want a runtime error at %s prefixed %q", rep.Err, tc.line, source)
+			}
+		})
 	}
 }
 

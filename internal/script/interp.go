@@ -130,10 +130,13 @@ type ctrl struct {
 	val  Value
 }
 
-// RuntimeError decorates an error with a source position.
+// RuntimeError decorates an error with a source position. Stmt is the
+// innermost statement the error passed through: in a merged script it tells
+// which version's source Line counts in (script.PropagateResult.IsInjected).
 type RuntimeError struct {
 	File string
 	Line int
+	Stmt Stmt
 	Err  error
 }
 
@@ -173,6 +176,10 @@ func (in *Interp) execBlock(f *File, stmts []Stmt, env *Env) (ctrl, error) {
 	for _, s := range stmts {
 		c, err := in.execStmt(f, s, env)
 		if err != nil {
+			var re *RuntimeError
+			if errors.As(err, &re) && re.Stmt == nil {
+				re.Stmt = s
+			}
 			return ctrl{}, err
 		}
 		if c.kind != ctrlNone {

@@ -280,7 +280,8 @@ for e in flor.loop("epoch", range(3)) {
 
 // TestPropagatedErrorReportsNewLine: an injected statement is the new
 // version's own node, so an error it raises in the merged file reports its
-// line in the new version.
+// line in the new version, and names that statement as the one it passed
+// through.
 func TestPropagatedErrorReportsNewLine(t *testing.T) {
 	oldSrc := "xs = [1]\nflor.log(\"xs\", xs)\n"
 	newSrc := "xs = [1]\nflor.log(\"xs\", xs)\n\nxs[5] = 2\n"
@@ -295,5 +296,8 @@ func TestPropagatedErrorReportsNewLine(t *testing.T) {
 	}
 	if re.Line != 4 {
 		t.Fatalf("error reported at line %d, want 4 (the line in the new version): %v", re.Line, err)
+	}
+	if re.Stmt == nil || !res.IsInjected(re.Stmt) {
+		t.Fatalf("error names statement %v, want the injected one", re.Stmt)
 	}
 }

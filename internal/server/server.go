@@ -235,28 +235,31 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 
 // reader pins the snapshot a query handler runs against: the latest committed
 // epoch by default, or the historical epoch named by ?as_of=. A malformed or
-// not yet committed epoch is a client error, answered with 400.
+// not yet committed epoch is a client error, answered with 400; a closed
+// session is answered with 503 on either path.
 func (s *Server) reader(w http.ResponseWriter, r *http.Request) (*flor.SnapshotView, bool) {
 	raw := r.URL.Query().Get("as_of")
+	var view *flor.SnapshotView
+	var err error
 	if raw == "" {
-		view, err := s.sess.Reader()
-		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, err.Error())
+		view, err = s.sess.Reader()
+	} else {
+		epoch, perr := strconv.ParseInt(raw, 10, 64)
+		if perr != nil {
+			writeError(w, http.StatusBadRequest, "bad as_of: "+raw+" (want a commit epoch)")
 			return nil, false
 		}
+		view, err = s.sess.ReaderAt(epoch)
+	}
+	switch {
+	case err == nil:
 		return view, true
-	}
-	epoch, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad as_of: "+raw+" (want a commit epoch)")
-		return nil, false
-	}
-	view, err := s.sess.ReaderAt(epoch)
-	if err != nil {
+	case raw != "" && !errors.Is(err, flor.ErrClosed):
 		writeError(w, http.StatusBadRequest, err.Error())
-		return nil, false
+	default:
+		writeError(w, http.StatusServiceUnavailable, err.Error())
 	}
-	return view, true
+	return nil, false
 }
 
 // queryParam extracts the SQL text from ?q= or a JSON body {"query": ...}.
@@ -288,7 +291,6 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	defer view.Close()
 	res, err := view.SQL(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -307,7 +309,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	defer view.Close()
 	plan, err := view.Explain(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -339,7 +340,6 @@ func (s *Server) handleDataframe(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	defer view.Close()
 	df, err := view.DataframeAt(r.URL.Query().Get("filename"), tstamp, names...)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())

@@ -100,7 +100,7 @@ func asofDB(t *testing.T) *relation.Database {
 func TestExecuteAsOfRebasesEpoch(t *testing.T) {
 	db := asofDB(t)
 	for e := 0; e <= 4; e++ {
-		res, err := Run(latest(t, db), "SELECT count(*) c FROM logs AS OF "+strconv.Itoa(e))
+		res, err := Run(db.SnapshotLatest(), "SELECT count(*) c FROM logs AS OF "+strconv.Itoa(e))
 		if err != nil {
 			t.Fatalf("epoch %d: %v", e, err)
 		}
@@ -109,7 +109,7 @@ func TestExecuteAsOfRebasesEpoch(t *testing.T) {
 		}
 	}
 	// Without AS OF: current visibility.
-	res, err := Run(latest(t, db), "SELECT count(*) c FROM logs")
+	res, err := Run(db.SnapshotLatest(), "SELECT count(*) c FROM logs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,6 @@ func TestExecuteAsOfAgainstSnapshotRefusesFuture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer snap.Release()
 	if _, err := Run(snap, "SELECT * FROM logs AS OF 3"); err == nil {
 		t.Fatal("AS OF beyond the pinned snapshot accepted")
 	}
@@ -162,7 +161,7 @@ func TestExecuteAsOfByTimeResolvesAgainstDatabase(t *testing.T) {
 		{"2026-08-01 15:00:00", 4},    // the last commit's stamp
 		{"2027-01-01T00:00:00.5Z", 4}, // after every commit
 	} {
-		if got := count(latest(t, db), c.ts); got != c.want {
+		if got := count(db.SnapshotLatest(), c.ts); got != c.want {
 			t.Fatalf("AS OF TIMESTAMP %s counts %d rows, want %d", c.ts, got, c.want)
 		}
 	}
@@ -173,12 +172,11 @@ func TestExecuteAsOfByTimeResolvesAgainstDatabase(t *testing.T) {
 	if got := count(snap, "2027-01-01"); got != 2 {
 		t.Fatalf("snapshot pinned at 2 counts %d rows, want 2", got)
 	}
-	snap.Release()
 	db.Restore(db.Epoch(), db.EpochStamps()[2:])
-	if _, err := Run(latest(t, db), "SELECT * FROM logs AS OF TIMESTAMP '2026-08-01T13:30:00Z'"); err == nil || !strings.Contains(err.Error(), "epoch 3") {
+	if _, err := Run(db.SnapshotLatest(), "SELECT * FROM logs AS OF TIMESTAMP '2026-08-01T13:30:00Z'"); err == nil || !strings.Contains(err.Error(), "epoch 3") {
 		t.Fatalf("err = %v, want a refusal naming epoch 3", err)
 	}
-	if got := count(latest(t, db), "2026-08-01T14:00:00Z"); got != 3 {
+	if got := count(db.SnapshotLatest(), "2026-08-01T14:00:00Z"); got != 3 {
 		t.Fatalf("AS OF the first stamp counts %d rows, want 3", got)
 	}
 }

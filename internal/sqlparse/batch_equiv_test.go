@@ -66,7 +66,7 @@ func forEachEquivCell(t *testing.T, body func(t *testing.T, cell *planEquivDB)) 
 					rows = 2*morselRows + 500
 				}
 				cell.db = randomWorkloadDBRows(t, indexed, rows)
-				cell.cat = latest(t, cell.db)
+				cell.cat = cell.db.SnapshotLatest()
 				cell.ref = cell.cat
 				body(t, cell)
 			})
@@ -95,7 +95,7 @@ func forceGather(t *testing.T) {
 func prefixDB(t *testing.T, db *relation.Database, e int64) *relation.Snapshot {
 	t.Helper()
 	out := relation.NewDatabase()
-	for _, name := range latest(t, db).Names() {
+	for _, name := range db.SnapshotLatest().Names() {
 		src, ok := db.Table(name)
 		if !ok {
 			continue // virtual
@@ -115,7 +115,7 @@ func prefixDB(t *testing.T, db *relation.Database, e int64) *relation.Snapshot {
 			t.Fatal(err)
 		}
 	}
-	return latest(t, out)
+	return out.SnapshotLatest()
 }
 
 // runEquivalence executes q through the planned pipeline and the reference
@@ -141,7 +141,6 @@ func runEquivalence(t *testing.T, cell *planEquivDB, q string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer snap.Release()
 		if cell.prefixes[e] == nil {
 			cell.prefixes[e] = prefixDB(t, cell.db, e)
 		}

@@ -47,11 +47,10 @@ func Execute(cat *relation.Snapshot, stmt *SelectStmt) (*Result, error) {
 
 // ExecuteOptions is Execute with execution tuning.
 func ExecuteOptions(cat *relation.Snapshot, stmt *SelectStmt, opts ExecOptions) (*Result, error) {
-	cat, release, err := pinAsOf(cat, stmt)
+	cat, err := pinAsOf(cat, stmt)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
 	ctx := &execCtx{}
 	c, err := compile(cat, stmt, ctx, opts)
 	if err != nil {
@@ -70,16 +69,16 @@ func ExecuteOptions(cat *relation.Snapshot, stmt *SelectStmt, opts ExecOptions) 
 
 // pinAsOf rebases the snapshot to the statement's AS OF epoch, if it has one;
 // an AS OF TIMESTAMP clause is first resolved to an epoch by the snapshot's
-// MVCC clock. The returned release must be called once the statement has run.
-func pinAsOf(cat *relation.Snapshot, stmt *SelectStmt) (*relation.Snapshot, func(), error) {
+// MVCC clock.
+func pinAsOf(cat *relation.Snapshot, stmt *SelectStmt) (*relation.Snapshot, error) {
 	if stmt.AsOf == nil {
-		return cat, func() {}, nil
+		return cat, nil
 	}
 	epoch := stmt.AsOf.Epoch
 	if stmt.AsOf.ByTime {
 		var err error
 		if epoch, err = cat.EpochAt(stmt.AsOf.Time); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	return cat.AsOf(epoch)

@@ -78,8 +78,8 @@ func FuzzPlannedVsScan(f *testing.F) {
 			db = randomWorkloadDBRows(t, true, 500)
 			addShapeTables(t, db, 5)
 		}
-		planned, perr := Execute(latest(t, db), stmt)
-		reference, rerr := ExecuteScan(latest(t, db), stmt)
+		planned, perr := Execute(db.SnapshotLatest(), stmt)
+		reference, rerr := ExecuteScan(db.SnapshotLatest(), stmt)
 		if perr != nil || rerr != nil {
 			return
 		}

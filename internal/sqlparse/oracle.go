@@ -18,11 +18,10 @@ func ExecuteScan(cat *relation.Snapshot, stmt *SelectStmt) (*Result, error) {
 	if stmt.Explain {
 		return nil, fmt.Errorf("sql: the reference executor has no plan to EXPLAIN")
 	}
-	cat, release, err := pinAsOf(cat, stmt)
+	cat, err := pinAsOf(cat, stmt)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
 	ctx := &execCtx{}
 
 	schema, rows, err := cat.Source(stmt.From.Name)

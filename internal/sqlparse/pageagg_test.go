@@ -152,7 +152,6 @@ func TestPageAggregatesEqualScanRandomized(t *testing.T) {
 			if strings.Contains(fmt.Sprint(plan.Rows), "[pages]") {
 				eligible++
 			}
-			snap.Release()
 		}
 		c := reg.Snapshot().Counters
 		reused += c["agg_pages_reused"]
@@ -222,7 +221,6 @@ func TestConcurrentPageAggregates(t *testing.T) {
 				q := queries[rng.Intn(len(queries))]
 				got, err := ExecuteOptions(snap, mustParseConcurrent(q), ExecOptions{ScanWorkers: 1 + 3*rng.Intn(2)})
 				ref, rerr := ExecuteScan(snap, mustParseConcurrent(q))
-				snap.Release()
 				if err == nil && rerr == nil {
 					if d := diffResultsBy(got, ref, approxKey); d != "" {
 						err = fmt.Errorf("%s at epoch %d: %s", q, snap.Epoch(), d)
@@ -299,7 +297,6 @@ func TestPageStatementsRenderInKeyOrder(t *testing.T) {
 			t.Fatalf("%s is not marked [pages] (err %v): %v", q, err, plan)
 		}
 		got, err := ExecuteOptions(snap, mustParse(t, q), ExecOptions{ScanWorkers: 1})
-		snap.Release()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -148,7 +148,7 @@ func TestConcurrentParallelScanEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ExecuteOptions(latest(t, db), stmt, ExecOptions{})
+	res, err := ExecuteOptions(db.SnapshotLatest(), stmt, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestConcurrentParallelScanEquivalence(t *testing.T) {
 	prefixes := map[int64]*relation.Snapshot{}
 	for i := 0; i < 250; i++ {
 		q, asOf := randomParallelQuery(rng, maxEpoch)
-		ref := latest(t, db)
+		ref := db.SnapshotLatest()
 		if asOf >= 0 {
 			if prefixes[asOf] == nil {
 				prefixes[asOf] = prefixDB(t, db, asOf)
@@ -176,7 +176,7 @@ func TestConcurrentParallelScanEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generated unparsable query %q: %v", q, err)
 		}
-		par, perr := ExecuteOptions(latest(t, db), stmt, ExecOptions{})
+		par, perr := ExecuteOptions(db.SnapshotLatest(), stmt, ExecOptions{})
 		stmt2, _ := Parse(q)
 		stmt2.AsOf = nil
 		ser, serr := ExecuteScan(ref, stmt2)
@@ -266,7 +266,7 @@ func TestParallelScanSerialFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.q, err)
 		}
-		res, err := ExecuteOptions(latest(t, db), stmt, tc.opts)
+		res, err := ExecuteOptions(db.SnapshotLatest(), stmt, tc.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.q, err)
 		}
@@ -278,9 +278,9 @@ func TestParallelScanSerialFallbacks(t *testing.T) {
 			t.Fatalf("%s: expected serial plan, got:\n%s", tc.q, strings.Join(plan, "\n"))
 		}
 		stmt2, _ := Parse(tc.q)
-		par, perr := ExecuteOptions(latest(t, db), stmt2, tc.opts)
+		par, perr := ExecuteOptions(db.SnapshotLatest(), stmt2, tc.opts)
 		stmt3, _ := Parse(tc.q)
-		ser, serr := ExecuteScan(latest(t, db), stmt3)
+		ser, serr := ExecuteScan(db.SnapshotLatest(), stmt3)
 		if perr != nil || serr != nil {
 			t.Fatalf("%s: errs %v / %v", tc.q, perr, serr)
 		}
@@ -321,7 +321,7 @@ func TestZoneMapPruningSelectiveScan(t *testing.T) {
 	q := fmt.Sprintf("SELECT tstamp, value FROM logs WHERE tstamp BETWEEN %d AND %d",
 		5*relation.ZonePageRows, 6*relation.ZonePageRows-1)
 	p0, d0 := relation.ScanStats()
-	res, err := Run(latest(t, db), q)
+	res, err := Run(db.SnapshotLatest(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

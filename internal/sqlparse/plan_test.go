@@ -154,7 +154,7 @@ func TestJoinResidualErrorPropagates(t *testing.T) {
 	// filter's error slot was checked. '-' on text operands fails at eval
 	// time, after the plan compiles.
 	db := indexedDB(t)
-	_, err := Run(latest(t, db), `SELECT l.value FROM logs l JOIN runs r ON l.tstamp = r.tstamp
+	_, err := Run(db.SnapshotLatest(), `SELECT l.value FROM logs l JOIN runs r ON l.tstamp = r.tstamp
 		AND l.value - r.vid = 0`)
 	if err == nil || !strings.Contains(err.Error(), "non-numeric") {
 		t.Fatalf("join residual eval error not propagated, got %v", err)
@@ -165,14 +165,14 @@ func TestJoinResidualErrorPropagates(t *testing.T) {
 	if perr != nil {
 		t.Fatal(perr)
 	}
-	if _, err := ExecuteScan(latest(t, db), stmt); err == nil {
+	if _, err := ExecuteScan(db.SnapshotLatest(), stmt); err == nil {
 		t.Fatal("naive executor swallowed the residual error")
 	}
 }
 
 func TestWhereEvalErrorPropagates(t *testing.T) {
 	db := indexedDB(t)
-	if _, err := Run(latest(t, db), "SELECT value FROM logs WHERE value - tstamp = 1"); err == nil {
+	if _, err := Run(db.SnapshotLatest(), "SELECT value FROM logs WHERE value - tstamp = 1"); err == nil {
 		t.Fatal("WHERE eval error not propagated")
 	}
 }
@@ -181,15 +181,15 @@ func TestAggregatePathEvalErrorsPropagate(t *testing.T) {
 	db := indexedDB(t)
 	// HAVING eval error: LIKE on an integer group key fails at eval time and
 	// previously turned into a silently empty result.
-	_, err := Run(latest(t, db), "SELECT tstamp, count(*) AS n FROM logs GROUP BY tstamp HAVING tstamp LIKE 'x'")
+	_, err := Run(db.SnapshotLatest(), "SELECT tstamp, count(*) AS n FROM logs GROUP BY tstamp HAVING tstamp LIKE 'x'")
 	if err == nil || !strings.Contains(err.Error(), "LIKE") {
 		t.Fatalf("HAVING eval error not propagated: %v", err)
 	}
 	// Group-key and aggregate-argument eval errors propagate too.
-	if _, err := Run(latest(t, db), "SELECT value - tstamp AS k, count(*) AS n FROM logs GROUP BY value - tstamp"); err == nil {
+	if _, err := Run(db.SnapshotLatest(), "SELECT value - tstamp AS k, count(*) AS n FROM logs GROUP BY value - tstamp"); err == nil {
 		t.Fatal("group-key eval error not propagated")
 	}
-	if _, err := Run(latest(t, db), "SELECT sum(value - tstamp) AS s FROM logs"); err == nil {
+	if _, err := Run(db.SnapshotLatest(), "SELECT sum(value - tstamp) AS s FROM logs"); err == nil {
 		t.Fatal("aggregate-argument eval error not propagated")
 	}
 }
@@ -223,8 +223,8 @@ func TestDeferredErrorContract(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		_, perr := Execute(latest(t, db), stmt)
-		_, rerr := ExecuteScan(latest(t, db), stmt)
+		_, perr := Execute(db.SnapshotLatest(), stmt)
+		_, rerr := ExecuteScan(db.SnapshotLatest(), stmt)
 		for _, got := range []struct {
 			who  string
 			err  error

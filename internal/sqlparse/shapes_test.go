@@ -163,7 +163,7 @@ func TestPredicateShapesPinned(t *testing.T) {
 	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
 	db := relation.NewDatabase()
 	addShapeTables(t, db, 17)
-	cat := latest(t, db)
+	cat := db.SnapshotLatest()
 	var got []string
 	for _, pred := range shapePredicates {
 		// Both tables hold the same rows: one reference answer serves both.
@@ -225,7 +225,7 @@ func TestRangeEdgesOverZonePages(t *testing.T) {
 		}
 	}
 	db.AdvanceEpoch(time.Now())
-	cat := latest(t, db)
+	cat := db.SnapshotLatest()
 	for _, tc := range []struct {
 		pred         string
 		rows, pruned int
@@ -297,7 +297,7 @@ func TestNaNCellsOverZonePages(t *testing.T) {
 		for range 2 { // cold, then over the stored page partials
 			q := "SELECT count(*) FROM f WHERE " + tc.pred
 			res := mustRun(t, db, q)
-			ref, err := ExecuteScan(latest(t, db), mustParse(t, q))
+			ref, err := ExecuteScan(db.SnapshotLatest(), mustParse(t, q))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,14 +8,6 @@ import (
 	"flordb/internal/relation"
 )
 
-// latest pins db at its in-flight write epoch for the rest of the test: the
-// read-your-writes view a recording session queries through.
-func latest(t testing.TB, db *relation.Database) *relation.Snapshot {
-	snap := db.SnapshotLatest()
-	t.Cleanup(snap.Release)
-	return snap
-}
-
 func testDB(t *testing.T) *relation.Database {
 	t.Helper()
 	db := relation.NewDatabase()
@@ -60,7 +52,7 @@ func testDB(t *testing.T) *relation.Database {
 
 func mustRun(t *testing.T, db *relation.Database, q string) *Result {
 	t.Helper()
-	res, err := Run(latest(t, db), q)
+	res, err := Run(db.SnapshotLatest(), q)
 	if err != nil {
 		t.Fatalf("query %q: %v", q, err)
 	}
@@ -160,7 +152,7 @@ func TestOrderByDescLimitOffset(t *testing.T) {
 // rows it scanned in place would reorder every other pin's view too.
 func TestReferenceLeavesPinnedStoreUnchanged(t *testing.T) {
 	db := testDB(t)
-	other, _ := latest(t, db).Table("logs")
+	other, _ := db.SnapshotLatest().Table("logs")
 	before := other.Rows()
 	want := make([]relation.Row, len(before))
 	for i, r := range before {
@@ -170,7 +162,7 @@ func TestReferenceLeavesPinnedStoreUnchanged(t *testing.T) {
 		"SELECT * FROM logs ORDER BY tstamp DESC, value_name",
 		"SELECT * FROM logs WHERE value_name = 'recall' OR tstamp = 3",
 	} {
-		if _, err := ExecuteScan(latest(t, db), mustParse(t, q)); err != nil {
+		if _, err := ExecuteScan(db.SnapshotLatest(), mustParse(t, q)); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 		got := other.Rows()
@@ -266,7 +258,7 @@ func TestJoin(t *testing.T) {
 }
 
 func TestJoinRequiresEquality(t *testing.T) {
-	if _, err := Run(latest(t, testDB(t)), "SELECT * FROM logs l JOIN runs r ON l.tstamp > r.tstamp"); err == nil {
+	if _, err := Run(testDB(t).SnapshotLatest(), "SELECT * FROM logs l JOIN runs r ON l.tstamp > r.tstamp"); err == nil {
 		t.Fatal("non-equi join must fail")
 	}
 }
@@ -360,16 +352,16 @@ func TestDistinct(t *testing.T) {
 
 func TestUnknownColumnAndTable(t *testing.T) {
 	db := testDB(t)
-	if _, err := Run(latest(t, db), "SELECT nope FROM logs"); err == nil || !strings.Contains(err.Error(), "unknown column") {
+	if _, err := Run(db.SnapshotLatest(), "SELECT nope FROM logs"); err == nil || !strings.Contains(err.Error(), "unknown column") {
 		t.Fatalf("unknown column: %v", err)
 	}
-	if _, err := Run(latest(t, db), "SELECT * FROM nope"); err == nil {
+	if _, err := Run(db.SnapshotLatest(), "SELECT * FROM nope"); err == nil {
 		t.Fatal("unknown table must fail")
 	}
 }
 
 func TestDivisionByZeroSurfaces(t *testing.T) {
-	if _, err := Run(latest(t, testDB(t)), "SELECT * FROM logs WHERE 1 / 0 = 1"); err == nil {
+	if _, err := Run(testDB(t).SnapshotLatest(), "SELECT * FROM logs WHERE 1 / 0 = 1"); err == nil {
 		t.Fatal("division by zero must surface")
 	}
 }

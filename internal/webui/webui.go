@@ -105,7 +105,6 @@ func (s *Server) GetColors(docName string) ([]pageView, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer view.Close()
 	df, err := view.Dataframe("page_color")
 	if err == nil && df.Len() > 0 {
 		di := df.Index("document_value")
@@ -221,7 +220,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	defer view.Close()
 	df, err := view.Dataframe("acc", "recall")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)

@@ -85,7 +85,6 @@ func assertEpochsVisible(t *testing.T, s *flor.Session, upto, perCommit int) {
 			t.Fatalf("ReaderAt(%d): %v", e, err)
 		}
 		res, err := view.SQL("SELECT count(*) c FROM logs WHERE value_name = 'step'")
-		view.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,6 +180,39 @@ func TestAsOfTimestampResolvesToEpoch(t *testing.T) {
 	}
 	if got := res.Rows[0][0].AsInt(); got != 0 {
 		t.Fatalf("ancient timestamp sees %d rows, want 0", got)
+	}
+}
+
+// TestAsOfInFlightEpochRefused: a session's own queries pin the in-flight
+// write epoch to read their own writes, but `AS OF` that epoch names no
+// committed state. It is refused exactly as ReaderAt refuses it, instead of
+// answering with the uncommitted rows, and committed epochs still answer.
+func TestAsOfInFlightEpochRefused(t *testing.T) {
+	s, err := flor.OpenMemory("tt-inflight", flor.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.SetFilename("train.go")
+	commitStep(t, s, 1, 1) // epoch 1 holds one row
+	s.Log("step", "uncommitted")
+
+	if res, err := s.SQL("SELECT count(*) FROM logs"); err != nil || res.Rows[0][0].AsInt() != 2 {
+		t.Fatalf("latest read = %v, %v; want its own 2 rows", res, err)
+	}
+	_, rerr := s.ReaderAt(2)
+	if rerr == nil || !strings.Contains(rerr.Error(), "not committed yet") {
+		t.Fatalf("ReaderAt(2) = %v, want a not-committed refusal", rerr)
+	}
+	res, err := s.SQL("SELECT count(*) FROM logs AS OF 2")
+	if err == nil {
+		t.Fatalf("AS OF the in-flight epoch answered %v, want a refusal", res.Rows)
+	}
+	if err.Error() != rerr.Error() {
+		t.Fatalf("AS OF 2 refused with %q, want ReaderAt's %q", err, rerr)
+	}
+	if res, err := s.SQL("SELECT count(*) FROM logs AS OF 1"); err != nil || res.Rows[0][0].AsInt() != 1 {
+		t.Fatalf("AS OF 1 = %v, %v; want the committed row", res, err)
 	}
 }
 
