@@ -44,7 +44,10 @@ test:
 # (WAL byte truncation, a compaction killed at every step it performs, the
 # version-journal x WAL crash cut), the snapshot-plus-tail property, commits
 # racing compaction, the storage layer's fault-FS matrices (snapshot
-# fallback with its recovery and compaction arms, blob Put), its refusals
+# fallback with its recovery and compaction arms), a checkpoint whose log
+# append fails leaving no row, the checkpoint lines of older releases
+# (rebuilt from objects/ byte for byte, or refused naming a missing or
+# corrupt blob, by recovery, compaction and Open), its refusals
 # to rebuild state around lost history (a segment gap, a corrupt snapshot
 # whose segments are gone — recovery and compaction alike),
 # the incremental-snapshot property (every compaction's file equals a full
@@ -54,8 +57,9 @@ test:
 # clean run's trace of FS steps (internal/storage/storagetest); CI runs it as
 # a parallel job.
 crash-matrix:
-	go test -run 'TestCrash|TestSnapshotPlusTail|TestConcurrentCommits' -count=1 -v .
-	go test -run 'TestRecoverFallsBackFromCorruptSnapshot|TestSegmentGapRefused|TestRecoveryRefusesFallback|PutCrash|TestIncrementalSnapshotEqualsFullRewrite|TestParentProjectCompactsToKnownBytes' -count=1 -v ./internal/storage
+	go test -run 'TestCrash|TestSnapshotPlusTail|TestConcurrentCommits|TestLegacyCheckpointProjectOpens' -count=1 -v .
+	go test -run 'TestRecoverFallsBackFromCorruptSnapshot|TestSegmentGapRefused|TestRecoveryRefusesFallback|TestLegacyCheckpointRecovery|TestIncrementalSnapshotEqualsFullRewrite|TestParentProjectCompactsToKnownBytes' -count=1 -v ./internal/storage
+	go test -run 'TestCheckpointRowFollowsDurableWrite' -count=1 -v ./internal/replay
 	go test -run 'TestRecoveryFallsBackFromRefusedSnapshot' -count=1 -v ./internal/record
 	go test -count=1 -v ./internal/storage/storagetest
 

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -1181,11 +1180,7 @@ func BenchmarkC15ReplicaCatchup(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	blobs, err := storage.NewBlobStore(filepath.Join(dir, ".flor", "objects"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	prim := repl.NewPrimary(sess, blobs)
+	prim := repl.NewPrimary(sess)
 	srv := httptest.NewServer(prim.Routes())
 	defer srv.Close()
 

@@ -49,7 +49,6 @@ import (
 	"flordb/internal/repl"
 	"flordb/internal/server"
 	"flordb/internal/sqlparse"
-	"flordb/internal/storage"
 	"flordb/internal/vcs"
 	"flordb/internal/webui"
 )
@@ -329,12 +328,7 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			blobs, err := storage.NewBlobStore(filepath.Join(*dir, ".flor", "objects"))
-			if err != nil {
-				sess.Close()
-				return err
-			}
-			primary = repl.NewPrimary(sess, blobs)
+			primary = repl.NewPrimary(sess)
 		}
 		defer sess.Close()
 

@@ -714,3 +714,42 @@ func TestConcurrentLogBesideSetFilename(t *testing.T) {
 		t.Fatalf("%d rows logged, want %d", total, n)
 	}
 }
+
+// TestConcurrentNativeLoops: goroutines that each run a native loop with
+// logs on one session share the recorder's stack of open loop contexts
+// (Loop's doc), so where a row lands is not checked here — only that the
+// stack is guarded (-race), that every row is kept, and that once the loops
+// end the session records at the top level again.
+func TestConcurrentNativeLoops(t *testing.T) {
+	s, err := OpenMemory("loops", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const goroutines, iters = 2, 200
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for it := s.Loop(fmt.Sprintf("loop%d", g), iters); it.Next(); {
+				s.Log("x", it.Index())
+			}
+		}(g)
+	}
+	wg.Wait()
+	s.Log("after", 1)
+	for q, want := range map[string]int64{
+		"SELECT count(*) FROM logs WHERE value_name = 'x'":   goroutines * iters,
+		"SELECT count(*) FROM loops":                         goroutines * iters,
+		"SELECT ctx_id FROM logs WHERE value_name = 'after'": 0,
+	} {
+		res, err := s.SQL(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 || res.Rows[0][0].AsInt() != want {
+			t.Fatalf("%s: %v, want %d", q, res.Rows, want)
+		}
+	}
+}

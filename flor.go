@@ -65,8 +65,8 @@ var ErrClosed = errors.New("flor: session is closed")
 var ErrReadOnly = errors.New("flor: session is read-only (replica; promote to write)")
 
 // Session is one FlorDB project handle: a shared engine owning the metadata
-// database, the WAL, the checkpoint blob store, and the version-control
-// repository. Methods are safe for concurrent use unless noted.
+// database, the WAL, and the version-control repository. Methods are safe
+// for concurrent use unless noted.
 //
 // The read and write paths are decoupled: queries (SQL, Explain, Dataframe,
 // Reader) run against pinned MVCC snapshots of the relational kernel and
@@ -86,7 +86,7 @@ type Session struct {
 	db        *relation.Database
 	tables    *record.Tables
 	wal       *storage.WAL
-	blobs     *storage.BlobStore
+	blobs     *storage.BlobStore // reads checkpoints older releases kept in objects/
 	repo      *vcs.Repo
 	tstamp    int64
 	recorder  *replay.Recorder
@@ -142,8 +142,8 @@ type Options struct {
 	Args map[string]string
 	// Policy selects the checkpointing policy (nil = adaptive 5%).
 	Policy replay.CheckpointPolicy
-	// NoSync disables every fsync the session makes — the WAL's, the
-	// repo.json journal's and the checkpoint blob store's — so nothing is
+	// NoSync disables every fsync the session makes — the WAL's, which
+	// checkpoints ride in, and the repo.json journal's — so nothing is
 	// durable across a machine crash (benchmarks).
 	NoSync bool
 	// SegmentBytes rotates flor.wal into sealed, numbered segments once the
@@ -271,7 +271,7 @@ func OpenReplica(dir, projid string, opts Options) (*Session, error) {
 	return s, nil
 }
 
-// OpenMemory creates an ephemeral in-memory session (no WAL, no blob files);
+// OpenMemory creates an ephemeral in-memory session (no WAL, no files);
 // useful for tests and benchmarks.
 func OpenMemory(projid string, opts Options) (*Session, error) {
 	return newSession(projid, "", nil, "", false, nil, vcs.NewRepo(), opts)
@@ -304,9 +304,6 @@ func newSession(projid, dir string, wal *storage.WAL, walPath string, readOnly b
 		reg:       metrics.NewRegistry(),
 	}
 	repo.SetNoSync(opts.NoSync)
-	if blobs != nil {
-		blobs.SetNoSync(opts.NoSync)
-	}
 	db.RegisterMetrics(s.reg)
 	wal.RegisterMetrics(s.reg)
 	s.plans.RegisterMetrics(s.reg)
@@ -362,7 +359,7 @@ func newSession(projid, dir string, wal *storage.WAL, walPath string, readOnly b
 		return nil, err
 	}
 
-	ctx := &replay.Context{ProjID: projid, Tstamp: s.tstamp, Tables: tables, WAL: wal, Blobs: blobs}
+	ctx := &replay.Context{ProjID: projid, Tstamp: s.tstamp, Tables: tables, WAL: wal}
 	ctx.SetFilename("main")
 	ckpt := replay.NewCheckpointManager(opts.Policy)
 	s.recorder = replay.NewRecorder(ctx, ckpt)
@@ -475,84 +472,83 @@ func (s *Session) ArgString(name, def string) string {
 
 // LoopIter drives one flor.loop from native Go code.
 type LoopIter struct {
-	sess    *replay.Recorder
 	session script.LoopSession
-	n       int
-	i       int
-	started bool
+	vals    []script.Value
+	i       int // -1 before the first iteration
 	err     error
-	vals    []script.Value // non-nil for LoopVals loops
+	closed  bool
 }
 
 // Loop begins a named loop over n iterations (flor.loop). Iterate with
-// Next/Index; the loop closes itself when Next returns false.
+// Next/Index; the loop closes itself when Next returns false. A loop that
+// may be left early — break, return, a panic — needs Close, or its open
+// iteration stays the context of the session's later records:
+//
+//	it := sess.Loop("epoch", n)
+//	defer it.Close()
+//	for it.Next() { ... }
+//
+// Loop contexts belong to the session, not to a goroutine: while an
+// iteration is open, a Log from any goroutine lands in it. Like the commit
+// boundaries of Reader, loop nesting holds when one goroutine records at a
+// time.
 func (s *Session) Loop(name string, n int) *LoopIter {
-	if err := s.begin(); err != nil {
-		return &LoopIter{n: n, i: -1, err: err}
-	}
-	defer s.end()
-	if s.readOnly.Load() {
-		return &LoopIter{n: n, i: -1, err: ErrReadOnly}
-	}
 	vals := make([]script.Value, n)
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	ls, err := s.recorder.LoopBegin(name, vals)
-	return &LoopIter{sess: s.recorder, session: ls, n: n, i: -1, err: err}
+	return s.loop(name, vals)
 }
 
-// LoopVals begins a named loop over explicit values (e.g. document names).
+// LoopVals begins a named loop over explicit values (e.g. document names);
+// it is Loop's counterpart and closes as Loop does.
 func (s *Session) LoopVals(name string, vals []string) *LoopIter {
-	if err := s.begin(); err != nil {
-		return &LoopIter{n: len(vals), i: -1, err: err}
-	}
-	defer s.end()
-	if s.readOnly.Load() {
-		return &LoopIter{n: len(vals), i: -1, err: ErrReadOnly}
-	}
 	sv := make([]script.Value, len(vals))
 	for i, v := range vals {
 		sv[i] = v
 	}
-	ls, err := s.recorder.LoopBegin(name, sv)
-	return &LoopIter{sess: s.recorder, session: ls, n: len(vals), i: -1, err: err,
-		vals: sv}
+	return s.loop(name, sv)
 }
 
-// Next advances the loop; it returns false at the end (and finalizes the
-// loop context).
-func (it *LoopIter) Next() bool {
-	if it.err != nil {
-		return false
+func (s *Session) loop(name string, vals []script.Value) *LoopIter {
+	it := &LoopIter{vals: vals, i: -1}
+	if it.err = s.begin(); it.err != nil {
+		return it
 	}
-	if it.started {
-		if err := it.session.PostIter(it.i, it.val()); err != nil {
-			it.err = err
-			return false
+	defer s.end()
+	if s.readOnly.Load() {
+		it.err = ErrReadOnly
+		return it
+	}
+	it.session, it.err = s.recorder.LoopBegin(name, vals)
+	return it
+}
+
+// Next advances the loop; it returns false at the end or on an error, and
+// then closes the loop (Close).
+func (it *LoopIter) Next() bool {
+	if it.err == nil && !it.closed {
+		if it.err = it.advance(); it.err == nil && it.i < len(it.vals) {
+			return true
 		}
 	}
-	it.i++
-	if it.i >= it.n {
-		it.err = it.session.End()
-		return false
-	}
-	run, err := it.session.Decide(it.i, it.val())
-	if err != nil {
-		it.err = err
-		return false
-	}
-	it.started = true
-	_ = run // recording always runs
-	return true
+	it.Close()
+	return false
 }
 
-// vals is non-nil for LoopVals loops.
-func (it *LoopIter) val() script.Value {
-	if it.vals != nil {
-		return it.vals[it.i]
+// advance ends the current iteration, if any, and begins the next one
+// unless the loop is done.
+func (it *LoopIter) advance() error {
+	if it.i >= 0 {
+		if err := it.session.PostIter(it.i, it.vals[it.i]); err != nil {
+			return err
+		}
 	}
-	return int64(it.i)
+	if it.i++; it.i >= len(it.vals) {
+		return nil
+	}
+	_, err := it.session.Decide(it.i, it.vals[it.i]) // recording always runs
+	return err
 }
 
 // Index returns the current iteration index.
@@ -560,6 +556,21 @@ func (it *LoopIter) Index() int { return it.i }
 
 // Err reports any error the loop hit.
 func (it *LoopIter) Err() error { return it.err }
+
+// Close ends the loop and closes the context of an iteration Next opened
+// and no later Next closed, so the session's next records land in the
+// enclosing context again. Calls after the first do nothing. It returns the
+// loop's error, as Err does.
+func (it *LoopIter) Close() error {
+	if it.closed || it.session == nil {
+		return it.err
+	}
+	it.closed = true
+	if err := it.session.End(); it.err == nil {
+		it.err = err
+	}
+	return it.err
+}
 
 // Checkpointing opens a flor.checkpointing scope over the given objects.
 // Close it when the training loop finishes.
@@ -1198,7 +1209,7 @@ func (s *Session) Hindsight(filename, newSrc string, targets []int) ([]Hindsight
 	}
 	s.mu.Unlock()
 	d := &replay.Driver{
-		Repo: s.repo, Tables: s.tables, View: latest.view, WAL: s.wal, Blobs: s.blobs,
+		Repo: s.repo, Tables: s.tables, View: latest.view, WAL: s.wal,
 		ProjID: s.ProjID, NextCtx: s.recorder.NextCtx,
 		Setup: func(in *script.Interp) {
 			for name, fn := range hosts {

@@ -1127,3 +1127,173 @@ for e in flor.loop("epoch", range(2)) {
 		t.Fatalf("recovered logs: %s, want %s", got, all)
 	}
 }
+
+// TestLoopContextClosesOnEveryExit: a loop left by a runtime error in a
+// flor.loop body, or by break out of a native loop and its Close, closes
+// its last iteration's context, so the session's next records — a log, the
+// next loop's iterations — land at the top level again.
+func TestLoopContextClosesOnEveryExit(t *testing.T) {
+	s, err := OpenMemory("leak", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	src := "xs = [1, 2]\nfor i in flor.loop(\"epoch\", range(3)) {\n    y = xs[5]\n}\n"
+	if err := s.RunScript("fail.flow", src); err == nil {
+		t.Fatal("a script indexing past its list ran without an error")
+	}
+	s.Log("after_script", 1)
+	it := s.Loop("native", 3)
+	for it.Next() {
+		break
+	}
+	for i := 0; i < 2; i++ { // a second Close does nothing
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if it.Next() {
+		t.Fatal("Next after Close began an iteration")
+	}
+	s.Log("after_break", 1)
+	for it := s.Loop("next", 1); it.Next(); {
+	}
+	for q, want := range map[string]int64{
+		"SELECT ctx_id FROM logs WHERE value_name = 'after_script'":  0,
+		"SELECT ctx_id FROM logs WHERE value_name = 'after_break'":   0,
+		"SELECT parent_ctx_id FROM loops WHERE loop_name = 'native'": 0,
+		"SELECT parent_ctx_id FROM loops WHERE loop_name = 'next'":   0,
+		"SELECT count(*) FROM loops WHERE loop_name = 'native'":      1,
+	} {
+		res, err := s.SQL(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 || res.Rows[0][0].AsInt() != want {
+			t.Fatalf("%s: %v, want %d", q, res.Rows, want)
+		}
+	}
+}
+
+// objStoreRows renders every obj_store row a session holds, in store order.
+func objStoreRows(s *Session) []string {
+	tbl, _ := s.Database().SnapshotLatest().Table("obj_store")
+	var out []string
+	tbl.Scan(func(_ relation.RowID, r relation.Row) bool {
+		var b strings.Builder
+		for _, v := range r {
+			b.WriteString(v.String() + "|")
+		}
+		out = append(out, b.String())
+		return true
+	})
+	return out
+}
+
+// bytesModel is a Snapshotter whose state is raw bytes.
+type bytesModel struct{ b []byte }
+
+func (m *bytesModel) Snapshot() ([]byte, error) { return m.b, nil }
+func (m *bytesModel) Restore(b []byte) error    { m.b = b; return nil }
+
+// TestCheckpointsRideInTheLog: a disk session's checkpoints are log records
+// — one larger than the WAL's 64 KiB buffer, with NUL and 0xff bytes —
+// so the session writes nothing under .flor/objects, and recovery after a
+// restart and after a compaction rebuild the same obj_store rows from the
+// log alone.
+func TestCheckpointsRideInTheLog(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Policy: replay.EveryN{N: 1}, NoSync: true}
+	s, err := Open(dir, "ckpt", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &bytesModel{}
+	ck, err := s.Checkpointing(map[string]Snapshotter{"model": m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for it := s.Loop("epoch", 3); it.Next(); {
+		m.b = bytes.Repeat([]byte{0, 0xff, byte(it.Index())}, 1+it.Index()*40000)
+		s.Log("loss", it.Index())
+	}
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit("trained"); err != nil {
+		t.Fatal(err)
+	}
+	want := objStoreRows(s)
+	if len(want) != 3 {
+		t.Fatalf("obj_store rows = %d, want 3", len(want))
+	}
+	reopen := func(compact bool) {
+		t.Helper()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if s, err = Open(dir, "ckpt", opts); err != nil {
+			t.Fatal(err)
+		}
+		if got := objStoreRows(s); !slices.Equal(got, want) {
+			t.Fatalf("obj_store after reopen differs: %d rows, want %d", len(got), len(want))
+		}
+		if compact {
+			if _, err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	reopen(true)
+	reopen(false)
+	defer s.Close()
+	if _, err := os.Stat(filepath.Join(dir, ".flor", "objects")); !os.IsNotExist(err) {
+		t.Fatalf(".flor/objects exists (%v): checkpoints took a path beside the log", err)
+	}
+}
+
+// TestLegacyCheckpointProjectOpens: testdata/legacy_ckpt_project was
+// written by the release before checkpoints rode in the log; its two ckpt
+// lines name their bytes by key in .flor/objects. Open rebuilds each row
+// from that store, and with the store gone Open fails naming the first key,
+// where that release opened with the rows silently gone.
+func TestLegacyCheckpointProjectOpens(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "legacy_ckpt_project"))); err != nil {
+		t.Fatal(err)
+	}
+	objects := filepath.Join(dir, ".flor", "objects")
+	s, err := Open(dir, "legacy", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.LatestReader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, key := range []string{
+		"6b9e948ddf835670dd009006a0f4372acdf60615038726f2f978cc71bab1207e",
+		"10145e4fae9248c3e162538216e1aa3385de2854d509e999200180756e3b5c1d",
+	} {
+		want, err := os.ReadFile(filepath.Join(objects, key[:2], key[2:]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := v.view.GetBlobExact("legacy", replay.CkptBlobName("epoch", i), 1)
+		if !ok || !bytes.Equal(got, want) {
+			t.Fatalf("checkpoint %d: row %q (found %v), want the bytes of blob %s", i, got, ok, key)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(objects); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Open(dir, "legacy", Options{}); err == nil || !strings.Contains(err.Error(), "6b9e948ddf835670") {
+		if s != nil {
+			s.Close()
+		}
+		t.Fatalf("Open without the blobs its log names: %v, want an error naming the key", err)
+	}
+}

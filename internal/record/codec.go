@@ -4,6 +4,7 @@
 package record
 
 import (
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -68,7 +69,12 @@ func AppendRecord(dst []byte, rec any) ([]byte, error) {
 		dst = relation.AppendJSONString(append(dst, `,"filename":`...), r.Filename)
 		dst = strconv.AppendInt(append(dst, `,"ctx_id":`...), r.CtxID, 10)
 		dst = relation.AppendJSONString(append(dst, `,"name":`...), r.Name)
-		dst = relation.AppendJSONString(append(dst, `,"blob_key":`...), r.BlobKey)
+		if r.BlobKey != "" {
+			dst = relation.AppendJSONString(append(dst, `,"blob_key":`...), r.BlobKey)
+		}
+		if len(r.Data) > 0 {
+			dst = append(base64.StdEncoding.AppendEncode(append(dst, `,"data":"`...), r.Data), '"')
+		}
 		return finish(dst, n0, nil)
 	case *CommitRecord:
 		dst = relation.AppendJSONString(append(dst, `{"kind":`...), string(r.Kind))
@@ -168,6 +174,7 @@ const (
 	fName
 	fBlobKey
 	fVID
+	fData
 	numFields
 )
 
@@ -175,7 +182,7 @@ const (
 var fieldKeys = [numFields]string{
 	"kind", "projid", "tstamp", "filename", "ctx_id", "value_name", "value",
 	"value_type", "wall", "parent_ctx_id", "loop_name", "loop_iteration",
-	"iteration_value", "name", "blob_key", "vid",
+	"iteration_value", "name", "blob_key", "vid", "data",
 }
 
 // lookupField matches a key byte for byte; encoding/json would also match
@@ -214,6 +221,8 @@ func lookupField[T string | []byte](key T) (field, bool) {
 		return fBlobKey, true
 	case "vid":
 		return fVID, true
+	case "data":
+		return fData, true
 	}
 	return 0, false
 }
@@ -231,7 +240,7 @@ var (
 	logFields    = fields(fKind, fProjID, fTstamp, fFilename, fCtxID, fValueName, fValue, fValueType, fWall)
 	loopFields   = fields(fKind, fProjID, fTstamp, fFilename, fCtxID, fParentCtxID, fLoopName, fLoopIter, fIterValue, fWall)
 	argFields    = fields(fKind, fProjID, fTstamp, fFilename, fName, fValue)
-	ckptFields   = fields(fKind, fProjID, fTstamp, fFilename, fCtxID, fName, fBlobKey)
+	ckptFields   = fields(fKind, fProjID, fTstamp, fFilename, fCtxID, fName, fBlobKey, fData)
 	commitFields = fields(fKind, fProjID, fTstamp, fVID, fWall)
 )
 
@@ -263,6 +272,7 @@ type lineDecoder struct {
 	str  [numFields][]byte // raw contents (between the quotes) of string values
 	num  [numFields]int64
 	wall time.Time
+	data []byte
 	esc  uint32 // string fields whose raw contents need unquoting
 	bad  uint32 // fields given a value of the wrong type
 }
@@ -370,6 +380,9 @@ func (d *lineDecoder) value(f field) error {
 	if d.pos == len(d.buf) {
 		return d.syntax("unexpected end of line")
 	}
+	if f == fData {
+		return d.bytes()
+	}
 	bit := uint32(1) << f
 	switch c := d.buf[d.pos]; {
 	case c == '"':
@@ -414,6 +427,71 @@ func (d *lineDecoder) value(f field) error {
 		return d.literal("null")
 	default:
 		d.bad |= bit
+		return d.skip(1)
+	}
+}
+
+// bytes parses the value of data as json fills a []byte: a base64 string,
+// null, which clears it, or an array of integers 0..255 written into the
+// slice already there — its backing array reused, a null element leaving
+// its slot as that array held it.
+func (d *lineDecoder) bytes() error {
+	switch d.buf[d.pos] {
+	case '"':
+		s, flags, err := d.quoted()
+		if err != nil {
+			return err
+		}
+		if flags&strEscaped != 0 {
+			s = []byte(unquote(s))
+		}
+		b := make([]byte, base64.StdEncoding.DecodedLen(len(s)))
+		if n, err := base64.StdEncoding.Decode(b, s); err == nil {
+			d.data = b[:n]
+		} else {
+			d.bad |= 1 << fData
+		}
+		return nil
+	case 'n':
+		d.data = nil
+		return d.literal("null")
+	case '[':
+		out, i := d.data, 0
+		err := d.container(2, func([]byte, uint8) error {
+			if i < cap(out) {
+				out = out[:i+1]
+			} else {
+				out = append(out, 0)
+			}
+			i++
+			var c byte
+			if d.pos < len(d.buf) {
+				c = d.buf[d.pos]
+			}
+			if c == '-' || ('0' <= c && c <= '9') {
+				n, isInt, err := d.number()
+				if err != nil {
+					return err
+				}
+				if v, ok := parseInt(n); isInt && ok && c != '-' && v <= 255 {
+					out[i-1] = byte(v)
+				} else {
+					d.bad |= 1 << fData
+				}
+				return nil
+			}
+			if c != 'n' {
+				d.bad |= 1 << fData
+			}
+			return d.skip(2)
+		})
+		if out = out[:i]; i == 0 {
+			out = []byte{}
+		}
+		d.data = out
+		return err
+	default:
+		d.bad |= 1 << fData
 		return d.skip(1)
 	}
 }
@@ -706,7 +784,7 @@ func (d *lineDecoder) build() (any, error) {
 		return &CkptRecord{
 			Kind: KindCkpt, ProjID: d.text(fProjID), Tstamp: d.num[fTstamp],
 			Filename: d.text(fFilename), CtxID: d.num[fCtxID],
-			Name: d.text(fName), BlobKey: d.text(fBlobKey),
+			Name: d.text(fName), BlobKey: d.text(fBlobKey), Data: d.data,
 		}, nil
 	default:
 		return &CommitRecord{

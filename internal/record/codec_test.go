@@ -118,9 +118,11 @@ func checkEncode(t *testing.T, rec any) {
 	}
 }
 
-// makeRecord builds a record of kind k%5 from fuzzed fields.
+// makeRecord builds a record of kind k%6 from fuzzed fields: 3 is a
+// checkpoint carrying its bytes, 5 one of an older release naming them by
+// key.
 func makeRecord(k uint8, s1, s2, s3, s4 string, n1, n2, n3 int64, wall time.Time) any {
-	switch k % 5 {
+	switch k % 6 {
 	case 0:
 		return &LogRecord{Kind: KindLog, ProjID: s1, Tstamp: n1, Filename: s2, CtxID: n2, ValueName: s3, Value: s4, ValueType: ValueType(n3), Wall: wall}
 	case 1:
@@ -128,9 +130,11 @@ func makeRecord(k uint8, s1, s2, s3, s4 string, n1, n2, n3 int64, wall time.Time
 	case 2:
 		return &ArgRecord{Kind: KindArg, ProjID: s1, Tstamp: n1, Filename: s2, Name: s3, Value: s4}
 	case 3:
-		return &CkptRecord{Kind: KindCkpt, ProjID: s1, Tstamp: n1, Filename: s2, CtxID: n2, Name: s3, BlobKey: s4}
-	default:
+		return &CkptRecord{Kind: KindCkpt, ProjID: s1, Tstamp: n1, Filename: s2, CtxID: n2, Name: s3, Data: []byte(s4)}
+	case 4:
 		return &CommitRecord{Kind: KindCommit, ProjID: s1, Tstamp: n1, VID: s3 + s4, Wall: wall}
+	default:
+		return &CkptRecord{Kind: KindCkpt, ProjID: s1, Tstamp: n1, Filename: s2, CtxID: n2, Name: s3, BlobKey: s4}
 	}
 }
 
@@ -162,6 +166,9 @@ func FuzzRecordEncode(f *testing.F) {
 	for i, s := range seeds {
 		f.Add(uint8(i), s.s1, s.s2, s.s3, s.s4, s.n1, s.n2, s.n3, s.sec, s.nsec, s.off)
 	}
+	// A checkpoint longer than the WAL's buffer, and a legacy key-only one.
+	f.Add(uint8(3), "p", "train.flow", "ckpt::epoch::4", bigCkptData, int64(2), int64(9), int64(0), int64(0), int64(0), int32(0))
+	f.Add(uint8(5), "p", "train.flow", "ckpt::epoch::4", "deadbeef", int64(2), int64(9), int64(0), int64(0), int64(0), int32(0))
 	f.Fuzz(func(t *testing.T, k uint8, s1, s2, s3, s4 string, n1, n2, n3, sec, nsec int64, off int32) {
 		rec := makeRecord(k, s1, s2, s3, s4, n1, n2, n3, fuzzWall(sec, nsec, off))
 		checkEncode(t, rec)
@@ -210,6 +217,33 @@ func decodeSeeds() []string {
 		`{"kind":"log","value_type":true}`,
 		`{"kind":"log","value":1}`,
 		`{"kind":"log","value":["a"]}`,
+		`{"kind":"ckpt","data":"AP9zb21l"}`,
+		`{"kind":"ckpt","data":"QQ\r\n=="}`,
+		`{"kind":"ckpt","data":"` + u + `0041` + u + `0041=="}`,
+		`{"kind":"ckpt","data":"A"}`,
+		`{"kind":"ckpt","data":"` + "\xff" + `"}`,
+		`{"kind":"ckpt","data":""}`,
+		`{"kind":"ckpt","data":null}`,
+		`{"kind":"ckpt","data":"QUJD","data":null}`,
+		`{"kind":"ckpt","data":[]}`,
+		`{"kind":"ckpt","data":[0, 255 ,7]}`,
+		`{"kind":"ckpt","data":[256]}`,
+		`{"kind":"ckpt","data":[-0]}`,
+		`{"kind":"ckpt","data":[1.0]}`,
+		`{"kind":"ckpt","data":[1e2]}`,
+		`{"kind":"ckpt","data":["a"]}`,
+		`{"kind":"ckpt","data":[[1]]}`,
+		`{"kind":"ckpt","data":[true]}`,
+		`{"kind":"ckpt","data":[null,1]}`,
+		`{"kind":"ckpt","data":{}}`,
+		`{"kind":"ckpt","data":7}`,
+		`{"kind":"ckpt","data":true}`,
+		`{"kind":"ckpt","data":"QUJD","data":[null,null,9,null,null]}`,
+		`{"kind":"ckpt","data":[1,2,3],"data":[9],"data":[null,null,null,null,null]}`,
+		`{"kind":"ckpt","data":[],"data":[null]}`,
+		`{"kind":"ckpt","data":[1,2`,
+		`{"kind":"ckpt","blob_key":"deadbeef","data":"AP8="}`,
+		`{"kind":"log","data":[300,"x",{}]}`,
 		" \t\r\n{ \"kind\" : \"loop\" , \"loop_iteration\" :\t4 }\n ",
 		`{"kind":"l` + u + `006fop"}`,
 		`{"k` + u + `0069nd":"ckpt"}`,
@@ -305,10 +339,13 @@ func TestEncodeMatchesJSON(t *testing.T) {
 	}
 	strs := []string{"", "plain", "<&>", "\"\\", "\x00\x1f\x7f", "\xff", "\xed\xa0\x80", string([]rune{0x2028, 0x2029, 0xfffd}), "\U0001F600"}
 	for i, w := range walls {
-		for k := uint8(0); k < 5; k++ {
+		for k := uint8(0); k < 6; k++ {
 			s := strs[i%len(strs)]
 			checkEncode(t, makeRecord(k, s, strs[(i+1)%len(strs)], s+s, "v"+s, int64(i), math.MinInt64, math.MaxInt64, w))
 		}
+	}
+	for _, rec := range ckptRecords {
+		checkEncode(t, rec)
 	}
 	for _, rec := range []any{nil, "x", LogRecord{}} {
 		if _, err := AppendRecord(nil, rec); err == nil {
@@ -342,6 +379,27 @@ func TestSanitizeMatchesEncoder(t *testing.T) {
 			t.Fatalf("Sanitize(%q) = %q, line carries %q", s, rec.Value, got)
 		}
 	}
+	for _, rec := range ckptRecords {
+		line, err := Encode(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Sanitize(rec)
+		if got := mustDecode(t, string(line)); !reflect.DeepEqual(got, rec) {
+			t.Fatalf("Sanitize left %.80q, line carries %.80q", fmt.Sprint(rec), fmt.Sprint(got))
+		}
+	}
+}
+
+// bigCkptData is checkpoint bytes longer than the WAL's 64 KiB write buffer
+// and the replay reader's, holding NUL and 0xff.
+var bigCkptData = strings.Repeat("\x00\xffw", 25<<10)
+
+// ckptRecords are a checkpoint carrying bigCkptData and one of an older
+// release naming its bytes by key.
+var ckptRecords = []*CkptRecord{
+	{Kind: KindCkpt, ProjID: "p", Tstamp: 2, Filename: "train.flow", CtxID: 9, Name: "ckpt::epoch::4", Data: []byte(bigCkptData)},
+	{Kind: KindCkpt, ProjID: "p", Tstamp: 2, Filename: "train.flow", CtxID: 9, Name: "ckpt::epoch::4", BlobKey: "deadbeef"},
 }
 
 // allocRecords are records with every string field non-empty, as the
@@ -350,6 +408,7 @@ var allocRecords = []any{
 	&LogRecord{Kind: KindLog, ProjID: "proj", Tstamp: 12, Filename: "train.flow", CtxID: 3, ValueName: "loss", Value: "0.25", ValueType: VTFloat, Wall: time.Now().UTC()},
 	&LoopRecord{Kind: KindLoop, ProjID: "proj", Tstamp: 12, Filename: "train.flow", CtxID: 4, ParentCtxID: 3, LoopName: "epoch", LoopIter: 2, IterValue: "2", Wall: time.Now().UTC()},
 	&ArgRecord{Kind: KindArg, ProjID: "proj", Tstamp: 12, Filename: "train.flow", Name: "lr", Value: "0.01"},
+	&CkptRecord{Kind: KindCkpt, ProjID: "proj", Tstamp: 12, Filename: "train.flow", CtxID: 4, Name: "ckpt::epoch::2", Data: []byte{0, 0xff, 'w'}},
 	&CkptRecord{Kind: KindCkpt, ProjID: "proj", Tstamp: 12, Filename: "train.flow", CtxID: 4, Name: "ckpt::epoch::2", BlobKey: "deadbeef"},
 	&CommitRecord{Kind: KindCommit, ProjID: "proj", Tstamp: 12, VID: "v12", Wall: time.Now().UTC()},
 }
@@ -365,8 +424,8 @@ func TestEncodeAllocatesNothingIntoABuffer(t *testing.T) {
 	}
 }
 
-// TestDecodeAllocations pins Decode to one allocation per string field
-// plus the record, escaped strings included.
+// TestDecodeAllocations pins Decode to one allocation per string or byte
+// field plus the record, escaped strings included.
 func TestDecodeAllocations(t *testing.T) {
 	for _, rec := range allocRecords {
 		line, err := Encode(rec)
@@ -376,7 +435,7 @@ func TestDecodeAllocations(t *testing.T) {
 		strs := 0
 		v := reflect.ValueOf(rec).Elem()
 		for i := 0; i < v.NumField(); i++ {
-			if v.Field(i).Kind() == reflect.String && v.Type().Field(i).Name != "Kind" {
+			if k := v.Field(i).Kind(); (k == reflect.String || k == reflect.Slice) && v.Type().Field(i).Name != "Kind" {
 				strs++
 			}
 		}

@@ -20,6 +20,9 @@ func FuzzRecordDecode(f *testing.F) {
 		&CkptRecord{Kind: KindCkpt, ProjID: "p", Tstamp: 2, Filename: "train.flow", CtxID: 9, Name: "ckpt::epoch::4", BlobKey: "deadbeef"},
 		&CommitRecord{Kind: KindCommit, ProjID: "p", Tstamp: 5, VID: "v123"},
 	}
+	for _, rec := range ckptRecords {
+		seeds = append(seeds, rec)
+	}
 	for _, rec := range seeds {
 		line, err := Encode(rec)
 		if err != nil {

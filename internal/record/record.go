@@ -45,7 +45,6 @@ const (
 	VTInt
 	VTFloat
 	VTBool
-	VTBlobRef // value column holds a key into obj_store
 )
 
 // Kind discriminates record variants in the WAL stream.
@@ -98,15 +97,20 @@ type ArgRecord struct {
 	Value    string `json:"value"`
 }
 
-// CkptRecord registers a checkpoint blob taken at a loop iteration boundary.
+// CkptRecord is one checkpoint taken at a loop iteration boundary — a row
+// of `obj_store`. Its line carries the checkpoint's bytes as data (base64).
+// A line written before checkpoints rode in the log carries blob_key
+// instead: the sha256 of bytes kept in the project's objects/ store, which
+// recovery reads back (storage.State).
 type CkptRecord struct {
 	Kind     Kind   `json:"kind"`
 	ProjID   string `json:"projid"`
 	Tstamp   int64  `json:"tstamp"`
 	Filename string `json:"filename"`
 	CtxID    int64  `json:"ctx_id"`
-	Name     string `json:"name"`     // checkpointed object name (e.g. "model")
-	BlobKey  string `json:"blob_key"` // key into obj_store
+	Name     string `json:"name"` // obj_store value_name, e.g. "ckpt::epoch::4"
+	BlobKey  string `json:"blob_key,omitempty"`
+	Data     []byte `json:"data,omitempty"`
 }
 
 // CommitRecord marks a flor.commit() — the end of a visible transaction.

@@ -13,6 +13,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		&LogRecord{Kind: KindLog, ProjID: "p", Tstamp: 3, Filename: "train.flow", CtxID: 7, ValueName: "acc", Value: "0.9", ValueType: VTFloat, Wall: time.Unix(100, 0).UTC()},
 		&LoopRecord{Kind: KindLoop, ProjID: "p", Tstamp: 3, Filename: "train.flow", CtxID: 8, ParentCtxID: 7, LoopName: "epoch", LoopIter: 2, IterValue: "2", Wall: time.Unix(101, 0).UTC()},
 		&ArgRecord{Kind: KindArg, ProjID: "p", Tstamp: 3, Filename: "train.flow", Name: "lr", Value: "0.001"},
+		&CkptRecord{Kind: KindCkpt, ProjID: "p", Tstamp: 3, Filename: "train.flow", CtxID: 8, Name: "model", Data: []byte{0, 1, 0xff}},
 		&CkptRecord{Kind: KindCkpt, ProjID: "p", Tstamp: 3, Filename: "train.flow", CtxID: 8, Name: "model", BlobKey: "k1"},
 		&CommitRecord{Kind: KindCommit, ProjID: "p", Tstamp: 4, VID: "v4", Wall: time.Unix(102, 0).UTC()},
 	}
@@ -173,7 +174,7 @@ func TestCreateTablesAndApply(t *testing.T) {
 		&LogRecord{Kind: KindLog, ProjID: "p", Tstamp: 1, Filename: "f", CtxID: 0, ValueName: "acc", Value: "0.9", ValueType: VTFloat},
 		&LoopRecord{Kind: KindLoop, ProjID: "p", Tstamp: 1, Filename: "f", CtxID: 1, ParentCtxID: 0, LoopName: "epoch", LoopIter: 0, IterValue: "0"},
 		&ArgRecord{Kind: KindArg, ProjID: "p", Tstamp: 1, Filename: "f", Name: "lr", Value: "0.01"},
-		&CkptRecord{Kind: KindCkpt, ProjID: "p", Tstamp: 1, Filename: "f", CtxID: 1, Name: "model", BlobKey: "b"},
+		&CkptRecord{Kind: KindCkpt, ProjID: "p", Tstamp: 1, Filename: "f", CtxID: 1, Name: "model", Data: []byte("weights")},
 		&CommitRecord{Kind: KindCommit, ProjID: "p", Tstamp: 2, VID: "v"},
 	}
 	for _, rec := range recs {
@@ -181,8 +182,13 @@ func TestCreateTablesAndApply(t *testing.T) {
 			t.Fatalf("apply %T: %v", rec, err)
 		}
 	}
-	if tables.Logs.Len() != 1 || tables.Loops.Len() != 1 || tables.Args.Len() != 1 {
-		t.Fatalf("table counts: logs=%d loops=%d args=%d", tables.Logs.Len(), tables.Loops.Len(), tables.Args.Len())
+	if tables.Logs.Len() != 1 || tables.Loops.Len() != 1 || tables.Args.Len() != 1 || tables.ObjStore.Len() != 1 {
+		t.Fatalf("table counts: logs=%d loops=%d args=%d obj_store=%d", tables.Logs.Len(), tables.Loops.Len(), tables.Args.Len(), tables.ObjStore.Len())
+	}
+	// A line of an older release names its bytes by key; applying it
+	// unresolved would store a row with none.
+	if err := tables.Apply(&CkptRecord{Kind: KindCkpt, ProjID: "p", Tstamp: 1, Name: "model", BlobKey: "b"}); err == nil {
+		t.Fatal("a checkpoint that names a blob and carries no data must not apply")
 	}
 	if err := tables.Apply("not a record"); err == nil {
 		t.Fatal("bad record type must fail")
@@ -195,11 +201,10 @@ func TestGetBlobExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tables.PutBlob("p", 1, "f", 0, "model", []byte("old")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tables.PutBlob("p", 3, "f", 0, "model", []byte("new")); err != nil {
-		t.Fatal(err)
+	for ts, data := range map[int64]string{1: "old", 3: "new"} {
+		if err := tables.Apply(&CkptRecord{Kind: KindCkpt, ProjID: "p", Tstamp: ts, Filename: "f", Name: "model", Data: []byte(data)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	snap := db.SnapshotLatest()
 	view, err := tables.At(snap)

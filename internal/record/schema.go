@@ -243,23 +243,19 @@ func (t *Tables) Apply(rec any) error {
 		})
 		return err
 	case *CkptRecord:
-		// Checkpoint blobs are written to obj_store directly by the
-		// checkpoint manager; the WAL record is provenance only.
-		return nil
+		if r.Data == nil && r.BlobKey != "" {
+			return fmt.Errorf("record: checkpoint %s names blob %s; read its bytes from the objects/ store first", r.Name, r.BlobKey)
+		}
+		_, err := t.ObjStore.Insert(relation.Row{
+			relation.Text(r.ProjID), relation.Int(r.Tstamp), relation.Text(r.Filename),
+			relation.Int(r.CtxID), relation.Text(r.Name), relation.Blob(r.Data),
+		})
+		return err
 	case *CommitRecord:
 		return nil
 	default:
 		return fmt.Errorf("record: cannot apply %T", rec)
 	}
-}
-
-// PutBlob stores a blob in obj_store.
-func (t *Tables) PutBlob(projid string, tstamp int64, filename string, ctxID int64, name string, contents []byte) error {
-	_, err := t.ObjStore.Insert(relation.Row{
-		relation.Text(projid), relation.Int(tstamp), relation.Text(filename),
-		relation.Int(ctxID), relation.Text(name), relation.Blob(contents),
-	})
-	return err
 }
 
 // GetBlobExact retrieves the obj_store blob for (projid, name) written at

@@ -43,7 +43,7 @@ func fillSnapTables(t *testing.T, tables *Tables) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tables.PutBlob("p", 2, "f.go", 3, "ckpt::epoch::2", []byte{0, 1, 2, 0xFF}); err != nil {
+	if err := tables.Apply(&CkptRecord{Kind: KindCkpt, ProjID: "p", Tstamp: 2, Filename: "f.go", CtxID: 3, Name: "ckpt::epoch::2", Data: []byte{0, 1, 2, 0xFF}}); err != nil {
 		t.Fatal(err)
 	}
 }

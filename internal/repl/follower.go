@@ -16,7 +16,6 @@ import (
 	"time"
 
 	flor "flordb"
-	"flordb/internal/record"
 	"flordb/internal/storage"
 )
 
@@ -56,7 +55,6 @@ type Follower struct {
 	cfg     FollowerConfig
 	id      string // identity reported for ack tracking: host:dir
 	sess    *flor.Session
-	blobs   *storage.BlobStore
 	walPath string
 
 	applied     atomic.Int64 // highest segment replayed into tables
@@ -91,12 +89,6 @@ func StartFollower(ctx context.Context, cfg FollowerConfig) (*Follower, error) {
 	}
 	host, _ := os.Hostname()
 	f := &Follower{cfg: cfg, id: host + ":" + cfg.Dir, walPath: filepath.Join(florDir, "flor.wal")}
-
-	blobs, err := storage.NewBlobStore(filepath.Join(florDir, "objects"))
-	if err != nil {
-		return nil, err
-	}
-	f.blobs = blobs
 
 	if err := f.bootstrap(ctx); err != nil {
 		return nil, err
@@ -336,22 +328,19 @@ func findSeq(entries []FileEntry, seq int64) (FileEntry, bool) {
 	return FileEntry{}, false
 }
 
-// replicateSegment runs the fetch → verify → install → prefetch-blobs →
-// apply pipeline for one sealed segment.
+// replicateSegment runs the fetch → verify → install → apply pipeline for
+// one sealed segment. Checkpoints ride in the segment's lines like every
+// other record.
 func (f *Follower) replicateSegment(ctx context.Context, e FileEntry) error {
 	dst := storage.SegmentPath(f.walPath, e.Seq)
 	if err := f.fetchAndInstall(ctx, "segment", e.Seq, dst, e, PathSegment); err != nil {
 		return err
 	}
-	// Checkpoint records reference blobs by content hash; the blob bytes
-	// travel outside the WAL. Fetch what the segment needs before applying,
-	// or the replica's obj_store would silently miss rows the primary has.
-	if err := f.prefetchBlobs(ctx, dst); err != nil {
-		return err
-	}
 	if err := f.sess.ApplyReplicatedSegment(e.Seq); err != nil {
 		// The installed file passed CRC but does not replay cleanly (torn
-		// or tampered content that happens to checksum): never serveable.
+		// or tampered content that happens to checksum, or a checkpoint
+		// line of an older release whose blob the replica lacks): never
+		// serveable.
 		return faultf("segment %d installed but failed to apply: %v", e.Seq, err)
 	}
 	return nil
@@ -491,58 +480,6 @@ func verifyFile(path string, want FileEntry) (bool, error) {
 		return false, err
 	}
 	return size == want.Size && crc == want.CRC32C, nil
-}
-
-// prefetchBlobs scans an installed (not yet applied) segment for checkpoint
-// records whose blob the local store lacks and fetches them. The blob key is
-// the content's sha256, so Put re-deriving a different key than requested
-// means the primary served corrupt bytes — a fault, since applying without
-// the blob would silently drop checkpoint state.
-func (f *Follower) prefetchBlobs(ctx context.Context, segPath string) error {
-	var keys []string
-	err := storage.Replay(segPath, false, func(rec any) error {
-		if ck, ok := rec.(*record.CkptRecord); ok && ck.BlobKey != "" && !f.blobs.Has(ck.BlobKey) {
-			keys = append(keys, ck.BlobKey)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for _, key := range keys {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		data, err := f.fetchBlob(ctx, key)
-		if err != nil {
-			return err
-		}
-		got, err := f.blobs.Put(data)
-		if err != nil {
-			return err
-		}
-		if got != key {
-			return faultf("blob %s: primary served content hashing to %s — corrupt transfer or tampered checkpoint", key, got)
-		}
-	}
-	return nil
-}
-
-func (f *Follower) fetchBlob(ctx context.Context, key string) ([]byte, error) {
-	u := f.cfg.PrimaryURL + PathBlob + "?key=" + url.QueryEscape(key)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("repl: fetch blob %s: %s", key, resp.Status)
-	}
-	return io.ReadAll(resp.Body)
 }
 
 // fetchManifest GETs /repl/manifest, acking the replica's applied

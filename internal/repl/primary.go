@@ -13,9 +13,9 @@ import (
 	"flordb/internal/storage"
 )
 
-// Primary serves a session's sealed WAL segments, snapshots, and checkpoint
-// blobs to followers, and tracks follower acks so compaction never deletes
-// a segment a live follower still needs.
+// Primary serves a session's sealed WAL segments and snapshots — which
+// carry its checkpoints too — to followers, and tracks follower acks so
+// compaction never deletes a segment a live follower still needs.
 //
 // All served files are immutable: the active WAL file is never shipped, so
 // the primary needs no coordination with committers beyond reading the
@@ -25,8 +25,6 @@ type Primary struct {
 	// LongPollInterval is how often a long-polling manifest request rechecks
 	// the directory for new seals (default 200ms).
 	LongPollInterval time.Duration
-
-	blobs *storage.BlobStore
 
 	mu        sync.Mutex
 	followers map[string]followerAck
@@ -54,10 +52,9 @@ type crcEntry struct {
 // NewPrimary builds the shipping service for a writable session and installs
 // its retention floor on the session's compactor, so `SetRetainFloor` keeps
 // unshipped segments alive.
-func NewPrimary(sess *flor.Session, blobs *storage.BlobStore) *Primary {
+func NewPrimary(sess *flor.Session) *Primary {
 	p := &Primary{
 		sess:      sess,
-		blobs:     blobs,
 		followers: make(map[string]followerAck),
 		crcs:      make(map[int64]crcEntry),
 		snapCRCs:  make(map[string]crcEntry),
@@ -127,7 +124,6 @@ func (p *Primary) Routes() http.Handler {
 	mux.HandleFunc(PathManifest, p.handleManifest)
 	mux.HandleFunc(PathSegment, p.handleSegment)
 	mux.HandleFunc(PathSnapshot, p.handleSnapshot)
-	mux.HandleFunc(PathBlob, p.handleBlob)
 	return mux
 }
 
@@ -272,26 +268,4 @@ func (p *Primary) serveFile(w http.ResponseWriter, r *http.Request, path string,
 	w.Header().Set(headerSize, strconv.FormatInt(e.Size, 10))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	http.ServeFile(w, r, path)
-}
-
-// handleBlob streams one checkpoint blob by its content hash. The key is
-// the sha256 of the content, so the follower re-derives it on Put and gets
-// integrity verification for free — no extra CRC needed.
-func (p *Primary) handleBlob(w http.ResponseWriter, r *http.Request) {
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		http.Error(w, "missing ?key", http.StatusBadRequest)
-		return
-	}
-	if p.blobs == nil {
-		http.Error(w, "no blob store", http.StatusNotFound)
-		return
-	}
-	data, err := p.blobs.Get(key)
-	if err != nil {
-		http.Error(w, "no such blob", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(data)
 }

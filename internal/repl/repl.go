@@ -35,7 +35,6 @@ const (
 	PathManifest = "/repl/manifest"
 	PathSegment  = "/repl/segment"
 	PathSnapshot = "/repl/snapshot"
-	PathBlob     = "/repl/blob"
 )
 
 // headerCRC carries a file's full CRC-32C so a follower can verify a fetch

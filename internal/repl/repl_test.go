@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -136,12 +137,8 @@ func (e *primaryEnv) open() {
 	if err != nil {
 		e.t.Fatal(err)
 	}
-	blobs, err := storage.NewBlobStore(filepath.Join(e.dir, ".flor", "objects"))
-	if err != nil {
-		e.t.Fatal(err)
-	}
 	e.sess = sess
-	prim := NewPrimary(sess, blobs)
+	prim := NewPrimary(sess)
 	prim.LongPollInterval = 5 * time.Millisecond
 	e.prim = prim
 	e.handler.Store(prim.Routes())
@@ -281,13 +278,15 @@ func TestFollowerBootstrapsFromSnapshot(t *testing.T) {
 	assertSame(t, "snapshot bootstrap", dump(f.Session()), want)
 }
 
-// fakeSnap is a checkpointable object, so the workload emits CkptRecords
-// whose blobs must travel beside the WAL segments.
+// fakeSnap is a checkpointable object, so the workload emits CkptRecords,
+// whose bytes ride in the WAL segments.
 type fakeSnap struct{ state []byte }
 
 func (s *fakeSnap) Snapshot() ([]byte, error) { return append([]byte(nil), s.state...), nil }
 func (s *fakeSnap) Restore(b []byte) error    { s.state = append([]byte(nil), b...); return nil }
 
+// TestFollowerShipsCheckpointBlobs: checkpoints reach the replica in the
+// shipped segments alone, as the primary's obj_store rows byte for byte.
 func TestFollowerShipsCheckpointBlobs(t *testing.T) {
 	e := newPrimaryEnv(t, flor.Options{Policy: replay.EveryN{N: 1}})
 	obj := &fakeSnap{state: []byte("weights-0")}
@@ -310,13 +309,21 @@ func TestFollowerShipsCheckpointBlobs(t *testing.T) {
 		t.Fatal("workload produced no checkpoint rows; test is vacuous")
 	}
 
-	f, err := StartFollower(context.Background(), e.cfg(t.TempDir()))
+	replica := t.TempDir()
+	f, err := StartFollower(context.Background(), e.cfg(replica))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	stepUntil(t, f, primarySegments(t, e)[len(primarySegments(t, e))-1].Seq)
 	assertSame(t, "checkpoint blobs", dump(f.Session()), want)
+	// The checkpoints rode in the segments: neither side has an objects/
+	// store.
+	for _, dir := range []string{e.dir, replica} {
+		if _, err := os.Stat(filepath.Join(dir, ".flor", "objects")); !os.IsNotExist(err) {
+			t.Fatalf("%s/.flor/objects exists (%v)", dir, err)
+		}
+	}
 }
 
 // TestFollowerKillMatrix kills the follower at every step a clean catch-up
@@ -411,11 +418,7 @@ func TestPrimaryKillMatrixAtSealBoundaries(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		blobs, err := storage.NewBlobStore(filepath.Join(e.dir, ".flor", "objects"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = (&storage.Compactor{WAL: w, Blobs: blobs}).Compact()
+		_, err = (&storage.Compactor{WAL: w}).Compact()
 		if cerr := w.Close(); err == nil {
 			err = cerr
 		}
@@ -538,6 +541,39 @@ func TestFollowerRefusesCRCMismatch(t *testing.T) {
 		t.Fatal("faulted follower still admits reads")
 	}
 	assertServerRefuses(t, f)
+}
+
+// TestFollowerRefusesLegacyCheckpoint: a segment holding a checkpoint line
+// of a release before checkpoints rode in the log names its bytes by key in
+// the primary's objects/ store, which nothing ships. The follower installs
+// the segment and faults applying it, naming the key, rather than serving a
+// replica without the row.
+func TestFollowerRefusesLegacyCheckpoint(t *testing.T) {
+	e := newPrimaryEnv(t, flor.Options{})
+	if err := e.sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Join(e.dir, ".flor")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.CopyFS(e.dir, os.DirFS(filepath.Join("..", "..", "testdata", "legacy_ckpt_project"))); err != nil {
+		t.Fatal(err)
+	}
+	e.open()
+	e.commitN(1) // seals the legacy history into segment 1
+	f, err := StartFollower(context.Background(), e.cfg(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	err = f.step(context.Background())
+	var fe *FaultError
+	if !asFault(err, &fe) || !strings.Contains(err.Error(), "installed but failed to apply") || !strings.Contains(err.Error(), "6b9e948ddf835670") {
+		t.Fatalf("legacy checkpoint segment produced %v, want a FaultError naming its key", err)
+	}
+	if f.Gate() == nil {
+		t.Fatal("faulted follower still admits reads")
+	}
 }
 
 func asFault(err error, fe **FaultError) bool {

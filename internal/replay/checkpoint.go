@@ -14,15 +14,12 @@ import (
 	"flordb/internal/storage"
 )
 
-// ckptName builds the obj_store value_name for a checkpoint of the named
-// loop at the given iteration.
-func ckptName(loopName string, iter int) string {
+// CkptBlobName is the obj_store value_name of a checkpoint of the named loop
+// at the given iteration; other components (model registry queries, the
+// CLI) load checkpoints by it.
+func CkptBlobName(loopName string, iter int) string {
 	return fmt.Sprintf("ckpt::%s::%d", loopName, iter)
 }
-
-// CkptBlobName exposes the obj_store naming convention for checkpoints so
-// other components (model registry queries, the CLI) can load them.
-func CkptBlobName(loopName string, iter int) string { return ckptName(loopName, iter) }
 
 // snapshotEntry is one checkpointed object in the serialized blob.
 type snapshotEntry struct {
@@ -152,9 +149,10 @@ func (m *CheckpointManager) RestoreInto(blob []byte, objs map[string]script.Valu
 	return nil
 }
 
-// MaybeCheckpoint consults the policy and, when told to, snapshots into the
-// blob store and WAL when present, then into the tables. Returns whether a
-// checkpoint was taken.
+// MaybeCheckpoint consults the policy and, when told to, writes a snapshot
+// of the registered objects as one checkpoint record, which carries the
+// bytes through the log into obj_store like any other record. Returns
+// whether a checkpoint was taken.
 func (m *CheckpointManager) MaybeCheckpoint(ctx *Context, loopName string, iter int, ctxID int64, bodyDur time.Duration) (bool, error) {
 	if !m.active || m.loopName != loopName {
 		return false, nil
@@ -167,24 +165,10 @@ func (m *CheckpointManager) MaybeCheckpoint(ctx *Context, loopName string, iter 
 	if err != nil {
 		return false, err
 	}
-	rec := &record.CkptRecord{
+	if err := ctx.write(&record.CkptRecord{
 		Kind: record.KindCkpt, ProjID: ctx.ProjID, Tstamp: ctx.TstampNow(),
-		Filename: ctx.Filename(), CtxID: ctxID, Name: ckptName(loopName, iter),
-	}
-	record.Sanitize(rec)
-	if ctx.Blobs != nil {
-		if rec.BlobKey, err = ctx.Blobs.Put(blob); err != nil {
-			return false, err
-		}
-		if ctx.WAL != nil {
-			if err := ctx.WAL.Append(rec); err != nil {
-				return false, err
-			}
-		}
-	}
-	// The table row follows its durable write: a failed Put or Append
-	// leaves no row that recovery would drop.
-	if err := ctx.Tables.PutBlob(rec.ProjID, rec.Tstamp, rec.Filename, rec.CtxID, rec.Name, blob); err != nil {
+		Filename: ctx.Filename(), CtxID: ctxID, Name: CkptBlobName(loopName, iter), Data: blob,
+	}); err != nil {
 		return false, err
 	}
 	m.lastCkptDur = time.Since(start)
@@ -208,8 +192,7 @@ type Context struct {
 	// concurrent readers must go through TstampNow/SetTstamp.
 	Tstamp int64
 	Tables *record.Tables
-	WAL    *storage.WAL       // optional
-	Blobs  *storage.BlobStore // optional
+	WAL    *storage.WAL // optional
 }
 
 // TstampNow atomically reads the logical timestamp.
@@ -229,19 +212,19 @@ func (c *Context) Filename() string {
 // SetFilename atomically replaces the file name records are stamped with.
 func (c *Context) SetFilename(name string) { c.filename.Store(&name) }
 
-// write applies rec to the tables and appends it to the WAL when there is
-// one. Every record recording or replay makes takes this path, so every row
-// the tables gain is a row recovery rebuilds: rec's strings are first made
-// what its WAL line will carry (record.Sanitize).
+// write appends rec to the WAL when there is one, then applies it to the
+// tables. Every record recording or replay makes — log, loop, arg and
+// checkpoint — takes this path, so every row the tables gain is a row
+// recovery rebuilds: a failed append leaves no row, and rec's strings are
+// first made what its WAL line carries (record.Sanitize).
 func (c *Context) write(rec any) error {
 	record.Sanitize(rec)
-	if err := c.Tables.Apply(rec); err != nil {
-		return err
-	}
 	if c.WAL != nil {
-		return c.WAL.Append(rec)
+		if err := c.WAL.Append(rec); err != nil {
+			return err
+		}
 	}
-	return nil
+	return c.Tables.Apply(rec)
 }
 
 // writeLog writes the logs row of one flor.log value in loop context ctxID.

@@ -31,8 +31,7 @@ type Driver struct {
 	Repo   *vcs.Repo
 	Tables *record.Tables
 	View   *record.TablesView
-	WAL    *storage.WAL       // optional
-	Blobs  *storage.BlobStore // optional
+	WAL    *storage.WAL // optional
 	ProjID string
 	// NextCtx allocates the ctx_id of a loop context a replay creates. The
 	// owning session passes its recorder's allocator (Recorder.NextCtx), so
@@ -146,7 +145,7 @@ func (d *Driver) replayOne(filename string, newF *script.File, job VersionJob, t
 	if facts.innerNeeded {
 		rep.Mode = "full"
 	}
-	ctx := &Context{ProjID: d.ProjID, Tstamp: job.Tstamp, Tables: d.Tables, WAL: d.WAL, Blobs: d.Blobs}
+	ctx := &Context{ProjID: d.ProjID, Tstamp: job.Tstamp, Tables: d.Tables, WAL: d.WAL}
 	ctx.SetFilename(filename)
 	r := NewReplayer(ctx, d.View, d.NextCtx)
 	r.NewNames = newNames

@@ -2,7 +2,9 @@ package replay
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,7 +27,12 @@ type Recorder struct {
 	OnCommit func() error
 
 	ctxCounter int64
-	ctxStack   []int64
+
+	// ctxStack holds the open loop contexts, innermost last. It belongs to
+	// the recorder, not to a goroutine: a log on any goroutine lands in the
+	// innermost open context.
+	ctxMu    sync.Mutex
+	ctxStack []int64
 }
 
 // NewRecorder builds a recorder over a context.
@@ -37,10 +44,31 @@ func NewRecorder(ctx *Context, ckpt *CheckpointManager) *Recorder {
 }
 
 func (r *Recorder) curCtx() int64 {
+	r.ctxMu.Lock()
+	defer r.ctxMu.Unlock()
 	if len(r.ctxStack) == 0 {
 		return 0
 	}
 	return r.ctxStack[len(r.ctxStack)-1]
+}
+
+func (r *Recorder) pushCtx(id int64) {
+	r.ctxMu.Lock()
+	r.ctxStack = append(r.ctxStack, id)
+	r.ctxMu.Unlock()
+}
+
+// popCtx closes context id, the innermost one unless another goroutine
+// opened one since; id 0 closes the innermost.
+func (r *Recorder) popCtx(id int64) {
+	r.ctxMu.Lock()
+	defer r.ctxMu.Unlock()
+	for i := len(r.ctxStack) - 1; i >= 0; i-- {
+		if id == 0 || r.ctxStack[i] == id {
+			r.ctxStack = slices.Delete(r.ctxStack, i, i+1)
+			return
+		}
+	}
 }
 
 // NextCtx allocates a fresh ctx_id. It is the session's one allocator:
@@ -93,15 +121,13 @@ func (r *Recorder) IterationBegin(name string, val script.Value) error {
 	if err := r.Ctx.writeLoop(ctx, r.curCtx(), name, -1, val); err != nil {
 		return err
 	}
-	r.ctxStack = append(r.ctxStack, ctx)
+	r.pushCtx(ctx)
 	return nil
 }
 
 // IterationEnd implements script.FlorHooks.
 func (r *Recorder) IterationEnd() error {
-	if len(r.ctxStack) > 0 {
-		r.ctxStack = r.ctxStack[:len(r.ctxStack)-1]
-	}
+	r.popCtx(0)
 	return nil
 }
 
@@ -133,6 +159,7 @@ type recordSession struct {
 	isCkptLoop bool
 	bodyStart  time.Time
 	curIterCtx int64
+	open       bool // Decide pushed curIterCtx and PostIter has not popped it
 }
 
 // Decide implements script.LoopSession: always run; allocate the iteration's
@@ -142,8 +169,8 @@ func (s *recordSession) Decide(i int, v script.Value) (bool, error) {
 	if err := s.r.Ctx.writeLoop(ctx, s.r.curCtx(), s.name, int64(i), v); err != nil {
 		return false, err
 	}
-	s.r.ctxStack = append(s.r.ctxStack, ctx)
-	s.curIterCtx = ctx
+	s.r.pushCtx(ctx)
+	s.curIterCtx, s.open = ctx, true
 	s.bodyStart = time.Now()
 	return true, nil
 }
@@ -151,9 +178,8 @@ func (s *recordSession) Decide(i int, v script.Value) (bool, error) {
 // PostIter implements script.LoopSession: pop the iteration context and
 // maybe checkpoint.
 func (s *recordSession) PostIter(i int, _ script.Value) error {
-	if len(s.r.ctxStack) > 0 {
-		s.r.ctxStack = s.r.ctxStack[:len(s.r.ctxStack)-1]
-	}
+	s.r.popCtx(s.curIterCtx)
+	s.open = false
 	if s.isCkptLoop {
 		_, err := s.r.Ckpt.MaybeCheckpoint(s.r.Ctx, s.name, i, s.curIterCtx, time.Since(s.bodyStart))
 		return err
@@ -161,8 +187,14 @@ func (s *recordSession) PostIter(i int, _ script.Value) error {
 	return nil
 }
 
-// End implements script.LoopSession.
+// End implements script.LoopSession. A loop left by an error in its body,
+// or by a native loop's Close before its last Next, ends with its iteration
+// context still open: End closes it, so every exit restores the parent.
 func (s *recordSession) End() error {
+	if s.open {
+		s.r.popCtx(s.curIterCtx)
+		s.open = false
+	}
 	if s.isCkptLoop {
 		s.r.Ckpt.ReleaseLoop(s.name)
 	}

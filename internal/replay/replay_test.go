@@ -1,11 +1,12 @@
 package replay
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +17,7 @@ import (
 	"flordb/internal/relation"
 	"flordb/internal/script"
 	"flordb/internal/storage"
+	"flordb/internal/storage/storagetest"
 	"flordb/internal/vcs"
 )
 
@@ -227,37 +229,51 @@ func TestCheckpointSerializeRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointRowFollowsDurableWrite: a checkpoint's obj_store row is
-// inserted only after its blob is durable. When the blob write fails, the
-// live session holds no row that no WAL record backs — a row recovery
-// would drop.
+// bigModel is a checkpointed object whose snapshot outgrows the WAL's
+// 64 KiB write buffer, so its checkpoint line writes through to the file.
+type bigModel struct{ b []byte }
+
+func (m *bigModel) Snapshot() ([]byte, error) { return m.b, nil }
+func (m *bigModel) Restore(b []byte) error    { m.b = b; return nil }
+
+// TestCheckpointRowFollowsDurableWrite: a checkpoint's obj_store row follows
+// its log append. When the append fails, the live tables hold no row that
+// no WAL line backs — a row recovery would drop.
 func TestCheckpointRowFollowsDurableWrite(t *testing.T) {
-	root := filepath.Join(t.TempDir(), "blobs")
-	blobs, err := storage.NewBlobStore(root)
-	if err != nil {
-		t.Fatal(err)
+	take := func(fsys storage.FS) (*record.Tables, bool, error) {
+		w, err := storage.OpenWAL(filepath.Join(t.TempDir(), "flor.wal"), storage.Options{FS: fsys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		tables := newTestTables(t)
+		ctx := newCtx(tables, "train.flow", 1)
+		ctx.WAL = w
+		m := NewCheckpointManager(EveryN{N: 1})
+		if err := m.Begin(map[string]script.Value{"model": &bigModel{b: bytes.Repeat([]byte{0, 0xff}, 40<<10)}}); err != nil {
+			t.Fatal(err)
+		}
+		m.ClaimLoop("epoch")
+		taken, err := m.MaybeCheckpoint(ctx, "epoch", 0, 1, time.Millisecond)
+		return tables, taken, err
 	}
-	// A regular file where the blob root was: every Put now fails.
-	if err := os.Remove(root); err != nil {
-		t.Fatal(err)
+	rec := storagetest.Recorder()
+	if tables, taken, err := take(rec); !taken || err != nil || view(t, tables).ObjStore.Len() != 1 {
+		t.Fatalf("clean checkpoint: taken=%v err=%v", taken, err)
 	}
-	if err := os.WriteFile(root, nil, 0o644); err != nil {
-		t.Fatal(err)
+	// The first write is the append's own: a line longer than the buffer
+	// is written by Append, not by a later flush.
+	trace := rec.Trace()
+	step := slices.IndexFunc(trace, func(op storagetest.Op) bool { return op.Kind == "write" })
+	if step < 0 || trace[step].Len <= 64<<10 {
+		t.Fatalf("the checkpoint line did not write through the buffer: %v", trace)
 	}
-	tables := newTestTables(t)
-	ctx := newCtx(tables, "train.flow", 1)
-	ctx.Blobs = blobs
-	m := NewCheckpointManager(EveryN{N: 1})
-	if err := m.Begin(map[string]script.Value{"model": &toyModel{}}); err != nil {
-		t.Fatal(err)
-	}
-	m.ClaimLoop("epoch")
-	taken, err := m.MaybeCheckpoint(ctx, "epoch", 0, 1, time.Millisecond)
+	tables, taken, err := take(storagetest.Crash(storagetest.Point{Step: step + 1, Op: trace[step]}))
 	if err == nil || taken {
-		t.Fatalf("checkpoint over a broken blob root: taken=%v err=%v, want a failure", taken, err)
+		t.Fatalf("checkpoint over a failing append: taken=%v err=%v, want a failure", taken, err)
 	}
 	if n := view(t, tables).ObjStore.Len(); n != 0 {
-		t.Fatalf("obj_store rows=%d after the failed blob write, want 0", n)
+		t.Fatalf("obj_store rows=%d after the failed append, want 0", n)
 	}
 }
 
@@ -990,7 +1006,7 @@ func TestReplayPlanAnalysis(t *testing.T) {
 }
 
 func TestStrings(t *testing.T) {
-	if !strings.Contains(ckptName("epoch", 3), "epoch") {
+	if !strings.Contains(CkptBlobName("epoch", 3), "epoch") {
 		t.Fatal("ckpt name")
 	}
 }

@@ -198,7 +198,7 @@ func (r *Replayer) LoopBegin(name string, vals []script.Value) (script.LoopSessi
 func (r *Replayer) ckptLoopName() string { return r.Ckpt.loopName }
 
 func (r *Replayer) ckptBlob(loopName string, iter int) ([]byte, bool) {
-	return r.View.GetBlobExact(r.Ctx.ProjID, ckptName(loopName, iter), r.Ctx.TstampNow())
+	return r.View.GetBlobExact(r.Ctx.ProjID, CkptBlobName(loopName, iter), r.Ctx.TstampNow())
 }
 
 // outerPlan describes, per iteration, whether it runs and in which mode.

@@ -28,7 +28,7 @@ import (
 // anything is deleted. Every write goes through the WAL's FS.
 type Compactor struct {
 	WAL   *WAL
-	Blobs *BlobStore // optional; rehydrates obj_store rows for the snapshot
+	Blobs *BlobStore // reads the checkpoint lines of older releases (State.Blobs)
 
 	// RetainSegments keeps the newest N sealed segments on disk even once a
 	// snapshot covers them, so a replica that has not connected yet can still

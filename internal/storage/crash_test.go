@@ -158,41 +158,3 @@ func TestRecoverFallsBackFromCorruptSnapshot(t *testing.T) {
 		t.Fatalf("compaction folded after %d kills and refused after %d: the matrix missed a case", folded, refused)
 	}
 }
-
-// TestBlobStorePutCrashLeavesKeyAbsentOrWhole is the crash half of
-// TestBlobStorePutLeavesOnlyTheBlob: a Put killed at any step leaves its key
-// absent or naming a blob that Get verifies — never a torn one.
-func TestBlobStorePutCrashLeavesKeyAbsentOrWhole(t *testing.T) {
-	data := []byte("checkpoint weights")
-	key := storage.HashKey(data)
-	put := func(fsys storage.FS) *storage.BlobStore {
-		bs, err := storage.NewBlobStoreFS(t.TempDir(), fsys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _ = bs.Put(data)
-		return bs
-	}
-	rec := storagetest.Recorder()
-	bs := put(rec)
-	trace := rec.Trace()
-	if !storagetest.Installed(trace, filepath.Join(bs.Root(), key[:2], key[2:])) {
-		t.Fatalf("the blob is not installed by fsync, rename, dir-fsync: %v", trace)
-	}
-	points := storagetest.Points(trace)
-	t.Logf("%d kill points", len(points))
-	present := 0
-	for _, p := range points {
-		bs := put(storagetest.Crash(p))
-		if !bs.Has(key) {
-			continue
-		}
-		present++
-		if got, err := bs.Get(key); err != nil || string(got) != string(data) {
-			t.Fatalf("%v: key present but Get = %q, %v", p, got, err)
-		}
-	}
-	if present == 0 || present == len(points) {
-		t.Fatalf("blob present after %d of %d kills: the matrix never crossed the rename", present, len(points))
-	}
-}

@@ -1,19 +1,13 @@
 package storage
 
-// NewBlobStoreFS is NewBlobStore with Put writing through fsys, for the
-// crash tests of the external test package.
-func NewBlobStoreFS(dir string, fsys FS) (*BlobStore, error) {
-	b, err := NewBlobStore(dir)
-	if err != nil {
-		return nil, err
-	}
-	b.fs = fsys
-	return b, nil
+// Replay streams every decodable record in the single WAL file at path to
+// fn, in order, as recovery reads the active file: a torn final line is
+// tolerated, and with strictCommits the records after the last commit are
+// not delivered.
+func Replay(path string, strictCommits bool, fn func(rec any) error) error {
+	_, err := replayFile(path, true, &replayState{strict: strictCommits, fn: fn})
+	return err
 }
-
-// Root returns the store's directory, for the crash tests of the external
-// test package.
-func (b *BlobStore) Root() string { return b.root }
 
 // Pending reports how many records are buffered but not yet flushed.
 func (w *WAL) Pending() int {

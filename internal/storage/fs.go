@@ -16,8 +16,6 @@ import (
 type FS interface {
 	// OpenFile opens name for writing with os.OpenFile's flags and mode.
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
-	// CreateTemp creates a new file in dir, as os.CreateTemp.
-	CreateTemp(dir, pattern string) (File, error)
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	MkdirAll(path string, perm os.FileMode) error
@@ -42,8 +40,6 @@ type OSFS struct{}
 func (OSFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return file(os.OpenFile(name, flag, perm))
 }
-
-func (OSFS) CreateTemp(dir, pattern string) (File, error) { return file(os.CreateTemp(dir, pattern)) }
 
 // file keeps a failed open from returning a non-nil File holding a nil
 // *os.File.

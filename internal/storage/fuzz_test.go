@@ -3,6 +3,7 @@ package storage
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"flordb/internal/record"
@@ -34,14 +35,21 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(append(append([]byte(nil), seed...), []byte(`{"kind":"log","proj`)...)) // torn tail
 	f.Add([]byte("\n\n  \n"))
 	f.Add([]byte(`{"kind":"commit","tstamp":1}`))
+	f.Add([]byte(`{"kind":"ckpt","name":"m","blob_key":"deadbeef"}` + "\n" + `{"kind":"commit","tstamp":1}` + "\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.wal")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var all, committed int
-		errAll := Replay(path, false, func(rec any) error { all++; return nil })
+		var all, committed, legacy int
+		errAll := Replay(path, false, func(rec any) error {
+			all++
+			if ck, ok := rec.(*record.CkptRecord); ok && ck.Data == nil && ck.BlobKey != "" {
+				legacy++
+			}
+			return nil
+		})
 		errStrict := Replay(path, true, func(rec any) error { committed++; return nil })
 		if (errAll == nil) != (errStrict == nil) {
 			t.Fatalf("visibility mode changed error-ness: all=%v strict=%v", errAll, errStrict)
@@ -50,9 +58,15 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("strict replay delivered more records (%d) than non-strict (%d)", committed, all)
 		}
 		// The one log consumer must agree with single-file replay on a
-		// single-file log: whatever replays also applies.
+		// single-file log: whatever replays also applies — except the
+		// checkpoint line of an older release, whose bytes no objects/ store
+		// holds here, which recovery refuses.
 		res, errRec := newState(t).Recover(path, false)
-		if (errRec == nil) != (errAll == nil) || (errRec == nil && res.Applied != all) {
+		if errAll == nil && legacy > 0 {
+			if errRec == nil || !strings.Contains(errRec.Error(), "storage: checkpoint") {
+				t.Fatalf("Recover over %d legacy checkpoint line(s): %v, want a checkpoint error", legacy, errRec)
+			}
+		} else if (errRec == nil) != (errAll == nil) || (errRec == nil && res.Applied != all) {
 			t.Fatalf("Recover diverged: n=%d err=%v vs n=%d err=%v", res.Applied, errRec, all, errAll)
 		}
 		// Strict recovery into tables must not panic either.

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -51,14 +52,11 @@ func incrementalSeed(t *testing.T, seed int64, copiedFrom *[5]bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobs.SetNoSync(true)
+	var models [][]byte
 	var keys []string
 	for i := 0; i < 3; i++ {
-		k, err := blobs.Put([]byte(fmt.Sprintf("model-%d-%d", seed, i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys = append(keys, k)
+		models = append(models, []byte(fmt.Sprintf("model-%d-%d", seed, i)))
+		keys = append(keys, putLegacyBlob(t, filepath.Join(dir, "objects"), models[i]))
 	}
 	c := &Compactor{WAL: w, Blobs: blobs, RetainSegments: 1 << 30}
 
@@ -89,8 +87,15 @@ func incrementalSeed(t *testing.T, seed int64, copiedFrom *[5]bool) {
 				Name: "hidden", Value: fmt.Sprint(rng.Intn(512))})
 		}
 		for i, n := 0, lo+rng.Intn(span); i < n; i++ {
-			recs = append(recs, &record.CkptRecord{Kind: record.KindCkpt, ProjID: "p", Filename: "train.flow",
-				CtxID: int64(i), Name: "model", BlobKey: keys[rng.Intn(len(keys))]})
+			// Checkpoint lines carry their bytes, or name a legacy blob.
+			ck := &record.CkptRecord{Kind: record.KindCkpt, ProjID: "p", Filename: "train.flow",
+				CtxID: int64(i), Name: "model"}
+			if m := rng.Intn(2 * len(keys)); m < len(keys) {
+				ck.BlobKey = keys[m]
+			} else {
+				ck.Data = models[m-len(keys)]
+			}
+			recs = append(recs, ck)
 		}
 		rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
 		// Commits: at least a page of versioned ones in the first cycle, so
@@ -209,5 +214,77 @@ func TestParentProjectCompactsToKnownBytes(t *testing.T) {
 	sum := sha256.Sum256(data)
 	if got := hex.EncodeToString(sum[:]); got != parentProjectSnapshotSHA256 {
 		t.Fatalf("snapshot sha256 = %s, want %s", got, parentProjectSnapshotSHA256)
+	}
+}
+
+// legacyCkptSnapshotSHA256 is the sha256 of the snapshot the release before
+// checkpoints rode in the log wrote for testdata/legacy_ckpt_project.
+const legacyCkptSnapshotSHA256 = "18f4e889e9997b61c6cd8ff9bc8a1e1647e32fb82a4482bebfa6436a7b4ce121"
+
+// TestLegacyCheckpointRecovery: testdata/legacy_ckpt_project holds two ckpt
+// lines of the release before checkpoints rode in the log, each naming its
+// bytes by key in objects/ (blob_key, no data). Compacting it yields, byte
+// for byte, the snapshot that release wrote — the same obj_store rows. With
+// a blob missing or corrupt, recovery and compaction fail naming its key,
+// where that release dropped the row.
+func TestLegacyCheckpointRecovery(t *testing.T) {
+	fixture := filepath.Join("..", "..", "testdata", "legacy_ckpt_project", ".flor")
+	src, err := os.ReadFile(filepath.Join(fixture, "flor.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "6b9e948ddf835670dd009006a0f4372acdf60615038726f2f978cc71bab1207e" // the first ckpt line's
+	corrupt := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(corrupt, key[:2]), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(corrupt, key[:2], key[2:]), []byte("tampered"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, objects string }{
+		{"intact", filepath.Join(fixture, "objects")},
+		{"missing", t.TempDir()},
+		{"corrupt", corrupt},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			blobs, err := NewBlobStore(tc.objects)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "flor.wal")
+			if err := os.WriteFile(path, src, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			tables := newTables(t)
+			_, rerr := RecoverTables(path, tables, blobs, "", true, RecoverHooks{})
+			w, err := OpenWAL(path, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			stats, cerr := (&Compactor{WAL: w, Blobs: blobs}).Compact()
+			if tc.name != "intact" {
+				for _, err := range []error{rerr, cerr} {
+					if err == nil || !strings.Contains(err.Error(), key) {
+						t.Fatalf("recovery and compaction errors %v, %v: want both to name %s", rerr, cerr, key)
+					}
+				}
+				return
+			}
+			if rerr != nil || cerr != nil {
+				t.Fatalf("recover: %v, compact: %v", rerr, cerr)
+			}
+			if n := tables.ObjStore.Len(); n != 2 {
+				t.Fatalf("obj_store rows = %d, want 2", n)
+			}
+			data, err := os.ReadFile(SnapshotPath(path, stats.SnapshotSeq))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(data)
+			if got := hex.EncodeToString(sum[:]); got != legacyCkptSnapshotSHA256 {
+				t.Fatalf("snapshot sha256 = %s, want %s", got, legacyCkptSnapshotSHA256)
+			}
+		})
 	}
 }

@@ -17,7 +17,9 @@ import (
 type State struct {
 	DB     *relation.Database
 	Tables *record.Tables
-	// Blobs, when set, rehydrates obj_store rows from checkpoint records.
+	// Blobs reads the bytes of checkpoint lines written before checkpoints
+	// rode in the log (blob_key, no data). Without it such a line is an
+	// error, as is a blob it cannot read.
 	Blobs *BlobStore
 }
 
@@ -168,22 +170,21 @@ func (st State) Publish(rec *record.CommitRecord) error {
 }
 
 // apply applies one replayed record to st and returns its logical
-// timestamp. A commit record goes through Publish. A checkpoint record
-// rehydrates obj_store from the blob store; everything else is shredded by
-// Tables.Apply.
+// timestamp. A commit record goes through Publish; every other record is
+// shredded by Tables.Apply, a checkpoint line written before checkpoints
+// rode in the log once its bytes are read from the objects/ store.
 func (st State) apply(rec any) (int64, error) {
 	switch r := rec.(type) {
 	case *record.CommitRecord:
 		return r.Tstamp, st.Publish(r)
 	case *record.CkptRecord:
-		if st.Blobs != nil && st.Blobs.Has(r.BlobKey) {
-			blob, err := st.Blobs.Get(r.BlobKey)
-			if err != nil {
-				return r.Tstamp, err
+		if r.Data == nil && r.BlobKey != "" {
+			var err error
+			if r.Data, err = st.Blobs.Get(r.BlobKey); err != nil {
+				return r.Tstamp, fmt.Errorf("storage: checkpoint %s: %w", r.Name, err)
 			}
-			return r.Tstamp, st.Tables.PutBlob(r.ProjID, r.Tstamp, r.Filename, r.CtxID, r.Name, blob)
 		}
-		return r.Tstamp, nil
+		return r.Tstamp, st.Tables.Apply(r)
 	case *record.LogRecord:
 		return r.Tstamp, st.Tables.Apply(rec)
 	case *record.LoopRecord:

@@ -123,15 +123,3 @@ func restIsWhitespace(br *bufio.Reader) bool {
 		}
 	}
 }
-
-// Replay streams every decodable record in the single WAL file at path to
-// fn, in order. A torn final line (crash mid-write) is tolerated and
-// skipped; corruption in the middle of the log is an error. Commit records
-// delimit transactions: when strictCommits is true, records after the last
-// commit are not delivered (uncommitted tail is invisible), matching
-// flor.commit() visibility semantics.
-func Replay(path string, strictCommits bool, fn func(rec any) error) error {
-	st := &replayState{strict: strictCommits, fn: fn}
-	_, err := replayFile(path, true, st)
-	return err
-}

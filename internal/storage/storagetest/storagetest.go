@@ -27,7 +27,7 @@ var ErrKilled = errors.New("storagetest: process killed")
 
 // Op is one mutation, as the trace records it.
 type Op struct {
-	Kind string // open, createtemp, write, truncate, sync, rename, remove, mkdir, syncdir
+	Kind string // open, write, truncate, sync, rename, remove, mkdir, syncdir
 	Path string // the file or directory; a rename's source
 	To   string // a rename's target
 	Len  int    // the bytes a write carried
@@ -119,17 +119,6 @@ func (f *FS) OpenFile(name string, flag int, perm os.FileMode) (storage.File, er
 		return nil, err
 	}
 	fl, err := osfs.OpenFile(name, flag, perm)
-	if err != nil {
-		return nil, err
-	}
-	return &file{File: fl, fs: f}, nil
-}
-
-func (f *FS) CreateTemp(dir, pattern string) (storage.File, error) {
-	if _, err := f.step(Op{Kind: "createtemp", Path: filepath.Join(dir, pattern)}); err != nil {
-		return nil, err
-	}
-	fl, err := osfs.CreateTemp(dir, pattern)
 	if err != nil {
 		return nil, err
 	}

@@ -202,89 +202,31 @@ func TestWALConcurrentAppend(t *testing.T) {
 	}
 }
 
-func TestBlobStorePutGet(t *testing.T) {
-	bs, err := NewBlobStore(t.TempDir())
-	if err != nil {
+// putLegacyBlob writes data where releases before checkpoints rode in the
+// log stored a checkpoint's bytes, and returns its key.
+func putLegacyBlob(t testing.TB, root string, data []byte) string {
+	t.Helper()
+	key := HashKey(data)
+	path := filepath.Join(root, key[:2], key[2:])
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	key, err := bs.Put([]byte("hello"))
-	if err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	key2, err := bs.Put([]byte("hello"))
-	if err != nil || key2 != key {
-		t.Fatalf("idempotent put: %v %v", key2, err)
-	}
-	data, err := bs.Get(key)
-	if err != nil || string(data) != "hello" {
-		t.Fatalf("get: %q %v", data, err)
-	}
-	if !bs.Has(key) || bs.Has("deadbeef") {
-		t.Fatal("Has semantics wrong")
-	}
-	if _, err := bs.Get("deadbeef"); err == nil {
-		t.Fatal("missing blob must error")
-	}
-	bs.SetNoSync(true) // the same steps without the fsyncs
-	key, err = bs.Put([]byte("unsynced"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data, err := bs.Get(key); err != nil || string(data) != "unsynced" {
-		t.Fatalf("get after NoSync put: %q %v", data, err)
-	}
-}
-
-// TestBlobStorePutLeavesOnlyTheBlob: a Put publishes by rename — no staging
-// file survives it, however many Puts of the same bytes race, and every one
-// of them returns the key — and a Put that cannot reach the disk says so
-// instead of returning a key nothing backs.
-func TestBlobStorePutLeavesOnlyTheBlob(t *testing.T) {
-	dir := t.TempDir()
-	bs, err := NewBlobStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const putters = 16
-	keys := make([]string, putters)
-	errs := make([]error, putters)
-	var wg sync.WaitGroup
-	for g := 0; g < putters; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			keys[g], errs[g] = bs.Put([]byte("checkpoint"))
-		}(g)
-	}
-	wg.Wait()
-	key := HashKey([]byte("checkpoint"))
-	for g := range keys {
-		if errs[g] != nil || keys[g] != key {
-			t.Fatalf("Put %d of identical bytes: key %q, err %v; want %q", g, keys[g], errs[g], key)
-		}
-	}
-	if data, err := bs.Get(key); err != nil || string(data) != "checkpoint" {
-		t.Fatalf("Get after concurrent Puts: %q %v", data, err)
-	}
-	entries, err := os.ReadDir(filepath.Join(dir, key[:2]))
-	if err != nil || len(entries) != 1 || entries[0].Name() != key[2:] {
-		t.Fatalf("fan-out directory after Put: %v %v", entries, err)
-	}
-	if err := os.RemoveAll(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(dir, nil, 0o644); err != nil { // a file where the store was
-		t.Fatal(err)
-	}
-	if key, err := bs.Put([]byte("no store left")); err == nil {
-		t.Fatalf("Put with no store directory returned key %s and no error", key)
-	}
+	return key
 }
 
 func TestBlobStoreIntegrityCheck(t *testing.T) {
 	dir := t.TempDir()
 	bs, _ := NewBlobStore(dir)
-	key, _ := bs.Put([]byte("payload"))
+	key := putLegacyBlob(t, dir, []byte("payload"))
+	if data, err := bs.Get(key); err != nil || string(data) != "payload" {
+		t.Fatalf("get: %q %v", data, err)
+	}
+	if _, err := bs.Get("deadbeef"); err == nil {
+		t.Fatal("missing blob must error")
+	}
 	// Corrupt the stored file.
 	path := filepath.Join(dir, key[:2], key[2:])
 	os.WriteFile(path, []byte("tampered"), 0o644)

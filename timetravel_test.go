@@ -257,11 +257,7 @@ func TestEveryEpochReadableAfterGCRestartAndCompaction(t *testing.T) {
 	}
 	assertEpochsVisible(t, s, commits, perCommit)
 
-	blobs, err := storage.NewBlobStore(filepath.Join(dir, ".flor", "objects"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(repl.NewPrimary(s, blobs).Routes())
+	srv := httptest.NewServer(repl.NewPrimary(s).Routes())
 	defer srv.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	f, err := repl.StartFollower(ctx, repl.FollowerConfig{
