@@ -42,7 +42,10 @@ test:
 
 # crash-matrix runs the crash-injection suite: every root TestCrash* test
 # (WAL byte truncation, a compaction killed at every step it performs, the
-# version-journal x WAL crash cut), the snapshot-plus-tail property, commits
+# version-journal x WAL crash cut), the lifecycle model test (restarts,
+# compactions and crashes cut at random bytes of the active WAL, checked at
+# every epoch after every op against the committed transactions, and its
+# snapshot-plus-tail share of reopen and crash ops), commits
 # racing compaction, the storage layer's fault-FS matrices (snapshot
 # fallback with its recovery and compaction arms), a checkpoint whose log
 # append fails leaving no row, the checkpoint lines of older releases
@@ -57,13 +60,14 @@ test:
 # clean run's trace of FS steps (internal/storage/storagetest); CI runs it as
 # a parallel job.
 crash-matrix:
-	go test -run 'TestCrash|TestSnapshotPlusTail|TestConcurrentCommits|TestLegacyCheckpointProjectOpens' -count=1 -v .
+	go test -run 'TestCrash|TestLifecycleModel|TestSnapshotPlusTail|TestConcurrentCommits|TestLegacyCheckpointProjectOpens' -count=1 -v .
 	go test -run 'TestRecoverFallsBackFromCorruptSnapshot|TestSegmentGapRefused|TestRecoveryRefusesFallback|TestLegacyCheckpointRecovery|TestIncrementalSnapshotEqualsFullRewrite|TestParentProjectCompactsToKnownBytes' -count=1 -v ./internal/storage
 	go test -run 'TestCheckpointRowFollowsDurableWrite' -count=1 -v ./internal/replay
 	go test -run 'TestRecoveryFallsBackFromRefusedSnapshot' -count=1 -v ./internal/record
 	go test -count=1 -v ./internal/storage/storagetest
 
-# race-stress hammers the concurrent serving core (snapshot equivalence,
+# race-stress hammers the concurrent serving core (the lifecycle model's
+# readers pinning epochs beside every commit and compaction,
 # SQL+RunScript+Compact+AS OF stress, replica reads while the
 # follower applies, close draining, group commit, and hindsight replay
 # beside recording — TestConcurrentHindsightBesideRecording: one ctx_id
@@ -72,16 +76,19 @@ crash-matrix:
 # TestConcurrentPageAggregates) repeatedly with elevated parallelism; CI runs
 # it on each push.
 race-stress:
-	GOMAXPROCS=8 go test -race -run Concurrent -count=3 -timeout 15m ./...
+	GOMAXPROCS=8 go test -race -run 'Concurrent|LifecycleModel' -count=3 -timeout 15m ./...
 
 # repl-matrix runs the replication crash-equivalence suite under -race:
 # the follower kill matrix (every FS step of a clean catch-up: every byte of
 # every segment fetch, each temp fsync, rename and directory fsync), the
 # primary compaction kill matrix (every step of a clean compaction), the
-# gap/CRC refusal tests, and the randomized primary/replica equivalence
-# property. See CONTRIBUTING.md; CI runs it as a parallel job.
+# gap/CRC refusal tests, the randomized primary/replica equivalence
+# property, and the root lifecycle model test, whose schedules
+# bootstrap a follower from a snapshot, restart it, catch it up and promote
+# it. See CONTRIBUTING.md; CI runs it as a parallel job.
 repl-matrix:
 	go test -race -run 'TestFollowerKillMatrix|TestPrimaryKillMatrix|TestFollowerRefuses|TestReplicaEqualsPrimaryProperty' -count=1 -timeout 15m -v ./internal/repl
+	go test -race -run 'TestLifecycleModel' -count=1 -timeout 15m -v .
 
 # bench is a smoke pass: every benchmark runs once, so a benchmark that no
 # longer builds or whose own correctness checks fail breaks the build. Its
@@ -111,7 +118,8 @@ bench-pair:
 # planned-vs-reference SQL execution, version-store journal load, hindsight
 # replay against re-execution of generated scripts, script propagation
 # against its invariants, the value JSON appender against encoding/json, the
-# pivot against its map-per-row reference); CI
+# pivot against its map-per-row reference, the lifecycle model's schedule of
+# any seed); CI
 # runs it on each push for 10 s per target, the nightly job for 2 minutes:
 #   make fuzz FUZZTIME=2m
 FUZZTIME ?= 10s
@@ -127,6 +135,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzPropagate$$' -fuzztime $(FUZZTIME) ./internal/script
 	go test -run '^$$' -fuzz '^FuzzAppendJSON$$' -fuzztime $(FUZZTIME) ./internal/relation
 	go test -run '^$$' -fuzz '^FuzzPivotMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/pivot
+	go test -run '^$$' -fuzz '^FuzzLifecycleModel$$' -fuzztime $(FUZZTIME) .
 
 # loc prints the non-test Go lines of each package directory and their total,
 # blank and //-comment lines dropped, vendor/ and testdata/ left out: the

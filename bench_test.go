@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -625,7 +626,7 @@ func benchC14DB(b *testing.B) *relation.Database {
 			})
 		}
 	}
-	if err := t.LoadRows(rows); err != nil {
+	if err := t.LoadVersions(rows, slices.Repeat([]int64{1}, len(rows))); err != nil {
 		b.Fatal(err)
 	}
 	return db
@@ -717,7 +718,7 @@ func benchC17ClusteredDB(b *testing.B) *relation.Database {
 			relation.Float(float64(i%1000) / 1000),
 		})
 	}
-	if err := t.LoadRows(rows); err != nil {
+	if err := t.LoadVersions(rows, slices.Repeat([]int64{1}, len(rows))); err != nil {
 		b.Fatal(err)
 	}
 	return db

@@ -13,127 +13,6 @@ import (
 	"flordb/internal/script"
 )
 
-// TestConcurrentSnapshotEquivalenceRandomized is the snapshot-equivalence
-// property test: readers pin committed-epoch snapshots while a writer logs
-// and commits randomized transactions; a snapshot pinned at epoch E must
-// return exactly what a serialized reader would have seen at the E-th commit
-// boundary — never a partial transaction, never a missing committed one.
-//
-// The writer's transaction sizes are drawn from a seeded RNG, and the
-// expected per-epoch state is precomputed as prefix sums, so every reader
-// can check any epoch it happens to pin without coordinating with the
-// writer. Run with -race: the readers and the writer share no locks.
-func TestConcurrentSnapshotEquivalenceRandomized(t *testing.T) {
-	s := memSession(t, Options{})
-	s.SetFilename("eq.go")
-
-	const txns = 120
-	rng := rand.New(rand.NewSource(42))
-	sizes := make([]int, txns)   // pairs logged by transaction k
-	cum := make([]int64, txns+1) // cum[k] = pairs committed after k txns
-	var sum int64
-	for i := range sizes {
-		sizes[i] = 1 + rng.Intn(4)
-		sum += int64(sizes[i])
-		cum[i+1] = sum
-	}
-	base := s.Database().Epoch()
-
-	var writer sync.WaitGroup
-	writer.Add(1)
-	go func() {
-		defer writer.Done()
-		for k := 0; k < txns; k++ {
-			for j := 0; j < sizes[k]; j++ {
-				s.Log("pair_a", k)
-				s.Log("pair_b", k)
-			}
-			if err := s.Commit(""); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-
-	countQ := func(v *SnapshotView, name string) int64 {
-		res, err := v.SQL(fmt.Sprintf("SELECT count(*) AS n FROM logs WHERE value_name = '%s'", name))
-		if err != nil {
-			t.Error(err)
-			return -1
-		}
-		return res.Rows[0][0].AsInt()
-	}
-
-	var readers sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for i := 0; i < 300; i++ {
-				v, err := s.Reader()
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				k := v.Epoch() - base
-				if k < 0 || k > txns {
-					t.Errorf("epoch %d outside [%d, %d]", v.Epoch(), base, base+txns)
-					return
-				}
-				want := cum[k]
-				na := countQ(v, "pair_a")
-				nb := countQ(v, "pair_b")
-				if na != want || nb != want {
-					t.Errorf("epoch %d: counts a=%d b=%d, serialized read would see %d", v.Epoch(), na, nb, want)
-					return
-				}
-				// The pivot engine reads the same cut: logs and loops agree
-				// inside one view even while the writer appends.
-				if _, err := v.Dataframe("pair_a", "pair_b"); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	readers.Wait()
-	writer.Wait()
-
-	// Quiescent equivalence: a fresh committed snapshot now agrees with the
-	// session's own latest view, query by query.
-	v, err := s.Reader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []string{
-		"SELECT count(*) AS n FROM logs",
-		"SELECT value_name, count(*) AS n FROM logs GROUP BY value_name ORDER BY value_name",
-		"SELECT count(*) AS n FROM logs l JOIN logs r ON l.tstamp = r.tstamp WHERE l.value_name = 'pair_a' AND r.value_name = 'pair_b'",
-	} {
-		a, err := v.SQL(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := s.SQL(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a.Rows) != len(b.Rows) {
-			t.Fatalf("quiescent mismatch for %q: %d vs %d rows", q, len(a.Rows), len(b.Rows))
-		}
-		for i := range a.Rows {
-			for j := range a.Rows[i] {
-				if a.Rows[i][j].Key() != b.Rows[i][j].Key() {
-					t.Fatalf("quiescent mismatch for %q at row %d col %d", q, i, j)
-				}
-			}
-		}
-	}
-	if got := cum[txns]; countQ(v, "pair_a") != got {
-		t.Fatalf("final count mismatch")
-	}
-}
-
 // TestConcurrentSQLRunScriptCompactStress drives the whole stack at once on
 // a durable session: Flow scripts recording and committing, SQL and
 // dataframe readers pinning snapshots, time-travel readers pinning random

@@ -1,7 +1,7 @@
 // Crash-injection and durability tests for the snapshot-accelerated
 // recovery path: every byte-truncation point of the WAL, a compaction
-// killed at every step it performs, a randomized snapshot-plus-tail vs full-replay
-// equivalence property, and concurrent commits racing a compaction.
+// killed at every step it performs, concurrent commits racing a compaction,
+// and the version journal cut against the WAL.
 package flor_test
 
 import (
@@ -66,29 +66,6 @@ func assertSameRows(t *testing.T, label string, got, want []string) {
 			t.Fatalf("%s: row %d = %q, want %q", label, i, got[i], want[i])
 		}
 	}
-}
-
-// asOfTimestamp dumps the logs, loops, args and ts2vid rows a session
-// answers AS OF TIMESTAMP wall (Unix nanoseconds), sorted.
-func asOfTimestamp(t *testing.T, s *flor.Session, wall int64) []string {
-	t.Helper()
-	ts := time.Unix(0, wall).UTC().Format(time.RFC3339Nano)
-	var out []string
-	for _, tbl := range []string{"logs", "loops", "args", "ts2vid"} {
-		res, err := s.SQL("SELECT * FROM " + tbl + " AS OF TIMESTAMP '" + ts + "'")
-		if err != nil {
-			t.Fatalf("%s AS OF TIMESTAMP %s: %v", tbl, ts, err)
-		}
-		for _, r := range res.Rows {
-			line := tbl
-			for _, v := range r {
-				line += "|" + v.String()
-			}
-			out = append(out, line)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // copyTree clones a project directory so each crash point starts from the
@@ -409,131 +386,6 @@ func TestCrashInjectionCompactionKillPoints(t *testing.T) {
 	}
 }
 
-// TestSnapshotPlusTailEqualsFullReplayProperty drives two project
-// directories through an identical randomized workload — one compacting
-// aggressively with tiny segments, one never compacting — and asserts their
-// recovered states are row-multiset equal across all tables, for several
-// seeds, and agree on the epoch, the commit stamps and the AS OF
-// TIMESTAMP answer at each commit's wall stamp. This is the property that
-// makes compaction a pure optimization.
-func TestSnapshotPlusTailEqualsFullReplayProperty(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed * 7919))
-			dirA := t.TempDir()
-			dirB := t.TempDir()
-			a, err := flor.Open(dirA, "prop", flor.Options{SegmentBytes: 256, SnapshotEvery: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := flor.Open(dirB, "prop", flor.Options{SegmentBytes: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			both := []*flor.Session{a, b}
-			for _, s := range both {
-				s.SetFilename("w.go")
-			}
-			names := []string{"acc", "loss", "recall", "note"}
-			for i := 0; i < 150; i++ {
-				switch rng.Intn(10) {
-				case 0, 1, 2, 3:
-					name := names[rng.Intn(len(names))]
-					val := any(rng.Int63n(100))
-					switch rng.Intn(4) {
-					case 0:
-						val = rng.Float64()
-					case 1:
-						val = fmt.Sprintf("s%d", rng.Intn(5))
-					case 2:
-						val = rng.Intn(2) == 0
-					}
-					for _, s := range both {
-						s.Log(name, val)
-					}
-				case 4, 5:
-					n := 1 + rng.Intn(3)
-					for _, s := range both {
-						for it := s.Loop("epoch", n); it.Next(); {
-							s.Log("inner", int64(it.Index()))
-						}
-					}
-				case 6:
-					def := rng.Int63n(64)
-					for _, s := range both {
-						s.ArgInt("hidden", def)
-					}
-				case 7, 8:
-					for _, s := range both {
-						if err := s.Commit(""); err != nil {
-							t.Fatal(err)
-						}
-					}
-				case 9:
-					// Extra compactions on A only: the property says they
-					// must be invisible.
-					if _, err := a.Compact(); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			// Roughly half the seeds end with an uncommitted tail, which
-			// strict recovery must drop identically on both sides.
-			if rng.Intn(2) == 0 {
-				for _, s := range both {
-					if err := s.Commit("final"); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if _, err := a.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			stampsA, stampsB := a.Database().EpochStamps(), b.Database().EpochStamps()
-			a.Close()
-			b.Close()
-
-			ra, err := flor.Open(dirA, "prop", flor.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rb, err := flor.Open(dirB, "prop", flor.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameRows(t, "snapshot+tail vs full replay", dumpSession(ra), dumpSession(rb))
-			if ra.Tstamp() != rb.Tstamp() {
-				t.Fatalf("tstamp diverged: %d vs %d", ra.Tstamp(), rb.Tstamp())
-			}
-			if ea, eb := ra.Database().Epoch(), rb.Database().Epoch(); ea != eb || ea != int64(len(stampsA)) {
-				t.Fatalf("epoch diverged: %d vs %d, want %d commits", ea, eb, len(stampsA))
-			}
-			// Each session committed at its own wall clock: the i-th commit's
-			// stamp must resolve to the same state on both sides.
-			if len(stampsA) != len(stampsB) {
-				t.Fatalf("stamps diverged: %d vs %d", len(stampsA), len(stampsB))
-			}
-			// Each recovered session holds exactly the stamps its live one
-			// published, whether from a snapshot or the log.
-			if got := fmt.Sprint(ra.Database().EpochStamps()); got != fmt.Sprint(stampsA) {
-				t.Fatalf("snapshot+tail recovered stamps %s, live %v", got, stampsA)
-			}
-			if got := fmt.Sprint(rb.Database().EpochStamps()); got != fmt.Sprint(stampsB) {
-				t.Fatalf("full replay recovered stamps %s, live %v", got, stampsB)
-			}
-			for i := range stampsA {
-				assertSameRows(t, fmt.Sprintf("AS OF TIMESTAMP of commit %d", stampsA[i].Epoch),
-					asOfTimestamp(t, ra, stampsA[i].Wall), asOfTimestamp(t, rb, stampsB[i].Wall))
-			}
-			if segs, _ := storage.ListSegments(filepath.Join(dirB, ".flor", "flor.wal")); len(segs) != 0 {
-				t.Fatalf("control session rotated segments: %v", segs)
-			}
-			ra.Close()
-			rb.Close()
-		})
-	}
-}
-
 // TestConcurrentCommitsAndCompaction runs N goroutines logging and
 // committing into one session while compactions run, then reopens and
 // asserts no committed record was lost. Run under -race in CI.
@@ -771,6 +623,55 @@ func TestCrashJournalBeforeWALProperty(t *testing.T) {
 		}
 		t.Fatalf("open over a damaged middle record: err %v, want vcs.ErrCorrupt", err)
 	}
+}
+
+// TestFailedOpenReleasesTheLock: an Open that fails after it took the
+// project lock — here on a repo.json whose middle record is damaged —
+// releases the lock, so once the file is restored a second Open in the same
+// process succeeds.
+func TestFailedOpenReleasesTheLock(t *testing.T) {
+	dir := t.TempDir()
+	s, err := flor.Open(dir, "proj", flor.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		s.StageFile("w.flow", fmt.Sprintf("rev = %d\n", i))
+		if err := s.Commit(""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	repoFile := filepath.Join(dir, ".flor", "repo.json")
+	journal, err := os.ReadFile(repoFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := bytes.IndexByte(journal, '\n') + 1 // where the second record starts
+	bad := append([]byte(nil), journal...)
+	bad[second+bytes.IndexByte(journal[second:], '\n')/2] ^= 0x01
+	if err := os.WriteFile(repoFile, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := flor.Open(dir, "proj", flor.Options{}); !errors.Is(err, vcs.ErrCorrupt) {
+		if s != nil {
+			s.Close()
+		}
+		t.Fatalf("open over a damaged middle record: err %v, want vcs.ErrCorrupt", err)
+	}
+	if err := os.WriteFile(repoFile, journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err = flor.Open(dir, "proj", flor.Options{})
+	if err != nil {
+		t.Fatalf("open after repo.json was restored: %v", err)
+	}
+	if got := s.Repo().NumCommits(); got != 3 {
+		t.Fatalf("restored store holds %d versions, want 3", got)
+	}
+	s.Close()
 }
 
 // TestProjectWrittenBeforeTheJournalOpens: testdata/parent_project is a

@@ -209,17 +209,21 @@ func Open(dir, projid string, opts Options) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every error from here on closes the WAL, which releases the project
+	// lock: a failed Open leaves nothing held, so the caller may retry.
 	blobs, err := storage.NewBlobStore(filepath.Join(florDir, "objects"))
 	if err != nil {
+		wal.Close()
 		return nil, err
 	}
 	repo, err := vcs.Load(filepath.Join(florDir, "repo.json"))
 	if err != nil {
+		wal.Close()
 		return nil, err
 	}
 	s, err := newSession(projid, dir, wal, walPath, false, blobs, repo, opts)
 	if err != nil {
-		wal.Close() // releases the project lock
+		wal.Close()
 		return nil, err
 	}
 	return s, nil

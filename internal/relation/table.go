@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -59,11 +58,11 @@ type Table struct {
 type tableState struct {
 	// rows is RowID-indexed; born[id] is the epoch at which row id became
 	// visible. born is nondecreasing in store order — the invariant every
-	// reader's prefix bound (visibleLen) rests on. Insert and LoadRows stamp
-	// the write epoch, which only advances — recovery restores it to the
-	// loaded snapshot's epoch (Database.Restore) before any insert;
-	// LoadVersions, the one path that appends explicit epochs, refuses a
-	// born below the store's last.
+	// reader's prefix bound (visibleLen) rests on. Insert stamps the write
+	// epoch, which only advances — recovery restores it to the loaded
+	// snapshot's epoch (Database.Restore) before any insert; LoadVersions,
+	// the one path that appends explicit epochs, refuses a born below the
+	// store's last.
 	rows []Row
 	born []int64
 
@@ -119,30 +118,6 @@ func (t *Table) Insert(r Row) (RowID, error) {
 	return id, nil
 }
 
-// LoadRows bulk-appends rows that were already validated when first
-// inserted — e.g. rows decoded from a checksummed snapshot. It skips per-row
-// schema validation (only arity is checked) and indexes the run under one
-// lock acquisition per index, which is what makes snapshot recovery
-// O(live data) with a small constant.
-func (t *Table) LoadRows(rows []Row) error {
-	width := t.schema.Len()
-	for i, r := range rows {
-		if len(r) != width {
-			return fmt.Errorf("table %s: row %d arity %d != schema arity %d", t.name, i, len(r), width)
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.state.Load()
-	e := t.writeEpoch()
-	born := slices.Grow(st.born, len(rows))
-	for range rows {
-		born = append(born, e)
-	}
-	t.publishLoaded(st, rows, born)
-	return nil
-}
-
 // publishLoaded publishes st extended by a bulk-loaded run of rows and their
 // (already appended) born epochs, indexing the run. Callers hold t.mu.
 func (t *Table) publishLoaded(st *tableState, rows []Row, born []int64) {
@@ -168,7 +143,7 @@ func (t *Table) Versions() (rows []Row, born []int64) {
 }
 
 // LoadVersions bulk-appends rows carrying explicit born epochs — the
-// recovery path for version-preserving snapshots. Unlike LoadRows it does not
+// recovery path for version-preserving snapshots. Unlike Insert it does not
 // stamp the current write epoch: each version keeps the epoch it had when the
 // snapshot was written, so time-travel reads after recovery see exactly the
 // history that was persisted. It refuses a born below its predecessor's —

@@ -1,8 +1,9 @@
 // Replication tests: end-to-end tailing, snapshot bootstrap, checkpoint
-// blob shipping, the follower/primary crash matrices, loud refusal on
-// fabricated gaps and CRC mismatches, staleness gating, promotion, the
-// compaction retention floor, and the randomized primary/replica
-// equivalence property.
+// shipping, the follower/primary crash matrices, loud refusal on fabricated
+// gaps and CRC mismatches, staleness gating, promotion, the compaction
+// retention floor, and the randomized primary/replica equivalence property.
+// A follower bootstrapped from a snapshot, restarted, caught up and promoted
+// under the root lifecycle model's schedule is TestLifecycleModel's.
 package repl
 
 import (

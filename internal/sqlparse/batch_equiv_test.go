@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -111,7 +112,9 @@ func prefixDB(t *testing.T, db *relation.Database, e int64) *relation.Snapshot {
 				keep = append(keep, r)
 			}
 		}
-		if err := dst.LoadRows(keep); err != nil {
+		// Born at epoch 1, the write epoch of the fresh database, so the
+		// latest pin below sees every kept row.
+		if err := dst.LoadVersions(keep, slices.Repeat([]int64{1}, len(keep))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,16 +1,16 @@
 // End-to-end tests for time-travel AS OF queries: epoch semantics across
-// restart, compaction and replication, timestamp resolution, snapshots whose
-// stamps start above epoch 1, and a randomized prefix-equivalence property.
+// restart and compaction, timestamp resolution, snapshots whose stamps start
+// above epoch 1, and a large project. Every epoch of every store under a
+// random schedule is TestLifecycleModel's, and the randomized AS OF prefix
+// property, TestAsOfPrefixEquivalenceRandomized, runs its model
+// (lifecycle_test.go).
 package flor_test
 
 import (
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"math/rand"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,7 +21,6 @@ import (
 
 	flor "flordb"
 	"flordb/internal/relation"
-	"flordb/internal/repl"
 	"flordb/internal/storage"
 )
 
@@ -216,83 +215,6 @@ func TestAsOfInFlightEpochRefused(t *testing.T) {
 	}
 }
 
-// TestEveryEpochReadableAfterGCRestartAndCompaction: GCEpochs retires
-// nothing. With RetainEpochs set, after repeated GCEpochs calls, a restart and
-// a compaction, AS OF e equals the first e commits for every committed e — on
-// the primary, and on a replica that bootstraps from the compacted snapshot
-// and then follows new commits segment by segment.
-func TestEveryEpochReadableAfterGCRestartAndCompaction(t *testing.T) {
-	const commits, perCommit = 8, 2
-	dir := t.TempDir()
-	opts := flor.Options{RetainEpochs: 1, SegmentBytes: 1}
-	s, err := flor.Open(dir, "tt-gc", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetFilename("train.go")
-	gc := func() {
-		t.Helper()
-		st, err := s.GCEpochs()
-		if err != nil || st.RowsReclaimed != 0 || s.RetentionFloor() != 0 {
-			t.Fatalf("GCEpochs = %+v, %v, floor %d: want a no-op", st, err, s.RetentionFloor())
-		}
-	}
-	for c := 1; c <= commits; c++ {
-		commitStep(t, s, c, perCommit)
-		gc()
-		gc()
-	}
-	assertEpochsVisible(t, s, commits, perCommit)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if s, err = flor.Open(dir, "tt-gc", opts); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.SetFilename("train.go")
-	gc()
-	if _, err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	assertEpochsVisible(t, s, commits, perCommit)
-
-	srv := httptest.NewServer(repl.NewPrimary(s).Routes())
-	defer srv.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	f, err := repl.StartFollower(ctx, repl.FollowerConfig{
-		PrimaryURL: srv.URL, Dir: t.TempDir(), ProjID: "tt-gc", PollWait: 10 * time.Millisecond,
-	})
-	if err != nil {
-		cancel()
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() { f.Run(ctx); close(done) }()
-	defer func() { cancel(); <-done; f.Close() }()
-	follow := func(upto int) {
-		t.Helper()
-		deadline := time.Now().Add(20 * time.Second)
-		for f.Session().Database().Epoch() < int64(upto) {
-			if err := f.Fault(); err != nil {
-				t.Fatalf("follower faulted: %v", err)
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("replica stuck at epoch %d, want %d", f.Session().Database().Epoch(), upto)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		assertEpochsVisible(t, f.Session(), upto, perCommit)
-	}
-	follow(commits)
-	for c := commits + 1; c <= commits+2; c++ {
-		commitStep(t, s, c, perCommit)
-		gc()
-	}
-	assertEpochsVisible(t, s, commits+2, perCommit)
-	follow(commits + 2)
-}
-
 // rewriteSnapshotMeta replaces the meta of the snapshot file at path with
 // edit's result and re-seals the file's checksum: the way to write a
 // snapshot in a format this code no longer produces.
@@ -413,129 +335,6 @@ func stepsAsOfTime(t *testing.T, s *flor.Session, wall int64) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// ts2vidAsOf counts the ts2vid rows visible at the given epoch.
-func ts2vidAsOf(t *testing.T, s *flor.Session, epoch int64) int64 {
-	t.Helper()
-	res, err := s.SQL("SELECT count(*) c FROM ts2vid AS OF " + strconv.FormatInt(epoch, 10))
-	if err != nil {
-		t.Fatalf("ts2vid AS OF %d: %v", epoch, err)
-	}
-	return res.Rows[0][0].AsInt()
-}
-
-// TestAsOfPrefixEquivalenceRandomized is the randomized property: under a
-// random interleaving of commits (some staging a version), compactions, GC
-// calls, and restarts, AS OF e must equal the fully-replayed prefix at e for
-// every committed epoch — its logged rows and one ts2vid row per staged
-// commit — and AS OF TIMESTAMP at commit e's own live stamp must equal AS OF
-// e.
-func TestAsOfPrefixEquivalenceRandomized(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			rng := rand.New(rand.NewSource(seed))
-			stageRng := rand.New(rand.NewSource(-seed))
-			dir := t.TempDir()
-			s, err := flor.Open(dir, "tt-prop", flor.Options{RetainEpochs: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.SetFilename("train.go")
-			var perC []int // perC[c-1] = rows logged by commit c
-			var stagedYet bool
-			var staged []bool // staged[c-1] = commit c versioned the workspace
-			var walls []int64 // walls[c-1] = the stamp the live session gave commit c
-			for step := 0; step < 30; step++ {
-				switch r := rng.Intn(10); {
-				case r < 6: // commit
-					n := 1 + rng.Intn(3)
-					perC = append(perC, n)
-					// A staged file stays in the workspace, so every commit
-					// from the first staging on versions it.
-					if stageRng.Intn(4) == 0 {
-						s.StageFile("train.go", fmt.Sprintf("step = %d\n", len(perC)))
-						stagedYet = true
-					}
-					staged = append(staged, stagedYet)
-					commitStep(t, s, len(perC), n)
-					stamps := s.Database().EpochStamps()
-					last := stamps[len(stamps)-1]
-					if last.Epoch != int64(len(perC)) {
-						t.Fatalf("step %d: newest stamp is for epoch %d, want %d", step, last.Epoch, len(perC))
-					}
-					walls = append(walls, last.Wall)
-				case r < 8: // compact
-					if _, err := s.Compact(); err != nil {
-						t.Fatal(err)
-					}
-				case r == 8: // GC
-					if _, err := s.GCEpochs(); err != nil {
-						t.Fatal(err)
-					}
-				default: // restart
-					if err := s.Close(); err != nil {
-						t.Fatal(err)
-					}
-					s, err = flor.Open(dir, "tt-prop", flor.Options{RetainEpochs: 4})
-					if err != nil {
-						t.Fatal(err)
-					}
-					s.SetFilename("train.go")
-					stagedYet = false // the workspace is not durable
-				}
-
-				commits := int64(len(perC))
-				if got := s.Database().Epoch(); got != commits {
-					t.Fatalf("step %d: epoch %d, want %d commits", step, got, commits)
-				}
-				for e := int64(0); e <= commits; e++ {
-					got := stepsAsOf(t, s, e)
-					// The fully-replayed prefix at e: every row of commits 1..e.
-					var want []string
-					for c := 1; c <= int(e); c++ {
-						for j := 0; j < perC[c-1]; j++ {
-							want = append(want, fmt.Sprintf("c%03d-%02d", c, j))
-						}
-					}
-					sort.Strings(want)
-					if len(got) != len(want) {
-						t.Fatalf("step %d epoch %d: %d rows, want %d", step, e, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("step %d epoch %d row %d: %q != %q", step, e, i, got[i], want[i])
-						}
-					}
-					var versions int64
-					for c := 1; c <= int(e); c++ {
-						if staged[c-1] {
-							versions++
-						}
-					}
-					if got := ts2vidAsOf(t, s, e); got != versions {
-						t.Fatalf("step %d epoch %d: %d ts2vid rows, want %d staged commits", step, e, got, versions)
-					}
-					if e == 0 {
-						continue
-					}
-					// Commit e's stamp resolves to the greatest epoch stamped
-					// at or before it: e itself unless a later commit shares
-					// the stamp.
-					at := e
-					for at < commits && walls[at] <= walls[e-1] {
-						at++
-					}
-					if got, want := fmt.Sprint(stepsAsOfTime(t, s, walls[e-1])), fmt.Sprint(stepsAsOf(t, s, at)); got != want {
-						t.Fatalf("step %d: AS OF TIMESTAMP of commit %d = %s, AS OF %d = %s", step, e, got, at, want)
-					}
-				}
-			}
-			s.Close()
-		})
-	}
 }
 
 // TestTimeTravelLargeProjectAcrossCompaction is the scale acceptance: a
