@@ -69,7 +69,9 @@ crash-matrix:
 # race-stress hammers the concurrent serving core (the lifecycle model's
 # readers pinning epochs beside every commit and compaction,
 # SQL+RunScript+Compact+AS OF stress, replica reads while the
-# follower applies, close draining, group commit, and hindsight replay
+# follower applies, close draining, group commit — the WAL tests that hold
+# a commit's fsync on a gated FS: appends beside it, commits and a Seal
+# sharing one fsync after it — and hindsight replay
 # beside recording — TestConcurrentHindsightBesideRecording: one ctx_id
 # allocator, the backfill's pins held and released, and page-partial
 # aggregates at mixed pins beside an inserting writer —

@@ -71,7 +71,7 @@ var ErrReadOnly = errors.New("flor: session is read-only (replica; promote to wr
 // The read and write paths are decoupled: queries (SQL, Explain, Dataframe,
 // Reader) run against pinned MVCC snapshots of the relational kernel and
 // never block — or are blocked by — concurrent logging; commits group-commit
-// in the WAL, so concurrent committers coalesce into a single fsync.
+// in the WAL, so concurrent committers share fsyncs.
 type Session struct {
 	ProjID string
 
@@ -623,9 +623,10 @@ func (s *Session) StageFile(name, contents string) {
 // All disk work happens outside the session mutex, journal first: the
 // version is fsynced into repo.json strictly before the WAL commit record
 // that names it, so a durable ts2vid row always resolves (DESIGN §7,
-// invariant 5). Concurrent committers coalesce into one journal append and
-// one group-commit WAL fsync instead of queueing a disk flush each, and
-// loggers on other goroutines are never stalled behind a commit's disk wait.
+// invariant 5). The WAL fsync happens outside the WAL's append lock too, so
+// loggers on other goroutines are never stalled behind a commit's disk
+// wait, and commits appended while one is on disk share the next fsync
+// (DESIGN §8).
 func (s *Session) Commit(message string) error {
 	if err := s.begin(); err != nil {
 		return err
@@ -667,8 +668,9 @@ func (s *Session) Commit(message string) error {
 		}
 	}
 	if wal != nil {
-		// Group commit: append under the WAL's short lock, then ride a
-		// shared fsync with any other committers in flight.
+		// Group commit: append under the WAL's append lock, then return
+		// once a durability round covers the record — another committer's
+		// or this one's.
 		if err := wal.AppendCommit(rec); err != nil {
 			return err
 		}
@@ -1073,9 +1075,10 @@ func (s *Session) currentWAL() *storage.WAL {
 	return s.wal
 }
 
-// WALSyncCount reports how many fsyncs the session's WAL has performed
-// (0 for in-memory sessions) — group-commit observability: under N
-// concurrent committers it should grow by ~1 per coalesced batch.
+// WALSyncCount reports how many fsyncs of its log file the session's WAL
+// has performed (0 for in-memory sessions) — group-commit observability:
+// commits appended while a round is on disk share the next round's fsync,
+// so under N concurrent committers it grows by fewer than N.
 func (s *Session) WALSyncCount() int64 { return s.currentWAL().SyncCount() }
 
 // WALCommitCount reports how many commit records the session's WAL has

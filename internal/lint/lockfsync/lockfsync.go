@@ -19,10 +19,13 @@
 // are documented to run "locked" (the *Locked suffix idiom) are the
 // caller's responsibility at the call site.
 //
-// The WAL's own append mutex is the documented exception: w.mu IS the
-// flush-serialization point of group commit, so internal/storage
-// annotates its two intentional hold-across-IO sites with
-// //florvet:ignore comments rather than excluding the package.
+// The WAL's sync lock is the documented exception: syncMu serializes
+// durability rounds and only they take it, so WAL.fsyncLocked fsyncs with
+// it held (its callers take it, per the *Locked idiom). The append lock mu,
+// which every logger takes, is held across an fsync only just before the
+// file is closed, sealed or truncated; the one annotated site in
+// internal/storage is recovery-time Truncate, which carries a
+// //florvet:ignore comment rather than excluding the package.
 package lockfsync
 
 import (

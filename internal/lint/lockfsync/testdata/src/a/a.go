@@ -126,11 +126,11 @@ func closureBody(s *sess) func() error {
 }
 
 // sanctioned holds the lock across the fsync on purpose — the fixture
-// analogue of WAL.mu being the flush-serialization point — and says so
-// with an ignore directive.
+// analogue of WAL.Truncate fsyncing the shortened file during recovery —
+// and says so with an ignore directive.
 func sanctioned(s *sess) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	//florvet:ignore lockfsync this mutex IS the flush-serialization point
+	//florvet:ignore lockfsync nothing else takes this mutex while it fsyncs
 	return s.f.Sync()
 }

@@ -37,12 +37,25 @@ const DefaultSegmentBytes = 64 << 20
 // syncs. The active file rotates into sealed, numbered segments at commit
 // boundaries once it exceeds the segment size. Safe for concurrent use.
 //
-// Commits use group commit: AppendCommit appends the commit record under the
-// short append lock and then waits for a flush+fsync covering it. One waiter
-// at a time is elected leader and performs a single fsync; every commit
-// appended before the leader flushed rides that fsync, so N concurrent
-// committers cost ~1 fsync per batch instead of N.
+// Two locks split the work. mu, the append lock, guards the buffer and the
+// file's bookkeeping and is held only to append or to move the buffer into
+// the file, never across an fsync. syncMu, the sync lock, serializes
+// durability rounds: flush under mu, fsync outside it, publish the durable
+// prefix. AppendCommit returns without a round when the prefix already
+// covers its record, so every commit appended while a round is on disk
+// rides the next round's fsync. Lock order: syncMu, then mu.
 type WAL struct {
+	// syncMu is held by every durability round and by everything that may
+	// close or swap the file (Flush, Seal, Truncate, Close), so the file a
+	// round fsyncs outside mu stays open.
+	syncMu sync.Mutex
+	durGen int64 // generation the durable prefix refers to; guarded by syncMu
+	durOff int64 // bytes of durGen flushed and fsynced; guarded by syncMu
+	// dirUnsynced marks a rotation whose directory fsync has not succeeded
+	// yet; until it does, the rename (and the new active file's dir entry)
+	// may not survive a power loss. Guarded by syncMu.
+	dirUnsynced bool
+
 	mu        sync.Mutex
 	fs        FS
 	f         File
@@ -57,20 +70,6 @@ type WAL struct {
 	committed int64 // logical size as of the last appended commit record
 	nextSeq   int64 // sequence number the next sealed segment will take
 	gen       int64 // active-file generation; rotation increments it
-	// dirUnsynced records a failed post-rotation directory fsync so the next
-	// commit retries it; until then the rename (and the new active file's
-	// dir entry) may not survive a power loss.
-	dirUnsynced bool
-
-	// Group-commit state, guarded by gcMu (never held while doing IO and
-	// never acquired while holding mu except in Truncate, whose one-way
-	// mu->gcMu nesting cannot deadlock against the gcMu->nothing order used
-	// everywhere else).
-	gcMu   sync.Mutex
-	gcCond *sync.Cond
-	gcBusy bool  // a leader is flushing
-	gcGen  int64 // generation the durable prefix below refers to
-	gcOff  int64 // bytes of gcGen proven flushed+fsynced
 
 	syncs   atomic.Int64 // fsyncs performed; group-commit observability
 	commits atomic.Int64 // commit records appended; feeds the fsyncs/commit gauge
@@ -141,13 +140,11 @@ func OpenWAL(path string, opts Options) (*WAL, error) {
 	if len(snaps) > 0 && snaps[len(snaps)-1].Seq >= nextSeq {
 		nextSeq = snaps[len(snaps)-1].Seq + 1
 	}
-	w := &WAL{
+	return &WAL{
 		fs: fsys, f: f, w: bufio.NewWriterSize(f, 1<<16), lock: lock, path: path,
 		sync: !opts.NoSync, segBytes: opts.SegmentBytes,
 		size: st.Size(), committed: st.Size(), nextSeq: nextSeq,
-	}
-	w.gcCond = sync.NewCond(&w.gcMu)
-	return w, nil
+	}, nil
 }
 
 // Path returns the active WAL file path.
@@ -177,30 +174,72 @@ func (w *WAL) appendLocked(rec any) error {
 	return nil
 }
 
-// Flush writes buffered records to the OS and, unless NoSync was set, fsyncs.
+// Flush writes buffered records to the OS and, unless NoSync was set, fsyncs
+// them — a durability round, whose prefix the next AppendCommit finds.
 func (w *WAL) Flush() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.flushLocked()
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
+	return w.syncLocked()
 }
 
-func (w *WAL) flushLocked() error {
+// syncLocked is one durability round: it moves the buffer into the file
+// under mu, then fsyncs the file outside mu. The caller holds syncMu.
+func (w *WAL) syncLocked() error {
+	w.mu.Lock()
+	f, gen, off, err := w.flushBuffer()
+	w.mu.Unlock()
+	return w.fsyncLocked(f, gen, off, err)
+}
+
+// flushLocked is syncLocked for a caller that holds mu as well.
+func (w *WAL) flushLocked() error { return w.fsyncLocked(w.flushBuffer()) }
+
+// flushBuffer writes the buffered records to the active file and returns
+// that file with the generation and offset the records end at. The caller
+// holds mu.
+func (w *WAL) flushBuffer() (File, int64, int64, error) {
 	if err := w.w.Flush(); err != nil {
-		return fmt.Errorf("storage: flush: %w", err)
-	}
-	if w.sync {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("storage: sync: %w", err)
-		}
-		w.syncs.Add(1)
+		return nil, 0, 0, fmt.Errorf("storage: flush: %w", err)
 	}
 	w.pending = 0
+	return w.f, w.gen, w.size, nil
+}
+
+// fsyncLocked finishes a round whose flush returned err and left f holding
+// generation gen through offset off. Unless NoSync was set or the durable
+// prefix already covers it, it fsyncs f, retries a rotation's failed
+// directory fsync, and only then publishes the prefix. The caller holds
+// syncMu.
+func (w *WAL) fsyncLocked(f File, gen, off int64, err error) error {
+	if err != nil || !w.sync || w.covers(gen, off) {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("storage: sync: %w", err)
+	}
+	w.syncs.Add(1)
+	if w.dirUnsynced {
+		if err := w.fs.SyncDir(filepath.Dir(w.path)); err != nil {
+			return err
+		}
+		w.dirUnsynced = false
+	}
+	w.durGen, w.durOff = gen, off
 	return nil
 }
 
-// SyncCount reports how many fsyncs the WAL has performed. With group
-// commit, N concurrent committers should advance it by ~1 per batch, not N;
-// C13 reports the ratio. A nil WAL (in-memory session, unpromoted replica)
+// covers reports whether the durable prefix covers an append that ended at
+// offset off of generation gen. A later generation covers every earlier
+// one: rotation seals a file only once all of it is fsynced. The caller
+// holds syncMu.
+func (w *WAL) covers(gen, off int64) bool {
+	return w.durGen > gen || (w.durGen == gen && w.durOff >= off)
+}
+
+// SyncCount reports how many fsyncs of the log file the WAL has performed.
+// Commits appended while a durability round is on disk share the next
+// round's fsync, so N concurrent committers advance it by fewer than N; C13
+// reports the ratio. A nil WAL (in-memory session, unpromoted replica)
 // reports 0.
 func (w *WAL) SyncCount() int64 {
 	if w == nil {
@@ -235,12 +274,12 @@ func (w *WAL) RegisterMetrics(reg *metrics.Registry) {
 	})
 }
 
-// AppendCommit appends a commit record and waits until it is durable — the
-// commit point. Concurrent callers coalesce: the record is appended under
-// the short append lock, then one caller is elected group-commit leader and
-// performs a single flush+fsync covering every commit appended so far. If
-// the active file has reached the segment size the leader rotates it
-// afterward, so sealed segments always end with a commit record.
+// AppendCommit appends a commit record and returns once it is durable — the
+// commit point. The record is appended under the append lock; then the
+// caller takes the sync lock and returns at once if a round that ran while
+// it waited covered the record, or runs the round itself. A round that
+// leaves the active file at the segment size rotates it, so sealed segments
+// always end with a commit record.
 func (w *WAL) AppendCommit(rec *record.CommitRecord) error {
 	w.mu.Lock()
 	if err := w.appendLocked(rec); err != nil {
@@ -248,80 +287,27 @@ func (w *WAL) AppendCommit(rec *record.CommitRecord) error {
 		return err
 	}
 	w.committed = w.size
-	gen, target := w.gen, w.size
+	gen, off := w.gen, w.size
 	w.mu.Unlock()
 	w.commits.Add(1)
-	return w.syncCommitted(gen, target)
-}
 
-// gcCovered reports whether a durable prefix (sGen, sOff) covers an append
-// at (gen, off). A later generation covers every earlier one: rotation only
-// happens after the old generation was fully flushed and fsynced.
-func gcCovered(sGen, sOff, gen, off int64) bool {
-	return sGen > gen || (sGen == gen && sOff >= off)
-}
-
-// syncCommitted blocks until a flush+fsync covering offset target of
-// generation gen has completed. The first waiter not covered by the durable
-// prefix becomes leader, performs the IO for everyone, publishes the new
-// prefix, and retries rotation and a pending directory sync.
-func (w *WAL) syncCommitted(gen, target int64) error {
-	for {
-		w.gcMu.Lock()
-		for !gcCovered(w.gcGen, w.gcOff, gen, target) && w.gcBusy {
-			w.gcCond.Wait()
-		}
-		if gcCovered(w.gcGen, w.gcOff, gen, target) {
-			w.gcMu.Unlock()
-			return nil
-		}
-		w.gcBusy = true
-		w.gcMu.Unlock()
-
-		// Leader round: flush + fsync everything appended so far. The
-		// capture happens before rotation, so the published prefix describes
-		// the generation the waiters appended into.
-		w.mu.Lock()
-		err := w.flushLocked()
-		sGen, sOff := w.gen, w.size
-		if err == nil {
-			if w.dirUnsynced && w.sync {
-				//florvet:ignore lockfsync w.mu IS the flush-serialization point of group commit; the leader holds it for the whole IO round by design
-				if derr := w.fs.SyncDir(filepath.Dir(w.path)); derr != nil {
-					err = derr
-				} else {
-					w.dirUnsynced = false
-				}
-			}
-			if err == nil && w.segBytes > 0 && w.size >= w.segBytes {
-				// Rotation is space management, not part of the commit
-				// contract: the commit record is already durable, so a
-				// rotation failure must not make AppendCommit report failure
-				// (a caller would retry the committed transaction and
-				// duplicate it). The next commit — or an explicit Seal,
-				// which does surface errors — retries.
-				_, _ = w.rotateLocked()
-			}
-		}
-		w.mu.Unlock()
-
-		w.gcMu.Lock()
-		w.gcBusy = false
-		if err == nil && gcCovered(sGen, sOff, w.gcGen, w.gcOff) {
-			w.gcGen, w.gcOff = sGen, sOff
-		}
-		done := err == nil && gcCovered(w.gcGen, w.gcOff, gen, target)
-		w.gcCond.Broadcast()
-		w.gcMu.Unlock()
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		// Our append postdates the state the leader flushed (possible only
-		// when we inherited leadership mid-round); go around again.
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
+	if w.covers(gen, off) {
+		return nil
 	}
+	if err := w.syncLocked(); err != nil {
+		return err
+	}
+	if w.segBytes > 0 {
+		// Rotation is space management, not part of the commit contract:
+		// the commit record is already durable, so a rotation failure must
+		// not make AppendCommit report failure (a caller would retry the
+		// committed transaction and duplicate it). The next commit — or an
+		// explicit Seal, which does surface errors — retries.
+		_, _ = w.sealLocked(w.segBytes)
+	}
+	return nil
 }
 
 // Seal flushes and rotates the active file into a sealed segment regardless
@@ -330,23 +316,36 @@ func (w *WAL) syncCommitted(gen, target int64) error {
 // uncommitted tail (from a transaction in flight on another goroutine) that
 // must stay in the active file so recovery can truncate it.
 func (w *WAL) Seal() (int64, error) {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
+	if err := w.syncLocked(); err != nil {
+		return 0, err
+	}
+	return w.sealLocked(1)
+}
+
+// sealLocked rotates the active file once it holds at least minSize bytes,
+// all of them committed. A file is sealed only when durable in full, so
+// what was appended since the caller's round is flushed and fsynced under
+// mu first — at most once per segment. The caller holds syncMu.
+func (w *WAL) sealLocked(minSize int64) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.size < minSize || w.committed != w.size {
+		return 0, nil
+	}
 	if err := w.flushLocked(); err != nil {
 		return 0, err
 	}
 	return w.rotateLocked()
 }
 
-// rotateLocked seals the active file when it is non-empty and fully
-// committed; otherwise it is a no-op returning sequence 0. The rename
-// happens with the old file still open (the fd follows the inode), so a
-// failure at any step leaves the WAL with a usable handle — rotation can
-// fail, but it never poisons the log.
+// rotateLocked renames the active file, fsynced and fully committed, to the
+// next sealed segment and opens a fresh active file. The rename happens with
+// the old file still open (the fd follows the inode), so a failure at any
+// step leaves the WAL with a usable handle — rotation can fail, but it never
+// poisons the log.
 func (w *WAL) rotateLocked() (int64, error) {
-	if w.size == 0 || w.committed != w.size {
-		return 0, nil
-	}
 	seq := w.nextSeq
 	segPath := SegmentPath(w.path, seq)
 	if err := w.fs.Rename(w.path, segPath); err != nil {
@@ -376,7 +375,7 @@ func (w *WAL) rotateLocked() (int64, error) {
 		// Make the rename durable. On failure the in-memory and on-disk
 		// states are still individually consistent (recovery handles both
 		// the pre- and post-rename layouts), so report without undoing and
-		// let the next commit retry the directory sync.
+		// let the next round retry the directory sync.
 		if err := w.fs.SyncDir(filepath.Dir(w.path)); err != nil {
 			w.dirUnsynced = true
 			return seq, err
@@ -389,6 +388,8 @@ func (w *WAL) rotateLocked() (int64, error) {
 // to drop a torn or uncommitted tail before any new record is appended, so a
 // later commit cannot resurrect records that were not durable.
 func (w *WAL) Truncate(off int64) error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.flushLocked(); err != nil {
@@ -411,16 +412,16 @@ func (w *WAL) Truncate(off int64) error {
 	w.size, w.committed = off, off
 	// The durable prefix must not claim coverage past the new end, or a
 	// later commit below the old offset would skip its fsync.
-	w.gcMu.Lock()
-	if w.gcGen == w.gen && w.gcOff > off {
-		w.gcOff = off
+	if w.durGen == w.gen && w.durOff > off {
+		w.durOff = off
 	}
-	w.gcMu.Unlock()
 	return nil
 }
 
 // Close flushes and closes the file, releasing the project lock.
 func (w *WAL) Close() error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	err := w.flushLocked()

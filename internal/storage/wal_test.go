@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -335,5 +336,218 @@ func TestGroupCommitSequentialStillDurable(t *testing.T) {
 	}
 	if n != 10 {
 		t.Fatalf("replayed %d records, want 10", n)
+	}
+}
+
+// gatedFS is the operating system's FS with a hand on its files' fsyncs: the
+// next Sync after hold blocks until the returned release runs, and the next
+// Sync after failNext fails without syncing.
+type gatedFS struct {
+	OSFS
+	mu      sync.Mutex
+	gate    chan struct{} // closed by release
+	entered chan struct{} // closed when the held Sync starts
+	fail    bool
+}
+
+type gatedFile struct {
+	File
+	fs *gatedFS
+}
+
+func (g *gatedFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := g.OSFS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return gatedFile{File: f, fs: g}, nil
+}
+
+// hold arms the gate for the next Sync. entered is closed once that Sync is
+// blocked; release lets it finish.
+func (g *gatedFS) hold() (entered <-chan struct{}, release func()) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.gate, g.entered = make(chan struct{}), make(chan struct{})
+	gate := g.gate
+	var once sync.Once
+	return g.entered, func() { once.Do(func() { close(gate) }) }
+}
+
+func (g *gatedFS) failNext() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.fail = true
+}
+
+func (f gatedFile) Sync() error {
+	f.fs.mu.Lock()
+	gate, entered, fail := f.fs.gate, f.fs.entered, f.fs.fail
+	f.fs.gate, f.fs.entered, f.fs.fail = nil, nil, false
+	f.fs.mu.Unlock()
+	if gate != nil {
+		close(entered)
+		<-gate
+	}
+	if fail {
+		return errors.New("gatedFS: sync failed")
+	}
+	return f.File.Sync()
+}
+
+// waitFor polls cond until it holds or five seconds pass.
+func waitFor(cond func() bool) bool {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if cond() {
+			return true
+		}
+	}
+	return cond()
+}
+
+// heldCommit opens a WAL on a gatedFS and starts a commit whose fsync is
+// held; it returns once that fsync has started. The commit's error arrives on
+// done after release.
+func heldCommit(t *testing.T) (w *WAL, fs *gatedFS, release func(), done <-chan error) {
+	t.Helper()
+	fs = &gatedFS{}
+	w, err := OpenWAL(walPath(t), Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := fs.hold()
+	t.Cleanup(release)
+	errc := make(chan error, 1)
+	go func() { errc <- w.AppendCommit(commitRec(0)) }()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the commit never reached its fsync")
+	}
+	return w, fs, release, errc
+}
+
+func TestConcurrentAppendBesideCommitFsync(t *testing.T) {
+	// A commit's disk wait stalls no logger: Append takes only the append
+	// lock, which a durability round never holds across its fsync.
+	w, _, release, done := heldCommit(t)
+	appended := make(chan error, 1)
+	go func() { appended <- w.Append(logRec(1, "x", "v")) }()
+	select {
+	case err := <-appended:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		release()
+		t.Fatal("Append blocked behind a commit's fsync")
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestConcurrentCommitsShareOneFsync(t *testing.T) {
+	// Every commit appended while a round is on disk rides the next round:
+	// eight of them cost one fsync between them.
+	w, _, release, done := heldCommit(t)
+	const n = 8
+	errs := make(chan error, n)
+	for i := 1; i <= n; i++ {
+		go func() { errs <- w.AppendCommit(commitRec(int64(i))) }()
+	}
+	if !waitFor(func() bool { return w.CommitCount() == 1+n }) {
+		release()
+		t.Fatalf("only %d of %d commits appended while an fsync was in flight", w.CommitCount(), 1+n)
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := w.SyncCount(); got != 2 {
+		t.Fatalf("%d fsyncs for a held commit and %d commits appended during it, want 2", got, n)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestConcurrentCommitBehindSealSharesItsFsync(t *testing.T) {
+	// A commit and a compaction's Seal queue behind a held fsync. Whichever
+	// takes the sync lock first, one fsync covers both: Seal publishes the
+	// prefix it fsynced, so the commit queued behind it returns without its
+	// own, and a Seal behind the commit's round finds nothing left to fsync.
+	w, _, release, done := heldCommit(t)
+	type sealed struct {
+		seq int64
+		err error
+	}
+	seal := make(chan sealed, 1)
+	go func() {
+		seq, err := w.Seal()
+		seal <- sealed{seq, err}
+	}()
+	// Give the Seal a head start so it usually queues first; the count
+	// below holds in either order.
+	time.Sleep(20 * time.Millisecond)
+	committed := make(chan error, 1)
+	go func() { committed <- w.AppendCommit(commitRec(1)) }()
+	if !waitFor(func() bool { return w.CommitCount() == 2 }) {
+		release()
+		t.Fatal("a commit could not append while an fsync was in flight")
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	if s := <-seal; s.err != nil || s.seq != 1 {
+		t.Fatalf("Seal = %d, %v; want segment 1", s.seq, s.err)
+	}
+	if got := w.SyncCount(); got != 2 {
+		t.Fatalf("%d fsyncs for a held commit, a commit and a Seal behind it, want 2", got)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestGroupCommitFailedFsyncKeepsPrefix(t *testing.T) {
+	// A round whose fsync fails reports it to its committer and publishes
+	// nothing, so the next commit pays for its own fsync.
+	fs := &gatedFS{}
+	w, err := OpenWAL(walPath(t), Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendCommit(commitRec(0)); err != nil {
+		t.Fatal(err)
+	}
+	fs.failNext()
+	if err := w.AppendCommit(commitRec(1)); err == nil {
+		t.Fatal("a commit whose fsync failed reported success")
+	}
+	if got := w.SyncCount(); got != 1 {
+		t.Fatalf("SyncCount = %d after a failed fsync, want 1", got)
+	}
+	if err := w.AppendCommit(commitRec(2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.SyncCount(); got != 2 {
+		t.Fatalf("SyncCount = %d, want 2: the commit after a failed round fsyncs itself", got)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
