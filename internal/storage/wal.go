@@ -206,12 +206,11 @@ func (w *WAL) flushBuffer() (File, int64, int64, error) {
 }
 
 // fsyncLocked finishes a round whose flush returned err and left f holding
-// generation gen through offset off. Unless NoSync was set or the durable
-// prefix already covers it, it fsyncs f, retries a rotation's failed
-// directory fsync, and only then publishes the prefix. The caller holds
-// syncMu.
+// generation gen through offset off. Unless NoSync was set, it fsyncs f,
+// retries a rotation's failed directory fsync, and only then publishes the
+// prefix. The caller holds syncMu.
 func (w *WAL) fsyncLocked(f File, gen, off int64, err error) error {
-	if err != nil || !w.sync || w.covers(gen, off) {
+	if err != nil || !w.sync {
 		return err
 	}
 	if err := f.Sync(); err != nil {
@@ -326,15 +325,20 @@ func (w *WAL) Seal() (int64, error) {
 
 // sealLocked rotates the active file once it holds at least minSize bytes,
 // all of them committed. A file is sealed only when durable in full, so
-// what was appended since the caller's round is flushed and fsynced under
-// mu first — at most once per segment. The caller holds syncMu.
+// what was appended since the caller's round is flushed, and fsynced under
+// mu unless the prefix already covers it — at most once per segment. The
+// caller holds syncMu.
 func (w *WAL) sealLocked(minSize int64) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.size < minSize || w.committed != w.size {
 		return 0, nil
 	}
-	if err := w.flushLocked(); err != nil {
+	f, gen, off, err := w.flushBuffer()
+	if err == nil && !w.covers(gen, off) {
+		err = w.fsyncLocked(f, gen, off, nil)
+	}
+	if err != nil {
 		return 0, err
 	}
 	return w.rotateLocked()
