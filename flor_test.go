@@ -268,6 +268,21 @@ with flor.checkpointing(model=net) {
 }
 `
 
+// sessTrainSrcWithNormAssigned logs norm as the value of an assignment.
+const sessTrainSrcWithNormAssigned = `
+epochs = flor.arg("epochs", 3)
+net = make_model()
+with flor.checkpointing(model=net) {
+    for epoch in flor.loop("epoch", range(epochs)) {
+        for step in flor.loop("step", range(2)) {
+            bump(net)
+        }
+        norm = flor.log("norm", peek(net) * 10)
+        flor.log("acc", peek(net))
+    }
+}
+`
+
 func registerCounterHosts(s *Session) {
 	s.RegisterHost("make_model", func([]script.Value, map[string]script.Value) (script.Value, error) {
 		return &counterModel{}, nil
@@ -281,7 +296,21 @@ func registerCounterHosts(s *Session) {
 	})
 }
 
+// TestEndToEndHindsight backfills a norm log into two committed versions,
+// written as a statement after a derivation, as an assignment's value, and
+// nested in an assignment's expression.
 func TestEndToEndHindsight(t *testing.T) {
+	for _, tc := range []struct{ name, newSrc string }{
+		{"statement", sessTrainSrcWithNorm},
+		{"assignment", sessTrainSrcWithNormAssigned},
+		{"nested in an assignment", strings.Replace(sessTrainSrcWithNormAssigned,
+			`norm = flor.log("norm", peek(net) * 10)`, `y = flor.log("norm", peek(net) * 10) * 2`, 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkEndToEndHindsight(t, tc.newSrc) })
+	}
+}
+
+func checkEndToEndHindsight(t *testing.T, newSrc string) {
 	s := memSession(t, Options{Policy: replay.EveryN{N: 1}})
 	registerCounterHosts(s)
 	// Run and commit two versions.
@@ -294,7 +323,7 @@ func TestEndToEndHindsight(t *testing.T) {
 		}
 	}
 	// Hindsight: add the norm log.
-	reports, err := s.Hindsight("train.flow", sessTrainSrcWithNorm, nil)
+	reports, err := s.Hindsight("train.flow", newSrc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"runtime"
 	"sort"
 	"sync"
@@ -130,17 +131,8 @@ func (d *Driver) replayOne(filename string, newF *script.File, job VersionJob, t
 		return rep
 	}
 
-	// Names added by propagation = names in merged that the old version
-	// did not log.
-	oldNames := script.LoggedNames(oldF)
-	newNames := make(map[string]bool)
-	for n := range script.LoggedNames(merged) {
-		if !oldNames[n] {
-			newNames[n] = true
-		}
-	}
-
-	facts := analyze(merged, res.IsInjected)
+	an := script.Analyze(merged)
+	facts := analyze(merged, an, res.IsInjected)
 	rep.Mode = "coarse"
 	if facts.innerNeeded {
 		rep.Mode = "full"
@@ -148,7 +140,7 @@ func (d *Driver) replayOne(filename string, newF *script.File, job VersionJob, t
 	ctx := &Context{ProjID: d.ProjID, Tstamp: job.Tstamp, Tables: d.Tables, WAL: d.WAL}
 	ctx.SetFilename(filename)
 	r := NewReplayer(ctx, d.View, d.NextCtx)
-	r.NewNames = newNames
+	r.NewNames = newNames(merged, an, res)
 	r.InnerNeeded = facts.innerNeeded
 	r.Carried = facts.carried
 	if targets != nil {
@@ -169,6 +161,24 @@ func (d *Driver) replayOne(filename string, newF *script.File, job VersionJob, t
 	rep.Stats = r.Stats
 	rep.Duration = time.Since(start)
 	return rep
+}
+
+// newNames returns the names a replay backfills: the literal names the
+// injected statements of merged log, less those its old statements log.
+func newNames(merged *script.File, an script.Analysis, res script.PropagateResult) map[string]bool {
+	added, old := map[string]bool{}, map[string]bool{}
+	script.Inspect(merged.Stmts, func(s script.Stmt) bool {
+		set := old
+		if res.IsInjected(s) {
+			set = added
+		}
+		for _, n := range an[s].Logs {
+			set[n] = true
+		}
+		return false
+	})
+	maps.DeleteFunc(added, func(n string, _ bool) bool { return old[n] })
+	return added
 }
 
 // sourceOf names the source a replay error's line counts in. The merged

@@ -1,7 +1,7 @@
 package replay
 
 import (
-	"strings"
+	"maps"
 
 	"flordb/internal/script"
 )
@@ -39,25 +39,24 @@ type scriptFacts struct {
 // iteration. Where unsure it answers FULL and from the start. func bodies
 // are read as globals: their reads count everywhere and their writes in
 // every loop. A func that holds a flor.loop or an injected statement, or a
-// script with no checkpoint loop, gets FULL. injected reports whether
-// propagation put a statement into f (script.PropagateResult.IsInjected).
-func analyze(f *script.File, injected func(script.Stmt) bool) scriptFacts {
-	a := &analysis{mutable: names{}}
+// script with no checkpoint loop, gets FULL. an is f's script.Analyze: the
+// loops and scopes are the statements' Op and Scope, the reads their Reads,
+// W(L) their Binds and Mutates, and a binding's mutability its Immutable.
+// injected reports whether propagation put a statement into f
+// (script.PropagateResult.IsInjected).
+func analyze(f *script.File, an script.Analysis, injected func(script.Stmt) bool) scriptFacts {
+	a := &analysis{an: an, mutable: names{}}
 	a.scan(f.Stmts, nil, nil)
 	var fx scriptFacts
 
 	funcReads, funcWrites := names{}, names{}
 	for _, d := range a.funcs {
-		if script.Inspect(d.Body, injected) || script.Inspect(d.Body, isFlorLoop) {
+		if script.Inspect(d.Body, injected) || a.holdsLoop(d.Body) {
 			fx = scriptFacts{innerNeeded: true, carried: true}
 		}
-		params := names{}
-		for _, p := range d.Params {
-			params[p] = true
-		}
-		u := a.use(d.Body, params, nil, nil)
-		funcReads.add(u.early)
-		funcWrites.add(u.writes)
+		u := a.use(d.Body, names{}.add(d.Params...), nil, nil)
+		maps.Copy(funcReads, u.early)
+		maps.Copy(funcWrites, u.writes)
 	}
 	if len(a.ckptLoops) == 0 {
 		fx.innerNeeded = true
@@ -69,17 +68,17 @@ func analyze(f *script.File, injected func(script.Stmt) bool) scriptFacts {
 		for _, l := range c.inner {
 			in := a.use(l.Body, names{l.Var: true}, c.objs, nil)
 			in.writes[l.Var] = true
-			in.writes.add(funcWrites)
+			maps.Copy(in.writes, funcWrites)
 			outside := a.use(f.Stmts, nil, nil, l).reads
-			outside.add(funcReads)
-			outside.add(in.early)
+			maps.Copy(outside, funcReads)
+			maps.Copy(outside, in.early)
 			if script.Inspect(l.Body, injected) || in.writes.meets(outside) {
 				fx.innerNeeded = true
 			}
 		}
 		body := a.use(c.loop.Body, names{c.loop.Var: true}, c.objs, nil)
-		body.writes.add(funcWrites)
-		body.early.add(funcReads)
+		maps.Copy(body.writes, funcWrites)
+		maps.Copy(body.early, funcReads)
 		if body.writes.meets(body.early) {
 			fx.carried = true
 		}
@@ -89,10 +88,11 @@ func analyze(f *script.File, injected func(script.Stmt) bool) scriptFacts {
 
 type names map[string]bool
 
-func (n names) add(o names) {
-	for k := range o {
-		n[k] = true
+func (n names) add(ss ...string) names {
+	for _, s := range ss {
+		n[s] = true
 	}
+	return n
 }
 
 func (n names) meets(o names) bool {
@@ -116,9 +116,15 @@ type checkpointLoop struct {
 }
 
 type analysis struct {
+	an        script.Analysis
 	mutable   names // bound at least once to a value a call might change
 	funcs     []*script.FuncStmt
 	ckptLoops []*checkpointLoop
+}
+
+// holdsLoop reports whether a flor.loop header lies in ss.
+func (a *analysis) holdsLoop(ss []script.Stmt) bool {
+	return script.Inspect(ss, func(s script.Stmt) bool { return a.an[s].Op == script.FlorLoop })
 }
 
 // scan finds the checkpoint loops, their inner loops and the funcs, and
@@ -127,50 +133,32 @@ type analysis struct {
 // loop whose body, outside its inner loops, ss belongs to.
 func (a *analysis) scan(ss []script.Stmt, objs names, c *checkpointLoop) {
 	for _, s := range ss {
-		switch x := s.(type) {
-		case *script.AssignStmt:
-			if n, ok := x.Target.(*script.NameExpr); ok && !immutable(x.Value) {
-				a.mutable[n.Name] = true
-			}
-		case *script.ForStmt:
-			if !overRange(x) {
-				a.mutable[x.Var] = true
-			}
-			switch {
-			case isFlorLoop(x) && c != nil:
-				c.inner = append(c.inner, x)
-				a.scan(x.Body, nil, nil)
-				continue
-			case isFlorLoop(x) && objs != nil:
-				cl := &checkpointLoop{loop: x, objs: objs}
-				a.ckptLoops = append(a.ckptLoops, cl)
-				a.scan(x.Body, nil, cl)
-				continue
-			case c != nil && script.Inspect(x.Body, isFlorLoop):
-				c.repeated = true
-			}
-		case *script.WhileStmt:
-			if c != nil && script.Inspect(x.Body, isFlorLoop) {
-				c.repeated = true
-			}
-		case *script.WithStmt:
-			if x.Call.Fn == "flor.checkpointing" {
-				scope := names{}
-				for _, v := range x.Call.KwVals {
-					if n, ok := v.(*script.NameExpr); ok {
-						scope[n.Name] = true
-					}
-				}
-				a.scan(x.Body, scope, nil)
-				continue
-			}
-		case *script.FuncStmt:
-			a.mutable[x.Name] = true
-			for _, p := range x.Params {
-				a.mutable[p] = true
-			}
-			a.funcs = append(a.funcs, x)
-			a.scan(x.Body, nil, nil)
+		f := a.an[s]
+		if !f.Immutable {
+			a.mutable.add(f.Binds...)
+		}
+		loop, isFor := s.(*script.ForStmt)
+		_, isWhile := s.(*script.WhileStmt)
+		switch {
+		case f.Op == script.FlorLoop && c != nil:
+			c.inner = append(c.inner, loop)
+			a.scan(loop.Body, nil, nil)
+			continue
+		case f.Op == script.FlorLoop && objs != nil:
+			cl := &checkpointLoop{loop: loop, objs: objs}
+			a.ckptLoops = append(a.ckptLoops, cl)
+			a.scan(loop.Body, nil, cl)
+			continue
+		case f.Op == script.FlorCheckpointing:
+			a.scan(script.Body(s)[0], names{}.add(f.Scope...), nil)
+			continue
+		case (isFor || isWhile) && c != nil && a.holdsLoop(script.Body(s)[0]):
+			c.repeated = true
+		}
+		if d, ok := s.(*script.FuncStmt); ok {
+			a.mutable.add(d.Params...)
+			a.funcs = append(a.funcs, d)
+			a.scan(d.Body, nil, nil)
 			continue
 		}
 		for _, b := range script.Body(s) {
@@ -181,126 +169,54 @@ func (a *analysis) scan(ss []script.Stmt, objs names, c *checkpointLoop) {
 
 // usage is what a statement list reads and may write.
 type usage struct {
+	*analysis
 	reads, writes names
 	// early holds the names read before every path has assigned them: an
 	// assignment in a nested block assigns nothing after it, since the
 	// block may not run.
-	early   names
-	mutable names           // names a call might change in place
-	objs    names           // changing one of these in place is no write
-	skip    *script.ForStmt // a loop whose body is not read
+	early names
+	objs  names           // changing one of these in place is no write
+	skip  *script.ForStmt // a loop whose body is not read
 }
 
 // use walks ss, func bodies aside, with the names in defined assigned on
 // entry.
 func (a *analysis) use(ss []script.Stmt, defined, objs names, skip *script.ForStmt) *usage {
-	u := &usage{reads: names{}, writes: names{}, early: names{}, mutable: a.mutable, objs: objs, skip: skip}
+	u := &usage{analysis: a, reads: names{}, writes: names{}, early: names{}, objs: objs, skip: skip}
 	u.walk(ss, defined)
 	return u
 }
 
 func (u *usage) walk(ss []script.Stmt, defined names) {
 	assigned := names{}
-	assigned.add(defined)
-	mutate := func(e script.Expr) {
-		for ix, ok := e.(*script.IndexExpr); ok; ix, ok = e.(*script.IndexExpr) {
-			e = ix.X
-		}
-		if n, ok := e.(*script.NameExpr); ok && u.mutable[n.Name] && !u.objs[n.Name] {
-			u.writes[n.Name] = true
-		}
-	}
-	expr := func(e script.Expr) {
-		script.WalkExpr(e, func(x script.Expr) {
-			switch x := x.(type) {
-			case *script.NameExpr:
-				u.reads[x.Name] = true
-				if !assigned[x.Name] {
-					u.early[x.Name] = true
-				}
-			case *script.CallExpr:
-				if strings.HasPrefix(x.Fn, "flor.") {
-					return
-				}
-				for _, arg := range x.Args {
-					mutate(arg)
-				}
-				for _, arg := range x.KwVals {
-					mutate(arg)
-				}
-			}
-		})
-	}
+	maps.Copy(assigned, defined)
 	for _, s := range ss {
+		f := u.an[s]
+		for _, n := range f.Reads {
+			u.reads[n] = true
+			if !assigned[n] {
+				u.early[n] = true
+			}
+		}
+		for _, n := range f.Mutates {
+			if u.mutable[n] && !u.objs[n] {
+				u.writes[n] = true
+			}
+		}
+		u.writes.add(f.Binds...)
 		switch x := s.(type) {
-		case *script.AssignStmt:
-			expr(x.Value)
-			if n, ok := x.Target.(*script.NameExpr); ok {
-				u.writes[n.Name] = true
-				assigned[n.Name] = true
-			} else {
-				expr(x.Target)
-				mutate(x.Target)
-			}
-			continue
 		case *script.ForStmt:
-			expr(x.Iterable)
-			u.writes[x.Var] = true
+			// A loop binds its variable in its body only.
 			if x != u.skip {
-				inner := names{x.Var: true}
-				inner.add(assigned)
-				u.walk(x.Body, inner)
+				u.walk(x.Body, maps.Clone(assigned).add(f.Binds...))
 			}
-			continue
 		case *script.FuncStmt:
-			u.writes[x.Name] = true
-			assigned[x.Name] = true
-			continue
-		case *script.ExprStmt:
-			expr(x.X)
-		case *script.IfStmt:
-			expr(x.Cond)
-		case *script.WhileStmt:
-			expr(x.Cond)
-		case *script.WithStmt:
-			expr(x.Call)
-		case *script.ReturnStmt:
-			if x.X != nil {
-				expr(x.X)
+			assigned.add(f.Binds...)
+		default:
+			assigned.add(f.Binds...)
+			for _, b := range script.Body(s) {
+				u.walk(b, assigned)
 			}
 		}
-		for _, b := range script.Body(s) {
-			u.walk(b, assigned)
-		}
 	}
-}
-
-// immutable reports whether e always yields a value no call can change in
-// place.
-func immutable(e script.Expr) bool {
-	switch x := e.(type) {
-	case *script.NumberLit, *script.StringLit, *script.BoolLit, *script.NilLit, *script.UnaryExpr:
-		return true
-	case *script.CallExpr:
-		return x.Fn == "flor.arg" && len(x.KwVals) == 0 && (len(x.Args) < 2 || immutable(x.Args[1]))
-	}
-	return false
-}
-
-// overRange reports whether a loop's variable takes the values of a range.
-func overRange(s *script.ForStmt) bool {
-	call, ok := s.Iterable.(*script.CallExpr)
-	if ok && call.Fn == "flor.loop" && len(call.Args) == 2 {
-		call, ok = call.Args[1].(*script.CallExpr)
-	}
-	return ok && call.Fn == "range"
-}
-
-func isFlorLoop(s script.Stmt) bool {
-	f, ok := s.(*script.ForStmt)
-	if !ok {
-		return false
-	}
-	call, ok := f.Iterable.(*script.CallExpr)
-	return ok && call.Fn == "flor.loop"
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"regexp"
 	"slices"
 	"sort"
 	"strings"
@@ -86,14 +87,18 @@ func reexecuted(t *testing.T, src string, names map[string]bool, keep func(strin
 	return loggedRows(t, tables, 1, names, keep)
 }
 
-// addedNames returns the names merged logs that old does not.
-func addedNames(old, merged *script.File) map[string]bool {
-	oldNames := script.LoggedNames(old)
+// logName matches the literal name of a flor.log call in source text.
+var logName = regexp.MustCompile(`flor\.log\("([^"]*)"`)
+
+// addedNames returns the names newSrc's flor.log calls spell out and
+// oldSrc's do not, read from the text rather than from script.Analyze.
+func addedNames(oldSrc, newSrc string) map[string]bool {
 	out := map[string]bool{}
-	for n := range script.LoggedNames(merged) {
-		if !oldNames[n] {
-			out[n] = true
-		}
+	for _, m := range logName.FindAllStringSubmatch(newSrc, -1) {
+		out[m[1]] = true
+	}
+	for _, m := range logName.FindAllStringSubmatch(oldSrc, -1) {
+		delete(out, m[1])
 	}
 	return out
 }
@@ -121,11 +126,12 @@ func freshHosts(in *script.Interp) { setupHosts(&toyModel{})(in) }
 
 // hindsightCase is one generated history: the committed versions of a
 // checkpointed training script, and the newest source, which adds
-// flor.log statements to it.
+// flor.log statements to it, under names the versions never log.
 type hindsightCase struct {
 	versions []string
 	policies []CheckpointPolicy
 	newSrc   string
+	names    map[string]bool // what newSrc's added logs are named
 	targets  []int
 	workers  int
 }
@@ -138,7 +144,8 @@ type hindsightCase struct {
 // through the checkpointed model (pre, mid and acc read it), and variables
 // that the prelude, the outer body or the inner body assign. Added logs
 // read a name in scope at a random position: the prelude, before, inside
-// or after the inner loop, or after the checkpoint loop.
+// or after the inner loop, or after the checkpoint loop, as a statement or
+// as the value of an assignment.
 func genHindsightCase(rng *rand.Rand) hindsightCase {
 	coin := func(n int) bool { return rng.Intn(n) == 0 }
 	x0, best, hist, c := coin(2), coin(3), coin(4), coin(4)
@@ -185,13 +192,19 @@ func genHindsightCase(rng *rand.Rand) hindsightCase {
 	// which is wrong wherever a plan rebuilt it wrongly, whatever the mode.
 	model := [npos]string{before: "pre", inner: "mid", after: "acc", tail: "acc"}
 	var added [npos][]string
+	names := map[string]bool{}
 	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
 		p := pos(rng.Intn(int(npos)))
 		name := scope[p][rng.Intn(len(scope[p]))]
 		if m := model[p]; m != "" && rng.Intn(2) == 0 && slices.Contains(scope[p], m) {
 			name = m
 		}
-		added[p] = append(added[p], fmt.Sprintf("flor.log(%q, %s)", fmt.Sprintf("h%d", i), name))
+		log := fmt.Sprintf("flor.log(\"h%d\", %s)", i, name)
+		if rng.Intn(2) == 0 {
+			log = fmt.Sprintf("a%d = %s", i, log)
+		}
+		added[p] = append(added[p], log)
+		names[fmt.Sprintf("h%d", i)] = true
 	}
 
 	render := func(epochs, steps int, logs [npos][]string) string {
@@ -258,7 +271,7 @@ func genHindsightCase(rng *rand.Rand) hindsightCase {
 		return sb.String()
 	}
 
-	var hc hindsightCase
+	hc := hindsightCase{names: names}
 	for v, n := 0, 1+rng.Intn(4); v < n; v++ {
 		hc.versions = append(hc.versions, render(1+rng.Intn(4), 1+rng.Intn(3), [npos][]string{}))
 		// Every iteration checkpointed is the only cadence where a COARSE
@@ -285,7 +298,7 @@ func genHindsightCase(rng *rand.Rand) hindsightCase {
 
 // checkHindsightCase commits hc's versions, backfills the newest source
 // into all of them, and requires every version's added rows to be what
-// recording its merged source from scratch logs for the new names,
+// recording its merged source from scratch logs for the generator's names,
 // restricted to the target iterations when there are targets.
 func checkHindsightCase(t *testing.T, hc hindsightCase) {
 	t.Helper()
@@ -313,9 +326,8 @@ func checkHindsightCase(t *testing.T, hc hindsightCase) {
 			t.Fatal(err)
 		}
 		merged, _ := script.Propagate(oldF, newF)
-		names := addedNames(oldF, merged)
-		want := reexecuted(t, script.Print(merged), names, inTargets(hc.targets))
-		got := loggedRows(t, tables, jobs[i].Tstamp, names, nil)
+		want := reexecuted(t, script.Print(merged), hc.names, inTargets(hc.targets))
+		got := loggedRows(t, tables, jobs[i].Tstamp, hc.names, nil)
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {
 			t.Fatalf("version %d (%s, mode %s, targets %v): hindsight logged\n  %s\nre-execution logs\n  %s\nmerged:\n%s",
 				i, hc.policies[i].Name(), rep.Mode, hc.targets, strings.Join(got, "\n  "), strings.Join(want, "\n  "), script.Print(merged))

@@ -699,7 +699,7 @@ func TestHindsightPlanRegressions(t *testing.T) {
 			oldF, _ := script.Parse("train.flow", tc.old)
 			newF, _ := script.Parse("train.flow", tc.new)
 			merged, res := script.Propagate(oldF, newF)
-			if got := analyze(merged, res.IsInjected); got != tc.facts {
+			if got := analyze(merged, script.Analyze(merged), res.IsInjected); got != tc.facts {
 				t.Fatalf("plan facts = %+v, want %+v", got, tc.facts)
 			}
 
@@ -714,7 +714,7 @@ func TestHindsightPlanRegressions(t *testing.T) {
 			if rep.Err != nil {
 				t.Fatal(rep.Err)
 			}
-			names := addedNames(oldF, merged)
+			names := addedNames(tc.old, tc.new)
 			want := reexecuted(t, script.Print(merged), names, inTargets(tc.targets))
 			got := loggedRows(t, tables, 1, names, nil)
 			if strings.Join(got, "\n") != strings.Join(want, "\n") {
@@ -998,7 +998,7 @@ func TestReplayPlanAnalysis(t *testing.T) {
 			if res.Injected == 0 {
 				t.Fatal("nothing injected")
 			}
-			if got := analyze(merged, res.IsInjected); got != tc.want {
+			if got := analyze(merged, script.Analyze(merged), res.IsInjected); got != tc.want {
 				t.Fatalf("facts = %+v, want %+v\n%s", got, tc.want, script.Print(merged))
 			}
 		})

@@ -351,34 +351,18 @@ func Print(f *File) string {
 func printStmts(sb *strings.Builder, stmts []Stmt, depth int) {
 	indent := strings.Repeat("    ", depth)
 	for _, s := range stmts {
-		switch x := s.(type) {
-		case *IfStmt:
-			fmt.Fprintf(sb, "%s%s {\n", indent, x.Signature())
-			printStmts(sb, x.Then, depth+1)
-			if len(x.Else) > 0 {
-				fmt.Fprintf(sb, "%s} else {\n", indent)
-				printStmts(sb, x.Else, depth+1)
-			}
-			fmt.Fprintf(sb, "%s}\n", indent)
-		case *ForStmt:
-			fmt.Fprintf(sb, "%s%s {\n", indent, x.Signature())
-			printStmts(sb, x.Body, depth+1)
-			fmt.Fprintf(sb, "%s}\n", indent)
-		case *WhileStmt:
-			fmt.Fprintf(sb, "%s%s {\n", indent, x.Signature())
-			printStmts(sb, x.Body, depth+1)
-			fmt.Fprintf(sb, "%s}\n", indent)
-		case *FuncStmt:
-			fmt.Fprintf(sb, "%s%s {\n", indent, x.Signature())
-			printStmts(sb, x.Body, depth+1)
-			fmt.Fprintf(sb, "%s}\n", indent)
-		case *WithStmt:
-			fmt.Fprintf(sb, "%s%s {\n", indent, x.Signature())
-			printStmts(sb, x.Body, depth+1)
-			fmt.Fprintf(sb, "%s}\n", indent)
-		default:
+		bodies := Body(s)
+		if bodies == nil {
 			fmt.Fprintf(sb, "%s%s\n", indent, s.Signature())
+			continue
 		}
+		fmt.Fprintf(sb, "%s%s {\n", indent, s.Signature())
+		printStmts(sb, bodies[0], depth+1)
+		if x, ok := s.(*IfStmt); ok && len(x.Else) > 0 {
+			fmt.Fprintf(sb, "%s} else {\n", indent)
+			printStmts(sb, x.Else, depth+1)
+		}
+		fmt.Fprintf(sb, "%s}\n", indent)
 	}
 }
 

@@ -1,7 +1,8 @@
 package script
 
 import (
-	"strings"
+	"maps"
+	"strconv"
 
 	"flordb/internal/diffkit"
 )
@@ -16,17 +17,22 @@ import (
 //
 //  1. Align the statement sequences of corresponding blocks using Myers
 //     diff over canonical statement signatures (block headers for compound
-//     statements, a flor.loop header by its loop's name; full renderings
-//     for simple statements).
+//     statements, a flor.loop header by its loop's literal name; full
+//     renderings for simple statements).
 //  2. Recurse into the bodies of matched compound statements.
-//  3. Any *new* statement that is a flor.log / flor.commit call (or an
-//     assignment feeding one) is injected into the old block at the aligned
-//     position — anchored after the nearest preceding matched statement.
+//  3. Any *new* log-bearing statement is injected into the old block at the
+//     aligned position — anchored after the nearest preceding matched
+//     statement.
 //
-// Statements that are new but not log-bearing are NOT injected: hindsight
-// logging adds observation, never computation (the paper's replay extracts
-// "arbitrary expression values derivable from [recorded] state"; the
-// assignments we carry along are the derivations feeding new logs).
+// Steps 1 and 3 read the facts of Analyze: a loop's name is its Facts.Loop,
+// and a statement is log-bearing by its Facts.Op and Facts.Effects
+// (isLogBearing). Statements
+// that are new but not log-bearing are NOT injected: hindsight logging adds
+// observation, never computation (the paper's replay extracts "arbitrary
+// expression values derivable from [recorded] state"; the assignments we
+// carry along are the derivations feeding new logs). Which names a replay
+// backfills is read from the same facts: the Facts.Logs of the injected
+// statements.
 
 // PropagateResult reports what propagation did.
 type PropagateResult struct {
@@ -61,23 +67,17 @@ func (r *PropagateResult) inject(s Stmt) {
 // newF.
 func Propagate(oldF, newF *File) (*File, PropagateResult) {
 	var res PropagateResult
-	merged := propagateBlock(oldF.Stmts, newF.Stmts, &res)
+	an := Analyze(oldF)
+	maps.Copy(an, Analyze(newF))
+	merged := propagateBlock(oldF.Stmts, newF.Stmts, an, &res)
 	return &File{Name: oldF.Name, Stmts: merged}, res
 }
 
 // propagateBlock returns oldStmts itself when nothing was injected into the
 // block or below it.
-func propagateBlock(oldStmts, newStmts []Stmt, res *PropagateResult) []Stmt {
-	oldSigs := make([]string, len(oldStmts))
-	for i, s := range oldStmts {
-		oldSigs[i] = alignSignature(s)
-	}
-	newSigs := make([]string, len(newStmts))
-	for i, s := range newStmts {
-		newSigs[i] = alignSignature(s)
-	}
+func propagateBlock(oldStmts, newStmts []Stmt, an Analysis, res *PropagateResult) []Stmt {
 	// align[j] = index in old of the statement matching new[j], or -1.
-	align := diffkit.Align(oldSigs, newSigs)
+	align := diffkit.Align(an.signatures(oldStmts), an.signatures(newStmts))
 
 	// For each old index, the new statements to inject immediately after
 	// it (or at the front for index -1), and the merged copy of a matched
@@ -90,7 +90,7 @@ func propagateBlock(oldStmts, newStmts []Stmt, res *PropagateResult) []Stmt {
 		i := align[j]
 		if i < 0 {
 			// New statement: inject only if log-bearing.
-			if isLogBearing(s) {
+			if isLogBearing(s, an) {
 				injections[lastMatchedOld] = append(injections[lastMatchedOld], s)
 				res.inject(s)
 			}
@@ -105,7 +105,7 @@ func propagateBlock(oldStmts, newStmts []Stmt, res *PropagateResult) []Stmt {
 		}
 		n := res.Injected
 		for bi := range oldBodies {
-			oldBodies[bi] = propagateBlock(oldBodies[bi], newBodies[bi], res)
+			oldBodies[bi] = propagateBlock(oldBodies[bi], newBodies[bi], an, res)
 		}
 		if res.Injected != n {
 			if merged == nil {
@@ -130,110 +130,34 @@ func propagateBlock(oldStmts, newStmts []Stmt, res *PropagateResult) []Stmt {
 	return out
 }
 
-// alignSignature is the signature a statement aligns by. A flor.loop header
-// aligns by the loop's identity, its variable and literal name, so a loop
-// whose bound changed between the versions is still the same loop; a loop
-// whose name is not a string literal keeps its rendered header.
-func alignSignature(s Stmt) string {
-	if f, ok := s.(*ForStmt); ok {
-		if c, ok := f.Iterable.(*CallExpr); ok && c.Fn == "flor.loop" && len(c.Args) > 0 {
-			if name, ok := c.Args[0].(*StringLit); ok {
-				return "for " + f.Var + " in flor.loop(" + name.Render() + ")"
-			}
+// signatures returns the signatures the statements of ss align by. A
+// flor.loop header aligns by the loop's identity, its variable and literal
+// name, so a loop whose bound changed between the versions is still the same
+// loop; a loop whose name is not a string literal keeps its rendered header.
+func (an Analysis) signatures(ss []Stmt) []string {
+	sigs := make([]string, len(ss))
+	for i, s := range ss {
+		sigs[i] = s.Signature()
+		if f := an[s]; f.NamedLoop {
+			sigs[i] = "for " + s.(*ForStmt).Var + " in flor.loop(" + strconv.Quote(f.Loop) + ")"
 		}
 	}
-	return s.Signature()
+	return sigs
 }
 
-// isLogBearing reports whether a statement should be carried into history:
-// flor.log / flor.commit expression statements, assignments whose value
-// feeds a later log (conservatively: any assignment whose right-hand side
-// contains no flor call is allowed — it is a pure derivation), and compound
-// statements that hold a log-bearing statement.
-func isLogBearing(s Stmt) bool {
+// isLogBearing reports whether a new statement is carried into history: a
+// flor.log or flor.commit expression statement, an assignment whose value
+// calls no flor function but flor.log (conservatively, a derivation that may
+// feed a new log), or a compound statement that holds one of these.
+func isLogBearing(s Stmt, an Analysis) bool {
 	return Inspect([]Stmt{s}, func(c Stmt) bool {
-		switch x := c.(type) {
+		f := an[c]
+		switch c.(type) {
 		case *ExprStmt:
-			call, ok := x.X.(*CallExpr)
-			return ok && (call.Fn == "flor.log" || call.Fn == "flor.commit")
+			return f.Op == FlorLog || f.Op == FlorCommit
 		case *AssignStmt:
-			// A new assignment is carried along as a derivation for
-			// subsequent new logs (e.g. `ratio = loss / acc` followed by
-			// `flor.log("ratio", ratio)`).
-			return !containsFlorCall(x.Value) || containsOnlyFlorLog(x.Value)
+			return f.Effects&^FlorLog == 0
 		}
 		return false
 	})
-}
-
-func containsFlorCall(e Expr) bool {
-	found := false
-	WalkExpr(e, func(x Expr) {
-		if c, ok := x.(*CallExpr); ok && strings.HasPrefix(c.Fn, "flor.") {
-			found = true
-		}
-	})
-	return found
-}
-
-func containsOnlyFlorLog(e Expr) bool {
-	ok := true
-	WalkExpr(e, func(x Expr) {
-		if c, isCall := x.(*CallExpr); isCall && strings.HasPrefix(c.Fn, "flor.") && c.Fn != "flor.log" {
-			ok = false
-		}
-	})
-	return ok
-}
-
-// WalkExpr calls fn on e and on every expression nested in it, parents
-// first.
-func WalkExpr(e Expr, fn func(Expr)) {
-	if e == nil {
-		return
-	}
-	fn(e)
-	switch x := e.(type) {
-	case *ListLit:
-		for _, it := range x.Items {
-			WalkExpr(it, fn)
-		}
-	case *DictLit:
-		for i := range x.Keys {
-			WalkExpr(x.Keys[i], fn)
-			WalkExpr(x.Vals[i], fn)
-		}
-	case *IndexExpr:
-		WalkExpr(x.X, fn)
-		WalkExpr(x.Index, fn)
-	case *CallExpr:
-		for _, a := range x.Args {
-			WalkExpr(a, fn)
-		}
-		for _, a := range x.KwVals {
-			WalkExpr(a, fn)
-		}
-	case *BinaryExpr:
-		WalkExpr(x.L, fn)
-		WalkExpr(x.R, fn)
-	case *UnaryExpr:
-		WalkExpr(x.X, fn)
-	}
-}
-
-// LoggedNames returns the set of statically-known value names appearing in
-// flor.log(name, ...) calls with literal name arguments.
-func LoggedNames(f *File) map[string]bool {
-	out := make(map[string]bool)
-	Inspect(f.Stmts, func(s Stmt) bool {
-		if es, ok := s.(*ExprStmt); ok {
-			if call, isCall := es.X.(*CallExpr); isCall && call.Fn == "flor.log" && len(call.Args) >= 1 {
-				if lit, isLit := call.Args[0].(*StringLit); isLit {
-					out[lit.S] = true
-				}
-			}
-		}
-		return false
-	})
-	return out
 }

@@ -54,9 +54,10 @@ func renderPropagateGolden(t *testing.T, cases []propagateCase) string {
 
 // TestPropagateGolden pins what propagation makes of every old/new pair
 // the tests use — the TestPropagate* cases, hostlib.TrainSrc →
-// TrainSrcWithNorm, and the replay plan-analysis pairs — against
-// testdata/propagate.golden: the printed merged file, the injected count
-// and the matched count, byte for byte.
+// TrainSrcWithNorm, the replay plan-analysis pairs, and the root
+// TestEndToEndHindsight's norm log as an assignment's value and nested in
+// one — against testdata/propagate.golden: the printed merged file, the
+// injected count and the matched count, byte for byte.
 func TestPropagateGolden(t *testing.T) {
 	cases, want := readPropagateGolden(t)
 	if len(cases) == 0 {

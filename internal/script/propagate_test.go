@@ -239,13 +239,25 @@ for e in flor.loop("epoch", range(2)) {
     if e > 0 {
         flor.log("c", e)
     }
+    d = flor.log("d", e)
+    y = flor.log("e", e) * 2
+    flor.log(name, e)
 }
 `)
-	if countLogs(f) != 3 {
+	if countLogs(f) != 4 {
 		t.Fatalf("count = %d", countLogs(f))
 	}
-	names := LoggedNames(f)
-	for _, n := range []string{"a", "b", "c"} {
+	names := map[string]bool{}
+	for _, facts := range Analyze(f) {
+		for _, n := range facts.Logs {
+			names[n] = true
+		}
+	}
+	// A log whose name is not a string literal names nothing.
+	if len(names) != 5 {
+		t.Fatalf("logged names = %v, want a..e", names)
+	}
+	for _, n := range []string{"a", "b", "c", "d", "e"} {
 		if !names[n] {
 			t.Fatalf("missing logged name %q", n)
 		}
